@@ -4,8 +4,8 @@ All numeric CSV output uses 17 significant digits (round-trip exact for
 doubles), a header row and LF line endings, so identical flags produce
 byte-identical files.
 
-Exit codes: 0 success, 1 usage error, 2 numerical-precondition failure,
-3 verification-suite failure.
+Exit codes: 0 success, 1 usage error, 2 numerical-precondition failure
+(including running out of memory), 3 verification-suite failure.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--dim", type=int, default=2)
     ver.add_argument("--dt", type=float, default=1.0)
     ver.add_argument("--points", type=int, default=8, help="Gauss-Legendre points per axis")
-    ver.add_argument("--draws", type=int, default=100, help="random draws per identity")
+    ver.add_argument("--draws", type=int, default=100, help="random draws per identity (>= 1)")
     ver.add_argument("--tolerance", type=float, default=None, help="override every identity tolerance")
     ver.add_argument("--out", required=True, help="output CSV path")
 
@@ -169,6 +169,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.draws < 1:
+        raise UsageError("--draws must be at least 1")
     cfg = OracleConfig(gl_points_per_axis=args.points, seed=args.seed, dim=args.dim, dt=args.dt)
     rows = []
     if args.suite in ("closed-forms", "all"):
@@ -224,6 +226,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"magstep: i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"magstep: numerical precondition failed: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def main() -> None:

@@ -7,7 +7,12 @@ differ in quadrature nodes and in how many nested commutators they keep.
 
 ``exponent`` broadcasts: samples may be single ``(d, d)`` matrices or stacks
 ``(n, d, d)`` sharing one scalar ``dt``, which is how the evolution driver
-assembles a whole trajectory worth of exponents in one call.
+assembles a whole trajectory worth of exponents in one call.  ħ enters
+once, as the scaled step ``tau = dt / ħ`` handed to every builder.
+
+Each Magnus term M1..M4 a scheme uses has one closed form here
+(``m1_simpson`` ... ``m4_linear``); ``verify.check_closed_forms`` certifies
+these same functions against the quadrature oracles.
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ _TWO_THIRDS = 2.0 / 3.0
 # interpolant into a single triple-commutator tower; the conjugate root
 # -(5 + sqrt(21))/2 yields the same matrix.
 QUAD_COMMUTATOR_ROOT = -(5.0 - math.sqrt(21.0)) / 2.0
+
+# Relative Hermiticity defect above which a Hamiltonian sample is rejected;
+# independent of the exponential's anti-Hermiticity tolerance.
+SAMPLE_HERMITICITY_TOL = 1e-10
 
 
 class MethodId(enum.Enum):
@@ -145,7 +154,7 @@ def sample_nodes(method: MethodId) -> tuple[float, ...]:
     return _NODES[method]
 
 
-def _checked_samples(method: MethodId, samples: Mapping[float, Array], tol: float) -> dict[float, Array]:
+def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> dict[float, Array]:
     out: dict[float, Array] = {}
     for node in sample_nodes(method):
         if node not in samples:
@@ -153,8 +162,8 @@ def _checked_samples(method: MethodId, samples: Mapping[float, Array], tol: floa
         h = as_complex_square(samples[node])
         defect = np.asarray(hermiticity_defect(h))
         scale = np.maximum(1.0, np.asarray(frobenius_norm(h)))
-        if np.any(defect > tol * scale):
-            raise NonHermitianSampleError(node, float(np.max(defect)), tol)
+        if np.any(defect > SAMPLE_HERMITICITY_TOL * scale):
+            raise NonHermitianSampleError(node, float(np.max(defect)), SAMPLE_HERMITICITY_TOL)
         out[node] = h
     return out
 
@@ -165,98 +174,124 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
     ``samples`` maps node fractions (from :func:`sample_nodes`) to Hermitian
     matrices; values may be stacked as ``(n, d, d)``.
     """
-    h = _checked_samples(method, samples, ctx.expm_tolerance)
-    dt = float(dt)
-    hbar = ctx.hbar
-    return _EXPONENT_BUILDERS[method](h, dt, hbar)
+    h = _checked_samples(method, samples)
+    tau = float(dt) / ctx.hbar
+    return _EXPONENT_BUILDERS[method](h, tau)
 
 
-def _exponent_me2(h, dt, hbar):
-    return (-0.5j * dt / hbar) * (h[0.0] + h[1.0])
+# Closed forms of the Magnus terms M1..M4 of the Lagrange interpolant through
+# equally spaced samples (h0 at the start of the step, h1 at its end, hh at the
+# midpoint, hq*/ht* at quarters/thirds), for a step of length tau.
+
+def m1_simpson(h0, hh, h1, tau):
+    return (tau / 6.0) * (h0 + 4.0 * hh + h1)
 
 
-def _simpson_m1(h, dt):
-    return (dt / 6.0) * (h[0.0] + 4.0 * h[0.5] + h[1.0])
+def m1_boole(h0, hq1, hh, hq3, h1, tau):
+    return (tau / 90.0) * (7.0 * h0 + 32.0 * hq1 + 12.0 * hh + 32.0 * hq3 + 7.0 * h1)
 
 
-def _exponent_me3(h, dt, hbar):
-    m1 = _simpson_m1(h, dt)
-    m2 = (dt**2 / 6.0) * commutator(h[1.0], h[0.0])
-    return (-1j / hbar) * m1 - m2 / (2.0 * hbar**2)
+def m2_linear(h0, h1, tau):
+    return (tau**2 / 6.0) * commutator(h1, h0)
 
 
-def _exponent_me4(h, dt, hbar, with_triple: bool):
-    m1 = _simpson_m1(h, dt)
-    m2 = (dt**2 / 30.0) * commutator(h[0.0] + 4.0 * h[0.5], h[0.0] - h[1.0])
-    theta = (-1j / hbar) * m1 - m2 / (2.0 * hbar**2)
-    if with_triple:
-        m3 = (dt**3 / 40.0) * commutator(h[1.0] - h[0.0], commutator(h[1.0], h[0.0]))
-        theta = theta + (1j / (6.0 * hbar**3)) * m3
-    return theta
+def m2_quadratic(h0, hh, h1, tau):
+    return (tau**2 / 30.0) * commutator(h0 + 4.0 * hh, h0 - h1)
 
 
-def _exponent_me6(h, dt, hbar):
-    h0, hq1, ht1, hh, ht2, hq3, h1 = (
-        h[0.0], h[0.25], h[_THIRD], h[0.5], h[_TWO_THIRDS], h[0.75], h[1.0],
-    )
-    m1 = (dt / 90.0) * (7.0 * h0 + 32.0 * hq1 + 12.0 * hh + 32.0 * hq3 + 7.0 * h1)
-    m2 = (dt**2 / 3360.0) * (
+def m2_cubic(h0, ht1, ht2, h1, tau):
+    return (tau**2 / 3360.0) * (
         117.0 * (commutator(ht1, h0) + commutator(h1, ht2))
         + 47.0 * commutator(h1, h0)
         + 144.0 * (commutator(h1, ht1) + commutator(ht2, h0))
         + 729.0 * commutator(ht2, ht1)
     )
-    m3 = (dt**3 / 2520.0) * (
+
+
+def m3_linear(h0, h1, tau):
+    return (tau**3 / 40.0) * commutator(h1 - h0, commutator(h1, h0))
+
+
+def m3_quadratic(h0, hh, h1, tau):
+    return (tau**3 / 2520.0) * (
         64.0 * commutator(hh + h1, commutator(hh, h0))
         + 64.0 * commutator(hh + h0, commutator(hh, h1))
         + 44.0 * (commutator(h0, commutator(h0, hh)) + commutator(h1, commutator(h1, hh)))
         + 9.0 * commutator(h1 - h0, commutator(h1, h0))
     )
-    c = QUAD_COMMUTATOR_ROOT
-    m4 = (dt**4 / 210.0) * commutator(
-        (1.0 / c) * h0 - h1, commutator(h1 - c * h0, commutator(h1, h0))
+
+
+def m4_linear(h0, h1, tau, root=QUAD_COMMUTATOR_ROOT):
+    return (tau**4 / 210.0) * commutator(
+        (1.0 / root) * h0 - h1, commutator(h1 - root * h0, commutator(h1, h0))
+    )
+
+
+# Each builder maps the checked samples and tau = dt / ħ to
+# Theta = -i M1 - M2/2 + i M3/6 + M4/24 (or the scheme's own regrouping).
+
+def _exponent_me2(h, tau):
+    return (-0.5j * tau) * (h[0.0] + h[1.0])
+
+
+def _exponent_me3(h, tau):
+    h0, hh, h1 = h[0.0], h[0.5], h[1.0]
+    return -1j * m1_simpson(h0, hh, h1, tau) - m2_linear(h0, h1, tau) / 2.0
+
+
+def _exponent_me4_nc(h, tau):
+    h0, hh, h1 = h[0.0], h[0.5], h[1.0]
+    return -1j * m1_simpson(h0, hh, h1, tau) - m2_quadratic(h0, hh, h1, tau) / 2.0
+
+
+def _exponent_me4_full(h, tau):
+    return _exponent_me4_nc(h, tau) + (1j / 6.0) * m3_linear(h[0.0], h[1.0], tau)
+
+
+def _exponent_me6(h, tau):
+    h0, hq1, ht1, hh, ht2, hq3, h1 = (
+        h[0.0], h[0.25], h[_THIRD], h[0.5], h[_TWO_THIRDS], h[0.75], h[1.0],
     )
     return (
-        (-1j / hbar) * m1
-        - m2 / (2.0 * hbar**2)
-        + (1j / (6.0 * hbar**3)) * m3
-        + m4 / (24.0 * hbar**4)
+        -1j * m1_boole(h0, hq1, hh, hq3, h1, tau)
+        - m2_cubic(h0, ht1, ht2, h1, tau) / 2.0
+        + (1j / 6.0) * m3_quadratic(h0, hh, h1, tau)
+        + m4_linear(h0, h1, tau) / 24.0
     )
 
 
-def _exponent_blanes4(h, dt, hbar):
-    s = _simpson_m1(h, dt)
-    k = (dt**2 / 72.0) * commutator(h[1.0] - h[0.0], h[0.0] + 4.0 * h[0.5] + h[1.0])
-    return (-1j / hbar) * s - k / hbar**2
+def _exponent_blanes4(h, tau):
+    h0, hh, h1 = h[0.0], h[0.5], h[1.0]
+    k = (tau**2 / 72.0) * commutator(h1 - h0, h0 + 4.0 * hh + h1)
+    return -1j * m1_simpson(h0, hh, h1, tau) - k
 
 
-def _exponent_blanes4_gauss(h, dt, hbar):
+def _exponent_blanes4_gauss(h, tau):
     g1, g2 = h[GAUSS2_LO], h[GAUSS2_HI]
-    s = (dt / 2.0) * (g1 + g2)
-    k = (math.sqrt(3.0) / 12.0) * dt**2 * commutator(g2, g1)
-    return (-1j / hbar) * s - k / hbar**2
+    s = (tau / 2.0) * (g1 + g2)
+    k = (math.sqrt(3.0) / 12.0) * tau**2 * commutator(g2, g1)
+    return -1j * s - k
 
 
-def _exponent_iserles4_gauss(h, dt, hbar):
+def _exponent_iserles4_gauss(h, tau):
     g1, g2 = h[GAUSS2_LO], h[GAUSS2_HI]
-    theta = _exponent_blanes4_gauss(h, dt, hbar)
-    triple = (dt**3 / 80.0) * commutator(g2 - g1, commutator(g2, g1))
-    return theta + (1j / hbar**3) * triple
+    triple = (tau**3 / 80.0) * commutator(g2 - g1, commutator(g2, g1))
+    return _exponent_blanes4_gauss(h, tau) + 1j * triple
 
 
-def _exponent_blanes6_gauss(h, dt, hbar):
-    # Built from the rescaled generator A = -i H / hbar so that the term mixing
-    # 3- and 4-fold commutators carries the right power of hbar in each part.
-    a1 = (-1j / hbar) * h[GAUSS3_LO]
-    a2 = (-1j / hbar) * h[0.5]
-    a3 = (-1j / hbar) * h[GAUSS3_HI]
+def _exponent_blanes6_gauss(h, tau):
+    # Built from the generator A = -i H, so the term mixing 3- and 4-fold
+    # commutators carries the right power of tau in each part.
+    a1 = -1j * h[GAUSS3_LO]
+    a2 = -1j * h[0.5]
+    a3 = -1j * h[GAUSS3_HI]
     b0 = (5.0 / 18.0) * (a1 + a3) + (4.0 / 9.0) * a2
     b1 = (math.sqrt(15.0) / 36.0) * (a3 - a1)
     b2 = (1.0 / 24.0) * (a1 + a3)
-    m1 = dt * b0
-    m2 = dt**2 * commutator(b1, 3.0 * b0 - 12.0 * b2)
-    m34 = (3.0 / 10.0) * dt * commutator(b1, m2) + dt**2 * commutator(
-        b0, commutator(b0, (dt / 2.0) * b2 - m2 / 120.0)
+    m1 = tau * b0
+    m2 = tau**2 * commutator(b1, 3.0 * b0 - 12.0 * b2)
+    m34 = (3.0 / 10.0) * tau * commutator(b1, m2) + tau**2 * commutator(
+        b0, commutator(b0, (tau / 2.0) * b2 - m2 / 120.0)
     )
     return m1 + 0.5 * m2 + m34
 
@@ -264,8 +299,8 @@ def _exponent_blanes6_gauss(h, dt, hbar):
 _EXPONENT_BUILDERS: dict[MethodId, Callable] = {
     MethodId.ME2: _exponent_me2,
     MethodId.ME3: _exponent_me3,
-    MethodId.ME4_FULL: lambda h, dt, hbar: _exponent_me4(h, dt, hbar, with_triple=True),
-    MethodId.ME4_NC: lambda h, dt, hbar: _exponent_me4(h, dt, hbar, with_triple=False),
+    MethodId.ME4_FULL: _exponent_me4_full,
+    MethodId.ME4_NC: _exponent_me4_nc,
     MethodId.ME6: _exponent_me6,
     MethodId.BLANES4: _exponent_blanes4,
     MethodId.BLANES4_GAUSS: _exponent_blanes4_gauss,

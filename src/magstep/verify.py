@@ -7,6 +7,12 @@ integrands are low-degree polynomials, fixed-order quadrature is exact up to
 rounding, which makes the 1e-11 certification tolerances meaningful.  Every
 closed-form commutator expression used by the step schemes is checked against
 the matching oracle over seeded random Hermitian samples.
+
+``check_closed_forms`` calls the step builders' own term functions
+(``magnus_steps.m1_simpson`` ... ``m4_linear``), so a wrong coefficient in a
+scheme fails certification.  The terms take the step as ``tau = dt / ħ``, the
+only place ħ enters; here ħ = 1 and ``tau`` is ``cfg.dt``.  Every suite needs
+at least one draw (the CLI rejects ``--draws`` below 1).
 """
 
 from __future__ import annotations
@@ -20,10 +26,15 @@ import numpy as np
 from .linalg import Array, commutator, dagger, frobenius_norm, unitarity_defect
 from .magnus_steps import (
     ALL_METHODS,
-    QUAD_COMMUTATOR_ROOT,
-    MethodId,
     StepContext,
-    sample_nodes,
+    m1_boole,
+    m1_simpson,
+    m2_cubic,
+    m2_linear,
+    m2_quadratic,
+    m3_linear,
+    m3_quadratic,
+    m4_linear,
     step,
 )
 
@@ -245,63 +256,42 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
     track = _MaxTracker()
-    c = QUAD_COMMUTATOR_ROOT
     c_alt = -(5.0 + math.sqrt(21.0)) / 2.0
+
+    def certify(name: str, closed_form: Array, h, n: int) -> None:
+        track.update(name, _rel_dev(closed_form, oracle_Mn(h, n, 0.0, dt, cfg)))
 
     for _ in range(draws):
         h0, hq1, ht1, hh, ht2, hq3, h1 = (random_hermitian(rng, cfg.dim) for _ in range(7))
+        h_lin = interpolant([h0, h1], 1, 0.0, dt)
+        h_quad = interpolant([h0, hh, h1], 2, 0.0, dt)
+        h_cub = interpolant([h0, ht1, ht2, h1], 3, 0.0, dt)
+        h_quart = interpolant([h0, hq1, hh, hq3, h1], 4, 0.0, dt)
 
         # single integral: Simpson over (0, 1/2, 1) and Boole over quarters
-        h_quad = interpolant([h0, hh, h1], 2, 0.0, dt)
-        track.update(
-            "m1-simpson",
-            _rel_dev((dt / 6.0) * (h0 + 4.0 * hh + h1), oracle_Mn(h_quad, 1, 0.0, dt, cfg)),
-        )
-        h_quart = interpolant([h0, hq1, hh, hq3, h1], 4, 0.0, dt)
-        boole = (dt / 90.0) * (7.0 * h0 + 32.0 * hq1 + 12.0 * hh + 32.0 * hq3 + 7.0 * h1)
-        track.update("m1-boole", _rel_dev(boole, oracle_Mn(h_quart, 1, 0.0, dt, cfg)))
+        certify("m1-simpson", m1_simpson(h0, hh, h1, dt), h_quad, 1)
+        certify("m1-boole", m1_boole(h0, hq1, hh, hq3, h1, dt), h_quart, 1)
 
-        # double integral: linear, quadratic (both printed forms) and cubic
-        h_lin = interpolant([h0, h1], 1, 0.0, dt)
-        track.update(
-            "m2-linear",
-            _rel_dev((dt**2 / 6.0) * commutator(h1, h0), oracle_Mn(h_lin, 2, 0.0, dt, cfg)),
-        )
+        # double integral: linear, quadratic (both printed forms) and cubic;
+        # the paper's sum form of the quadratic one is used by no step scheme
+        certify("m2-linear", m2_linear(h0, h1, dt), h_lin, 2)
         m2_oracle = oracle_Mn(h_quad, 2, 0.0, dt, cfg)
         m2_sum = (dt**2 / 30.0) * (
             commutator(h1, h0) + 4.0 * commutator(hh, h0) + 4.0 * commutator(h1, hh)
         )
-        m2_single = (dt**2 / 30.0) * commutator(h0 + 4.0 * hh, h0 - h1)
+        m2_single = m2_quadratic(h0, hh, h1, dt)
         track.update("m2-quadratic-sum", _rel_dev(m2_sum, m2_oracle))
         track.update("m2-quadratic-single", _rel_dev(m2_single, m2_oracle))
         track.update("m2-quadratic-forms-agree", _rel_dev(m2_sum, m2_single))
-
-        h_cub = interpolant([h0, ht1, ht2, h1], 3, 0.0, dt)
-        m2_cubic = (dt**2 / 3360.0) * (
-            117.0 * (commutator(ht1, h0) + commutator(h1, ht2))
-            + 47.0 * commutator(h1, h0)
-            + 144.0 * (commutator(h1, ht1) + commutator(ht2, h0))
-            + 729.0 * commutator(ht2, ht1)
-        )
-        track.update("m2-cubic", _rel_dev(m2_cubic, oracle_Mn(h_cub, 2, 0.0, dt, cfg)))
+        certify("m2-cubic", m2_cubic(h0, ht1, ht2, h1, dt), h_cub, 2)
 
         # triple integral: linear and quadratic
-        m3_lin = (dt**3 / 40.0) * commutator(h1 - h0, commutator(h1, h0))
-        track.update("m3-linear", _rel_dev(m3_lin, oracle_Mn(h_lin, 3, 0.0, dt, cfg)))
-        m3_quad = (dt**3 / 2520.0) * (
-            64.0 * commutator(hh + h1, commutator(hh, h0))
-            + 64.0 * commutator(hh + h0, commutator(hh, h1))
-            + 44.0 * (commutator(h0, commutator(h0, hh)) + commutator(h1, commutator(h1, hh)))
-            + 9.0 * commutator(h1 - h0, commutator(h1, h0))
-        )
-        track.update("m3-quadratic", _rel_dev(m3_quad, oracle_Mn(h_quad, 3, 0.0, dt, cfg)))
+        certify("m3-linear", m3_linear(h0, h1, dt), h_lin, 3)
+        certify("m3-quadratic", m3_quadratic(h0, hh, h1, dt), h_quad, 3)
 
         # quadruple integral: the single-tower form, both roots
         m4_oracle = oracle_Mn(h_lin, 4, 0.0, dt, cfg)
-        tower = lambda root: (dt**4 / 210.0) * commutator(
-            (1.0 / root) * h0 - h1, commutator(h1 - root * h0, commutator(h1, h0))
-        )
-        m4_main, m4_alt = tower(c), tower(c_alt)
+        m4_main, m4_alt = m4_linear(h0, h1, dt), m4_linear(h0, h1, dt, root=c_alt)
         track.update("m4-linear", _rel_dev(m4_main, m4_oracle))
         track.update("m4-linear-alt-root", _rel_dev(m4_alt, m4_oracle))
         track.update("m4-roots-agree", _rel_dev(m4_main, m4_alt))

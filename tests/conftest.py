@@ -18,11 +18,6 @@ def pauli():
     return SX, SY, SZ
 
 
-def random_hermitian(rng, dim):
-    b = rng.uniform(0, 1, (dim, dim)) + 1j * rng.uniform(0, 1, (dim, dim))
-    return 0.5 * (b + b.conj().T)
-
-
 @pytest.fixture(scope="session")
 def ladder_reports():
     """Full-ladder convergence reports for the four builtin cases."""

@@ -10,6 +10,7 @@ from magstep.cli import (
     EXIT_VERIFY_FAILED,
     run,
 )
+from magstep.hamiltonians import HamiltonianModel
 
 CASE_I_JSON = json.dumps(
     {
@@ -145,6 +146,22 @@ class TestPropagate:
         )
         assert code == EXIT_USAGE
 
+    def test_out_of_memory_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(self, ts):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(HamiltonianModel, "sample_many", exhausted)
+        out = tmp_path / "pop.csv"
+        code = run(
+            ["propagate", "--case", "I", "--method", "me2", "--n-steps", "4", "--out", str(out)]
+        )
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: numerical precondition failed:")
+        assert "out of memory" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_invalid_model_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "entries": [{"i": 0, "j": 0, "offset": [0, 1]}]}')
@@ -244,6 +261,15 @@ class TestVerify:
         assert "FAILED" in capsys.readouterr().err
         lines = read_lines(out)
         assert any(line.endswith("false") for line in lines[1:])
+
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_draws_below_one_is_usage_error(self, tmp_path, capsys, draws):
+        out = tmp_path / "report.csv"
+        code = run(["verify", "--suite", "all", "--draws", draws, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--draws" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHelp:

@@ -12,8 +12,9 @@ from magstep.linalg import (
     hermiticity_defect,
     unitarity_defect,
 )
+from magstep.verify import random_hermitian
 
-from conftest import I2, SX, SY, SZ, random_hermitian
+from conftest import I2, SX, SY, SZ
 
 
 def naive_matmul(a, b):

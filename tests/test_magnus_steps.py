@@ -20,13 +20,23 @@ from magstep.magnus_steps import (
     MethodId,
     MissingNodeError,
     NonHermitianSampleError,
+    SAMPLE_HERMITICITY_TOL,
     StepContext,
     exponent,
+    m1_boole,
+    m1_simpson,
+    m2_cubic,
+    m2_linear,
+    m2_quadratic,
+    m3_linear,
+    m3_quadratic,
+    m4_linear,
     sample_nodes,
     step,
 )
+from magstep.verify import random_hermitian
 
-from conftest import SX, SY, SZ, random_hermitian
+from conftest import SX, SY, SZ
 
 
 def random_samples(rng, method, dim):
@@ -133,6 +143,37 @@ class TestExponent:
             exponent(MethodId.ME3, samples, 0.1)
         # sample minus its adjoint is 0.02j * I, with Frobenius norm 0.02*sqrt(2)
         assert excinfo.value.defect == pytest.approx(0.02 * np.sqrt(2))
+
+    def test_sample_tolerance_independent_of_expm_tolerance(self):
+        # a loose exponential tolerance must not let a non-Hermitian sample through
+        eps = 1e-6 / (2.0 * np.sqrt(2.0))  # Hermiticity defect of SZ + i*eps*I is 1e-6
+        samples = {0.0: SZ, 0.5: SZ + 1j * eps * np.eye(2), 1.0: SX}
+        with pytest.raises(NonHermitianSampleError) as excinfo:
+            exponent(MethodId.ME3, samples, 0.1, StepContext(expm_tolerance=1e-3))
+        assert excinfo.value.defect == pytest.approx(1e-6)
+        assert f"{SAMPLE_HERMITICITY_TOL:.3e}" in str(excinfo.value)
+
+    def test_builders_assemble_the_term_functions(self):
+        # Theta = -i M1 - M2/2 + i M3/6 + M4/24, every term taken at tau = dt / hbar
+        rng = np.random.default_rng(5)
+        dt, ctx = 0.61, StepContext(hbar=0.37)
+        tau = dt / ctx.hbar
+        h0, hq1, ht1, hh, ht2, hq3, h1 = (random_hermitian(rng, 3) for _ in range(7))
+        m1 = -1j * m1_simpson(h0, hh, h1, tau)
+        m2_quad = m2_quadratic(h0, hh, h1, tau) / 2.0
+        expected = {
+            MethodId.ME3: m1 - m2_linear(h0, h1, tau) / 2.0,
+            MethodId.ME4_NC: m1 - m2_quad,
+            MethodId.ME4_FULL: m1 - m2_quad + (1j / 6.0) * m3_linear(h0, h1, tau),
+            MethodId.ME6: -1j * m1_boole(h0, hq1, hh, hq3, h1, tau)
+            - m2_cubic(h0, ht1, ht2, h1, tau) / 2.0
+            + (1j / 6.0) * m3_quadratic(h0, hh, h1, tau)
+            + m4_linear(h0, h1, tau) / 24.0,
+        }
+        by_node = dict(zip(sample_nodes(MethodId.ME6), (h0, hq1, ht1, hh, ht2, hq3, h1)))
+        for m, want in expected.items():
+            theta = exponent(m, {node: by_node[node] for node in sample_nodes(m)}, dt, ctx)
+            assert frobenius_norm(theta - want) <= 1e-15 * frobenius_norm(want)
 
 
 class TestStep:

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from magstep import verify
 from magstep.linalg import commutator, frobenius_norm
-from magstep.magnus_steps import QUAD_COMMUTATOR_ROOT
+from magstep.magnus_steps import (
+    GAUSS2_HI,
+    GAUSS2_LO,
+    QUAD_COMMUTATOR_ROOT,
+    MethodId,
+    exponent,
+)
 from magstep.verify import (
     CheckReport,
     OracleConfig,
@@ -100,6 +107,39 @@ class TestOracleAgainstClosedForms:
         assert np.allclose(got, tower, atol=1e-12)
 
 
+class TestGaussNodeForms:
+    # The two-point Gauss schemes sample g1, g2 at GAUSS2_LO, GAUSS2_HI; the
+    # linear interpolant through those samples fixes M1..M3.  The terms are
+    # read back from the builders' exponents, so they are exact only up to
+    # rounding of the (much larger) exponent they are read from.
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            dt = float(rng.uniform(0.3, 1.2))
+            g1, g2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+            slope = (g2 - g1) / (GAUSS2_HI - GAUSS2_LO)
+            h = interpolant([g1 - GAUSS2_LO * slope, g1 + (1.0 - GAUSS2_LO) * slope], 1, 0.0, dt)
+            samples = {GAUSS2_LO: g1, GAUSS2_HI: g2}
+            yield dt, h, samples
+
+    def test_blanes4_gauss_commutator_is_half_m2(self):
+        # sqrt(3)/12 dt^2 [g2, g1] = M2 / 2
+        for dt, h, samples in self.draws():
+            theta = exponent(MethodId.BLANES4_GAUSS, samples, dt)
+            k = -(theta + 1j * oracle_Mn(h, 1, 0.0, dt, CFG))
+            half_m2 = 0.5 * oracle_Mn(h, 2, 0.0, dt, CFG)
+            assert frobenius_norm(k - half_m2) <= 1e-14 * frobenius_norm(theta)
+
+    def test_iserles4_gauss_triple_is_sixth_m3(self):
+        # dt^3/80 [g2 - g1, [g2, g1]] = M3 / 6
+        for dt, h, samples in self.draws():
+            theta = exponent(MethodId.ISERLES4_GAUSS, samples, dt)
+            triple = -1j * (theta - exponent(MethodId.BLANES4_GAUSS, samples, dt))
+            sixth_m3 = oracle_Mn(h, 3, 0.0, dt, CFG) / 6.0
+            assert frobenius_norm(triple - sixth_m3) <= 1e-14 * frobenius_norm(theta)
+
+
 @pytest.fixture(scope="module")
 def closed_form_report() -> CheckReport:
     return check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=10)
@@ -157,6 +197,17 @@ class TestCheckClosedForms:
     def test_small_step(self):
         report = check_closed_forms(OracleConfig(seed=3, dim=2, dt=0.1), draws=5)
         assert report.all_passed
+
+    def test_wrong_coefficient_in_a_term_fails(self, monkeypatch):
+        # the certification calls the term functions the step builders use, so
+        # a wrong prefactor there (me6's m4 at dt^4/210.5) must fail its rows
+        m4_linear = verify.m4_linear
+        monkeypatch.setattr(
+            verify, "m4_linear", lambda *args, **kw: (210.0 / 210.5) * m4_linear(*args, **kw)
+        )
+        report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=1)
+        failing = [r.identity for r in report.rows if not r.passed]
+        assert failing == ["m4-linear", "m4-linear-alt-root"]
 
 
 class TestCheckSymmetrySuite:
