@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical-precondition failure
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +22,7 @@ from .evolution import convergence_study, default_ladder, propagate
 from .hamiltonians import HamiltonianModel, ModelError, builtin_case, load_model
 from .linalg import PreconditionError
 from .magnus_steps import ALL_METHODS, MethodId, StepContext
-from .verify import OracleConfig, check_closed_forms, check_symmetry_suite
+from .verify import MIN_GL_POINTS, OracleConfig, check_closed_forms, check_symmetry_suite
 
 __all__ = ["run", "main"]
 
@@ -54,6 +55,13 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _resolve_model(args) -> HamiltonianModel:
@@ -93,7 +101,7 @@ def build_parser() -> _Parser:
     prop.add_argument("--method", required=True, help="step scheme name (see list-methods)")
     prop.add_argument("--t0", type=float, default=0.0)
     prop.add_argument("--t-final", type=float, default=100.0)
-    prop.add_argument("--dt", type=float, help="target step size; snapped to the nearest integer step count")
+    prop.add_argument("--dt", type=_finite_float, help="target step size; snapped to the nearest integer step count")
     prop.add_argument("--n-steps", type=int, help="exact number of uniform steps")
     prop.add_argument("--initial", type=int, default=0, help="0-based index of the initial basis state")
     prop.add_argument("--out", required=True, help="output CSV path")
@@ -103,7 +111,7 @@ def build_parser() -> _Parser:
     conv.add_argument("--methods", default="all", help="comma-separated method names, or 'all'")
     conv.add_argument("--t0", type=float, default=0.0)
     conv.add_argument("--t-final", type=float, default=100.0)
-    conv.add_argument("--dt", type=float, action="append", dest="dts", help="ladder entry; repeatable (default: the bundled ladder)")
+    conv.add_argument("--dt", type=_finite_float, action="append", dest="dts", help="ladder entry; repeatable (default: the bundled ladder)")
     conv.add_argument("--out", required=True, help="output CSV path")
 
     ver = sub.add_parser("verify", help="run the oracle certification suites")
@@ -135,6 +143,8 @@ def _cmd_propagate(args) -> int:
     else:
         if args.dt <= 0:
             raise UsageError("--dt must be positive")
+        if not math.isfinite(span / args.dt):
+            raise PreconditionError(f"--dt {args.dt!r} gives more steps than a float can count")
         n = max(1, int(round(span / args.dt)))
     if not 0 <= args.initial < model.dim:
         raise UsageError(f"--initial must be in 0..{model.dim - 1}")
@@ -171,6 +181,8 @@ def _cmd_converge(args) -> int:
 def _cmd_verify(args) -> int:
     if args.draws < 1:
         raise UsageError("--draws must be at least 1")
+    if args.points < MIN_GL_POINTS:
+        raise UsageError(f"--points must be at least {MIN_GL_POINTS}")
     cfg = OracleConfig(gl_points_per_axis=args.points, seed=args.seed, dim=args.dim, dt=args.dt)
     rows = []
     if args.suite in ("closed-forms", "all"):

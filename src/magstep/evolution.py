@@ -14,6 +14,7 @@ algebraically the same per-step arithmetic as :func:`magstep.magnus_steps.step`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,6 +86,14 @@ def propagate(
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > 1e-12:
         raise PreconditionError(f"initial state must be normalized, got norm {norm!r}")
+    # no array of the run is larger than the (n_steps + 1, d, d) propagator
+    # array; d is psi0's length, checked against the Hamiltonian below
+    if (int(n_steps) + 1) * psi0.size**2 * 16 > np.iinfo(np.intp).max:
+        raise PreconditionError(
+            f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: the (n_steps + 1, "
+            f"{psi0.size}, {psi0.size}) complex propagator array would exceed the "
+            f"{np.iinfo(np.intp).max} bytes this platform can address"
+        )
 
     dt = (tf - t0) / n_steps
     t_grid = t0 + dt * np.arange(n_steps + 1)
@@ -198,8 +207,12 @@ def default_ladder(tf: float, t0: float = 0.0) -> list[float]:
 
 
 def _steps_for(dt: float, span: float) -> int:
+    if not math.isfinite(dt):
+        raise ValueError(f"step size must be finite, got {dt!r}")
     if dt <= 0:
         raise PreconditionError(f"step size must be positive, got {dt}")
+    if not math.isfinite(span / dt):
+        raise PreconditionError(f"dt={dt!r} gives more steps over {span!r} than a float can count")
     n = int(round(span / dt))
     if n < 1 or abs(n * dt - span) > _DIVISIBILITY_RTOL * max(1.0, abs(span)):
         raise PreconditionError(

@@ -1,12 +1,21 @@
 """Quadrature oracles for the time-ordered integrals behind each step scheme.
 
 The first four exact integrals (single integral, nested commutator double,
-triple and quadruple integrals) are evaluated here by nested Gauss-Legendre
-quadrature over polynomial interpolants of the Hamiltonian.  Because those
-integrands are low-degree polynomials, fixed-order quadrature is exact up to
-rounding, which makes the 1e-11 certification tolerances meaningful.  Every
-closed-form commutator expression used by the step schemes is checked against
-the matching oracle over seeded random Hermitian samples.
+triple and quadruple integrals) are evaluated here by Gauss-Legendre
+quadrature over polynomial interpolants of the Hamiltonian.  The nested range
+``t_k <= s_n <= ... <= s_1 <= t_k + dt`` is collapsed onto one tensor grid:
+each level's rule is mapped affinely onto ``[t_k, s_{k-1}]`` for every node of
+the levels outside it, so level k holds ``p**k`` nodes and the product of the
+local weights.  Every integrand is multilinear in its Hamiltonians, so the
+innermost level is summed first (``sum_i w_i [A, H(s_i)] = [A, sum_i w_i
+H(s_i)]``); the integrand is then evaluated once, batched over the
+``p**(n-1)`` outer nodes, and summed with the product weights.  That is the
+nested rule summed in another order, so it keeps its exactness: for every
+integral taken here the integrand has degree at most 15 in each time, which
+the 8-point rule integrates exactly up to rounding.  This makes the 1e-11
+certification tolerances meaningful.  Every closed-form commutator expression
+used by the step schemes is checked against the matching oracle over seeded
+random Hermitian samples.
 
 ``check_closed_forms`` calls the step builders' own term functions
 (``magnus_steps.m1_simpson`` ... ``m4_linear``), so a wrong coefficient in a
@@ -17,6 +26,7 @@ at least one draw (the CLI rejects ``--draws`` below 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,19 +60,24 @@ __all__ = [
 ]
 
 
+# Fewest Gauss-Legendre points per axis.  8 points integrate degree 15
+# exactly: the n-fold integral of a degree-q interpolant has degree n*q + n - 1
+# in its outermost time, 15 for the highest case taken here (n = 4, cubic).
+MIN_GL_POINTS = 8
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Oracle precision and sampling knobs; 8 Gauss points per axis is ample
-    for integrands of per-axis polynomial degree <= 4."""
+    """Oracle precision and sampling knobs."""
 
-    gl_points_per_axis: int = 8
+    gl_points_per_axis: int = MIN_GL_POINTS
     seed: int = 0
     dim: int = 2
     dt: float = 1.0
 
     def __post_init__(self):
-        if self.gl_points_per_axis < 8:
-            raise ValueError("gl_points_per_axis must be >= 8")
+        if self.gl_points_per_axis < MIN_GL_POINTS:
+            raise ValueError(f"gl_points_per_axis must be >= {MIN_GL_POINTS}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
 
@@ -99,55 +114,58 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> Array:
     return 0.5 * (b + b.conj().T)
 
 
-def interpolant(samples: Sequence[Array], degree: int, t_k: float, dt: float) -> Callable[[float], Array]:
+def interpolant(samples: Sequence[Array], degree: int, t_k: float, dt: float) -> Callable[[float | Array], Array]:
     """Lagrange matrix polynomial through ``degree + 1`` equally spaced samples
-    on ``[t_k, t_k + dt]`` (degree 0 is the constant equal to its one sample)."""
+    on ``[t_k, t_k + dt]`` (degree 0 is the constant equal to its one sample).
+
+    The returned function maps a time, or an array of times of shape ``S``, to
+    a ``(*S, d, d)`` stack: the ``(*S, degree + 1)`` Lagrange basis contracted
+    with the stack of samples."""
     if not 0 <= degree <= 4:
         raise ValueError(f"degree must be in 0..4, got {degree}")
     if len(samples) != degree + 1:
         raise ValueError(f"degree {degree} needs {degree + 1} samples, got {len(samples)}")
-    mats = [np.asarray(s, dtype=np.complex128) for s in samples]
+    mats = np.stack([np.asarray(s, dtype=np.complex128) for s in samples])
     if degree == 0:
-        const = mats[0]
-        return lambda t: const
+        return lambda t: np.broadcast_to(mats[0], np.shape(t) + mats.shape[1:])
     nodes = [t_k + dt * j / degree for j in range(degree + 1)]
 
-    def h(t: float) -> Array:
-        out = np.zeros_like(mats[0])
-        for j, hj in enumerate(mats):
-            lj = 1.0
-            for m, xm in enumerate(nodes):
-                if m != j:
-                    lj *= (t - xm) / (nodes[j] - xm)
-            out = out + lj * hj
-        return out
+    def h(t: float | Array) -> Array:
+        t = np.asarray(t, dtype=np.float64)
+        basis = [
+            math.prod((t - xm) / (xj - xm) for m, xm in enumerate(nodes) if m != j)
+            for j, xj in enumerate(nodes)
+        ]
+        return np.tensordot(np.stack(basis, axis=-1), mats, axes=1)
 
     return h
 
 
-def _gl_rule(n_points: int):
+@functools.lru_cache(maxsize=None)
+def _gl_rule(n_points: int) -> tuple[Array, Array]:
     return np.polynomial.legendre.leggauss(n_points)
 
 
-def _scaled(a: float, b: float, x: Array, w: Array):
-    half = 0.5 * (b - a)
-    return half * x + 0.5 * (a + b), half * w
+def _nested_grid(n: int, t_k: float, dt: float, x: Array, w: Array) -> list[tuple[Array, Array, Array]]:
+    """Levels 1..n of the Gauss-Legendre grid of the time-ordered simplex
+    ``t_k + dt >= s_1 >= s_2 >= ... >= s_n >= t_k`` (reversed when dt < 0).
 
-
-def _integrate(f, a: float, b: float, x: Array, w: Array):
-    ts, ws = _scaled(a, b, x, w)
-    acc = ws[0] * f(ts[0])
-    for t, wt in zip(ts[1:], ws[1:]):
-        acc = acc + wt * f(t)
-    return acc
-
-
-def _integrate_stacked(f_stack, a: float, b: float, x: Array, w: Array):
-    # f_stack maps the node times to a (p, d, d) stack; innermost axes of the
-    # nested quadratures are evaluated this way to keep the node loop in numpy
-    ts, ws = _scaled(a, b, x, w)
-    vals = f_stack(ts)
-    return np.einsum("i,ijk->jk", ws, vals)
+    Level k is ``(nodes, local, product)``, each of shape ``(p,)*k``: the rule
+    ``x, w`` mapped onto ``[t_k, s_{k-1}]`` (``s_0 = t_k + dt``) for every
+    node of the outer levels, its weights, and the product of the local
+    weights of levels 1..k.  The maps are affine, so a negative ``dt`` needs
+    no special case.
+    """
+    levels = []
+    upper, product = np.float64(t_k + dt), np.float64(1.0)
+    for _ in range(n):
+        half = np.expand_dims(0.5 * (upper - t_k), -1)
+        nodes = half * x + np.expand_dims(0.5 * (t_k + upper), -1)
+        local = half * w
+        product = np.expand_dims(product, -1) * local
+        levels.append((nodes, local, product))
+        upper = nodes
+    return levels
 
 
 def _m3_integrand(ha, hb, hc):
@@ -163,68 +181,43 @@ def _m4_integrand(ha, hb, hc, hd):
     )
 
 
-def oracle_Mn(h: Callable[[float], Array], n: int, t_k: float, dt: float, cfg: OracleConfig) -> Array:
+_INTEGRANDS = {2: commutator, 3: _m3_integrand, 4: _m4_integrand}
+
+
+def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float, cfg: OracleConfig) -> Array:
     """n-fold time-ordered integral of the exact expansion term, n in 1..4.
 
-    The quadruple integral includes its overall factor 2.  Each inner range
-    ``[t_k, tau]`` is mapped onto the Gauss-Legendre reference interval, so the
-    result is exact for polynomial ``h`` within the configured point count.
+    ``h`` maps an array of times of shape ``S`` to a ``(*S, d, d)`` stack (as
+    :func:`interpolant` does); it is called once per level of the collapsed
+    grid of :func:`_nested_grid`.  The integrand is linear in its innermost
+    ``H``, so that level is contracted with its local weights first; the
+    integrand is then evaluated once over the ``(p,)*(n-1)`` outer grid and
+    contracted with the product weights.  The quadruple integral includes its
+    overall factor 2.  The result is exact for polynomial ``h`` within the
+    configured point count.  The innermost level holds ``p**n`` matrices
+    (4096 at n = 4 and p = 8), which bounds the memory of a call.
     """
+    if n not in (1, 2, 3, 4):
+        raise ValueError(f"n must be in 1..4, got {n}")
     x, w = _gl_rule(cfg.gl_points_per_axis)
-    t_end = t_k + dt
-
-    def h_stack(ts):
-        return np.stack([h(t) for t in ts])
-
+    levels = _nested_grid(n, t_k, dt, x, w)
+    nodes_n, local_n, _ = levels[-1]
+    inner = np.einsum("...i,...ijk->...jk", local_n, h(nodes_n))
     if n == 1:
-        return _integrate(h, t_k, t_end, x, w)
-    if n == 2:
-        def outer2(t1):
-            h1 = h(t1)
-            return _integrate_stacked(lambda ts: commutator(h1, h_stack(ts)), t_k, t1, x, w)
-        return _integrate(outer2, t_k, t_end, x, w)
-    if n == 3:
-        def outer3(t1):
-            h1 = h(t1)
-
-            def mid3(t2):
-                h2 = h(t2)
-                return _integrate_stacked(
-                    lambda ts: _m3_integrand(h1, h2, h_stack(ts)), t_k, t2, x, w
-                )
-
-            return _integrate(mid3, t_k, t1, x, w)
-        return _integrate(outer3, t_k, t_end, x, w)
-    if n == 4:
-        def outer4(t1):
-            h1 = h(t1)
-
-            def mid4(t2):
-                h2 = h(t2)
-
-                def inner4(t3):
-                    h3 = h(t3)
-                    return _integrate_stacked(
-                        lambda ts: _m4_integrand(h1, h2, h3, h_stack(ts)), t_k, t3, x, w
-                    )
-
-                return _integrate(inner4, t_k, t2, x, w)
-
-            return _integrate(mid4, t_k, t1, x, w)
-        return 2.0 * _integrate(outer4, t_k, t_end, x, w)
-    raise ValueError(f"n must be in 1..4, got {n}")
+        return inner
+    # pad each outer level's times with unit axes to broadcast over the outer grid
+    outer = [h(s.reshape(s.shape + (1,) * (n - 1 - s.ndim))) for s, _, _ in levels[:-1]]
+    weights, values = levels[-2][2], _INTEGRANDS[n](*outer, inner)
+    value = np.einsum("i,ijk->jk", weights.ravel(), values.reshape(weights.size, *values.shape[-2:]))
+    return 2.0 * value if n == 4 else value
 
 
 def _nested3_scalar(g, t_k: float, dt: float, cfg: OracleConfig) -> float:
-    """Triple time-ordered integral of a scalar integrand g(t1, t2, t3)."""
+    """Triple time-ordered integral of a scalar integrand g(t1, t2, t3) that
+    broadcasts over arrays of times."""
     x, w = _gl_rule(cfg.gl_points_per_axis)
-
-    def outer(t1):
-        def mid(t2):
-            return _integrate(lambda t3: g(t1, t2, t3), t_k, t2, x, w)
-        return _integrate(mid, t_k, t1, x, w)
-
-    return float(_integrate(outer, t_k, t_k + dt, x, w))
+    (s1, _, _), (s2, _, _), (s3, _, product) = _nested_grid(3, t_k, dt, x, w)
+    return float(np.sum(product * g(s1[:, None, None], s2[..., None], s3)))
 
 
 def _rel_dev(value: Array, reference: Array) -> float:

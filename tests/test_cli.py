@@ -228,6 +228,56 @@ class TestConverge:
         assert "integer step count" in capsys.readouterr().err
 
 
+class TestStepSizeLimits:
+    # --dt 1e-300 snaps to about 1e302 steps: more than an array can address,
+    # so it must fail before any grid is sampled; only the one-point dimension
+    # probe of a convergence study may sample
+    @pytest.fixture(autouse=True)
+    def no_grid_sampling(self, monkeypatch):
+        sample_many = HamiltonianModel.sample_many
+
+        def probe_only(self, ts):
+            assert np.size(ts) <= 1, f"sampled a grid of {np.size(ts)} times"
+            return sample_many(self, ts)
+
+        monkeypatch.setattr(HamiltonianModel, "sample_many", probe_only)
+
+    @pytest.mark.parametrize(
+        "command", [["propagate", "--method", "me2"], ["converge", "--methods", "me2"]]
+    )
+    def test_unaddressable_grid_is_numerical_error(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        code = run(command + ["--case", "I", "--dt", "1e-300", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: numerical precondition failed:")
+        assert "n_steps=" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["propagate", "--method", "me2"], ["converge", "--methods", "me2"]]
+    )
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt_is_usage_error(self, tmp_path, capsys, command, dt):
+        out = tmp_path / "x.csv"
+        code = run(command + ["--case", "I", "--dt", dt, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--dt" in err and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["propagate", "--method", "me2"], ["converge", "--methods", "me2"]]
+    )
+    def test_step_count_overflowing_a_float_is_numerical_error(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        code = run(command + ["--case", "I", "--t-final", "1e300", "--dt", "1e-10", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "1e-10" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerify:
     def test_small_suite_passes(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -269,6 +319,15 @@ class TestVerify:
         code = run(["verify", "--suite", "all", "--draws", draws, "--out", str(out)])
         assert code == EXIT_USAGE
         assert "--draws" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_few_points_is_usage_error_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = run(["verify", "--suite", "all", "--points", "4", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--points must be at least 8" in err
+        assert "gl_points_per_axis" not in err
         assert not out.exists()
 
 

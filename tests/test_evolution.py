@@ -77,6 +77,14 @@ class TestPropagate:
         with pytest.raises(PreconditionError, match="length"):
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10, [1, 0, 0])
 
+    def test_rejects_unaddressable_grid_before_sampling(self, monkeypatch):
+        def no_sampling(self, ts):
+            raise AssertionError("sampled an unaddressable grid")
+
+        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
+            propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**18, [1, 0])
+
 
 class TestRelativeError:
     def test_identical(self):
@@ -160,6 +168,12 @@ class TestConvergenceStudy:
     def test_rejects_non_dividing_dt(self):
         with pytest.raises(PreconditionError, match="integer step count"):
             convergence_study(builtin_case("I"), [MethodId.ME2], dts=[0.3], tf=10.0)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="finite") as info:
+            convergence_study(builtin_case("I"), [MethodId.ME2], dts=[dt], tf=10.0)
+        assert not isinstance(info.value, PreconditionError)
 
     def test_reference_override(self):
         model = builtin_case("I")

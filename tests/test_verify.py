@@ -50,6 +50,17 @@ class TestInterpolant:
         h = interpolant([SX], 0, 0.0, 1.0)
         assert np.allclose(h(0.123), SX)
 
+    @pytest.mark.parametrize("degree", range(5))
+    def test_array_of_times_matches_scalar_calls(self, degree):
+        rng = np.random.default_rng(30 + degree)
+        samples = [random_hermitian(rng, 3) for _ in range(degree + 1)]
+        h = interpolant(samples, degree, 0.2, 0.9)
+        ts = rng.uniform(0.2, 1.1, (3, 4))
+        got = h(ts)
+        assert got.shape == (3, 4, 3, 3)
+        expected = np.stack([np.stack([h(t) for t in row]) for row in ts])
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
+
     def test_node_count_mismatch(self):
         with pytest.raises(ValueError, match="samples"):
             interpolant([SZ, SX], 2, 0.0, 1.0)
@@ -105,6 +116,41 @@ class TestOracleAgainstClosedForms:
             (1 / c) * SZ - SX, commutator(SX - c * SZ, commutator(SX, SZ))
         )
         assert np.allclose(got, tower, atol=1e-12)
+
+
+class TestOracleQuadrature:
+    # A cubic interpolant is the highest degree that 8 points per axis
+    # integrate exactly at n = 4 (outermost degree 4*3 + 3 = 15), so any
+    # point count from 8 up gives the same integrals up to rounding.  A wrong
+    # range map or product weight would make them depend on the point count.
+    POINT_COUNT_AGREEMENT_TOL = 1e-13
+
+    @staticmethod
+    def cubic():
+        rng = np.random.default_rng(40)
+        return interpolant([random_hermitian(rng, 3) for _ in range(4)], 3, 0.3, 0.8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_independent_of_point_count(self, n):
+        h = self.cubic()
+        base = oracle_Mn(h, n, 0.3, 0.8, OracleConfig(gl_points_per_axis=8))
+        for points in (9, 12):
+            got = oracle_Mn(h, n, 0.3, 0.8, OracleConfig(gl_points_per_axis=points))
+            dev = frobenius_norm(got - base) / frobenius_norm(base)
+            assert dev <= self.POINT_COUNT_AGREEMENT_TOL, (points, dev)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_batched_interpolant_call_per_level(self, n):
+        h = self.cubic()
+        calls = []
+
+        def counted(ts):
+            calls.append(np.shape(ts))
+            return h(ts)
+
+        oracle_Mn(counted, n, 0.3, 0.8, CFG)
+        assert len(calls) <= n
+        assert max(int(np.prod(shape)) for shape in calls) == 8**n
 
 
 class TestGaussNodeForms:
