@@ -5,7 +5,8 @@ doubles), a header row and LF line endings, so identical flags produce
 byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-precondition failure
-(including running out of memory), 3 verification-suite failure.
+(including running out of memory and float overflow or division by zero),
+3 verification-suite failure.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def build_parser() -> _Parser:
     prop = sub.add_parser("propagate", help="evolve an initial basis state and record populations")
     add_model_flags(prop)
     prop.add_argument("--method", required=True, help="step scheme name (see list-methods)")
-    prop.add_argument("--t0", type=float, default=0.0)
-    prop.add_argument("--t-final", type=float, default=100.0)
+    prop.add_argument("--t0", type=_finite_float, default=0.0)
+    prop.add_argument("--t-final", type=_finite_float, default=100.0)
     prop.add_argument("--dt", type=_finite_float, help="target step size; snapped to the nearest integer step count")
     prop.add_argument("--n-steps", type=int, help="exact number of uniform steps")
     prop.add_argument("--initial", type=int, default=0, help="0-based index of the initial basis state")
@@ -109,8 +110,8 @@ def build_parser() -> _Parser:
     conv = sub.add_parser("converge", help="error-vs-stepsize study over a dt ladder")
     add_model_flags(conv)
     conv.add_argument("--methods", default="all", help="comma-separated method names, or 'all'")
-    conv.add_argument("--t0", type=float, default=0.0)
-    conv.add_argument("--t-final", type=float, default=100.0)
+    conv.add_argument("--t0", type=_finite_float, default=0.0)
+    conv.add_argument("--t-final", type=_finite_float, default=100.0)
     conv.add_argument("--dt", type=_finite_float, action="append", dest="dts", help="ladder entry; repeatable (default: the bundled ladder)")
     conv.add_argument("--out", required=True, help="output CSV path")
 
@@ -118,7 +119,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--suite", choices=["closed-forms", "symmetry", "all"], default="all")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--dim", type=int, default=2)
-    ver.add_argument("--dt", type=float, default=1.0)
+    ver.add_argument("--dt", type=_finite_float, default=1.0, help="step of the certified terms (nonzero)")
     ver.add_argument("--points", type=int, default=8, help="Gauss-Legendre points per axis")
     ver.add_argument("--draws", type=int, default=100, help="random draws per identity (>= 1)")
     ver.add_argument("--tolerance", type=float, default=None, help="override every identity tolerance")
@@ -183,6 +184,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("--draws must be at least 1")
     if args.points < MIN_GL_POINTS:
         raise UsageError(f"--points must be at least {MIN_GL_POINTS}")
+    if args.dt == 0.0:
+        raise UsageError("--dt must be nonzero")
     cfg = OracleConfig(gl_points_per_axis=args.points, seed=args.seed, dim=args.dim, dt=args.dt)
     rows = []
     if args.suite in ("closed-forms", "all"):
@@ -238,8 +241,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"magstep: i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:
-        print(f"magstep: numerical precondition failed: out of memory: {exc}", file=sys.stderr)
+    except (MemoryError, ArithmeticError) as exc:  # ArithmeticError: float overflow, division by zero
+        what = "out of memory" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"magstep: numerical precondition failed: {what}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -78,6 +78,8 @@ def propagate(
     Populations are ``|<n|U(t)|psi0>|^2`` from the accumulated propagator
     applied to the initial state, never re-normalized.
     """
+    if not math.isfinite(tf - t0):
+        raise ValueError(f"t0, tf and tf - t0 must be finite, got t0={t0}, tf={tf}")
     if not tf > t0:
         raise PreconditionError(f"tf must exceed t0, got t0={t0}, tf={tf}")
     if n_steps < 1:
@@ -103,15 +105,13 @@ def propagate(
         node: _as_sampler_arrays(model, step_start + node * dt)
         for node in sample_nodes(method)
     }
-    dim = samples[sample_nodes(method)[0]].shape[-1]
-    if psi0.shape[0] != dim:
+    dim, shape = psi0.size, samples[sample_nodes(method)[0]].shape
+    if shape != (n_steps, dim, dim):
         raise PreconditionError(
-            f"initial state has length {psi0.shape[0]}, Hamiltonian dim is {dim}"
+            f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {shape[1:]}"
         )
     theta = exponent(method, samples, dt, ctx)
-    u_steps = expm_antihermitian(theta, ctx.expm_tolerance)
-    if u_steps.ndim == 2:
-        u_steps = u_steps[None]
+    u_steps = expm_antihermitian(theta)
 
     cumulative = np.empty((n_steps + 1, dim, dim), dtype=np.complex128)
     cumulative[0] = np.eye(dim)
@@ -256,7 +256,7 @@ def convergence_study(
         reference.cross_check_method, model, t0, tf, n_ref, psi0, ctx
     ).final_propagator
     agreement = relative_error(u_check, u_ref)
-    if agreement > reference.cross_check_tolerance:
+    if not agreement <= reference.cross_check_tolerance:
         raise PreconditionError(
             f"reference propagators disagree: {reference.method.value} vs "
             f"{reference.cross_check_method.value} relative error {agreement:.3e} "

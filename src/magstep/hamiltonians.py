@@ -88,17 +88,11 @@ class HamiltonianModel:
                 # amplitudes are real by type, so diagonal sinusoids are automatically real
 
     def sample(self, t: float) -> Array:
-        """Hamiltonian matrix at time ``t``."""
-        h = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for (i, j), entry in self.upper_triangle.items():
-            v = complex(entry.value(t))
-            h[i, j] += v
-            if i != j:
-                h[j, i] += np.conj(v)
-        return h
+        """Hamiltonian matrix at time ``t``, shape ``(dim, dim)``."""
+        return self.sample_many(t)
 
     def sample_many(self, ts) -> Array:
-        """Stack of Hamiltonians at times ``ts``, shape ``(len(ts), dim, dim)``."""
+        """Stack of Hamiltonians at times ``ts``, shape ``ts.shape + (dim, dim)``."""
         ts = np.asarray(ts, dtype=float)
         h = np.zeros(ts.shape + (self.dim, self.dim), dtype=np.complex128)
         for (i, j), entry in self.upper_triangle.items():

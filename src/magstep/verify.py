@@ -20,8 +20,10 @@ random Hermitian samples.
 ``check_closed_forms`` calls the step builders' own term functions
 (``magnus_steps.m1_simpson`` ... ``m4_linear``), so a wrong coefficient in a
 scheme fails certification.  The terms take the step as ``tau = dt / ħ``, the
-only place ħ enters; here ħ = 1 and ``tau`` is ``cfg.dt``.  Every suite needs
-at least one draw (the CLI rejects ``--draws`` below 1).
+only place ħ enters; here ħ = 1 and ``tau`` is ``cfg.dt``, which must be
+finite and nonzero.  Every suite needs at least one draw (the CLI rejects
+``--draws`` below 1), and a row whose worst deviation is NaN (say, from a
+Frobenius norm that overflows at a huge ``dt``) fails.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class OracleConfig:
             raise ValueError(f"gl_points_per_axis must be >= {MIN_GL_POINTS}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
+        if not (math.isfinite(self.dt) and self.dt != 0.0):
+            raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -227,11 +231,13 @@ def _rel_dev(value: Array, reference: Array) -> float:
 
 
 class _MaxTracker:
+    """Worst value per identity; a NaN, once seen, stays the worst."""
+
     def __init__(self):
         self._values: dict[str, float] = {}
 
     def update(self, name: str, value: float) -> None:
-        self._values[name] = max(self._values.get(name, 0.0), float(value))
+        self._values[name] = float(np.maximum(self._values.get(name, 0.0), value))
 
     def rows(self, tolerances: dict[str, float], default_tol: float) -> list[CheckRow]:
         return [

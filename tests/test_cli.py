@@ -331,6 +331,55 @@ class TestVerify:
         assert not out.exists()
 
 
+class TestBadStepAndTimeFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--dt", "0"], "--dt"),
+            (["verify", "--dt", "nan"], "--dt"),
+            (["verify", "--dt", "inf"], "--dt"),
+            (["propagate", "--method", "me2", "--n-steps", "4", "--t-final", "inf"], "--t-final"),
+            (["propagate", "--method", "me2", "--n-steps", "4", "--t0", "nan"], "--t0"),
+            (["converge", "--methods", "me2", "--t-final", "inf"], "--t-final"),
+            (["converge", "--methods", "me2", "--t0=-inf"], "--t0"),
+        ],
+    )
+    def test_usage_error_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "x.csv"
+        model = [] if argv[0] == "verify" else ["--case", "I"]
+        assert run(argv + model + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: error:") and flag in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    # numpy's overflow and invalid-value warnings come before the error
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dt, error", [("1e80", "OverflowError"), ("1e-200", "ZeroDivisionError")])
+    def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys, dt, error):
+        out = tmp_path / "report.csv"
+        code = run(["verify", "--suite", "closed-forms", "--draws", "1", "--dt", dt, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"magstep: numerical precondition failed: {error}:")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_deviation_fails_its_row(self, tmp_path):
+        # at dt = 1e60 the Frobenius norms of the M3 and M4 oracles overflow,
+        # so their relative deviations are NaN and must not read as a pass
+        out = tmp_path / "report.csv"
+        code = run(
+            ["verify", "--suite", "symmetry", "--dim", "2", "--draws", "1", "--dt", "1e60", "--out", str(out)]
+        )
+        assert code == EXIT_VERIFY_FAILED
+        rows = {line.split(",")[0]: line.split(",")[1:] for line in read_lines(out)[1:]}
+        for n in (3, 4):
+            dev, _, passed = rows[f"oracle-sign-flip-m{n}"]
+            assert (dev, passed) == ("nan", "false")
+
+
 class TestHelp:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

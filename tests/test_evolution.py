@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magstep import evolution, linalg, magnus_steps
 from magstep.evolution import (
     ReferenceSpec,
     convergence_study,
@@ -10,7 +11,7 @@ from magstep.evolution import (
     relative_error,
 )
 from magstep.hamiltonians import EntrySpec, HamiltonianModel, builtin_case
-from magstep.linalg import PreconditionError
+from magstep.linalg import PreconditionError, as_complex_square
 from magstep.magnus_steps import ALL_METHODS, MethodId
 
 from conftest import SX
@@ -77,6 +78,11 @@ class TestPropagate:
         with pytest.raises(PreconditionError, match="length"):
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10, [1, 0, 0])
 
+    def test_rejects_sampler_that_returns_no_matrix(self):
+        # two steps of a length-2 vector stack to a 2x2 "matrix"
+        with pytest.raises(PreconditionError, match=r"must be \(2, 2\), got \(2,\)"):
+            propagate(MethodId.ME2, lambda t: np.ones(2), 0.0, 1.0, 2, [1, 0])
+
     def test_rejects_unaddressable_grid_before_sampling(self, monkeypatch):
         def no_sampling(self, ts):
             raise AssertionError("sampled an unaddressable grid")
@@ -84,6 +90,41 @@ class TestPropagate:
         monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
         with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**18, [1, 0])
+
+    @pytest.mark.parametrize(
+        "t0, tf", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0), (-1e308, 1e308)]
+    )
+    def test_rejects_non_finite_interval_before_sampling(self, monkeypatch, t0, tf):
+        def no_sampling(self, ts):
+            raise AssertionError("sampled a non-finite grid")
+
+        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        with pytest.raises(ValueError, match="must be finite") as info:
+            propagate(MethodId.ME2, RABI, t0, tf, 4, [1, 0])
+        assert not isinstance(info.value, PreconditionError)
+
+    def test_rejects_nan_sample(self):
+        def sampler(t):
+            return SX if t < 0.5 else np.full((2, 2), np.nan)
+
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            propagate(MethodId.ME2, sampler, 0.0, 1.0, 4, [1, 0])
+
+    @pytest.mark.parametrize(
+        "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
+    )
+    def test_validates_each_node_stack_and_the_exponent_once(self, monkeypatch, method, calls):
+        # one check per sample node and one on Theta; the kernels between them check nothing
+        seen = []
+
+        def counted(a):
+            seen.append(np.shape(a))
+            return as_complex_square(a)
+
+        monkeypatch.setattr(linalg, "as_complex_square", counted)
+        monkeypatch.setattr(magnus_steps, "as_complex_square", counted)
+        propagate(method, builtin_case("I"), 0.0, 1.0, 16, [1, 0])
+        assert seen == [(16, 2, 2)] * calls
 
 
 class TestRelativeError:
@@ -174,6 +215,14 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="finite") as info:
             convergence_study(builtin_case("I"), [MethodId.ME2], dts=[dt], tf=10.0)
         assert not isinstance(info.value, PreconditionError)
+
+    def test_nan_reference_agreement_is_refused(self, monkeypatch):
+        monkeypatch.setattr(evolution, "relative_error", lambda a, r: float("nan"))
+        with pytest.raises(PreconditionError, match="disagree"):
+            convergence_study(
+                builtin_case("I"), [MethodId.ME2], dts=[0.5], tf=1.0,
+                reference=ReferenceSpec(n_steps=16),
+            )
 
     def test_reference_override(self):
         model = builtin_case("I")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from magstep.linalg import (
+    EXPONENT_ANTIHERMITICITY_TOL,
     DimensionMismatchError,
     NotAntiHermitianError,
     anti_hermiticity_defect,
@@ -73,6 +74,16 @@ class TestCommutator:
             commutator(np.eye(2), np.eye(3))
 
 
+class TestKernelsAreFormulas:
+    # only as_complex_square and expm_antihermitian validate; a non-finite
+    # entry passes through the kernels and comes out as a non-finite result
+    def test_nan_propagates_instead_of_raising(self):
+        bad = np.full((2, 2), np.nan, dtype=complex)
+        assert np.all(np.isnan(commutator(bad, SX)))
+        for defect in (hermiticity_defect, anti_hermiticity_defect, unitarity_defect):
+            assert np.isnan(defect(bad))
+
+
 class TestNorms:
     def test_identity(self):
         assert frobenius_norm(I2) == pytest.approx(np.sqrt(2))
@@ -142,6 +153,17 @@ class TestExpmAntiHermitian:
         with pytest.raises(NotAntiHermitianError) as excinfo:
             expm_antihermitian(SX)
         assert excinfo.value.defect == pytest.approx(2 * np.sqrt(2))
+        assert excinfo.value.tol == EXPONENT_ANTIHERMITICITY_TOL
+
+    @pytest.mark.parametrize("delta, accepted", [(1e-11, True), (1e-10, False)])
+    def test_relative_tolerance(self, delta, accepted):
+        # theta = -i sx + delta I: defect 2 sqrt(2) delta against max(1, ||theta||) ~ sqrt(2)
+        theta = -1j * SX + delta * I2
+        if accepted:
+            expm_antihermitian(theta)
+        else:
+            with pytest.raises(NotAntiHermitianError):
+                expm_antihermitian(theta)
 
     def test_rejects_nan(self):
         bad = np.array([[np.nan, 0], [0, 0]], dtype=complex)

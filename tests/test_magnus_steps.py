@@ -4,6 +4,7 @@ import pytest
 from magstep.evolution import propagate, relative_error
 from magstep.hamiltonians import builtin_case
 from magstep.linalg import (
+    DimensionMismatchError,
     PreconditionError,
     anti_hermiticity_defect,
     dagger,
@@ -145,13 +146,30 @@ class TestExponent:
         assert excinfo.value.defect == pytest.approx(0.02 * np.sqrt(2))
 
     def test_sample_tolerance_independent_of_expm_tolerance(self):
-        # a loose exponential tolerance must not let a non-Hermitian sample through
+        # the sample check has its own tolerance, not the exponent's: a 1e-6
+        # defect is small but 1e4 times SAMPLE_HERMITICITY_TOL, so it is rejected
         eps = 1e-6 / (2.0 * np.sqrt(2.0))  # Hermiticity defect of SZ + i*eps*I is 1e-6
         samples = {0.0: SZ, 0.5: SZ + 1j * eps * np.eye(2), 1.0: SX}
         with pytest.raises(NonHermitianSampleError) as excinfo:
-            exponent(MethodId.ME3, samples, 0.1, StepContext(expm_tolerance=1e-3))
+            exponent(MethodId.ME3, samples, 0.1)
         assert excinfo.value.defect == pytest.approx(1e-6)
         assert f"{SAMPLE_HERMITICITY_TOL:.3e}" in str(excinfo.value)
+
+    def test_mixed_stack_lengths_rejected_naming_the_nodes(self):
+        # broadcasting a 1-stack against a 5-stack must not yield 5 exponents
+        samples = {0.0: np.stack([SZ]), 1.0: np.stack([SX] * 5)}
+        with pytest.raises(DimensionMismatchError, match=r"node 0\.0: \(1, 2, 2\), node 1\.0: \(5, 2, 2\)"):
+            exponent(MethodId.ME2, samples, 0.1)
+
+    def test_mixed_dims_rejected_naming_the_nodes(self):
+        samples = {0.0: SZ, 0.5: SZ, 1.0: np.eye(3)}
+        with pytest.raises(DimensionMismatchError, match=r"node 0\.5: \(2, 2\), node 1\.0: \(3, 3\)"):
+            exponent(MethodId.ME3, samples, 0.1)
+
+    def test_nan_sample_rejected(self):
+        samples = {0.0: SZ, 0.5: np.full((2, 2), np.nan), 1.0: SX}
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            exponent(MethodId.ME3, samples, 0.1)
 
     def test_builders_assemble_the_term_functions(self):
         # Theta = -i M1 - M2/2 + i M3/6 + M4/24, every term taken at tau = dt / hbar
@@ -191,6 +209,10 @@ class TestStep:
     def test_zero_dt_rejected(self):
         with pytest.raises(PreconditionError):
             step(MethodId.ME2, lambda t: SZ, 0.0, 0.0)
+
+    def test_nan_sample_rejected(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            step(MethodId.ME6, lambda t: SZ if t < 0.5 else np.full((2, 2), np.nan), 0.0, 1.0)
 
     def test_unitarity_random_samples(self):
         rng = np.random.default_rng(101)

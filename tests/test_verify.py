@@ -280,3 +280,20 @@ class TestOracleConfig:
     def test_dim_floor(self):
         with pytest.raises(ValueError):
             OracleConfig(dim=0)
+
+    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
+    def test_dt_must_be_finite_and_nonzero(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and nonzero"):
+            OracleConfig(dt=dt)
+
+
+class TestMaxTracker:
+    @pytest.mark.parametrize("values", [(1e-15, np.nan), (np.nan, 1e-15), (np.nan,)])
+    def test_nan_is_kept_and_fails_the_row(self, values):
+        # max(0.0, nan) is 0.0, which would pass a row that never compared anything
+        track = verify._MaxTracker()
+        for value in values:
+            track.update("identity", value)
+        (row,) = track.rows({}, 1e-12)
+        assert np.isnan(row.max_rel_dev)
+        assert not row.passed
