@@ -188,16 +188,20 @@ def _cmd_verify(args) -> int:
         raise UsageError("--dt must be nonzero")
     cfg = OracleConfig(gl_points_per_axis=args.points, seed=args.seed, dim=args.dim, dt=args.dt)
     rows = []
-    if args.suite in ("closed-forms", "all"):
-        kwargs = {"draws": args.draws}
-        if args.tolerance is not None:
-            kwargs["tolerance"] = args.tolerance
-        rows.extend(check_closed_forms(cfg, **kwargs).rows)
-    if args.suite in ("symmetry", "all"):
-        kwargs = {"draws": args.draws, "oracle_draws": min(args.draws, 25)}
-        if args.tolerance is not None:
-            kwargs["tolerance"] = args.tolerance
-        rows.extend(check_symmetry_suite(cfg, **kwargs).rows)
+    # A huge or tiny --dt overflows the oracle's sums; that shows as a NaN row
+    # (exit 3) or an ArithmeticError (exit 2), so numpy's warnings would only
+    # add lines to stderr.
+    with np.errstate(all="ignore"):
+        if args.suite in ("closed-forms", "all"):
+            kwargs = {"draws": args.draws}
+            if args.tolerance is not None:
+                kwargs["tolerance"] = args.tolerance
+            rows.extend(check_closed_forms(cfg, **kwargs).rows)
+        if args.suite in ("symmetry", "all"):
+            kwargs = {"draws": args.draws, "oracle_draws": min(args.draws, 25)}
+            if args.tolerance is not None:
+                kwargs["tolerance"] = args.tolerance
+            rows.extend(check_symmetry_suite(cfg, **kwargs).rows)
     _write_csv(
         args.out,
         ["identity", "max_rel_dev", "tolerance", "pass"],

@@ -11,10 +11,16 @@ square shape, finite entries), which callers apply once at their input
 boundary, and :func:`expm_antihermitian`, which checks its exponent.
 :func:`commutator` compares nothing but the operands' dimension, and the
 norms and defects are plain formulas: a NaN or Inf entry comes back as a
-NaN or Inf result rather than an exception.
+NaN or Inf result rather than an exception.  The boundary checks measure
+defects relative to the matrix through :func:`relative_defect`, which
+scales a stack with huge entries down before it sums, so a finite matrix
+cannot overflow its own test.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -32,6 +38,7 @@ __all__ = [
     "hermiticity_defect",
     "anti_hermiticity_defect",
     "unitarity_defect",
+    "relative_defect",
     "expm_antihermitian",
 ]
 
@@ -111,18 +118,48 @@ def unitarity_defect(u) -> float | Array:
     return frobenius_norm(dagger(u) @ u - np.eye(u.shape[-1]))
 
 
+def relative_defect(defect, a) -> tuple[float, float]:
+    """Largest ``defect(a) / max(1, ||a||_F)`` and largest ``defect(a)``
+    over a (stack of) finite matrix(es).
+
+    Taken directly, ``||a||_F`` is inf once entries pass about 1e154, and a
+    relative test against it passes whatever the defect.  So a stack whose
+    largest entry magnitude reaches ``2**480`` is first divided by a power
+    of two that brings it below that; the division is exact, and no sum of
+    squares of the result can overflow.  Smaller stacks are taken as they
+    are, which gives the direct formula's values.
+    """
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0.0, 0.0
+    # |z| of a finite z can pass the float range (inf, without a warning): cap it
+    largest = min(float(np.abs(a).max()), sys.float_info.max)
+    scale = 2.0 ** max(0, math.frexp(largest)[1] - 480)
+    # viewed as a stack even for one matrix, so the defects come back as arrays
+    unit = a.reshape((-1,) + a.shape[-2:])
+    if scale > 1.0:
+        unit = unit / scale
+    # defect(a) / max(1, ||a||_F) = defect(unit) / max(1/scale, ||unit||_F)
+    unit_defect = defect(unit)
+    ratio = unit_defect / np.maximum(1.0 / scale, frobenius_norm(unit))
+    # max() keeps a NaN; the Python float product reads inf, without a
+    # warning, for an absolute defect beyond the float range
+    return float(ratio.max()), float(unit_defect.max()) * scale
+
+
 def expm_antihermitian(theta) -> Array:
     """Exponential of an anti-Hermitian matrix, exactly unitary up to rounding.
 
     Diagonalizes the Hermitian matrix ``i*theta = V diag(w) V†`` (real ``w``) and
     returns ``V diag(exp(-i w)) V†``.  Raises ``ValueError`` for a non-finite
     entry and :class:`NotAntiHermitianError` unless ``||theta + theta†||_F <=
-    EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)``.
+    EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)`` (evaluated by
+    :func:`relative_defect`, so an exponent too large for its norm is still
+    tested).
     """
     theta = as_complex_square(theta)
-    defect = anti_hermiticity_defect(theta)
-    bound = EXPONENT_ANTIHERMITICITY_TOL * np.maximum(1.0, frobenius_norm(theta))
-    if not np.all(defect <= bound):
-        raise NotAntiHermitianError(float(np.max(defect)), EXPONENT_ANTIHERMITICITY_TOL)
+    ratio, defect = relative_defect(anti_hermiticity_defect, theta)
+    if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
+        raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
     w, v = np.linalg.eigh(1j * theta)
     return (v * np.exp(-1j * w)[..., None, :]) @ dagger(v)

@@ -16,9 +16,23 @@ term functions and builders after that are plain arithmetic; their result
 stays in the Lie algebra u(d), and ``step`` (like the evolution driver)
 exponentiates it with ``expm_antihermitian``, which checks the exponent.
 
+Every bracket here goes through :func:`commutator`, which forms one matrix
+product instead of two.  Its precondition is that the operands are each
+Hermitian or each anti-Hermitian, which the sample check and the brackets
+themselves keep: in the Hermitian convention of the term functions a bracket
+of two samples is anti-Hermitian, the next level Hermitian, and so on, while
+``blanes6-gauss`` works on ``A = -iH`` and stays anti-Hermitian throughout.
+For samples that are Hermitian only to ``SAMPLE_HERMITICITY_TOL``, the
+kernel returns the exact (anti-)Hermitian part of the bracket, which
+differs from ``ab - ba`` by the order of that defect.
+
 Each Magnus term M1..M4 a scheme uses has one closed form here
 (``m1_simpson`` ... ``m4_linear``); ``verify.check_closed_forms`` certifies
-these same functions against the quadrature oracles.
+these same functions against the quadrature oracles, whose integrands use
+the general two-product ``linalg.commutator``.  The sums of brackets are in
+skew normal form (Blanes, Casas & Ros, BIT 40 (2000) 434): M2 of the cubic
+interpolant takes 2 brackets, M3 of the quadratic one 6, so a ``me6``
+exponent takes 11.
 """
 
 from __future__ import annotations
@@ -28,17 +42,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .linalg import (
     Array,
     DimensionMismatchError,
     PreconditionError,
     as_complex_square,
-    commutator,
+    dagger,
     expm_antihermitian,
-    frobenius_norm,
     hermiticity_defect,
+    relative_defect,
 )
 
 __all__ = [
@@ -165,9 +177,9 @@ def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> dict[f
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
         h = as_complex_square(samples[node])
-        defect = hermiticity_defect(h)
-        if not np.all(defect <= SAMPLE_HERMITICITY_TOL * np.maximum(1.0, frobenius_norm(h))):
-            raise NonHermitianSampleError(node, np.max(defect), SAMPLE_HERMITICITY_TOL)
+        ratio, defect = relative_defect(hermiticity_defect, h)
+        if not ratio <= SAMPLE_HERMITICITY_TOL:
+            raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
         out[node] = h
     if len({h.shape for h in out.values()}) > 1:
         shapes = ", ".join(f"node {node}: {h.shape}" for node, h in out.items())
@@ -186,9 +198,28 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
     return _EXPONENT_BUILDERS[method](h, tau)
 
 
+def commutator(a: Array, b: Array, hermitian: bool = False) -> Array:
+    """``[a, b]`` from the one product ``ab``.
+
+    Requires ``a† = s_a a`` and ``b† = s_b b`` with signs ``s_a, s_b = ±1``;
+    then ``ba = s_a s_b (ab)†`` and ``[a, b] = ab - s_a s_b (ab)†``.
+    Operands of one kind (both Hermitian or both anti-Hermitian) give an
+    anti-Hermitian bracket, the default; ``hermitian=True`` states that they
+    are of opposite kind, which makes the bracket Hermitian.  Either way the
+    result is exactly (anti-)Hermitian.
+    """
+    p = a @ b
+    if hermitian:
+        p += dagger(p)
+    else:
+        p -= dagger(p)
+    return p
+
+
 # Closed forms of the Magnus terms M1..M4 of the Lagrange interpolant through
 # equally spaced samples (h0 at the start of the step, h1 at its end, hh at the
-# midpoint, hq*/ht* at quarters/thirds), for a step of length tau.
+# midpoint, hq*/ht* at quarters/thirds), for a step of length tau.  Brackets
+# of two samples are anti-Hermitian, brackets of a sample with those Hermitian.
 
 def m1_simpson(h0, hh, h1, tau):
     return (tau / 6.0) * (h0 + 4.0 * hh + h1)
@@ -207,30 +238,35 @@ def m2_quadratic(h0, hh, h1, tau):
 
 
 def m2_cubic(h0, ht1, ht2, h1, tau):
-    return (tau**2 / 3360.0) * (
-        117.0 * (commutator(ht1, h0) + commutator(h1, ht2))
-        + 47.0 * commutator(h1, h0)
-        + 144.0 * (commutator(h1, ht1) + commutator(ht2, h0))
-        + 729.0 * commutator(ht2, ht1)
+    # skew normal form of 117([ht1,h0] + [h1,ht2]) + 47[h1,h0] + 144([h1,ht1]
+    # + [ht2,h0]) + 729[ht2,ht1]: the coefficient matrix has rank 4
+    out = commutator(
+        ht1 + (16.0 / 13.0) * ht2 + (47.0 / 117.0) * h1, 117.0 * h0 - 729.0 * ht2 - 144.0 * h1
     )
+    tail = commutator(h1, ht2)
+    tail *= 3024.0 / 13.0
+    out += tail
+    out *= tau**2 / 3360.0
+    return out
 
 
 def m3_linear(h0, h1, tau):
-    return (tau**3 / 40.0) * commutator(h1 - h0, commutator(h1, h0))
+    return (tau**3 / 40.0) * commutator(h1 - h0, commutator(h1, h0), hermitian=True)
 
 
 def m3_quadratic(h0, hh, h1, tau):
-    return (tau**3 / 2520.0) * (
-        64.0 * commutator(hh + h1, commutator(hh, h0))
-        + 64.0 * commutator(hh + h0, commutator(hh, h1))
-        + 44.0 * (commutator(h0, commutator(h0, hh)) + commutator(h1, commutator(h1, hh)))
-        + 9.0 * commutator(h1 - h0, commutator(h1, h0))
-    )
+    # the ten brackets of the printed form regrouped over the three inner
+    # brackets [hh,h0], [hh,h1] and [h1,h0], accumulated one at a time
+    out = commutator(64.0 * (hh + h1) - 44.0 * h0, commutator(hh, h0), hermitian=True)
+    out += commutator(64.0 * (hh + h0) - 44.0 * h1, commutator(hh, h1), hermitian=True)
+    out += commutator(9.0 * (h1 - h0), commutator(h1, h0), hermitian=True)
+    out *= tau**3 / 2520.0
+    return out
 
 
 def m4_linear(h0, h1, tau, root=QUAD_COMMUTATOR_ROOT):
     return (tau**4 / 210.0) * commutator(
-        (1.0 / root) * h0 - h1, commutator(h1 - root * h0, commutator(h1, h0))
+        (1.0 / root) * h0 - h1, commutator(h1 - root * h0, commutator(h1, h0), hermitian=True)
     )
 
 
@@ -282,13 +318,14 @@ def _exponent_blanes4_gauss(h, tau):
 
 def _exponent_iserles4_gauss(h, tau):
     g1, g2 = h[GAUSS2_LO], h[GAUSS2_HI]
-    triple = (tau**3 / 80.0) * commutator(g2 - g1, commutator(g2, g1))
+    triple = (tau**3 / 80.0) * commutator(g2 - g1, commutator(g2, g1), hermitian=True)
     return _exponent_blanes4_gauss(h, tau) + 1j * triple
 
 
 def _exponent_blanes6_gauss(h, tau):
     # Built from the generator A = -i H, so the term mixing 3- and 4-fold
-    # commutators carries the right power of tau in each part.
+    # commutators carries the right power of tau in each part, and every
+    # bracket has anti-Hermitian operands.
     a1 = -1j * h[GAUSS3_LO]
     a2 = -1j * h[0.5]
     a3 = -1j * h[GAUSS3_HI]

@@ -19,7 +19,10 @@ random Hermitian samples.
 
 ``check_closed_forms`` calls the step builders' own term functions
 (``magnus_steps.m1_simpson`` ... ``m4_linear``), so a wrong coefficient in a
-scheme fails certification.  The terms take the step as ``tau = dt / ħ``, the
+scheme fails certification.  Those take each bracket from one matrix
+product (``magnus_steps.commutator``); the oracle integrands here use the
+general ``ab - ba`` of ``linalg.commutator``, so the two sides share no
+bracket kernel.  The terms take the step as ``tau = dt / ħ``, the
 only place ħ enters; here ħ = 1 and ``tau`` is ``cfg.dt``, which must be
 finite and nonzero.  Every suite needs at least one draw (the CLI rejects
 ``--draws`` below 1), and a row whose worst deviation is NaN (say, from a

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magstep
 from magstep.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -353,8 +358,7 @@ class TestBadStepAndTimeFlags:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    # numpy's overflow and invalid-value warnings come before the error
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # numpy's overflow and invalid-value warnings stay off stderr
     @pytest.mark.parametrize("dt, error", [("1e80", "OverflowError"), ("1e-200", "ZeroDivisionError")])
     def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys, dt, error):
         out = tmp_path / "report.csv"
@@ -365,8 +369,7 @@ class TestBadStepAndTimeFlags:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_deviation_fails_its_row(self, tmp_path):
+    def test_overflowing_deviation_fails_its_row(self, tmp_path, capsys):
         # at dt = 1e60 the Frobenius norms of the M3 and M4 oracles overflow,
         # so their relative deviations are NaN and must not read as a pass
         out = tmp_path / "report.csv"
@@ -374,10 +377,52 @@ class TestBadStepAndTimeFlags:
             ["verify", "--suite", "symmetry", "--dim", "2", "--draws", "1", "--dt", "1e60", "--out", str(out)]
         )
         assert code == EXIT_VERIFY_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("verification FAILED for:") and len(err.splitlines()) == 1
         rows = {line.split(",")[0]: line.split(",")[1:] for line in read_lines(out)[1:]}
         for n in (3, 4):
             dev, _, passed = rows[f"oracle-sign-flip-m{n}"]
             assert (dev, passed) == ("nan", "false")
+
+
+def dense_model_json(dim, seed):
+    """A model with every upper-triangle entry driven, so no bracket is sparse."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for i in range(dim):
+        for j in range(i, dim):
+            im = 0.0 if i == j else float(rng.uniform(-1.0, 1.0))
+            terms = [
+                {"amp": float(rng.uniform(0.1, 1.0)), "omega": float(rng.uniform(0.5, 3.0)),
+                 "phase": float(rng.uniform(0.0, 6.0))}
+                for _ in range(2)
+            ]
+            entries.append({"i": i, "j": j, "offset": [float(rng.uniform(-1.0, 1.0)), im], "terms": terms})
+    return json.dumps({"dim": dim, "entries": entries})
+
+
+class TestBlasThreadReproducibility:
+    # the CSV must not depend on how many threads BLAS splits a product over
+    @pytest.mark.parametrize("method", ["me6", "blanes6-gauss"])
+    def test_csv_identical_for_one_and_two_threads(self, tmp_path, method):
+        model = tmp_path / "dense8.json"
+        model.write_text(dense_model_json(8, seed=5))
+        src = str(Path(magstep.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{method}-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            argv = [
+                sys.executable, "-m", "magstep.cli", "propagate", "--model", str(model),
+                "--method", method, "--t-final", "10", "--n-steps", "256", "--initial", "3",
+                "--out", str(out),
+            ]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == EXIT_OK, done.stderr
+            outputs.append(out.read_bytes())
+        assert len(outputs[0].splitlines()) == 258
+        assert outputs[0] == outputs[1]
 
 
 class TestHelp:

@@ -11,6 +11,7 @@ from magstep.linalg import (
     expm_antihermitian,
     frobenius_norm,
     hermiticity_defect,
+    relative_defect,
     unitarity_defect,
 )
 from magstep.verify import random_hermitian
@@ -107,6 +108,32 @@ class TestNorms:
         assert hermiticity_defect(0.5 * (b + b.conj().T)) <= 1e-15
 
 
+class TestRelativeDefect:
+    def test_matches_unscaled_formula(self):
+        rng = np.random.default_rng(12)
+        # Hermitian plus a small anti-Hermitian part, at three sizes
+        a = np.stack(
+            [s * random_hermitian(rng, 3) + 1e-3j * random_hermitian(rng, 3) for s in (0.1, 1.0, 40.0)]
+        )
+        ratio, defect = relative_defect(anti_hermiticity_defect, a)
+        # entries far below the overflow range: no scaling, the same arithmetic
+        assert ratio == np.max(anti_hermiticity_defect(a) / np.maximum(1.0, frobenius_norm(a)))
+        assert defect == np.max(anti_hermiticity_defect(a))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e200, 1e307])
+    def test_finite_at_extreme_magnitudes(self, scale):
+        # scale * (sz + i I): defect 2 sqrt(2) scale, norm 2 scale
+        ratio, defect = relative_defect(hermiticity_defect, scale * (SZ + 1j * I2))
+        direct_ratio = 2.0 * np.sqrt(2) * scale / max(1.0, 2.0 * scale)
+        assert ratio / direct_ratio == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert defect / scale == pytest.approx(2.0 * np.sqrt(2), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (0, 2, 2)])
+    def test_zero_and_empty_stacks(self, shape):
+        assert relative_defect(hermiticity_defect, np.zeros(shape, dtype=complex)) == (0.0, 0.0)
+        assert expm_antihermitian(np.zeros(shape, dtype=complex)).shape == shape
+
+
 class TestExpmAntiHermitian:
     def test_zero_exponent(self):
         assert np.allclose(expm_antihermitian(np.zeros((2, 2))), I2)
@@ -169,6 +196,16 @@ class TestExpmAntiHermitian:
         bad = np.array([[np.nan, 0], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             expm_antihermitian(bad)
+
+    def test_rejects_huge_non_antihermitian(self):
+        # ||theta||_F overflows at entries of 1e200; the test must still fail
+        with pytest.raises(NotAntiHermitianError) as excinfo:
+            expm_antihermitian(1e200 * SX)
+        assert excinfo.value.defect == pytest.approx(2e200 * np.sqrt(2))
+
+    def test_huge_antihermitian_is_unitary(self):
+        u = expm_antihermitian(-1e200j * SX)
+        assert unitarity_defect(u) <= 1e-14
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magstep import linalg, magnus_steps
 from magstep.evolution import propagate, relative_error
 from magstep.hamiltonians import builtin_case
 from magstep.linalg import (
@@ -10,6 +11,7 @@ from magstep.linalg import (
     dagger,
     expm_antihermitian,
     frobenius_norm,
+    hermiticity_defect,
     unitarity_defect,
 )
 from magstep.magnus_steps import (
@@ -171,6 +173,19 @@ class TestExponent:
         with pytest.raises(ValueError, match="NaN or Inf"):
             exponent(MethodId.ME3, samples, 0.1)
 
+    def test_huge_non_hermitian_sample_rejected(self):
+        # ||sample||_F overflows to inf at entries of 1e200; the relative test
+        # must not turn into defect <= inf
+        samples = {0.0: 1e200 * (SZ + 1j * np.eye(2)), 1.0: SZ}
+        with pytest.raises(NonHermitianSampleError) as excinfo:
+            exponent(MethodId.ME2, samples, 0.1)
+        assert excinfo.value.node == 0.0
+        assert excinfo.value.defect == pytest.approx(2e200 * np.sqrt(2))
+
+    def test_huge_hermitian_sample_accepted(self):
+        theta = exponent(MethodId.ME2, {0.0: 1e200 * SZ, 1.0: 1e200 * SX}, 1e-200)
+        assert np.allclose(theta, -0.5j * (SZ + SX), atol=1e-15)
+
     def test_builders_assemble_the_term_functions(self):
         # Theta = -i M1 - M2/2 + i M3/6 + M4/24, every term taken at tau = dt / hbar
         rng = np.random.default_rng(5)
@@ -313,3 +328,121 @@ class TestCommutingFamilyReduction:
 
     def test_constant_family_all_methods(self):
         self._check(ALL_METHODS, [0.7], t0=-0.3, dt=1.0)
+
+
+# Relative agreement of the one-product bracket with the two-product
+# linalg.commutator, in units of ||a||_F ||b||_F.
+BRACKET_AGREEMENT_TOL = 1e-14
+# Relative agreement of the skew normal forms with the printed sums of brackets.
+SKEW_FORM_TOL = 1e-14
+
+
+class TestOneProductBracket:
+    @staticmethod
+    def operands(rng, dim, kinds):
+        # "h": Hermitian, "a": anti-Hermitian, as stacks of four matrices
+        make = {"h": lambda: random_hermitian(rng, dim), "a": lambda: -1j * random_hermitian(rng, dim)}
+        return [np.stack([make[kind]() for _ in range(4)]) for kind in kinds]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize(
+        "kinds, hermitian, defect",
+        [
+            ("hh", False, anti_hermiticity_defect),
+            ("ha", True, hermiticity_defect),
+            ("ah", True, hermiticity_defect),
+            ("aa", False, anti_hermiticity_defect),
+        ],
+    )
+    def test_equals_two_product_commutator(self, dim, kinds, hermitian, defect):
+        rng = np.random.default_rng(dim)
+        a, b = self.operands(rng, dim, kinds)
+        got = magnus_steps.commutator(a, b, hermitian=hermitian)
+        want = linalg.commutator(a, b)
+        bound = BRACKET_AGREEMENT_TOL * frobenius_norm(a) * frobenius_norm(b)
+        assert np.all(frobenius_norm(got - want) <= bound)
+        assert np.all(defect(got) == 0.0)
+
+    def test_operands_are_not_modified(self):
+        rng = np.random.default_rng(4)
+        a, b = self.operands(rng, 3, "hh")
+        a_copy, b_copy = a.copy(), b.copy()
+        magnus_steps.commutator(a, b)
+        assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+
+
+class TestSkewNormalForms:
+    # The paper's printed sums of brackets, kept here only, against the
+    # regrouped forms the step builders use.
+    @staticmethod
+    def printed_m2_cubic(h0, ht1, ht2, h1, tau):
+        c = linalg.commutator
+        return (tau**2 / 3360.0) * (
+            117.0 * (c(ht1, h0) + c(h1, ht2))
+            + 47.0 * c(h1, h0)
+            + 144.0 * (c(h1, ht1) + c(ht2, h0))
+            + 729.0 * c(ht2, ht1)
+        )
+
+    @staticmethod
+    def printed_m3_quadratic(h0, hh, h1, tau):
+        c = linalg.commutator
+        return (tau**3 / 2520.0) * (
+            64.0 * c(hh + h1, c(hh, h0))
+            + 64.0 * c(hh + h0, c(hh, h1))
+            + 44.0 * (c(h0, c(h0, hh)) + c(h1, c(h1, hh)))
+            + 9.0 * c(h1 - h0, c(h1, h0))
+        )
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_m2_cubic_matches_printed_form(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(20):
+            h0, ht1, ht2, h1 = (random_hermitian(rng, dim) for _ in range(4))
+            tau = float(rng.uniform(0.1, 2.0))
+            want = self.printed_m2_cubic(h0, ht1, ht2, h1, tau)
+            got = m2_cubic(h0, ht1, ht2, h1, tau)
+            assert frobenius_norm(got - want) <= SKEW_FORM_TOL * frobenius_norm(want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_m3_quadratic_matches_printed_form(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for _ in range(20):
+            h0, hh, h1 = (random_hermitian(rng, dim) for _ in range(3))
+            tau = float(rng.uniform(0.1, 2.0))
+            want = self.printed_m3_quadratic(h0, hh, h1, tau)
+            got = m3_quadratic(h0, hh, h1, tau)
+            assert frobenius_norm(got - want) <= SKEW_FORM_TOL * frobenius_norm(want)
+
+
+class TestBracketCount:
+    # brackets per exponent, all through magnus_steps.commutator
+    EXPECTED = {
+        MethodId.ME2: 0,
+        MethodId.ME3: 1,
+        MethodId.ME4_FULL: 3,
+        MethodId.ME4_NC: 1,
+        MethodId.ME6: 11,
+        MethodId.BLANES4: 1,
+        MethodId.BLANES4_GAUSS: 1,
+        MethodId.ISERLES4_GAUSS: 3,
+        MethodId.BLANES6_GAUSS: 4,
+    }
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_brackets_per_exponent(self, monkeypatch, method):
+        calls = []
+        kernel = magnus_steps.commutator
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(magnus_steps, "commutator", counted)
+        rng = np.random.default_rng(6)
+        samples = {
+            node: np.stack([random_hermitian(rng, 2) for _ in range(5)]) for node in sample_nodes(method)
+        }
+        theta = exponent(method, samples, 0.3)
+        assert theta.shape == (5, 2, 2)
+        assert len(calls) == self.EXPECTED[method]

@@ -1,7 +1,10 @@
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
-from magstep import verify
+from magstep import magnus_steps, verify
 from magstep.linalg import commutator, frobenius_norm
 from magstep.magnus_steps import (
     GAUSS2_HI,
@@ -254,6 +257,17 @@ class TestCheckClosedForms:
         report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=1)
         failing = [r.identity for r in report.rows if not r.passed]
         assert failing == ["m4-linear", "m4-linear-alt-root"]
+
+    def test_perturbed_skew_coefficient_fails_m2_cubic(self, monkeypatch):
+        # recompile the builders' own m2_cubic with its 16/13 scaled by 1.001
+        source = textwrap.dedent(inspect.getsource(magnus_steps.m2_cubic))
+        assert source.count("16.0 / 13.0") == 1
+        namespace = dict(vars(magnus_steps))
+        exec(source.replace("16.0 / 13.0", "1.001 * 16.0 / 13.0"), namespace)
+        monkeypatch.setattr(verify, "m2_cubic", namespace["m2_cubic"])
+        report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=1)
+        failing = [r.identity for r in report.rows if not r.passed]
+        assert failing == ["m2-cubic"]
 
 
 class TestCheckSymmetrySuite:
