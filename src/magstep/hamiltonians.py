@@ -186,8 +186,11 @@ def load_model(config_text: str) -> HamiltonianModel:
         if i == j and im != 0.0:
             raise ModelError(f"{where}: diagonal entry ({i}, {i}) must have a real offset, got im={im}")
 
+        terms_raw = raw.get("terms", [])
+        if not isinstance(terms_raw, list):
+            raise ModelError(f"{where}: 'terms' must be a list")
         terms = []
-        for m, term_raw in enumerate(raw.get("terms", [])):
+        for m, term_raw in enumerate(terms_raw):
             twhere = f"{where}.terms[{m}]"
             if not isinstance(term_raw, dict):
                 raise ModelError(f"{twhere}: expected an object")

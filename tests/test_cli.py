@@ -178,6 +178,19 @@ class TestPropagate:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("terms", [5, {"amp": 1}])
+    def test_model_terms_not_a_list(self, tmp_path, capsys, terms):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2, "entries": [{"i": 0, "j": 1, "terms": terms}]}))
+        out = tmp_path / "x.csv"
+        code = run(
+            ["propagate", "--model", str(bad), "--method", "me2", "--n-steps", "2", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "magstep: error: entries[0]: 'terms' must be a list\n"
+        assert not out.exists()
+
 
 class TestConverge:
     def converge(self, tmp_path, name="err.csv", extra=()):

@@ -131,6 +131,12 @@ class TestLoadModel:
         with pytest.raises(ModelError, match=r"duplicate"):
             load_model(text)
 
+    @pytest.mark.parametrize("terms", [5, {"amp": 1}])
+    def test_rejects_terms_that_are_not_a_list(self, terms):
+        text = json.dumps({"dim": 2, "entries": [{"i": 0, "j": 1, "terms": terms}]})
+        with pytest.raises(ModelError, match=r"^entries\[0\]: 'terms' must be a list$"):
+            load_model(text)
+
     def test_rejects_missing_dim(self):
         with pytest.raises(ModelError, match=r"dim"):
             load_model("{}")
