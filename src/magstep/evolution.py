@@ -65,6 +65,17 @@ def _as_sampler_arrays(model, node_times: Array) -> Array:
     return np.stack([np.asarray(model(float(t)), dtype=np.complex128) for t in node_times])
 
 
+def _node_samples(method: MethodId, model, step_start: Array, dt: float, dim: int) -> dict[float, Array]:
+    """Hamiltonian samples at each node of every step, ``(n_steps, dim, dim)`` each."""
+    samples = {node: _as_sampler_arrays(model, step_start + node * dt) for node in sample_nodes(method)}
+    shape = samples[sample_nodes(method)[0]].shape
+    if shape != (len(step_start), dim, dim):
+        raise PreconditionError(
+            f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {shape[1:]}"
+        )
+    return samples
+
+
 def _step_propagators(
     method: MethodId, model, t0: float, tf: float, n_steps: int, dim: int, ctx: StepContext
 ) -> tuple[Array, Array]:
@@ -86,18 +97,9 @@ def _step_propagators(
 
     dt = (tf - t0) / n_steps
     t_grid = t0 + dt * np.arange(n_steps + 1)
-    step_start = t_grid[:-1]
-
-    samples = {
-        node: _as_sampler_arrays(model, step_start + node * dt)
-        for node in sample_nodes(method)
-    }
-    shape = samples[sample_nodes(method)[0]].shape
-    if shape != (n_steps, dim, dim):
-        raise PreconditionError(
-            f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {shape[1:]}"
-        )
-    theta = exponent(method, samples, dt, ctx)
+    # the node dict is not named here: exponent replaces each of its stacks
+    # by the scaled one, so no node is held twice
+    theta = exponent(method, _node_samples(method, model, t_grid[:-1], dt, dim), dt, ctx)
     return t_grid, expm_antihermitian(theta)
 
 

@@ -7,32 +7,34 @@ differ in quadrature nodes and in how many nested commutators they keep.
 
 ``exponent`` broadcasts: samples may be single ``(d, d)`` matrices or stacks
 ``(n, d, d)`` sharing one scalar ``dt``, which is how the evolution driver
-assembles a whole trajectory worth of exponents in one call.  ħ enters
-once, as the scaled step ``tau = dt / ħ`` handed to every builder.
+assembles a whole trajectory worth of exponents in one call.
 
 Samples are validated once, on entry to ``exponent``: complex, square,
-finite, Hermitian to ``SAMPLE_HERMITICITY_TOL`` and all of one shape.  The
-term functions and builders after that are plain arithmetic; their result
-stays in the Lie algebra u(d), and ``step`` (like the evolution driver)
-exponentiates it with ``expm_antihermitian``, which checks the exponent.
+finite, Hermitian to ``SAMPLE_HERMITICITY_TOL`` and all of one shape.  Then
+each is scaled, once, to the generator ``A = -iH dt/ħ`` of the step taken
+as the unit interval; that is the only place ``dt`` and ħ enter.  The term
+functions and builders after that are plain arithmetic on ``A`` (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, Sec. 2-3): each Magnus term
+Omega_n is a real combination of nested brackets of anti-Hermitian
+matrices, so the exponent stays in the Lie algebra u(d).  A scaling or a
+term that overflows the float range raises ``PreconditionError``.  ``step``
+(like the evolution driver) exponentiates the result with
+``expm_antihermitian``, which checks the exponent.
 
 Every bracket here goes through :func:`commutator`, which forms one matrix
-product instead of two.  Its precondition is that the operands are each
-Hermitian or each anti-Hermitian, which the sample check and the brackets
-themselves keep: in the Hermitian convention of the term functions a bracket
-of two samples is anti-Hermitian, the next level Hermitian, and so on, while
-``blanes6-gauss`` works on ``A = -iH`` and stays anti-Hermitian throughout.
-For samples that are Hermitian only to ``SAMPLE_HERMITICITY_TOL``, the
-kernel returns the exact (anti-)Hermitian part of the bracket, which
-differs from ``ab - ba`` by the order of that defect.
+product instead of two: for anti-Hermitian operands ``ba = (ab)†``.  The
+sample check and the brackets themselves keep that precondition.  For
+samples that are Hermitian only to ``SAMPLE_HERMITICITY_TOL``, the kernel
+returns the exact anti-Hermitian part of the bracket, which differs from
+``ab - ba`` by the order of that defect.
 
-Each Magnus term M1..M4 a scheme uses has one closed form here
-(``m1_simpson`` ... ``m4_linear``); ``verify.check_closed_forms`` certifies
-these same functions against the quadrature oracles, whose integrands use
-the general two-product ``linalg.commutator``.  The sums of brackets are in
-skew normal form (Blanes, Casas & Ros, BIT 40 (2000) 434): M2 of the cubic
-interpolant takes 2 brackets, M3 of the quadratic one 6, so a ``me6``
-exponent takes 11.
+Each Magnus term Omega_1..Omega_4 a scheme uses has one closed form here
+(``omega1_simpson`` ... ``omega4_linear``); ``verify.check_closed_forms``
+certifies these same functions against the quadrature oracles, whose
+integrands use the general two-product ``linalg.commutator``.  The sums of
+brackets are in skew normal form (Blanes, Casas & Ros, BIT 40 (2000) 434):
+Omega_2 of the cubic interpolant takes 2 brackets, Omega_3 of the quadratic
+one 6, so a ``me6`` exponent takes 11.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .linalg import (
     Array,
@@ -191,153 +195,149 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
     """Anti-Hermitian exponent Theta with ``U = exp(Theta)`` for one step.
 
     ``samples`` maps node fractions (from :func:`sample_nodes`) to Hermitian
-    matrices; values may be stacked as ``(n, d, d)``, all of one shape.
+    matrices; values may be stacked as ``(n, d, d)``, all of one shape.  Each
+    checked sample is replaced by its generator ``A = -i tau H``, ``tau = dt /
+    ħ``, so no unscaled copy outlives its scaled one, and the builder sums
+    the Magnus terms of those.  Raises :class:`PreconditionError` naming
+    ``dt/hbar`` if the scaling or a term overflows the float range.
     """
-    h = _checked_samples(method, samples)
-    tau = float(dt) / ctx.hbar
-    return _EXPONENT_BUILDERS[method](h, tau)
+    samples = _checked_samples(method, samples)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            tau = np.float64(dt) / ctx.hbar
+            for node in samples:
+                samples[node] = (-1j * tau) * samples[node]
+            return _EXPONENT_BUILDERS[method](samples)
+    except FloatingPointError as exc:
+        raise PreconditionError(
+            f"the {method.value} exponent overflows the float range at "
+            f"dt/hbar = {float(dt):.3e}/{ctx.hbar:.3e}"
+        ) from exc
 
 
-def commutator(a: Array, b: Array, hermitian: bool = False) -> Array:
-    """``[a, b]`` from the one product ``ab``.
+def commutator(a: Array, b: Array) -> Array:
+    """``[a, b]`` of two anti-Hermitian operands, from the one product ``ab``.
 
-    Requires ``a† = s_a a`` and ``b† = s_b b`` with signs ``s_a, s_b = ±1``;
-    then ``ba = s_a s_b (ab)†`` and ``[a, b] = ab - s_a s_b (ab)†``.
-    Operands of one kind (both Hermitian or both anti-Hermitian) give an
-    anti-Hermitian bracket, the default; ``hermitian=True`` states that they
-    are of opposite kind, which makes the bracket Hermitian.  Either way the
-    result is exactly (anti-)Hermitian.
+    With ``a† = -a`` and ``b† = -b``, ``ba = (ab)†``, so ``[a, b] = ab -
+    (ab)†``, which is exactly anti-Hermitian.
     """
     p = a @ b
-    if hermitian:
-        p += dagger(p)
-    else:
-        p -= dagger(p)
+    p -= dagger(p)
     return p
 
 
-# Closed forms of the Magnus terms M1..M4 of the Lagrange interpolant through
-# equally spaced samples (h0 at the start of the step, h1 at its end, hh at the
-# midpoint, hq*/ht* at quarters/thirds), for a step of length tau.  Brackets
-# of two samples are anti-Hermitian, brackets of a sample with those Hermitian.
+# Closed forms of the Magnus terms Omega_1..Omega_4 of the Lagrange
+# interpolant through equally spaced generator samples on the unit step (a0
+# at its start, a1 at its end, ah at the midpoint, aq*/at* at quarters/
+# thirds).  Each is a real combination of brackets of anti-Hermitian
+# matrices, so it is anti-Hermitian too.
 
-def m1_simpson(h0, hh, h1, tau):
-    return (tau / 6.0) * (h0 + 4.0 * hh + h1)
-
-
-def m1_boole(h0, hq1, hh, hq3, h1, tau):
-    return (tau / 90.0) * (7.0 * h0 + 32.0 * hq1 + 12.0 * hh + 32.0 * hq3 + 7.0 * h1)
+def omega1_simpson(a0, ah, a1):
+    return (1.0 / 6.0) * (a0 + 4.0 * ah + a1)
 
 
-def m2_linear(h0, h1, tau):
-    return (tau**2 / 6.0) * commutator(h1, h0)
+def omega1_boole(a0, aq1, ah, aq3, a1):
+    return (1.0 / 90.0) * (7.0 * a0 + 32.0 * aq1 + 12.0 * ah + 32.0 * aq3 + 7.0 * a1)
 
 
-def m2_quadratic(h0, hh, h1, tau):
-    return (tau**2 / 30.0) * commutator(h0 + 4.0 * hh, h0 - h1)
+def omega2_linear(a0, a1):
+    return (1.0 / 12.0) * commutator(a1, a0)
 
 
-def m2_cubic(h0, ht1, ht2, h1, tau):
-    # skew normal form of 117([ht1,h0] + [h1,ht2]) + 47[h1,h0] + 144([h1,ht1]
-    # + [ht2,h0]) + 729[ht2,ht1]: the coefficient matrix has rank 4
+def omega2_quadratic(a0, ah, a1):
+    return (1.0 / 60.0) * commutator(a0 + 4.0 * ah, a0 - a1)
+
+
+def omega2_cubic(a0, at1, at2, a1):
+    # skew normal form of 117([at1,a0] + [a1,at2]) + 47[a1,a0] + 144([a1,at1]
+    # + [at2,a0]) + 729[at2,at1]: the coefficient matrix has rank 4
     out = commutator(
-        ht1 + (16.0 / 13.0) * ht2 + (47.0 / 117.0) * h1, 117.0 * h0 - 729.0 * ht2 - 144.0 * h1
+        at1 + (16.0 / 13.0) * at2 + (47.0 / 117.0) * a1, 117.0 * a0 - 729.0 * at2 - 144.0 * a1
     )
-    tail = commutator(h1, ht2)
+    tail = commutator(a1, at2)
     tail *= 3024.0 / 13.0
     out += tail
-    out *= tau**2 / 3360.0
+    out *= 1.0 / 6720.0
     return out
 
 
-def m3_linear(h0, h1, tau):
-    return (tau**3 / 40.0) * commutator(h1 - h0, commutator(h1, h0), hermitian=True)
+def omega3_linear(a0, a1):
+    return (1.0 / 240.0) * commutator(a1 - a0, commutator(a1, a0))
 
 
-def m3_quadratic(h0, hh, h1, tau):
+def omega3_quadratic(a0, ah, a1):
     # the ten brackets of the printed form regrouped over the three inner
-    # brackets [hh,h0], [hh,h1] and [h1,h0], accumulated one at a time
-    out = commutator(64.0 * (hh + h1) - 44.0 * h0, commutator(hh, h0), hermitian=True)
-    out += commutator(64.0 * (hh + h0) - 44.0 * h1, commutator(hh, h1), hermitian=True)
-    out += commutator(9.0 * (h1 - h0), commutator(h1, h0), hermitian=True)
-    out *= tau**3 / 2520.0
+    # brackets [ah,a0], [ah,a1] and [a1,a0], accumulated one at a time
+    out = commutator(64.0 * (ah + a1) - 44.0 * a0, commutator(ah, a0))
+    out += commutator(64.0 * (ah + a0) - 44.0 * a1, commutator(ah, a1))
+    out += commutator(9.0 * (a1 - a0), commutator(a1, a0))
+    out *= 1.0 / 15120.0
     return out
 
 
-def m4_linear(h0, h1, tau, root=QUAD_COMMUTATOR_ROOT):
-    return (tau**4 / 210.0) * commutator(
-        (1.0 / root) * h0 - h1, commutator(h1 - root * h0, commutator(h1, h0), hermitian=True)
+def omega4_linear(a0, a1, root=QUAD_COMMUTATOR_ROOT):
+    return (1.0 / 5040.0) * commutator(
+        (1.0 / root) * a0 - a1, commutator(a1 - root * a0, commutator(a1, a0))
     )
 
 
-# Each builder maps the checked samples and tau = dt / ħ to
-# Theta = -i M1 - M2/2 + i M3/6 + M4/24 (or the scheme's own regrouping).
+# Each builder maps the generator samples, keyed by node, to
+# Theta = Omega_1 + Omega_2 (+ Omega_3 + Omega_4), or the scheme's own regrouping.
 
-def _exponent_me2(h, tau):
-    return (-0.5j * tau) * (h[0.0] + h[1.0])
-
-
-def _exponent_me3(h, tau):
-    h0, hh, h1 = h[0.0], h[0.5], h[1.0]
-    return -1j * m1_simpson(h0, hh, h1, tau) - m2_linear(h0, h1, tau) / 2.0
+def _exponent_me2(a):
+    return 0.5 * (a[0.0] + a[1.0])
 
 
-def _exponent_me4_nc(h, tau):
-    h0, hh, h1 = h[0.0], h[0.5], h[1.0]
-    return -1j * m1_simpson(h0, hh, h1, tau) - m2_quadratic(h0, hh, h1, tau) / 2.0
+def _exponent_me3(a):
+    a0, ah, a1 = a[0.0], a[0.5], a[1.0]
+    return omega1_simpson(a0, ah, a1) + omega2_linear(a0, a1)
 
 
-def _exponent_me4_full(h, tau):
-    return _exponent_me4_nc(h, tau) + (1j / 6.0) * m3_linear(h[0.0], h[1.0], tau)
+def _exponent_me4_nc(a):
+    a0, ah, a1 = a[0.0], a[0.5], a[1.0]
+    return omega1_simpson(a0, ah, a1) + omega2_quadratic(a0, ah, a1)
 
 
-def _exponent_me6(h, tau):
-    h0, hq1, ht1, hh, ht2, hq3, h1 = (
-        h[0.0], h[0.25], h[_THIRD], h[0.5], h[_TWO_THIRDS], h[0.75], h[1.0],
-    )
+def _exponent_me4_full(a):
+    return _exponent_me4_nc(a) + omega3_linear(a[0.0], a[1.0])
+
+
+def _exponent_me6(a):
+    a0, aq1, at1, ah, at2, aq3, a1 = (a[node] for node in _NODES[MethodId.ME6])
     return (
-        -1j * m1_boole(h0, hq1, hh, hq3, h1, tau)
-        - m2_cubic(h0, ht1, ht2, h1, tau) / 2.0
-        + (1j / 6.0) * m3_quadratic(h0, hh, h1, tau)
-        + m4_linear(h0, h1, tau) / 24.0
+        omega1_boole(a0, aq1, ah, aq3, a1)
+        + omega2_cubic(a0, at1, at2, a1)
+        + omega3_quadratic(a0, ah, a1)
+        + omega4_linear(a0, a1)
     )
 
 
-def _exponent_blanes4(h, tau):
-    h0, hh, h1 = h[0.0], h[0.5], h[1.0]
-    k = (tau**2 / 72.0) * commutator(h1 - h0, h0 + 4.0 * hh + h1)
-    return -1j * m1_simpson(h0, hh, h1, tau) - k
+def _exponent_blanes4(a):
+    a0, ah, a1 = a[0.0], a[0.5], a[1.0]
+    return omega1_simpson(a0, ah, a1) + (1.0 / 72.0) * commutator(a1 - a0, a0 + 4.0 * ah + a1)
 
 
-def _exponent_blanes4_gauss(h, tau):
-    g1, g2 = h[GAUSS2_LO], h[GAUSS2_HI]
-    s = (tau / 2.0) * (g1 + g2)
-    k = (math.sqrt(3.0) / 12.0) * tau**2 * commutator(g2, g1)
-    return -1j * s - k
+def _exponent_blanes4_gauss(a):
+    g1, g2 = a[GAUSS2_LO], a[GAUSS2_HI]
+    return 0.5 * (g1 + g2) + (math.sqrt(3.0) / 12.0) * commutator(g2, g1)
 
 
-def _exponent_iserles4_gauss(h, tau):
-    g1, g2 = h[GAUSS2_LO], h[GAUSS2_HI]
-    triple = (tau**3 / 80.0) * commutator(g2 - g1, commutator(g2, g1), hermitian=True)
-    return _exponent_blanes4_gauss(h, tau) + 1j * triple
+def _exponent_iserles4_gauss(a):
+    g1, g2 = a[GAUSS2_LO], a[GAUSS2_HI]
+    return _exponent_blanes4_gauss(a) + (1.0 / 80.0) * commutator(g2 - g1, commutator(g2, g1))
 
 
-def _exponent_blanes6_gauss(h, tau):
-    # Built from the generator A = -i H, so the term mixing 3- and 4-fold
-    # commutators carries the right power of tau in each part, and every
-    # bracket has anti-Hermitian operands.
-    a1 = -1j * h[GAUSS3_LO]
-    a2 = -1j * h[0.5]
-    a3 = -1j * h[GAUSS3_HI]
-    b0 = (5.0 / 18.0) * (a1 + a3) + (4.0 / 9.0) * a2
+def _exponent_blanes6_gauss(a):
+    # moments b0, b1, b2 of the generator about the midpoint, from the
+    # three Gauss samples a1, a2, a3
+    a1, a2, a3 = a[GAUSS3_LO], a[0.5], a[GAUSS3_HI]
+    outer = a1 + a3
+    b0 = (5.0 / 18.0) * outer + (4.0 / 9.0) * a2
     b1 = (math.sqrt(15.0) / 36.0) * (a3 - a1)
-    b2 = (1.0 / 24.0) * (a1 + a3)
-    m1 = tau * b0
-    m2 = tau**2 * commutator(b1, 3.0 * b0 - 12.0 * b2)
-    m34 = (3.0 / 10.0) * tau * commutator(b1, m2) + tau**2 * commutator(
-        b0, commutator(b0, (tau / 2.0) * b2 - m2 / 120.0)
-    )
-    return m1 + 0.5 * m2 + m34
+    b2 = (1.0 / 24.0) * outer
+    m2 = commutator(b1, 3.0 * b0 - 12.0 * b2)
+    m34 = (3.0 / 10.0) * commutator(b1, m2) + commutator(b0, commutator(b0, 0.5 * b2 - m2 / 120.0))
+    return b0 + 0.5 * m2 + m34
 
 
 _EXPONENT_BUILDERS: dict[MethodId, Callable] = {

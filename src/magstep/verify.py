@@ -18,13 +18,17 @@ used by the step schemes is checked against the matching oracle over seeded
 random Hermitian samples.
 
 ``check_closed_forms`` calls the step builders' own term functions
-(``magnus_steps.m1_simpson`` ... ``m4_linear``), so a wrong coefficient in a
-scheme fails certification.  Those take each bracket from one matrix
-product (``magnus_steps.commutator``); the oracle integrands here use the
-general ``ab - ba`` of ``linalg.commutator``, so the two sides share no
-bracket kernel.  The terms take the step as ``tau = dt / ħ``, the
-only place ħ enters; here ħ = 1 and ``tau`` is ``cfg.dt``, which must be
-finite and nonzero.  Every suite needs at least one draw (the CLI rejects
+(``magnus_steps.omega1_simpson`` ... ``omega4_linear``), so a wrong
+coefficient in a scheme fails certification.  Those take each bracket from
+one matrix product (``magnus_steps.commutator``); the oracle integrands here
+use the general ``ab - ba`` of ``linalg.commutator``, so the two sides share
+no bracket kernel.  The terms take generator samples ``A = -iH dt/ħ`` on the
+unit step; here ħ = 1, and the draws are ``A = -i cfg.dt H``, where
+``cfg.dt`` must be finite and nonzero and its fourth power a float.  The
+oracle takes the interpolant of the same samples over ``[0, 1]``, and
+Omega_n is its n-th integral over ``n!``: every integral is multilinear in
+the samples, so scaling them by ``-i dt`` costs the oracle nothing of its
+independence.  Every suite needs at least one draw (the CLI rejects
 ``--draws`` below 1), and a row whose worst deviation is NaN (say, from a
 Frobenius norm that overflows at a huge ``dt``) fails.
 """
@@ -42,14 +46,14 @@ from .linalg import Array, commutator, dagger, frobenius_norm, unitarity_defect
 from .magnus_steps import (
     ALL_METHODS,
     StepContext,
-    m1_boole,
-    m1_simpson,
-    m2_cubic,
-    m2_linear,
-    m2_quadratic,
-    m3_linear,
-    m3_quadratic,
-    m4_linear,
+    omega1_boole,
+    omega1_simpson,
+    omega2_cubic,
+    omega2_linear,
+    omega2_quadratic,
+    omega3_linear,
+    omega3_quadratic,
+    omega4_linear,
     step,
 )
 
@@ -253,57 +257,63 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
     """Certify every closed-form commutator expression against the oracles.
 
     Runs ``draws`` seeded random-Hermitian trials at ``cfg.dim``/``cfg.dt`` and
-    reports the worst relative deviation per identity.
+    reports the worst relative deviation per identity.  Raises
+    ``OverflowError`` for a ``cfg.dt`` whose fourth power, the scale of
+    Omega_4, is not a float.
     """
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
+    dt**4  # the suite's precondition: a Python float power raises OverflowError
     track = _MaxTracker()
     c_alt = -(5.0 + math.sqrt(21.0)) / 2.0
 
-    def certify(name: str, closed_form: Array, h, n: int) -> None:
-        track.update(name, _rel_dev(closed_form, oracle_Mn(h, n, 0.0, dt, cfg)))
+    def oracle_omega(a, n: int) -> Array:
+        return oracle_Mn(a, n, 0.0, 1.0, cfg) / math.factorial(n)
+
+    def certify(name: str, closed_form: Array, a, n: int) -> None:
+        track.update(name, _rel_dev(closed_form, oracle_omega(a, n)))
 
     for _ in range(draws):
-        h0, hq1, ht1, hh, ht2, hq3, h1 = (random_hermitian(rng, cfg.dim) for _ in range(7))
-        h_lin = interpolant([h0, h1], 1, 0.0, dt)
-        h_quad = interpolant([h0, hh, h1], 2, 0.0, dt)
-        h_cub = interpolant([h0, ht1, ht2, h1], 3, 0.0, dt)
-        h_quart = interpolant([h0, hq1, hh, hq3, h1], 4, 0.0, dt)
+        a0, aq1, at1, ah, at2, aq3, a1 = ((-1j * dt) * random_hermitian(rng, cfg.dim) for _ in range(7))
+        a_lin = interpolant([a0, a1], 1, 0.0, 1.0)
+        a_quad = interpolant([a0, ah, a1], 2, 0.0, 1.0)
+        a_cub = interpolant([a0, at1, at2, a1], 3, 0.0, 1.0)
+        a_quart = interpolant([a0, aq1, ah, aq3, a1], 4, 0.0, 1.0)
 
         # single integral: Simpson over (0, 1/2, 1) and Boole over quarters
-        certify("m1-simpson", m1_simpson(h0, hh, h1, dt), h_quad, 1)
-        certify("m1-boole", m1_boole(h0, hq1, hh, hq3, h1, dt), h_quart, 1)
+        certify("m1-simpson", omega1_simpson(a0, ah, a1), a_quad, 1)
+        certify("m1-boole", omega1_boole(a0, aq1, ah, aq3, a1), a_quart, 1)
 
         # double integral: linear, quadratic (both printed forms) and cubic;
         # the paper's sum form of the quadratic one is used by no step scheme
-        certify("m2-linear", m2_linear(h0, h1, dt), h_lin, 2)
-        m2_oracle = oracle_Mn(h_quad, 2, 0.0, dt, cfg)
-        m2_sum = (dt**2 / 30.0) * (
-            commutator(h1, h0) + 4.0 * commutator(hh, h0) + 4.0 * commutator(h1, hh)
+        certify("m2-linear", omega2_linear(a0, a1), a_lin, 2)
+        omega2 = oracle_omega(a_quad, 2)
+        omega2_sum = (1.0 / 60.0) * (
+            commutator(a1, a0) + 4.0 * commutator(ah, a0) + 4.0 * commutator(a1, ah)
         )
-        m2_single = m2_quadratic(h0, hh, h1, dt)
-        track.update("m2-quadratic-sum", _rel_dev(m2_sum, m2_oracle))
-        track.update("m2-quadratic-single", _rel_dev(m2_single, m2_oracle))
-        track.update("m2-quadratic-forms-agree", _rel_dev(m2_sum, m2_single))
-        certify("m2-cubic", m2_cubic(h0, ht1, ht2, h1, dt), h_cub, 2)
+        omega2_single = omega2_quadratic(a0, ah, a1)
+        track.update("m2-quadratic-sum", _rel_dev(omega2_sum, omega2))
+        track.update("m2-quadratic-single", _rel_dev(omega2_single, omega2))
+        track.update("m2-quadratic-forms-agree", _rel_dev(omega2_sum, omega2_single))
+        certify("m2-cubic", omega2_cubic(a0, at1, at2, a1), a_cub, 2)
 
         # triple integral: linear and quadratic
-        certify("m3-linear", m3_linear(h0, h1, dt), h_lin, 3)
-        certify("m3-quadratic", m3_quadratic(h0, hh, h1, dt), h_quad, 3)
+        certify("m3-linear", omega3_linear(a0, a1), a_lin, 3)
+        certify("m3-quadratic", omega3_quadratic(a0, ah, a1), a_quad, 3)
 
         # quadruple integral: the single-tower form, both roots
-        m4_oracle = oracle_Mn(h_lin, 4, 0.0, dt, cfg)
-        m4_main, m4_alt = m4_linear(h0, h1, dt), m4_linear(h0, h1, dt, root=c_alt)
-        track.update("m4-linear", _rel_dev(m4_main, m4_oracle))
-        track.update("m4-linear-alt-root", _rel_dev(m4_alt, m4_oracle))
-        track.update("m4-roots-agree", _rel_dev(m4_main, m4_alt))
+        omega4 = oracle_omega(a_lin, 4)
+        omega4_main, omega4_alt = omega4_linear(a0, a1), omega4_linear(a0, a1, root=c_alt)
+        track.update("m4-linear", _rel_dev(omega4_main, omega4))
+        track.update("m4-linear-alt-root", _rel_dev(omega4_alt, omega4))
+        track.update("m4-roots-agree", _rel_dev(omega4_main, omega4_alt))
 
         # constant interpolant: all commutator integrals vanish identically
-        h_const = interpolant([0.5 * (h0 + h1)], 0, 0.0, dt)
+        a_const = interpolant([0.5 * (a0 + a1)], 0, 0.0, 1.0)
         for n in (2, 3, 4):
             track.update(
                 f"degree0-m{n}-vanishes",
-                float(frobenius_norm(oracle_Mn(h_const, n, 0.0, dt, cfg))),
+                float(frobenius_norm(oracle_Mn(a_const, n, 0.0, 1.0, cfg))),
             )
 
     # scalar triple integrals of the linear-interpolant decomposition

@@ -438,6 +438,72 @@ class TestBlasThreadReproducibility:
         assert outputs[0] == outputs[1]
 
 
+class TestHbar:
+    @staticmethod
+    def halved(model_json):
+        model = json.loads(model_json)
+        for entry in model["entries"]:
+            entry["offset"] = [0.5 * x for x in entry["offset"]]
+            for term in entry["terms"]:
+                term["amp"] *= 0.5
+        return json.dumps(model)
+
+    @pytest.mark.parametrize("method", ["me2", "me4-full", "me6", "blanes6-gauss"])
+    def test_hbar_two_equals_halved_model(self, tmp_path, method):
+        # hbar enters once, as dt/hbar: halving every offset and amplitude is
+        # exact in binary, so the two runs must agree to the byte
+        dense = dense_model_json(3, seed=11)
+        outputs = []
+        for name, text, hbar in (("full", dense, "2"), ("half", self.halved(dense), "1")):
+            model, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            model.write_text(text)
+            argv = [
+                "propagate", "--model", str(model), "--method", method, "--hbar", hbar,
+                "--t-final", "5", "--n-steps", "64", "--initial", "1", "--out", str(out),
+            ]
+            assert run(argv) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert len(outputs[0].splitlines()) == 66
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("hbar", ["0", "nan", "-1"])
+    def test_bad_hbar_is_usage_error_naming_it(self, tmp_path, capsys, hbar):
+        out = tmp_path / "pop.csv"
+        argv = ["propagate", "--case", "I", "--method", "me2", "--n-steps", "4", "--hbar", hbar, "--out", str(out)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: error:") and "hbar" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, hbar",
+        [(m.value, "1e-310") for m in magstep.ALL_METHODS] + [("me6", "1e-80"), ("blanes6-gauss", "1e-80")],
+    )
+    def test_overflowing_exponent_is_numerical_failure(self, tmp_path, capsys, method, hbar):
+        # at 1e-310 dt/hbar itself overflows; at 1e-80 the generators are
+        # finite and the fourfold brackets of the sixth-order schemes overflow
+        out = tmp_path / "pop.csv"
+        argv = [
+            "propagate", "--case", "I", "--method", method, "--n-steps", "4", "--hbar", hbar,
+            "--out", str(out),
+        ]
+        assert run(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: numerical precondition failed:") and "dt/hbar" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_overflowing_symmetry_step_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = run(["verify", "--suite", "symmetry", "--draws", "1", "--dt", "1e80", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: numerical precondition failed:") and "dt/hbar" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestHelp:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -11,7 +11,6 @@ from magstep.linalg import (
     dagger,
     expm_antihermitian,
     frobenius_norm,
-    hermiticity_defect,
     unitarity_defect,
 )
 from magstep.magnus_steps import (
@@ -26,14 +25,14 @@ from magstep.magnus_steps import (
     SAMPLE_HERMITICITY_TOL,
     StepContext,
     exponent,
-    m1_boole,
-    m1_simpson,
-    m2_cubic,
-    m2_linear,
-    m2_quadratic,
-    m3_linear,
-    m3_quadratic,
-    m4_linear,
+    omega1_boole,
+    omega1_simpson,
+    omega2_cubic,
+    omega2_linear,
+    omega2_quadratic,
+    omega3_linear,
+    omega3_quadratic,
+    omega4_linear,
     sample_nodes,
     step,
 )
@@ -187,27 +186,40 @@ class TestExponent:
         assert np.allclose(theta, -0.5j * (SZ + SX), atol=1e-15)
 
     def test_builders_assemble_the_term_functions(self):
-        # Theta = -i M1 - M2/2 + i M3/6 + M4/24, every term taken at tau = dt / hbar
+        # Theta = Omega_1 + Omega_2 (+ Omega_3 + Omega_4), every term taken on
+        # the generator samples A = -i (dt / hbar) H
         rng = np.random.default_rng(5)
         dt, ctx = 0.61, StepContext(hbar=0.37)
-        tau = dt / ctx.hbar
-        h0, hq1, ht1, hh, ht2, hq3, h1 = (random_hermitian(rng, 3) for _ in range(7))
-        m1 = -1j * m1_simpson(h0, hh, h1, tau)
-        m2_quad = m2_quadratic(h0, hh, h1, tau) / 2.0
+        scale = -1j * (np.float64(dt) / ctx.hbar)
+        h = [random_hermitian(rng, 3) for _ in range(7)]
+        a0, aq1, at1, ah, at2, aq3, a1 = (scale * x for x in h)
+        omega1 = omega1_simpson(a0, ah, a1)
         expected = {
-            MethodId.ME3: m1 - m2_linear(h0, h1, tau) / 2.0,
-            MethodId.ME4_NC: m1 - m2_quad,
-            MethodId.ME4_FULL: m1 - m2_quad + (1j / 6.0) * m3_linear(h0, h1, tau),
-            MethodId.ME6: -1j * m1_boole(h0, hq1, hh, hq3, h1, tau)
-            - m2_cubic(h0, ht1, ht2, h1, tau) / 2.0
-            + (1j / 6.0) * m3_quadratic(h0, hh, h1, tau)
-            + m4_linear(h0, h1, tau) / 24.0,
+            MethodId.ME3: omega1 + omega2_linear(a0, a1),
+            MethodId.ME4_NC: omega1 + omega2_quadratic(a0, ah, a1),
+            MethodId.ME4_FULL: omega1 + omega2_quadratic(a0, ah, a1) + omega3_linear(a0, a1),
+            MethodId.ME6: omega1_boole(a0, aq1, ah, aq3, a1)
+            + omega2_cubic(a0, at1, at2, a1)
+            + omega3_quadratic(a0, ah, a1)
+            + omega4_linear(a0, a1),
         }
-        by_node = dict(zip(sample_nodes(MethodId.ME6), (h0, hq1, ht1, hh, ht2, hq3, h1)))
+        by_node = dict(zip(sample_nodes(MethodId.ME6), h))
         for m, want in expected.items():
             theta = exponent(m, {node: by_node[node] for node in sample_nodes(m)}, dt, ctx)
             assert frobenius_norm(theta - want) <= 1e-15 * frobenius_norm(want)
 
+    @pytest.mark.parametrize(
+        "method, hbar",
+        [(MethodId.ME2, 1e-310), (MethodId.ME6, 1e-81), (MethodId.BLANES6_GAUSS, 1e-81)],
+        ids=["me2-tau", "me6-bracket", "blanes6-gauss-bracket"],
+    )
+    def test_overflowing_exponent_is_a_precondition_naming_dt_over_hbar(self, method, hbar):
+        # dt/hbar itself past the float range, or finite generators whose
+        # fourfold brackets overflow: one PreconditionError, never a NaN or
+        # Inf exponent
+        samples = random_samples(np.random.default_rng(9), method, 2)
+        with pytest.raises(PreconditionError, match="dt/hbar"):
+            exponent(method, samples, 1.0, StepContext(hbar=hbar))
 
 class TestStep:
     def test_zero_hamiltonian_gives_identity(self):
@@ -345,73 +357,94 @@ class TestOneProductBracket:
         return [np.stack([make[kind]() for _ in range(4)]) for kind in kinds]
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
-    @pytest.mark.parametrize(
-        "kinds, hermitian, defect",
-        [
-            ("hh", False, anti_hermiticity_defect),
-            ("ha", True, hermiticity_defect),
-            ("ah", True, hermiticity_defect),
-            ("aa", False, anti_hermiticity_defect),
-        ],
-    )
-    def test_equals_two_product_commutator(self, dim, kinds, hermitian, defect):
+    @pytest.mark.parametrize("kinds", ["hh", "aa"])
+    def test_equals_two_product_commutator(self, dim, kinds):
         rng = np.random.default_rng(dim)
         a, b = self.operands(rng, dim, kinds)
-        got = magnus_steps.commutator(a, b, hermitian=hermitian)
+        got = magnus_steps.commutator(a, b)
         want = linalg.commutator(a, b)
         bound = BRACKET_AGREEMENT_TOL * frobenius_norm(a) * frobenius_norm(b)
         assert np.all(frobenius_norm(got - want) <= bound)
-        assert np.all(defect(got) == 0.0)
+        assert np.all(anti_hermiticity_defect(got) == 0.0)
 
     def test_operands_are_not_modified(self):
         rng = np.random.default_rng(4)
-        a, b = self.operands(rng, 3, "hh")
+        a, b = self.operands(rng, 3, "aa")
         a_copy, b_copy = a.copy(), b.copy()
         magnus_steps.commutator(a, b)
         assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
 
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_every_operand_is_exactly_antihermitian(self, monkeypatch, method):
+        # the one bracket convention: from exactly Hermitian samples, every
+        # operand a builder passes to the kernel is an exactly anti-Hermitian
+        # combination of generators A = -i (dt / hbar) H
+        operands = []
+        kernel = magnus_steps.commutator
+
+        def recorded(a, b):
+            operands.extend((a, b))
+            return kernel(a, b)
+
+        monkeypatch.setattr(magnus_steps, "commutator", recorded)
+        rng = np.random.default_rng(12)
+        for dim in (2, 3, 8):
+            samples = {
+                node: np.stack([random_hermitian(rng, dim) for _ in range(3)]) for node in sample_nodes(method)
+            }
+            assert all(np.array_equal(h, dagger(h)) for h in samples.values())
+            exponent(method, samples, 0.7, StepContext(hbar=0.61))
+        assert len(operands) == 6 * TestBracketCount.EXPECTED[method]
+        for operand in operands:
+            assert np.all(anti_hermiticity_defect(operand) == 0.0)
+
 
 class TestSkewNormalForms:
-    # The paper's printed sums of brackets, kept here only, against the
-    # regrouped forms the step builders use.
+    # The paper's printed sums of brackets, on the generator samples and kept
+    # here only, against the regrouped forms the step builders use.
     @staticmethod
-    def printed_m2_cubic(h0, ht1, ht2, h1, tau):
+    def printed_omega2_cubic(a0, at1, at2, a1):
         c = linalg.commutator
-        return (tau**2 / 3360.0) * (
-            117.0 * (c(ht1, h0) + c(h1, ht2))
-            + 47.0 * c(h1, h0)
-            + 144.0 * (c(h1, ht1) + c(ht2, h0))
-            + 729.0 * c(ht2, ht1)
+        return (1.0 / 6720.0) * (
+            117.0 * (c(at1, a0) + c(a1, at2))
+            + 47.0 * c(a1, a0)
+            + 144.0 * (c(a1, at1) + c(at2, a0))
+            + 729.0 * c(at2, at1)
         )
 
     @staticmethod
-    def printed_m3_quadratic(h0, hh, h1, tau):
+    def printed_omega3_quadratic(a0, ah, a1):
         c = linalg.commutator
-        return (tau**3 / 2520.0) * (
-            64.0 * c(hh + h1, c(hh, h0))
-            + 64.0 * c(hh + h0, c(hh, h1))
-            + 44.0 * (c(h0, c(h0, hh)) + c(h1, c(h1, hh)))
-            + 9.0 * c(h1 - h0, c(h1, h0))
+        return (1.0 / 15120.0) * (
+            64.0 * c(ah + a1, c(ah, a0))
+            + 64.0 * c(ah + a0, c(ah, a1))
+            + 44.0 * (c(a0, c(a0, ah)) + c(a1, c(a1, ah)))
+            + 9.0 * c(a1 - a0, c(a1, a0))
         )
+
+    @staticmethod
+    def generators(rng, dim, count):
+        # the Hermitian draws, then the step they are scaled by
+        h = [random_hermitian(rng, dim) for _ in range(count)]
+        tau = float(rng.uniform(0.1, 2.0))
+        return [(-1j * tau) * x for x in h]
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_m2_cubic_matches_printed_form(self, dim):
+    def test_omega2_cubic_matches_printed_form(self, dim):
         rng = np.random.default_rng(100 + dim)
         for _ in range(20):
-            h0, ht1, ht2, h1 = (random_hermitian(rng, dim) for _ in range(4))
-            tau = float(rng.uniform(0.1, 2.0))
-            want = self.printed_m2_cubic(h0, ht1, ht2, h1, tau)
-            got = m2_cubic(h0, ht1, ht2, h1, tau)
+            a0, at1, at2, a1 = self.generators(rng, dim, 4)
+            want = self.printed_omega2_cubic(a0, at1, at2, a1)
+            got = omega2_cubic(a0, at1, at2, a1)
             assert frobenius_norm(got - want) <= SKEW_FORM_TOL * frobenius_norm(want)
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_m3_quadratic_matches_printed_form(self, dim):
+    def test_omega3_quadratic_matches_printed_form(self, dim):
         rng = np.random.default_rng(200 + dim)
         for _ in range(20):
-            h0, hh, h1 = (random_hermitian(rng, dim) for _ in range(3))
-            tau = float(rng.uniform(0.1, 2.0))
-            want = self.printed_m3_quadratic(h0, hh, h1, tau)
-            got = m3_quadratic(h0, hh, h1, tau)
+            a0, ah, a1 = self.generators(rng, dim, 3)
+            want = self.printed_omega3_quadratic(a0, ah, a1)
+            got = omega3_quadratic(a0, ah, a1)
             assert frobenius_norm(got - want) <= SKEW_FORM_TOL * frobenius_norm(want)
 
 
@@ -434,9 +467,9 @@ class TestBracketCount:
         calls = []
         kernel = magnus_steps.commutator
 
-        def counted(*args, **kwargs):
+        def counted(a, b):
             calls.append(1)
-            return kernel(*args, **kwargs)
+            return kernel(a, b)
 
         monkeypatch.setattr(magnus_steps, "commutator", counted)
         rng = np.random.default_rng(6)

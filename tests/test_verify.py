@@ -249,22 +249,22 @@ class TestCheckClosedForms:
 
     def test_wrong_coefficient_in_a_term_fails(self, monkeypatch):
         # the certification calls the term functions the step builders use, so
-        # a wrong prefactor there (me6's m4 at dt^4/210.5) must fail its rows
-        m4_linear = verify.m4_linear
+        # a wrong prefactor there (me6's Omega_4 weight 210 as 210.5) must fail its rows
+        omega4_linear = verify.omega4_linear
         monkeypatch.setattr(
-            verify, "m4_linear", lambda *args, **kw: (210.0 / 210.5) * m4_linear(*args, **kw)
+            verify, "omega4_linear", lambda *args, **kw: (210.0 / 210.5) * omega4_linear(*args, **kw)
         )
         report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=1)
         failing = [r.identity for r in report.rows if not r.passed]
         assert failing == ["m4-linear", "m4-linear-alt-root"]
 
     def test_perturbed_skew_coefficient_fails_m2_cubic(self, monkeypatch):
-        # recompile the builders' own m2_cubic with its 16/13 scaled by 1.001
-        source = textwrap.dedent(inspect.getsource(magnus_steps.m2_cubic))
+        # recompile the builders' own omega2_cubic with its 16/13 scaled by 1.001
+        source = textwrap.dedent(inspect.getsource(magnus_steps.omega2_cubic))
         assert source.count("16.0 / 13.0") == 1
         namespace = dict(vars(magnus_steps))
         exec(source.replace("16.0 / 13.0", "1.001 * 16.0 / 13.0"), namespace)
-        monkeypatch.setattr(verify, "m2_cubic", namespace["m2_cubic"])
+        monkeypatch.setattr(verify, "omega2_cubic", namespace["omega2_cubic"])
         report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=1)
         failing = [r.identity for r in report.rows if not r.passed]
         assert failing == ["m2-cubic"]
