@@ -1,13 +1,16 @@
 """Compose step propagators over an interval and run convergence studies.
 
-The propagator is accumulated left-multiplicatively over a uniform grid,
-recording populations and the unitarity defect at every grid point.  The
-convergence harness needs only final propagators, which it forms by a
-pairwise product of the step propagators with no prefixes, populations or
-defects.  It measures the relative Frobenius error of each scheme's final
-propagator against a reference computed by the 6th-order scheme on a much
-finer grid, cross-checked against an independent 6th-order scheme before it
-is trusted, and fits the log-log order of accuracy per method.
+A trajectory holds the propagator at every point of a uniform grid, from
+which it records populations and the unitarity defect.  Those prefixes of the
+step product (later steps on the left) come from a two-level blocked scan:
+about 2 sqrt(n) batched matrix products, written in place into the output
+array, instead of n single ones.  The convergence harness needs only final
+propagators, which it forms by a pairwise product of the step propagators
+with no prefixes, populations or defects.  It measures the relative
+Frobenius error of each scheme's final propagator against a reference
+computed by the 6th-order scheme on a much finer grid, cross-checked against
+an independent 6th-order scheme before it is trusted, and fits the log-log
+order of accuracy per method.
 
 For speed the driver assembles all step exponents in one broadcasted call
 and exponentiates them with a single batched eigendecomposition; this is
@@ -103,6 +106,36 @@ def _step_propagators(
     return t_grid, expm_antihermitian(theta)
 
 
+def _prefix_products(u: Array) -> Array:
+    """The ``n + 1`` prefixes ``I, u[0], u[1] u[0], ...`` of ``n`` step propagators.
+
+    A two-level blocked scan, later steps on the left: the first ``w * (n //
+    w)`` steps, ``w = isqrt(n)``, form ``n // w`` blocks viewed in place in
+    the output.  All blocks advance their local prefixes together, one
+    batched product per position; then each block is chained, in place, onto
+    the last prefix of the block before it, one batched product per block.
+    The fewer than ``w`` leftover steps follow one at a time, so about 2 sqrt(n)
+    batched products replace n single ones, and nothing the size of ``u`` is
+    allocated besides the output.
+    """
+    n, dim = len(u), u.shape[-1]
+    width = math.isqrt(n)
+    blocks = n // width
+    full = blocks * width
+    out = np.empty((n + 1, dim, dim), dtype=np.complex128)
+    out[0] = np.eye(dim)
+    local = out[1:full + 1].reshape(blocks, width, dim, dim)
+    steps = u[:full].reshape(blocks, width, dim, dim)
+    local[:, 0] = steps[:, 0]
+    for j in range(1, width):
+        np.matmul(steps[:, j], local[:, j - 1], out=local[:, j])
+    for b in range(1, blocks):
+        np.matmul(local[b], local[b - 1, -1], out=local[b])
+    for k in range(full, n):
+        np.matmul(u[k], out[k], out=out[k + 1])
+    return out
+
+
 def propagate(
     method: MethodId,
     model,
@@ -125,13 +158,7 @@ def propagate(
     dim = psi0.size
     t_grid, u_steps = _step_propagators(method, model, t0, tf, n_steps, dim, ctx)
 
-    cumulative = np.empty((n_steps + 1, dim, dim), dtype=np.complex128)
-    cumulative[0] = np.eye(dim)
-    acc = cumulative[0]
-    for k in range(n_steps):
-        acc = u_steps[k] @ acc
-        cumulative[k + 1] = acc
-
+    cumulative = _prefix_products(u_steps)
     populations = np.abs(cumulative @ psi0) ** 2
     defects = frobenius_norm(dagger(cumulative) @ cumulative - np.eye(dim))
     return EvolutionTrace(

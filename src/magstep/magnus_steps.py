@@ -323,8 +323,10 @@ def _exponent_blanes4_gauss(a):
 
 
 def _exponent_iserles4_gauss(a):
+    # blanes4-gauss plus a correction whose inner bracket is its [g2, g1]
     g1, g2 = a[GAUSS2_LO], a[GAUSS2_HI]
-    return _exponent_blanes4_gauss(a) + (1.0 / 80.0) * commutator(g2 - g1, commutator(g2, g1))
+    c = commutator(g2, g1)
+    return 0.5 * (g1 + g2) + (math.sqrt(3.0) / 12.0) * c + (1.0 / 80.0) * commutator(g2 - g1, c)
 
 
 def _exponent_blanes6_gauss(a):

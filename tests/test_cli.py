@@ -15,7 +15,10 @@ from magstep.cli import (
     EXIT_VERIFY_FAILED,
     run,
 )
-from magstep.hamiltonians import HamiltonianModel
+from magstep.evolution import convergence_study, propagate
+from magstep.hamiltonians import HamiltonianModel, builtin_case
+from magstep.magnus_steps import MethodId, StepContext
+from magstep.verify import OracleConfig, check_symmetry_suite
 
 CASE_I_JSON = json.dumps(
     {
@@ -33,6 +36,21 @@ def read_lines(path):
     text = path.read_text(encoding="ascii")
     assert text.endswith("\n")
     return text.splitlines()
+
+
+def value_text(x):
+    """A CSV field as the format has always written it, one value at a time."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    return x
+
+
+def table_text(header, rows):
+    return "".join(",".join(map(value_text, row)) + "\n" for row in [header, *rows])
 
 
 class TestListMethods:
@@ -105,6 +123,24 @@ class TestPropagate:
         )
         third = read_lines(out)[2].split(",")
         assert float(third[0]) == 1.0 / 3.0  # exact round trip of the grid time
+
+    # grid points are steps + 1: one short of four row blocks, four full
+    # blocks, and one and two rows past them
+    @pytest.mark.parametrize("extra", [-2, -1, 0, 1])
+    def test_csv_reads_back_as_the_trace(self, tmp_path, extra):
+        n = 4 * magstep.cli._CSV_BLOCK_ROWS + extra
+        out = tmp_path / "pop.csv"
+        argv = ["propagate", "--case", "II", "--method", "me4-nc", "--n-steps", str(n),
+                "--t-final", "7.0", "--initial", "1", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        lines = read_lines(out)
+        assert lines[0] == "t,pop_0,pop_1,unitarity_defect"
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        trace = propagate(MethodId.ME4_NC, builtin_case("II"), 0.0, 7.0, n, [0, 1], StepContext(hbar=1.0))
+        assert values.shape == (n + 1, 4)
+        assert np.array_equal(values[:, 0], trace.times)
+        assert np.array_equal(values[:, 1:3], trace.populations)
+        assert np.array_equal(values[:, 3], trace.unitarity_defects)
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -236,6 +272,20 @@ class TestConverge:
         lines = read_lines(out)
         methods = {line.split(",")[0] for line in lines[1:19]}
         assert len(methods) == 9
+
+    def test_single_dt_writes_nan_slopes(self, tmp_path):
+        # one rung leaves no slope to fit; the records and the NaN slope rows
+        # read as they always have
+        out = tmp_path / "err.csv"
+        argv = ["converge", "--case", "I", "--methods", "me2,me6", "--t-final", "5.0",
+                "--dt", "0.1", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        report = convergence_study(builtin_case("I"), [MethodId.ME2, MethodId.ME6], dts=[0.1], tf=5.0)
+        records = [(r.method.value, r.dt, r.n_steps, r.error) for r in report.records]
+        want = (table_text(["method", "dt", "n_steps", "error"], records)
+                + table_text(["method", "slope"], [("me2", float("nan")), ("me6", float("nan"))]))
+        assert out.read_text(encoding="ascii") == want
+        assert read_lines(out)[-2:] == ["me2,nan", "me6,nan"]
 
     def test_non_dividing_dt_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "err.csv"
@@ -396,6 +446,14 @@ class TestBadStepAndTimeFlags:
         for n in (3, 4):
             dev, _, passed = rows[f"oracle-sign-flip-m{n}"]
             assert (dev, passed) == ("nan", "false")
+        # every row, NaN and false included, reads as it always has
+        with np.errstate(all="ignore"):
+            report = check_symmetry_suite(OracleConfig(dim=2, dt=1e60), draws=1, oracle_draws=1)
+        want = table_text(
+            ["identity", "max_rel_dev", "tolerance", "pass"],
+            [(r.identity, r.max_rel_dev, r.tolerance, r.passed) for r in report.rows],
+        )
+        assert out.read_text(encoding="ascii") == want
 
 
 def dense_model_json(dim, seed):

@@ -18,8 +18,9 @@ from conftest import SX
 
 RABI = HamiltonianModel(2, {(0, 1): EntrySpec(1.0)})  # constant sigma_x coupling
 
-# The pairwise and the sequential product of the same step propagators differ
-# only by rounding: at most 4.9e-15 (22 eps) relative at n = 1000, d = 2 and 8.
+# The pairwise product, the blocked prefix scan and the sequential product of
+# the same step propagators differ only by rounding: at most 4.9e-15 (22 eps)
+# relative at n = 1000 and 1001, d = 2 and 8.
 PRODUCT_ORDER_TOL = 1e-13
 
 
@@ -161,6 +162,29 @@ class TestFinalPropagator:
         )
         assert final.shape == (model.dim, model.dim)
         assert relative_error(final, trace.final_propagator) <= PRODUCT_ORDER_TOL
+
+
+class TestPrefixProducts:
+    @staticmethod
+    def sequential_prefixes(u):
+        prefixes = [np.eye(u.shape[-1], dtype=complex)]
+        for step in u:
+            prefixes.append(step @ prefixes[-1])
+        return np.stack(prefixes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 1000, 1001])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
+    def test_blocked_scan_equals_sequential_prefixes(self, model, method, n):
+        _, u = evolution._step_propagators(
+            method, model, 0.0, 10.0, n, model.dim, magnus_steps.DEFAULT_CONTEXT
+        )
+        got = evolution._prefix_products(u)
+        want = self.sequential_prefixes(u)
+        assert got.shape == (n + 1, model.dim, model.dim)
+        assert np.array_equal(got[0], np.eye(model.dim))
+        deviation = linalg.frobenius_norm(got - want) / linalg.frobenius_norm(want)
+        assert np.max(deviation) <= PRODUCT_ORDER_TOL
 
 
 class TestRelativeError:

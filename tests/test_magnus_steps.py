@@ -458,7 +458,7 @@ class TestBracketCount:
         MethodId.ME6: 11,
         MethodId.BLANES4: 1,
         MethodId.BLANES4_GAUSS: 1,
-        MethodId.ISERLES4_GAUSS: 3,
+        MethodId.ISERLES4_GAUSS: 2,
         MethodId.BLANES6_GAUSS: 4,
     }
 
