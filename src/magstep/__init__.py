@@ -11,7 +11,6 @@ from .evolution import (
     ConvergenceRecord,
     ConvergenceReport,
     EvolutionTrace,
-    ReferenceSpec,
     convergence_study,
     default_ladder,
     fit_order,
@@ -72,7 +71,6 @@ __all__ = [
     "NotAntiHermitianError",
     "OracleConfig",
     "PreconditionError",
-    "ReferenceSpec",
     "SinusoidTerm",
     "StepContext",
     "builtin_case",

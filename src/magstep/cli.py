@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import convergence_study, default_ladder, propagate
+from .evolution import convergence_study, propagate
 from .hamiltonians import HamiltonianModel, ModelError, builtin_case, load_model
 from .linalg import PreconditionError
 from .magnus_steps import ALL_METHODS, MethodId, StepContext
@@ -170,9 +170,8 @@ def _cmd_propagate(args) -> int:
 def _cmd_converge(args) -> int:
     model = _resolve_model(args)
     methods = _resolve_methods(args.methods)
-    dts = args.dts if args.dts else default_ladder(args.t_final, args.t0)
     report = convergence_study(
-        model, methods, dts=dts, tf=args.t_final, t0=args.t0, ctx=StepContext(hbar=args.hbar)
+        model, methods, dts=args.dts, tf=args.t_final, t0=args.t0, ctx=StepContext(hbar=args.hbar)
     )
     records = np.array(
         [(r.method.value, r.dt, r.n_steps, r.error) for r in report.records], dtype=object

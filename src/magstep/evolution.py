@@ -26,14 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .hamiltonians import HamiltonianModel
-from .linalg import Array, PreconditionError, dagger, expm_antihermitian, frobenius_norm
+from .linalg import Array, PreconditionError, expm_antihermitian, frobenius_norm, unitarity_defect
 from .magnus_steps import DEFAULT_CONTEXT, MethodId, StepContext, exponent, sample_nodes
 
 __all__ = [
     "EvolutionTrace",
     "ConvergenceRecord",
     "ConvergenceReport",
-    "ReferenceSpec",
     "DEFAULT_LADDER_STEP_COUNTS",
     "default_ladder",
     "propagate",
@@ -46,8 +45,20 @@ __all__ = [
 # step from t_f/512 down to t_f/16384.
 DEFAULT_LADDER_STEP_COUNTS: tuple[int, ...] = (16384, 8192, 4096, 2048, 1024, 512)
 
-# Reference grid is 8x finer than the finest ladder rung.
+# The reference propagator of a convergence study: the 6th-order scheme on a
+# grid 8x finer than the finest ladder rung, trusted only if the independent
+# 6th-order scheme on the same grid agrees with it to REFERENCE_AGREEMENT_TOL
+# relative.
+REFERENCE_METHOD = MethodId.ME6
+CROSS_CHECK_METHOD = MethodId.BLANES6_GAUSS
 REFERENCE_REFINEMENT = 8
+REFERENCE_AGREEMENT_TOL = 1e-8
+
+# Largest |‖psi0‖ - 1| accepted for an initial state.
+STATE_NORM_TOL = 1e-12
+
+# Errors at or above this are outside the asymptotic regime of a slope fit.
+FIT_ERROR_CEILING = 0.05
 
 _DIVISIBILITY_RTOL = 1e-9
 
@@ -153,18 +164,17 @@ def propagate(
     """
     psi0 = np.asarray(initial_state, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > 1e-12:
+    if abs(norm - 1.0) > STATE_NORM_TOL:
         raise PreconditionError(f"initial state must be normalized, got norm {norm!r}")
     dim = psi0.size
     t_grid, u_steps = _step_propagators(method, model, t0, tf, n_steps, dim, ctx)
 
     cumulative = _prefix_products(u_steps)
     populations = np.abs(cumulative @ psi0) ** 2
-    defects = frobenius_norm(dagger(cumulative) @ cumulative - np.eye(dim))
     return EvolutionTrace(
         times=t_grid,
         populations=populations,
-        unitarity_defects=np.asarray(defects),
+        unitarity_defects=unitarity_defect(cumulative),
         final_propagator=cumulative[-1],
     )
 
@@ -227,16 +237,6 @@ def fit_order(
 
 
 @dataclass(frozen=True)
-class ReferenceSpec:
-    """How to build the reference propagator for a convergence study."""
-
-    method: MethodId = MethodId.ME6
-    n_steps: int | None = None  # default: REFERENCE_REFINEMENT x finest ladder rung
-    cross_check_method: MethodId = MethodId.BLANES6_GAUSS
-    cross_check_tolerance: float = 1e-8
-
-
-@dataclass(frozen=True)
 class ConvergenceRecord:
     method: MethodId
     dt: float
@@ -283,14 +283,15 @@ def convergence_study(
     dts: Sequence[float] | None = None,
     tf: float = 100.0,
     t0: float = 0.0,
-    reference: ReferenceSpec = ReferenceSpec(),
     ctx: StepContext = DEFAULT_CONTEXT,
 ) -> ConvergenceReport:
     """Errors of each (method, dt) against a fine-grid reference, plus fitted slopes.
 
-    The reference is computed once, then independently cross-checked with a
-    second 6th-order scheme at the same step size; the study refuses to run if
-    the two disagree beyond ``reference.cross_check_tolerance``.
+    The reference is :data:`REFERENCE_METHOD` on ``REFERENCE_REFINEMENT``
+    times the finest rung's step count.  It is computed once, then
+    independently cross-checked with :data:`CROSS_CHECK_METHOD` on the same
+    grid; the study refuses to run if the two disagree beyond
+    :data:`REFERENCE_AGREEMENT_TOL` relative.
     """
     span = tf - t0
     if span <= 0:
@@ -301,19 +302,17 @@ def convergence_study(
         raise ValueError("dts must list at least one step size, got an empty ladder")
     counts = [_steps_for(dt, span) for dt in dts]
 
-    n_ref = reference.n_steps
-    if n_ref is None:
-        n_ref = REFERENCE_REFINEMENT * max(counts)
+    n_ref = REFERENCE_REFINEMENT * max(counts)
     dim = _as_sampler_arrays(model, np.asarray([t0])).shape[-1]
 
-    u_ref = _final_propagator(reference.method, model, t0, tf, n_ref, dim, ctx)
-    u_check = _final_propagator(reference.cross_check_method, model, t0, tf, n_ref, dim, ctx)
+    u_ref = _final_propagator(REFERENCE_METHOD, model, t0, tf, n_ref, dim, ctx)
+    u_check = _final_propagator(CROSS_CHECK_METHOD, model, t0, tf, n_ref, dim, ctx)
     agreement = relative_error(u_check, u_ref)
-    if not agreement <= reference.cross_check_tolerance:
+    if not agreement <= REFERENCE_AGREEMENT_TOL:
         raise PreconditionError(
-            f"reference propagators disagree: {reference.method.value} vs "
-            f"{reference.cross_check_method.value} relative error {agreement:.3e} "
-            f"exceeds {reference.cross_check_tolerance:g}"
+            f"reference propagators disagree: {REFERENCE_METHOD.value} vs "
+            f"{CROSS_CHECK_METHOD.value} relative error {agreement:.3e} "
+            f"exceeds {REFERENCE_AGREEMENT_TOL:g}"
         )
 
     records: list[ConvergenceRecord] = []
@@ -324,8 +323,7 @@ def convergence_study(
 
     # A product of n machine-accurate unitaries drifts by O(n * eps), and the
     # reference contributes its own share, so records below
-    # eps * (n + n_ref) measure rounding, not truncation.  Records with errors
-    # past a few percent are outside the asymptotic regime.
+    # eps * (n + n_ref) measure rounding, not truncation.
     eps = np.finfo(float).eps
     slopes: dict[MethodId, float] = {}
     for method in methods:
@@ -333,7 +331,7 @@ def convergence_study(
         floors = [eps * (r.n_steps + n_ref) for r in own]
         try:
             slopes[method] = fit_order(
-                [r.dt for r in own], [r.error for r in own], floor=floors, ceiling=0.05
+                [r.dt for r in own], [r.error for r in own], floor=floors, ceiling=FIT_ERROR_CEILING
             )
         except ValueError:
             slopes[method] = float("nan")  # not enough rungs in the fit window

@@ -113,9 +113,11 @@ def anti_hermiticity_defect(a) -> float | Array:
 
 
 def unitarity_defect(u) -> float | Array:
-    """``||u†u - I||_F``."""
+    """``||u†u - I||_F``; the identity is subtracted from ``u†u`` in place."""
     u = np.asarray(u)
-    return frobenius_norm(dagger(u) @ u - np.eye(u.shape[-1]))
+    p = dagger(u) @ u
+    np.einsum("...ii->...i", p)[...] -= 1
+    return frobenius_norm(p)
 
 
 def relative_defect(defect, a) -> tuple[float, float]:

@@ -5,6 +5,12 @@ an anti-Hermitian exponent Theta and returns ``U = exp(Theta)``.  Truncating
 inside the exponent is what preserves unitarity at every order; the schemes
 differ in quadrature nodes and in how many nested commutators they keep.
 
+A scheme is one ``_SCHEMES`` entry: its nodes, in ascending order, and the
+builder that takes the generator at each node as one positional argument,
+in that order.  :func:`sample_nodes` and :func:`exponent` read that table
+and nothing else, and ``ALL_METHODS`` is the declaration order of
+:class:`MethodId`.
+
 ``exponent`` broadcasts: samples may be single ``(d, d)`` matrices or stacks
 ``(n, d, d)`` sharing one scalar ``dt``, which is how the evolution driver
 assembles a whole trajectory worth of exponents in one call.
@@ -78,8 +84,6 @@ GAUSS2_LO = 0.5 - math.sqrt(3.0) / 6.0
 GAUSS2_HI = 0.5 + math.sqrt(3.0) / 6.0
 GAUSS3_LO = 0.5 - math.sqrt(15.0) / 10.0
 GAUSS3_HI = 0.5 + math.sqrt(15.0) / 10.0
-_THIRD = 1.0 / 3.0
-_TWO_THIRDS = 2.0 / 3.0
 
 # Root of the quadratic that collapses the quadruple integral of the linear
 # interpolant into a single triple-commutator tower; the conjugate root
@@ -113,18 +117,9 @@ class MethodId(enum.Enum):
         raise ValueError(f"unknown method {name!r}; valid methods: {valid}")
 
 
-# Documented fixed order used by "--methods all" and the reports.
-ALL_METHODS: tuple[MethodId, ...] = (
-    MethodId.ME2,
-    MethodId.ME3,
-    MethodId.ME4_FULL,
-    MethodId.ME4_NC,
-    MethodId.ME6,
-    MethodId.BLANES4,
-    MethodId.BLANES4_GAUSS,
-    MethodId.ISERLES4_GAUSS,
-    MethodId.BLANES6_GAUSS,
-)
+# Documented fixed order used by "--methods all" and the reports: the
+# declaration order of MethodId.
+ALL_METHODS: tuple[MethodId, ...] = tuple(MethodId)
 
 
 @dataclass(frozen=True)
@@ -157,36 +152,24 @@ class NonHermitianSampleError(PreconditionError):
         )
 
 
-_NODES: dict[MethodId, tuple[float, ...]] = {
-    MethodId.ME2: (0.0, 1.0),
-    MethodId.ME3: (0.0, 0.5, 1.0),
-    MethodId.ME4_FULL: (0.0, 0.5, 1.0),
-    MethodId.ME4_NC: (0.0, 0.5, 1.0),
-    MethodId.ME6: (0.0, 0.25, _THIRD, 0.5, _TWO_THIRDS, 0.75, 1.0),
-    MethodId.BLANES4: (0.0, 0.5, 1.0),
-    MethodId.BLANES4_GAUSS: (GAUSS2_LO, GAUSS2_HI),
-    MethodId.ISERLES4_GAUSS: (GAUSS2_LO, GAUSS2_HI),
-    MethodId.BLANES6_GAUSS: (GAUSS3_LO, 0.5, GAUSS3_HI),
-}
-
-
 def sample_nodes(method: MethodId) -> tuple[float, ...]:
     """Fractions of the step at which the scheme samples the Hamiltonian."""
-    return _NODES[method]
+    return _SCHEMES[method][0]
 
 
-def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> dict[float, Array]:
-    out: dict[float, Array] = {}
-    for node in sample_nodes(method):
+def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
+    nodes = sample_nodes(method)
+    out: list[Array] = []
+    for node in nodes:
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
         h = as_complex_square(samples[node])
         ratio, defect = relative_defect(hermiticity_defect, h)
         if not ratio <= SAMPLE_HERMITICITY_TOL:
             raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
-        out[node] = h
-    if len({h.shape for h in out.values()}) > 1:
-        shapes = ", ".join(f"node {node}: {h.shape}" for node, h in out.items())
+        out.append(h)
+    if len({h.shape for h in out}) > 1:
+        shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
         raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
     return out
 
@@ -201,13 +184,15 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
     the Magnus terms of those.  Raises :class:`PreconditionError` naming
     ``dt/hbar`` if the scaling or a term overflows the float range.
     """
+    # rebound, so the caller's mapping is no longer held here and each
+    # unscaled sample is freed as its generator replaces it
     samples = _checked_samples(method, samples)
     try:
         with np.errstate(over="raise", invalid="raise"):
             tau = np.float64(dt) / ctx.hbar
-            for node in samples:
-                samples[node] = (-1j * tau) * samples[node]
-            return _EXPONENT_BUILDERS[method](samples)
+            for i in range(len(samples)):
+                samples[i] = (-1j * tau) * samples[i]
+            return _SCHEMES[method][1](*samples)
     except FloatingPointError as exc:
         raise PreconditionError(
             f"the {method.value} exponent overflows the float range at "
@@ -281,29 +266,27 @@ def omega4_linear(a0, a1, root=QUAD_COMMUTATOR_ROOT):
     )
 
 
-# Each builder maps the generator samples, keyed by node, to
-# Theta = Omega_1 + Omega_2 (+ Omega_3 + Omega_4), or the scheme's own regrouping.
+# Each builder takes the generator samples positionally, in its scheme's node
+# order, and returns Theta = Omega_1 + Omega_2 (+ Omega_3 + Omega_4), or the
+# scheme's own regrouping.
 
-def _exponent_me2(a):
-    return 0.5 * (a[0.0] + a[1.0])
+def _exponent_me2(a0, a1):
+    return 0.5 * (a0 + a1)
 
 
-def _exponent_me3(a):
-    a0, ah, a1 = a[0.0], a[0.5], a[1.0]
+def _exponent_me3(a0, ah, a1):
     return omega1_simpson(a0, ah, a1) + omega2_linear(a0, a1)
 
 
-def _exponent_me4_nc(a):
-    a0, ah, a1 = a[0.0], a[0.5], a[1.0]
+def _exponent_me4_nc(a0, ah, a1):
     return omega1_simpson(a0, ah, a1) + omega2_quadratic(a0, ah, a1)
 
 
-def _exponent_me4_full(a):
-    return _exponent_me4_nc(a) + omega3_linear(a[0.0], a[1.0])
+def _exponent_me4_full(a0, ah, a1):
+    return _exponent_me4_nc(a0, ah, a1) + omega3_linear(a0, a1)
 
 
-def _exponent_me6(a):
-    a0, aq1, at1, ah, at2, aq3, a1 = (a[node] for node in _NODES[MethodId.ME6])
+def _exponent_me6(a0, aq1, at1, ah, at2, aq3, a1):
     return (
         omega1_boole(a0, aq1, ah, aq3, a1)
         + omega2_cubic(a0, at1, at2, a1)
@@ -312,27 +295,23 @@ def _exponent_me6(a):
     )
 
 
-def _exponent_blanes4(a):
-    a0, ah, a1 = a[0.0], a[0.5], a[1.0]
+def _exponent_blanes4(a0, ah, a1):
     return omega1_simpson(a0, ah, a1) + (1.0 / 72.0) * commutator(a1 - a0, a0 + 4.0 * ah + a1)
 
 
-def _exponent_blanes4_gauss(a):
-    g1, g2 = a[GAUSS2_LO], a[GAUSS2_HI]
+def _exponent_blanes4_gauss(g1, g2):
     return 0.5 * (g1 + g2) + (math.sqrt(3.0) / 12.0) * commutator(g2, g1)
 
 
-def _exponent_iserles4_gauss(a):
+def _exponent_iserles4_gauss(g1, g2):
     # blanes4-gauss plus a correction whose inner bracket is its [g2, g1]
-    g1, g2 = a[GAUSS2_LO], a[GAUSS2_HI]
     c = commutator(g2, g1)
     return 0.5 * (g1 + g2) + (math.sqrt(3.0) / 12.0) * c + (1.0 / 80.0) * commutator(g2 - g1, c)
 
 
-def _exponent_blanes6_gauss(a):
+def _exponent_blanes6_gauss(a1, a2, a3):
     # moments b0, b1, b2 of the generator about the midpoint, from the
     # three Gauss samples a1, a2, a3
-    a1, a2, a3 = a[GAUSS3_LO], a[0.5], a[GAUSS3_HI]
     outer = a1 + a3
     b0 = (5.0 / 18.0) * outer + (4.0 / 9.0) * a2
     b1 = (math.sqrt(15.0) / 36.0) * (a3 - a1)
@@ -342,16 +321,18 @@ def _exponent_blanes6_gauss(a):
     return b0 + 0.5 * m2 + m34
 
 
-_EXPONENT_BUILDERS: dict[MethodId, Callable] = {
-    MethodId.ME2: _exponent_me2,
-    MethodId.ME3: _exponent_me3,
-    MethodId.ME4_FULL: _exponent_me4_full,
-    MethodId.ME4_NC: _exponent_me4_nc,
-    MethodId.ME6: _exponent_me6,
-    MethodId.BLANES4: _exponent_blanes4,
-    MethodId.BLANES4_GAUSS: _exponent_blanes4_gauss,
-    MethodId.ISERLES4_GAUSS: _exponent_iserles4_gauss,
-    MethodId.BLANES6_GAUSS: _exponent_blanes6_gauss,
+# Each scheme, once: the step fractions it samples H at, in ascending order,
+# and the builder that takes the generators at those nodes.
+_SCHEMES: dict[MethodId, tuple[tuple[float, ...], Callable[..., Array]]] = {
+    MethodId.ME2: ((0.0, 1.0), _exponent_me2),
+    MethodId.ME3: ((0.0, 0.5, 1.0), _exponent_me3),
+    MethodId.ME4_FULL: ((0.0, 0.5, 1.0), _exponent_me4_full),
+    MethodId.ME4_NC: ((0.0, 0.5, 1.0), _exponent_me4_nc),
+    MethodId.ME6: ((0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 1.0), _exponent_me6),
+    MethodId.BLANES4: ((0.0, 0.5, 1.0), _exponent_blanes4),
+    MethodId.BLANES4_GAUSS: ((GAUSS2_LO, GAUSS2_HI), _exponent_blanes4_gauss),
+    MethodId.ISERLES4_GAUSS: ((GAUSS2_LO, GAUSS2_HI), _exponent_iserles4_gauss),
+    MethodId.BLANES6_GAUSS: ((GAUSS3_LO, 0.5, GAUSS3_HI), _exponent_blanes6_gauss),
 }
 
 

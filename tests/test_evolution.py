@@ -3,7 +3,6 @@ import pytest
 
 from magstep import evolution, linalg, magnus_steps
 from magstep.evolution import (
-    ReferenceSpec,
     convergence_study,
     default_ladder,
     fit_order,
@@ -251,6 +250,7 @@ class TestConvergenceStudy:
         dts = [tf / n for n in (200, 100, 50)]
         report = convergence_study(model, [MethodId.ME2, MethodId.ME4_FULL], dts=dts, tf=tf)
         assert report.reference_n_steps == 8 * 200
+        assert report.reference_dt == pytest.approx(tf / (8 * 200))
         assert report.reference_agreement <= 1e-8
         assert report.slopes[MethodId.ME2] == pytest.approx(2.0, abs=0.3)
         assert report.slopes[MethodId.ME4_FULL] == pytest.approx(4.0, abs=0.4)
@@ -300,24 +300,7 @@ class TestConvergenceStudy:
     def test_nan_reference_agreement_is_refused(self, monkeypatch):
         monkeypatch.setattr(evolution, "relative_error", lambda a, r: float("nan"))
         with pytest.raises(PreconditionError, match="disagree"):
-            convergence_study(
-                builtin_case("I"), [MethodId.ME2], dts=[0.5], tf=1.0,
-                reference=ReferenceSpec(n_steps=16),
-            )
-
-    def test_reference_override(self):
-        model = builtin_case("I")
-        report = convergence_study(
-            model,
-            [MethodId.ME3],
-            dts=[0.1],
-            tf=5.0,
-            reference=ReferenceSpec(n_steps=2000),
-        )
-        assert report.reference_n_steps == 2000
-        assert report.reference_dt == pytest.approx(0.0025)
-        # a single rung cannot support a slope fit
-        assert np.isnan(report.slopes[MethodId.ME3])
+            convergence_study(builtin_case("I"), [MethodId.ME2], dts=[0.5], tf=1.0)
 
     def test_synthesized_power_law_slope(self):
         # harness example: errors exactly C*dt^4 fit to slope 4.000

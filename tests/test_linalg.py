@@ -107,6 +107,15 @@ class TestNorms:
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert hermiticity_defect(0.5 * (b + b.conj().T)) <= 1e-15
 
+    def test_unitarity_defect_is_the_plain_formula(self):
+        # the identity is subtracted in place, with the same rounding as the
+        # out-of-place formula, for complex, real and integer inputs
+        rng = np.random.default_rng(12)
+        u = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        for x in (u, u.real, u[0], np.eye(2, dtype=int), 2 * np.eye(2, dtype=int)):
+            want = frobenius_norm(dagger(x) @ x - np.eye(x.shape[-1]))
+            assert np.array_equal(unitarity_defect(x), want)
+
 
 class TestRelativeDefect:
     def test_matches_unscaled_formula(self):

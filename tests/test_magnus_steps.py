@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,7 @@ class TestMethodIds:
             "iserles4-gauss",
             "blanes6-gauss",
         ]
+        assert ALL_METHODS == tuple(MethodId)
 
     def test_from_name(self):
         assert MethodId.from_name("ME4-Full") is MethodId.ME4_FULL
@@ -95,6 +98,14 @@ class TestSampleNodes:
             nodes = sample_nodes(m)
             assert list(nodes) == sorted(nodes)
             assert all(0.0 <= nu <= 1.0 for nu in nodes)
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_builder_takes_one_generator_per_node(self, method):
+        nodes, builder = magnus_steps._SCHEMES[method]
+        assert nodes == sample_nodes(method)
+        params = inspect.signature(builder).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+        assert len(params) == len(nodes)
 
 
 class TestExponent:
@@ -134,6 +145,18 @@ class TestExponent:
             theta_a = exponent(m, samples, 0.83, StepContext(hbar=s))
             theta_b = exponent(m, scaled, 0.83, StepContext(hbar=1.0))
             assert frobenius_norm(theta_a - theta_b) <= 1e-14 * max(1.0, frobenius_norm(theta_b))
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_caller_samples_are_left_unchanged(self, method):
+        rng = np.random.default_rng(8)
+        samples = {node: np.stack([random_hermitian(rng, 3) for _ in range(2)]) for node in sample_nodes(method)}
+        copies = {node: h.copy() for node, h in samples.items()}
+        arrays = dict(samples)
+        exponent(method, samples, 0.4, StepContext(hbar=0.7))
+        assert list(samples) == list(copies)
+        for node, h in samples.items():
+            assert h is arrays[node]
+            assert np.array_equal(h, copies[node])
 
     def test_missing_node_is_named(self):
         with pytest.raises(MissingNodeError, match="0.5"):
