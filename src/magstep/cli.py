@@ -170,6 +170,8 @@ def _cmd_propagate(args) -> int:
 def _cmd_converge(args) -> int:
     model = _resolve_model(args)
     methods = _resolve_methods(args.methods)
+    if args.dts is not None and not all(dt > 0 for dt in args.dts):
+        raise UsageError("--dt must be positive")
     report = convergence_study(
         model, methods, dts=args.dts, tf=args.t_final, t0=args.t0, ctx=StepContext(hbar=args.hbar)
     )

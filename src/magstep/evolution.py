@@ -13,8 +13,10 @@ an independent 6th-order scheme before it is trusted, and fits the log-log
 order of accuracy per method.
 
 For speed the driver assembles all step exponents in one broadcasted call
-and exponentiates them with a single batched eigendecomposition; this is
-algebraically the same per-step arithmetic as :func:`magstep.magnus_steps.step`.
+and exponentiates them in one batched ``expm_antihermitian`` call (an
+eigendecomposition, or the closed su(2) form at d = 2); this is the same
+per-step arithmetic as :func:`magstep.magnus_steps.step`.  Every product of
+propagator stacks goes through ``linalg.matmul``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .hamiltonians import HamiltonianModel
-from .linalg import Array, PreconditionError, expm_antihermitian, frobenius_norm, unitarity_defect
+from .linalg import Array, PreconditionError, expm_antihermitian, frobenius_norm, matmul, unitarity_defect
 from .magnus_steps import DEFAULT_CONTEXT, MethodId, StepContext, exponent, sample_nodes
 
 __all__ = [
@@ -139,11 +141,11 @@ def _prefix_products(u: Array) -> Array:
     steps = u[:full].reshape(blocks, width, dim, dim)
     local[:, 0] = steps[:, 0]
     for j in range(1, width):
-        np.matmul(steps[:, j], local[:, j - 1], out=local[:, j])
+        matmul(steps[:, j], local[:, j - 1], out=local[:, j])
     for b in range(1, blocks):
-        np.matmul(local[b], local[b - 1, -1], out=local[b])
+        matmul(local[b], local[b - 1, -1], out=local[b])
     for k in range(full, n):
-        np.matmul(u[k], out[k], out=out[k + 1])
+        matmul(u[k], out[k], out=out[k + 1])
     return out
 
 
@@ -191,7 +193,7 @@ def _final_propagator(
     _, u = _step_propagators(method, model, t0, tf, n_steps, dim, ctx)
     while len(u) > 1:
         tail = u[len(u) - len(u) % 2:]
-        u = np.concatenate([u[1::2] @ u[0:len(u) - 1:2], tail])
+        u = np.concatenate([matmul(u[1::2], u[0:len(u) - 1:2]), tail])
     return u[0]
 
 

@@ -6,6 +6,14 @@ exponential of an anti-Hermitian matrix goes through the eigendecomposition
 of the Hermitian matrix ``i * theta``, which keeps the result unitary to
 machine precision regardless of the size of the exponent.
 
+Two-level systems (d = 2) take closed forms instead, because numpy's
+batched ``@`` and ``eigh`` spend nearly all their time on per-matrix
+overhead at that size: :func:`matmul` forms the four entries of each
+product elementwise, and :func:`expm_antihermitian` writes the exponent in
+the Pauli basis and returns its su(2) exponential.  These are the only two
+places that branch on the dimension.  :func:`commutator`, the general
+``ab - ba`` of the certification oracles, keeps ``@``.
+
 Only two functions validate: :func:`as_complex_square` (complex dtype,
 square shape, finite entries), which callers apply once at their input
 boundary, and :func:`expm_antihermitian`, which checks its exponent.
@@ -33,6 +41,7 @@ __all__ = [
     "EXPONENT_ANTIHERMITICITY_TOL",
     "as_complex_square",
     "dagger",
+    "matmul",
     "commutator",
     "frobenius_norm",
     "hermiticity_defect",
@@ -85,6 +94,35 @@ def dagger(a: Array) -> Array:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def matmul(a, b, out=None) -> Array:
+    """``a @ b`` of (stacks of) square matrices, in closed form at d = 2.
+
+    For 2x2 operands each entry of the product, ``a[i, 0] b[0, j] + a[i, 1]
+    b[1, j]``, is formed elementwise in a new result array, and ``out``
+    receives a copy of it at the end, so ``out`` may alias either operand.
+    Filling one result array keeps a single entry-sized temporary alive at a
+    time.  Any other shape is exactly ``np.matmul(a, b, out=out)``.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        return np.matmul(a, b, out=out)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    res = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    np.multiply(a00, b00, out=res[..., 0, 0])
+    res[..., 0, 0] += a01 * b10
+    np.multiply(a00, b01, out=res[..., 0, 1])
+    res[..., 0, 1] += a01 * b11
+    np.multiply(a10, b00, out=res[..., 1, 0])
+    res[..., 1, 0] += a11 * b10
+    np.multiply(a10, b01, out=res[..., 1, 1])
+    res[..., 1, 1] += a11 * b11
+    if out is None:
+        return res
+    out[...] = res
+    return out
+
+
 def commutator(a, b) -> Array:
     """Return ``ab - ba``."""
     a, b = np.asarray(a), np.asarray(b)
@@ -115,7 +153,7 @@ def anti_hermiticity_defect(a) -> float | Array:
 def unitarity_defect(u) -> float | Array:
     """``||u†u - I||_F``; the identity is subtracted from ``u†u`` in place."""
     u = np.asarray(u)
-    p = dagger(u) @ u
+    p = matmul(dagger(u), u)
     np.einsum("...ii->...i", p)[...] -= 1
     return frobenius_norm(p)
 
@@ -153,7 +191,8 @@ def expm_antihermitian(theta) -> Array:
     """Exponential of an anti-Hermitian matrix, exactly unitary up to rounding.
 
     Diagonalizes the Hermitian matrix ``i*theta = V diag(w) V†`` (real ``w``) and
-    returns ``V diag(exp(-i w)) V†``.  Raises ``ValueError`` for a non-finite
+    returns ``V diag(exp(-i w)) V†``; at d = 2 it returns the closed form of
+    :func:`_expm_su2` instead.  Raises ``ValueError`` for a non-finite
     entry and :class:`NotAntiHermitianError` unless ``||theta + theta†||_F <=
     EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)`` (evaluated by
     :func:`relative_defect`, so an exponent too large for its norm is still
@@ -163,5 +202,40 @@ def expm_antihermitian(theta) -> Array:
     ratio, defect = relative_defect(anti_hermiticity_defect, theta)
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
         raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
+    if theta.shape[-1] == 2:
+        return _expm_su2(theta)
     w, v = np.linalg.eigh(1j * theta)
     return (v * np.exp(-1j * w)[..., None, :]) @ dagger(v)
+
+
+def _expm_su2(theta: Array) -> Array:
+    """``exp(theta)`` of (a stack of) checked 2x2 anti-Hermitian matrices.
+
+    With ``i*theta = c I + x sx + y sy + z sz`` (its Hermitian part),
+    ``exp(theta) = e^{-ic} (cos r I - i (sin r / r) (x sx + y sy + z sz))``,
+    ``r = |(x, y, z)|``.  The coefficients are read off ``-theta / 2 = i
+    (i*theta) / 2``, halved before any two entries are added, so no sum can
+    overflow.  ``r`` is a nested ``hypot``, finite for any finite exponent.  ``sin r / r`` divides ``sin r`` itself by ``r`` (1 at
+    r = 0), so the result is unitary to rounding at every magnitude;
+    ``np.sinc(r / pi)`` would re-round the angle, and at large ``r`` take the
+    sine of another angle than the cosine.
+    """
+    half = -0.5 * theta
+    p, q = half.imag, half.real
+    c = p[..., 0, 0] + p[..., 1, 1]
+    z = p[..., 0, 0] - p[..., 1, 1]
+    x = p[..., 0, 1] + p[..., 1, 0]
+    y = q[..., 0, 1] - q[..., 1, 0]
+    r = np.hypot(np.hypot(x, y), z)
+    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+    cos = np.cos(r)
+    phase = np.exp(-1j * c)
+    x *= sinc
+    y *= sinc
+    z *= sinc
+    out = np.empty(theta.shape, dtype=np.complex128)
+    out[..., 0, 0] = phase * (cos - 1j * z)
+    out[..., 1, 1] = phase * (cos + 1j * z)
+    out[..., 0, 1] = phase * (-y - 1j * x)
+    out[..., 1, 0] = phase * (y - 1j * x)
+    return out

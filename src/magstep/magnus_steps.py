@@ -28,7 +28,8 @@ term that overflows the float range raises ``PreconditionError``.  ``step``
 ``expm_antihermitian``, which checks the exponent.
 
 Every bracket here goes through :func:`commutator`, which forms one matrix
-product instead of two: for anti-Hermitian operands ``ba = (ab)†``.  The
+product instead of two: for anti-Hermitian operands ``ba = (ab)†``.  That
+product is ``linalg.matmul``, elementwise at d = 2 and ``@`` otherwise.  The
 sample check and the brackets themselves keep that precondition.  For
 samples that are Hermitian only to ``SAMPLE_HERMITICITY_TOL``, the kernel
 returns the exact anti-Hermitian part of the bracket, which differs from
@@ -60,6 +61,7 @@ from .linalg import (
     dagger,
     expm_antihermitian,
     hermiticity_defect,
+    matmul,
     relative_defect,
 )
 
@@ -206,7 +208,7 @@ def commutator(a: Array, b: Array) -> Array:
     With ``a† = -a`` and ``b† = -b``, ``ba = (ab)†``, so ``[a, b] = ab -
     (ab)†``, which is exactly anti-Hermitian.
     """
-    p = a @ b
+    p = matmul(a, b)
     p -= dagger(p)
     return p
 

@@ -410,6 +410,8 @@ class TestBadStepAndTimeFlags:
             (["propagate", "--method", "me2", "--n-steps", "4", "--t0", "nan"], "--t0"),
             (["converge", "--methods", "me2", "--t-final", "inf"], "--t-final"),
             (["converge", "--methods", "me2", "--t0=-inf"], "--t0"),
+            (["converge", "--methods", "me2", "--dt", "0"], "--dt"),
+            (["converge", "--methods", "me2", "--dt", "0.5", "--dt", "-0.5"], "--dt"),
         ],
     )
     def test_usage_error_naming_the_flag(self, tmp_path, capsys, argv, flag):

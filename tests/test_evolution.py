@@ -69,6 +69,11 @@ class TestPropagate:
         assert tr.populations.min() >= -1e-12
         assert tr.populations.max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_worst_unitarity_defect(self, method):
+        tr = propagate(method, builtin_case("I"), 0.0, 100.0, 8192, [1, 0])
+        assert np.max(tr.unitarity_defects) <= 1e-13
+
     def test_callable_sampler_matches_model(self):
         from magstep.hamiltonians import SinusoidTerm
 

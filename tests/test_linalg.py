@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from magstep.linalg import (
     expm_antihermitian,
     frobenius_norm,
     hermiticity_defect,
+    matmul,
     relative_defect,
     unitarity_defect,
 )
@@ -43,6 +46,65 @@ def expm_taylor(theta, terms=30):
     for _ in range(squarings):
         acc = acc @ acc
     return acc
+
+
+EPS = np.finfo(float).eps
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def centred_hermitian(rng, shape):
+    """Hermitian (stack) with zero-mean Gaussian entries, shape ``(..., d, d)``."""
+    b = complex_normal(rng, shape)
+    return 0.5 * (b + dagger(b))
+
+
+class TestMatmul:
+    # operand leading shapes: single x single, stack x stack, and stack x
+    # single, the broadcast that chains a block of the prefix scan
+    SHAPES = {"single": ((), ()), "stack": ((5,), (5,)), "stack-single": ((5,), ())}
+
+    @staticmethod
+    def assert_matches_numpy(got, a, b):
+        want = np.matmul(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if a.shape[-1] == 2:
+            # each entry is a two-term dot product: a few ulps of its terms
+            assert np.all(np.abs(got - want) <= 4 * EPS * (np.abs(a) @ np.abs(b)))
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shapes", SHAPES.values(), ids=SHAPES.keys())
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_matches_numpy(self, dim, shapes):
+        rng = np.random.default_rng(dim)
+        a = complex_normal(rng, shapes[0] + (dim, dim))
+        b = complex_normal(rng, shapes[1] + (dim, dim))
+        self.assert_matches_numpy(matmul(a, b), a, b)
+
+    # every operand that can hold the whole product; in the prefix scan a
+    # block is chained onto a single matrix in place (stack-single, out=a)
+    @pytest.mark.parametrize(
+        "shape, alias", [("single", "a"), ("single", "b"), ("stack", "a"), ("stack", "b"), ("stack-single", "a")]
+    )
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_out_may_alias_an_operand(self, dim, shape, alias):
+        rng = np.random.default_rng(10 + dim)
+        shapes = self.SHAPES[shape]
+        a = complex_normal(rng, shapes[0] + (dim, dim))
+        b = complex_normal(rng, shapes[1] + (dim, dim))
+        target = a.copy() if alias == "a" else b.copy()
+        x, y = (target, b) if alias == "a" else (a, target)
+        got = matmul(x, y, out=target)
+        assert got is target
+        self.assert_matches_numpy(target, a, b)
+
+    def test_real_and_integer_operands_keep_numpy_dtype(self):
+        a = np.array([[1, 2], [3, 4]])
+        assert np.array_equal(matmul(a, a), a @ a) and matmul(a, a).dtype == (a @ a).dtype
+        assert matmul(a, 0.5 * a).dtype == np.float64
 
 
 class TestCommutator:
@@ -222,3 +284,51 @@ class TestExpmAntiHermitian:
         batched = expm_antihermitian(thetas)
         for k in range(6):
             assert np.allclose(batched[k], expm_antihermitian(thetas[k]), atol=1e-14)
+
+
+class TestExpmSu2:
+    # the d = 2 closed form of expm_antihermitian, against an independent
+    # exponential: scipy's scaling-and-squaring Pade approximant
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e3])
+    def test_matches_scipy_expm(self, scale):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(int(-np.log10(scale)) + 400)
+        thetas = -1j * scale * centred_hermitian(rng, (64, 2, 2))
+        got = expm_antihermitian(thetas)
+        for theta, u in zip(thetas, got):
+            assert frobenius_norm(u - expm(theta)) <= 4 * EPS * max(1.0, frobenius_norm(theta))
+
+    def test_single_matrix_takes_the_closed_form(self):
+        theta = -0.7j * SY + 0.2j * SZ - 0.4j * I2
+        r = np.hypot(0.7, 0.2)
+        want = np.exp(-0.4j) * (np.cos(r) * I2 - 1j * np.sin(r) / r * (0.7 * SY - 0.2 * SZ))
+        assert frobenius_norm(expm_antihermitian(theta) - want) <= 4 * EPS
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)])
+    def test_zero_exponent_is_the_identity_exactly(self, shape):
+        assert np.array_equal(expm_antihermitian(np.zeros(shape)), np.broadcast_to(I2, shape))
+
+    def test_huge_exponent_is_a_finite_unitary_without_warnings(self):
+        rng = np.random.default_rng(17)
+        theta = -1e200j * centred_hermitian(rng, (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = expm_antihermitian(theta)
+        assert np.all(np.isfinite(u))
+        assert unitarity_defect(u) <= 1e-14
+
+    def test_unitary_at_every_magnitude(self):
+        # sin r / r is sin(r) divided by r: a re-rounded angle (np.sinc(r/pi))
+        # loses unitarity entirely once an ulp of r is a sizeable angle
+        rng = np.random.default_rng(18)
+        scales = 10.0 ** rng.uniform(-3.0, 300.0, size=(512, 1, 1))
+        u = expm_antihermitian(-1j * scales * centred_hermitian(rng, (512, 2, 2)))
+        assert np.max(unitarity_defect(u)) <= 1e-14
+
+    def test_rejects_non_antihermitian_stack_member(self):
+        rng = np.random.default_rng(19)
+        thetas = -1j * centred_hermitian(rng, (4, 2, 2))
+        thetas[2] = SX
+        with pytest.raises(NotAntiHermitianError):
+            expm_antihermitian(thetas)
