@@ -128,9 +128,9 @@ def build_parser() -> _Parser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--dim", type=int, default=2)
     ver.add_argument("--dt", type=_finite_float, default=1.0, help="step of the certified terms (nonzero)")
-    ver.add_argument("--points", type=int, default=8, help="Gauss-Legendre points per axis")
+    ver.add_argument("--points", type=int, default=MIN_GL_POINTS, help="Gauss-Legendre points per axis")
     ver.add_argument("--draws", type=int, default=100, help="random draws per identity (>= 1)")
-    ver.add_argument("--tolerance", type=float, default=None, help="override every identity tolerance")
+    ver.add_argument("--tolerance", type=_finite_float, default=None, help="override every identity tolerance")
     ver.add_argument("--out", required=True, help="output CSV path")
 
     sub.add_parser("list-methods", help="print the method names in their fixed order")
@@ -190,10 +190,14 @@ def _cmd_converge(args) -> int:
 def _cmd_verify(args) -> int:
     if args.draws < 1:
         raise UsageError("--draws must be at least 1")
+    if args.dim < 1:
+        raise UsageError("--dim must be at least 1")
     if args.points < MIN_GL_POINTS:
         raise UsageError(f"--points must be at least {MIN_GL_POINTS}")
     if args.dt == 0.0:
         raise UsageError("--dt must be nonzero")
+    if args.tolerance is not None and args.tolerance < 0:
+        raise UsageError("--tolerance must be non-negative")
     cfg = OracleConfig(gl_points_per_axis=args.points, seed=args.seed, dim=args.dim, dt=args.dt)
     rows = []
     # A huge or tiny --dt overflows the oracle's sums; that shows as a NaN row

@@ -14,15 +14,15 @@ the Pauli basis and returns its su(2) exponential.  These are the only two
 places that branch on the dimension.  :func:`commutator`, the general
 ``ab - ba`` of the certification oracles, keeps ``@``.
 
-Only two functions validate: :func:`as_complex_square` (complex dtype,
-square shape, finite entries), which callers apply once at their input
-boundary, and :func:`expm_antihermitian`, which checks its exponent.
+Only two functions validate.  :func:`checked_square` is the one boundary
+check: it coerces a (stack of) square matrix(es) to complex128, rejects a NaN
+or Inf entry, and measures its Hermiticity or anti-Hermiticity defect
+relative to its norm, scaling a stack with huge entries down first so a
+finite matrix cannot overflow its own test.  Callers apply it once at their
+input boundary.  :func:`expm_antihermitian` applies it to its exponent.
 :func:`commutator` compares nothing but the operands' dimension, and the
 norms and defects are plain formulas: a NaN or Inf entry comes back as a
-NaN or Inf result rather than an exception.  The boundary checks measure
-defects relative to the matrix through :func:`relative_defect`, which
-scales a stack with huge entries down before it sums, so a finite matrix
-cannot overflow its own test.
+NaN or Inf result rather than an exception.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "DimensionMismatchError",
     "NotAntiHermitianError",
     "EXPONENT_ANTIHERMITICITY_TOL",
-    "as_complex_square",
     "dagger",
     "matmul",
     "commutator",
@@ -47,7 +46,7 @@ __all__ = [
     "hermiticity_defect",
     "anti_hermiticity_defect",
     "unitarity_defect",
-    "relative_defect",
+    "checked_square",
     "expm_antihermitian",
 ]
 
@@ -77,16 +76,6 @@ class NotAntiHermitianError(PreconditionError):
             f"matrix is not anti-Hermitian: defect {self.defect:.3e} "
             f"exceeds tolerance {self.tol:.3e}"
         )
-
-
-def as_complex_square(a) -> Array:
-    """Coerce to complex128 and validate a (stack of) finite square matrix(es)."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return arr
 
 
 def dagger(a: Array) -> Array:
@@ -158,33 +147,56 @@ def unitarity_defect(u) -> float | Array:
     return frobenius_norm(p)
 
 
-def relative_defect(defect, a) -> tuple[float, float]:
-    """Largest ``defect(a) / max(1, ||a||_F)`` and largest ``defect(a)``
-    over a (stack of) finite matrix(es).
+def checked_square(a, sign: int) -> tuple[Array, float, float]:
+    """Coerce ``a`` to a C-ordered complex128 (stack of) square matrix(es) and
+    measure its defect ``||a - sign a†||_F``: ``sign = 1`` for the
+    Hermiticity defect, ``sign = -1`` for the anti-Hermiticity defect.
 
-    Taken directly, ``||a||_F`` is inf once entries pass about 1e154, and a
-    relative test against it passes whatever the defect.  So a stack whose
-    largest entry magnitude reaches ``2**480`` is first divided by a power
-    of two that brings it below that; the division is exact, and no sum of
-    squares of the result can overflow.  Smaller stacks are taken as they
-    are, which gives the direct formula's values.
+    Returns the array, the largest ``defect / max(1, ||a||_F)`` and the
+    largest defect over the stack.  Raises :class:`DimensionMismatchError`
+    for a non-square shape and ``ValueError`` for a NaN or Inf entry.
+
+    Both squared norms are taken in one pass each, over the interleaved
+    float64 view of the matrices.  Only when either is not finite does the
+    check look at the entries: a NaN or Inf entry is then rejected, and a
+    finite stack whose sums of squares overflow, which happens once entries
+    pass about 1e154, is measured again divided by the power of two that
+    brings its largest entry below ``2**480``.  The division is exact, and no
+    sum of squares of the result can overflow, so a finite matrix cannot
+    pass its own test by overflowing it.
     """
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0, 0.0
-    # |z| of a finite z can pass the float range (inf, without a warning): cap it
-    largest = min(float(np.abs(a).max()), sys.float_info.max)
-    scale = 2.0 ** max(0, math.frexp(largest)[1] - 480)
-    # viewed as a stack even for one matrix, so the defects come back as arrays
-    unit = a.reshape((-1,) + a.shape[-2:])
-    if scale > 1.0:
-        unit = unit / scale
-    # defect(a) / max(1, ||a||_F) = defect(unit) / max(1/scale, ||unit||_F)
-    unit_defect = defect(unit)
-    ratio = unit_defect / np.maximum(1.0 / scale, frobenius_norm(unit))
-    # max() keeps a NaN; the Python float product reads inf, without a
-    # warning, for an absolute defect beyond the float range
-    return float(ratio.max()), float(unit_defect.max()) * scale
+    arr = np.asarray(a, dtype=np.complex128, order="C")
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        return arr, 0.0, 0.0
+    scale = 1.0
+    # viewed as a stack even for one matrix, so the norms come back as arrays
+    stack = arr.reshape((-1,) + arr.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect_sq, norm_sq = _squared_norms(stack, sign)
+        # neither sum is negative, so their sum is finite only if both are
+        if not np.isfinite(defect_sq + norm_sq).all():
+            if not np.isfinite(arr).all():
+                raise ValueError("matrix contains NaN or Inf entries")
+            # |z| of a finite z can pass the float range (inf, without a warning): cap it
+            largest = min(float(np.abs(arr).max()), sys.float_info.max)
+            scale = 2.0 ** max(0, math.frexp(largest)[1] - 480)
+            defect_sq, norm_sq = _squared_norms(stack / scale, sign)
+    # defect(a) / max(1, ||a||_F) = defect(a/scale) / max(1/scale, ||a/scale||_F);
+    # the Python float product reads inf, without a warning, for a defect
+    # beyond the float range
+    defect = np.sqrt(defect_sq)
+    ratio = defect / np.maximum(1.0 / scale, np.sqrt(norm_sq))
+    return arr, float(ratio.max()), float(defect.max()) * scale
+
+
+def _squared_norms(x: Array, sign: int) -> tuple[Array, Array]:
+    """``||x - sign x†||_F**2`` and ``||x||_F**2`` of a C-ordered complex stack."""
+    diff = np.empty_like(x)
+    np.conjugate(np.swapaxes(x, -1, -2), out=diff)
+    (np.subtract if sign > 0 else np.add)(x, diff, out=diff)
+    return tuple(np.einsum("nij,nij->n", v, v) for v in (diff.view(np.float64), x.view(np.float64)))
 
 
 def expm_antihermitian(theta) -> Array:
@@ -194,12 +206,11 @@ def expm_antihermitian(theta) -> Array:
     returns ``V diag(exp(-i w)) V†``; at d = 2 it returns the closed form of
     :func:`_expm_su2` instead.  Raises ``ValueError`` for a non-finite
     entry and :class:`NotAntiHermitianError` unless ``||theta + theta†||_F <=
-    EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)`` (evaluated by
-    :func:`relative_defect`, so an exponent too large for its norm is still
-    tested).
+    EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)``, both evaluated by
+    :func:`checked_square`, so an exponent too large for its norm is still
+    tested.
     """
-    theta = as_complex_square(theta)
-    ratio, defect = relative_defect(anti_hermiticity_defect, theta)
+    theta, ratio, defect = checked_square(theta, -1)
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
         raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
     if theta.shape[-1] == 2:

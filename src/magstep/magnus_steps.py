@@ -15,8 +15,10 @@ and nothing else, and ``ALL_METHODS`` is the declaration order of
 ``(n, d, d)`` sharing one scalar ``dt``, which is how the evolution driver
 assembles a whole trajectory worth of exponents in one call.
 
-Samples are validated once, on entry to ``exponent``: complex, square,
-finite, Hermitian to ``SAMPLE_HERMITICITY_TOL`` and all of one shape.  Then
+Samples are validated once, on entry to ``exponent``: one
+``linalg.checked_square`` call per node stack makes it complex and square,
+rejects a NaN or Inf entry and measures its Hermiticity defect against
+``SAMPLE_HERMITICITY_TOL``, and then the stacks must be all of one shape.  Then
 each is scaled, once, to the generator ``A = -iH dt/ħ`` of the step taken
 as the unit interval; that is the only place ``dt`` and ħ enter.  The term
 functions and builders after that are plain arithmetic on ``A`` (Blanes,
@@ -25,7 +27,8 @@ Omega_n is a real combination of nested brackets of anti-Hermitian
 matrices, so the exponent stays in the Lie algebra u(d).  A scaling or a
 term that overflows the float range raises ``PreconditionError``.  ``step``
 (like the evolution driver) exponentiates the result with
-``expm_antihermitian``, which checks the exponent.
+``expm_antihermitian``, which checks the exponent with one more
+``checked_square`` call.
 
 Every bracket here goes through :func:`commutator`, which forms one matrix
 product instead of two: for anti-Hermitian operands ``ba = (ab)†``.  That
@@ -57,12 +60,10 @@ from .linalg import (
     Array,
     DimensionMismatchError,
     PreconditionError,
-    as_complex_square,
+    checked_square,
     dagger,
     expm_antihermitian,
-    hermiticity_defect,
     matmul,
-    relative_defect,
 )
 
 __all__ = [
@@ -165,8 +166,7 @@ def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[A
     for node in nodes:
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
-        h = as_complex_square(samples[node])
-        ratio, defect = relative_defect(hermiticity_defect, h)
+        h, ratio, defect = checked_square(samples[node], 1)
         if not ratio <= SAMPLE_HERMITICITY_TOL:
             raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
         out.append(h)

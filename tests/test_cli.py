@@ -406,6 +406,10 @@ class TestBadStepAndTimeFlags:
             (["verify", "--dt", "0"], "--dt"),
             (["verify", "--dt", "nan"], "--dt"),
             (["verify", "--dt", "inf"], "--dt"),
+            (["verify", "--tolerance", "inf"], "--tolerance"),
+            (["verify", "--tolerance", "nan"], "--tolerance"),
+            (["verify", "--tolerance=-1"], "--tolerance"),
+            (["verify", "--dim", "0"], "--dim"),
             (["propagate", "--method", "me2", "--n-steps", "4", "--t-final", "inf"], "--t-final"),
             (["propagate", "--method", "me2", "--n-steps", "4", "--t0", "nan"], "--t0"),
             (["converge", "--methods", "me2", "--t-final", "inf"], "--t-final"),

@@ -10,7 +10,7 @@ from magstep.evolution import (
     relative_error,
 )
 from magstep.hamiltonians import EntrySpec, HamiltonianModel, SinusoidTerm, builtin_case
-from magstep.linalg import PreconditionError, as_complex_square
+from magstep.linalg import PreconditionError, checked_square
 from magstep.magnus_steps import ALL_METHODS, MethodId
 
 from conftest import SX
@@ -144,12 +144,12 @@ class TestPropagate:
         # one check per sample node and one on Theta; the kernels between them check nothing
         seen = []
 
-        def counted(a):
+        def counted(a, sign):
             seen.append(np.shape(a))
-            return as_complex_square(a)
+            return checked_square(a, sign)
 
-        monkeypatch.setattr(linalg, "as_complex_square", counted)
-        monkeypatch.setattr(magnus_steps, "as_complex_square", counted)
+        monkeypatch.setattr(linalg, "checked_square", counted)
+        monkeypatch.setattr(magnus_steps, "checked_square", counted)
         propagate(method, builtin_case("I"), 0.0, 1.0, 16, [1, 0])
         assert seen == [(16, 2, 2)] * calls
 

@@ -8,13 +8,13 @@ from magstep.linalg import (
     DimensionMismatchError,
     NotAntiHermitianError,
     anti_hermiticity_defect,
+    checked_square,
     commutator,
     dagger,
     expm_antihermitian,
     frobenius_norm,
     hermiticity_defect,
     matmul,
-    relative_defect,
     unitarity_defect,
 )
 from magstep.verify import random_hermitian
@@ -138,7 +138,7 @@ class TestCommutator:
 
 
 class TestKernelsAreFormulas:
-    # only as_complex_square and expm_antihermitian validate; a non-finite
+    # only checked_square and expm_antihermitian validate; a non-finite
     # entry passes through the kernels and comes out as a non-finite result
     def test_nan_propagates_instead_of_raising(self):
         bad = np.full((2, 2), np.nan, dtype=complex)
@@ -179,29 +179,46 @@ class TestNorms:
             assert np.array_equal(unitarity_defect(x), want)
 
 
-class TestRelativeDefect:
+# Largest relative gap between checked_square's one-pass norms and the plain
+# formulas (|z|**2 summed), which round differently: a few ulp of the result.
+CHECK_FORMULA_TOL = 4 * EPS
+
+
+class TestCheckedSquare:
     def test_matches_unscaled_formula(self):
         rng = np.random.default_rng(12)
         # Hermitian plus a small anti-Hermitian part, at three sizes
         a = np.stack(
             [s * random_hermitian(rng, 3) + 1e-3j * random_hermitian(rng, 3) for s in (0.1, 1.0, 40.0)]
         )
-        ratio, defect = relative_defect(anti_hermiticity_defect, a)
-        # entries far below the overflow range: no scaling, the same arithmetic
-        assert ratio == np.max(anti_hermiticity_defect(a) / np.maximum(1.0, frobenius_norm(a)))
-        assert defect == np.max(anti_hermiticity_defect(a))
+        arr, ratio, defect = checked_square(a, -1)
+        assert arr.dtype == np.complex128 and np.array_equal(arr, a)
+        # entries far below the overflow range: no scaling, the plain formulas to a few ulp
+        want_ratio = np.max(anti_hermiticity_defect(a) / np.maximum(1.0, frobenius_norm(a)))
+        want_defect = np.max(anti_hermiticity_defect(a))
+        assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
+        assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
 
     @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e200, 1e307])
     def test_finite_at_extreme_magnitudes(self, scale):
         # scale * (sz + i I): defect 2 sqrt(2) scale, norm 2 scale
-        ratio, defect = relative_defect(hermiticity_defect, scale * (SZ + 1j * I2))
+        _, ratio, defect = checked_square(scale * (SZ + 1j * I2), 1)
         direct_ratio = 2.0 * np.sqrt(2) * scale / max(1.0, 2.0 * scale)
         assert ratio / direct_ratio == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert defect / scale == pytest.approx(2.0 * np.sqrt(2), rel=1e-12, abs=0.0)
 
+    def test_strided_and_real_input_measured_as_a_complex_copy(self):
+        rng = np.random.default_rng(13)
+        a = complex_normal(rng, (4, 3, 3))
+        for x in (np.swapaxes(a, -1, -2), a[:, ::-1, ::-1], a.real):
+            copy = np.array(x, dtype=np.complex128)
+            arr, ratio, defect = checked_square(x, 1)
+            assert arr.flags.c_contiguous and np.array_equal(arr, copy)
+            assert (ratio, defect) == checked_square(copy, 1)[1:]
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (0, 2, 2)])
     def test_zero_and_empty_stacks(self, shape):
-        assert relative_defect(hermiticity_defect, np.zeros(shape, dtype=complex)) == (0.0, 0.0)
+        assert checked_square(np.zeros(shape, dtype=complex), 1)[1:] == (0.0, 0.0)
         assert expm_antihermitian(np.zeros(shape, dtype=complex)).shape == shape
 
 
@@ -273,6 +290,14 @@ class TestExpmAntiHermitian:
         with pytest.raises(NotAntiHermitianError) as excinfo:
             expm_antihermitian(1e200 * SX)
         assert excinfo.value.defect == pytest.approx(2e200 * np.sqrt(2))
+
+    def test_rejects_non_antihermitian_whose_defect_alone_overflows(self):
+        # ||theta||_F**2 = 1.44e308 is finite, ||theta + theta†||_F**2 is not:
+        # the check must measure the defect scaled, not report inf
+        theta = 6e153 * np.array([[1, -1j], [1j, 1]])
+        with pytest.raises(NotAntiHermitianError) as excinfo:
+            expm_antihermitian(theta)
+        assert excinfo.value.defect == pytest.approx(2.4e154)
 
     def test_huge_antihermitian_is_unitary(self):
         u = expm_antihermitian(-1e200j * SX)

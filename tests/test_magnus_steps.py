@@ -204,6 +204,15 @@ class TestExponent:
         assert excinfo.value.node == 0.0
         assert excinfo.value.defect == pytest.approx(2e200 * np.sqrt(2))
 
+    def test_non_hermitian_sample_whose_defect_alone_overflows(self):
+        # ||a||_F**2 = 1.44e308 is finite, ||a - a†||_F**2 is not: the check
+        # must measure the defect scaled, not report inf
+        a = 6e153 * np.array([[1j, 1], [-1, 1j]])
+        with pytest.raises(NonHermitianSampleError) as excinfo:
+            exponent(MethodId.ME2, {0.0: a, 1.0: a}, 0.1)
+        assert excinfo.value.node == 0.0
+        assert excinfo.value.defect == pytest.approx(2.4e154)
+
     def test_huge_hermitian_sample_accepted(self):
         theta = exponent(MethodId.ME2, {0.0: 1e200 * SZ, 1.0: 1e200 * SX}, 1e-200)
         assert np.allclose(theta, -0.5j * (SZ + SX), atol=1e-15)
