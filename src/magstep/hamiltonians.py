@@ -58,7 +58,8 @@ class EntrySpec:
     terms: tuple[SinusoidTerm, ...] = ()
 
     def __post_init__(self):
-        _require_finite("EntrySpec offset", abs(self.offset))
+        # the parts, not abs(): the modulus of a finite offset can overflow
+        _require_finite("EntrySpec offset", self.offset.real, self.offset.imag)
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def value(self, t):

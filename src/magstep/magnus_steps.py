@@ -30,13 +30,23 @@ term that overflows the float range raises ``PreconditionError``.  ``step``
 ``expm_antihermitian``, which checks the exponent with one more
 ``checked_square`` call.
 
-Every bracket here goes through :func:`commutator`, which forms one matrix
-product instead of two: for anti-Hermitian operands ``ba = (ab)†``.  That
-product is ``linalg.matmul``, elementwise at d = 2 and ``@`` otherwise.  The
-sample check and the brackets themselves keep that precondition.  For
-samples that are Hermitian only to ``SAMPLE_HERMITICITY_TOL``, the kernel
-returns the exact anti-Hermitian part of the bracket, which differs from
-``ab - ba`` by the order of that defect.
+At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
+R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
+sz)`` is the component-major array ``(c, x, y, z)``, of shape ``(4,)`` or
+``(4, n)``.  ``_checked_samples`` picks that representation, through
+``linalg.checked_su2``, which measures the same defect and returns the
+coordinates; it is the only place the choice is made, and ``exponent``
+scales, brackets and converts back to the matrix Theta by the dtype alone.
+
+Every bracket here goes through :func:`commutator`.  On coordinates it is
+the cross product ``(0, 2 a x b)``.  On matrices it forms one product
+instead of two: for anti-Hermitian operands ``ba = (ab)†``, and that
+product is ``linalg.matmul``.  The sample check and the brackets themselves
+keep that precondition.  For samples that are Hermitian only to
+``SAMPLE_HERMITICITY_TOL``, the kernel returns the exact anti-Hermitian
+part of the bracket, which differs from ``ab - ba`` by the order of that
+defect; the coordinates are those of the sample's Hermitian part, so the
+cross product is that same anti-Hermitian part.
 
 Each Magnus term Omega_1..Omega_4 a scheme uses has one closed form here
 (``omega1_simpson`` ... ``omega4_linear``); ``verify.check_closed_forms``
@@ -61,9 +71,11 @@ from .linalg import (
     DimensionMismatchError,
     PreconditionError,
     checked_square,
+    checked_su2,
     dagger,
     expm_antihermitian,
     matmul,
+    su2_matrix,
 )
 
 __all__ = [
@@ -161,19 +173,46 @@ def sample_nodes(method: MethodId) -> tuple[float, ...]:
 
 
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
+    """Each node's sample, checked: a complex matrix stack, or at d = 2 its
+    real su(2) coordinates.  This is the one place the representation the
+    builders work on is chosen; everything after it follows the dtype."""
     nodes = sample_nodes(method)
     out: list[Array] = []
+    shapes = []
     for node in nodes:
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
-        h, ratio, defect = checked_square(samples[node], 1)
+        h = samples[node]
+        shapes.append(np.shape(h))
+        h, ratio, defect = checked_su2(h) if shapes[-1][-2:] == (2, 2) else checked_square(h, 1)
         if not ratio <= SAMPLE_HERMITICITY_TOL:
             raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
         out.append(h)
-    if len({h.shape for h in out}) > 1:
-        shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
-        raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
+    # the matrices' shapes: coordinates of nine 2x2 samples have the array
+    # shape of four 3x3 samples
+    if len(set(shapes)) > 1:
+        named = ", ".join(f"node {node}: {shape}" for node, shape in zip(nodes, shapes))
+        raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({named})")
     return out
+
+
+def _generator(h: Array, tau) -> Array:
+    """``A = -i tau H`` of a checked sample ``H``, in its representation.
+
+    The su(2) coordinates of ``A`` are ``tau`` times those of ``H``; they
+    are scaled in place, since the check made them, and a fresh array would
+    cost its page faults again.  A checked matrix may be the caller's own
+    array, so it is scaled into a new one.
+    """
+    if h.dtype == np.float64:
+        h *= tau
+        return h
+    return (-1j * tau) * h
+
+
+def _as_matrix(theta: Array) -> Array:
+    """The matrix of an exponent a builder returned in either representation."""
+    return su2_matrix(theta) if theta.dtype == np.float64 else theta
 
 
 def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepContext = DEFAULT_CONTEXT) -> Array:
@@ -183,8 +222,10 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
     matrices; values may be stacked as ``(n, d, d)``, all of one shape.  Each
     checked sample is replaced by its generator ``A = -i tau H``, ``tau = dt /
     ħ``, so no unscaled copy outlives its scaled one, and the builder sums
-    the Magnus terms of those.  Raises :class:`PreconditionError` naming
-    ``dt/hbar`` if the scaling or a term overflows the float range.
+    the Magnus terms of those.  At d = 2 the generators and the builder's
+    result are su(2) coordinates, and the result is returned as its matrix.
+    Raises :class:`PreconditionError` naming ``dt/hbar`` if the scaling or a
+    term overflows the float range.
     """
     # rebound, so the caller's mapping is no longer held here and each
     # unscaled sample is freed as its generator replaces it
@@ -193,8 +234,8 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
         with np.errstate(over="raise", invalid="raise"):
             tau = np.float64(dt) / ctx.hbar
             for i in range(len(samples)):
-                samples[i] = (-1j * tau) * samples[i]
-            return _SCHEMES[method][1](*samples)
+                samples[i] = _generator(samples[i], tau)
+            return _as_matrix(_SCHEMES[method][1](*samples))
     except FloatingPointError as exc:
         raise PreconditionError(
             f"the {method.value} exponent overflows the float range at "
@@ -203,11 +244,23 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
 
 
 def commutator(a: Array, b: Array) -> Array:
-    """``[a, b]`` of two anti-Hermitian operands, from the one product ``ab``.
+    """``[a, b]`` of two anti-Hermitian operands, in their representation.
 
-    With ``a† = -a`` and ``b† = -b``, ``ba = (ab)†``, so ``[a, b] = ab -
-    (ab)†``, which is exactly anti-Hermitian.
+    Matrices: with ``a† = -a`` and ``b† = -b``, ``ba = (ab)†``, so ``[a, b]
+    = ab - (ab)†`` from the one product ``ab``, which is exactly
+    anti-Hermitian.  Real su(2) coordinates ``(c, x, y, z)`` of ``-i (c I +
+    x sx + y sy + z sz)``: ``[sj, sk] = 2i eps_jkl sl`` makes the bracket
+    ``(0, 2 a x b)``, the identity parts dropping out.
     """
+    if a.dtype == np.float64:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        out[0] = 0.0
+        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            row = out[i, ...]
+            np.multiply(a[j], b[k], out=row)
+            row -= a[k] * b[j]
+        out[1:] *= 2.0
+        return out
     p = matmul(a, b)
     p -= dagger(p)
     return p

@@ -20,11 +20,15 @@ random Hermitian samples.
 ``check_closed_forms`` calls the step builders' own term functions
 (``magnus_steps.omega1_simpson`` ... ``omega4_linear``), so a wrong
 coefficient in a scheme fails certification.  Those take each bracket from
-one matrix product (``magnus_steps.commutator``); the oracle integrands here
-use the general ``ab - ba`` of ``linalg.commutator``, so the two sides share
-no bracket kernel.  The terms take generator samples ``A = -iH dt/ħ`` on the
-unit step; here ħ = 1, and the draws are ``A = -i cfg.dt H``, where
-``cfg.dt`` must be finite and nonzero and its fourth power a float.  The
+``magnus_steps.commutator``: one matrix product, or at d = 2 a cross
+product of su(2) coordinates; the oracle integrands here use the general
+``ab - ba`` of ``linalg.commutator``, so the two sides share no bracket
+kernel.  The terms take generator samples ``A = -iH dt/ħ`` on the unit
+step; here ħ = 1, and the draws are ``A = -i cfg.dt H``, where ``cfg.dt``
+must be finite and nonzero and its fourth power a float.  The terms get
+them as ``exponent`` hands them to a builder (checked by
+``magnus_steps._checked_samples`` and scaled by ``_generator``, so in su(2)
+coordinates at d = 2), and each term is compared as a matrix.  The
 oracle takes the interpolant of the same samples over ``[0, 1]``, and
 Omega_n is its n-th integral over ``n!``: every integral is multilinear in
 the samples, so scaling them by ``-i dt`` costs the oracle nothing of its
@@ -45,7 +49,11 @@ import numpy as np
 from .linalg import Array, commutator, dagger, frobenius_norm, unitarity_defect
 from .magnus_steps import (
     ALL_METHODS,
+    MethodId,
     StepContext,
+    _as_matrix,
+    _checked_samples,
+    _generator,
     omega1_boole,
     omega1_simpson,
     omega2_cubic,
@@ -54,6 +62,7 @@ from .magnus_steps import (
     omega3_linear,
     omega3_quadratic,
     omega4_linear,
+    sample_nodes,
     step,
 )
 
@@ -271,39 +280,45 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
         return oracle_Mn(a, n, 0.0, 1.0, cfg) / math.factorial(n)
 
     def certify(name: str, closed_form: Array, a, n: int) -> None:
-        track.update(name, _rel_dev(closed_form, oracle_omega(a, n)))
+        track.update(name, _rel_dev(_as_matrix(closed_form), oracle_omega(a, n)))
 
     for _ in range(draws):
-        a0, aq1, at1, ah, at2, aq3, a1 = ((-1j * dt) * random_hermitian(rng, cfg.dim) for _ in range(7))
+        h = [random_hermitian(rng, cfg.dim) for _ in range(7)]
+        a0, aq1, at1, ah, at2, aq3, a1 = ((-1j * dt) * x for x in h)
+        # the same draws as a builder takes them (they are me6's seven nodes)
+        g0, gq1, gt1, gh, gt2, gq3, g1 = (
+            _generator(x, dt) for x in _checked_samples(MethodId.ME6, dict(zip(sample_nodes(MethodId.ME6), h)))
+        )
         a_lin = interpolant([a0, a1], 1, 0.0, 1.0)
         a_quad = interpolant([a0, ah, a1], 2, 0.0, 1.0)
         a_cub = interpolant([a0, at1, at2, a1], 3, 0.0, 1.0)
         a_quart = interpolant([a0, aq1, ah, aq3, a1], 4, 0.0, 1.0)
 
         # single integral: Simpson over (0, 1/2, 1) and Boole over quarters
-        certify("m1-simpson", omega1_simpson(a0, ah, a1), a_quad, 1)
-        certify("m1-boole", omega1_boole(a0, aq1, ah, aq3, a1), a_quart, 1)
+        certify("m1-simpson", omega1_simpson(g0, gh, g1), a_quad, 1)
+        certify("m1-boole", omega1_boole(g0, gq1, gh, gq3, g1), a_quart, 1)
 
         # double integral: linear, quadratic (both printed forms) and cubic;
         # the paper's sum form of the quadratic one is used by no step scheme
-        certify("m2-linear", omega2_linear(a0, a1), a_lin, 2)
+        certify("m2-linear", omega2_linear(g0, g1), a_lin, 2)
         omega2 = oracle_omega(a_quad, 2)
         omega2_sum = (1.0 / 60.0) * (
             commutator(a1, a0) + 4.0 * commutator(ah, a0) + 4.0 * commutator(a1, ah)
         )
-        omega2_single = omega2_quadratic(a0, ah, a1)
+        omega2_single = _as_matrix(omega2_quadratic(g0, gh, g1))
         track.update("m2-quadratic-sum", _rel_dev(omega2_sum, omega2))
         track.update("m2-quadratic-single", _rel_dev(omega2_single, omega2))
         track.update("m2-quadratic-forms-agree", _rel_dev(omega2_sum, omega2_single))
-        certify("m2-cubic", omega2_cubic(a0, at1, at2, a1), a_cub, 2)
+        certify("m2-cubic", omega2_cubic(g0, gt1, gt2, g1), a_cub, 2)
 
         # triple integral: linear and quadratic
-        certify("m3-linear", omega3_linear(a0, a1), a_lin, 3)
-        certify("m3-quadratic", omega3_quadratic(a0, ah, a1), a_quad, 3)
+        certify("m3-linear", omega3_linear(g0, g1), a_lin, 3)
+        certify("m3-quadratic", omega3_quadratic(g0, gh, g1), a_quad, 3)
 
         # quadruple integral: the single-tower form, both roots
         omega4 = oracle_omega(a_lin, 4)
-        omega4_main, omega4_alt = omega4_linear(a0, a1), omega4_linear(a0, a1, root=c_alt)
+        omega4_main = _as_matrix(omega4_linear(g0, g1))
+        omega4_alt = _as_matrix(omega4_linear(g0, g1, root=c_alt))
         track.update("m4-linear", _rel_dev(omega4_main, omega4))
         track.update("m4-linear-alt-root", _rel_dev(omega4_alt, omega4))
         track.update("m4-roots-agree", _rel_dev(omega4_main, omega4_alt))

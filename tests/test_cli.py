@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,7 +71,30 @@ class TestListMethods:
         ]
 
 
+# The huge-offset run below turns the state by hypot(1.5, 1.5) * 1e8 = 2.1e8
+# rad in all.  One ulp of that angle is 3e-8 rad, so its inputs fix the
+# populations only to about that.
+HUGE_OFFSET_POPULATION_TOL = 1e-7
+
+
 class TestPropagate:
+    def test_finite_offset_near_the_float_limit(self, tmp_path):
+        # a constant coupling h01 = 1.5e308 (1 + i): each part is finite, its
+        # modulus and the sums of its entries are not, and neither the model
+        # check nor the su(2) coordinates of the samples may overflow
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({"dim": 2, "entries": [{"i": 0, "j": 1, "offset": [1.5e308, 1.5e308]}]}))
+        out = tmp_path / "pop.csv"
+        argv = [
+            "propagate", "--model", str(model), "--method", "me6", "--n-steps", "4",
+            "--t-final", "1e-300", "--out", str(out),
+        ]
+        assert run(argv) == EXIT_OK
+        pops = [float(x) for x in read_lines(out)[-1].split(",")[1:3]]
+        angle = math.hypot(1.5, 1.5) * 1e8
+        want = [math.cos(angle) ** 2, math.sin(angle) ** 2]
+        assert pops == pytest.approx(want, rel=0.0, abs=HUGE_OFFSET_POPULATION_TOL)
+
     def test_case_run_with_n_steps(self, tmp_path):
         out = tmp_path / "pop.csv"
         code = run(

@@ -141,6 +141,16 @@ class TestLoadModel:
         with pytest.raises(ModelError, match=r"dim"):
             load_model("{}")
 
+    def test_finite_offset_whose_modulus_overflows_is_accepted(self):
+        # |1.5e308 (1 + i)| is past the float range; each part is finite
+        entry = EntrySpec(complex(1.5e308, 1.5e308))
+        assert entry.value(0.0) == complex(1.5e308, 1.5e308)
+
+    @pytest.mark.parametrize("offset", [complex(np.inf, 0.0), complex(0.0, np.nan)])
+    def test_rejects_nonfinite_offset(self, offset):
+        with pytest.raises(ModelError, match="offset"):
+            EntrySpec(offset)
+
     def test_rejects_nonfinite_term(self):
         with pytest.raises(ModelError):
             SinusoidTerm(float("inf"), 1.0)

@@ -9,12 +9,14 @@ from magstep.linalg import (
     NotAntiHermitianError,
     anti_hermiticity_defect,
     checked_square,
+    checked_su2,
     commutator,
     dagger,
     expm_antihermitian,
     frobenius_norm,
     hermiticity_defect,
     matmul,
+    su2_matrix,
     unitarity_defect,
 )
 from magstep.verify import random_hermitian
@@ -220,6 +222,90 @@ class TestCheckedSquare:
     def test_zero_and_empty_stacks(self, shape):
         assert checked_square(np.zeros(shape, dtype=complex), 1)[1:] == (0.0, 0.0)
         assert expm_antihermitian(np.zeros(shape, dtype=complex)).shape == shape
+
+
+class TestSu2Coordinates:
+    # checked_su2, the d = 2 sample check that returns the coordinates (c, x,
+    # y, z) of -i h = -i (c I + x sx + y sy + z sz), and su2_matrix, its inverse
+    def test_pauli_basis(self):
+        for k, h in enumerate((I2, SX, SY, SZ)):
+            v, ratio, defect = checked_su2(h)
+            assert np.array_equal(v, np.eye(4)[k]) and (ratio, defect) == (0.0, 0.0)
+            assert np.array_equal(su2_matrix(v), -1j * h)
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_matches_checked_square(self, lead):
+        rng = np.random.default_rng(40 + len(lead))
+        # Hermitian plus a small anti-Hermitian part, entries from 0.1 to 40
+        scale = 10.0 ** rng.uniform(-1.0, 1.6, lead + (1, 1))
+        a = scale * centred_hermitian(rng, lead + (2, 2)) + 1e-3j * centred_hermitian(rng, lead + (2, 2))
+        v, ratio, defect = checked_su2(a)
+        assert v.shape == (4,) + lead and v.dtype == np.float64
+        _, want_ratio, want_defect = checked_square(a, 1)
+        assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
+        assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e200, 1e307])
+    def test_matches_checked_square_at_extreme_magnitudes(self, scale):
+        # past about 1e154 a sum of squares overflows and checked_square
+        # measures the scaled stack; below it the one-pass sums are used
+        a = scale * (SZ + 1j * I2 + 0.5 * SX)
+        v, ratio, defect = checked_su2(a)
+        _, want_ratio, want_defect = checked_square(a, 1)
+        assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
+        assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
+        assert np.array_equal(v, scale * np.array([0.0, 0.5, 0.0, 1.0]))
+
+    def test_finite_coordinates_of_entries_near_the_float_limit(self):
+        # each coordinate halves its two entries before adding them
+        big = np.finfo(float).max
+        h = np.array([[big, big - 1j * big], [big + 1j * big, big]])
+        v, ratio, defect = checked_su2(h)
+        assert np.array_equal(v, [big, big, big, 0.0]) and (ratio, defect) == (0.0, 0.0)
+
+    def test_round_trip_is_exact_for_hermitian_input(self):
+        # entries on a binary grid, where every sum and half is exact: matrix
+        # to coordinates to matrix and back again reproduce every bit
+        rng = np.random.default_rng(41)
+        h = centred_hermitian(rng, (64, 2, 2))
+        h = np.round(h * 1024.0) / 1024.0
+        v = checked_su2(h)[0]
+        assert np.array_equal(su2_matrix(v), -1j * h)
+        assert np.array_equal(checked_su2(1j * su2_matrix(v))[0], v)
+
+    def test_round_trip_rounds_only_c_and_z(self):
+        # for general entries x and y come back exactly; c and z pass through
+        # c +- z and back, a few roundings of at most half an ulp each
+        rng = np.random.default_rng(42)
+        v = rng.normal(size=(4, 256))
+        back = checked_su2(1j * su2_matrix(v))[0]
+        assert np.array_equal(back[1:3], v[1:3])
+        assert np.all(np.abs(back - v) <= 2 * EPS * np.max(np.abs(v[[0, 3]]), axis=0))
+
+    def test_strided_and_real_input_read_as_a_complex_copy(self):
+        rng = np.random.default_rng(43)
+        a = complex_normal(rng, (4, 2, 2))
+        for x in (np.swapaxes(a, -1, -2), a[:, ::-1, ::-1], a.real):
+            v, ratio, defect = checked_su2(x)
+            want_v, want_ratio, want_defect = checked_su2(np.array(x, dtype=np.complex128))
+            assert np.array_equal(v, want_v) and (ratio, defect) == (want_ratio, want_defect)
+
+    def test_empty_stack(self):
+        v, ratio, defect = checked_su2(np.zeros((0, 2, 2)))
+        assert v.shape == (4, 0) and (ratio, defect) == (0.0, 0.0)
+        assert su2_matrix(v).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nan_and_inf(self, bad):
+        h = np.stack([SX, SZ]).astype(complex)
+        h[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            checked_su2(h)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 3)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            checked_su2(np.zeros(shape))
 
 
 class TestExpmAntiHermitian:

@@ -190,6 +190,13 @@ class TestExponent:
         with pytest.raises(DimensionMismatchError, match=r"node 0\.5: \(2, 2\), node 1\.0: \(3, 3\)"):
             exponent(MethodId.ME3, samples, 0.1)
 
+    def test_coordinate_and_matrix_stacks_of_one_array_shape_rejected(self):
+        # nine 2x2 samples become (4, 3, 3) coordinates, the array shape of
+        # four 3x3 samples: the shapes compared are the matrices'
+        samples = {0.0: np.zeros((3, 3, 2, 2)), 1.0: np.zeros((4, 3, 3))}
+        with pytest.raises(DimensionMismatchError, match=r"node 0\.0: \(3, 3, 2, 2\), node 1\.0: \(4, 3, 3\)"):
+            exponent(MethodId.ME2, samples, 0.1)
+
     def test_nan_sample_rejected(self):
         samples = {0.0: SZ, 0.5: np.full((2, 2), np.nan), 1.0: SX}
         with pytest.raises(ValueError, match="NaN or Inf"):
@@ -399,6 +406,18 @@ class TestOneProductBracket:
         assert np.all(frobenius_norm(got - want) <= bound)
         assert np.all(anti_hermiticity_defect(got) == 0.0)
 
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["single", "stack"])
+    def test_coordinate_bracket_is_the_matrix_bracket(self, lead):
+        # real su(2) coordinates: (0, 2 a x b), the coordinates of [A, B]
+        rng = np.random.default_rng(30 + len(lead))
+        a, b = rng.normal(size=(4,) + lead), rng.normal(size=(4,) + lead)
+        got = magnus_steps.commutator(a, b)
+        assert got.shape == a.shape and got.dtype == np.float64
+        assert np.all(got[0] == 0.0)
+        want = linalg.checked_su2(1j * linalg.commutator(linalg.su2_matrix(a), linalg.su2_matrix(b)))[0]
+        bound = BRACKET_AGREEMENT_TOL * np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
+        assert np.all(np.linalg.norm(got - want, axis=0) <= bound)
+
     def test_operands_are_not_modified(self):
         rng = np.random.default_rng(4)
         a, b = self.operands(rng, 3, "aa")
@@ -410,7 +429,9 @@ class TestOneProductBracket:
     def test_every_operand_is_exactly_antihermitian(self, monkeypatch, method):
         # the one bracket convention: from exactly Hermitian samples, every
         # operand a builder passes to the kernel is an exactly anti-Hermitian
-        # combination of generators A = -i (dt / hbar) H
+        # combination of generators A = -i (dt / hbar) H.  At d = 2 the
+        # operands are the real su(2) coordinates of such combinations, and
+        # any real coordinates are those of an anti-Hermitian matrix.
         operands = []
         kernel = magnus_steps.commutator
 
@@ -421,14 +442,18 @@ class TestOneProductBracket:
         monkeypatch.setattr(magnus_steps, "commutator", recorded)
         rng = np.random.default_rng(12)
         for dim in (2, 3, 8):
+            operands.clear()
             samples = {
                 node: np.stack([random_hermitian(rng, dim) for _ in range(3)]) for node in sample_nodes(method)
             }
             assert all(np.array_equal(h, dagger(h)) for h in samples.values())
             exponent(method, samples, 0.7, StepContext(hbar=0.61))
-        assert len(operands) == 6 * TestBracketCount.EXPECTED[method]
-        for operand in operands:
-            assert np.all(anti_hermiticity_defect(operand) == 0.0)
+            assert len(operands) == 2 * TestBracketCount.EXPECTED[method]
+            for operand in operands:
+                if dim == 2:
+                    assert operand.dtype == np.float64 and operand.shape == (4, 3)
+                else:
+                    assert np.all(anti_hermiticity_defect(operand) == 0.0)
 
 
 class TestSkewNormalForms:

@@ -269,6 +269,28 @@ class TestCheckClosedForms:
         failing = [r.identity for r in report.rows if not r.passed]
         assert failing == ["m2-cubic"]
 
+    def test_flipped_cross_product_fails_at_dim_2(self, monkeypatch):
+        # at d = 2 the terms take su(2) coordinates, whose bracket is a cross
+        # product: recompile the builders' commutator with its sign flipped
+        source = textwrap.dedent(inspect.getsource(magnus_steps.commutator))
+        assert source.count("out[1:] *= 2.0") == 1
+        namespace = dict(vars(magnus_steps))
+        exec(source.replace("out[1:] *= 2.0", "out[1:] *= -2.0"), namespace)
+        monkeypatch.setattr(magnus_steps, "commutator", namespace["commutator"])
+        failing = {r.identity for r in check_closed_forms(OracleConfig(seed=7, dim=2), draws=1).rows if not r.passed}
+        # every term with an odd number of brackets, and the printed form of
+        # Omega_2, which takes the oracle's brackets, against the flipped one
+        assert failing == {
+            "m2-linear",
+            "m2-quadratic-single",
+            "m2-quadratic-forms-agree",
+            "m2-cubic",
+            "m4-linear",
+            "m4-linear-alt-root",
+        }
+        # the matrix kernel of d = 3 is untouched
+        assert check_closed_forms(OracleConfig(seed=7, dim=3), draws=1).all_passed
+
 
 class TestCheckSymmetrySuite:
     def test_all_pass(self, symmetry_report):
