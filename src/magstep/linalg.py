@@ -10,21 +10,20 @@ Two-level systems (d = 2) take closed forms instead, because numpy's
 batched ``@`` and ``eigh`` spend nearly all their time on per-matrix
 overhead at that size: :func:`matmul` forms the four entries of each
 product elementwise, and :func:`expm_antihermitian` writes the exponent in
-the Pauli basis and returns its su(2) exponential.  These are the only two
-kernels that branch on the dimension.  The step builders work on su(2)
-coordinates at d = 2: :func:`checked_su2` returns them for a 2x2 sample and
-:func:`su2_matrix` turns them back into a matrix.  :func:`commutator`, the
-general ``ab - ba`` of the certification oracles, keeps ``@``.
+the Pauli basis and returns its su(2) exponential; :func:`checked_square`
+takes the float parts of ``a -+ a†`` from a product with a constant weight
+table instead of forming the matrix.  These are the only three kernels that
+branch on the dimension.  The step builders work on su(2) coordinates at
+d = 2: :func:`su2_coordinates` converts a checked 2x2 sample and
+:func:`su2_matrix` turns coordinates back into a matrix.  :func:`commutator`,
+the general ``ab - ba`` of the certification oracles, keeps ``@``.
 
-Only three functions validate.  :func:`checked_square` is the one boundary
+Only two functions validate.  :func:`checked_square` is the one boundary
 check: it coerces a (stack of) square matrix(es) to complex128, rejects a NaN
 or Inf entry, and measures its Hermiticity or anti-Hermiticity defect
 relative to its norm, scaling a stack with huge entries down first so a
-finite matrix cannot overflow its own test.  :func:`checked_su2` is its
-Hermiticity check for 2x2 samples, which measures in one pass per norm and
-falls back to :func:`checked_square` only when a sum of squares is not
-finite.  Callers apply one of them once at their input boundary.
-:func:`expm_antihermitian` applies :func:`checked_square` to its exponent.
+finite matrix cannot overflow its own test.  Callers apply it once at their
+input boundary.  :func:`expm_antihermitian` applies it to its exponent.
 :func:`commutator` compares nothing but the operands' dimension, and the
 norms and defects are plain formulas: a NaN or Inf entry comes back as a
 NaN or Inf result rather than an exception.
@@ -52,7 +51,7 @@ __all__ = [
     "anti_hermiticity_defect",
     "unitarity_defect",
     "checked_square",
-    "checked_su2",
+    "su2_coordinates",
     "su2_matrix",
     "expm_antihermitian",
 ]
@@ -198,8 +197,32 @@ def checked_square(a, sign: int) -> tuple[Array, float, float]:
     return arr, float(ratio.max()), float(defect.max()) * scale
 
 
+# Rows over the columns re x00, im x00, re x01, im x01, re x10, im x10, re
+# x11, im x11 of a 2x2 matrix's interleaved float64 view: the float parts of
+# x - sign x† on the diagonal (2 im x_jj for sign 1, 2 re x_jj for -1) and of
+# x01 - sign conj(x10), whose mirror x10 - sign conj(x01) has the same modulus.
+_DEFECT_PARTS = {
+    sign: np.array(
+        [
+            [1 - sign, 1 + sign, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1 - sign, 1 + sign],
+            [0, 0, 1, 0, -sign, 0, 0, 0],
+            [0, 0, 0, 1, 0, sign, 0, 0],
+        ],
+        dtype=np.float64,
+    )
+    for sign in (1, -1)
+}
+
+
 def _squared_norms(x: Array, sign: int) -> tuple[Array, Array]:
     """``||x - sign x†||_F**2`` and ``||x||_F**2`` of a C-ordered complex stack."""
+    if x.shape[-1] == 2:
+        # one row of eight floats per matrix, read as columns by the weights
+        # above; the off-diagonal parts count twice
+        f = x.reshape(-1, 4).view(np.float64).reshape(-1, 8).T
+        v = np.matmul(_DEFECT_PARTS[sign], f)
+        return np.einsum("in,in->n", v, v) + np.einsum("in,in->n", v[2:], v[2:]), np.einsum("in,in->n", f, f)
     diff = np.empty_like(x)
     np.conjugate(np.swapaxes(x, -1, -2), out=diff)
     (np.subtract if sign > 0 else np.add)(x, diff, out=diff)
@@ -207,64 +230,36 @@ def _squared_norms(x: Array, sign: int) -> tuple[Array, Array]:
 
 
 # Rows over the columns re h00, im h00, re h01, im h01, re h10, im h10, re
-# h11, im h11 of a 2x2 matrix's interleaved float64 view.  Each row has at
-# most two nonzero weights, so its product with the columns is exact in any
-# summation order.  The su(2) coordinates (h00 + h11)/2, re (h01 + h10)/2,
-# im (h10 - h01)/2 and (h00 - h11)/2, every entry halved before two are
-# added, so no finite matrix overflows them:
+# h11, im h11 of a 2x2 matrix's interleaved float64 view: the su(2)
+# coordinates (h00 + h11)/2, re (h01 + h10)/2, im (h10 - h01)/2 and (h00 -
+# h11)/2.  Each row has two nonzero weights, so its product with the columns
+# is exact in any summation order, and every entry is halved before two are
+# added, so no finite matrix overflows them.
 _SU2_COORDINATES = 0.5 * np.array(
     [[1, 0, 0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 1, 0, 0, 0], [0, 0, 0, -1, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0, -1, 0]],
     dtype=np.float64,
 )
-# and the float parts of h - h†: 2 im h00 and 2 im h11 on the diagonal, and
-# re and im of h01 - conj(h10), which h10 - conj(h01) repeats negated.
-_HERMITICITY_DEFECT_PARTS = np.array(
-    [[0, 2, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 2], [0, 0, 1, 0, -1, 0, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0]],
-    dtype=np.float64,
-)
 
 
-def checked_su2(h) -> tuple[Array, float, float]:
-    """:func:`checked_square` ``(h, 1)`` of a (stack of) 2x2 matrix(es),
-    returning su(2) coordinates instead of the matrix.
+def su2_coordinates(h) -> Array:
+    """The su(2) coordinates of a (stack of) 2x2 matrix(es) ``h``.
 
     Returns the real, component-major ``(4, ...)`` array ``(c, x, y, z)`` of
     the Hermitian part ``c I + x sx + y sy + z sz`` of ``h``, which are also
-    the coordinates of the generator ``-i h = -i (c I + x sx + y sy + z
-    sz)``, and the ratio and defect of ``checked_square(h, 1)``, to rounding.
-    Raises as it does.
-
-    Both squared norms are taken from the interleaved float64 view, and each
-    coordinate halves its two entries before adding them, so no finite ``h``
-    overflows its own coordinates.  When either sum of squares is not
-    finite, :func:`checked_square` measures the stack instead: it rejects a
-    NaN or Inf entry and scales huge finite ones.
+    the coordinates of the generator ``-i h``.  Meant for what
+    :func:`checked_square` returns, a C-ordered complex128 stack; it checks
+    nothing.
     """
     arr = np.asarray(h, dtype=np.complex128, order="C")
-    if arr.ndim < 2 or arr.shape[-2:] != (2, 2):
-        raise DimensionMismatchError(f"expected a 2x2 matrix, got shape {arr.shape}")
     # one row of eight floats per matrix, read as columns by the weights above
     f = arr.reshape(-1, 4).view(np.float64).reshape(-1, 8).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm_sq = np.einsum("in,in->n", f, f)
-        # the defect's parts, and then the coordinates, in one buffer
-        v = np.matmul(_HERMITICITY_DEFECT_PARTS, f)
-        defect_sq = np.einsum("in,in->n", v, v) + np.einsum("in,in->n", v[2:], v[2:])
-        finite = np.isfinite(defect_sq + norm_sq).all()
-    if finite:
-        # the square roots of the largest squared ratio and defect
-        ratio = math.sqrt((defect_sq / np.maximum(1.0, norm_sq)).max(initial=0.0))
-        defect = math.sqrt(defect_sq.max(initial=0.0))
-    else:
-        _, ratio, defect = checked_square(arr, 1)
-    np.matmul(_SU2_COORDINATES, f, out=v)
-    return v.reshape((4,) + arr.shape[:-2]), ratio, defect
+    return np.matmul(_SU2_COORDINATES, f).reshape((4,) + arr.shape[:-2])
 
 
 def su2_matrix(v) -> Array:
     """The 2x2 anti-Hermitian matrix ``-i (c I + x sx + y sy + z sz)`` of
     su(2) coordinates ``v = (c, x, y, z)``, component-major as
-    :func:`checked_su2` returns them; a stack for stacked coordinates."""
+    :func:`su2_coordinates` returns them; a stack for stacked coordinates."""
     c, x, y, z = np.asarray(v, dtype=np.float64)
     out = np.zeros(np.shape(c) + (2, 2), dtype=np.complex128)
     # [..., i, 2j] and [..., i, 2j + 1] are the real and imaginary parts of

@@ -33,10 +33,10 @@ term that overflows the float range raises ``PreconditionError``.  ``step``
 At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
 R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
 sz)`` is the component-major array ``(c, x, y, z)``, of shape ``(4,)`` or
-``(4, n)``.  ``_checked_samples`` picks that representation, through
-``linalg.checked_su2``, which measures the same defect and returns the
-coordinates; it is the only place the choice is made, and ``exponent``
-scales, brackets and converts back to the matrix Theta by the dtype alone.
+``(4, n)``.  :func:`generators`, which turns the checked samples into the
+builders' generators, is the only place that representation is chosen;
+:func:`commutator` and :func:`as_matrix`, which gives ``exponent`` its
+matrix Theta, follow the dtype.
 
 Every bracket here goes through :func:`commutator`.  On coordinates it is
 the cross product ``(0, 2 a x b)``.  On matrices it forms one product
@@ -71,10 +71,10 @@ from .linalg import (
     DimensionMismatchError,
     PreconditionError,
     checked_square,
-    checked_su2,
     dagger,
     expm_antihermitian,
     matmul,
+    su2_coordinates,
     su2_matrix,
 )
 
@@ -85,6 +85,8 @@ __all__ = [
     "MissingNodeError",
     "NonHermitianSampleError",
     "sample_nodes",
+    "generators",
+    "as_matrix",
     "exponent",
     "step",
     "GAUSS2_LO",
@@ -173,46 +175,47 @@ def sample_nodes(method: MethodId) -> tuple[float, ...]:
 
 
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
-    """Each node's sample, checked: a complex matrix stack, or at d = 2 its
-    real su(2) coordinates.  This is the one place the representation the
-    builders work on is chosen; everything after it follows the dtype."""
     nodes = sample_nodes(method)
     out: list[Array] = []
-    shapes = []
     for node in nodes:
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
-        h = samples[node]
-        shapes.append(np.shape(h))
-        h, ratio, defect = checked_su2(h) if shapes[-1][-2:] == (2, 2) else checked_square(h, 1)
+        h, ratio, defect = checked_square(samples[node], 1)
         if not ratio <= SAMPLE_HERMITICITY_TOL:
             raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
         out.append(h)
-    # the matrices' shapes: coordinates of nine 2x2 samples have the array
-    # shape of four 3x3 samples
-    if len(set(shapes)) > 1:
-        named = ", ".join(f"node {node}: {shape}" for node, shape in zip(nodes, shapes))
-        raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({named})")
+    if len({h.shape for h in out}) > 1:
+        shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
+        raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
     return out
 
 
-def _generator(h: Array, tau) -> Array:
-    """``A = -i tau H`` of a checked sample ``H``, in its representation.
+def generators(samples: list[Array], tau) -> list[Array]:
+    """Replace each Hermitian sample ``H`` in the list ``samples`` by the
+    generator ``A = -i tau H`` a builder takes, and return the list.
 
-    The su(2) coordinates of ``A`` are ``tau`` times those of ``H``; they
-    are scaled in place, since the check made them, and a fresh array would
-    cost its page faults again.  A checked matrix may be the caller's own
-    array, so it is scaled into a new one.
+    At d = 2 a generator is the real, component-major ``(4, ...)`` array
+    ``(c, x, y, z)`` of ``A = -i (c I + x sx + y sy + z sz)``: ``tau`` times
+    ``linalg.su2_coordinates`` of ``H``, scaled in place.  Otherwise it is
+    the complex matrix, in a new array, since ``H`` may be the caller's.
+    This is the one place the representation is chosen.  Each sample is
+    replaced as its generator is made, so no unscaled copy outlives its
+    scaled one.
     """
-    if h.dtype == np.float64:
-        h *= tau
-        return h
-    return (-1j * tau) * h
+    for i in range(len(samples)):
+        if samples[i].shape[-2:] == (2, 2):
+            samples[i] = su2_coordinates(samples[i])
+            samples[i] *= tau
+        else:
+            samples[i] = (-1j * tau) * samples[i]
+    return samples
 
 
-def _as_matrix(theta: Array) -> Array:
-    """The matrix of an exponent a builder returned in either representation."""
-    return su2_matrix(theta) if theta.dtype == np.float64 else theta
+def as_matrix(a: Array) -> Array:
+    """The matrix of a generator, or of a sum of Magnus terms of generators,
+    in either representation: su(2) coordinates become their 2x2 matrix,
+    and a matrix is returned as it is."""
+    return su2_matrix(a) if a.dtype == np.float64 else a
 
 
 def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepContext = DEFAULT_CONTEXT) -> Array:
@@ -233,9 +236,7 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
     try:
         with np.errstate(over="raise", invalid="raise"):
             tau = np.float64(dt) / ctx.hbar
-            for i in range(len(samples)):
-                samples[i] = _generator(samples[i], tau)
-            return _as_matrix(_SCHEMES[method][1](*samples))
+            return as_matrix(_SCHEMES[method][1](*generators(samples, tau)))
     except FloatingPointError as exc:
         raise PreconditionError(
             f"the {method.value} exponent overflows the float range at "

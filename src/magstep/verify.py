@@ -26,9 +26,9 @@ product of su(2) coordinates; the oracle integrands here use the general
 kernel.  The terms take generator samples ``A = -iH dt/ħ`` on the unit
 step; here ħ = 1, and the draws are ``A = -i cfg.dt H``, where ``cfg.dt``
 must be finite and nonzero and its fourth power a float.  The terms get
-them as ``exponent`` hands them to a builder (checked by
-``magnus_steps._checked_samples`` and scaled by ``_generator``, so in su(2)
-coordinates at d = 2), and each term is compared as a matrix.  The
+them as ``exponent`` hands them to a builder, through
+``magnus_steps.generators`` (so in su(2) coordinates at d = 2), and each
+term is compared as a matrix (``magnus_steps.as_matrix``).  The
 oracle takes the interpolant of the same samples over ``[0, 1]``, and
 Omega_n is its n-th integral over ``n!``: every integral is multilinear in
 the samples, so scaling them by ``-i dt`` costs the oracle nothing of its
@@ -49,11 +49,9 @@ import numpy as np
 from .linalg import Array, commutator, dagger, frobenius_norm, unitarity_defect
 from .magnus_steps import (
     ALL_METHODS,
-    MethodId,
     StepContext,
-    _as_matrix,
-    _checked_samples,
-    _generator,
+    as_matrix,
+    generators,
     omega1_boole,
     omega1_simpson,
     omega2_cubic,
@@ -62,7 +60,6 @@ from .magnus_steps import (
     omega3_linear,
     omega3_quadratic,
     omega4_linear,
-    sample_nodes,
     step,
 )
 
@@ -280,15 +277,13 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
         return oracle_Mn(a, n, 0.0, 1.0, cfg) / math.factorial(n)
 
     def certify(name: str, closed_form: Array, a, n: int) -> None:
-        track.update(name, _rel_dev(_as_matrix(closed_form), oracle_omega(a, n)))
+        track.update(name, _rel_dev(as_matrix(closed_form), oracle_omega(a, n)))
 
     for _ in range(draws):
         h = [random_hermitian(rng, cfg.dim) for _ in range(7)]
         a0, aq1, at1, ah, at2, aq3, a1 = ((-1j * dt) * x for x in h)
-        # the same draws as a builder takes them (they are me6's seven nodes)
-        g0, gq1, gt1, gh, gt2, gq3, g1 = (
-            _generator(x, dt) for x in _checked_samples(MethodId.ME6, dict(zip(sample_nodes(MethodId.ME6), h)))
-        )
+        # the same draws as a builder takes them
+        g0, gq1, gt1, gh, gt2, gq3, g1 = generators(h, dt)
         a_lin = interpolant([a0, a1], 1, 0.0, 1.0)
         a_quad = interpolant([a0, ah, a1], 2, 0.0, 1.0)
         a_cub = interpolant([a0, at1, at2, a1], 3, 0.0, 1.0)
@@ -305,7 +300,7 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
         omega2_sum = (1.0 / 60.0) * (
             commutator(a1, a0) + 4.0 * commutator(ah, a0) + 4.0 * commutator(a1, ah)
         )
-        omega2_single = _as_matrix(omega2_quadratic(g0, gh, g1))
+        omega2_single = as_matrix(omega2_quadratic(g0, gh, g1))
         track.update("m2-quadratic-sum", _rel_dev(omega2_sum, omega2))
         track.update("m2-quadratic-single", _rel_dev(omega2_single, omega2))
         track.update("m2-quadratic-forms-agree", _rel_dev(omega2_sum, omega2_single))
@@ -317,8 +312,8 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
 
         # quadruple integral: the single-tower form, both roots
         omega4 = oracle_omega(a_lin, 4)
-        omega4_main = _as_matrix(omega4_linear(g0, g1))
-        omega4_alt = _as_matrix(omega4_linear(g0, g1, root=c_alt))
+        omega4_main = as_matrix(omega4_linear(g0, g1))
+        omega4_alt = as_matrix(omega4_linear(g0, g1, root=c_alt))
         track.update("m4-linear", _rel_dev(omega4_main, omega4))
         track.update("m4-linear-alt-root", _rel_dev(omega4_alt, omega4))
         track.update("m4-roots-agree", _rel_dev(omega4_main, omega4_alt))

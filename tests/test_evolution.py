@@ -10,7 +10,7 @@ from magstep.evolution import (
     relative_error,
 )
 from magstep.hamiltonians import EntrySpec, HamiltonianModel, SinusoidTerm, builtin_case
-from magstep.linalg import PreconditionError, checked_square, checked_su2
+from magstep.linalg import PreconditionError, checked_square
 from magstep.magnus_steps import ALL_METHODS, MethodId
 
 from conftest import SX
@@ -141,23 +141,17 @@ class TestPropagate:
         "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
     )
     def test_validates_each_node_stack_and_the_exponent_once(self, monkeypatch, method, calls):
-        # one check per sample node (at d = 2 the one that returns su(2)
-        # coordinates) and one on Theta; the kernels between them check nothing
+        # one check per sample node and one on Theta; the kernels between them check nothing
         seen = []
 
         def counted(a, sign):
-            seen.append(("square", np.shape(a)))
+            seen.append(np.shape(a))
             return checked_square(a, sign)
-
-        def counted_su2(a):
-            seen.append(("su2", np.shape(a)))
-            return checked_su2(a)
 
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
-        monkeypatch.setattr(magnus_steps, "checked_su2", counted_su2)
         propagate(method, builtin_case("I"), 0.0, 1.0, 16, [1, 0])
-        assert seen == [("su2", (16, 2, 2))] * (calls - 1) + [("square", (16, 2, 2))]
+        assert seen == [(16, 2, 2)] * calls
 
 
 class TestFinalPropagator:

@@ -9,13 +9,13 @@ from magstep.linalg import (
     NotAntiHermitianError,
     anti_hermiticity_defect,
     checked_square,
-    checked_su2,
     commutator,
     dagger,
     expm_antihermitian,
     frobenius_norm,
     hermiticity_defect,
     matmul,
+    su2_coordinates,
     su2_matrix,
     unitarity_defect,
 )
@@ -201,6 +201,20 @@ class TestCheckedSquare:
         assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
         assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_two_level_parts_match_unscaled_formula(self, sign):
+        # at d = 2 the defect comes from the float parts of a -+ a†, taken by
+        # a product with a weight table, not from the matrix itself
+        rng = np.random.default_rng(14)
+        formula = hermiticity_defect if sign > 0 else anti_hermiticity_defect
+        for s in (1e-100, 0.1, 1.0, 40.0, 1e100):
+            a = s * random_hermitian(rng, 2) + 1e-3j * s * random_hermitian(rng, 2)
+            _, ratio, defect = checked_square(a, sign)
+            want_defect = formula(a)
+            want_ratio = want_defect / max(1.0, frobenius_norm(a))
+            assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
+            assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
+
     @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e200, 1e307])
     def test_finite_at_extreme_magnitudes(self, scale):
         # scale * (sz + i I): defect 2 sqrt(2) scale, norm 2 scale
@@ -225,43 +239,34 @@ class TestCheckedSquare:
 
 
 class TestSu2Coordinates:
-    # checked_su2, the d = 2 sample check that returns the coordinates (c, x,
-    # y, z) of -i h = -i (c I + x sx + y sy + z sz), and su2_matrix, its inverse
+    # su2_coordinates, the coordinates (c, x, y, z) of -i h = -i (c I + x sx
+    # + y sy + z sz) of a checked 2x2 sample, and su2_matrix, its inverse
     def test_pauli_basis(self):
         for k, h in enumerate((I2, SX, SY, SZ)):
-            v, ratio, defect = checked_su2(h)
-            assert np.array_equal(v, np.eye(4)[k]) and (ratio, defect) == (0.0, 0.0)
+            v = su2_coordinates(h)
+            assert np.array_equal(v, np.eye(4)[k])
             assert np.array_equal(su2_matrix(v), -1j * h)
 
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
-    def test_matches_checked_square(self, lead):
+    def test_coordinates_of_the_hermitian_part(self, lead):
         rng = np.random.default_rng(40 + len(lead))
-        # Hermitian plus a small anti-Hermitian part, entries from 0.1 to 40
-        scale = 10.0 ** rng.uniform(-1.0, 1.6, lead + (1, 1))
-        a = scale * centred_hermitian(rng, lead + (2, 2)) + 1e-3j * centred_hermitian(rng, lead + (2, 2))
-        v, ratio, defect = checked_su2(a)
+        h = centred_hermitian(rng, lead + (2, 2))
+        a = h + 1e-3j * centred_hermitian(rng, lead + (2, 2))
+        v = su2_coordinates(a)
         assert v.shape == (4,) + lead and v.dtype == np.float64
-        _, want_ratio, want_defect = checked_square(a, 1)
-        assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
-        assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
+        assert np.all(frobenius_norm(1j * su2_matrix(v) - h) <= 4 * EPS * frobenius_norm(h))
 
     @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e200, 1e307])
-    def test_matches_checked_square_at_extreme_magnitudes(self, scale):
-        # past about 1e154 a sum of squares overflows and checked_square
-        # measures the scaled stack; below it the one-pass sums are used
+    def test_extreme_magnitudes(self, scale):
         a = scale * (SZ + 1j * I2 + 0.5 * SX)
-        v, ratio, defect = checked_su2(a)
-        _, want_ratio, want_defect = checked_square(a, 1)
-        assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
-        assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
-        assert np.array_equal(v, scale * np.array([0.0, 0.5, 0.0, 1.0]))
+        assert np.array_equal(su2_coordinates(a), scale * np.array([0.0, 0.5, 0.0, 1.0]))
 
     def test_finite_coordinates_of_entries_near_the_float_limit(self):
         # each coordinate halves its two entries before adding them
         big = np.finfo(float).max
         h = np.array([[big, big - 1j * big], [big + 1j * big, big]])
-        v, ratio, defect = checked_su2(h)
-        assert np.array_equal(v, [big, big, big, 0.0]) and (ratio, defect) == (0.0, 0.0)
+        assert checked_square(h, 1)[1:] == (0.0, 0.0)
+        assert np.array_equal(su2_coordinates(h), [big, big, big, 0.0])
 
     def test_round_trip_is_exact_for_hermitian_input(self):
         # entries on a binary grid, where every sum and half is exact: matrix
@@ -269,16 +274,16 @@ class TestSu2Coordinates:
         rng = np.random.default_rng(41)
         h = centred_hermitian(rng, (64, 2, 2))
         h = np.round(h * 1024.0) / 1024.0
-        v = checked_su2(h)[0]
+        v = su2_coordinates(h)
         assert np.array_equal(su2_matrix(v), -1j * h)
-        assert np.array_equal(checked_su2(1j * su2_matrix(v))[0], v)
+        assert np.array_equal(su2_coordinates(1j * su2_matrix(v)), v)
 
     def test_round_trip_rounds_only_c_and_z(self):
         # for general entries x and y come back exactly; c and z pass through
         # c +- z and back, a few roundings of at most half an ulp each
         rng = np.random.default_rng(42)
         v = rng.normal(size=(4, 256))
-        back = checked_su2(1j * su2_matrix(v))[0]
+        back = su2_coordinates(1j * su2_matrix(v))
         assert np.array_equal(back[1:3], v[1:3])
         assert np.all(np.abs(back - v) <= 2 * EPS * np.max(np.abs(v[[0, 3]]), axis=0))
 
@@ -286,26 +291,12 @@ class TestSu2Coordinates:
         rng = np.random.default_rng(43)
         a = complex_normal(rng, (4, 2, 2))
         for x in (np.swapaxes(a, -1, -2), a[:, ::-1, ::-1], a.real):
-            v, ratio, defect = checked_su2(x)
-            want_v, want_ratio, want_defect = checked_su2(np.array(x, dtype=np.complex128))
-            assert np.array_equal(v, want_v) and (ratio, defect) == (want_ratio, want_defect)
+            assert np.array_equal(su2_coordinates(x), su2_coordinates(np.array(x, dtype=np.complex128)))
 
     def test_empty_stack(self):
-        v, ratio, defect = checked_su2(np.zeros((0, 2, 2)))
-        assert v.shape == (4, 0) and (ratio, defect) == (0.0, 0.0)
+        v = su2_coordinates(np.zeros((0, 2, 2)))
+        assert v.shape == (4, 0)
         assert su2_matrix(v).shape == (0, 2, 2)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_nan_and_inf(self, bad):
-        h = np.stack([SX, SZ]).astype(complex)
-        h[1, 0, 1] = bad
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            checked_su2(h)
-
-    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 3)])
-    def test_rejects_other_shapes(self, shape):
-        with pytest.raises(DimensionMismatchError):
-            checked_su2(np.zeros(shape))
 
 
 class TestExpmAntiHermitian:

@@ -26,7 +26,9 @@ from magstep.magnus_steps import (
     NonHermitianSampleError,
     SAMPLE_HERMITICITY_TOL,
     StepContext,
+    as_matrix,
     exponent,
+    generators,
     omega1_boole,
     omega1_simpson,
     omega2_cubic,
@@ -260,6 +262,43 @@ class TestExponent:
         with pytest.raises(PreconditionError, match="dt/hbar"):
             exponent(method, samples, 1.0, StepContext(hbar=hbar))
 
+# a few roundings of half an ulp each, relative to the sample
+GENERATOR_ROUNDING_TOL = 4 * np.finfo(float).eps
+
+
+class TestGenerators:
+    # the one place the builders' representation is chosen
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_generator_is_minus_i_tau_h_in_place_of_the_sample(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        h = [np.stack([random_hermitian(rng, dim) for _ in range(3)]) for _ in range(2)]
+        copies = [x.copy() for x in h]
+        tau = np.float64(0.7)
+        out = generators(h, tau)
+        assert out is h
+        for g, x in zip(out, copies):
+            if dim == 2:
+                assert g.shape == (4, 3) and g.dtype == np.float64
+                assert np.array_equal(g, tau * linalg.su2_coordinates(x))
+            else:
+                assert np.array_equal(g, (-1j * tau) * x)
+            # c and z of a 2x2 sample pass through c +- z and back
+            bound = GENERATOR_ROUNDING_TOL * tau * frobenius_norm(x)
+            assert np.all(frobenius_norm(as_matrix(g) - (-1j * tau) * x) <= bound)
+
+    def test_caller_arrays_are_not_modified(self):
+        rng = np.random.default_rng(64)
+        for dim in (2, 3):
+            x = random_hermitian(rng, dim)
+            copy = x.copy()
+            generators([x], 0.5)
+            assert np.array_equal(x, copy)
+
+    def test_as_matrix_returns_a_matrix_as_it_is(self):
+        a = -1j * np.asarray(SX, dtype=complex)
+        assert as_matrix(a) is a
+
+
 class TestStep:
     def test_zero_hamiltonian_gives_identity(self):
         for m in ALL_METHODS:
@@ -414,7 +453,7 @@ class TestOneProductBracket:
         got = magnus_steps.commutator(a, b)
         assert got.shape == a.shape and got.dtype == np.float64
         assert np.all(got[0] == 0.0)
-        want = linalg.checked_su2(1j * linalg.commutator(linalg.su2_matrix(a), linalg.su2_matrix(b)))[0]
+        want = linalg.su2_coordinates(1j * linalg.commutator(linalg.su2_matrix(a), linalg.su2_matrix(b)))
         bound = BRACKET_AGREEMENT_TOL * np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
         assert np.all(np.linalg.norm(got - want, axis=0) <= bound)
 
