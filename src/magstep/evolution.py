@@ -1,29 +1,34 @@
 """Compose step propagators over an interval and run convergence studies.
 
-A trajectory holds the propagator at every point of a uniform grid, from
-which it records populations and the unitarity defect.  Those prefixes of the
-step product (later steps on the left) come from a two-level blocked scan:
-about 2 sqrt(n) batched matrix products, written in place into the output
-array, instead of n single ones.  The convergence harness needs only final
-propagators, which it forms by a pairwise product of the step propagators
-with no prefixes, populations or defects.  It measures the relative
-Frobenius error of each scheme's final propagator against a reference
-computed by the 6th-order scheme on a much finer grid, cross-checked against
-an independent 6th-order scheme before it is trusted, and fits the log-log
-order of accuracy per method.
+The step pipeline streams over fixed-size chunks of a uniform grid:
+:func:`_step_chunks` samples, checks, builds and exponentiates one chunk of
+steps at a time (all step exponents of a chunk in one broadcasted call, then
+one batched ``expm_antihermitian``: an eigendecomposition, or the closed
+su(2) form at d = 2), the same per-step arithmetic as
+:func:`magstep.magnus_steps.step`.  A chunk's stacks take ``CHUNK_BYTES``
+each, so besides its outputs a run holds the same memory at any step count.
 
-For speed the driver assembles all step exponents in one broadcasted call
-and exponentiates them in one batched ``expm_antihermitian`` call (an
-eigendecomposition, or the closed su(2) form at d = 2); this is the same
-per-step arithmetic as :func:`magstep.magnus_steps.step`.  Every product of
+A trajectory records the populations and the unitarity defect of the
+propagator at every grid point.  Each chunk's prefixes of the step product
+(later steps on the left) come from a two-level blocked scan started at the
+propagator carried from the chunk before: about 2 sqrt(n) batched matrix
+products instead of n single ones.  The convergence harness needs only final
+propagators, which it forms by a pairwise product within each chunk times
+the carried propagator, with no prefixes, populations or defects.  It
+measures the relative Frobenius error of each scheme's final propagator
+against a reference computed by the 6th-order scheme on a much finer grid,
+cross-checked against an independent 6th-order scheme before it is trusted,
+and fits the log-log order of accuracy per method.  Every product of
 propagator stacks goes through ``linalg.matmul``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +69,11 @@ FIT_ERROR_CEILING = 0.05
 
 _DIVISIBILITY_RTOL = 1e-9
 
+# Bytes of one complex (chunk, d, d) stack: the step pipeline runs over
+# chunks of CHUNK_BYTES // (16 d**2) steps, 16384 at d = 2 and 1024 at d = 8,
+# so what it holds besides the outputs does not grow with the step count.
+CHUNK_BYTES = 2**20
+
 
 @dataclass(frozen=True)
 class EvolutionTrace:
@@ -92,58 +102,91 @@ def _node_samples(method: MethodId, model, step_start: Array, dt: float, dim: in
     return samples
 
 
-def _step_propagators(
+def _trajectory_bytes(n_steps: int, dim: int) -> int:
+    """Bytes of the arrays that grow with the step count: the times,
+    populations and unitarity defects of a trajectory and the CLI's row
+    array, ``n_steps + 1`` rows of ``2 dim + 4`` float64 values."""
+    return (int(n_steps) + 1) * (2 * dim + 4) * 8
+
+
+def _physical_memory_bytes() -> int | None:
+    """Physical memory of the machine, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _step_chunks(
     method: MethodId, model, t0: float, tf: float, n_steps: int, dim: int, ctx: StepContext
-) -> tuple[Array, Array]:
-    """Grid times and the ``(n_steps, dim, dim)`` step propagators of a uniform grid."""
+) -> Iterator[tuple[int, Array]]:
+    """``(start, u)`` for consecutive chunks of a uniform grid's steps: ``u``
+    holds the step propagators of steps ``start, start + 1, ...``, at most
+    ``CHUNK_BYTES // (16 dim**2)`` of them.
+
+    The grid is checked when this is called, before anything is sampled; each
+    chunk is sampled, checked, built and exponentiated only when it is
+    reached, so no ``(n, d, d)`` stack outlives its chunk.  A chunk's step
+    starts ``t0 + dt * arange(start, stop)`` are the same floats as the slice
+    of the whole grid.
+    """
     if not math.isfinite(tf - t0):
         raise ValueError(f"t0, tf and tf - t0 must be finite, got t0={t0}, tf={tf}")
     if not tf > t0:
         raise PreconditionError(f"tf must exceed t0, got t0={t0}, tf={tf}")
     if n_steps < 1:
         raise PreconditionError(f"n_steps must be positive, got {n_steps}")
-    # no array of the run is larger than the (n_steps + 1, d, d) propagator
-    # array; d is checked against the Hamiltonian below
-    if (int(n_steps) + 1) * dim**2 * 16 > np.iinfo(np.intp).max:
+    # also stops a convergence ladder whose rungs could never be counted out;
+    # d is checked against the Hamiltonian in each chunk
+    if _trajectory_bytes(n_steps, dim) > np.iinfo(np.intp).max:
         raise PreconditionError(
-            f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: the (n_steps + 1, "
-            f"{dim}, {dim}) complex propagator array would exceed the "
-            f"{np.iinfo(np.intp).max} bytes this platform can address"
+            f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: its n_steps + 1 "
+            f"grid points, at {2 * dim + 4} floats each in a trajectory, would exceed "
+            f"the {np.iinfo(np.intp).max} bytes this platform can address"
         )
 
     dt = (tf - t0) / n_steps
-    t_grid = t0 + dt * np.arange(n_steps + 1)
-    # the node dict is not named here: exponent replaces each of its stacks
-    # by the scaled one, so no node is held twice
-    theta = exponent(method, _node_samples(method, model, t_grid[:-1], dt, dim), dt, ctx)
-    return t_grid, expm_antihermitian(theta)
+    width = max(1, CHUNK_BYTES // (16 * dim**2))
+
+    def chunk(start: int) -> Array:
+        step_start = t0 + dt * np.arange(start, min(start + width, n_steps))
+        # the node dict is not named here: exponent replaces each of its stacks
+        # by the scaled one, so no node is held twice
+        theta = exponent(method, _node_samples(method, model, step_start, dt, dim), dt, ctx)
+        return expm_antihermitian(theta)
+
+    return ((start, chunk(start)) for start in range(0, int(n_steps), width))
 
 
-def _prefix_products(u: Array) -> Array:
-    """The ``n + 1`` prefixes ``I, u[0], u[1] u[0], ...`` of ``n`` step propagators.
+def _prefix_products(u: Array, carry: Array) -> Array:
+    """The ``n + 1`` prefixes ``carry, u[0] carry, u[1] u[0] carry, ...`` of
+    ``n`` step propagators, later steps on the left.
 
-    A two-level blocked scan, later steps on the left: the first ``w * (n //
-    w)`` steps, ``w = isqrt(n)``, form ``n // w`` blocks viewed in place in
-    the output.  All blocks advance their local prefixes together, one
-    batched product per position; then each block is chained, in place, onto
-    the last prefix of the block before it, one batched product per block.
-    The fewer than ``w`` leftover steps follow one at a time, so about 2 sqrt(n)
+    ``carry`` is the propagator at the first step's start: the identity for
+    the first chunk of a grid, the last prefix of the chunk before for each
+    later one.  A two-level blocked scan: the first ``w * (n // w)`` steps,
+    ``w = isqrt(n)``, form ``n // w`` blocks viewed in place in the output.
+    All blocks advance their local prefixes together, one batched product per
+    position; then each block is chained, in place, onto the prefix just
+    before it (``carry`` for block 0), one batched product per block.  The
+    fewer than ``w`` leftover steps follow one at a time, so about 2 sqrt(n)
     batched products replace n single ones, and nothing the size of ``u`` is
-    allocated besides the output.
+    allocated besides the output.  A product with the identity is exact, so
+    a grid of one chunk gets the prefixes of a scan that starts at I.
     """
     n, dim = len(u), u.shape[-1]
     width = math.isqrt(n)
     blocks = n // width
     full = blocks * width
     out = np.empty((n + 1, dim, dim), dtype=np.complex128)
-    out[0] = np.eye(dim)
+    out[0] = carry
     local = out[1:full + 1].reshape(blocks, width, dim, dim)
     steps = u[:full].reshape(blocks, width, dim, dim)
     local[:, 0] = steps[:, 0]
     for j in range(1, width):
         matmul(steps[:, j], local[:, j - 1], out=local[:, j])
-    for b in range(1, blocks):
-        matmul(local[b], local[b - 1, -1], out=local[b])
+    for b in range(blocks):
+        matmul(local[b], out[b * width], out=local[b])
     for k in range(full, n):
         matmul(u[k], out[k], out=out[k + 1])
     return out
@@ -162,22 +205,39 @@ def propagate(
 
     ``model`` is a :class:`HamiltonianModel` or any callable ``t -> matrix``.
     Populations are ``|<n|U(t)|psi0>|^2`` from the accumulated propagator
-    applied to the initial state, never re-normalized.
+    applied to the initial state, never re-normalized.  Raises
+    :class:`PreconditionError` before sampling if the outputs, which grow
+    with ``n_steps``, would not fit in physical memory.
     """
     psi0 = np.asarray(initial_state, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise PreconditionError(f"initial state must be normalized, got norm {norm!r}")
     dim = psi0.size
-    t_grid, u_steps = _step_propagators(method, model, t0, tf, n_steps, dim, ctx)
+    chunks = _step_chunks(method, model, t0, tf, n_steps, dim, ctx)
+    need, memory = _trajectory_bytes(n_steps, dim), _physical_memory_bytes()
+    if memory is not None and need > memory:
+        raise PreconditionError(
+            f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: its times, "
+            f"populations, unitarity defects and output rows take about "
+            f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
 
-    cumulative = _prefix_products(u_steps)
-    populations = np.abs(cumulative @ psi0) ** 2
+    times = t0 + (tf - t0) / n_steps * np.arange(n_steps + 1)
+    populations = np.empty((n_steps + 1, dim))
+    defects = np.empty(n_steps + 1)
+    carry = np.eye(dim, dtype=np.complex128)
+    for start, u in chunks:
+        prefixes = _prefix_products(u, carry)
+        rows = slice(start, start + len(prefixes))
+        populations[rows] = np.abs(prefixes @ psi0) ** 2
+        defects[rows] = unitarity_defect(prefixes)
+        carry = prefixes[-1]
     return EvolutionTrace(
-        times=t_grid,
+        times=times,
         populations=populations,
-        unitarity_defects=unitarity_defect(cumulative),
-        final_propagator=cumulative[-1],
+        unitarity_defects=defects,
+        final_propagator=carry,
     )
 
 
@@ -186,15 +246,19 @@ def _final_propagator(
 ) -> Array:
     """U(tf) alone: the step propagators multiplied pairwise, later steps on the left.
 
-    Each level multiplies neighbouring pairs in one batched product and carries
-    an odd trailing factor over unchanged, so n - 1 products take ceil(log2 n)
-    levels and no prefix is ever stored.
+    Within a chunk, each level multiplies neighbouring pairs in one batched
+    product and carries an odd trailing factor over unchanged, so n - 1
+    products take ceil(log2 n) levels and no prefix is ever stored; each
+    chunk's product then multiplies the product of the chunks before it, so
+    a grid of one chunk takes no product beyond its own.
     """
-    _, u = _step_propagators(method, model, t0, tf, n_steps, dim, ctx)
-    while len(u) > 1:
-        tail = u[len(u) - len(u) % 2:]
-        u = np.concatenate([matmul(u[1::2], u[0:len(u) - 1:2]), tail])
-    return u[0]
+    products = []
+    for _, u in _step_chunks(method, model, t0, tf, n_steps, dim, ctx):
+        while len(u) > 1:
+            tail = u[len(u) - len(u) % 2:]
+            u = np.concatenate([matmul(u[1::2], u[0:len(u) - 1:2]), tail])
+        products.append(u[0])
+    return functools.reduce(lambda carry, p: matmul(p, carry), products)
 
 
 def relative_error(u_approx, u_ref) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from magstep.evolution import (
 )
 from magstep.hamiltonians import EntrySpec, HamiltonianModel, SinusoidTerm, builtin_case
 from magstep.linalg import PreconditionError, checked_square
-from magstep.magnus_steps import ALL_METHODS, MethodId
+from magstep.magnus_steps import ALL_METHODS, MethodId, NonHermitianSampleError
 
 from conftest import SX
 
@@ -21,6 +23,14 @@ RABI = HamiltonianModel(2, {(0, 1): EntrySpec(1.0)})  # constant sigma_x couplin
 # the same step propagators differ only by rounding: at most 4.9e-15 (22 eps)
 # relative at n = 1000 and 1001, d = 2 and 8.
 PRODUCT_ORDER_TOL = 1e-13
+
+# Growth of a run's traced peak memory, outputs excluded, from 2048 to 8192
+# steps of a dense d = 8 model (one chunk's stacks take 16 MB either way).
+CHUNK_PEAK_SLACK = 64 * 1024
+
+# Steps per chunk by dimension, and a step count of three chunks at that
+# dimension, the last one ragged.
+THREE_CHUNKS = {2: (16384, 2 * 16384 + 5), 8: (1024, 2 * 1024 + 37)}
 
 
 def dense_model(dim, seed):
@@ -153,6 +163,100 @@ class TestPropagate:
         propagate(method, builtin_case("I"), 0.0, 1.0, 16, [1, 0])
         assert seen == [(16, 2, 2)] * calls
 
+    @pytest.mark.parametrize(
+        "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
+    )
+    def test_validates_each_chunk_once(self, monkeypatch, method, calls):
+        # three chunks at d = 8, each checked once per node and once on Theta
+        width, n = THREE_CHUNKS[8]
+        seen = []
+
+        def counted(a, sign):
+            seen.append(np.shape(a))
+            return checked_square(a, sign)
+
+        monkeypatch.setattr(linalg, "checked_square", counted)
+        monkeypatch.setattr(magnus_steps, "checked_square", counted)
+        propagate(method, DENSE8, 0.0, 1.0, n, np.eye(8)[0])
+        assert seen == [(width, 8, 8)] * (2 * calls) + [(n - 2 * width, 8, 8)] * calls
+
+    def test_rejects_nan_sample_in_a_later_chunk(self):
+        # dt = 1, so step k spans [k, k + 1]: only steps past the first chunk see a NaN
+        width, n = THREE_CHUNKS[8]
+        h = DENSE8.sample(0.0)
+
+        def sampler(t):
+            return h if t < width + 0.5 else np.full((8, 8), np.nan)
+
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            propagate(MethodId.ME2, sampler, 0.0, float(n), n, np.eye(8)[0])
+
+    def test_rejects_non_hermitian_sample_in_a_later_chunk(self):
+        width, n = THREE_CHUNKS[8]
+        h = DENSE8.sample(0.0)
+        skewed = h + np.triu(np.ones((8, 8)), 1)
+
+        def sampler(t):
+            # only midpoints of steps past the first chunk are not Hermitian
+            return skewed if t > width and t % 1 == 0.5 else h
+
+        with pytest.raises(NonHermitianSampleError) as info:
+            propagate(MethodId.ME3, sampler, 0.0, float(n), n, np.eye(8)[0])
+        assert info.value.node == 0.5
+        assert info.value.defect == pytest.approx(np.sqrt(56.0))
+
+    def test_rejects_grid_beyond_physical_memory_before_sampling(self, monkeypatch):
+        def no_sampling(self, ts):
+            raise AssertionError("sampled a grid beyond physical memory")
+
+        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        # 10**6 steps at d = 2: (10**6 + 1) rows of 8 float64 values, about 64 MB
+        monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 2**25)
+        with pytest.raises(PreconditionError, match=r"n_steps=10\^6\.00 is too large: .* physical memory"):
+            propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**6, [1, 0])
+
+    @pytest.mark.parametrize("memory", [101 * 64, None], ids=["just-fits", "unknown"])
+    def test_preflight_passes_a_grid_that_fits(self, monkeypatch, memory):
+        # 100 steps at d = 2 take 101 rows of 8 float64 values; None skips the check
+        monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: memory)
+        assert len(propagate(MethodId.ME2, RABI, 0.0, 1.0, 100, [1, 0]).times) == 101
+
+    def test_peak_memory_is_flat_in_the_step_count(self):
+        # beyond its outputs, a run holds one chunk's stacks whatever the step count
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                trace = propagate(MethodId.ME6, DENSE8, 0.0, 10.0, n, np.eye(8)[0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs = sum(
+                a.nbytes
+                for a in (trace.times, trace.populations, trace.unitarity_defects, trace.final_propagator)
+            )
+            return peak - outputs
+
+        assert traced_peak(8192) - traced_peak(2048) <= CHUNK_PEAK_SLACK
+
+
+def step_propagators(method, model, n):
+    """The chunks of a grid over [0, 10] and the step propagators they hold, in order."""
+    chunks = list(
+        evolution._step_chunks(method, model, 0.0, 10.0, n, model.dim, magnus_steps.DEFAULT_CONTEXT)
+    )
+    return [start for start, _ in chunks], np.concatenate([u for _, u in chunks])
+
+
+def sequential_prefixes(u, carry=None):
+    prefixes = [np.eye(u.shape[-1], dtype=complex) if carry is None else carry]
+    for step in u:
+        prefixes.append(step @ prefixes[-1])
+    return np.stack(prefixes)
+
+
+def relative_deviation(got, want):
+    return np.max(linalg.frobenius_norm(got - want) / linalg.frobenius_norm(want))
+
 
 class TestFinalPropagator:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1000])
@@ -169,26 +273,61 @@ class TestFinalPropagator:
 
 
 class TestPrefixProducts:
-    @staticmethod
-    def sequential_prefixes(u):
-        prefixes = [np.eye(u.shape[-1], dtype=complex)]
-        for step in u:
-            prefixes.append(step @ prefixes[-1])
-        return np.stack(prefixes)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 1000, 1001])
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
     def test_blocked_scan_equals_sequential_prefixes(self, model, method, n):
-        _, u = evolution._step_propagators(
-            method, model, 0.0, 10.0, n, model.dim, magnus_steps.DEFAULT_CONTEXT
-        )
-        got = evolution._prefix_products(u)
-        want = self.sequential_prefixes(u)
+        starts, u = step_propagators(method, model, n)
+        assert starts == [0]
+        got = evolution._prefix_products(u, np.eye(model.dim))
         assert got.shape == (n + 1, model.dim, model.dim)
         assert np.array_equal(got[0], np.eye(model.dim))
-        deviation = linalg.frobenius_norm(got - want) / linalg.frobenius_norm(want)
-        assert np.max(deviation) <= PRODUCT_ORDER_TOL
+        assert relative_deviation(got, sequential_prefixes(u)) <= PRODUCT_ORDER_TOL
+
+    @pytest.mark.parametrize("n", [1, 7, 1001])
+    def test_scan_starts_at_the_carried_propagator(self, n):
+        _, u = step_propagators(MethodId.ME6, DENSE8, n)
+        carry = linalg.expm_antihermitian(-1j * DENSE8.sample(0.3))
+        got = evolution._prefix_products(u, carry)
+        assert np.array_equal(got[0], carry)
+        assert relative_deviation(got, sequential_prefixes(u, carry)) <= PRODUCT_ORDER_TOL
+
+    @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
+    def test_identity_carry_changes_no_bit(self, model):
+        # so a grid of one chunk gets the prefixes of a scan that starts at I
+        _, u = step_propagators(MethodId.ME6, model, 1000)
+        assert np.array_equal(linalg.matmul(u, np.eye(model.dim, dtype=complex)), u)
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize(
+        "method", [MethodId.ME2, MethodId.ME6, MethodId.BLANES6_GAUSS], ids=lambda m: m.value
+    )
+    @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
+    def test_chunked_run_equals_sequential_product(self, model, method):
+        width, n = THREE_CHUNKS[model.dim]
+        starts, u = step_propagators(method, model, n)
+        assert starts == [0, width, 2 * width]
+        want = sequential_prefixes(u)
+
+        # the scan of each chunk, carried on from the chunk before
+        carry, got = np.eye(model.dim), []
+        for start in starts:
+            prefixes = evolution._prefix_products(u[start:start + width], carry)
+            got.append(prefixes[1:])
+            carry = prefixes[-1]
+        assert relative_deviation(np.concatenate(got), want[1:]) <= PRODUCT_ORDER_TOL
+
+        psi0 = np.eye(model.dim)[0]
+        trace = propagate(method, model, 0.0, 10.0, n, psi0)
+        assert trace.populations.shape == (n + 1, model.dim)
+        assert np.max(np.abs(trace.populations - np.abs(want @ psi0) ** 2)) <= PRODUCT_ORDER_TOL
+        assert np.max(np.abs(trace.unitarity_defects - linalg.unitarity_defect(want))) <= PRODUCT_ORDER_TOL
+        assert relative_error(trace.final_propagator, want[-1]) <= PRODUCT_ORDER_TOL
+        final = evolution._final_propagator(
+            method, model, 0.0, 10.0, n, model.dim, magnus_steps.DEFAULT_CONTEXT
+        )
+        assert relative_error(final, trace.final_propagator) <= PRODUCT_ORDER_TOL
 
 
 class TestRelativeError:
