@@ -50,19 +50,20 @@ _CSV_BLOCK_ROWS = 1024
 
 
 def _write_csv(path: str, *tables) -> None:
-    """Write ``(header, fmt, rows)`` tables one after another to one file.
+    """Write ``(header, fmt, columns)`` tables one after another to one file.
 
-    ``fmt`` is a %-format for one row and ``rows`` a 2-D array (object dtype
-    where a row mixes strings and numbers).  Rows are formatted and written
-    ``_CSV_BLOCK_ROWS`` at a time, so only one block's text and Python
-    values are held at once.
+    ``fmt`` is a %-format for one row and ``columns`` a sequence of arrays of
+    equal length, 1-D or 2-D (object dtype where a row mixes strings and
+    numbers), whose rows side by side make the table's rows.  Rows are
+    stacked, formatted and written ``_CSV_BLOCK_ROWS`` at a time, so only
+    one block's rows, text and Python values are held at once.
     """
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        for header, fmt, rows in tables:
+        for header, fmt, columns in tables:
             f.write(",".join(header) + "\n")
             line = fmt + "\n"
-            for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-                block = rows[start:start + _CSV_BLOCK_ROWS]
+            for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
                 f.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -162,8 +163,8 @@ def _cmd_propagate(args) -> int:
 
     trace = propagate(method, model, args.t0, args.t_final, n, psi0, StepContext(hbar=args.hbar))
     header = ["t"] + [f"pop_{i}" for i in range(model.dim)] + ["unitarity_defect"]
-    rows = np.column_stack([trace.times, trace.populations, trace.unitarity_defects])
-    _write_csv(args.out, (header, ",".join(["%.17g"] * len(header)), rows))
+    columns = (trace.times, trace.populations, trace.unitarity_defects)
+    _write_csv(args.out, (header, ",".join(["%.17g"] * len(header)), columns))
     return EXIT_OK
 
 
@@ -181,8 +182,8 @@ def _cmd_converge(args) -> int:
     slopes = np.array([(m.value, report.slopes[m]) for m in methods], dtype=object)
     _write_csv(
         args.out,
-        (["method", "dt", "n_steps", "error"], "%s,%.17g,%d,%.17g", records),
-        (["method", "slope"], "%s,%.17g", slopes),
+        (["method", "dt", "n_steps", "error"], "%s,%.17g,%d,%.17g", (records,)),
+        (["method", "slope"], "%s,%.17g", (slopes,)),
     )
     return EXIT_OK
 
@@ -218,7 +219,7 @@ def _cmd_verify(args) -> int:
         [(r.identity, r.max_rel_dev, r.tolerance, "true" if r.passed else "false") for r in rows],
         dtype=object,
     )
-    _write_csv(args.out, (["identity", "max_rel_dev", "tolerance", "pass"], "%s,%.17g,%.17g,%s", table))
+    _write_csv(args.out, (["identity", "max_rel_dev", "tolerance", "pass"], "%s,%.17g,%.17g,%s", (table,)))
     failed = [r.identity for r in rows if not r.passed]
     if failed:
         print(f"verification FAILED for: {', '.join(failed)}", file=sys.stderr)

@@ -1,12 +1,16 @@
 """Compose step propagators over an interval and run convergence studies.
 
-The step pipeline streams over fixed-size chunks of a uniform grid:
-:func:`_step_chunks` samples, checks, builds and exponentiates one chunk of
-steps at a time (all step exponents of a chunk in one broadcasted call, then
-one batched ``expm_antihermitian``: an eigendecomposition, or the closed
-su(2) form at d = 2), the same per-step arithmetic as
-:func:`magstep.magnus_steps.step`.  A chunk's stacks take ``CHUNK_BYTES``
-each, so besides its outputs a run holds the same memory at any step count.
+The step pipeline streams over fixed-size chunks of one or more uniform
+grids over the same interval: :func:`_step_chunks` samples, checks, builds
+and exponentiates one chunk of steps at a time (all step exponents of a
+chunk in one broadcasted call, then one batched ``expm_antihermitian``: an
+eigendecomposition, or the closed su(2) form at d = 2), the same per-step
+arithmetic as :func:`magstep.magnus_steps.step`.  A chunk's stacks take
+``CHUNK_BYTES`` each, so besides its outputs a run holds the same memory at
+any step count.  The grids of a convergence ladder share chunks
+(:func:`_packed`), with a per-step ``dt`` where a chunk mixes grids, so a
+ladder takes one pass per chunk, not one per rung; every step gets the same
+floats as on its grid alone.
 
 A trajectory records the populations and the unitarity defect of the
 propagator at every grid point.  Each chunk's prefixes of the step product
@@ -25,6 +29,7 @@ propagator stacks goes through ``linalg.matmul``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -91,8 +96,9 @@ def _as_sampler_arrays(model, node_times: Array) -> Array:
     return np.stack([np.asarray(model(float(t)), dtype=np.complex128) for t in node_times])
 
 
-def _node_samples(method: MethodId, model, step_start: Array, dt: float, dim: int) -> dict[float, Array]:
-    """Hamiltonian samples at each node of every step, ``(n_steps, dim, dim)`` each."""
+def _node_samples(method: MethodId, model, step_start: Array, dt, dim: int) -> dict[float, Array]:
+    """Hamiltonian samples at each node of every step, ``(n_steps, dim, dim)``
+    each; ``dt`` is a scalar or the ``(n_steps,)`` steps."""
     samples = {node: _as_sampler_arrays(model, step_start + node * dt) for node in sample_nodes(method)}
     shape = samples[sample_nodes(method)[0]].shape
     if shape != (len(step_start), dim, dim):
@@ -103,10 +109,10 @@ def _node_samples(method: MethodId, model, step_start: Array, dt: float, dim: in
 
 
 def _trajectory_bytes(n_steps: int, dim: int) -> int:
-    """Bytes of the arrays that grow with the step count: the times,
-    populations and unitarity defects of a trajectory and the CLI's row
-    array, ``n_steps + 1`` rows of ``2 dim + 4`` float64 values."""
-    return (int(n_steps) + 1) * (2 * dim + 4) * 8
+    """Bytes of the arrays of a trajectory that grow with the step count: its
+    times, populations and unitarity defects, ``n_steps + 1`` rows of
+    ``dim + 2`` float64 values."""
+    return (int(n_steps) + 1) * (dim + 2) * 8
 
 
 def _physical_memory_bytes() -> int | None:
@@ -118,44 +124,82 @@ def _physical_memory_bytes() -> int | None:
 
 
 def _step_chunks(
-    method: MethodId, model, t0: float, tf: float, n_steps: int, dim: int, ctx: StepContext
-) -> Iterator[tuple[int, Array]]:
-    """``(start, u)`` for consecutive chunks of a uniform grid's steps: ``u``
-    holds the step propagators of steps ``start, start + 1, ...``, at most
-    ``CHUNK_BYTES // (16 dim**2)`` of them.
+    method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, ctx: StepContext
+) -> Iterator[tuple[int, int, Array]]:
+    """``(grid, start, u)`` for the pieces of one or more uniform grids over
+    ``[t0, tf]``, of ``counts[grid]`` steps each: ``u`` holds the step
+    propagators of steps ``start, start + 1, ...`` of that grid.
 
-    The grid is checked when this is called, before anything is sampled; each
-    chunk is sampled, checked, built and exponentiated only when it is
-    reached, so no ``(n, d, d)`` stack outlives its chunk.  A chunk's step
-    starts ``t0 + dt * arange(start, stop)`` are the same floats as the slice
-    of the whole grid.
+    The grids' steps are packed into chunks of at most ``CHUNK_BYTES // (16
+    dim**2)`` steps by :func:`_packed`; each chunk is sampled, checked, built
+    and exponentiated in one pass, and its pieces are yielded in order.  The
+    grids are checked when this is called, before anything is sampled; each
+    chunk is computed only when it is reached, so no ``(n, d, d)`` stack
+    outlives its chunk.  A piece's step starts ``t0 + dt * arange(start,
+    stop)``, node times and ``dt`` are the same floats as on its grid alone.
     """
     if not math.isfinite(tf - t0):
         raise ValueError(f"t0, tf and tf - t0 must be finite, got t0={t0}, tf={tf}")
     if not tf > t0:
         raise PreconditionError(f"tf must exceed t0, got t0={t0}, tf={tf}")
-    if n_steps < 1:
-        raise PreconditionError(f"n_steps must be positive, got {n_steps}")
-    # also stops a convergence ladder whose rungs could never be counted out;
-    # d is checked against the Hamiltonian in each chunk
-    if _trajectory_bytes(n_steps, dim) > np.iinfo(np.intp).max:
-        raise PreconditionError(
-            f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: its n_steps + 1 "
-            f"grid points, at {2 * dim + 4} floats each in a trajectory, would exceed "
-            f"the {np.iinfo(np.intp).max} bytes this platform can address"
-        )
+    for n_steps in counts:
+        if n_steps < 1:
+            raise PreconditionError(f"n_steps must be positive, got {n_steps}")
+        # also stops a convergence ladder whose rungs could never be counted out;
+        # d is checked against the Hamiltonian in each chunk
+        if _trajectory_bytes(n_steps, dim) > np.iinfo(np.intp).max:
+            raise PreconditionError(
+                f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: its n_steps + 1 "
+                f"grid points, at {dim + 2} floats each in a trajectory, would exceed "
+                f"the {np.iinfo(np.intp).max} bytes this platform can address"
+            )
 
-    dt = (tf - t0) / n_steps
-    width = max(1, CHUNK_BYTES // (16 * dim**2))
+    dts = [(tf - t0) / n for n in counts]
 
-    def chunk(start: int) -> Array:
-        step_start = t0 + dt * np.arange(start, min(start + width, n_steps))
+    def chunk(pieces: list[tuple[int, int, int]]) -> Iterator[tuple[int, int, Array]]:
+        step_start = np.concatenate([t0 + dts[g] * np.arange(start, stop) for g, start, stop in pieces])
+        # a grid has at most one piece in a chunk; a per-step dt only where
+        # the chunk holds pieces of more than one grid
+        dt = dts[pieces[0][0]]
+        if len(pieces) > 1:
+            dt = np.concatenate([np.full(stop - start, dts[g]) for g, start, stop in pieces])
         # the node dict is not named here: exponent replaces each of its stacks
         # by the scaled one, so no node is held twice
-        theta = exponent(method, _node_samples(method, model, step_start, dt, dim), dt, ctx)
-        return expm_antihermitian(theta)
+        u = expm_antihermitian(exponent(method, _node_samples(method, model, step_start, dt, dim), dt, ctx))
+        offset = 0
+        for g, start, stop in pieces:
+            yield g, start, u[offset:offset + stop - start]
+            offset += stop - start
 
-    return ((start, chunk(start)) for start in range(0, int(n_steps), width))
+    width = max(1, CHUNK_BYTES // (16 * dim**2))
+    # chain keeps no piece it has yielded, unlike a generator expression's
+    # loop variable, so a chunk can be freed before the next one is built
+    return itertools.chain.from_iterable(map(chunk, _packed(counts, width)))
+
+
+def _packed(counts: Sequence[int], width: int) -> Iterator[list[tuple[int, int, int]]]:
+    """The ``(grid, start, stop)`` pieces of each chunk of at most ``width``
+    steps, for grids of ``counts`` steps packed in order.
+
+    A grid of at most ``width`` steps joins the open chunk if it fits there
+    and starts a new one otherwise, so it is never split.  A longer grid is
+    cut at multiples of ``width`` from its own start: each full piece is a
+    chunk of its own, and the rest starts a new chunk.
+    """
+    pieces, filled = [], 0
+    for grid, n in enumerate(counts):
+        n = int(n)
+        if filled + min(n, width) > width:
+            yield pieces
+            pieces, filled = [], 0
+        tail = n - n % width if n > width else 0
+        for start in range(0, tail, width):
+            yield [(grid, start, start + width)]
+        if tail < n:
+            pieces.append((grid, tail, n))
+            filled += n - tail
+    if pieces:
+        yield pieces
 
 
 def _prefix_products(u: Array, carry: Array) -> Array:
@@ -214,12 +258,12 @@ def propagate(
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise PreconditionError(f"initial state must be normalized, got norm {norm!r}")
     dim = psi0.size
-    chunks = _step_chunks(method, model, t0, tf, n_steps, dim, ctx)
+    chunks = _step_chunks(method, model, t0, tf, (n_steps,), dim, ctx)
     need, memory = _trajectory_bytes(n_steps, dim), _physical_memory_bytes()
     if memory is not None and need > memory:
         raise PreconditionError(
             f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: its times, "
-            f"populations, unitarity defects and output rows take about "
+            f"populations and unitarity defects take about "
             f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB of physical memory"
         )
 
@@ -227,7 +271,7 @@ def propagate(
     populations = np.empty((n_steps + 1, dim))
     defects = np.empty(n_steps + 1)
     carry = np.eye(dim, dtype=np.complex128)
-    for start, u in chunks:
+    for _, start, u in chunks:
         prefixes = _prefix_products(u, carry)
         rows = slice(start, start + len(prefixes))
         populations[rows] = np.abs(prefixes @ psi0) ** 2
@@ -241,24 +285,26 @@ def propagate(
     )
 
 
-def _final_propagator(
-    method: MethodId, model, t0: float, tf: float, n_steps: int, dim: int, ctx: StepContext
-) -> Array:
-    """U(tf) alone: the step propagators multiplied pairwise, later steps on the left.
+def _final_propagators(
+    method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, ctx: StepContext
+) -> list[Array]:
+    """U(tf) alone of each grid of ``counts`` steps over ``[t0, tf]``: the step
+    propagators multiplied pairwise, later steps on the left.
 
-    Within a chunk, each level multiplies neighbouring pairs in one batched
-    product and carries an odd trailing factor over unchanged, so n - 1
-    products take ceil(log2 n) levels and no prefix is ever stored; each
-    chunk's product then multiplies the product of the chunks before it, so
-    a grid of one chunk takes no product beyond its own.
+    Within a piece of a grid (see :func:`_step_chunks`), each level multiplies
+    neighbouring pairs in one batched product and carries an odd trailing
+    factor over unchanged, so n - 1 products take ceil(log2 n) levels and no
+    prefix is ever stored; each piece's product then multiplies the product
+    of the grid's pieces before it, so a grid of one piece takes no product
+    beyond its own.
     """
-    products = []
-    for _, u in _step_chunks(method, model, t0, tf, n_steps, dim, ctx):
+    products: list[list[Array]] = [[] for _ in counts]
+    for grid, _, u in _step_chunks(method, model, t0, tf, counts, dim, ctx):
         while len(u) > 1:
             tail = u[len(u) - len(u) % 2:]
             u = np.concatenate([matmul(u[1::2], u[0:len(u) - 1:2]), tail])
-        products.append(u[0])
-    return functools.reduce(lambda carry, p: matmul(p, carry), products)
+        products[grid].append(u[0])
+    return [functools.reduce(lambda carry, p: matmul(p, carry), pieces) for pieces in products]
 
 
 def relative_error(u_approx, u_ref) -> float:
@@ -284,7 +330,8 @@ def fit_order(
     Records with ``error <= floor`` sit at the rounding floor of the
     accumulated matrix product and records with ``error >= ceiling`` are
     outside the asymptotic regime; both are excluded so they cannot flatten
-    the fit.  ``floor`` may be per-record.
+    the fit.  ``floor`` may be per-record.  Raises ``ValueError`` unless the
+    records left span at least two distinct dt values.
     """
     dts = list(dts)
     errors = list(errors)
@@ -294,8 +341,11 @@ def fit_order(
         for dt, err, flr in zip(dts, errors, floors)
         if flr < err < ceiling
     ]
-    if len(pairs) < 2:
-        raise ValueError(f"need at least 2 usable records in the fit window, got {len(pairs)}")
+    distinct = len({dt for dt, _ in pairs})
+    if distinct < 2:
+        raise ValueError(
+            f"need usable records at 2 or more distinct dt values in the fit window, got {distinct}"
+        )
     log_dt = np.log([p[0] for p in pairs])
     log_err = np.log([p[1] for p in pairs])
     slope, _ = np.polyfit(log_dt, log_err, 1)
@@ -367,12 +417,15 @@ def convergence_study(
     if len(dts) == 0:
         raise ValueError("dts must list at least one step size, got an empty ladder")
     counts = [_steps_for(dt, span) for dt in dts]
+    for i, n in enumerate(counts):
+        if n in counts[:i]:
+            raise ValueError(f"dts give the step count {n} more than once; each rung needs its own step count")
 
     n_ref = REFERENCE_REFINEMENT * max(counts)
     dim = _as_sampler_arrays(model, np.asarray([t0])).shape[-1]
 
-    u_ref = _final_propagator(REFERENCE_METHOD, model, t0, tf, n_ref, dim, ctx)
-    u_check = _final_propagator(CROSS_CHECK_METHOD, model, t0, tf, n_ref, dim, ctx)
+    (u_ref,) = _final_propagators(REFERENCE_METHOD, model, t0, tf, (n_ref,), dim, ctx)
+    (u_check,) = _final_propagators(CROSS_CHECK_METHOD, model, t0, tf, (n_ref,), dim, ctx)
     agreement = relative_error(u_check, u_ref)
     if not agreement <= REFERENCE_AGREEMENT_TOL:
         raise PreconditionError(
@@ -381,10 +434,11 @@ def convergence_study(
             f"exceeds {REFERENCE_AGREEMENT_TOL:g}"
         )
 
+    # one packed pass over the whole ladder per method
     records: list[ConvergenceRecord] = []
     for method in methods:
-        for dt, n in zip(dts, counts):
-            u = _final_propagator(method, model, t0, tf, n, dim, ctx)
+        finals = _final_propagators(method, model, t0, tf, counts, dim, ctx)
+        for dt, n, u in zip(dts, counts, finals):
             records.append(ConvergenceRecord(method, float(dt), n, relative_error(u, u_ref)))
 
     # A product of n machine-accurate unitaries drifts by O(n * eps), and the

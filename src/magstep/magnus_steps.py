@@ -12,8 +12,9 @@ and nothing else, and ``ALL_METHODS`` is the declaration order of
 :class:`MethodId`.
 
 ``exponent`` broadcasts: samples may be single ``(d, d)`` matrices or stacks
-``(n, d, d)`` sharing one scalar ``dt``, which is how the evolution driver
-assembles a whole trajectory worth of exponents in one call.
+``(n, d, d)`` sharing one scalar ``dt`` or taking a per-step ``(n,)`` array
+of them, which is how the evolution driver assembles a chunk's worth of
+exponents, steps of several grids among them, in one call.
 
 Samples are validated once, on entry to ``exponent``: one
 ``linalg.checked_square`` call per node stack makes it complex and square,
@@ -194,20 +195,22 @@ def generators(samples: list[Array], tau) -> list[Array]:
     """Replace each Hermitian sample ``H`` in the list ``samples`` by the
     generator ``A = -i tau H`` a builder takes, and return the list.
 
+    ``tau`` is a scalar or, for stacked samples, a per-step ``(n,)`` array.
     At d = 2 a generator is the real, component-major ``(4, ...)`` array
     ``(c, x, y, z)`` of ``A = -i (c I + x sx + y sy + z sz)``: ``tau`` times
-    ``linalg.su2_coordinates`` of ``H``, scaled in place.  Otherwise it is
-    the complex matrix, in a new array, since ``H`` may be the caller's.
-    This is the one place the representation is chosen.  Each sample is
-    replaced as its generator is made, so no unscaled copy outlives its
-    scaled one.
+    ``linalg.su2_coordinates`` of ``H``, scaled in place, a per-step ``tau``
+    broadcasting along the last axis.  Otherwise it is the complex matrix,
+    in a new array, since ``H`` may be the caller's, a per-step ``tau``
+    broadcasting as ``(n, 1, 1)``.  This is the one place the representation
+    is chosen.  Each sample is replaced as its generator is made, so no
+    unscaled copy outlives its scaled one.
     """
     for i in range(len(samples)):
         if samples[i].shape[-2:] == (2, 2):
             samples[i] = su2_coordinates(samples[i])
             samples[i] *= tau
         else:
-            samples[i] = (-1j * tau) * samples[i]
+            samples[i] = (-1j * (tau if np.ndim(tau) == 0 else tau[:, None, None])) * samples[i]
     return samples
 
 
@@ -222,25 +225,29 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
     """Anti-Hermitian exponent Theta with ``U = exp(Theta)`` for one step.
 
     ``samples`` maps node fractions (from :func:`sample_nodes`) to Hermitian
-    matrices; values may be stacked as ``(n, d, d)``, all of one shape.  Each
-    checked sample is replaced by its generator ``A = -i tau H``, ``tau = dt /
-    ħ``, so no unscaled copy outlives its scaled one, and the builder sums
-    the Magnus terms of those.  At d = 2 the generators and the builder's
-    result are su(2) coordinates, and the result is returned as its matrix.
-    Raises :class:`PreconditionError` naming ``dt/hbar`` if the scaling or a
-    term overflows the float range.
+    matrices; values may be stacked as ``(n, d, d)``, all of one shape.
+    ``dt`` is a scalar or, for stacks, a per-step ``(n,)`` array: step ``k``
+    then gets exactly the exponent a call with ``dt[k]`` alone would give it.
+    Each checked sample is replaced by its generator ``A = -i tau H``, ``tau
+    = dt / ħ``, so no unscaled copy outlives its scaled one, and the builder
+    sums the Magnus terms of those.  At d = 2 the generators and the
+    builder's result are su(2) coordinates, and the result is returned as
+    its matrix.  Raises :class:`PreconditionError` naming ``dt/hbar``, at the
+    ``dt`` of largest magnitude, if the scaling or a term overflows the float
+    range.
     """
     # rebound, so the caller's mapping is no longer held here and each
     # unscaled sample is freed as its generator replaces it
     samples = _checked_samples(method, samples)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            tau = np.float64(dt) / ctx.hbar
+            tau = np.asarray(dt, dtype=np.float64)[()] / ctx.hbar
             return as_matrix(_SCHEMES[method][1](*generators(samples, tau)))
     except FloatingPointError as exc:
+        steps = np.ravel(dt)
         raise PreconditionError(
             f"the {method.value} exponent overflows the float range at "
-            f"dt/hbar = {float(dt):.3e}/{ctx.hbar:.3e}"
+            f"dt/hbar = {float(steps[np.argmax(np.abs(steps))]):.3e}/{ctx.hbar:.3e}"
         ) from exc
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,27 @@ class TestPropagate:
         assert np.array_equal(values[:, 1:3], trace.populations)
         assert np.array_equal(values[:, 3], trace.unitarity_defects)
 
+    def test_writer_stacks_one_block_of_rows_at_a_time(self, tmp_path, monkeypatch):
+        # the trace's columns go to the writer as they are: no (n + 1, d + 2)
+        # row array, whose 256 KiB here would be the writer's peak; a block of
+        # 128 rows, its text and its values peak at about 60 KiB
+        monkeypatch.setattr(magstep.cli, "_CSV_BLOCK_ROWS", 128)
+        n = 2**13
+        rng = np.random.default_rng(4)
+        columns = (np.linspace(0.0, 1.0, n), rng.random((n, 2)), rng.random(n))
+        out = tmp_path / "pop.csv"
+        tracemalloc.start()
+        try:
+            magstep.cli._write_csv(str(out), (["t", "a", "b", "d"], ",".join(["%.17g"] * 4), columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * 4 * 8 // 2
+        stacked = tmp_path / "stacked.csv"
+        rows = np.column_stack(columns)
+        magstep.cli._write_csv(str(stacked), (["t", "a", "b", "d"], ",".join(["%.17g"] * 4), (rows,)))
+        assert out.read_bytes() == stacked.read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "propagate", "--case", "III", "--method", "blanes4-gauss",
@@ -310,6 +332,16 @@ class TestConverge:
                 + table_text(["method", "slope"], [("me2", float("nan")), ("me6", float("nan"))]))
         assert out.read_text(encoding="ascii") == want
         assert read_lines(out)[-2:] == ["me2,nan", "me6,nan"]
+
+    def test_repeated_rung_is_usage_error_naming_the_step_count(self, tmp_path, capsys):
+        out = tmp_path / "err.csv"
+        argv = ["converge", "--case", "I", "--methods", "me2", "--t-final", "1",
+                "--dt", "0.5", "--dt", "0.5", "--out", str(out)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: error: ") and "step count 2 " in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_non_dividing_dt_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "err.csv"

@@ -32,6 +32,12 @@ CHUNK_PEAK_SLACK = 64 * 1024
 # dimension, the last one ragged.
 THREE_CHUNKS = {2: (16384, 2 * 16384 + 5), 8: (1024, 2 * 1024 + 37)}
 
+# A ladder per dimension whose first rung, 2 widths + 37 steps, is cut into
+# three pieces; its 37-step tail and the next two rungs share a chunk, the
+# fourth rung would straddle that chunk's end and starts the last one, and
+# the fifth joins it.
+PACKED_LADDERS = {2: (2 * 16384 + 37, 9000, 5000, 4000, 3000), 8: (2 * 1024 + 37, 600, 300, 200, 500)}
+
 
 def dense_model(dim, seed):
     """Every upper-triangle entry driven by an offset and two sinusoids."""
@@ -210,14 +216,14 @@ class TestPropagate:
             raise AssertionError("sampled a grid beyond physical memory")
 
         monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
-        # 10**6 steps at d = 2: (10**6 + 1) rows of 8 float64 values, about 64 MB
-        monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 2**25)
+        # 10**6 steps at d = 2: (10**6 + 1) rows of 4 float64 values, about 32 MB
+        monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 2**24)
         with pytest.raises(PreconditionError, match=r"n_steps=10\^6\.00 is too large: .* physical memory"):
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**6, [1, 0])
 
-    @pytest.mark.parametrize("memory", [101 * 64, None], ids=["just-fits", "unknown"])
+    @pytest.mark.parametrize("memory", [101 * 32, None], ids=["just-fits", "unknown"])
     def test_preflight_passes_a_grid_that_fits(self, monkeypatch, memory):
-        # 100 steps at d = 2 take 101 rows of 8 float64 values; None skips the check
+        # 100 steps at d = 2 take 101 rows of 4 float64 values; None skips the check
         monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: memory)
         assert len(propagate(MethodId.ME2, RABI, 0.0, 1.0, 100, [1, 0]).times) == 101
 
@@ -242,9 +248,10 @@ class TestPropagate:
 def step_propagators(method, model, n):
     """The chunks of a grid over [0, 10] and the step propagators they hold, in order."""
     chunks = list(
-        evolution._step_chunks(method, model, 0.0, 10.0, n, model.dim, magnus_steps.DEFAULT_CONTEXT)
+        evolution._step_chunks(method, model, 0.0, 10.0, (n,), model.dim, magnus_steps.DEFAULT_CONTEXT)
     )
-    return [start for start, _ in chunks], np.concatenate([u for _, u in chunks])
+    assert [grid for grid, _, _ in chunks] == [0] * len(chunks)
+    return [start for _, start, _ in chunks], np.concatenate([u for _, _, u in chunks])
 
 
 def sequential_prefixes(u, carry=None):
@@ -265,8 +272,8 @@ class TestFinalPropagator:
     def test_pairwise_product_equals_accumulated_trajectory(self, model, method, n):
         psi0 = np.eye(model.dim)[0]
         trace = propagate(method, model, 0.0, 10.0, n, psi0)
-        final = evolution._final_propagator(
-            method, model, 0.0, 10.0, n, model.dim, magnus_steps.DEFAULT_CONTEXT
+        (final,) = evolution._final_propagators(
+            method, model, 0.0, 10.0, (n,), model.dim, magnus_steps.DEFAULT_CONTEXT
         )
         assert final.shape == (model.dim, model.dim)
         assert relative_error(final, trace.final_propagator) <= PRODUCT_ORDER_TOL
@@ -324,10 +331,89 @@ class TestChunkBoundaries:
         assert np.max(np.abs(trace.populations - np.abs(want @ psi0) ** 2)) <= PRODUCT_ORDER_TOL
         assert np.max(np.abs(trace.unitarity_defects - linalg.unitarity_defect(want))) <= PRODUCT_ORDER_TOL
         assert relative_error(trace.final_propagator, want[-1]) <= PRODUCT_ORDER_TOL
-        final = evolution._final_propagator(
-            method, model, 0.0, 10.0, n, model.dim, magnus_steps.DEFAULT_CONTEXT
+        (final,) = evolution._final_propagators(
+            method, model, 0.0, 10.0, (n,), model.dim, magnus_steps.DEFAULT_CONTEXT
         )
         assert relative_error(final, trace.final_propagator) <= PRODUCT_ORDER_TOL
+
+
+class TestPackedLadder:
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_layout(self, dim):
+        width = THREE_CHUNKS[dim][0]
+        counts = PACKED_LADDERS[dim]
+        long = counts[0]
+        assert list(evolution._packed(counts, width)) == [
+            [(0, 0, width)],
+            [(0, width, 2 * width)],
+            [(0, 2 * width, long), (1, 0, counts[1]), (2, 0, counts[2])],
+            [(3, 0, counts[3]), (4, 0, counts[4])],
+        ]
+
+    @pytest.mark.parametrize("counts, width, want", [
+        ((3, 5, 2), 10, [[(0, 0, 3), (1, 0, 5), (2, 0, 2)]]),
+        ((10, 1, 10), 10, [[(0, 0, 10)], [(1, 0, 1)], [(2, 0, 10)]]),
+        ((20, 4), 10, [[(0, 0, 10)], [(0, 10, 20)], [(1, 0, 4)]]),
+        ((4, 25, 3), 10, [[(0, 0, 4)], [(1, 0, 10)], [(1, 10, 20)], [(1, 20, 25), (2, 0, 3)]]),
+    ], ids=["one-chunk", "exact-widths", "whole-widths", "tail-joined"])
+    def test_a_grid_that_fits_a_chunk_is_never_split(self, counts, width, want):
+        assert list(evolution._packed(counts, width)) == want
+
+    @pytest.mark.parametrize(
+        "method", [MethodId.ME2, MethodId.ME6, MethodId.BLANES6_GAUSS], ids=lambda m: m.value
+    )
+    @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
+    def test_packed_ladder_equals_one_grid_calls(self, model, method):
+        # the same step starts, node times, tau and products in the same order
+        counts = PACKED_LADDERS[model.dim]
+        ctx = magnus_steps.DEFAULT_CONTEXT
+        packed = evolution._final_propagators(method, model, 0.0, 10.0, counts, model.dim, ctx)
+        assert len(packed) == len(counts)
+        for n, got in zip(counts, packed):
+            (want,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim, ctx)
+            assert np.array_equal(got, want), n
+
+    def test_pieces_come_in_chunk_order(self):
+        width, _ = THREE_CHUNKS[8]
+        counts = PACKED_LADDERS[8]
+        pieces = evolution._step_chunks(
+            MethodId.ME2, DENSE8, 0.0, 10.0, counts, 8, magnus_steps.DEFAULT_CONTEXT
+        )
+        got = [(grid, start, len(u)) for grid, start, u in pieces]
+        assert got == [
+            (grid, start, stop - start)
+            for chunk in evolution._packed(counts, width)
+            for grid, start, stop in chunk
+        ]
+
+    @pytest.mark.parametrize(
+        "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
+    )
+    def test_validates_each_packed_chunk_once(self, monkeypatch, method, calls):
+        # one check per sample node and one on Theta for each chunk, not each rung
+        width, _ = THREE_CHUNKS[8]
+        counts = PACKED_LADDERS[8]
+        seen = []
+
+        def counted(a, sign):
+            seen.append(np.shape(a))
+            return checked_square(a, sign)
+
+        monkeypatch.setattr(linalg, "checked_square", counted)
+        monkeypatch.setattr(magnus_steps, "checked_square", counted)
+        evolution._final_propagators(method, DENSE8, 0.0, 1.0, counts, 8, magnus_steps.DEFAULT_CONTEXT)
+        sizes = [width, width, counts[0] - 2 * width + counts[1] + counts[2], counts[3] + counts[4]]
+        assert seen == [(size, 8, 8) for size in sizes for _ in range(calls)]
+
+    def test_checks_every_rung_before_sampling(self, monkeypatch):
+        def no_sampling(self, ts):
+            raise AssertionError("sampled a ladder with an unaddressable rung")
+
+        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
+            evolution._final_propagators(
+                MethodId.ME2, RABI, 0.0, 1.0, (4, 10**18), 2, magnus_steps.DEFAULT_CONTEXT
+            )
 
 
 class TestRelativeError:
@@ -370,6 +456,13 @@ class TestFitOrder:
         dts = [0.4, 0.2, 0.1]
         errs = [0.9, 0.2 * 0.2**2, 0.2 * 0.1**2]
         assert fit_order(dts, errs, ceiling=0.5) == pytest.approx(2.0, abs=1e-9)
+
+    def test_needs_two_distinct_dt_values(self):
+        # two records at one dt leave no slope, however many there are
+        with pytest.raises(ValueError, match="distinct dt"):
+            fit_order([0.1, 0.1], [1e-4, 2e-4])
+        with pytest.raises(ValueError, match="distinct dt"):
+            fit_order([0.2, 0.1, 0.1], [0.9, 1e-4, 1e-4], ceiling=0.5)
 
     def test_too_few_usable(self):
         with pytest.raises(ValueError, match="usable"):
@@ -430,6 +523,34 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="dts") as info:
             convergence_study(builtin_case("I"), [MethodId.ME2], dts=[], tf=1.0)
         assert not isinstance(info.value, PreconditionError)
+
+    @pytest.mark.parametrize("dts", [[0.5, 0.25, 0.5], [0.5, 0.5 + 1e-12]], ids=["equal", "same-count"])
+    def test_rejects_repeated_step_count_before_sampling(self, monkeypatch, dts):
+        def no_sampling(self, ts):
+            raise AssertionError("sampled a ladder with a repeated rung")
+
+        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        with pytest.raises(ValueError, match="step count 2 more than once") as info:
+            convergence_study(builtin_case("I"), [MethodId.ME2], dts=dts, tf=1.0)
+        assert not isinstance(info.value, PreconditionError)
+
+    def test_one_pass_per_method(self, monkeypatch):
+        # the reference, the cross-check, then one packed ladder per method
+        calls = []
+        packed = evolution._final_propagators
+
+        def counted(method, model, t0, tf, counts, dim, ctx):
+            calls.append((method, tuple(counts)))
+            return packed(method, model, t0, tf, counts, dim, ctx)
+
+        monkeypatch.setattr(evolution, "_final_propagators", counted)
+        convergence_study(builtin_case("I"), [MethodId.ME2, MethodId.ME6], dts=[0.5, 0.25, 0.125], tf=2.0)
+        assert calls == [
+            (evolution.REFERENCE_METHOD, (128,)),
+            (evolution.CROSS_CHECK_METHOD, (128,)),
+            (MethodId.ME2, (4, 8, 16)),
+            (MethodId.ME6, (4, 8, 16)),
+        ]
 
     def test_rejects_non_dividing_dt(self):
         with pytest.raises(PreconditionError, match="integer step count"):

@@ -262,6 +262,31 @@ class TestExponent:
         with pytest.raises(PreconditionError, match="dt/hbar"):
             exponent(method, samples, 1.0, StepContext(hbar=hbar))
 
+    @pytest.mark.parametrize("dim", [2, 8])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_per_step_dt_equals_one_call_per_step(self, method, dim):
+        # steps of several grids in one stack: each gets exactly its own exponent
+        rng = np.random.default_rng(70 + dim)
+        dts = np.array([0.3, 0.1, -0.2, 0.7, 1e-3, 0.3])
+        samples = {
+            node: np.stack([random_hermitian(rng, dim) for _ in dts]) for node in sample_nodes(method)
+        }
+        ctx = StepContext(hbar=1.7)
+        got = exponent(method, samples, dts, ctx)
+        want = np.stack([
+            exponent(method, {node: h[k] for node, h in samples.items()}, dt, ctx)
+            for k, dt in enumerate(dts)
+        ])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overflow_names_the_largest_per_step_dt(self, dim):
+        h = np.stack([random_hermitian(np.random.default_rng(8), dim)] * 3)
+        samples = {node: h for node in sample_nodes(MethodId.ME2)}
+        with pytest.raises(PreconditionError, match=r"dt/hbar = -1\.000e\+300/1\.000e-10"):
+            exponent(MethodId.ME2, samples, np.array([0.5, -1e300, 2.0]), StepContext(hbar=1e-10))
+
+
 # a few roundings of half an ulp each, relative to the sample
 GENERATOR_ROUNDING_TOL = 4 * np.finfo(float).eps
 
