@@ -6,6 +6,10 @@ byte-identical files.  Every file goes through one writer: each table has a
 single %-format for its rows, and the writer formats a fixed-size block of
 rows with one ``%`` operation and writes it before it formats the next.
 
+``verify`` certifies by fixed rules: each row carries the named tolerance
+of ``magstep.verify`` for its kind, and no flag overrides a tolerance or the
+quadrature.
+
 Exit codes: 0 success, 1 usage error, 2 numerical-precondition failure
 (including running out of memory and float overflow or division by zero),
 3 verification-suite failure.
@@ -25,7 +29,7 @@ from .evolution import convergence_study, propagate
 from .hamiltonians import HamiltonianModel, ModelError, builtin_case, load_model
 from .linalg import PreconditionError
 from .magnus_steps import ALL_METHODS, MethodId, StepContext
-from .verify import MIN_GL_POINTS, OracleConfig, check_closed_forms, check_symmetry_suite
+from .verify import OracleConfig, check_closed_forms, check_symmetry_suite
 
 __all__ = ["run", "main"]
 
@@ -126,12 +130,10 @@ def build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run the oracle certification suites")
     ver.add_argument("--suite", choices=["closed-forms", "symmetry", "all"], default="all")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--dim", type=int, default=2)
+    ver.add_argument("--seed", type=int, default=0, help="seed of the random draws (>= 0)")
+    ver.add_argument("--dim", type=int, default=2, help="dimension of the drawn Hamiltonians (>= 2)")
     ver.add_argument("--dt", type=_finite_float, default=1.0, help="step of the certified terms (nonzero)")
-    ver.add_argument("--points", type=int, default=MIN_GL_POINTS, help="Gauss-Legendre points per axis")
     ver.add_argument("--draws", type=int, default=100, help="random draws per identity (>= 1)")
-    ver.add_argument("--tolerance", type=_finite_float, default=None, help="override every identity tolerance")
     ver.add_argument("--out", required=True, help="output CSV path")
 
     sub.add_parser("list-methods", help="print the method names in their fixed order")
@@ -191,30 +193,22 @@ def _cmd_converge(args) -> int:
 def _cmd_verify(args) -> int:
     if args.draws < 1:
         raise UsageError("--draws must be at least 1")
-    if args.dim < 1:
-        raise UsageError("--dim must be at least 1")
-    if args.points < MIN_GL_POINTS:
-        raise UsageError(f"--points must be at least {MIN_GL_POINTS}")
+    if args.dim < 2:
+        raise UsageError("--dim must be at least 2: at 1 every commutator term is 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     if args.dt == 0.0:
         raise UsageError("--dt must be nonzero")
-    if args.tolerance is not None and args.tolerance < 0:
-        raise UsageError("--tolerance must be non-negative")
-    cfg = OracleConfig(gl_points_per_axis=args.points, seed=args.seed, dim=args.dim, dt=args.dt)
+    cfg = OracleConfig(seed=args.seed, dim=args.dim, dt=args.dt)
     rows = []
     # A huge or tiny --dt overflows the oracle's sums; that shows as a NaN row
     # (exit 3) or an ArithmeticError (exit 2), so numpy's warnings would only
     # add lines to stderr.
     with np.errstate(all="ignore"):
         if args.suite in ("closed-forms", "all"):
-            kwargs = {"draws": args.draws}
-            if args.tolerance is not None:
-                kwargs["tolerance"] = args.tolerance
-            rows.extend(check_closed_forms(cfg, **kwargs).rows)
+            rows.extend(check_closed_forms(cfg, draws=args.draws).rows)
         if args.suite in ("symmetry", "all"):
-            kwargs = {"draws": args.draws, "oracle_draws": min(args.draws, 25)}
-            if args.tolerance is not None:
-                kwargs["tolerance"] = args.tolerance
-            rows.extend(check_symmetry_suite(cfg, **kwargs).rows)
+            rows.extend(check_symmetry_suite(cfg, draws=args.draws, oracle_draws=min(args.draws, 25)).rows)
     table = np.array(
         [(r.identity, r.max_rel_dev, r.tolerance, "true" if r.passed else "false") for r in rows],
         dtype=object,

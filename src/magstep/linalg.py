@@ -280,8 +280,9 @@ def expm_antihermitian(theta) -> Array:
 
     Diagonalizes the Hermitian matrix ``i*theta = V diag(w) V†`` (real ``w``) and
     returns ``V diag(exp(-i w)) V†``; at d = 2 it returns the closed form of
-    :func:`_expm_su2` instead.  Raises ``ValueError`` for a non-finite
-    entry and :class:`NotAntiHermitianError` unless ``||theta + theta†||_F <=
+    :func:`_expm_su2` of the su(2) coordinates of ``i*theta`` instead.
+    Raises ``ValueError`` for a non-finite entry and
+    :class:`NotAntiHermitianError` unless ``||theta + theta†||_F <=
     EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)``, both evaluated by
     :func:`checked_square`, so an exponent too large for its norm is still
     tested.
@@ -290,29 +291,26 @@ def expm_antihermitian(theta) -> Array:
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
         raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
     if theta.shape[-1] == 2:
-        return _expm_su2(theta)
+        return _expm_su2(su2_coordinates(1j * theta))
     w, v = np.linalg.eigh(1j * theta)
     return (v * np.exp(-1j * w)[..., None, :]) @ dagger(v)
 
 
-def _expm_su2(theta: Array) -> Array:
-    """``exp(theta)`` of (a stack of) checked 2x2 anti-Hermitian matrices.
+def _expm_su2(v: Array) -> Array:
+    """``exp(theta)`` of the (stack of) 2x2 anti-Hermitian matrices ``theta``
+    whose Hermitian part ``i*theta = c I + x sx + y sy + z sz`` has su(2)
+    coordinates ``v = (c, x, y, z)``, component-major as
+    :func:`su2_coordinates` returns them; ``x, y, z`` are scaled in place.
 
-    With ``i*theta = c I + x sx + y sy + z sz`` (its Hermitian part),
     ``exp(theta) = e^{-ic} (cos r I - i (sin r / r) (x sx + y sy + z sz))``,
-    ``r = |(x, y, z)|``.  The coefficients are read off ``-theta / 2 = i
-    (i*theta) / 2``, halved before any two entries are added, so no sum can
-    overflow.  ``r`` is a nested ``hypot``, finite for any finite exponent.  ``sin r / r`` divides ``sin r`` itself by ``r`` (1 at
-    r = 0), so the result is unitary to rounding at every magnitude;
+    ``r = |(x, y, z)|``.  The coordinates halve every entry before two are
+    added, so no sum can overflow, and ``r`` is a nested ``hypot``, finite
+    for any finite exponent.  ``sin r / r`` divides ``sin r`` itself by ``r``
+    (1 at r = 0), so the result is unitary to rounding at every magnitude;
     ``np.sinc(r / pi)`` would re-round the angle, and at large ``r`` take the
     sine of another angle than the cosine.
     """
-    half = -0.5 * theta
-    p, q = half.imag, half.real
-    c = p[..., 0, 0] + p[..., 1, 1]
-    z = p[..., 0, 0] - p[..., 1, 1]
-    x = p[..., 0, 1] + p[..., 1, 0]
-    y = q[..., 0, 1] - q[..., 1, 0]
+    c, x, y, z = v
     r = np.hypot(np.hypot(x, y), z)
     sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
     cos = np.cos(r)
@@ -320,7 +318,7 @@ def _expm_su2(theta: Array) -> Array:
     x *= sinc
     y *= sinc
     z *= sinc
-    out = np.empty(theta.shape, dtype=np.complex128)
+    out = np.empty(np.shape(c) + (2, 2), dtype=np.complex128)
     out[..., 0, 0] = phase * (cos - 1j * z)
     out[..., 1, 1] = phase * (cos + 1j * z)
     out[..., 0, 1] = phase * (-y - 1j * x)

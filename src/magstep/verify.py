@@ -17,6 +17,13 @@ certification tolerances meaningful.  Every closed-form commutator expression
 used by the step schemes is checked against the matching oracle over seeded
 random Hermitian samples.
 
+The rules are fixed: the point count follows from that degree, an
+interpolant's degree from its sample count, and each kind of row has one
+tolerance constant named for what it bounds (``ORACLE_AGREEMENT_TOL`` ...
+``CONST_ROUNDTRIP_TOL``), which no caller can override.  The draws are at
+least 2x2, because at d = 1 every bracket, and so every commutator term,
+is 0.
+
 ``check_closed_forms`` calls the step builders' own term functions
 (``magnus_steps.omega1_simpson`` ... ``omega4_linear``), so a wrong
 coefficient in a scheme fails certification.  Those take each bracket from
@@ -75,26 +82,27 @@ __all__ = [
 ]
 
 
-# Fewest Gauss-Legendre points per axis.  8 points integrate degree 15
-# exactly: the n-fold integral of a degree-q interpolant has degree n*q + n - 1
-# in its outermost time, 15 for the highest case taken here (n = 4, cubic).
-MIN_GL_POINTS = 8
+# The tolerance of each kind of row, named for what it bounds.
+ORACLE_AGREEMENT_TOL = 1e-11  # a closed form against its oracle; a degree-0 integral against 0
+PRINTED_FORMS_TOL = 1e-13  # the two printed forms of the quadratic Omega_2
+OMEGA4_ROOTS_TOL = 1e-12  # Omega_4 at one root of its tower against the other
+NESTED_SCALAR_TOL = 1e-14  # a scalar triple integral against its closed form
+SYMMETRY_TOL = 1e-12  # unitarity, backward adjoint, sign flip of an oracle integral
+CONST_ROUNDTRIP_TOL = 1e-14  # backward after forward step of a constant Hamiltonian
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Oracle precision and sampling knobs."""
+    """Seed, dimension and step of the certification draws."""
 
-    gl_points_per_axis: int = MIN_GL_POINTS
     seed: int = 0
     dim: int = 2
     dt: float = 1.0
 
     def __post_init__(self):
-        if self.gl_points_per_axis < MIN_GL_POINTS:
-            raise ValueError(f"gl_points_per_axis must be >= {MIN_GL_POINTS}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        # at d = 1 every bracket is 0, so no commutator term would be checked
+        if self.dim < 2:
+            raise ValueError(f"dim must be at least 2, got {self.dim}")
         if not (math.isfinite(self.dt) and self.dt != 0.0):
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
 
@@ -131,17 +139,17 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> Array:
     return 0.5 * (b + b.conj().T)
 
 
-def interpolant(samples: Sequence[Array], degree: int, t_k: float, dt: float) -> Callable[[float | Array], Array]:
-    """Lagrange matrix polynomial through ``degree + 1`` equally spaced samples
-    on ``[t_k, t_k + dt]`` (degree 0 is the constant equal to its one sample).
+def interpolant(samples: Sequence[Array], t_k: float, dt: float) -> Callable[[float | Array], Array]:
+    """Lagrange matrix polynomial through 1 to 5 equally spaced samples on
+    ``[t_k, t_k + dt]``, of degree ``len(samples) - 1`` (degree 0 is the
+    constant equal to its one sample).
 
     The returned function maps a time, or an array of times of shape ``S``, to
     a ``(*S, d, d)`` stack: the ``(*S, degree + 1)`` Lagrange basis contracted
     with the stack of samples."""
+    degree = len(samples) - 1
     if not 0 <= degree <= 4:
-        raise ValueError(f"degree must be in 0..4, got {degree}")
-    if len(samples) != degree + 1:
-        raise ValueError(f"degree {degree} needs {degree + 1} samples, got {len(samples)}")
+        raise ValueError(f"degree must be in 0..4, got {degree} ({len(samples)} samples)")
     mats = np.stack([np.asarray(s, dtype=np.complex128) for s in samples])
     if degree == 0:
         return lambda t: np.broadcast_to(mats[0], np.shape(t) + mats.shape[1:])
@@ -158,9 +166,13 @@ def interpolant(samples: Sequence[Array], degree: int, t_k: float, dt: float) ->
     return h
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_rule(n_points: int) -> tuple[Array, Array]:
-    return np.polynomial.legendre.leggauss(n_points)
+# The Gauss-Legendre rule of every oracle axis, built on first use because
+# importing numpy.polynomial takes a few ms.  8 points integrate degree 15
+# exactly: the n-fold integral of a degree-q interpolant has degree n*q + n - 1
+# in its outermost time, 15 for the highest case taken here (n = 4, cubic).
+@functools.cache
+def _gl_rule() -> tuple[Array, Array]:
+    return np.polynomial.legendre.leggauss(8)
 
 
 def _nested_grid(n: int, t_k: float, dt: float, x: Array, w: Array) -> list[tuple[Array, Array, Array]]:
@@ -201,7 +213,7 @@ def _m4_integrand(ha, hb, hc, hd):
 _INTEGRANDS = {2: commutator, 3: _m3_integrand, 4: _m4_integrand}
 
 
-def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float, cfg: OracleConfig) -> Array:
+def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float) -> Array:
     """n-fold time-ordered integral of the exact expansion term, n in 1..4.
 
     ``h`` maps an array of times of shape ``S`` to a ``(*S, d, d)`` stack (as
@@ -210,13 +222,13 @@ def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float, cfg: O
     ``H``, so that level is contracted with its local weights first; the
     integrand is then evaluated once over the ``(p,)*(n-1)`` outer grid and
     contracted with the product weights.  The quadruple integral includes its
-    overall factor 2.  The result is exact for polynomial ``h`` within the
-    configured point count.  The innermost level holds ``p**n`` matrices
-    (4096 at n = 4 and p = 8), which bounds the memory of a call.
+    overall factor 2.  The result is exact, up to rounding, for an ``h`` of
+    :func:`interpolant` up to cubic.  The innermost level holds ``p**n``
+    matrices (4096 at n = 4 and p = 8), which bounds the memory of a call.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"n must be in 1..4, got {n}")
-    x, w = _gl_rule(cfg.gl_points_per_axis)
+    x, w = _gl_rule()
     levels = _nested_grid(n, t_k, dt, x, w)
     nodes_n, local_n, _ = levels[-1]
     inner = np.einsum("...i,...ijk->...jk", local_n, h(nodes_n))
@@ -229,10 +241,10 @@ def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float, cfg: O
     return 2.0 * value if n == 4 else value
 
 
-def _nested3_scalar(g, t_k: float, dt: float, cfg: OracleConfig) -> float:
+def _nested3_scalar(g, t_k: float, dt: float) -> float:
     """Triple time-ordered integral of a scalar integrand g(t1, t2, t3) that
     broadcasts over arrays of times."""
-    x, w = _gl_rule(cfg.gl_points_per_axis)
+    x, w = _gl_rule()
     (s1, _, _), (s2, _, _), (s3, _, product) = _nested_grid(3, t_k, dt, x, w)
     return float(np.sum(product * g(s1[:, None, None], s2[..., None], s3)))
 
@@ -244,22 +256,21 @@ def _rel_dev(value: Array, reference: Array) -> float:
 
 
 class _MaxTracker:
-    """Worst value per identity; a NaN, once seen, stays the worst."""
+    """Worst value and its tolerance per identity; a NaN, once seen, stays
+    the worst."""
 
     def __init__(self):
-        self._values: dict[str, float] = {}
+        self._rows: dict[str, CheckRow] = {}
 
-    def update(self, name: str, value: float) -> None:
-        self._values[name] = float(np.maximum(self._values.get(name, 0.0), value))
+    def update(self, name: str, value: float, tolerance: float) -> None:
+        worst = self._rows[name].max_rel_dev if name in self._rows else 0.0
+        self._rows[name] = CheckRow(name, float(np.maximum(worst, value)), tolerance)
 
-    def rows(self, tolerances: dict[str, float], default_tol: float) -> list[CheckRow]:
-        return [
-            CheckRow(name, dev, tolerances.get(name, default_tol))
-            for name, dev in self._values.items()
-        ]
+    def rows(self) -> list[CheckRow]:
+        return list(self._rows.values())
 
 
-def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1e-11) -> CheckReport:
+def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     """Certify every closed-form commutator expression against the oracles.
 
     Runs ``draws`` seeded random-Hermitian trials at ``cfg.dim``/``cfg.dt`` and
@@ -274,20 +285,20 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
     c_alt = -(5.0 + math.sqrt(21.0)) / 2.0
 
     def oracle_omega(a, n: int) -> Array:
-        return oracle_Mn(a, n, 0.0, 1.0, cfg) / math.factorial(n)
+        return oracle_Mn(a, n, 0.0, 1.0) / math.factorial(n)
 
     def certify(name: str, closed_form: Array, a, n: int) -> None:
-        track.update(name, _rel_dev(as_matrix(closed_form), oracle_omega(a, n)))
+        track.update(name, _rel_dev(as_matrix(closed_form), oracle_omega(a, n)), ORACLE_AGREEMENT_TOL)
 
     for _ in range(draws):
         h = [random_hermitian(rng, cfg.dim) for _ in range(7)]
         a0, aq1, at1, ah, at2, aq3, a1 = ((-1j * dt) * x for x in h)
         # the same draws as a builder takes them
         g0, gq1, gt1, gh, gt2, gq3, g1 = generators(h, dt)
-        a_lin = interpolant([a0, a1], 1, 0.0, 1.0)
-        a_quad = interpolant([a0, ah, a1], 2, 0.0, 1.0)
-        a_cub = interpolant([a0, at1, at2, a1], 3, 0.0, 1.0)
-        a_quart = interpolant([a0, aq1, ah, aq3, a1], 4, 0.0, 1.0)
+        a_lin = interpolant([a0, a1], 0.0, 1.0)
+        a_quad = interpolant([a0, ah, a1], 0.0, 1.0)
+        a_cub = interpolant([a0, at1, at2, a1], 0.0, 1.0)
+        a_quart = interpolant([a0, aq1, ah, aq3, a1], 0.0, 1.0)
 
         # single integral: Simpson over (0, 1/2, 1) and Boole over quarters
         certify("m1-simpson", omega1_simpson(g0, gh, g1), a_quad, 1)
@@ -301,9 +312,9 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
             commutator(a1, a0) + 4.0 * commutator(ah, a0) + 4.0 * commutator(a1, ah)
         )
         omega2_single = as_matrix(omega2_quadratic(g0, gh, g1))
-        track.update("m2-quadratic-sum", _rel_dev(omega2_sum, omega2))
-        track.update("m2-quadratic-single", _rel_dev(omega2_single, omega2))
-        track.update("m2-quadratic-forms-agree", _rel_dev(omega2_sum, omega2_single))
+        track.update("m2-quadratic-sum", _rel_dev(omega2_sum, omega2), ORACLE_AGREEMENT_TOL)
+        track.update("m2-quadratic-single", _rel_dev(omega2_single, omega2), ORACLE_AGREEMENT_TOL)
+        track.update("m2-quadratic-forms-agree", _rel_dev(omega2_sum, omega2_single), PRINTED_FORMS_TOL)
         certify("m2-cubic", omega2_cubic(g0, gt1, gt2, g1), a_cub, 2)
 
         # triple integral: linear and quadratic
@@ -314,17 +325,15 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
         omega4 = oracle_omega(a_lin, 4)
         omega4_main = as_matrix(omega4_linear(g0, g1))
         omega4_alt = as_matrix(omega4_linear(g0, g1, root=c_alt))
-        track.update("m4-linear", _rel_dev(omega4_main, omega4))
-        track.update("m4-linear-alt-root", _rel_dev(omega4_alt, omega4))
-        track.update("m4-roots-agree", _rel_dev(omega4_main, omega4_alt))
+        track.update("m4-linear", _rel_dev(omega4_main, omega4), ORACLE_AGREEMENT_TOL)
+        track.update("m4-linear-alt-root", _rel_dev(omega4_alt, omega4), ORACLE_AGREEMENT_TOL)
+        track.update("m4-roots-agree", _rel_dev(omega4_main, omega4_alt), OMEGA4_ROOTS_TOL)
 
         # constant interpolant: all commutator integrals vanish identically
-        a_const = interpolant([0.5 * (a0 + a1)], 0, 0.0, 1.0)
+        a_const = interpolant([0.5 * (a0 + a1)], 0.0, 1.0)
         for n in (2, 3, 4):
-            track.update(
-                f"degree0-m{n}-vanishes",
-                float(frobenius_norm(oracle_Mn(a_const, n, 0.0, 1.0, cfg))),
-            )
+            vanishing = float(frobenius_norm(oracle_Mn(a_const, n, 0.0, 1.0)))
+            track.update(f"degree0-m{n}-vanishes", vanishing, ORACLE_AGREEMENT_TOL)
 
     # scalar triple integrals of the linear-interpolant decomposition
     scalars = [
@@ -334,18 +343,9 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100, tolerance: float = 1
         ("nested-scalar-4", lambda t1, t2, t3: t3 * (t2 - t1) / dt**2, -(dt**3) / 120.0),
     ]
     for name, g, expected in scalars:
-        got = _nested3_scalar(g, 0.0, dt, cfg)
-        track.update(name, abs(got - expected) / abs(expected))
-
-    tolerances = {
-        "m2-quadratic-forms-agree": 1e-13,
-        "m4-roots-agree": 1e-12,
-        "nested-scalar-1": 1e-14,
-        "nested-scalar-2": 1e-14,
-        "nested-scalar-3": 1e-14,
-        "nested-scalar-4": 1e-14,
-    }
-    return CheckReport(tuple(track.rows(tolerances, tolerance)))
+        got = _nested3_scalar(g, 0.0, dt)
+        track.update(name, abs(got - expected) / abs(expected), NESTED_SCALAR_TOL)
+    return CheckReport(tuple(track.rows()))
 
 
 def _random_smooth_sampler(rng: np.random.Generator, dim: int) -> Callable[[float], Array]:
@@ -360,19 +360,14 @@ def _random_smooth_sampler(rng: np.random.Generator, dim: int) -> Callable[[floa
     return sampler
 
 
-def check_symmetry_suite(
-    cfg: OracleConfig,
-    draws: int = 200,
-    oracle_draws: int = 25,
-    tolerance: float = 1e-12,
-) -> CheckReport:
+def check_symmetry_suite(cfg: OracleConfig, draws: int = 200, oracle_draws: int = 25) -> CheckReport:
     """Unitarity and backward-adjoint checks over all methods, plus the
     sign flip of every oracle integral under reversal of the step."""
     rng = np.random.default_rng(cfg.seed)
     track = _MaxTracker()
     ctx = StepContext()
 
-    dim_cap = max(2, min(cfg.dim, 6))
+    dim_cap = min(cfg.dim, 6)
     for method in ALL_METHODS:
         for _ in range(draws):
             dim = int(rng.integers(2, dim_cap + 1))
@@ -381,11 +376,9 @@ def check_symmetry_suite(
             dt = cfg.dt * float(rng.uniform(0.5, 1.0))
             forward = step(method, sampler, t_k, dt, ctx)
             backward = step(method, sampler, t_k + dt, -dt, ctx)
-            track.update(f"unitarity-{method.value}", float(unitarity_defect(forward)))
-            track.update(
-                f"backward-adjoint-{method.value}",
-                float(frobenius_norm(backward - dagger(forward))),
-            )
+            track.update(f"unitarity-{method.value}", float(unitarity_defect(forward)), SYMMETRY_TOL)
+            adjoint_defect = float(frobenius_norm(backward - dagger(forward)))
+            track.update(f"backward-adjoint-{method.value}", adjoint_defect, SYMMETRY_TOL)
 
     # constant Hamiltonian: backward step exactly undoes the forward step
     const = random_hermitian(rng, cfg.dim)
@@ -393,16 +386,14 @@ def check_symmetry_suite(
     for method in ALL_METHODS:
         fwd = step(method, lambda t: const, 0.0, cfg.dt, ctx)
         bwd = step(method, lambda t: const, cfg.dt, -cfg.dt, ctx)
-        track.update("const-roundtrip", float(frobenius_norm(bwd @ fwd - eye)))
+        track.update("const-roundtrip", float(frobenius_norm(bwd @ fwd - eye)), CONST_ROUNDTRIP_TOL)
 
     # time-ordered integrals flip sign when the endpoints are exchanged
     for _ in range(oracle_draws):
         samples = [random_hermitian(rng, cfg.dim) for _ in range(4)]
-        h = interpolant(samples, 3, 0.0, cfg.dt)
+        h = interpolant(samples, 0.0, cfg.dt)
         for n in range(1, 5):
-            fwd = oracle_Mn(h, n, 0.0, cfg.dt, cfg)
-            rev = oracle_Mn(h, n, cfg.dt, -cfg.dt, cfg)
-            track.update(f"oracle-sign-flip-m{n}", _rel_dev(rev, -fwd))
-
-    tolerances = {"const-roundtrip": 1e-14}
-    return CheckReport(tuple(track.rows(tolerances, tolerance)))
+            fwd = oracle_Mn(h, n, 0.0, cfg.dt)
+            rev = oracle_Mn(h, n, cfg.dt, -cfg.dt)
+            track.update(f"oracle-sign-flip-m{n}", _rel_dev(rev, -fwd), SYMMETRY_TOL)
+    return CheckReport(tuple(track.rows()))

@@ -25,12 +25,10 @@ from magstep.verify import (
 
 from conftest import SX, SZ
 
-CFG = OracleConfig(gl_points_per_axis=8, seed=0, dim=2, dt=1.0)
-
 
 class TestInterpolant:
     def test_linear_midpoint_is_average(self):
-        h = interpolant([SZ, SX], 1, 0.0, 1.0)
+        h = interpolant([SZ, SX], 0.0, 1.0)
         assert np.allclose(h(0.5), 0.5 * (SZ + SX))
 
     def test_quadratic_exactness(self):
@@ -38,39 +36,37 @@ class TestInterpolant:
         poly = lambda t: 0.3 - 1.1 * t + 0.7 * t * t
         dt = 0.8
         samples = [poly(x * dt) * SZ for x in (0.0, 0.5, 1.0)]
-        h = interpolant(samples, 2, 0.0, dt)
+        h = interpolant(samples, 0.0, dt)
         for t in rng.uniform(0.0, dt, 50):
             assert np.allclose(h(t), poly(t) * SZ, atol=1e-13)
 
     def test_cubic_through_thirds(self):
         dt = 1.5
         samples = [(x * dt) ** 3 * SX for x in (0, 1 / 3, 2 / 3, 1.0)]
-        h = interpolant(samples, 3, 0.0, dt)
+        h = interpolant(samples, 0.0, dt)
         for t in np.linspace(0, dt, 17):
             assert np.allclose(h(t), t**3 * SX, atol=1e-12)
 
     def test_degree_zero_is_constant(self):
-        h = interpolant([SX], 0, 0.0, 1.0)
+        h = interpolant([SX], 0.0, 1.0)
         assert np.allclose(h(0.123), SX)
 
     @pytest.mark.parametrize("degree", range(5))
     def test_array_of_times_matches_scalar_calls(self, degree):
         rng = np.random.default_rng(30 + degree)
         samples = [random_hermitian(rng, 3) for _ in range(degree + 1)]
-        h = interpolant(samples, degree, 0.2, 0.9)
+        h = interpolant(samples, 0.2, 0.9)
         ts = rng.uniform(0.2, 1.1, (3, 4))
         got = h(ts)
         assert got.shape == (3, 4, 3, 3)
         expected = np.stack([np.stack([h(t) for t in row]) for row in ts])
         assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
 
-    def test_node_count_mismatch(self):
-        with pytest.raises(ValueError, match="samples"):
-            interpolant([SZ, SX], 2, 0.0, 1.0)
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(ValueError, match="degree"):
-            interpolant([SZ] * 6, 5, 0.0, 1.0)
+    @pytest.mark.parametrize("count", [0, 6])
+    def test_degree_out_of_range(self, count):
+        # the degree is the sample count minus one, and only 0..4 are taken
+        with pytest.raises(ValueError, match=f"degree must be in 0..4, got {count - 1}"):
+            interpolant([SZ] * count, 0.0, 1.0)
 
 
 class TestOracleAgainstClosedForms:
@@ -79,41 +75,41 @@ class TestOracleAgainstClosedForms:
         rng = np.random.default_rng(2)
         h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
         dt = 0.7
-        h = interpolant([h0, h1], 1, 0.0, dt)
-        got = oracle_Mn(h, 1, 0.0, dt, CFG)
+        h = interpolant([h0, h1], 0.0, dt)
+        got = oracle_Mn(h, 1, 0.0, dt)
         assert np.allclose(got, (dt / 2) * (h0 + h1), atol=1e-14)
 
     def test_double_integral_linear(self):
         rng = np.random.default_rng(3)
         h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
         dt = 0.7
-        h = interpolant([h0, h1], 1, 0.0, dt)
-        got = oracle_Mn(h, 2, 0.0, dt, CFG)
+        h = interpolant([h0, h1], 0.0, dt)
+        got = oracle_Mn(h, 2, 0.0, dt)
         assert np.allclose(got, (dt**2 / 6) * commutator(h1, h0), atol=1e-14)
 
     def test_triple_integral_linear(self):
         rng = np.random.default_rng(4)
         h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
         dt = 0.7
-        h = interpolant([h0, h1], 1, 0.0, dt)
-        got = oracle_Mn(h, 3, 0.0, dt, CFG)
+        h = interpolant([h0, h1], 0.0, dt)
+        got = oracle_Mn(h, 3, 0.0, dt)
         expected = (dt**3 / 40) * commutator(h1 - h0, commutator(h1, h0))
         assert np.allclose(got, expected, atol=1e-14)
 
     def test_degree_zero_commutator_integrals_vanish(self):
-        h = interpolant([SZ + SX], 0, 0.0, 1.0)
+        h = interpolant([SZ + SX], 0.0, 1.0)
         for n in (2, 3, 4):
-            assert frobenius_norm(oracle_Mn(h, n, 0.0, 1.0, CFG)) == 0.0
+            assert frobenius_norm(oracle_Mn(h, n, 0.0, 1.0)) == 0.0
 
     def test_n_out_of_range(self):
-        h = interpolant([SZ], 0, 0.0, 1.0)
+        h = interpolant([SZ], 0.0, 1.0)
         with pytest.raises(ValueError):
-            oracle_Mn(h, 5, 0.0, 1.0, CFG)
+            oracle_Mn(h, 5, 0.0, 1.0)
 
     def test_quadruple_tower_pauli(self):
         # H0 = sz, H1 = sx at dt = 1 against the quadrature value
-        h = interpolant([SZ, SX], 1, 0.0, 1.0)
-        got = oracle_Mn(h, 4, 0.0, 1.0, CFG)
+        h = interpolant([SZ, SX], 0.0, 1.0)
+        got = oracle_Mn(h, 4, 0.0, 1.0)
         c = QUAD_COMMUTATOR_ROOT
         tower = (1.0 / 210.0) * commutator(
             (1 / c) * SZ - SX, commutator(SX - c * SZ, commutator(SX, SZ))
@@ -131,14 +127,16 @@ class TestOracleQuadrature:
     @staticmethod
     def cubic():
         rng = np.random.default_rng(40)
-        return interpolant([random_hermitian(rng, 3) for _ in range(4)], 3, 0.3, 0.8)
+        return interpolant([random_hermitian(rng, 3) for _ in range(4)], 0.3, 0.8)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_independent_of_point_count(self, n):
+    def test_independent_of_point_count(self, n, monkeypatch):
         h = self.cubic()
-        base = oracle_Mn(h, n, 0.3, 0.8, OracleConfig(gl_points_per_axis=8))
+        base = oracle_Mn(h, n, 0.3, 0.8)
         for points in (9, 12):
-            got = oracle_Mn(h, n, 0.3, 0.8, OracleConfig(gl_points_per_axis=points))
+            rule = np.polynomial.legendre.leggauss(points)
+            monkeypatch.setattr(verify, "_gl_rule", lambda: rule)
+            got = oracle_Mn(h, n, 0.3, 0.8)
             dev = frobenius_norm(got - base) / frobenius_norm(base)
             assert dev <= self.POINT_COUNT_AGREEMENT_TOL, (points, dev)
 
@@ -151,7 +149,7 @@ class TestOracleQuadrature:
             calls.append(np.shape(ts))
             return h(ts)
 
-        oracle_Mn(counted, n, 0.3, 0.8, CFG)
+        oracle_Mn(counted, n, 0.3, 0.8)
         assert len(calls) <= n
         assert max(int(np.prod(shape)) for shape in calls) == 8**n
 
@@ -168,7 +166,7 @@ class TestGaussNodeForms:
             dt = float(rng.uniform(0.3, 1.2))
             g1, g2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
             slope = (g2 - g1) / (GAUSS2_HI - GAUSS2_LO)
-            h = interpolant([g1 - GAUSS2_LO * slope, g1 + (1.0 - GAUSS2_LO) * slope], 1, 0.0, dt)
+            h = interpolant([g1 - GAUSS2_LO * slope, g1 + (1.0 - GAUSS2_LO) * slope], 0.0, dt)
             samples = {GAUSS2_LO: g1, GAUSS2_HI: g2}
             yield dt, h, samples
 
@@ -176,8 +174,8 @@ class TestGaussNodeForms:
         # sqrt(3)/12 dt^2 [g2, g1] = M2 / 2
         for dt, h, samples in self.draws():
             theta = exponent(MethodId.BLANES4_GAUSS, samples, dt)
-            k = -(theta + 1j * oracle_Mn(h, 1, 0.0, dt, CFG))
-            half_m2 = 0.5 * oracle_Mn(h, 2, 0.0, dt, CFG)
+            k = -(theta + 1j * oracle_Mn(h, 1, 0.0, dt))
+            half_m2 = 0.5 * oracle_Mn(h, 2, 0.0, dt)
             assert frobenius_norm(k - half_m2) <= 1e-14 * frobenius_norm(theta)
 
     def test_iserles4_gauss_triple_is_sixth_m3(self):
@@ -185,7 +183,7 @@ class TestGaussNodeForms:
         for dt, h, samples in self.draws():
             theta = exponent(MethodId.ISERLES4_GAUSS, samples, dt)
             triple = -1j * (theta - exponent(MethodId.BLANES4_GAUSS, samples, dt))
-            sixth_m3 = oracle_Mn(h, 3, 0.0, dt, CFG) / 6.0
+            sixth_m3 = oracle_Mn(h, 3, 0.0, dt) / 6.0
             assert frobenius_norm(triple - sixth_m3) <= 1e-14 * frobenius_norm(theta)
 
 
@@ -308,14 +306,44 @@ class TestCheckSymmetrySuite:
             assert symmetry_report.row(f"oracle-sign-flip-m{n}").passed
 
 
-class TestOracleConfig:
-    def test_point_floor(self):
-        with pytest.raises(ValueError):
-            OracleConfig(gl_points_per_axis=4)
+class TestNamedTolerances:
+    # (constant, its value, the prefixes of the identities it bounds); the
+    # first match wins, so the two single rows precede the general m2/m4 rows
+    KINDS = [
+        ("PRINTED_FORMS_TOL", 1e-13, ("m2-quadratic-forms-agree",)),
+        ("OMEGA4_ROOTS_TOL", 1e-12, ("m4-roots-agree",)),
+        ("NESTED_SCALAR_TOL", 1e-14, ("nested-scalar-",)),
+        ("CONST_ROUNDTRIP_TOL", 1e-14, ("const-roundtrip",)),
+        ("SYMMETRY_TOL", 1e-12, ("unitarity-", "backward-adjoint-", "oracle-sign-flip-")),
+        ("ORACLE_AGREEMENT_TOL", 1e-11, ("m1-", "m2-", "m3-", "m4-", "degree0-")),
+    ]
 
-    def test_dim_floor(self):
-        with pytest.raises(ValueError):
-            OracleConfig(dim=0)
+    @classmethod
+    def kind(cls, identity):
+        return next(name for name, _, prefixes in cls.KINDS if identity.startswith(prefixes))
+
+    def test_values(self):
+        for name, value, _ in self.KINDS:
+            assert getattr(verify, name) == value, name
+
+    def test_each_row_reads_its_constant_at_call_time(self, monkeypatch):
+        # distinct stand-in values show which constant each row took
+        stand_ins = {name: (k + 1) * 1e-3 for k, (name, _, _) in enumerate(self.KINDS)}
+        for name, value in stand_ins.items():
+            monkeypatch.setattr(verify, name, value)
+        cfg = OracleConfig(seed=5, dim=3)
+        rows = check_closed_forms(cfg, draws=1).rows + check_symmetry_suite(cfg, draws=1, oracle_draws=1).rows
+        assert {self.kind(r.identity) for r in rows} == set(stand_ins)
+        for r in rows:
+            assert r.tolerance == stand_ins[self.kind(r.identity)], r.identity
+
+
+class TestOracleConfig:
+    # at d = 1 every bracket is 0, so a wrong commutator term would pass
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_dim_floor(self, dim):
+        with pytest.raises(ValueError, match="dim must be at least 2"):
+            OracleConfig(dim=dim)
 
     @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
     def test_dt_must_be_finite_and_nonzero(self, dt):
@@ -329,7 +357,7 @@ class TestMaxTracker:
         # max(0.0, nan) is 0.0, which would pass a row that never compared anything
         track = verify._MaxTracker()
         for value in values:
-            track.update("identity", value)
-        (row,) = track.rows({}, 1e-12)
+            track.update("identity", value, 1e-12)
+        (row,) = track.rows()
         assert np.isnan(row.max_rel_dev)
         assert not row.passed
