@@ -32,13 +32,11 @@ from .linalg import (
     commutator,
     expm_antihermitian,
     frobenius_norm,
-    hermiticity_defect,
     unitarity_defect,
 )
 from .magnus_steps import (
     ALL_METHODS,
     MethodId,
-    StepContext,
     exponent,
     sample_nodes,
     step,
@@ -72,7 +70,6 @@ __all__ = [
     "OracleConfig",
     "PreconditionError",
     "SinusoidTerm",
-    "StepContext",
     "builtin_case",
     "check_closed_forms",
     "check_symmetry_suite",
@@ -83,7 +80,6 @@ __all__ = [
     "exponent",
     "fit_order",
     "frobenius_norm",
-    "hermiticity_defect",
     "interpolant",
     "load_model",
     "oracle_Mn",

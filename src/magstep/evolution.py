@@ -24,6 +24,12 @@ against a reference computed by the 6th-order scheme on a much finer grid,
 cross-checked against an independent 6th-order scheme before it is trusted,
 and fits the log-log order of accuracy per method.  Every product of
 propagator stacks goes through ``linalg.matmul``.
+
+``propagate`` and ``convergence_study`` take ħ as the plain ``hbar``
+keyword and hand it to ``magnus_steps.exponent``, which checks it; nothing
+here reads it.  Both check the interval with :func:`_checked_span`, before
+anything is sampled: ``ValueError`` for a non-finite ``t0``, ``tf`` or ``tf
+- t0``, :class:`PreconditionError` unless ``tf > t0``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianModel
 from .linalg import Array, PreconditionError, expm_antihermitian, frobenius_norm, matmul, unitarity_defect
-from .magnus_steps import DEFAULT_CONTEXT, MethodId, StepContext, exponent, sample_nodes
+from .magnus_steps import MethodId, exponent, sample_nodes
 
 __all__ = [
     "EvolutionTrace",
@@ -123,8 +129,18 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+def _checked_span(t0: float, tf: float) -> float:
+    """``tf - t0``; ``ValueError`` unless it, ``t0`` and ``tf`` are finite,
+    and :class:`PreconditionError` unless ``tf > t0``."""
+    if not math.isfinite(tf - t0):
+        raise ValueError(f"t0, tf and tf - t0 must be finite, got t0={t0}, tf={tf}")
+    if not tf > t0:
+        raise PreconditionError(f"tf must exceed t0, got t0={t0}, tf={tf}")
+    return tf - t0
+
+
 def _step_chunks(
-    method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, ctx: StepContext
+    method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, hbar: float = 1.0
 ) -> Iterator[tuple[int, int, Array]]:
     """``(grid, start, u)`` for the pieces of one or more uniform grids over
     ``[t0, tf]``, of ``counts[grid]`` steps each: ``u`` holds the step
@@ -138,10 +154,7 @@ def _step_chunks(
     outlives its chunk.  A piece's step starts ``t0 + dt * arange(start,
     stop)``, node times and ``dt`` are the same floats as on its grid alone.
     """
-    if not math.isfinite(tf - t0):
-        raise ValueError(f"t0, tf and tf - t0 must be finite, got t0={t0}, tf={tf}")
-    if not tf > t0:
-        raise PreconditionError(f"tf must exceed t0, got t0={t0}, tf={tf}")
+    span = _checked_span(t0, tf)
     for n_steps in counts:
         if n_steps < 1:
             raise PreconditionError(f"n_steps must be positive, got {n_steps}")
@@ -154,7 +167,7 @@ def _step_chunks(
                 f"the {np.iinfo(np.intp).max} bytes this platform can address"
             )
 
-    dts = [(tf - t0) / n for n in counts]
+    dts = [span / n for n in counts]
 
     def chunk(pieces: list[tuple[int, int, int]]) -> Iterator[tuple[int, int, Array]]:
         step_start = np.concatenate([t0 + dts[g] * np.arange(start, stop) for g, start, stop in pieces])
@@ -165,7 +178,7 @@ def _step_chunks(
             dt = np.concatenate([np.full(stop - start, dts[g]) for g, start, stop in pieces])
         # the node dict is not named here: exponent replaces each of its stacks
         # by the scaled one, so no node is held twice
-        u = expm_antihermitian(exponent(method, _node_samples(method, model, step_start, dt, dim), dt, ctx))
+        u = expm_antihermitian(exponent(method, _node_samples(method, model, step_start, dt, dim), dt, hbar))
         offset = 0
         for g, start, stop in pieces:
             yield g, start, u[offset:offset + stop - start]
@@ -243,7 +256,7 @@ def propagate(
     tf: float,
     n_steps: int,
     initial_state,
-    ctx: StepContext = DEFAULT_CONTEXT,
+    hbar: float = 1.0,
 ) -> EvolutionTrace:
     """Evolve from ``t0`` to ``tf`` in ``n_steps`` uniform steps.
 
@@ -258,7 +271,7 @@ def propagate(
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise PreconditionError(f"initial state must be normalized, got norm {norm!r}")
     dim = psi0.size
-    chunks = _step_chunks(method, model, t0, tf, (n_steps,), dim, ctx)
+    chunks = _step_chunks(method, model, t0, tf, (n_steps,), dim, hbar)
     need, memory = _trajectory_bytes(n_steps, dim), _physical_memory_bytes()
     if memory is not None and need > memory:
         raise PreconditionError(
@@ -286,7 +299,7 @@ def propagate(
 
 
 def _final_propagators(
-    method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, ctx: StepContext
+    method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, hbar: float = 1.0
 ) -> list[Array]:
     """U(tf) alone of each grid of ``counts`` steps over ``[t0, tf]``: the step
     propagators multiplied pairwise, later steps on the left.
@@ -299,7 +312,7 @@ def _final_propagators(
     beyond its own.
     """
     products: list[list[Array]] = [[] for _ in counts]
-    for grid, _, u in _step_chunks(method, model, t0, tf, counts, dim, ctx):
+    for grid, _, u in _step_chunks(method, model, t0, tf, counts, dim, hbar):
         while len(u) > 1:
             tail = u[len(u) - len(u) % 2:]
             u = np.concatenate([matmul(u[1::2], u[0:len(u) - 1:2]), tail])
@@ -399,7 +412,7 @@ def convergence_study(
     dts: Sequence[float] | None = None,
     tf: float = 100.0,
     t0: float = 0.0,
-    ctx: StepContext = DEFAULT_CONTEXT,
+    hbar: float = 1.0,
 ) -> ConvergenceReport:
     """Errors of each (method, dt) against a fine-grid reference, plus fitted slopes.
 
@@ -409,9 +422,10 @@ def convergence_study(
     grid; the study refuses to run if the two disagree beyond
     :data:`REFERENCE_AGREEMENT_TOL` relative.
     """
-    span = tf - t0
-    if span <= 0:
-        raise PreconditionError(f"tf must exceed t0, got t0={t0}, tf={tf}")
+    span = _checked_span(t0, tf)
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ValueError(f"methods list {method.value} more than once; each method is studied once")
     if dts is None:
         dts = default_ladder(tf, t0)
     if len(dts) == 0:
@@ -424,8 +438,8 @@ def convergence_study(
     n_ref = REFERENCE_REFINEMENT * max(counts)
     dim = _as_sampler_arrays(model, np.asarray([t0])).shape[-1]
 
-    (u_ref,) = _final_propagators(REFERENCE_METHOD, model, t0, tf, (n_ref,), dim, ctx)
-    (u_check,) = _final_propagators(CROSS_CHECK_METHOD, model, t0, tf, (n_ref,), dim, ctx)
+    (u_ref,) = _final_propagators(REFERENCE_METHOD, model, t0, tf, (n_ref,), dim, hbar)
+    (u_check,) = _final_propagators(CROSS_CHECK_METHOD, model, t0, tf, (n_ref,), dim, hbar)
     agreement = relative_error(u_check, u_ref)
     if not agreement <= REFERENCE_AGREEMENT_TOL:
         raise PreconditionError(
@@ -437,7 +451,7 @@ def convergence_study(
     # one packed pass over the whole ladder per method
     records: list[ConvergenceRecord] = []
     for method in methods:
-        finals = _final_propagators(method, model, t0, tf, counts, dim, ctx)
+        finals = _final_propagators(method, model, t0, tf, counts, dim, hbar)
         for dt, n, u in zip(dts, counts, finals):
             records.append(ConvergenceRecord(method, float(dt), n, relative_error(u, u_ref)))
 

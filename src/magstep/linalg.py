@@ -19,13 +19,14 @@ d = 2: :func:`su2_coordinates` converts a checked 2x2 sample and
 the general ``ab - ba`` of the certification oracles, keeps ``@``.
 
 Only two functions validate.  :func:`checked_square` is the one boundary
-check: it coerces a (stack of) square matrix(es) to complex128, rejects a NaN
-or Inf entry, and measures its Hermiticity or anti-Hermiticity defect
-relative to its norm, scaling a stack with huge entries down first so a
-finite matrix cannot overflow its own test.  Callers apply it once at their
-input boundary.  :func:`expm_antihermitian` applies it to its exponent.
-:func:`commutator` compares nothing but the operands' dimension, and the
-norms and defects are plain formulas: a NaN or Inf entry comes back as a
+check, and the one measure of a Hermiticity or anti-Hermiticity defect: it
+coerces a (stack of) square matrix(es) to complex128, rejects a NaN or Inf
+entry, and measures ``||a -+ a†||_F`` relative to the norm, scaling a stack
+with huge entries down first so a finite matrix cannot overflow its own
+test.  Callers apply it once at their input boundary.
+:func:`expm_antihermitian` applies it to its exponent.  :func:`commutator`
+compares nothing but the operands' dimension, and the Frobenius norm and
+the unitarity defect are plain formulas: a NaN or Inf entry comes back as a
 NaN or Inf result rather than an exception.
 """
 
@@ -47,8 +48,6 @@ __all__ = [
     "matmul",
     "commutator",
     "frobenius_norm",
-    "hermiticity_defect",
-    "anti_hermiticity_defect",
     "unitarity_defect",
     "checked_square",
     "su2_coordinates",
@@ -133,16 +132,6 @@ def frobenius_norm(a) -> float | Array:
     a = np.asarray(a)
     out = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
     return float(out) if out.ndim == 0 else out
-
-
-def hermiticity_defect(a) -> float | Array:
-    """``||a - a†||_F``; zero iff Hermitian."""
-    return frobenius_norm(a - dagger(a))
-
-
-def anti_hermiticity_defect(a) -> float | Array:
-    """``||a + a†||_F``; zero iff anti-Hermitian."""
-    return frobenius_norm(a + dagger(a))
 
 
 def unitarity_defect(u) -> float | Array:

@@ -16,16 +16,21 @@ and nothing else, and ``ALL_METHODS`` is the declaration order of
 of them, which is how the evolution driver assembles a chunk's worth of
 exponents, steps of several grids among them, in one call.
 
-Samples are validated once, on entry to ``exponent``: one
-``linalg.checked_square`` call per node stack makes it complex and square,
-rejects a NaN or Inf entry and measures its Hermiticity defect against
-``SAMPLE_HERMITICITY_TOL``, and then the stacks must be all of one shape.  Then
-each is scaled, once, to the generator ``A = -iH dt/ħ`` of the step taken
-as the unit interval; that is the only place ``dt`` and ħ enter.  The term
-functions and builders after that are plain arithmetic on ``A`` (Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, Sec. 2-3): each Magnus term
-Omega_n is a real combination of nested brackets of anti-Hermitian
-matrices, so the exponent stays in the Lie algebra u(d).  A scaling or a
+ħ is a plain number: the ``hbar`` keyword (default 1) of ``exponent`` and
+``step``, and of ``evolution.propagate`` and ``convergence_study``, which
+hand it on unchanged.  ``exponent`` is the one place it is read, and on
+entry it raises ``ValueError`` for an ``hbar`` that is not positive and
+finite, before any sample is looked at.  Samples are validated once, also on
+entry to ``exponent``: one ``linalg.checked_square`` call per node stack
+makes it complex and square, rejects a NaN or Inf entry and measures its
+Hermiticity defect against ``SAMPLE_HERMITICITY_TOL``, and then the stacks
+must be all of one shape.  Then each is scaled, once, to the generator ``A =
+-iH dt/ħ`` of the step taken as the unit interval; that is the only place
+``dt`` and ħ enter.  The term functions and builders after that are plain
+arithmetic on ``A`` (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151,
+Sec. 2-3): each Magnus term Omega_n is a real combination of nested
+brackets of anti-Hermitian matrices, so the exponent stays in the Lie
+algebra u(d).  A scaling or a
 term that overflows the float range raises ``PreconditionError``.  ``step``
 (like the evolution driver) exponentiates the result with
 ``expm_antihermitian``, which checks the exponent with one more
@@ -62,7 +67,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -82,7 +86,6 @@ from .linalg import (
 __all__ = [
     "MethodId",
     "ALL_METHODS",
-    "StepContext",
     "MissingNodeError",
     "NonHermitianSampleError",
     "sample_nodes",
@@ -138,20 +141,6 @@ class MethodId(enum.Enum):
 # Documented fixed order used by "--methods all" and the reports: the
 # declaration order of MethodId.
 ALL_METHODS: tuple[MethodId, ...] = tuple(MethodId)
-
-
-@dataclass(frozen=True)
-class StepContext:
-    """Per-step numerical context: hbar."""
-
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
-
-
-DEFAULT_CONTEXT = StepContext()
 
 
 class MissingNodeError(ValueError):
@@ -221,7 +210,7 @@ def as_matrix(a: Array) -> Array:
     return su2_matrix(a) if a.dtype == np.float64 else a
 
 
-def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepContext = DEFAULT_CONTEXT) -> Array:
+def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float = 1.0) -> Array:
     """Anti-Hermitian exponent Theta with ``U = exp(Theta)`` for one step.
 
     ``samples`` maps node fractions (from :func:`sample_nodes`) to Hermitian
@@ -234,20 +223,24 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, ctx: StepCont
     builder's result are su(2) coordinates, and the result is returned as
     its matrix.  Raises :class:`PreconditionError` naming ``dt/hbar``, at the
     ``dt`` of largest magnitude, if the scaling or a term overflows the float
-    range.
+    range.  Raises ``ValueError`` unless ``hbar`` is positive and finite,
+    before any sample is checked; this is the one place ħ is read, so the
+    check covers every entry point.
     """
+    if not (hbar > 0 and math.isfinite(hbar)):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     # rebound, so the caller's mapping is no longer held here and each
     # unscaled sample is freed as its generator replaces it
     samples = _checked_samples(method, samples)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            tau = np.asarray(dt, dtype=np.float64)[()] / ctx.hbar
+            tau = np.asarray(dt, dtype=np.float64)[()] / hbar
             return as_matrix(_SCHEMES[method][1](*generators(samples, tau)))
     except FloatingPointError as exc:
         steps = np.ravel(dt)
         raise PreconditionError(
             f"the {method.value} exponent overflows the float range at "
-            f"dt/hbar = {float(steps[np.argmax(np.abs(steps))]):.3e}/{ctx.hbar:.3e}"
+            f"dt/hbar = {float(steps[np.argmax(np.abs(steps))]):.3e}/{hbar:.3e}"
         ) from exc
 
 
@@ -404,11 +397,11 @@ def step(
     sampler: Callable[[float], Array],
     t_k: float,
     dt: float,
-    ctx: StepContext = DEFAULT_CONTEXT,
+    hbar: float = 1.0,
 ) -> Array:
     """Unitary propagator over ``[t_k, t_k + dt]``; negative ``dt`` steps backward."""
     if dt == 0.0:
         raise PreconditionError("step size dt must be nonzero")
     samples = {node: sampler(t_k + node * dt) for node in sample_nodes(method)}
-    theta = exponent(method, samples, dt, ctx)
+    theta = exponent(method, samples, dt, hbar)
     return expm_antihermitian(theta)

@@ -56,7 +56,6 @@ import numpy as np
 from .linalg import Array, commutator, dagger, frobenius_norm, unitarity_defect
 from .magnus_steps import (
     ALL_METHODS,
-    StepContext,
     as_matrix,
     generators,
     omega1_boole,
@@ -105,6 +104,8 @@ class OracleConfig:
             raise ValueError(f"dim must be at least 2, got {self.dim}")
         if not (math.isfinite(self.dt) and self.dt != 0.0):
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -360,12 +361,12 @@ def _random_smooth_sampler(rng: np.random.Generator, dim: int) -> Callable[[floa
     return sampler
 
 
-def check_symmetry_suite(cfg: OracleConfig, draws: int = 200, oracle_draws: int = 25) -> CheckReport:
-    """Unitarity and backward-adjoint checks over all methods, plus the
-    sign flip of every oracle integral under reversal of the step."""
+def check_symmetry_suite(cfg: OracleConfig, draws: int = 200) -> CheckReport:
+    """Unitarity and backward-adjoint checks over all methods, ``draws``
+    each, plus the sign flip of every oracle integral under reversal of the
+    step, over ``min(draws, 25)`` draws."""
     rng = np.random.default_rng(cfg.seed)
     track = _MaxTracker()
-    ctx = StepContext()
 
     dim_cap = min(cfg.dim, 6)
     for method in ALL_METHODS:
@@ -374,8 +375,8 @@ def check_symmetry_suite(cfg: OracleConfig, draws: int = 200, oracle_draws: int 
             sampler = _random_smooth_sampler(rng, dim)
             t_k = float(rng.uniform(-1.0, 1.0))
             dt = cfg.dt * float(rng.uniform(0.5, 1.0))
-            forward = step(method, sampler, t_k, dt, ctx)
-            backward = step(method, sampler, t_k + dt, -dt, ctx)
+            forward = step(method, sampler, t_k, dt)
+            backward = step(method, sampler, t_k + dt, -dt)
             track.update(f"unitarity-{method.value}", float(unitarity_defect(forward)), SYMMETRY_TOL)
             adjoint_defect = float(frobenius_norm(backward - dagger(forward)))
             track.update(f"backward-adjoint-{method.value}", adjoint_defect, SYMMETRY_TOL)
@@ -384,12 +385,12 @@ def check_symmetry_suite(cfg: OracleConfig, draws: int = 200, oracle_draws: int 
     const = random_hermitian(rng, cfg.dim)
     eye = np.eye(cfg.dim)
     for method in ALL_METHODS:
-        fwd = step(method, lambda t: const, 0.0, cfg.dt, ctx)
-        bwd = step(method, lambda t: const, cfg.dt, -cfg.dt, ctx)
+        fwd = step(method, lambda t: const, 0.0, cfg.dt)
+        bwd = step(method, lambda t: const, cfg.dt, -cfg.dt)
         track.update("const-roundtrip", float(frobenius_norm(bwd @ fwd - eye)), CONST_ROUNDTRIP_TOL)
 
     # time-ordered integrals flip sign when the endpoints are exchanged
-    for _ in range(oracle_draws):
+    for _ in range(min(draws, 25)):
         samples = [random_hermitian(rng, cfg.dim) for _ in range(4)]
         h = interpolant(samples, 0.0, cfg.dt)
         for n in range(1, 5):

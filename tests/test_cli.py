@@ -20,7 +20,7 @@ from magstep.cli import (
 )
 from magstep.evolution import convergence_study, propagate
 from magstep.hamiltonians import HamiltonianModel, builtin_case
-from magstep.magnus_steps import MethodId, StepContext
+from magstep.magnus_steps import MethodId
 from magstep.verify import OracleConfig, check_symmetry_suite
 
 CASE_I_JSON = json.dumps(
@@ -162,7 +162,7 @@ class TestPropagate:
         lines = read_lines(out)
         assert lines[0] == "t,pop_0,pop_1,unitarity_defect"
         values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        trace = propagate(MethodId.ME4_NC, builtin_case("II"), 0.0, 7.0, n, [0, 1], StepContext(hbar=1.0))
+        trace = propagate(MethodId.ME4_NC, builtin_case("II"), 0.0, 7.0, n, [0, 1], hbar=1.0)
         assert values.shape == (n + 1, 4)
         assert np.array_equal(values[:, 0], trace.times)
         assert np.array_equal(values[:, 1:3], trace.populations)
@@ -344,6 +344,31 @@ class TestConverge:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_repeated_method_is_usage_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "err.csv"
+        argv = ["converge", "--case", "I", "--methods", "me2,me2", "--t-final", "1",
+                "--dt", "0.5", "--out", str(out)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: error: ") and "me2 more than once" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "interval, code, message",
+        [
+            (["--t0=-1e308", "--t-final=1e308"], EXIT_USAGE, "t0, tf and tf - t0 must be finite"),
+            (["--t0", "2", "--t-final", "1"], EXIT_NUMERICAL, "tf must exceed t0"),
+        ],
+        ids=["non-finite", "reversed"],
+    )
+    def test_interval_is_checked_as_propagate_checks_it(self, tmp_path, capsys, interval, code, message):
+        out = tmp_path / "err.csv"
+        assert run(["converge", "--case", "I", "--methods", "me2", *interval, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_non_dividing_dt_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "err.csv"
         code = run(
@@ -508,7 +533,7 @@ class TestBadStepAndTimeFlags:
             assert (dev, passed) == ("nan", "false")
         # every row, NaN and false included, reads as it always has
         with np.errstate(all="ignore"):
-            report = check_symmetry_suite(OracleConfig(dim=2, dt=1e60), draws=1, oracle_draws=1)
+            report = check_symmetry_suite(OracleConfig(dim=2, dt=1e60), draws=1)
         want = table_text(
             ["identity", "max_rel_dev", "tolerance", "pass"],
             [(r.identity, r.max_rel_dev, r.tolerance, r.passed) for r in report.rows],
@@ -584,10 +609,16 @@ class TestHbar:
         assert len(outputs[0].splitlines()) == 66
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "command",
+        [["propagate", "--method", "me2", "--n-steps", "4"],
+         ["converge", "--methods", "me2", "--t-final", "1", "--dt", "0.5", "--dt", "0.25"]],
+        ids=["propagate", "converge"],
+    )
     @pytest.mark.parametrize("hbar", ["0", "nan", "-1"])
-    def test_bad_hbar_is_usage_error_naming_it(self, tmp_path, capsys, hbar):
+    def test_bad_hbar_is_usage_error_naming_it(self, tmp_path, capsys, hbar, command):
         out = tmp_path / "pop.csv"
-        argv = ["propagate", "--case", "I", "--method", "me2", "--n-steps", "4", "--hbar", hbar, "--out", str(out)]
+        argv = command + ["--case", "I", "--hbar", hbar, "--out", str(out)]
         assert run(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("magstep: error:") and "hbar" in err

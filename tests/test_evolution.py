@@ -134,16 +134,22 @@ class TestPropagate:
         with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**18, [1, 0])
 
+    @pytest.mark.parametrize("entry", ["propagate", "convergence_study"])
     @pytest.mark.parametrize(
         "t0, tf", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0), (-1e308, 1e308)]
     )
-    def test_rejects_non_finite_interval_before_sampling(self, monkeypatch, t0, tf):
+    def test_rejects_non_finite_interval_before_sampling(self, monkeypatch, t0, tf, entry):
+        # one interval check for both: a convergence study does not complain
+        # about a step size the caller never gave
         def no_sampling(self, ts):
             raise AssertionError("sampled a non-finite grid")
 
         monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
-        with pytest.raises(ValueError, match="must be finite") as info:
-            propagate(MethodId.ME2, RABI, t0, tf, 4, [1, 0])
+        with pytest.raises(ValueError, match="t0, tf and tf - t0 must be finite") as info:
+            if entry == "propagate":
+                propagate(MethodId.ME2, RABI, t0, tf, 4, [1, 0])
+            else:
+                convergence_study(RABI, [MethodId.ME2], tf=tf, t0=t0)
         assert not isinstance(info.value, PreconditionError)
 
     def test_rejects_nan_sample(self):
@@ -247,9 +253,7 @@ class TestPropagate:
 
 def step_propagators(method, model, n):
     """The chunks of a grid over [0, 10] and the step propagators they hold, in order."""
-    chunks = list(
-        evolution._step_chunks(method, model, 0.0, 10.0, (n,), model.dim, magnus_steps.DEFAULT_CONTEXT)
-    )
+    chunks = list(evolution._step_chunks(method, model, 0.0, 10.0, (n,), model.dim))
     assert [grid for grid, _, _ in chunks] == [0] * len(chunks)
     return [start for _, start, _ in chunks], np.concatenate([u for _, _, u in chunks])
 
@@ -272,9 +276,7 @@ class TestFinalPropagator:
     def test_pairwise_product_equals_accumulated_trajectory(self, model, method, n):
         psi0 = np.eye(model.dim)[0]
         trace = propagate(method, model, 0.0, 10.0, n, psi0)
-        (final,) = evolution._final_propagators(
-            method, model, 0.0, 10.0, (n,), model.dim, magnus_steps.DEFAULT_CONTEXT
-        )
+        (final,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
         assert final.shape == (model.dim, model.dim)
         assert relative_error(final, trace.final_propagator) <= PRODUCT_ORDER_TOL
 
@@ -331,9 +333,7 @@ class TestChunkBoundaries:
         assert np.max(np.abs(trace.populations - np.abs(want @ psi0) ** 2)) <= PRODUCT_ORDER_TOL
         assert np.max(np.abs(trace.unitarity_defects - linalg.unitarity_defect(want))) <= PRODUCT_ORDER_TOL
         assert relative_error(trace.final_propagator, want[-1]) <= PRODUCT_ORDER_TOL
-        (final,) = evolution._final_propagators(
-            method, model, 0.0, 10.0, (n,), model.dim, magnus_steps.DEFAULT_CONTEXT
-        )
+        (final,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
         assert relative_error(final, trace.final_propagator) <= PRODUCT_ORDER_TOL
 
 
@@ -366,19 +366,16 @@ class TestPackedLadder:
     def test_packed_ladder_equals_one_grid_calls(self, model, method):
         # the same step starts, node times, tau and products in the same order
         counts = PACKED_LADDERS[model.dim]
-        ctx = magnus_steps.DEFAULT_CONTEXT
-        packed = evolution._final_propagators(method, model, 0.0, 10.0, counts, model.dim, ctx)
+        packed = evolution._final_propagators(method, model, 0.0, 10.0, counts, model.dim)
         assert len(packed) == len(counts)
         for n, got in zip(counts, packed):
-            (want,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim, ctx)
+            (want,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
             assert np.array_equal(got, want), n
 
     def test_pieces_come_in_chunk_order(self):
         width, _ = THREE_CHUNKS[8]
         counts = PACKED_LADDERS[8]
-        pieces = evolution._step_chunks(
-            MethodId.ME2, DENSE8, 0.0, 10.0, counts, 8, magnus_steps.DEFAULT_CONTEXT
-        )
+        pieces = evolution._step_chunks(MethodId.ME2, DENSE8, 0.0, 10.0, counts, 8)
         got = [(grid, start, len(u)) for grid, start, u in pieces]
         assert got == [
             (grid, start, stop - start)
@@ -401,7 +398,7 @@ class TestPackedLadder:
 
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
-        evolution._final_propagators(method, DENSE8, 0.0, 1.0, counts, 8, magnus_steps.DEFAULT_CONTEXT)
+        evolution._final_propagators(method, DENSE8, 0.0, 1.0, counts, 8)
         sizes = [width, width, counts[0] - 2 * width + counts[1] + counts[2], counts[3] + counts[4]]
         assert seen == [(size, 8, 8) for size in sizes for _ in range(calls)]
 
@@ -411,9 +408,7 @@ class TestPackedLadder:
 
         monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
         with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
-            evolution._final_propagators(
-                MethodId.ME2, RABI, 0.0, 1.0, (4, 10**18), 2, magnus_steps.DEFAULT_CONTEXT
-            )
+            evolution._final_propagators(MethodId.ME2, RABI, 0.0, 1.0, (4, 10**18), 2)
 
 
 class TestRelativeError:
@@ -534,14 +529,23 @@ class TestConvergenceStudy:
             convergence_study(builtin_case("I"), [MethodId.ME2], dts=dts, tf=1.0)
         assert not isinstance(info.value, PreconditionError)
 
+    def test_rejects_repeated_method_before_sampling(self, monkeypatch):
+        def no_sampling(self, ts):
+            raise AssertionError("sampled for a repeated method")
+
+        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        with pytest.raises(ValueError, match="me2 more than once") as info:
+            convergence_study(builtin_case("I"), [MethodId.ME2, MethodId.ME6, MethodId.ME2], dts=[0.5], tf=1.0)
+        assert not isinstance(info.value, PreconditionError)
+
     def test_one_pass_per_method(self, monkeypatch):
         # the reference, the cross-check, then one packed ladder per method
         calls = []
         packed = evolution._final_propagators
 
-        def counted(method, model, t0, tf, counts, dim, ctx):
+        def counted(method, model, t0, tf, counts, dim, hbar):
             calls.append((method, tuple(counts)))
-            return packed(method, model, t0, tf, counts, dim, ctx)
+            return packed(method, model, t0, tf, counts, dim, hbar)
 
         monkeypatch.setattr(evolution, "_final_propagators", counted)
         convergence_study(builtin_case("I"), [MethodId.ME2, MethodId.ME6], dts=[0.5, 0.25, 0.125], tf=2.0)

@@ -7,13 +7,11 @@ from magstep.linalg import (
     EXPONENT_ANTIHERMITICITY_TOL,
     DimensionMismatchError,
     NotAntiHermitianError,
-    anti_hermiticity_defect,
     checked_square,
     commutator,
     dagger,
     expm_antihermitian,
     frobenius_norm,
-    hermiticity_defect,
     matmul,
     su2_coordinates,
     su2_matrix,
@@ -126,7 +124,7 @@ class TestCommutator:
         expected = naive_matmul(a, b) - naive_matmul(b, a)
         assert np.allclose(got, expected, atol=1e-14)
         # commutator of Hermitian matrices is anti-Hermitian
-        assert anti_hermiticity_defect(got) <= 1e-13 * max(1.0, frobenius_norm(got))
+        assert frobenius_norm(got + dagger(got)) <= 1e-13 * max(1.0, frobenius_norm(got))
 
     def test_antisymmetry_is_exact(self):
         rng = np.random.default_rng(11)
@@ -145,8 +143,8 @@ class TestKernelsAreFormulas:
     def test_nan_propagates_instead_of_raising(self):
         bad = np.full((2, 2), np.nan, dtype=complex)
         assert np.all(np.isnan(commutator(bad, SX)))
-        for defect in (hermiticity_defect, anti_hermiticity_defect, unitarity_defect):
-            assert np.isnan(defect(bad))
+        for formula in (frobenius_norm, unitarity_defect):
+            assert np.isnan(formula(bad))
 
 
 class TestNorms:
@@ -158,18 +156,6 @@ class TestNorms:
 
     def test_three_four_five(self):
         assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
-
-    def test_hermiticity_defect_hermitian(self):
-        assert hermiticity_defect(SX) == 0.0
-
-    def test_hermiticity_defect_antihermitian(self):
-        # a - a† = 2i*sx, whose norm is 2*sqrt(2)
-        assert hermiticity_defect(1j * SX) == pytest.approx(2 * np.sqrt(2))
-
-    def test_hermiticity_defect_random_construction(self):
-        rng = np.random.default_rng(11)
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert hermiticity_defect(0.5 * (b + b.conj().T)) <= 1e-15
 
     def test_unitarity_defect_is_the_plain_formula(self):
         # the identity is subtracted in place, with the same rounding as the
@@ -187,6 +173,20 @@ CHECK_FORMULA_TOL = 4 * EPS
 
 
 class TestCheckedSquare:
+    def test_hermitian_has_zero_defect(self):
+        assert checked_square(SX, 1)[1:] == (0.0, 0.0)
+
+    def test_antihermitian_input_has_the_hermiticity_defect(self):
+        # a - a† = 2i*sx, whose norm is 2*sqrt(2), against ||a||_F = sqrt(2)
+        _, ratio, defect = checked_square(1j * SX, 1)
+        assert defect == pytest.approx(2 * np.sqrt(2))
+        assert ratio == pytest.approx(2.0)
+
+    def test_random_construction_is_hermitian(self):
+        rng = np.random.default_rng(11)
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert checked_square(0.5 * (b + b.conj().T), 1)[2] <= 1e-15
+
     def test_matches_unscaled_formula(self):
         rng = np.random.default_rng(12)
         # Hermitian plus a small anti-Hermitian part, at three sizes
@@ -196,8 +196,9 @@ class TestCheckedSquare:
         arr, ratio, defect = checked_square(a, -1)
         assert arr.dtype == np.complex128 and np.array_equal(arr, a)
         # entries far below the overflow range: no scaling, the plain formulas to a few ulp
-        want_ratio = np.max(anti_hermiticity_defect(a) / np.maximum(1.0, frobenius_norm(a)))
-        want_defect = np.max(anti_hermiticity_defect(a))
+        defects = frobenius_norm(a + dagger(a))
+        want_ratio = np.max(defects / np.maximum(1.0, frobenius_norm(a)))
+        want_defect = np.max(defects)
         assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
         assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
 
@@ -206,11 +207,10 @@ class TestCheckedSquare:
         # at d = 2 the defect comes from the float parts of a -+ a†, taken by
         # a product with a weight table, not from the matrix itself
         rng = np.random.default_rng(14)
-        formula = hermiticity_defect if sign > 0 else anti_hermiticity_defect
         for s in (1e-100, 0.1, 1.0, 40.0, 1e100):
             a = s * random_hermitian(rng, 2) + 1e-3j * s * random_hermitian(rng, 2)
             _, ratio, defect = checked_square(a, sign)
-            want_defect = formula(a)
+            want_defect = frobenius_norm(a - sign * dagger(a))
             want_ratio = want_defect / max(1.0, frobenius_norm(a))
             assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
             assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from magstep import linalg, magnus_steps
-from magstep.evolution import propagate, relative_error
+from magstep.evolution import convergence_study, propagate, relative_error
 from magstep.hamiltonians import builtin_case
 from magstep.linalg import (
     DimensionMismatchError,
     PreconditionError,
-    anti_hermiticity_defect,
     dagger,
     expm_antihermitian,
     frobenius_norm,
@@ -25,7 +24,6 @@ from magstep.magnus_steps import (
     MissingNodeError,
     NonHermitianSampleError,
     SAMPLE_HERMITICITY_TOL,
-    StepContext,
     as_matrix,
     exponent,
     generators,
@@ -134,7 +132,7 @@ class TestExponent:
             for _ in range(30):
                 dim = int(rng.integers(2, 7))
                 theta = exponent(m, random_samples(rng, m, dim), float(rng.uniform(0.1, 1.0)))
-                assert anti_hermiticity_defect(theta) <= 1e-12 * max(1.0, frobenius_norm(theta))
+                assert frobenius_norm(theta + dagger(theta)) <= 1e-12 * max(1.0, frobenius_norm(theta))
 
     def test_hbar_rescaling_consistency(self):
         # Theta(H, hbar=s) must equal Theta(H/s, hbar=1) for every scheme; this
@@ -144,8 +142,8 @@ class TestExponent:
         for m in ALL_METHODS:
             samples = random_samples(rng, m, 3)
             scaled = {k: v / s for k, v in samples.items()}
-            theta_a = exponent(m, samples, 0.83, StepContext(hbar=s))
-            theta_b = exponent(m, scaled, 0.83, StepContext(hbar=1.0))
+            theta_a = exponent(m, samples, 0.83, hbar=s)
+            theta_b = exponent(m, scaled, 0.83, hbar=1.0)
             assert frobenius_norm(theta_a - theta_b) <= 1e-14 * max(1.0, frobenius_norm(theta_b))
 
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
@@ -154,7 +152,7 @@ class TestExponent:
         samples = {node: np.stack([random_hermitian(rng, 3) for _ in range(2)]) for node in sample_nodes(method)}
         copies = {node: h.copy() for node, h in samples.items()}
         arrays = dict(samples)
-        exponent(method, samples, 0.4, StepContext(hbar=0.7))
+        exponent(method, samples, 0.4, hbar=0.7)
         assert list(samples) == list(copies)
         for node, h in samples.items():
             assert h is arrays[node]
@@ -230,8 +228,8 @@ class TestExponent:
         # Theta = Omega_1 + Omega_2 (+ Omega_3 + Omega_4), every term taken on
         # the generator samples A = -i (dt / hbar) H
         rng = np.random.default_rng(5)
-        dt, ctx = 0.61, StepContext(hbar=0.37)
-        scale = -1j * (np.float64(dt) / ctx.hbar)
+        dt, hbar = 0.61, 0.37
+        scale = -1j * (np.float64(dt) / hbar)
         h = [random_hermitian(rng, 3) for _ in range(7)]
         a0, aq1, at1, ah, at2, aq3, a1 = (scale * x for x in h)
         omega1 = omega1_simpson(a0, ah, a1)
@@ -246,7 +244,7 @@ class TestExponent:
         }
         by_node = dict(zip(sample_nodes(MethodId.ME6), h))
         for m, want in expected.items():
-            theta = exponent(m, {node: by_node[node] for node in sample_nodes(m)}, dt, ctx)
+            theta = exponent(m, {node: by_node[node] for node in sample_nodes(m)}, dt, hbar=hbar)
             assert frobenius_norm(theta - want) <= 1e-15 * frobenius_norm(want)
 
     @pytest.mark.parametrize(
@@ -260,7 +258,7 @@ class TestExponent:
         # Inf exponent
         samples = random_samples(np.random.default_rng(9), method, 2)
         with pytest.raises(PreconditionError, match="dt/hbar"):
-            exponent(method, samples, 1.0, StepContext(hbar=hbar))
+            exponent(method, samples, 1.0, hbar=hbar)
 
     @pytest.mark.parametrize("dim", [2, 8])
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
@@ -271,10 +269,9 @@ class TestExponent:
         samples = {
             node: np.stack([random_hermitian(rng, dim) for _ in dts]) for node in sample_nodes(method)
         }
-        ctx = StepContext(hbar=1.7)
-        got = exponent(method, samples, dts, ctx)
+        got = exponent(method, samples, dts, hbar=1.7)
         want = np.stack([
-            exponent(method, {node: h[k] for node, h in samples.items()}, dt, ctx)
+            exponent(method, {node: h[k] for node, h in samples.items()}, dt, hbar=1.7)
             for k, dt in enumerate(dts)
         ])
         assert np.array_equal(got, want)
@@ -284,11 +281,33 @@ class TestExponent:
         h = np.stack([random_hermitian(np.random.default_rng(8), dim)] * 3)
         samples = {node: h for node in sample_nodes(MethodId.ME2)}
         with pytest.raises(PreconditionError, match=r"dt/hbar = -1\.000e\+300/1\.000e-10"):
-            exponent(MethodId.ME2, samples, np.array([0.5, -1e300, 2.0]), StepContext(hbar=1e-10))
+            exponent(MethodId.ME2, samples, np.array([0.5, -1e300, 2.0]), hbar=1e-10)
 
 
 # a few roundings of half an ulp each, relative to the sample
 GENERATOR_ROUNDING_TOL = 4 * np.finfo(float).eps
+
+
+
+class TestHbar:
+    # hbar is a plain number, checked once, where exponent reads it and
+    # before it checks a sample (the NaN one below); every entry point
+    # reaches that check before it builds an exponent
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("entry", ["exponent", "step", "propagate", "convergence_study"])
+    def test_bad_hbar_raises_a_value_error_naming_it(self, entry, hbar):
+        model = builtin_case("I")
+        calls = {
+            "exponent": lambda: exponent(MethodId.ME2, {0.0: np.full((2, 2), np.nan), 1.0: SZ}, 0.1, hbar=hbar),
+            "step": lambda: step(MethodId.ME2, model.sample, 0.0, 0.1, hbar=hbar),
+            "propagate": lambda: propagate(MethodId.ME2, model, 0.0, 1.0, 4, [1, 0], hbar=hbar),
+            "convergence_study": lambda: convergence_study(
+                model, [MethodId.ME2], dts=[0.5, 0.25], tf=1.0, hbar=hbar
+            ),
+        }
+        with pytest.raises(ValueError, match="hbar must be positive and finite") as info:
+            calls[entry]()
+        assert not isinstance(info.value, PreconditionError)
 
 
 class TestGenerators:
@@ -468,7 +487,7 @@ class TestOneProductBracket:
         want = linalg.commutator(a, b)
         bound = BRACKET_AGREEMENT_TOL * frobenius_norm(a) * frobenius_norm(b)
         assert np.all(frobenius_norm(got - want) <= bound)
-        assert np.all(anti_hermiticity_defect(got) == 0.0)
+        assert np.all(frobenius_norm(got + dagger(got)) == 0.0)
 
     @pytest.mark.parametrize("lead", [(), (4,)], ids=["single", "stack"])
     def test_coordinate_bracket_is_the_matrix_bracket(self, lead):
@@ -511,13 +530,13 @@ class TestOneProductBracket:
                 node: np.stack([random_hermitian(rng, dim) for _ in range(3)]) for node in sample_nodes(method)
             }
             assert all(np.array_equal(h, dagger(h)) for h in samples.values())
-            exponent(method, samples, 0.7, StepContext(hbar=0.61))
+            exponent(method, samples, 0.7, hbar=0.61)
             assert len(operands) == 2 * TestBracketCount.EXPECTED[method]
             for operand in operands:
                 if dim == 2:
                     assert operand.dtype == np.float64 and operand.shape == (4, 3)
                 else:
-                    assert np.all(anti_hermiticity_defect(operand) == 0.0)
+                    assert np.all(frobenius_norm(operand + dagger(operand)) == 0.0)
 
 
 class TestSkewNormalForms:

@@ -194,9 +194,7 @@ def closed_form_report() -> CheckReport:
 
 @pytest.fixture(scope="module")
 def symmetry_report() -> CheckReport:
-    return check_symmetry_suite(
-        OracleConfig(seed=11, dim=4, dt=0.8), draws=20, oracle_draws=5
-    )
+    return check_symmetry_suite(OracleConfig(seed=11, dim=4, dt=0.8), draws=20)
 
 
 class TestCheckClosedForms:
@@ -332,7 +330,7 @@ class TestNamedTolerances:
         for name, value in stand_ins.items():
             monkeypatch.setattr(verify, name, value)
         cfg = OracleConfig(seed=5, dim=3)
-        rows = check_closed_forms(cfg, draws=1).rows + check_symmetry_suite(cfg, draws=1, oracle_draws=1).rows
+        rows = check_closed_forms(cfg, draws=1).rows + check_symmetry_suite(cfg, draws=1).rows
         assert {self.kind(r.identity) for r in rows} == set(stand_ins)
         for r in rows:
             assert r.tolerance == stand_ins[self.kind(r.identity)], r.identity
@@ -349,6 +347,11 @@ class TestOracleConfig:
     def test_dt_must_be_finite_and_nonzero(self, dt):
         with pytest.raises(ValueError, match="dt must be finite and nonzero"):
             OracleConfig(dt=dt)
+
+    def test_seed_must_be_non_negative(self):
+        # named here, not by numpy's bare "expected non-negative integer" at the first draw
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            OracleConfig(seed=-1)
 
 
 class TestMaxTracker:
