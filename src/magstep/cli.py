@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import convergence_study, propagate
+from .evolution import _checked_span, convergence_study, propagate
 from .hamiltonians import HamiltonianModel, ModelError, builtin_case, load_model
 from .linalg import PreconditionError
 from .magnus_steps import ALL_METHODS, MethodId
@@ -143,9 +143,8 @@ def build_parser() -> _Parser:
 def _cmd_propagate(args) -> int:
     model = _resolve_model(args)
     method = MethodId.from_name(args.method)
-    span = args.t_final - args.t0
-    if span <= 0:
-        raise PreconditionError(f"--t-final must exceed --t0, got {args.t_final} and {args.t0}")
+    # the library's interval check, so --dt and --n-steps meet the same one
+    span = _checked_span(args.t0, args.t_final)
     if (args.dt is None) == (args.n_steps is None):
         raise UsageError("give exactly one of --dt or --n-steps")
     if args.n_steps is not None:

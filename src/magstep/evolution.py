@@ -12,6 +12,19 @@ any step count.  The grids of a convergence ladder share chunks
 ladder takes one pass per chunk, not one per rung; every step gets the same
 floats as on its grid alone.
 
+Each chunk samples the Hamiltonian once per node time.  A scheme whose
+nodes include both ends of the step (``me2``, ``me3``, ``me4-*``, ``me6``,
+``blanes4``) samples each grid time ``t0 + dt * j`` once, since step k's end
+is step k + 1's start: node 0 reads all but the last of a piece's grid
+samples and node 1 all but the first (:func:`_node_samples`).  A two-level
+:class:`HamiltonianModel` gives its samples as the real su(2) coordinates
+the step builders take (``HamiltonianModel.su2_coordinates``), from its
+entries in real arithmetic, so no complex stack is built and no Hermiticity
+defect measured for it; a callable sampler, or a model at d != 2, gives
+complex matrix stacks, which ``exponent`` checks.  On a grid whose times
+``t0 + dt * j`` are exact the step ends are the same floats as ``step start
++ dt``; elsewhere they can differ by rounding.
+
 A trajectory records the populations and the unitarity defect of the
 propagator at every grid point.  Each chunk's prefixes of the step product
 (later steps on the left) come from a two-level blocked scan started at the
@@ -26,10 +39,12 @@ and fits the log-log order of accuracy per method.  Every product of
 propagator stacks goes through ``linalg.matmul``.
 
 ``propagate`` and ``convergence_study`` take ħ as the plain ``hbar``
-keyword and hand it to ``magnus_steps.exponent``, which checks it; nothing
-here reads it.  Both check the interval with :func:`_checked_span`, before
-anything is sampled: ``ValueError`` for a non-finite ``t0``, ``tf`` or ``tf
-- t0``, :class:`PreconditionError` unless ``tf > t0``.
+keyword and hand it to ``magnus_steps.exponent``, which reads it;
+:func:`_step_chunks` runs the same check on it when it is called, so a bad
+ħ is reported before anything is sampled.  Both check the interval with
+:func:`_checked_span`, before anything is sampled: ``ValueError`` for a
+non-finite ``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless
+``tf > t0``.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianModel
 from .linalg import Array, PreconditionError, expm_antihermitian, frobenius_norm, matmul, unitarity_defect
-from .magnus_steps import MethodId, exponent, sample_nodes
+from .magnus_steps import MethodId, _checked_hbar, exponent, sample_nodes
 
 __all__ = [
     "EvolutionTrace",
@@ -96,21 +111,48 @@ class EvolutionTrace:
     final_propagator: Array
 
 
-def _as_sampler_arrays(model, node_times: Array) -> Array:
+def _sampled(model, times: Array, dim: int) -> Array:
+    """The Hamiltonian at ``times``: the ``(4, n)`` su(2) coordinates of a
+    two-level :class:`HamiltonianModel`, else the complex ``(n, dim, dim)``
+    stack.  Raises :class:`PreconditionError` unless the samples are ``dim``
+    by ``dim``, before sampling a model."""
     if isinstance(model, HamiltonianModel):
-        return model.sample_many(node_times)
-    return np.stack([np.asarray(model(float(t)), dtype=np.complex128) for t in node_times])
+        shape = (model.dim, model.dim)
+        if model.dim == dim:
+            return model.su2_coordinates(times) if dim == 2 else model.sample_many(times)
+    else:
+        h = np.stack([np.asarray(model(float(t)), dtype=np.complex128) for t in times])
+        shape = h.shape[1:]
+        if shape == (dim, dim):
+            return h
+    raise PreconditionError(f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {shape}")
 
 
-def _node_samples(method: MethodId, model, step_start: Array, dt, dim: int) -> dict[float, Array]:
-    """Hamiltonian samples at each node of every step, ``(n_steps, dim, dim)``
-    each; ``dt`` is a scalar or the ``(n_steps,)`` steps."""
-    samples = {node: _as_sampler_arrays(model, step_start + node * dt) for node in sample_nodes(method)}
-    shape = samples[sample_nodes(method)[0]].shape
-    if shape != (len(step_start), dim, dim):
-        raise PreconditionError(
-            f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {shape[1:]}"
-        )
+def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, dt, dim: int) -> dict[float, Array]:
+    """Hamiltonian samples at each node of every step of a chunk's ``pieces``
+    (see :func:`_step_chunks`), whose ``dt`` is a scalar or the ``(n,)``
+    per-step steps.
+
+    A scheme with nodes at both ends of the step samples each piece's grid
+    times ``t0 + dt * j``, ``j = start ... stop``, once: node 0 reads all
+    but the last of them and node 1 all but the first, views of one array
+    for a chunk of one piece.  Its other nodes, like every node of the
+    other schemes, are sampled at ``step start + node * dt``.
+    """
+    step_start = np.concatenate([t0 + dts[g] * np.arange(start, stop) for g, start, stop in pieces])
+    nodes = sample_nodes(method)
+    shared = nodes[0] == 0.0 and nodes[-1] == 1.0
+    inner = nodes[1:-1] if shared else nodes
+    samples = {node: _sampled(model, step_start + node * dt, dim) for node in inner}
+    if shared:
+        grid = np.concatenate([t0 + dts[g] * np.arange(start, stop + 1) for g, start, stop in pieces])
+        ends = _sampled(model, grid, dim)
+        # the step axis is last for coordinates, first for matrices
+        axis = 1 if ends.dtype == np.float64 else 0
+        edges = list(itertools.pairwise(np.cumsum([0] + [stop - start + 1 for _, start, stop in pieces])))
+        for node, first, last in ((0.0, 0, -1), (1.0, 1, 0)):
+            parts = [ends[:, a + first:b + last] if axis else ends[a + first:b + last] for a, b in edges]
+            samples[node] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
     return samples
 
 
@@ -147,13 +189,15 @@ def _step_chunks(
     propagators of steps ``start, start + 1, ...`` of that grid.
 
     The grids' steps are packed into chunks of at most ``CHUNK_BYTES // (16
-    dim**2)`` steps by :func:`_packed`; each chunk is sampled, checked, built
-    and exponentiated in one pass, and its pieces are yielded in order.  The
-    grids are checked when this is called, before anything is sampled; each
+    dim**2)`` steps by :func:`_packed`; each chunk is sampled
+    (:func:`_node_samples`), checked, built and exponentiated in one pass,
+    and its pieces are yielded in order.  ``hbar`` and the grids are checked
+    when this is called, before anything is sampled; each
     chunk is computed only when it is reached, so no ``(n, d, d)`` stack
-    outlives its chunk.  A piece's step starts ``t0 + dt * arange(start,
-    stop)``, node times and ``dt`` are the same floats as on its grid alone.
+    outlives its chunk.  A piece's grid times ``t0 + dt * arange(start, stop
+    + 1)``, node times and ``dt`` are the same floats as on its grid alone.
     """
+    _checked_hbar(hbar)
     span = _checked_span(t0, tf)
     for n_steps in counts:
         if n_steps < 1:
@@ -170,7 +214,6 @@ def _step_chunks(
     dts = [span / n for n in counts]
 
     def chunk(pieces: list[tuple[int, int, int]]) -> Iterator[tuple[int, int, Array]]:
-        step_start = np.concatenate([t0 + dts[g] * np.arange(start, stop) for g, start, stop in pieces])
         # a grid has at most one piece in a chunk; a per-step dt only where
         # the chunk holds pieces of more than one grid
         dt = dts[pieces[0][0]]
@@ -178,7 +221,7 @@ def _step_chunks(
             dt = np.concatenate([np.full(stop - start, dts[g]) for g, start, stop in pieces])
         # the node dict is not named here: exponent replaces each of its stacks
         # by the scaled one, so no node is held twice
-        u = expm_antihermitian(exponent(method, _node_samples(method, model, step_start, dt, dim), dt, hbar))
+        u = expm_antihermitian(exponent(method, _node_samples(method, model, t0, dts, pieces, dt, dim), dt, hbar))
         offset = 0
         for g, start, stop in pieces:
             yield g, start, u[offset:offset + stop - start]
@@ -436,7 +479,10 @@ def convergence_study(
             raise ValueError(f"dts give the step count {n} more than once; each rung needs its own step count")
 
     n_ref = REFERENCE_REFINEMENT * max(counts)
-    dim = _as_sampler_arrays(model, np.asarray([t0])).shape[-1]
+    if isinstance(model, HamiltonianModel):
+        dim = model.dim
+    else:
+        dim = np.atleast_1d(model(float(t0))).shape[-1]
 
     (u_ref,) = _final_propagators(REFERENCE_METHOD, model, t0, tf, (n_ref,), dim, hbar)
     (u_check,) = _final_propagators(CROSS_CHECK_METHOD, model, t0, tf, (n_ref,), dim, hbar)

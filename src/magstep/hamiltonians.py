@@ -5,6 +5,14 @@ offset plus a sum of ``amp * sin(omega * t + phase)`` terms.  The lower
 triangle is always the conjugate of the upper one, so sampling at any time
 yields a Hermitian matrix by construction.  The four builtin two-state
 parameter cases drive the bundled convergence experiments.
+
+A two-level model also gives its samples as the real su(2) coordinates the
+step builders take (:meth:`HamiltonianModel.su2_coordinates`), computed from
+the entries' real parts (:meth:`EntrySpec.real_value`) and the coupling's
+constant imaginary part, in real arithmetic: the same floats as
+``linalg.su2_coordinates`` of :meth:`HamiltonianModel.sample_many`, without
+the complex matrices.  The evolution driver samples a two-level model that
+way, each grid time once.
 """
 
 from __future__ import annotations
@@ -64,9 +72,16 @@ class EntrySpec:
 
     def value(self, t):
         """Entry value at time(s) ``t`` (scalar or array)."""
-        out = self.offset + np.zeros_like(np.asarray(t, dtype=float), dtype=complex)
+        return self.real_value(t) + complex(0.0, self.offset.imag)
+
+    def real_value(self, t):
+        """Real part of the entry at time(s) ``t``: the offset's real part plus
+        the sinusoids, in real arithmetic.  The imaginary part is the constant
+        ``offset.imag``, since the amplitudes are real."""
+        t = np.asarray(t, dtype=float)
+        out = self.offset.real + np.zeros_like(t)
         for term in self.terms:
-            out = out + term.amplitude * np.sin(term.angular_frequency * np.asarray(t) + term.phase)
+            out += term.amplitude * np.sin(term.angular_frequency * t + term.phase)
         return out
 
 
@@ -91,6 +106,31 @@ class HamiltonianModel:
     def sample(self, t: float) -> Array:
         """Hamiltonian matrix at time ``t``, shape ``(dim, dim)``."""
         return self.sample_many(t)
+
+    def su2_coordinates(self, ts) -> Array:
+        """su(2) coordinates of a two-level model at times ``ts``: the real,
+        component-major ``(4,) + ts.shape`` array ``(c, x, y, z)`` of ``H = c I
+        + x sx + y sy + z sz``, as ``linalg.su2_coordinates`` gives them of
+        :meth:`sample_many`, with the same floats.
+
+        ``c = h00/2 + h11/2``, ``x = re h01``, ``y = -im h01`` (the coupling's
+        constant ``offset.imag``) and ``z = h00/2 - h11/2``, from the entries'
+        real values: no complex matrix is built, and every entry is halved
+        before two are added, so no finite entry overflows them.
+        """
+        if self.dim != 2:
+            raise ModelError(f"su(2) coordinates need a two-level model, got dim {self.dim}")
+        ts = np.asarray(ts, dtype=float)
+        entry = self.upper_triangle.get
+        h00, h11 = (0.0 if e is None else 0.5 * e.real_value(ts) for e in (entry((0, 0)), entry((1, 1))))
+        coupling = entry((0, 1))
+        out = np.empty((4,) + ts.shape)
+        out[0] = h00 + h11
+        out[1] = 0.0 if coupling is None else coupling.real_value(ts)
+        # 0.0 - im, not -im: a zero offset.imag gives +0.0, as the matrix path does
+        out[2] = 0.0 if coupling is None else 0.0 - coupling.offset.imag
+        out[3] = h00 - h11
+        return out
 
     def sample_many(self, ts) -> Array:
         """Stack of Hamiltonians at times ``ts``, shape ``ts.shape + (dim, dim)``."""

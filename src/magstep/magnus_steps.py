@@ -20,18 +20,26 @@ exponents, steps of several grids among them, in one call.
 ``step``, and of ``evolution.propagate`` and ``convergence_study``, which
 hand it on unchanged.  ``exponent`` is the one place it is read, and on
 entry it raises ``ValueError`` for an ``hbar`` that is not positive and
-finite, before any sample is looked at.  Samples are validated once, also on
-entry to ``exponent``: one ``linalg.checked_square`` call per node stack
-makes it complex and square, rejects a NaN or Inf entry and measures its
-Hermiticity defect against ``SAMPLE_HERMITICITY_TOL``, and then the stacks
-must be all of one shape.  Then each is scaled, once, to the generator ``A =
--iH dt/ħ`` of the step taken as the unit interval; that is the only place
-``dt`` and ħ enter.  The term functions and builders after that are plain
-arithmetic on ``A`` (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151,
-Sec. 2-3): each Magnus term Omega_n is a real combination of nested
-brackets of anti-Hermitian matrices, so the exponent stays in the Lie
-algebra u(d).  A scaling or a
-term that overflows the float range raises ``PreconditionError``.  ``step``
+finite, before any sample is looked at; ``evolution._step_chunks`` runs the
+same check (``_checked_hbar``) when it is called, before it samples.
+Samples are validated once, also on entry to ``exponent``, by their
+representation, as :func:`commutator` and :func:`as_matrix` tell them
+apart by dtype.  A matrix (stack), which is what every callable sampler and
+every model at d != 2 gives, gets one ``linalg.checked_square`` call per
+node, which makes it complex and square, rejects a NaN or Inf entry and
+measures its Hermiticity defect against ``SAMPLE_HERMITICITY_TOL``.  The
+su(2) coordinates a two-level ``HamiltonianModel`` gives, a float64 ``(4,)``
+or ``(4, n)`` array, are Hermitian by type and are only checked to be
+finite (the same ``ValueError``); a real 4x4 matrix must therefore be given
+as complex, and ``step`` makes its sampler's matrices complex.  Then the
+stacks must be all of one shape.  Then each is scaled, once, to the
+generator ``A = -iH dt/ħ`` of the step taken as the unit interval; that is
+the only place ``dt`` and ħ enter.  The term functions and builders after
+that are plain arithmetic on ``A`` (Blanes, Casas, Oteo & Ros, Phys. Rep.
+470 (2009) 151, Sec. 2-3): each Magnus term Omega_n is a real combination
+of nested brackets of anti-Hermitian matrices, so the exponent stays in the
+Lie algebra u(d).  A scaling or a term that overflows the float range
+raises ``PreconditionError``.  ``step``
 (like the evolution driver) exponentiates the result with
 ``expm_antihermitian``, which checks the exponent with one more
 ``checked_square`` call.
@@ -40,9 +48,11 @@ At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
 R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
 sz)`` is the component-major array ``(c, x, y, z)``, of shape ``(4,)`` or
 ``(4, n)``.  :func:`generators`, which turns the checked samples into the
-builders' generators, is the only place that representation is chosen;
-:func:`commutator` and :func:`as_matrix`, which gives ``exponent`` its
-matrix Theta, follow the dtype.
+builders' generators, is the only place that representation is chosen: it
+takes a coordinate sample as it is and converts a 2x2 matrix sample with
+``linalg.su2_coordinates``, to the same floats; :func:`commutator` and
+:func:`as_matrix`, which gives ``exponent`` its matrix Theta, follow the
+dtype.
 
 Every bracket here goes through :func:`commutator`.  On coordinates it is
 the cross product ``(0, 2 a x b)``.  On matrices it forms one product
@@ -164,15 +174,33 @@ def sample_nodes(method: MethodId) -> tuple[float, ...]:
     return _SCHEMES[method][0]
 
 
+def _checked_hbar(hbar: float) -> None:
+    """Raise ``ValueError`` unless ``hbar`` is positive and finite."""
+    if not (hbar > 0 and math.isfinite(hbar)):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+
+
+def _is_coordinates(h) -> bool:
+    """Whether a sample is su(2) coordinates: a float64 ``(4,)`` or ``(4, n)``
+    array.  Anything else is read as a (stack of) matrix(es)."""
+    return isinstance(h, np.ndarray) and h.dtype == np.float64 and h.ndim in (1, 2) and h.shape[0] == 4
+
+
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
     nodes = sample_nodes(method)
     out: list[Array] = []
     for node in nodes:
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
-        h, ratio, defect = checked_square(samples[node], 1)
-        if not ratio <= SAMPLE_HERMITICITY_TOL:
-            raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
+        h = samples[node]
+        if _is_coordinates(h):
+            # real coordinates are Hermitian by type: only a NaN or Inf can be wrong
+            if not np.isfinite(h).all():
+                raise ValueError("matrix contains NaN or Inf entries")
+        else:
+            h, ratio, defect = checked_square(h, 1)
+            if not ratio <= SAMPLE_HERMITICITY_TOL:
+                raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
         out.append(h)
     if len({h.shape for h in out}) > 1:
         shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
@@ -186,16 +214,20 @@ def generators(samples: list[Array], tau) -> list[Array]:
 
     ``tau`` is a scalar or, for stacked samples, a per-step ``(n,)`` array.
     At d = 2 a generator is the real, component-major ``(4, ...)`` array
-    ``(c, x, y, z)`` of ``A = -i (c I + x sx + y sy + z sz)``: ``tau`` times
-    ``linalg.su2_coordinates`` of ``H``, scaled in place, a per-step ``tau``
-    broadcasting along the last axis.  Otherwise it is the complex matrix,
-    in a new array, since ``H`` may be the caller's, a per-step ``tau``
-    broadcasting as ``(n, 1, 1)``.  This is the one place the representation
-    is chosen.  Each sample is replaced as its generator is made, so no
-    unscaled copy outlives its scaled one.
+    ``(c, x, y, z)`` of ``A = -i (c I + x sx + y sy + z sz)``, a per-step
+    ``tau`` broadcasting along the last axis: ``tau`` times the sample if it
+    is su(2) coordinates already, in a new array, since the sample may be
+    the caller's (or a view sharing its memory with another node's), else
+    ``tau`` times ``linalg.su2_coordinates`` of the 2x2 sample, scaled in
+    place.  Otherwise it is the complex matrix, in a new array, a per-step
+    ``tau`` broadcasting as ``(n, 1, 1)``.  This is the one place the
+    representation is chosen.  Each sample is replaced as its generator is
+    made, so no unscaled copy outlives its scaled one.
     """
     for i in range(len(samples)):
-        if samples[i].shape[-2:] == (2, 2):
+        if _is_coordinates(samples[i]):
+            samples[i] = samples[i] * tau
+        elif samples[i].shape[-2:] == (2, 2):
             samples[i] = su2_coordinates(samples[i])
             samples[i] *= tau
         else:
@@ -214,7 +246,9 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     """Anti-Hermitian exponent Theta with ``U = exp(Theta)`` for one step.
 
     ``samples`` maps node fractions (from :func:`sample_nodes`) to Hermitian
-    matrices; values may be stacked as ``(n, d, d)``, all of one shape.
+    matrices, stacked as ``(n, d, d)`` or not, or at d = 2 to their su(2)
+    coordinates, ``(4,)`` or ``(4, n)`` float64 arrays; all of one shape.
+    No sample is written to, so two nodes may share memory.
     ``dt`` is a scalar or, for stacks, a per-step ``(n,)`` array: step ``k``
     then gets exactly the exponent a call with ``dt[k]`` alone would give it.
     Each checked sample is replaced by its generator ``A = -i tau H``, ``tau
@@ -227,8 +261,7 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     before any sample is checked; this is the one place ħ is read, so the
     check covers every entry point.
     """
-    if not (hbar > 0 and math.isfinite(hbar)):
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    _checked_hbar(hbar)
     # rebound, so the caller's mapping is no longer held here and each
     # unscaled sample is freed as its generator replaces it
     samples = _checked_samples(method, samples)
@@ -402,6 +435,7 @@ def step(
     """Unitary propagator over ``[t_k, t_k + dt]``; negative ``dt`` steps backward."""
     if dt == 0.0:
         raise PreconditionError("step size dt must be nonzero")
-    samples = {node: sampler(t_k + node * dt) for node in sample_nodes(method)}
+    # complex, so a real 4x4 matrix is not read as four steps of coordinates
+    samples = {node: np.asarray(sampler(t_k + node * dt), dtype=np.complex128) for node in sample_nodes(method)}
     theta = exponent(method, samples, dt, hbar)
     return expm_antihermitian(theta)

@@ -19,9 +19,11 @@ from magstep.cli import (
     run,
 )
 from magstep.evolution import convergence_study, propagate
-from magstep.hamiltonians import HamiltonianModel, builtin_case
+from magstep.hamiltonians import builtin_case
 from magstep.magnus_steps import MethodId
 from magstep.verify import OracleConfig, check_symmetry_suite
+
+from conftest import SampledError, forbid_sampling
 
 CASE_I_JSON = json.dumps(
     {
@@ -234,14 +236,16 @@ class TestPropagate:
         )
         assert code == EXIT_USAGE
 
-    def test_out_of_memory_is_numerical_error(self, tmp_path, capsys, monkeypatch):
-        def exhausted(self, ts):
-            raise MemoryError("Unable to allocate")
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", exhausted)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_out_of_memory_is_numerical_error(self, tmp_path, capsys, monkeypatch, dim):
+        # a two-level model is sampled as su(2) coordinates, any other as
+        # matrices: both run out of memory here
+        forbid_sampling(monkeypatch, lambda message: MemoryError(f"Unable to allocate: {message}"))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"dim": dim, "entries": [{"i": 0, "j": 1, "offset": [1.0, 0.0]}]}))
         out = tmp_path / "pop.csv"
         code = run(
-            ["propagate", "--case", "I", "--method", "me2", "--n-steps", "4", "--out", str(out)]
+            ["propagate", "--model", str(model), "--method", "me2", "--n-steps", "4", "--out", str(out)]
         )
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -362,6 +366,25 @@ class TestConverge:
         ],
         ids=["non-finite", "reversed"],
     )
+    @pytest.mark.parametrize("steps", [["--n-steps", "4"], ["--dt", "1"]], ids=["n-steps", "dt"])
+    def test_propagate_checks_the_interval_before_the_step(self, tmp_path, capsys, interval, code, message, steps):
+        # one check, the library's, whichever way the steps are given: --dt 1
+        # is not blamed for an interval whose length is not a float
+        out = tmp_path / "pop.csv"
+        argv = ["propagate", "--case", "I", "--method", "me2", *interval, *steps, "--out", str(out)]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "interval, code, message",
+        [
+            (["--t0=-1e308", "--t-final=1e308"], EXIT_USAGE, "t0, tf and tf - t0 must be finite"),
+            (["--t0", "2", "--t-final", "1"], EXIT_NUMERICAL, "tf must exceed t0"),
+        ],
+        ids=["non-finite", "reversed"],
+    )
     def test_interval_is_checked_as_propagate_checks_it(self, tmp_path, capsys, interval, code, message):
         out = tmp_path / "err.csv"
         assert run(["converge", "--case", "I", "--methods", "me2", *interval, "--out", str(out)]) == code
@@ -380,17 +403,18 @@ class TestConverge:
 
 class TestStepSizeLimits:
     # --dt 1e-300 snaps to about 1e302 steps: more than an array can address,
-    # so it must fail before any grid is sampled; only the one-point dimension
-    # probe of a convergence study may sample
+    # so it must fail before anything is sampled (a convergence study takes a
+    # model's dimension without sampling it)
     @pytest.fixture(autouse=True)
     def no_grid_sampling(self, monkeypatch):
-        sample_many = HamiltonianModel.sample_many
+        forbid_sampling(monkeypatch)
 
-        def probe_only(self, ts):
-            assert np.size(ts) <= 1, f"sampled a grid of {np.size(ts)} times"
-            return sample_many(self, ts)
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", probe_only)
+    @pytest.mark.parametrize(
+        "command", [["propagate", "--method", "me2"], ["converge", "--methods", "me2"]]
+    )
+    def test_the_guard_fires_on_a_valid_step(self, tmp_path, command):
+        with pytest.raises(SampledError):
+            run(command + ["--case", "I", "--t-final", "1", "--dt", "0.25", "--out", str(tmp_path / "x.csv")])
 
     @pytest.mark.parametrize(
         "command", [["propagate", "--method", "me2"], ["converge", "--methods", "me2"]]
@@ -623,6 +647,17 @@ class TestHbar:
         err = capsys.readouterr().err
         assert err.startswith("magstep: error:") and "hbar" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_bad_hbar_is_reported_before_the_memory_preflight(self, tmp_path, capsys, monkeypatch):
+        # 10**12 steps would not fit in memory either, but hbar is checked first
+        forbid_sampling(monkeypatch)
+        out = tmp_path / "pop.csv"
+        argv = ["propagate", "--case", "I", "--method", "me2", "--n-steps", "1000000000000",
+                "--hbar", "0", "--out", str(out)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: error:") and "hbar must be positive and finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

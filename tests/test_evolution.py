@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from magstep.hamiltonians import EntrySpec, HamiltonianModel, SinusoidTerm, buil
 from magstep.linalg import PreconditionError, checked_square
 from magstep.magnus_steps import ALL_METHODS, MethodId, NonHermitianSampleError
 
-from conftest import SX
+from conftest import SX, SampledError, count_samples, forbid_sampling
 
 RABI = HamiltonianModel(2, {(0, 1): EntrySpec(1.0)})  # constant sigma_x coupling
 
@@ -55,6 +56,7 @@ def dense_model(dim, seed):
 
 
 DENSE8 = dense_model(8, seed=5)
+DENSE3 = dense_model(3, seed=7)
 
 
 class TestPropagate:
@@ -127,10 +129,7 @@ class TestPropagate:
             propagate(MethodId.ME2, lambda t: np.ones(2), 0.0, 1.0, 2, [1, 0])
 
     def test_rejects_unaddressable_grid_before_sampling(self, monkeypatch):
-        def no_sampling(self, ts):
-            raise AssertionError("sampled an unaddressable grid")
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        forbid_sampling(monkeypatch)
         with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**18, [1, 0])
 
@@ -141,10 +140,7 @@ class TestPropagate:
     def test_rejects_non_finite_interval_before_sampling(self, monkeypatch, t0, tf, entry):
         # one interval check for both: a convergence study does not complain
         # about a step size the caller never gave
-        def no_sampling(self, ts):
-            raise AssertionError("sampled a non-finite grid")
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        forbid_sampling(monkeypatch)
         with pytest.raises(ValueError, match="t0, tf and tf - t0 must be finite") as info:
             if entry == "propagate":
                 propagate(MethodId.ME2, RABI, t0, tf, 4, [1, 0])
@@ -160,20 +156,26 @@ class TestPropagate:
             propagate(MethodId.ME2, sampler, 0.0, 1.0, 4, [1, 0])
 
     @pytest.mark.parametrize(
-        "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
+        "method, nodes", [(MethodId.ME6, 7), (MethodId.BLANES6_GAUSS, 3), (MethodId.ME2, 2)]
     )
-    def test_validates_each_node_stack_and_the_exponent_once(self, monkeypatch, method, calls):
-        # one check per sample node and one on Theta; the kernels between them check nothing
+    @pytest.mark.parametrize("sampler", ["model", "callable"])
+    def test_validates_each_node_stack_and_the_exponent_once(self, monkeypatch, method, nodes, sampler):
+        # a callable's matrix stacks get one Hermiticity check per node, node 0
+        # and node 1 apart though they view one sampled array; a two-level
+        # model's su(2) coordinates are Hermitian by type and get none.  Theta
+        # gets one, and the kernels between them check nothing
+        model = builtin_case("I")
         seen = []
 
         def counted(a, sign):
-            seen.append(np.shape(a))
+            seen.append((np.shape(a), sign))
             return checked_square(a, sign)
 
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
-        propagate(method, builtin_case("I"), 0.0, 1.0, 16, [1, 0])
-        assert seen == [(16, 2, 2)] * calls
+        propagate(method, model if sampler == "model" else lambda t: model.sample(t), 0.0, 1.0, 16, [1, 0])
+        sample_checks = nodes if sampler == "callable" else 0
+        assert seen == [((16, 2, 2), 1)] * sample_checks + [((16, 2, 2), -1)]
 
     @pytest.mark.parametrize(
         "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
@@ -218,10 +220,7 @@ class TestPropagate:
         assert info.value.defect == pytest.approx(np.sqrt(56.0))
 
     def test_rejects_grid_beyond_physical_memory_before_sampling(self, monkeypatch):
-        def no_sampling(self, ts):
-            raise AssertionError("sampled a grid beyond physical memory")
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        forbid_sampling(monkeypatch)
         # 10**6 steps at d = 2: (10**6 + 1) rows of 4 float64 values, about 32 MB
         monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 2**24)
         with pytest.raises(PreconditionError, match=r"n_steps=10\^6\.00 is too large: .* physical memory"):
@@ -403,10 +402,7 @@ class TestPackedLadder:
         assert seen == [(size, 8, 8) for size in sizes for _ in range(calls)]
 
     def test_checks_every_rung_before_sampling(self, monkeypatch):
-        def no_sampling(self, ts):
-            raise AssertionError("sampled a ladder with an unaddressable rung")
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        forbid_sampling(monkeypatch)
         with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
             evolution._final_propagators(MethodId.ME2, RABI, 0.0, 1.0, (4, 10**18), 2)
 
@@ -511,29 +507,20 @@ class TestConvergenceStudy:
         assert report.slopes[MethodId.ME2] == pytest.approx(2.0, abs=0.3)
 
     def test_rejects_empty_ladder_before_sampling(self, monkeypatch):
-        def no_sampling(self, ts):
-            raise AssertionError("sampled for an empty ladder")
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        forbid_sampling(monkeypatch)
         with pytest.raises(ValueError, match="dts") as info:
             convergence_study(builtin_case("I"), [MethodId.ME2], dts=[], tf=1.0)
         assert not isinstance(info.value, PreconditionError)
 
     @pytest.mark.parametrize("dts", [[0.5, 0.25, 0.5], [0.5, 0.5 + 1e-12]], ids=["equal", "same-count"])
     def test_rejects_repeated_step_count_before_sampling(self, monkeypatch, dts):
-        def no_sampling(self, ts):
-            raise AssertionError("sampled a ladder with a repeated rung")
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        forbid_sampling(monkeypatch)
         with pytest.raises(ValueError, match="step count 2 more than once") as info:
             convergence_study(builtin_case("I"), [MethodId.ME2], dts=dts, tf=1.0)
         assert not isinstance(info.value, PreconditionError)
 
     def test_rejects_repeated_method_before_sampling(self, monkeypatch):
-        def no_sampling(self, ts):
-            raise AssertionError("sampled for a repeated method")
-
-        monkeypatch.setattr(HamiltonianModel, "sample_many", no_sampling)
+        forbid_sampling(monkeypatch)
         with pytest.raises(ValueError, match="me2 more than once") as info:
             convergence_study(builtin_case("I"), [MethodId.ME2, MethodId.ME6, MethodId.ME2], dts=[0.5], tf=1.0)
         assert not isinstance(info.value, PreconditionError)
@@ -620,3 +607,185 @@ class TestAgainstAdaptiveOdeIntegrator:
         for method in (MethodId.ME6, MethodId.BLANES6_GAUSS):
             u = propagate(method, model, 0.0, tf, 8192, [1, 0]).final_propagator
             assert relative_error(u, u_ode) <= 1e-8
+
+
+class TestSamplingGuard:
+    # the controls of the "before sampling" tests above: the same guard, the
+    # same entry point, valid input, and the guard fires
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: propagate(MethodId.ME2, RABI, 0.0, 1.0, 4, [1, 0]),
+            lambda: propagate(MethodId.ME2, DENSE3, 0.0, 1.0, 4, np.eye(3)[0]),
+            lambda: convergence_study(RABI, [MethodId.ME2], dts=[0.5, 0.25], tf=1.0),
+            lambda: convergence_study(RABI, [MethodId.ME2, MethodId.ME6], dts=[0.5], tf=1.0),
+            lambda: evolution._final_propagators(MethodId.ME2, RABI, 0.0, 1.0, (4, 8), 2),
+        ],
+        ids=["propagate", "propagate-dim3", "convergence-study", "two-methods", "ladder"],
+    )
+    def test_fires_on_a_valid_run(self, monkeypatch, call):
+        forbid_sampling(monkeypatch)
+        with pytest.raises(SampledError):
+            call()
+
+    def test_fires_on_a_grid_that_fits_in_memory(self, monkeypatch):
+        forbid_sampling(monkeypatch)
+        monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 2**40)
+        with pytest.raises(SampledError):
+            propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**6, [1, 0])
+
+
+def callable_of(model):
+    return lambda t: model.sample(t)
+
+
+class TestModelCoordinates:
+    # A two-level model is sampled as su(2) coordinates, a callable as complex
+    # matrices that exponent checks and converts; on grids whose times
+    # t0 + dt j are exact (dt a power of two) both give the same bits.
+
+    @pytest.mark.parametrize("model", [builtin_case("III"), dense_model(2, seed=3), DENSE3], ids=["case-III", "dense2", "dense3"])
+    @pytest.mark.parametrize("method", [MethodId.ME2, MethodId.ME6, MethodId.BLANES6_GAUSS], ids=lambda m: m.value)
+    def test_model_and_callable_give_the_same_bits(self, model, method):
+        psi0 = np.eye(model.dim)[1]
+        a = propagate(method, model, 0.0, 4.0, 64, psi0)
+        b = propagate(method, callable_of(model), 0.0, 4.0, 64, psi0)
+        for name in ("populations", "unitarity_defects", "final_propagator"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        counts = (64, 32, 16, 8)
+        finals = evolution._final_propagators(method, model, 0.0, 4.0, counts, model.dim)
+        wrapped = evolution._final_propagators(method, callable_of(model), 0.0, 4.0, counts, model.dim)
+        assert [u.tobytes() for u in finals] == [u.tobytes() for u in wrapped]
+
+    @pytest.mark.parametrize(
+        "model, tf, n", [(builtin_case("II"), 48.0, 24576), (DENSE3, 16.0, 8192)], ids=["case-II", "dense3"]
+    )
+    def test_multi_chunk_grid_gives_the_same_bits(self, model, tf, n):
+        # steps of 2**-9: two chunks, the second a part one, at d = 2 (16384
+        # steps a chunk) and at d = 3 (7281).
+        # The callable keeps what model.sample returned for each time, so the
+        # second pass over the grid costs no Python calls
+        psi0 = np.eye(model.dim)[0]
+        seen = {}
+
+        def sampler(t):
+            if t not in seen:
+                seen[t] = model.sample(t)
+            return seen[t]
+
+        a = propagate(MethodId.ME2, model, 0.0, tf, n, psi0)
+        b = propagate(MethodId.ME2, sampler, 0.0, tf, n, psi0)
+        assert a.populations.tobytes() == b.populations.tobytes()
+        assert a.final_propagator.tobytes() == b.final_propagator.tobytes()
+        (u,) = evolution._final_propagators(MethodId.ME2, model, 0.0, tf, (n,), model.dim)
+        (w,) = evolution._final_propagators(MethodId.ME2, sampler, 0.0, tf, (n,), model.dim)
+        assert u.tobytes() == w.tobytes()
+        assert len(seen) == n + 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_coordinates_equal_those_of_the_sampled_matrices(self, seed):
+        # complex coupling offsets, zero ones and missing entries included
+        rng = np.random.default_rng(seed)
+        upper = {}
+        for i, j in ((0, 0), (1, 1), (0, 1)):
+            if rng.uniform() < 0.25:
+                continue
+            im = 0.0 if i == j else rng.choice([0.0, -0.0, rng.normal()])
+            terms = tuple(SinusoidTerm(rng.normal(), rng.uniform(0.1, 5.0), rng.uniform(0.0, 6.0)) for _ in range(rng.integers(0, 3)))
+            upper[(i, j)] = EntrySpec(complex(rng.normal(), im), terms)
+        model = HamiltonianModel(2, upper)
+        ts = rng.uniform(-50.0, 50.0, 33)
+        want = linalg.su2_coordinates(model.sample_many(ts))
+        assert model.su2_coordinates(ts).tobytes() == want.tobytes()
+        assert model.su2_coordinates(ts[0]).tobytes() == want[:, 0].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_model_samples_are_exactly_hermitian(self, dim, seed):
+        # so the check a two-level model's coordinates skip cannot fire
+        model = dense_model(dim, seed=100 + seed)
+        ts = np.random.default_rng(seed).uniform(-100.0, 100.0, 257)
+        _, ratio, defect = checked_square(model.sample_many(ts), 1)
+        assert (ratio, defect) == (0.0, 0.0)
+
+    def test_a_nan_model_sample_is_the_value_error_of_a_nan_matrix(self):
+        # omega * t overflows to inf, whose sine is NaN; the coordinates are
+        # checked for finiteness only, with the matrices' error
+        model = HamiltonianModel(2, {(0, 0): EntrySpec(0.0, (SinusoidTerm(1.0, 1e308),)), (0, 1): EntrySpec(1.0)})
+        for sampler in (model, callable_of(model)):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf") as info:
+                propagate(MethodId.ME2, sampler, 0.0, 4.0, 4, [1, 0])
+            assert not isinstance(info.value, PreconditionError)
+
+    def test_a_model_of_another_dimension_is_refused_before_sampling(self, monkeypatch):
+        forbid_sampling(monkeypatch)
+        with pytest.raises(PreconditionError, match=r"must be \(2, 2\), got \(3, 3\)"):
+            propagate(MethodId.ME2, DENSE3, 0.0, 1.0, 4, [1, 0])
+
+
+class TestSampledTimes:
+    # a scheme with nodes at both ends of the step samples each grid time once
+    @pytest.mark.parametrize(
+        "method, per_step", [(MethodId.ME2, 1), (MethodId.ME4_NC, 2), (MethodId.ME6, 6), (MethodId.BLANES6_GAUSS, 3)]
+    )
+    def test_step_ends_are_sampled_once(self, monkeypatch, method, per_step):
+        sizes = count_samples(monkeypatch)
+        propagate(method, RABI, 0.0, 1.0, 40, [1, 0])
+        shared = method is not MethodId.BLANES6_GAUSS
+        assert sum(sizes) == 40 * per_step + shared
+
+    def test_a_callable_gets_the_shared_ends_too(self):
+        times = []
+
+        def sampler(t):
+            times.append(t)
+            return RABI.sample(t)
+
+        propagate(MethodId.ME2, sampler, 0.0, 1.0, 40, [1, 0])
+        assert times == list(0.0 + (1.0 / 40) * np.arange(41))
+
+    def test_packed_ladder_samples_each_rung_s_grid_once(self, monkeypatch):
+        # rungs of 8, 4 and 2 steps in one chunk: 9 + 5 + 3 ends, 14 midpoints
+        sizes = count_samples(monkeypatch)
+        evolution._final_propagators(MethodId.ME4_NC, RABI, 0.0, 1.0, (8, 4, 2), 2)
+        assert sorted(sizes) == [14, 17]
+
+    def test_convergence_workload_sample_count(self, monkeypatch):
+        # the benchmark's convergence op: 138,369 sampled times when every
+        # node of every step was sampled and a one-point dimension probe
+        # preceded the study; 118,117 with the step ends shared and no probe
+        from magstep.cli import run
+
+        sizes = count_samples(monkeypatch)
+        dts = [x for n in (1024, 512, 256, 128, 64, 32) for x in ("--dt", repr(6.25 / n))]
+        out = os.devnull
+        assert run(["converge", "--case", "IV", "--methods", "all", "--t-final", "6.25", *dts, "--out", out]) == 0
+        assert sum(sizes) == 118117
+        assert min(sizes) > 1
+
+
+class TestHbarBeforeSampling:
+    @pytest.mark.parametrize("hbar", [0.0, np.nan])
+    def test_convergence_study_samples_nothing(self, monkeypatch, hbar):
+        sizes = count_samples(monkeypatch)
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            convergence_study(builtin_case("I"), ALL_METHODS, tf=1.0, hbar=hbar)
+        assert sizes == []
+
+    def test_a_callable_study_samples_only_its_dimension_probe(self):
+        times = []
+
+        def sampler(t):
+            times.append(t)
+            return SX
+
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            convergence_study(sampler, ALL_METHODS, tf=1.0, hbar=0.0)
+        assert times == [0.0]
+
+    def test_propagate_checks_hbar_before_the_memory_preflight(self, monkeypatch):
+        forbid_sampling(monkeypatch)
+        monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 2**20)
+        with pytest.raises(ValueError, match="hbar must be positive and finite") as info:
+            propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**12, [1, 0], hbar=0.0)
+        assert not isinstance(info.value, PreconditionError)

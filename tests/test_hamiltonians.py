@@ -60,6 +60,27 @@ class TestSampling:
             hs = m.sample_many(ts)
             assert checked_square(hs, 1)[1:] == (0.0, 0.0)
 
+    def test_su2_coordinates_of_the_builtin_cases(self):
+        # (c, x, y, z) of H = c I + x sx + y sy + z sz, read off the entries
+        for case in ["I", "II", "III", "IV"]:
+            m = builtin_case(case)
+            ts = np.linspace(0.0, 50.0, 1001)
+            h = m.sample_many(ts)
+            c, x, y, z = m.su2_coordinates(ts)
+            assert np.allclose(c, (h[:, 0, 0] + h[:, 1, 1]).real / 2, rtol=0, atol=1e-15)
+            assert np.allclose(z, (h[:, 0, 0] - h[:, 1, 1]).real / 2, rtol=0, atol=1e-15)
+            assert np.array_equal(x, h[:, 0, 1].real) and np.array_equal(y, -h[:, 0, 1].imag)
+
+    def test_su2_coordinates_need_two_levels(self):
+        with pytest.raises(ModelError, match="dim 3"):
+            HamiltonianModel(3, {}).su2_coordinates(np.zeros(2))
+
+    def test_real_value_is_the_real_part_of_value(self):
+        entry = EntrySpec(complex(0.5, -2.0), (SinusoidTerm(1.5, 2.0, 0.3), SinusoidTerm(-0.5, 7.0)))
+        ts = np.linspace(-3.0, 3.0, 41)
+        v = entry.value(ts)
+        assert np.array_equal(entry.real_value(ts), v.real) and np.all(v.imag == -2.0)
+
     def test_sample_many_matches_scalar(self):
         m = builtin_case("II")
         ts = np.array([0.0, 0.37, 1.2])

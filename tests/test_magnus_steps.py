@@ -158,6 +158,47 @@ class TestExponent:
             assert h is arrays[node]
             assert np.array_equal(h, copies[node])
 
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_coordinate_samples_give_the_matrix_samples_bits(self, method):
+        # a two-level model's path: the same floats as the checked matrices'
+        rng = np.random.default_rng(21)
+        matrices = {node: np.stack([random_hermitian(rng, 2) for _ in range(5)]) for node in sample_nodes(method)}
+        coords = {node: linalg.su2_coordinates(h) for node, h in matrices.items()}
+        dts = rng.uniform(0.1, 1.0, 5)
+        for dt in (0.37, dts):
+            want = exponent(method, matrices, dt, hbar=0.9)
+            assert exponent(method, coords, dt, hbar=0.9).tobytes() == want.tobytes()
+        single = {node: h[:, 0] for node, h in coords.items()}
+        assert exponent(method, single, 0.37).tobytes() == exponent(method, {n: h[0] for n, h in matrices.items()}, 0.37).tobytes()
+
+    def test_coordinate_views_sharing_memory_are_left_unchanged(self):
+        # node 0 and node 1 may view one array of grid samples, overlapping
+        ends = np.random.default_rng(3).normal(size=(4, 6))
+        copy = ends.copy()
+        theta = exponent(MethodId.ME2, {0.0: ends[:, :-1], 1.0: ends[:, 1:]}, 0.5, hbar=0.8)
+        assert ends.tobytes() == copy.tobytes()
+        want = exponent(MethodId.ME2, {0.0: copy[:, :-1].copy(), 1.0: copy[:, 1:].copy()}, 0.5, hbar=0.8)
+        assert theta.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        coords = np.ones((4, 3))
+        coords[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf") as info:
+            exponent(MethodId.ME2, {0.0: np.ones((4, 3)), 1.0: coords}, 0.1)
+        assert not isinstance(info.value, PreconditionError)
+
+    def test_coordinates_and_matrices_mixed_rejected_naming_the_nodes(self):
+        samples = {0.0: np.ones((4, 3)), 1.0: np.stack([SX] * 3)}
+        with pytest.raises(DimensionMismatchError, match=r"node 0\.0: \(4, 3\), node 1\.0: \(3, 2, 2\)"):
+            exponent(MethodId.ME2, samples, 0.1)
+
+    def test_step_reads_a_real_4x4_sample_as_a_matrix(self):
+        # a float64 (4, 4) would be four steps of coordinates to exponent
+        h = np.diag([1.0, -1.0, 0.5, 2.0])
+        u = step(MethodId.ME2, lambda t: h, 0.0, 0.3)
+        assert np.allclose(u, np.diag(np.exp(-0.3j * np.diag(h))), atol=1e-14)
+
     def test_missing_node_is_named(self):
         with pytest.raises(MissingNodeError, match="0.5"):
             exponent(MethodId.ME3, {0.0: SZ, 1.0: SX}, 0.1)
