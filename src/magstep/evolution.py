@@ -21,7 +21,10 @@ samples and node 1 all but the first (:func:`_node_samples`).  A two-level
 the step builders take (``HamiltonianModel.su2_coordinates``), from its
 entries in real arithmetic, so no complex stack is built and no Hermiticity
 defect measured for it; a callable sampler, or a model at d != 2, gives
-complex matrix stacks, which ``exponent`` checks.  On a grid whose times
+complex matrix stacks, which ``exponent`` checks.  A model's sample that is
+not finite (a sinusoid past the float range) is a
+:class:`PreconditionError` raised where it is sampled; a callable's is the
+``ValueError`` of ``exponent``'s check.  On a grid whose times
 ``t0 + dt * j`` are exact the step ends are the same floats as ``step start
 + dt``; elsewhere they can differ by rounding.
 
@@ -115,11 +118,20 @@ def _sampled(model, times: Array, dim: int) -> Array:
     """The Hamiltonian at ``times``: the ``(4, n)`` su(2) coordinates of a
     two-level :class:`HamiltonianModel`, else the complex ``(n, dim, dim)``
     stack.  Raises :class:`PreconditionError` unless the samples are ``dim``
-    by ``dim``, before sampling a model."""
+    by ``dim``, before sampling a model, and if a model's sample is not
+    finite: a valid model whose sinusoids pass the float range, sampled under
+    one ``np.errstate`` so that numpy adds no warning to that one error."""
     if isinstance(model, HamiltonianModel):
         shape = (model.dim, model.dim)
         if model.dim == dim:
-            return model.su2_coordinates(times) if dim == 2 else model.sample_many(times)
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = model.su2_coordinates(times) if dim == 2 else model.sample_many(times)
+            # one flag per time: the time axis is last for coordinates, first for matrices
+            finite = np.isfinite(h).all(axis=0 if dim == 2 else (1, 2))
+            if not finite.all():
+                t = float(times[np.argmin(finite)])
+                raise PreconditionError(f"the model overflows the float range: its sample at t={t!r} is not finite")
+            return h
     else:
         h = np.stack([np.asarray(model(float(t)), dtype=np.complex128) for t in times])
         shape = h.shape[1:]

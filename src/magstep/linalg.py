@@ -12,11 +12,13 @@ overhead at that size: :func:`matmul` forms the four entries of each
 product elementwise, and :func:`expm_antihermitian` writes the exponent in
 the Pauli basis and returns its su(2) exponential; :func:`checked_square`
 takes the float parts of ``a -+ a†`` from a product with a constant weight
-table instead of forming the matrix.  These are the only three kernels that
-branch on the dimension.  The step builders work on su(2) coordinates at
-d = 2: :func:`su2_coordinates` converts a checked 2x2 sample and
-:func:`su2_matrix` turns coordinates back into a matrix.  :func:`commutator`,
-the general ``ab - ba`` of the certification oracles, keeps ``@``.
+table instead of forming the matrix.  :func:`commutator`, the general
+``ab - ba`` of the certification oracles, forms both products as sums of
+broadcast elementwise products up to d = 3, where that overhead still
+outweighs a 3x3 complex product, and uses ``@`` above.  These are the only
+four kernels that branch on the dimension.  The step builders work on su(2)
+coordinates at d = 2: :func:`su2_coordinates` converts a checked 2x2 sample
+and :func:`su2_matrix` turns coordinates back into a matrix.
 
 Only two functions validate.  :func:`checked_square` is the one boundary
 check, and the one measure of a Hermiticity or anti-Hermiticity defect: it
@@ -118,13 +120,32 @@ def matmul(a, b, out=None) -> Array:
 
 
 def commutator(a, b) -> Array:
-    """Return ``ab - ba``."""
+    """Return ``ab - ba`` of (stacks of) square matrices, broadcast over the
+    leading axes like ``@``.
+
+    Up to d = 3 each of ``ab`` and ``ba`` is a sum over the inner index of
+    broadcast elementwise products, ``a[..., :, k, None] * b[..., None, k,
+    :]`` added for k = 0 ... d - 1 in that order: numpy's batched ``@`` calls
+    BLAS once per matrix, and that overhead outweighs the arithmetic of a
+    3x3 complex product.  Above d = 3, or for operands that are not square,
+    it is exactly ``a @ b - b @ a``.  Either way the result has the dtype of
+    ``@``, and the only check is that the operands' last dimensions agree.
+    """
     a, b = np.asarray(a), np.asarray(b)
-    if a.shape[-1] != b.shape[-1]:
-        raise DimensionMismatchError(
-            f"incompatible operands: dims {a.shape[-1]} and {b.shape[-1]}"
-        )
-    return a @ b - b @ a
+    d = a.shape[-1]
+    if d != b.shape[-1]:
+        raise DimensionMismatchError(f"incompatible operands: dims {d} and {b.shape[-1]}")
+    if d > 3 or a.shape[-2:] != (d, d) or b.shape[-2:] != (d, d):
+        return a @ b - b @ a
+    return _summed_product(a, b) - _summed_product(b, a)
+
+
+def _summed_product(a: Array, b: Array) -> Array:
+    """``a @ b`` of square operands as a sum of broadcast elementwise products."""
+    res = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        res += a[..., :, k, None] * b[..., None, k, :]
+    return res
 
 
 def frobenius_norm(a) -> float | Array:

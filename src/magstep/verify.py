@@ -30,10 +30,14 @@ coefficient in a scheme fails certification.  Those take each bracket from
 ``magnus_steps.commutator``: one matrix product, or at d = 2 a cross
 product of su(2) coordinates; the oracle integrands here use the general
 ``ab - ba`` of ``linalg.commutator``, so the two sides share no bracket
-kernel.  The terms take generator samples ``A = -iH dt/ħ`` on the unit
-step; here ħ = 1, and the draws are ``A = -i cfg.dt H``, where ``cfg.dt``
-must be finite and nonzero and its fourth power a float.  The terms get
-them as ``exponent`` hands them to a builder, through
+kernel.  Up to d = 3 they share no product kernel either: there
+``linalg.commutator`` sums broadcast elementwise products, while the
+builders' products are cross products at d = 2 and ``np.matmul`` at d = 3;
+above d = 3 both take ``np.matmul``.  The terms take generator samples
+``A = -iH dt/ħ`` on the unit step; here ħ = 1, and the draws are ``A =
+-i cfg.dt H``, where ``cfg.dt`` must be finite and nonzero and its fourth
+power a float.  The terms get them as ``exponent`` hands them to a
+builder, through
 ``magnus_steps.generators`` (so in su(2) coordinates at d = 2), and each
 term is compared as a matrix (``magnus_steps.as_matrix``).  The
 oracle takes the interpolant of the same samples over ``[0, 1]``, and

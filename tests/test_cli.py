@@ -254,6 +254,23 @@ class TestPropagate:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "command", [["propagate", "--method", "me2", "--n-steps", "16"], ["converge", "--methods", "me2"]]
+    )
+    def test_overflowing_model_is_numerical_error(self, tmp_path, capsys, dim, command):
+        # omega * t passes the float range and its sine is NaN: one line,
+        # exit 2, and no numpy warning (the suite turns one into an error)
+        model = tmp_path / "model.json"
+        entries = [{"i": 0, "j": 0, "terms": [{"amp": 1.0, "omega": 1e308}]}, {"i": 0, "j": 1, "offset": [1.0, 0.0]}]
+        model.write_text(json.dumps({"dim": dim, "entries": entries}))
+        out = tmp_path / "x.csv"
+        assert run(command + ["--model", str(model), "--t-final", "10", "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: numerical precondition failed: the model overflows the float range")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_invalid_model_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "entries": [{"i": 0, "j": 0, "offset": [0, 1]}]}')
@@ -473,14 +490,16 @@ class TestVerify:
         assert run(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_wrong_term_weight_fails_with_exit_3(self, tmp_path, capsys, monkeypatch):
+    # dims 2 and 3 take linalg.commutator's summed products, dim 4 its @
+    @pytest.mark.parametrize("dim", ["2", "3", "4"])
+    def test_wrong_term_weight_fails_with_exit_3(self, tmp_path, capsys, monkeypatch, dim):
         # Omega_4's 1/5040 as 1/50, in the term function the certification calls
         omega4_linear = verify.omega4_linear
         monkeypatch.setattr(
             verify, "omega4_linear", lambda *args, **kw: (5040.0 / 50.0) * omega4_linear(*args, **kw)
         )
         out = tmp_path / "report.csv"
-        code = run(["verify", "--suite", "closed-forms", "--draws", "2", "--out", str(out)])
+        code = run(["verify", "--suite", "closed-forms", "--dim", dim, "--draws", "2", "--out", str(out)])
         assert code == EXIT_VERIFY_FAILED
         assert "FAILED" in capsys.readouterr().err
         failed = [line.split(",")[0] for line in read_lines(out)[1:] if line.endswith("false")]

@@ -708,14 +708,25 @@ class TestModelCoordinates:
         _, ratio, defect = checked_square(model.sample_many(ts), 1)
         assert (ratio, defect) == (0.0, 0.0)
 
-    def test_a_nan_model_sample_is_the_value_error_of_a_nan_matrix(self):
-        # omega * t overflows to inf, whose sine is NaN; the coordinates are
-        # checked for finiteness only, with the matrices' error
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_an_overflowing_model_sample_is_a_precondition_error(self, dim):
+        # omega * t overflows to inf, whose sine is NaN: a valid model past
+        # the float range, reported with the first such time and no numpy
+        # warning (the suite turns a RuntimeWarning into an error)
+        entries = {(0, 0): EntrySpec(0.0, (SinusoidTerm(1.0, 1e308),)), (0, 1): EntrySpec(1.0)}
+        model = HamiltonianModel(dim, entries)
+        psi0 = np.eye(dim)[0]
+        with pytest.raises(PreconditionError, match=r"model overflows the float range: its sample at t=2\.0 "):
+            propagate(MethodId.ME2, model, 0.0, 4.0, 4, psi0)
+        with pytest.raises(PreconditionError, match="model overflows the float range"):
+            evolution._final_propagators(MethodId.ME4_NC, model, 0.0, 4.0, (8, 4), dim)
+
+    def test_a_nan_callable_sample_is_the_value_error_of_a_nan_matrix(self):
+        # a callable's samples are checked by exponent, with the matrices' error
         model = HamiltonianModel(2, {(0, 0): EntrySpec(0.0, (SinusoidTerm(1.0, 1e308),)), (0, 1): EntrySpec(1.0)})
-        for sampler in (model, callable_of(model)):
-            with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf") as info:
-                propagate(MethodId.ME2, sampler, 0.0, 4.0, 4, [1, 0])
-            assert not isinstance(info.value, PreconditionError)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf") as info:
+            propagate(MethodId.ME2, callable_of(model), 0.0, 4.0, 4, [1, 0])
+        assert not isinstance(info.value, PreconditionError)
 
     def test_a_model_of_another_dimension_is_refused_before_sampling(self, monkeypatch):
         forbid_sampling(monkeypatch)

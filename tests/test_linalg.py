@@ -137,6 +137,63 @@ class TestCommutator:
             commutator(np.eye(2), np.eye(3))
 
 
+# Largest entrywise gap between commutator and a loop-product ab - ba for
+# operands with entries of order 1: the summed products and BLAS each round
+# their own products and sums, at most a few ulps of the d-term sums apart.
+COMMUTATOR_REFERENCE_TOL = 1e-14
+
+# Operand shapes: one matrix, equal stacks, and the broadcast pairs of the
+# oracle's triple (p, 1) x (p, p) and quadruple (p, 1, 1), (p, p, 1) x (p, p,
+# p) integrands at its p = 8 points.
+COMMUTATOR_SHAPES = [((), ()), ((5,), (5,)), ((8, 1), (8, 8)), ((8, 1, 1), (8, 8, 8)), ((8, 8, 1), (8, 8, 8))]
+
+
+def naive_commutator(a, b):
+    """``ab - ba`` of each pair of the broadcast stacks, by :func:`naive_matmul`."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    out = np.empty(shape, dtype=complex)
+    for idx in np.ndindex(shape[:-2]):
+        out[idx] = naive_matmul(a[idx], b[idx]) - naive_matmul(b[idx], a[idx])
+    return out
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestCommutatorKernels:
+    # d <= 3 takes the summed elementwise products, d = 4 numpy's @: both are
+    # the general ab - ba, so the operands here are not anti-Hermitian
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("shapes", COMMUTATOR_SHAPES, ids=str)
+    def test_matches_the_loop_product(self, dim, shapes):
+        rng = np.random.default_rng(dim)
+        a, b = (random_complex(rng, s + (dim, dim)) for s in shapes)
+        for x, y in ((a, b), (b, a)):
+            got = commutator(x, y)
+            assert got.shape == np.broadcast_shapes(x.shape, y.shape)
+            assert np.max(np.abs(got - naive_commutator(x, y))) <= COMMUTATOR_REFERENCE_TOL
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("shapes", COMMUTATOR_SHAPES, ids=str)
+    def test_self_commutator_and_antisymmetry_are_exact(self, dim, shapes):
+        rng = np.random.default_rng(10 + dim)
+        a, b = (random_complex(rng, s + (dim, dim)) for s in shapes)
+        assert np.all(commutator(a, a) == 0) and np.all(commutator(b, b) == 0)
+        assert np.array_equal(commutator(a, b), -commutator(b, a))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dtypes", [(int, int), (float, float), (np.float32, np.float32), (float, complex)], ids=str)
+    def test_result_type_is_that_of_matmul(self, dim, dtypes):
+        rng = np.random.default_rng(20 + dim)
+        a, b = (rng.integers(-3, 4, (4, dim, dim)).astype(t) for t in dtypes)
+        got, want = commutator(a, b), a @ b - b @ a
+        assert got.dtype == want.dtype
+        # small integers: every product and sum is exact in either order
+        assert np.array_equal(got, want)
+
+
 class TestKernelsAreFormulas:
     # only checked_square and expm_antihermitian validate; a non-finite
     # entry passes through the kernels and comes out as a non-finite result
