@@ -126,9 +126,9 @@ def _sampled(model, times: Array, dim: int) -> Array:
         if model.dim == dim:
             with np.errstate(over="ignore", invalid="ignore"):
                 h = model.su2_coordinates(times) if dim == 2 else model.sample_many(times)
-            # one flag per time: the time axis is last for coordinates, first for matrices
-            finite = np.isfinite(h).all(axis=0 if dim == 2 else (1, 2))
-            if not finite.all():
+            if not np.isfinite(h).all():
+                # the time axis is last for coordinates, first for matrices
+                finite = np.isfinite(h).all(axis=0 if dim == 2 else (1, 2))
                 t = float(times[np.argmin(finite)])
                 raise PreconditionError(f"the model overflows the float range: its sample at t={t!r} is not finite")
             return h

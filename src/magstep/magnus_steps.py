@@ -30,10 +30,8 @@ node, which makes it complex and square, rejects a NaN or Inf entry and
 measures its Hermiticity defect against ``SAMPLE_HERMITICITY_TOL``.  The
 su(2) coordinates a two-level ``HamiltonianModel`` gives, a float64 ``(4,)``
 or ``(4, n)`` array, are Hermitian by type and are only checked to be
-finite (the same ``ValueError``; the evolution driver has already raised
-``PreconditionError`` for a model's sample that is not finite); a real 4x4
-matrix must therefore be given as complex, and ``step`` makes its sampler's
-matrices complex.  Then the
+finite (the same ``ValueError``); a real 4x4 matrix must therefore be given
+as complex, and ``step`` makes its sampler's matrices complex.  Then the
 stacks must be all of one shape.  Then each is scaled, once, to the
 generator ``A = -iH dt/ħ`` of the step taken as the unit interval; that is
 the only place ``dt`` and ħ enter.  The term functions and builders after
@@ -196,7 +194,9 @@ def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[A
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
         h = samples[node]
         if _is_coordinates(h):
-            # real coordinates are Hermitian by type: only a NaN or Inf can be wrong
+            # real coordinates are Hermitian by type: only a NaN or Inf can be
+            # wrong.  The evolution driver rejects a model's non-finite sample
+            # as it samples, so this check serves direct callers of exponent.
             if not np.isfinite(h).all():
                 raise ValueError("matrix contains NaN or Inf entries")
         else:

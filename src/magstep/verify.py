@@ -30,10 +30,10 @@ coefficient in a scheme fails certification.  Those take each bracket from
 ``magnus_steps.commutator``: one matrix product, or at d = 2 a cross
 product of su(2) coordinates; the oracle integrands here use the general
 ``ab - ba`` of ``linalg.commutator``, so the two sides share no bracket
-kernel.  Up to d = 3 they share no product kernel either: there
+kernel.  Up to d = 4 they share no product kernel either: there
 ``linalg.commutator`` sums broadcast elementwise products, while the
-builders' products are cross products at d = 2 and ``np.matmul`` at d = 3;
-above d = 3 both take ``np.matmul``.  The terms take generator samples
+builders' products are cross products at d = 2 and ``np.matmul`` at d = 3
+and 4; above d = 4 both take ``np.matmul``.  The terms take generator samples
 ``A = -iH dt/ħ`` on the unit step; here ħ = 1, and the draws are ``A =
 -i cfg.dt H``, where ``cfg.dt`` must be finite and nonzero and its fourth
 power a float.  The terms get them as ``exponent`` hands them to a

@@ -490,8 +490,8 @@ class TestVerify:
         assert run(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    # dims 2 and 3 take linalg.commutator's summed products, dim 4 its @
-    @pytest.mark.parametrize("dim", ["2", "3", "4"])
+    # dims 2 to 4 take linalg.commutator's summed products, dim 5 its @
+    @pytest.mark.parametrize("dim", ["2", "3", "4", "5"])
     def test_wrong_term_weight_fails_with_exit_3(self, tmp_path, capsys, monkeypatch, dim):
         # Omega_4's 1/5040 as 1/50, in the term function the certification calls
         omega4_linear = verify.omega4_linear

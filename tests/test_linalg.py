@@ -136,6 +136,16 @@ class TestCommutator:
         with pytest.raises(DimensionMismatchError):
             commutator(np.eye(2), np.eye(3))
 
+    # both kernels take only square operands of one dimension: a 1-D or
+    # non-square operand would otherwise give a summed-product array at d <= 4
+    @pytest.mark.parametrize(
+        "shapes", [((3,), (3,)), ((3, 3), (3,)), ((2, 3), (2, 3)), ((3, 3), (2, 3)), ((5, 6), (6, 5))], ids=str
+    )
+    def test_non_square_operands_are_a_dimension_mismatch(self, shapes):
+        a, b = (np.ones(s) for s in shapes)
+        with pytest.raises(DimensionMismatchError):
+            commutator(a, b)
+
 
 # Largest entrywise gap between commutator and a loop-product ab - ba for
 # operands with entries of order 1: the summed products and BLAS each round
@@ -163,9 +173,9 @@ def random_complex(rng, shape):
 
 
 class TestCommutatorKernels:
-    # d <= 3 takes the summed elementwise products, d = 4 numpy's @: both are
+    # d <= 4 takes the summed elementwise products, d = 5 numpy's @: both are
     # the general ab - ba, so the operands here are not anti-Hermitian
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     @pytest.mark.parametrize("shapes", COMMUTATOR_SHAPES, ids=str)
     def test_matches_the_loop_product(self, dim, shapes):
         rng = np.random.default_rng(dim)
@@ -175,7 +185,7 @@ class TestCommutatorKernels:
             assert got.shape == np.broadcast_shapes(x.shape, y.shape)
             assert np.max(np.abs(got - naive_commutator(x, y))) <= COMMUTATOR_REFERENCE_TOL
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("shapes", COMMUTATOR_SHAPES, ids=str)
     def test_self_commutator_and_antisymmetry_are_exact(self, dim, shapes):
         rng = np.random.default_rng(10 + dim)
@@ -183,7 +193,7 @@ class TestCommutatorKernels:
         assert np.all(commutator(a, a) == 0) and np.all(commutator(b, b) == 0)
         assert np.array_equal(commutator(a, b), -commutator(b, a))
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     @pytest.mark.parametrize("dtypes", [(int, int), (float, float), (np.float32, np.float32), (float, complex)], ids=str)
     def test_result_type_is_that_of_matmul(self, dim, dtypes):
         rng = np.random.default_rng(20 + dim)
