@@ -31,15 +31,18 @@ not finite (a sinusoid past the float range) is a
 A trajectory records the populations and the unitarity defect of the
 propagator at every grid point.  Each chunk's prefixes of the step product
 (later steps on the left) come from a two-level blocked scan started at the
-propagator carried from the chunk before: about 2 sqrt(n) batched matrix
-products instead of n single ones.  The convergence harness needs only final
-propagators, which it forms by a pairwise product within each chunk times
-the carried propagator, with no prefixes, populations or defects.  It
-measures the relative Frobenius error of each scheme's final propagator
-against a reference computed by the 6th-order scheme on a much finer grid,
-cross-checked against an independent 6th-order scheme before it is trusted,
-and fits the log-log order of accuracy per method.  Every product of
-propagator stacks goes through ``linalg.matmul``.
+propagator carried from the chunk before: about sqrt(n) batched products
+and 2 sqrt(n) single ones instead of n single ones.  The convergence harness
+needs only final propagators, with no prefixes, populations or defects.  It
+reduces all rungs' pieces of a chunk together, one batched pairwise product
+per tree level (ceil(log2 n) of the chunk's longest piece: 10 for the
+1024-step rung of the benchmark ladder), and multiplies each piece's product
+onto the product of its rung's pieces before it.  It measures the relative
+Frobenius error of each scheme's final propagator against a reference
+computed by the 6th-order scheme on a much finer grid, cross-checked against
+an independent 6th-order scheme before it is trusted, and fits the log-log
+order of accuracy per method.  Every product of propagator stacks goes
+through ``linalg.matmul``.
 
 ``propagate`` and ``convergence_study`` take ħ as the plain ``hbar``
 keyword and hand it to ``magnus_steps.exponent``, which reads it;
@@ -195,19 +198,20 @@ def _checked_span(t0: float, tf: float) -> float:
 
 def _step_chunks(
     method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, hbar: float = 1.0
-) -> Iterator[tuple[int, int, Array]]:
-    """``(grid, start, u)`` for the pieces of one or more uniform grids over
-    ``[t0, tf]``, of ``counts[grid]`` steps each: ``u`` holds the step
-    propagators of steps ``start, start + 1, ...`` of that grid.
+) -> Iterator[tuple[list[tuple[int, int, int]], Array]]:
+    """``(pieces, u)`` for each chunk of the steps of one or more uniform
+    grids over ``[t0, tf]``, of ``counts[grid]`` steps each: ``pieces`` are
+    the chunk's ``(grid, start, stop)`` from :func:`_packed`, and ``u`` holds
+    the step propagators of steps ``start ... stop - 1`` of each piece's
+    grid, piece after piece.
 
     The grids' steps are packed into chunks of at most ``CHUNK_BYTES // (16
-    dim**2)`` steps by :func:`_packed`; each chunk is sampled
-    (:func:`_node_samples`), checked, built and exponentiated in one pass,
-    and its pieces are yielded in order.  ``hbar`` and the grids are checked
-    when this is called, before anything is sampled; each
-    chunk is computed only when it is reached, so no ``(n, d, d)`` stack
-    outlives its chunk.  A piece's grid times ``t0 + dt * arange(start, stop
-    + 1)``, node times and ``dt`` are the same floats as on its grid alone.
+    dim**2)`` steps; each chunk is sampled (:func:`_node_samples`), checked,
+    built and exponentiated in one pass.  ``hbar`` and the grids are checked
+    when this is called, before anything is sampled; each chunk is computed
+    only when it is reached, so no ``(n, d, d)`` stack outlives its chunk.
+    A piece's grid times ``t0 + dt * arange(start, stop + 1)``, node times
+    and ``dt`` are the same floats as on its grid alone.
     """
     _checked_hbar(hbar)
     span = _checked_span(t0, tf)
@@ -225,7 +229,7 @@ def _step_chunks(
 
     dts = [span / n for n in counts]
 
-    def chunk(pieces: list[tuple[int, int, int]]) -> Iterator[tuple[int, int, Array]]:
+    def chunk(pieces: list[tuple[int, int, int]]) -> tuple[list[tuple[int, int, int]], Array]:
         # a grid has at most one piece in a chunk; a per-step dt only where
         # the chunk holds pieces of more than one grid
         dt = dts[pieces[0][0]]
@@ -234,15 +238,12 @@ def _step_chunks(
         # the node dict is not named here: exponent replaces each of its stacks
         # by the scaled one, so no node is held twice
         u = expm_antihermitian(exponent(method, _node_samples(method, model, t0, dts, pieces, dt, dim), dt, hbar))
-        offset = 0
-        for g, start, stop in pieces:
-            yield g, start, u[offset:offset + stop - start]
-            offset += stop - start
+        return pieces, u
 
     width = max(1, CHUNK_BYTES // (16 * dim**2))
-    # chain keeps no piece it has yielded, unlike a generator expression's
+    # map keeps no chunk it has returned, unlike a generator expression's
     # loop variable, so a chunk can be freed before the next one is built
-    return itertools.chain.from_iterable(map(chunk, _packed(counts, width)))
+    return map(chunk, _packed(counts, width))
 
 
 def _packed(counts: Sequence[int], width: int) -> Iterator[list[tuple[int, int, int]]]:
@@ -279,12 +280,15 @@ def _prefix_products(u: Array, carry: Array) -> Array:
     later one.  A two-level blocked scan: the first ``w * (n // w)`` steps,
     ``w = isqrt(n)``, form ``n // w`` blocks viewed in place in the output.
     All blocks advance their local prefixes together, one batched product per
-    position; then each block is chained, in place, onto the prefix just
-    before it (``carry`` for block 0), one batched product per block.  The
-    fewer than ``w`` leftover steps follow one at a time, so about 2 sqrt(n)
-    batched products replace n single ones, and nothing the size of ``u`` is
-    allocated besides the output.  A product with the identity is exact, so
-    a grid of one chunk gets the prefixes of a scan that starts at I.
+    position.  The prefix before each block (``carry`` for block 0) is the
+    last local prefix of the block before times the prefix before that
+    block, one single product per block; then every block is chained onto
+    its own, in place, in one broadcast product.  The fewer than ``w``
+    leftover steps follow one at a time, so about ``2 w + n // w`` products,
+    all but ``w`` of them of single matrices, replace n single ones, and
+    nothing the size of ``u`` is allocated besides the output and the
+    chaining's result.  A product with the identity is exact, so a grid of
+    one chunk gets the prefixes of a scan that starts at I.
     """
     n, dim = len(u), u.shape[-1]
     width = math.isqrt(n)
@@ -297,8 +301,11 @@ def _prefix_products(u: Array, carry: Array) -> Array:
     local[:, 0] = steps[:, 0]
     for j in range(1, width):
         matmul(steps[:, j], local[:, j - 1], out=local[:, j])
-    for b in range(blocks):
-        matmul(local[b], out[b * width], out=local[b])
+    bases = np.empty((blocks, 1, dim, dim), dtype=np.complex128)
+    bases[0, 0] = carry
+    for b in range(1, blocks):
+        matmul(local[b - 1, -1], bases[b - 1, 0], out=bases[b, 0])
+    matmul(local, bases, out=local)
     for k in range(full, n):
         matmul(u[k], out[k], out=out[k + 1])
     return out
@@ -339,7 +346,7 @@ def propagate(
     populations = np.empty((n_steps + 1, dim))
     defects = np.empty(n_steps + 1)
     carry = np.eye(dim, dtype=np.complex128)
-    for _, start, u in chunks:
+    for [(_, start, _)], u in chunks:
         prefixes = _prefix_products(u, carry)
         rows = slice(start, start + len(prefixes))
         populations[rows] = np.abs(prefixes @ psi0) ** 2
@@ -359,19 +366,35 @@ def _final_propagators(
     """U(tf) alone of each grid of ``counts`` steps over ``[t0, tf]``: the step
     propagators multiplied pairwise, later steps on the left.
 
-    Within a piece of a grid (see :func:`_step_chunks`), each level multiplies
-    neighbouring pairs in one batched product and carries an odd trailing
-    factor over unchanged, so n - 1 products take ceil(log2 n) levels and no
-    prefix is ever stored; each piece's product then multiplies the product
-    of the grid's pieces before it, so a grid of one piece takes no product
-    beyond its own.
+    All pieces of a chunk (see :func:`_step_chunks`) are reduced together,
+    one tree level at a time: each level first appends an identity to every
+    piece of odd length, so that no pair crosses a piece boundary, then
+    multiplies all neighbouring pairs of the chunk in one batched product,
+    which halves every piece.  ``I @ u`` has the values of ``u``, so each
+    piece gets the product of a tree over its own steps that carries an odd
+    trailing factor over unchanged; a chunk whose longest piece has n steps
+    takes ceil(log2 n) batched products, and no prefix is ever stored.  Each
+    piece's product then multiplies the product of the grid's pieces before
+    it, so a grid of one piece takes no product beyond its own.
     """
+    identity = np.eye(dim, dtype=np.complex128)[None]
     products: list[list[Array]] = [[] for _ in counts]
-    for grid, _, u in _step_chunks(method, model, t0, tf, counts, dim, hbar):
-        while len(u) > 1:
-            tail = u[len(u) - len(u) % 2:]
-            u = np.concatenate([matmul(u[1::2], u[0:len(u) - 1:2]), tail])
-        products[grid].append(u[0])
+    for pieces, u in _step_chunks(method, model, t0, tf, counts, dim, hbar):
+        lengths = [stop - start for _, start, stop in pieces]
+        while max(lengths) > 1:
+            if any(n % 2 for n in lengths):
+                parts, start = [], 0
+                for n in lengths:
+                    parts.append(u[start:start + n])
+                    if n % 2:
+                        parts.append(identity)
+                    start += n
+                u = np.concatenate(parts)
+                lengths = [n + n % 2 for n in lengths]
+            u = matmul(u[1::2], u[0::2])
+            lengths = [n // 2 for n in lengths]
+        for (grid, _, _), p in zip(pieces, u):
+            products[grid].append(p)
     return [functools.reduce(lambda carry, p: matmul(p, carry), pieces) for pieces in products]
 
 

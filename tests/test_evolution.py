@@ -253,8 +253,8 @@ class TestPropagate:
 def step_propagators(method, model, n):
     """The chunks of a grid over [0, 10] and the step propagators they hold, in order."""
     chunks = list(evolution._step_chunks(method, model, 0.0, 10.0, (n,), model.dim))
-    assert [grid for grid, _, _ in chunks] == [0] * len(chunks)
-    return [start for _, start, _ in chunks], np.concatenate([u for _, _, u in chunks])
+    assert all(len(pieces) == 1 and pieces[0][0] == 0 for pieces, _ in chunks)
+    return [pieces[0][1] for pieces, _ in chunks], np.concatenate([u for _, u in chunks])
 
 
 def sequential_prefixes(u, carry=None):
@@ -305,6 +305,90 @@ class TestPrefixProducts:
         # so a grid of one chunk gets the prefixes of a scan that starts at I
         _, u = step_propagators(MethodId.ME6, model, 1000)
         assert np.array_equal(linalg.matmul(u, np.eye(model.dim, dtype=complex)), u)
+
+    @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
+    def test_identity_on_the_left_changes_no_bit(self, model):
+        # so the identity that the final-only tree appends to an odd piece
+        # hands the piece's last factor on as it is, in a batch or alone
+        _, u = step_propagators(MethodId.ME6, model, 1000)
+        eye = np.eye(model.dim, dtype=complex)
+        assert np.array_equal(linalg.matmul(eye, u), u)
+        assert np.array_equal(linalg.matmul(np.broadcast_to(eye, u.shape), u), u)
+        assert all(np.array_equal(linalg.matmul(eye, v), v) for v in u[:16])
+        assert np.array_equal(linalg.matmul(eye, eye), eye)
+
+
+def piecewise_tree(u):
+    """The product of one piece's step propagators, later steps on the left:
+    neighbouring pairs multiplied level by level, an odd trailing factor
+    carried over unchanged."""
+    while len(u) > 1:
+        tail = u[len(u) - len(u) % 2:]
+        u = np.concatenate([linalg.matmul(u[1::2], u[0:len(u) - 1:2]), tail])
+    return u[0]
+
+
+class TestTreeLevels:
+    # chunks of (grid, start, stop) pieces: odd, even and one-step pieces in
+    # one chunk, a lone one-step grid, two equal odd pieces, and a grid whose
+    # pieces span two chunks
+    LAYOUTS = {
+        "7-1-4-3": [[(0, 0, 7), (1, 0, 1), (2, 0, 4), (3, 0, 3)]],
+        "1": [[(0, 0, 1)]],
+        "5-5": [[(0, 0, 5), (1, 0, 5)]],
+        "two-chunks": [[(0, 0, 6)], [(0, 6, 11), (1, 0, 3)]],
+    }
+
+    @staticmethod
+    def reduce_chunks(monkeypatch, chunks, dim, seed):
+        """``_final_propagators`` of random step propagators laid out in
+        ``chunks``, and the per-piece reference of the same factors."""
+        rng = np.random.default_rng(seed)
+        stacks = []
+        for pieces in chunks:
+            n = sum(stop - start for _, start, stop in pieces)
+            stacks.append(rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim)))
+        monkeypatch.setattr(evolution, "_step_chunks", lambda *args: iter(zip(chunks, stacks)))
+        grids = 1 + max(grid for pieces in chunks for grid, _, _ in pieces)
+        counts = [0] * grids
+        for pieces in chunks:
+            for grid, _, stop in pieces:
+                counts[grid] = stop
+        got = evolution._final_propagators(MethodId.ME2, None, 0.0, 1.0, counts, dim)
+
+        want = [np.eye(dim, dtype=complex) for _ in range(grids)]
+        for pieces, u in zip(chunks, stacks):
+            offset = 0
+            for grid, start, stop in pieces:
+                want[grid] = linalg.matmul(piecewise_tree(u[offset:offset + stop - start]), want[grid])
+                offset += stop - start
+        return got, want
+
+    @pytest.mark.parametrize("chunks", LAYOUTS.values(), ids=LAYOUTS.keys())
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_level_batched_tree_equals_per_piece_trees(self, monkeypatch, chunks, dim):
+        got, want = self.reduce_chunks(monkeypatch, chunks, dim, seed=dim)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "counts, levels",
+        [((1024, 512, 256, 128, 64, 32), 10), ((7, 1, 4, 3), 3), ((5, 5), 3), ((1,), 0)],
+    )
+    def test_one_batched_product_per_level(self, monkeypatch, counts, levels):
+        # the levels of the chunk's longest piece, ceil(log2 n); grids of one
+        # piece take no product beyond their tree
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return linalg.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "matmul", counted)
+        finals = evolution._final_propagators(MethodId.ME2, builtin_case("IV"), 0.0, 1.0, counts, 2)
+        assert len(finals) == len(counts)
+        assert len(calls) == levels
 
 
 class TestChunkBoundaries:
@@ -374,13 +458,9 @@ class TestPackedLadder:
     def test_pieces_come_in_chunk_order(self):
         width, _ = THREE_CHUNKS[8]
         counts = PACKED_LADDERS[8]
-        pieces = evolution._step_chunks(MethodId.ME2, DENSE8, 0.0, 10.0, counts, 8)
-        got = [(grid, start, len(u)) for grid, start, u in pieces]
-        assert got == [
-            (grid, start, stop - start)
-            for chunk in evolution._packed(counts, width)
-            for grid, start, stop in chunk
-        ]
+        chunks = list(evolution._step_chunks(MethodId.ME2, DENSE8, 0.0, 10.0, counts, 8))
+        assert [pieces for pieces, _ in chunks] == list(evolution._packed(counts, width))
+        assert [len(u) for _, u in chunks] == [sum(stop - start for _, start, stop in pieces) for pieces, _ in chunks]
 
     @pytest.mark.parametrize(
         "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from magstep import linalg
 from magstep.linalg import (
     EXPONENT_ANTIHERMITICITY_TOL,
+    SUMMED_MATMUL_CUT,
     DimensionMismatchError,
     NotAntiHermitianError,
     checked_square,
@@ -105,6 +107,80 @@ class TestMatmul:
         a = np.array([[1, 2], [3, 4]])
         assert np.array_equal(matmul(a, a), a @ a) and matmul(a, a).dtype == (a @ a).dtype
         assert matmul(a, 0.5 * a).dtype == np.float64
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestMatmulBranches:
+    # at d = 2, fewer than SUMMED_MATMUL_CUT matrices take the summed form and
+    # larger batches the entrywise one: the same operations in the same order
+    CUT = SUMMED_MATMUL_CUT
+    SIZES = [1, CUT - 1, CUT, CUT + 1, 16384]
+
+    @staticmethod
+    def summed_calls(monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(max(a.size, b.size) // 4)
+            return summed(a, b)
+
+        summed = linalg._summed_product
+        monkeypatch.setattr(linalg, "_summed_product", counted)
+        return calls
+
+    def test_the_cut_picks_the_branch(self, monkeypatch):
+        calls = self.summed_calls(monkeypatch)
+        rng = np.random.default_rng(0)
+        for n in self.SIZES:
+            a, b = (complex_normal(rng, (n, 2, 2)) for _ in range(2))
+            matmul(a, b)
+        assert calls == [1, self.CUT - 1]
+
+    def test_both_branches_give_the_same_bits(self):
+        rng = np.random.default_rng(1)
+        a, b = (complex_normal(rng, (16384, 2, 2)) for _ in range(2))
+        whole = matmul(a, b)
+        singles = np.stack([matmul(x, y) for x, y in zip(a, b)])
+        assert same_bits(whole, singles)
+        for n in self.SIZES:
+            assert same_bits(matmul(a[:n], b[:n]), whole[:n]), n
+
+    # a block of the prefix scan times one matrix, and every block times its
+    # own base; the counts put each on both sides of the cut
+    @pytest.mark.parametrize("lead_a, lead_b", [((5,), ()), ((CUT + 1,), ()), ((3, 5), (3, 1)), ((4, CUT), (4, 1))])
+    def test_broadcast_operands(self, monkeypatch, lead_a, lead_b):
+        rng = np.random.default_rng(2)
+        a = complex_normal(rng, lead_a + (2, 2))
+        b = complex_normal(rng, lead_b + (2, 2))
+        calls = self.summed_calls(monkeypatch)
+        got = matmul(a, b)
+        assert len(calls) == (1 if a.size // 4 < self.CUT else 0)
+        assert same_bits(got, matmul(a, np.broadcast_to(b, a.shape).copy()))
+        TestMatmul.assert_matches_numpy(got, a, b)
+
+    @pytest.mark.parametrize("alias", ["a", "b"])
+    @pytest.mark.parametrize("lead", [(5,), (CUT + 1,), (4, CUT)], ids=str)
+    def test_out_may_alias_either_operand(self, lead, alias):
+        rng = np.random.default_rng(3)
+        a, b = (complex_normal(rng, lead + (2, 2)) for _ in range(2))
+        want = matmul(a, b)
+        x, y = (a.copy(), b) if alias == "a" else (a, b.copy())
+        target = x if alias == "a" else y
+        assert matmul(x, y, out=target) is target
+        assert same_bits(target, want)
+
+    @pytest.mark.parametrize("n", [3, CUT + 1])
+    @pytest.mark.parametrize("dtypes", [(int, int), (float, float), (np.float32, np.float32), (float, complex)], ids=str)
+    def test_result_type_for_real_operands(self, n, dtypes):
+        rng = np.random.default_rng(4)
+        a, b = (rng.integers(-3, 4, (n, 2, 2)).astype(t) for t in dtypes)
+        got, want = matmul(a, b), np.matmul(a, b)
+        assert got.dtype == want.dtype
+        # small integers: every product and sum is exact
+        assert np.array_equal(got, want)
 
 
 class TestCommutator:
