@@ -16,12 +16,16 @@ Each chunk samples the Hamiltonian once per node time.  A scheme whose
 nodes include both ends of the step (``me2``, ``me3``, ``me4-*``, ``me6``,
 ``blanes4``) samples each grid time ``t0 + dt * j`` once, since step k's end
 is step k + 1's start: node 0 reads all but the last of a piece's grid
-samples and node 1 all but the first (:func:`_node_samples`).  A two-level
+samples and node 1 all but the first (:func:`_node_samples`).  At d = 2 a
+chunk samples all its node times in one call.  A two-level
 :class:`HamiltonianModel` gives its samples as the real su(2) coordinates
 the step builders take (``HamiltonianModel.su2_coordinates``), from its
 entries in real arithmetic, so no complex stack is built and no Hermiticity
-defect measured for it; a callable sampler, or a model at d != 2, gives
-complex matrix stacks, which ``exponent`` checks.  A model's sample that is
+defect measured for it, and ``exponent`` hands the chunk's exponents to
+``expm_antihermitian`` as coordinates too, with no matrix and no
+anti-Hermiticity check between them; a callable sampler, or a model at
+d != 2, gives complex matrix stacks, which ``exponent`` and
+``expm_antihermitian`` check.  A model's sample that is
 not finite (a sinusoid past the float range) is a
 :class:`PreconditionError` raised where it is sampled; a callable's is the
 ``ValueError`` of ``exponent``'s check.  On a grid whose times
@@ -152,19 +156,35 @@ def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, 
     times ``t0 + dt * j``, ``j = start ... stop``, once: node 0 reads all
     but the last of them and node 1 all but the first, views of one array
     for a chunk of one piece.  Its other nodes, like every node of the
-    other schemes, are sampled at ``step start + node * dt``.
+    other schemes, are sampled at ``step start + node * dt``.  All these
+    times go into one array, those nodes' first, then the piece grids.  At
+    d = 2 it is sampled in one call and each node gets a view of the result;
+    above, each node's times, and the grids', are sampled in a call of their
+    own, so that ``exponent`` frees each ``(n, d, d)`` stack as it scales it.
     """
     step_start = np.concatenate([t0 + dts[g] * np.arange(start, stop) for g, start, stop in pieces])
     nodes = sample_nodes(method)
     shared = nodes[0] == 0.0 and nodes[-1] == 1.0
     inner = nodes[1:-1] if shared else nodes
-    samples = {node: _sampled(model, step_start + node * dt, dim) for node in inner}
-    if shared:
-        grid = np.concatenate([t0 + dts[g] * np.arange(start, stop + 1) for g, start, stop in pieces])
-        ends = _sampled(model, grid, dim)
+    n, base = len(step_start), len(inner) * len(step_start)
+    # each piece's grid, at times[base + a:base + b]
+    edges = list(itertools.pairwise(itertools.accumulate([stop + 1 - start for _, start, stop in pieces], initial=0)))
+    times = np.empty(base + (edges[-1][1] if shared else 0))
+    for i, node in enumerate(inner):
+        np.add(step_start, node * dt, out=times[i * n:(i + 1) * n])
+    for (g, start, stop), (a, b) in zip(pieces if shared else [], edges):
+        np.add(t0, dts[g] * np.arange(start, stop + 1), out=times[base + a:base + b])
+    bounds = [(i * n, (i + 1) * n) for i in range(len(inner))] + ([(base, len(times))] if shared else [])
+    if dim == 2:
+        h = _sampled(model, times, dim)
         # the step axis is last for coordinates, first for matrices
+        stacks = [h[:, a:b] if h.dtype == np.float64 else h[a:b] for a, b in bounds]
+    else:
+        stacks = [_sampled(model, times[a:b], dim) for a, b in bounds]
+    samples = dict(zip(inner, stacks))
+    if shared:
+        ends = stacks[-1]
         axis = 1 if ends.dtype == np.float64 else 0
-        edges = list(itertools.pairwise(np.cumsum([0] + [stop - start + 1 for _, start, stop in pieces])))
         for node, first, last in ((0.0, 0, -1), (1.0, 1, 0)):
             parts = [ends[:, a + first:b + last] if axis else ends[a + first:b + last] for a, b in edges]
             samples[node] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)

@@ -77,11 +77,17 @@ class EntrySpec:
     def real_value(self, t):
         """Real part of the entry at time(s) ``t``: the offset's real part plus
         the sinusoids, in real arithmetic.  The imaginary part is the constant
-        ``offset.imag``, since the amplitudes are real."""
+        ``offset.imag``, since the amplitudes are real.  Each sinusoid is
+        evaluated in place in one scratch array."""
         t = np.asarray(t, dtype=float)
-        out = self.offset.real + np.zeros_like(t)
+        out = np.full(t.shape, self.offset.real + 0.0)
+        scratch = np.empty_like(out)
         for term in self.terms:
-            out += term.amplitude * np.sin(term.angular_frequency * t + term.phase)
+            np.multiply(term.angular_frequency, t, out=scratch)
+            scratch += term.phase
+            np.sin(scratch, out=scratch)
+            scratch *= term.amplitude
+            out += scratch
         return out
 
 

@@ -22,6 +22,9 @@ only ones that branch on the dimension, and :func:`matmul` the only one
 that also branches on the batch size.  The step builders work on su(2)
 coordinates at d = 2: :func:`su2_coordinates` converts a checked 2x2 sample
 and :func:`su2_matrix` turns coordinates back into a matrix.
+:func:`is_su2_coordinates` is the one rule that tells the two apart: a
+float64 ``(4,)`` or ``(4, n)`` array is coordinates, and
+:func:`expm_antihermitian` takes them as they are, without a matrix.
 
 Only two functions validate.  :func:`checked_square` is the one boundary
 check, and the one measure of a Hermiticity or anti-Hermiticity defect: it
@@ -29,10 +32,12 @@ coerces a (stack of) square matrix(es) to complex128, rejects a NaN or Inf
 entry, and measures ``||a -+ a†||_F`` relative to the norm, scaling a stack
 with huge entries down first so a finite matrix cannot overflow its own
 test.  Callers apply it once at their input boundary.
-:func:`expm_antihermitian` applies it to its exponent.  :func:`commutator`
-checks nothing but that its operands are square of one dimension, and the
-Frobenius norm and the unitarity defect are plain formulas: a NaN or Inf
-entry comes back as a NaN or Inf result rather than an exception.
+:func:`expm_antihermitian` applies it to a matrix exponent; an exponent
+given as su(2) coordinates is anti-Hermitian by type, and only checked to
+be finite.  :func:`commutator` checks nothing but that its operands are
+square of one dimension, and the Frobenius norm and the unitarity defect
+are plain formulas: a NaN or Inf entry comes back as a NaN or Inf result
+rather than an exception.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "checked_square",
     "su2_coordinates",
     "su2_matrix",
+    "is_su2_coordinates",
     "expm_antihermitian",
 ]
 
@@ -307,6 +313,13 @@ def su2_matrix(v) -> Array:
     return out
 
 
+def is_su2_coordinates(a) -> bool:
+    """Whether ``a`` is su(2) coordinates: a float64 ``(4,)`` or ``(4, n)``
+    array.  Anything else is read as a (stack of) matrix(es), so a real 4x4
+    matrix must be given as complex."""
+    return isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim in (1, 2) and a.shape[0] == 4
+
+
 def expm_antihermitian(theta) -> Array:
     """Exponential of an anti-Hermitian matrix, exactly unitary up to rounding.
 
@@ -318,7 +331,19 @@ def expm_antihermitian(theta) -> Array:
     EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)``, both evaluated by
     :func:`checked_square`, so an exponent too large for its norm is still
     tested.
+
+    ``theta`` may also be the su(2) coordinates ``(c, x, y, z)`` of
+    ``theta = -i (c I + x sx + y sy + z sz)`` (:func:`is_su2_coordinates`:
+    a float64 ``(4, 4)`` array is four such exponents, not a matrix).  Their
+    matrix is anti-Hermitian by construction, so they are only checked to be
+    finite, with the same ``ValueError``, and read as :func:`su2_coordinates`
+    reads ``i`` times :func:`su2_matrix` of them (:func:`_read_su2`): the
+    result has the bits of ``expm_antihermitian(su2_matrix(theta))``.  Finite
+    coordinates whose entries ``c + z`` or ``c - z`` pass the float range
+    raise :class:`PreconditionError`.
     """
+    if is_su2_coordinates(theta):
+        return _expm_su2(_read_su2(theta))
     theta, ratio, defect = checked_square(theta, -1)
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
         raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
@@ -328,11 +353,32 @@ def expm_antihermitian(theta) -> Array:
     return (v * np.exp(-1j * w)[..., None, :]) @ dagger(v)
 
 
-def _expm_su2(v: Array) -> Array:
+def _read_su2(v: Array) -> tuple[Array, Array, Array, Array]:
+    """The coordinates ``su2_coordinates(1j * su2_matrix(v))`` gives, with
+    their bits, from the entries of that matrix without forming it: the
+    diagonal ``c + z`` and ``c - z``, as :func:`su2_matrix` rounds them, and
+    ``x`` and ``y`` are halved, then added as the weight table adds them.
+    The table's product gives +0 for a zero sum, whatever the signs of the
+    zeros added, hence the ``0.0 +`` first.  Raises ``ValueError`` for a NaN or Inf coordinate and
+    :class:`PreconditionError` for a diagonal entry past the float range,
+    without a numpy warning."""
+    c, x, y, z = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, d = c + z, c - z
+    if not all(np.isfinite(a).all() for a in (s, x, y, d)):
+        if np.isfinite(v).all():
+            raise PreconditionError("the exponent overflows the float range: c + z or c - z of its su(2) coordinates")
+        raise ValueError("matrix contains NaN or Inf entries")
+    s, x, y, d = (0.5 * a for a in (s, x, y, d))
+    return 0.0 + s + d, 0.0 + x + x, 0.0 + y + y, 0.0 + s - d
+
+
+def _expm_su2(v) -> Array:
     """``exp(theta)`` of the (stack of) 2x2 anti-Hermitian matrices ``theta``
     whose Hermitian part ``i*theta = c I + x sx + y sy + z sz`` has su(2)
     coordinates ``v = (c, x, y, z)``, component-major as
-    :func:`su2_coordinates` returns them; ``x, y, z`` are scaled in place.
+    :func:`su2_coordinates` returns them, or the four as :func:`_read_su2`
+    returns them; ``x, y, z`` are scaled in place.
 
     ``exp(theta) = e^{-ic} (cos r I - i (sin r / r) (x sx + y sy + z sz))``,
     ``r = |(x, y, z)|``.  The coordinates halve every entry before two are

@@ -23,15 +23,16 @@ entry it raises ``ValueError`` for an ``hbar`` that is not positive and
 finite, before any sample is looked at; ``evolution._step_chunks`` runs the
 same check (``_checked_hbar``) when it is called, before it samples.
 Samples are validated once, also on entry to ``exponent``, by their
-representation, as :func:`commutator` and :func:`as_matrix` tell them
-apart by dtype.  A matrix (stack), which is what every callable sampler and
+representation, which ``linalg.is_su2_coordinates`` tells apart by dtype.
+A matrix (stack), which is what every callable sampler and
 every model at d != 2 gives, gets one ``linalg.checked_square`` call per
 node, which makes it complex and square, rejects a NaN or Inf entry and
 measures its Hermiticity defect against ``SAMPLE_HERMITICITY_TOL``.  The
 su(2) coordinates a two-level ``HamiltonianModel`` gives, a float64 ``(4,)``
 or ``(4, n)`` array, are Hermitian by type and are only checked to be
 finite (the same ``ValueError``); a real 4x4 matrix must therefore be given
-as complex, and ``step`` makes its sampler's matrices complex.  Then the
+as complex, and ``step`` makes its sampler's matrices complex, so its
+exponent is a matrix.  Then the
 stacks must be all of one shape.  Then each is scaled, once, to the
 generator ``A = -iH dt/ħ`` of the step taken as the unit interval; that is
 the only place ``dt`` and ħ enter.  The term functions and builders after
@@ -39,10 +40,11 @@ that are plain arithmetic on ``A`` (Blanes, Casas, Oteo & Ros, Phys. Rep.
 470 (2009) 151, Sec. 2-3): each Magnus term Omega_n is a real combination
 of nested brackets of anti-Hermitian matrices, so the exponent stays in the
 Lie algebra u(d).  A scaling or a term that overflows the float range
-raises ``PreconditionError``.  ``step``
-(like the evolution driver) exponentiates the result with
-``expm_antihermitian``, which checks the exponent with one more
-``checked_square`` call.
+raises ``PreconditionError``.  ``exponent`` returns Theta in the
+representation of its samples.  ``step`` (like the evolution driver)
+exponentiates it with ``expm_antihermitian``, which checks a matrix Theta
+with one more ``checked_square`` call and coordinates only for finiteness:
+they are anti-Hermitian by type.
 
 At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
 R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
@@ -51,8 +53,9 @@ sz)`` is the component-major array ``(c, x, y, z)``, of shape ``(4,)`` or
 builders' generators, is the only place that representation is chosen: it
 takes a coordinate sample as it is and converts a 2x2 matrix sample with
 ``linalg.su2_coordinates``, to the same floats; :func:`commutator` and
-:func:`as_matrix`, which gives ``exponent`` its matrix Theta, follow the
-dtype.
+:func:`as_matrix`, which gives ``exponent`` the matrix Theta of matrix
+samples, follow the dtype.  Coordinate samples get Theta as coordinates,
+which ``expm_antihermitian`` exponentiates with the bits of their matrix.
 
 Every bracket here goes through :func:`commutator`.  On coordinates it is
 the cross product ``(0, 2 a x b)``.  On matrices it forms one product
@@ -88,6 +91,7 @@ from .linalg import (
     checked_square,
     dagger,
     expm_antihermitian,
+    is_su2_coordinates,
     matmul,
     su2_coordinates,
     su2_matrix,
@@ -180,12 +184,6 @@ def _checked_hbar(hbar: float) -> None:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
-def _is_coordinates(h) -> bool:
-    """Whether a sample is su(2) coordinates: a float64 ``(4,)`` or ``(4, n)``
-    array.  Anything else is read as a (stack of) matrix(es)."""
-    return isinstance(h, np.ndarray) and h.dtype == np.float64 and h.ndim in (1, 2) and h.shape[0] == 4
-
-
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
     nodes = sample_nodes(method)
     out: list[Array] = []
@@ -193,7 +191,7 @@ def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[A
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
         h = samples[node]
-        if _is_coordinates(h):
+        if is_su2_coordinates(h):
             # real coordinates are Hermitian by type: only a NaN or Inf can be
             # wrong.  The evolution driver rejects a model's non-finite sample
             # as it samples, so this check serves direct callers of exponent.
@@ -227,7 +225,7 @@ def generators(samples: list[Array], tau) -> list[Array]:
     made, so no unscaled copy outlives its scaled one.
     """
     for i in range(len(samples)):
-        if _is_coordinates(samples[i]):
+        if is_su2_coordinates(samples[i]):
             samples[i] = samples[i] * tau
         elif samples[i].shape[-2:] == (2, 2):
             samples[i] = su2_coordinates(samples[i])
@@ -240,7 +238,8 @@ def generators(samples: list[Array], tau) -> list[Array]:
 def as_matrix(a: Array) -> Array:
     """The matrix of a generator, or of a sum of Magnus terms of generators,
     in either representation: su(2) coordinates become their 2x2 matrix,
-    and a matrix is returned as it is."""
+    and a matrix is returned as it is.  ``exponent`` applies it to the Theta
+    of matrix samples at d = 2; the certification, to every closed form."""
     return su2_matrix(a) if a.dtype == np.float64 else a
 
 
@@ -256,10 +255,12 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     Each checked sample is replaced by its generator ``A = -i tau H``, ``tau
     = dt / ħ``, so no unscaled copy outlives its scaled one, and the builder
     sums the Magnus terms of those.  At d = 2 the generators and the
-    builder's result are su(2) coordinates, and the result is returned as
-    its matrix.  Raises :class:`PreconditionError` naming ``dt/hbar``, at the
-    ``dt`` of largest magnitude, if the scaling or a term overflows the float
-    range.  Raises ``ValueError`` unless ``hbar`` is positive and finite,
+    builder's result are su(2) coordinates.  Theta is returned in the
+    representation of the samples: coordinates for coordinate samples, which
+    ``expm_antihermitian`` takes as they are, and a matrix (stack) for
+    matrix samples (:func:`as_matrix` of the coordinates at d = 2).  Raises
+    :class:`PreconditionError` naming ``dt/hbar``, at the ``dt`` of largest
+    magnitude, if the scaling or a term overflows the float range.  Raises ``ValueError`` unless ``hbar`` is positive and finite,
     before any sample is checked; this is the one place ħ is read, so the
     check covers every entry point.
     """
@@ -267,10 +268,12 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     # rebound, so the caller's mapping is no longer held here and each
     # unscaled sample is freed as its generator replaces it
     samples = _checked_samples(method, samples)
+    coordinates = is_su2_coordinates(samples[0])
     try:
         with np.errstate(over="raise", invalid="raise"):
             tau = np.asarray(dt, dtype=np.float64)[()] / hbar
-            return as_matrix(_SCHEMES[method][1](*generators(samples, tau)))
+            theta = _SCHEMES[method][1](*generators(samples, tau))
+            return theta if coordinates else as_matrix(theta)
     except FloatingPointError as exc:
         steps = np.ravel(dt)
         raise PreconditionError(
@@ -434,7 +437,10 @@ def step(
     dt: float,
     hbar: float = 1.0,
 ) -> Array:
-    """Unitary propagator over ``[t_k, t_k + dt]``; negative ``dt`` steps backward."""
+    """Unitary propagator over ``[t_k, t_k + dt]``; negative ``dt`` steps backward.
+
+    The sampler's matrices are made complex, so Theta is a matrix and
+    ``expm_antihermitian`` checks it, at d = 2 too."""
     if dt == 0.0:
         raise PreconditionError("step size dt must be nonzero")
     # complex, so a real 4x4 matrix is not read as four steps of coordinates

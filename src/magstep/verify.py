@@ -281,11 +281,18 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     Runs ``draws`` seeded random-Hermitian trials at ``cfg.dim``/``cfg.dt`` and
     reports the worst relative deviation per identity.  Raises
     ``OverflowError`` for a ``cfg.dt`` whose fourth power, the scale of
-    Omega_4, is not a float.
+    Omega_4, is not a float, and ``ZeroDivisionError`` for one whose
+    ``dt**3 / 120``, the smallest nested scalar integral and a divisor of
+    its row, is 0; both before any draw, naming ``dt``.
     """
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
-    dt**4  # the suite's precondition: a Python float power raises OverflowError
+    try:
+        dt**4
+    except OverflowError as exc:
+        raise OverflowError(f"dt={dt!r} is too large: dt**4, the scale of Omega_4, overflows the float range") from exc
+    if dt**3 / 120.0 == 0.0:
+        raise ZeroDivisionError(f"dt={dt!r} is too small: dt**3 / 120, the smallest nested scalar integral, is 0")
     track = _MaxTracker()
     c_alt = -(5.0 + math.sqrt(21.0)) / 2.0
 

@@ -556,7 +556,7 @@ class TestBadStepAndTimeFlags:
         code = run(["verify", "--suite", "closed-forms", "--draws", "1", "--dt", dt, "--out", str(out)])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err.startswith(f"magstep: numerical precondition failed: {error}:")
+        assert err.startswith(f"magstep: numerical precondition failed: {error}: dt={float(dt)!r} is too ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

@@ -161,9 +161,10 @@ class TestPropagate:
     @pytest.mark.parametrize("sampler", ["model", "callable"])
     def test_validates_each_node_stack_and_the_exponent_once(self, monkeypatch, method, nodes, sampler):
         # a callable's matrix stacks get one Hermiticity check per node, node 0
-        # and node 1 apart though they view one sampled array; a two-level
-        # model's su(2) coordinates are Hermitian by type and get none.  Theta
-        # gets one, and the kernels between them check nothing
+        # and node 1 apart though they view one sampled array, and its matrix
+        # Theta gets one.  A two-level model's su(2) coordinates, and the
+        # coordinate Theta built from them, are anti-Hermitian by type and get
+        # none, and the kernels between them check nothing
         model = builtin_case("I")
         seen = []
 
@@ -174,8 +175,8 @@ class TestPropagate:
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
         propagate(method, model if sampler == "model" else lambda t: model.sample(t), 0.0, 1.0, 16, [1, 0])
-        sample_checks = nodes if sampler == "callable" else 0
-        assert seen == [((16, 2, 2), 1)] * sample_checks + [((16, 2, 2), -1)]
+        want = [((16, 2, 2), 1)] * nodes + [((16, 2, 2), -1)]
+        assert seen == (want if sampler == "callable" else [])
 
     @pytest.mark.parametrize(
         "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
@@ -825,6 +826,14 @@ class TestSampledTimes:
         shared = method is not MethodId.BLANES6_GAUSS
         assert sum(sizes) == 40 * per_step + shared
 
+    @pytest.mark.parametrize("model, want", [(RABI, [5 * 40 + 41]), (DENSE3, [40] * 5 + [41])])
+    def test_a_two_level_chunk_is_sampled_in_one_call(self, monkeypatch, model, want):
+        # me6's five inner nodes, then the grid; above d = 2 each keeps its own
+        # call, so that exponent can free each stack as it scales it
+        sizes = count_samples(monkeypatch)
+        propagate(MethodId.ME6, model, 0.0, 1.0, 40, np.eye(model.dim)[0])
+        assert sizes == want
+
     def test_a_callable_gets_the_shared_ends_too(self):
         times = []
 
@@ -836,10 +845,11 @@ class TestSampledTimes:
         assert times == list(0.0 + (1.0 / 40) * np.arange(41))
 
     def test_packed_ladder_samples_each_rung_s_grid_once(self, monkeypatch):
-        # rungs of 8, 4 and 2 steps in one chunk: 9 + 5 + 3 ends, 14 midpoints
+        # rungs of 8, 4 and 2 steps in one chunk: 14 midpoints and 9 + 5 + 3
+        # ends, in one call at d = 2
         sizes = count_samples(monkeypatch)
         evolution._final_propagators(MethodId.ME4_NC, RABI, 0.0, 1.0, (8, 4, 2), 2)
-        assert sorted(sizes) == [14, 17]
+        assert sizes == [31]
 
     def test_convergence_workload_sample_count(self, monkeypatch):
         # the benchmark's convergence op: 138,369 sampled times when every

@@ -9,6 +9,7 @@ from magstep.linalg import (
     SUMMED_MATMUL_CUT,
     DimensionMismatchError,
     NotAntiHermitianError,
+    PreconditionError,
     checked_square,
     commutator,
     dagger,
@@ -577,3 +578,67 @@ class TestExpmSu2:
         thetas[2] = SX
         with pytest.raises(NotAntiHermitianError):
             expm_antihermitian(thetas)
+
+
+class TestExpmOfCoordinates:
+    # su(2) coordinates (c, x, y, z) of theta = -i (c I + x sx + y sy + z sz)
+    # are read as su2_coordinates reads i * su2_matrix of them, without the
+    # matrix: the same bits as exponentiating that matrix
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bits_of_the_matrix_round_trip(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        shape = [(4,), (4, 1), (4, 4), (4, 500)][seed % 4]
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-300.0, 150.0, size=shape)
+        u = expm_antihermitian(v)
+        assert u.shape == shape[1:] + (2, 2)
+        assert u.tobytes() == expm_antihermitian(su2_matrix(v)).tobytes()
+
+    def test_bits_of_zeros_of_either_sign(self):
+        # the matrix path's summed product gives +0 for a zero, whatever the
+        # signs of the zeros it adds; so does the read, at c = -0.0 too
+        vals = (0.0, -0.0, 1.5, -2.25)
+        v = np.array(np.meshgrid(vals, vals, vals, vals, indexing="ij")).reshape(4, -1)
+        assert expm_antihermitian(v).tobytes() == expm_antihermitian(su2_matrix(v)).tobytes()
+        for column in v.T.copy():
+            assert expm_antihermitian(column).tobytes() == expm_antihermitian(su2_matrix(column)).tobytes()
+
+    def test_leaves_the_coordinates_unchanged(self):
+        v = np.random.default_rng(7).normal(size=(4, 9))
+        copy = v.copy()
+        expm_antihermitian(v)
+        assert v.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)])
+    def test_non_finite_coordinate_is_the_value_error_of_the_matrix_check(self, bad, k, shape):
+        v = np.ones(shape)
+        v[k] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or Inf") as info:
+                expm_antihermitian(v)
+        assert not isinstance(info.value, PreconditionError)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+            expm_antihermitian(su2_matrix(v))
+
+    def test_finite_coordinates_whose_entries_overflow_are_a_precondition_error(self):
+        # c - z = 2e308 is no float: its matrix has an infinite entry
+        v = np.array([1e308, 0.0, 0.0, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="overflows the float range"):
+                expm_antihermitian(v)
+
+    def test_float64_4x4_is_four_steps_and_complex_4x4_a_matrix(self):
+        # the dtype rule of exponent's samples: a real antisymmetric 4x4
+        # exponent must be given as complex to be exponentiated as a matrix
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(4, 4))
+        a = a - a.T
+        u = expm_antihermitian(a.astype(np.complex128))
+        assert u.shape == (4, 4)
+        assert np.allclose(u, expm_taylor(a.astype(np.complex128)), atol=1e-12)
+        four = expm_antihermitian(a)
+        assert four.shape == (4, 2, 2)
+        assert four.tobytes() == expm_antihermitian(su2_matrix(a)).tobytes()

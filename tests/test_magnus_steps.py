@@ -160,16 +160,21 @@ class TestExponent:
 
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
     def test_coordinate_samples_give_the_matrix_samples_bits(self, method):
-        # a two-level model's path: the same floats as the checked matrices'
+        # a two-level model's path: Theta comes back as coordinates, whose
+        # matrix has the bits of the checked matrices' Theta
         rng = np.random.default_rng(21)
         matrices = {node: np.stack([random_hermitian(rng, 2) for _ in range(5)]) for node in sample_nodes(method)}
         coords = {node: linalg.su2_coordinates(h) for node, h in matrices.items()}
         dts = rng.uniform(0.1, 1.0, 5)
         for dt in (0.37, dts):
             want = exponent(method, matrices, dt, hbar=0.9)
-            assert exponent(method, coords, dt, hbar=0.9).tobytes() == want.tobytes()
+            theta = exponent(method, coords, dt, hbar=0.9)
+            assert (theta.dtype, theta.shape, want.shape) == (np.float64, (4, 5), (5, 2, 2))
+            assert as_matrix(theta).tobytes() == want.tobytes()
         single = {node: h[:, 0] for node, h in coords.items()}
-        assert exponent(method, single, 0.37).tobytes() == exponent(method, {n: h[0] for n, h in matrices.items()}, 0.37).tobytes()
+        theta = exponent(method, single, 0.37)
+        assert theta.shape == (4,)
+        assert as_matrix(theta).tobytes() == exponent(method, {n: h[0] for n, h in matrices.items()}, 0.37).tobytes()
 
     def test_coordinate_views_sharing_memory_are_left_unchanged(self):
         # node 0 and node 1 may view one array of grid samples, overlapping
