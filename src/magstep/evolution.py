@@ -166,7 +166,8 @@ def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, 
     nodes = sample_nodes(method)
     shared = nodes[0] == 0.0 and nodes[-1] == 1.0
     inner = nodes[1:-1] if shared else nodes
-    n, base = len(step_start), len(inner) * len(step_start)
+    n = len(step_start)
+    base = len(inner) * n
     # each piece's grid, at times[base + a:base + b]
     edges = list(itertools.pairwise(itertools.accumulate([stop + 1 - start for _, start, stop in pieces], initial=0)))
     times = np.empty(base + (edges[-1][1] if shared else 0))

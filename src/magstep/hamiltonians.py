@@ -122,20 +122,24 @@ class HamiltonianModel:
         ``c = h00/2 + h11/2``, ``x = re h01``, ``y = -im h01`` (the coupling's
         constant ``offset.imag``) and ``z = h00/2 - h11/2``, from the entries'
         real values: no complex matrix is built, and every entry is halved
-        before two are added, so no finite entry overflows them.
+        before two are added, so no finite entry overflows them.  Row 3 holds
+        ``h00/2`` until ``c`` is formed, so at most one entry's values and
+        their scratch array are held beside the result.
         """
         if self.dim != 2:
             raise ModelError(f"su(2) coordinates need a two-level model, got dim {self.dim}")
         ts = np.asarray(ts, dtype=float)
-        entry = self.upper_triangle.get
-        h00, h11 = (0.0 if e is None else 0.5 * e.real_value(ts) for e in (entry((0, 0)), entry((1, 1))))
-        coupling = entry((0, 1))
+        e00, e11, coupling = (self.upper_triangle.get(ij) for ij in ((0, 0), (1, 1), (0, 1)))
         out = np.empty((4,) + ts.shape)
-        out[0] = h00 + h11
         out[1] = 0.0 if coupling is None else coupling.real_value(ts)
         # 0.0 - im, not -im: a zero offset.imag gives +0.0, as the matrix path does
         out[2] = 0.0 if coupling is None else 0.0 - coupling.offset.imag
-        out[3] = h00 - h11
+        out[3] = 0.0 if e00 is None else e00.real_value(ts)
+        out[3] *= 0.5
+        h11 = 0.0 if e11 is None else e11.real_value(ts)
+        h11 *= 0.5
+        out[0] = out[3] + h11
+        out[3] -= h11
         return out
 
     def sample_many(self, ts) -> Array:
