@@ -3,9 +3,10 @@
 The step pipeline streams over fixed-size chunks of one or more uniform
 grids over the same interval: :func:`_step_chunks` samples, checks, builds
 and exponentiates one chunk of steps at a time (all step exponents of a
-chunk in one broadcasted call, then one batched ``expm_antihermitian``: an
-eigendecomposition, or the closed su(2) form at d = 2), the same per-step
-arithmetic as :func:`magstep.magnus_steps.step`.  A chunk's stacks take
+chunk in one broadcasted ``magnus_steps._theta`` call, then one batched
+``magnus_steps._propagators``: an eigendecomposition, or the closed su(2)
+form at d = 2), the same per-step arithmetic as
+:func:`magstep.magnus_steps.step`.  A chunk's stacks take
 ``CHUNK_BYTES`` each, so besides its outputs a run holds the same memory at
 any step count.  The grids of a convergence ladder share chunks
 (:func:`_packed`), with a per-step ``dt`` where a chunk mixes grids, so a
@@ -17,20 +18,22 @@ nodes include both ends of the step (``me2``, ``me3``, ``me4-*``, ``me6``,
 ``blanes4``) samples each grid time ``t0 + dt * j`` once, since step k's end
 is step k + 1's start: node 0 reads all but the last of a piece's grid
 samples and node 1 all but the first (:func:`_node_samples`).  At d = 2 a
-chunk samples all its node times in one call.  A two-level
-:class:`HamiltonianModel` gives its samples as the real su(2) coordinates
-the step builders take (``HamiltonianModel.su2_coordinates``), from its
-entries in real arithmetic, so no complex stack is built and no Hermiticity
-defect measured for it, and ``exponent`` hands the chunk's exponents to
-``expm_antihermitian`` as coordinates too, with no matrix and no
-anti-Hermiticity check between them; a callable sampler, or a model at
-d != 2, gives complex matrix stacks, which ``exponent`` and
-``expm_antihermitian`` check.  A model's sample that is
-not finite (a sinusoid past the float range) is a
-:class:`PreconditionError` raised where it is sampled; a callable's is the
-``ValueError`` of ``exponent``'s check.  On a grid whose times
-``t0 + dt * j`` are exact the step ends are the same floats as ``step start
-+ dt``; elsewhere they can differ by rounding.
+chunk samples all its node times in one call.
+
+The driver knows what it samples, so it alone picks the path.  A
+:class:`HamiltonianModel` is Hermitian by construction: its samples, at any
+d, go to the step builders unchecked, and a two-level model gives them as
+the real su(2) coordinates the builders take
+(``HamiltonianModel.su2_coordinates``), from its entries in real
+arithmetic, so no complex stack is built for it.  A callable sampler's
+complex matrix stacks get one Hermiticity check per node, as ``exponent``'s
+samples do.  Theta is the library's own output and is exponentiated
+unchecked, from its coordinates at d = 2.  A model's sample that is not
+finite (a sinusoid past the float range) is a :class:`PreconditionError`
+raised where it is sampled; a callable's is the ``ValueError`` of its
+check.  On a grid whose times ``t0 + dt * j`` are exact the step ends are
+the same floats as ``step start + dt``; elsewhere they can differ by
+rounding.
 
 A trajectory records the populations and the unitarity defect of the
 propagator at every grid point.  Each chunk's prefixes of the step product
@@ -49,7 +52,7 @@ order of accuracy per method.  Every product of propagator stacks goes
 through ``linalg.matmul``.
 
 ``propagate`` and ``convergence_study`` take ħ as the plain ``hbar``
-keyword and hand it to ``magnus_steps.exponent``, which reads it;
+keyword and hand it to ``magnus_steps._theta``, which reads it;
 :func:`_step_chunks` runs the same check on it when it is called, so a bad
 ħ is reported before anything is sampled.  Both check the interval with
 :func:`_checked_span`, before anything is sampled: ``ValueError`` for a
@@ -69,8 +72,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .hamiltonians import HamiltonianModel
-from .linalg import Array, PreconditionError, expm_antihermitian, frobenius_norm, matmul, unitarity_defect
-from .magnus_steps import MethodId, _checked_hbar, exponent, sample_nodes
+from .linalg import Array, PreconditionError, frobenius_norm, matmul, unitarity_defect
+from .magnus_steps import MethodId, _checked_hbar, _checked_sample, _propagators, _theta, sample_nodes
+
+# not called here: the benchmark's tracer (perfbench/spans.py) wraps these names
+from .linalg import expm_antihermitian  # noqa: F401
+from .magnus_steps import exponent  # noqa: F401
 
 __all__ = [
     "EvolutionTrace",
@@ -147,10 +154,12 @@ def _sampled(model, times: Array, dim: int) -> Array:
     raise PreconditionError(f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {shape}")
 
 
-def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, dt, dim: int) -> dict[float, Array]:
+def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, dt, dim: int) -> list[Array]:
     """Hamiltonian samples at each node of every step of a chunk's ``pieces``
     (see :func:`_step_chunks`), whose ``dt`` is a scalar or the ``(n,)``
-    per-step steps.
+    per-step steps: one stack per node, in node order.  A callable's stacks
+    are checked, one ``magnus_steps._checked_sample`` call per node; a
+    model's are Hermitian by construction and are not.
 
     A scheme with nodes at both ends of the step samples each piece's grid
     times ``t0 + dt * j``, ``j = start ... stop``, once: node 0 reads all
@@ -160,7 +169,7 @@ def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, 
     times go into one array, those nodes' first, then the piece grids.  At
     d = 2 it is sampled in one call and each node gets a view of the result;
     above, each node's times, and the grids', are sampled in a call of their
-    own, so that ``exponent`` frees each ``(n, d, d)`` stack as it scales it.
+    own, so that ``_theta`` frees each ``(n, d, d)`` stack as it scales it.
     """
     step_start = np.concatenate([t0 + dts[g] * np.arange(start, stop) for g, start, stop in pieces])
     nodes = sample_nodes(method)
@@ -189,7 +198,9 @@ def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, 
         for node, first, last in ((0.0, 0, -1), (1.0, 1, 0)):
             parts = [ends[:, a + first:b + last] if axis else ends[a + first:b + last] for a, b in edges]
             samples[node] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-    return samples
+    if isinstance(model, HamiltonianModel):
+        return [samples[node] for node in nodes]
+    return [_checked_sample(node, samples[node]) for node in nodes]
 
 
 def _trajectory_bytes(n_steps: int, dim: int) -> int:
@@ -256,9 +267,9 @@ def _step_chunks(
         dt = dts[pieces[0][0]]
         if len(pieces) > 1:
             dt = np.concatenate([np.full(stop - start, dts[g]) for g, start, stop in pieces])
-        # the node dict is not named here: exponent replaces each of its stacks
-        # by the scaled one, so no node is held twice
-        u = expm_antihermitian(exponent(method, _node_samples(method, model, t0, dts, pieces, dt, dim), dt, hbar))
+        # the node list is not named here: _theta replaces each of its stacks by
+        # the scaled one, so no node is held twice, and frees it before expm
+        u = _propagators(_theta(method, _node_samples(method, model, t0, dts, pieces, dt, dim), dt, hbar))
         return pieces, u
 
     width = max(1, CHUNK_BYTES // (16 * dim**2))

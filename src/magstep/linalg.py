@@ -12,19 +12,14 @@ overhead at that size: :func:`matmul` forms each 2x2 product as a sum of
 two broadcast elementwise products below ``SUMMED_MATMUL_CUT`` matrices,
 three ufunc calls for a small batch, and entry by entry in one result array
 from the cut on; :func:`expm_antihermitian` writes the exponent in the Pauli
-basis and returns its su(2) exponential; :func:`checked_square` takes the
-float parts of ``a -+ a†`` from a product with a constant weight table
-instead of forming the matrix.  :func:`commutator`, the general ``ab - ba``
-of the certification oracles, forms both products as sums of broadcast
-elementwise products up to d = 4, where that overhead still outweighs a
-small complex product, and uses ``@`` above.  These four kernels are the
-only ones that branch on the dimension, and :func:`matmul` the only one
-that also branches on the batch size.  The step builders work on su(2)
-coordinates at d = 2: :func:`su2_coordinates` converts a checked 2x2 sample
-and :func:`su2_matrix` turns coordinates back into a matrix.
-:func:`is_su2_coordinates` is the one rule that tells the two apart: a
-float64 ``(4,)`` or ``(4, n)`` array is coordinates, and
-:func:`expm_antihermitian` takes them as they are, without a matrix.
+basis and returns its su(2) exponential.  :func:`commutator`, the general
+``ab - ba`` of the certification oracles, forms both products as sums of
+broadcast elementwise products up to d = 4, where that overhead still
+outweighs a small complex product, and uses ``@`` above.  These three
+kernels are the only ones that branch on the dimension, and :func:`matmul`
+the only one that also branches on the batch size.  The step builders work
+on su(2) coordinates at d = 2: :func:`su2_coordinates` converts a checked
+2x2 sample and :func:`su2_matrix` turns coordinates back into a matrix.
 
 Only two functions validate.  :func:`checked_square` is the one boundary
 check, and the one measure of a Hermiticity or anti-Hermiticity defect: it
@@ -32,12 +27,14 @@ coerces a (stack of) square matrix(es) to complex128, rejects a NaN or Inf
 entry, and measures ``||a -+ a†||_F`` relative to the norm, scaling a stack
 with huge entries down first so a finite matrix cannot overflow its own
 test.  Callers apply it once at their input boundary.
-:func:`expm_antihermitian` applies it to a matrix exponent; an exponent
-given as su(2) coordinates is anti-Hermitian by type, and only checked to
-be finite.  :func:`commutator` checks nothing but that its operands are
-square of one dimension, and the Frobenius norm and the unitarity defect
-are plain formulas: a NaN or Inf entry comes back as a NaN or Inf result
-rather than an exception.
+:func:`expm_antihermitian` takes matrices only, real ones included, and
+applies it to every exponent.  The step pipeline exponentiates the exponents
+it builds itself with the unchecked kernels behind it, :func:`_expm_su2` of
+su(2) coordinates and :func:`_expm_eigh` of a matrix.
+:func:`commutator` checks nothing but that its operands are square of one
+dimension, and the Frobenius norm and the unitarity defect are plain
+formulas: a NaN or Inf entry comes back as a NaN or Inf result rather than
+an exception.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ __all__ = [
     "checked_square",
     "su2_coordinates",
     "su2_matrix",
-    "is_su2_coordinates",
     "expm_antihermitian",
 ]
 
@@ -235,32 +231,8 @@ def checked_square(a, sign: int) -> tuple[Array, float, float]:
     return arr, float(ratio.max()), float(defect.max()) * scale
 
 
-# Rows over the columns re x00, im x00, re x01, im x01, re x10, im x10, re
-# x11, im x11 of a 2x2 matrix's interleaved float64 view: the float parts of
-# x - sign x† on the diagonal (2 im x_jj for sign 1, 2 re x_jj for -1) and of
-# x01 - sign conj(x10), whose mirror x10 - sign conj(x01) has the same modulus.
-_DEFECT_PARTS = {
-    sign: np.array(
-        [
-            [1 - sign, 1 + sign, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 1 - sign, 1 + sign],
-            [0, 0, 1, 0, -sign, 0, 0, 0],
-            [0, 0, 0, 1, 0, sign, 0, 0],
-        ],
-        dtype=np.float64,
-    )
-    for sign in (1, -1)
-}
-
-
 def _squared_norms(x: Array, sign: int) -> tuple[Array, Array]:
     """``||x - sign x†||_F**2`` and ``||x||_F**2`` of a C-ordered complex stack."""
-    if x.shape[-1] == 2:
-        # one row of eight floats per matrix, read as columns by the weights
-        # above; the off-diagonal parts count twice
-        f = x.reshape(-1, 4).view(np.float64).reshape(-1, 8).T
-        v = np.matmul(_DEFECT_PARTS[sign], f)
-        return np.einsum("in,in->n", v, v) + np.einsum("in,in->n", v[2:], v[2:]), np.einsum("in,in->n", f, f)
     diff = np.empty_like(x)
     np.conjugate(np.swapaxes(x, -1, -2), out=diff)
     (np.subtract if sign > 0 else np.add)(x, diff, out=diff)
@@ -313,72 +285,40 @@ def su2_matrix(v) -> Array:
     return out
 
 
-def is_su2_coordinates(a) -> bool:
-    """Whether ``a`` is su(2) coordinates: a float64 ``(4,)`` or ``(4, n)``
-    array.  Anything else is read as a (stack of) matrix(es), so a real 4x4
-    matrix must be given as complex."""
-    return isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim in (1, 2) and a.shape[0] == 4
-
-
 def expm_antihermitian(theta) -> Array:
     """Exponential of an anti-Hermitian matrix, exactly unitary up to rounding.
 
-    Diagonalizes the Hermitian matrix ``i*theta = V diag(w) V†`` (real ``w``) and
-    returns ``V diag(exp(-i w)) V†``; at d = 2 it returns the closed form of
-    :func:`_expm_su2` of the su(2) coordinates of ``i*theta`` instead.
-    Raises ``ValueError`` for a non-finite entry and
+    ``theta`` is a ``(d, d)`` matrix or a stack ``(..., d, d)``, real or
+    complex.  Raises ``ValueError`` for a non-finite entry and
     :class:`NotAntiHermitianError` unless ``||theta + theta†||_F <=
     EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)``, both evaluated by
     :func:`checked_square`, so an exponent too large for its norm is still
-    tested.
-
-    ``theta`` may also be the su(2) coordinates ``(c, x, y, z)`` of
-    ``theta = -i (c I + x sx + y sy + z sz)`` (:func:`is_su2_coordinates`:
-    a float64 ``(4, 4)`` array is four such exponents, not a matrix).  Their
-    matrix is anti-Hermitian by construction, so they are only checked to be
-    finite, with the same ``ValueError``, and read as :func:`su2_coordinates`
-    reads ``i`` times :func:`su2_matrix` of them (:func:`_read_su2`): the
-    result has the bits of ``expm_antihermitian(su2_matrix(theta))``.  Finite
-    coordinates whose entries ``c + z`` or ``c - z`` pass the float range
-    raise :class:`PreconditionError`.
+    tested.  Then it returns :func:`_expm_eigh` of ``theta``, or at d = 2
+    the closed form of :func:`_expm_su2` of the su(2) coordinates of ``i*theta``.
     """
-    if is_su2_coordinates(theta):
-        return _expm_su2(_read_su2(theta))
     theta, ratio, defect = checked_square(theta, -1)
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
         raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
     if theta.shape[-1] == 2:
         return _expm_su2(su2_coordinates(1j * theta))
+    return _expm_eigh(theta)
+
+
+def _expm_eigh(theta: Array) -> Array:
+    """``exp(theta)`` of a complex anti-Hermitian (stack of) matrix(es),
+    unchecked: diagonalizes the Hermitian matrix ``i*theta = V diag(w) V†``
+    (real ``w``) and returns ``V diag(exp(-i w)) V†``."""
     w, v = np.linalg.eigh(1j * theta)
     return (v * np.exp(-1j * w)[..., None, :]) @ dagger(v)
-
-
-def _read_su2(v: Array) -> tuple[Array, Array, Array, Array]:
-    """The coordinates ``su2_coordinates(1j * su2_matrix(v))`` gives, with
-    their bits, from the entries of that matrix without forming it: the
-    diagonal ``c + z`` and ``c - z``, as :func:`su2_matrix` rounds them, and
-    ``x`` and ``y`` are halved, then added as the weight table adds them.
-    The table's product gives +0 for a zero sum, whatever the signs of the
-    zeros added, hence the ``0.0 +`` first.  Raises ``ValueError`` for a NaN or Inf coordinate and
-    :class:`PreconditionError` for a diagonal entry past the float range,
-    without a numpy warning."""
-    c, x, y, z = v
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, d = c + z, c - z
-    if not all(np.isfinite(a).all() for a in (s, x, y, d)):
-        if np.isfinite(v).all():
-            raise PreconditionError("the exponent overflows the float range: c + z or c - z of its su(2) coordinates")
-        raise ValueError("matrix contains NaN or Inf entries")
-    s, x, y, d = (0.5 * a for a in (s, x, y, d))
-    return 0.0 + s + d, 0.0 + x + x, 0.0 + y + y, 0.0 + s - d
 
 
 def _expm_su2(v) -> Array:
     """``exp(theta)`` of the (stack of) 2x2 anti-Hermitian matrices ``theta``
     whose Hermitian part ``i*theta = c I + x sx + y sy + z sz`` has su(2)
     coordinates ``v = (c, x, y, z)``, component-major as
-    :func:`su2_coordinates` returns them, or the four as :func:`_read_su2`
-    returns them; ``x, y, z`` are scaled in place.
+    :func:`su2_coordinates` returns them, unchecked; ``x, y, z`` are scaled
+    in place.  The su(2) coordinates of an exponent ``theta = -i (c I + x sx
+    + y sy + z sz)`` are those of ``i*theta``, so they are taken as they are.
 
     ``exp(theta) = e^{-ic} (cos r I - i (sin r / r) (x sx + y sy + z sz))``,
     ``r = |(x, y, z)|``.  The coordinates halve every entry before two are

@@ -7,55 +7,51 @@ differ in quadrature nodes and in how many nested commutators they keep.
 
 A scheme is one ``_SCHEMES`` entry: its nodes, in ascending order, and the
 builder that takes the generator at each node as one positional argument,
-in that order.  :func:`sample_nodes` and :func:`exponent` read that table
+in that order.  :func:`sample_nodes` and :func:`_theta` read that table
 and nothing else, and ``ALL_METHODS`` is the declaration order of
 :class:`MethodId`.
 
-``exponent`` broadcasts: samples may be single ``(d, d)`` matrices or stacks
-``(n, d, d)`` sharing one scalar ``dt`` or taking a per-step ``(n,)`` array
-of them, which is how the evolution driver assembles a chunk's worth of
-exponents, steps of several grids among them, in one call.
+``exponent`` and :func:`_theta` broadcast: samples may be single ``(d, d)``
+matrices or stacks ``(n, d, d)`` sharing one scalar ``dt`` or taking a
+per-step ``(n,)`` array of them, which is how the evolution driver assembles
+a chunk's worth of exponents, steps of several grids among them, in one
+call.
 
 ħ is a plain number: the ``hbar`` keyword (default 1) of ``exponent`` and
 ``step``, and of ``evolution.propagate`` and ``convergence_study``, which
-hand it on unchanged.  ``exponent`` is the one place it is read, and on
-entry it raises ``ValueError`` for an ``hbar`` that is not positive and
-finite, before any sample is looked at; ``evolution._step_chunks`` runs the
-same check (``_checked_hbar``) when it is called, before it samples.
-Samples are validated once, also on entry to ``exponent``, by their
-representation, which ``linalg.is_su2_coordinates`` tells apart by dtype.
-A matrix (stack), which is what every callable sampler and
-every model at d != 2 gives, gets one ``linalg.checked_square`` call per
-node, which makes it complex and square, rejects a NaN or Inf entry and
-measures its Hermiticity defect against ``SAMPLE_HERMITICITY_TOL``.  The
-su(2) coordinates a two-level ``HamiltonianModel`` gives, a float64 ``(4,)``
-or ``(4, n)`` array, are Hermitian by type and are only checked to be
-finite (the same ``ValueError``); a real 4x4 matrix must therefore be given
-as complex, and ``step`` makes its sampler's matrices complex, so its
-exponent is a matrix.  Then the
-stacks must be all of one shape.  Then each is scaled, once, to the
-generator ``A = -iH dt/ħ`` of the step taken as the unit interval; that is
-the only place ``dt`` and ħ enter.  The term functions and builders after
-that are plain arithmetic on ``A`` (Blanes, Casas, Oteo & Ros, Phys. Rep.
-470 (2009) 151, Sec. 2-3): each Magnus term Omega_n is a real combination
-of nested brackets of anti-Hermitian matrices, so the exponent stays in the
-Lie algebra u(d).  A scaling or a term that overflows the float range
-raises ``PreconditionError``.  ``exponent`` returns Theta in the
-representation of its samples.  ``step`` (like the evolution driver)
-exponentiates it with ``expm_antihermitian``, which checks a matrix Theta
-with one more ``checked_square`` call and coordinates only for finiteness:
-they are anti-Hermitian by type.
+hand it on unchanged.  :func:`_theta` is the one place it is read; every
+entry point raises ``ValueError`` for an ``hbar`` that is not positive and
+finite (``_checked_hbar``) before any sample is looked at.
+
+``exponent`` and ``step`` take Hamiltonian samples as matrices, real ones
+included, and validate them once: one ``linalg.checked_square`` call per
+node (:func:`_checked_sample`) makes each complex and square, rejects a NaN
+or Inf entry and measures its Hermiticity defect against
+``SAMPLE_HERMITICITY_TOL``; then the stacks must be all of one shape.  The
+evolution driver makes the same per-node check on a callable sampler's
+stacks and none on a ``HamiltonianModel``'s, which are Hermitian by
+construction.  :func:`_theta` builds Theta from the checked samples: each
+is scaled, once, to the generator ``A = -iH dt/ħ`` of the step taken as the
+unit interval; that is the only place ``dt`` and ħ enter.  The term
+functions and builders after that are plain arithmetic on ``A`` (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, Sec. 2-3): each Magnus term
+Omega_n is a real combination of nested brackets of anti-Hermitian
+matrices, so the exponent stays in the Lie algebra u(d).  A scaling or a
+term that overflows the float range raises ``PreconditionError``.
+``exponent`` returns Theta as a matrix.  ``step``, like the evolution
+driver, exponentiates the Theta it built without checking it again
+(:func:`_propagators`): it is the library's own output, not an input.
 
 At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
 R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
 sz)`` is the component-major array ``(c, x, y, z)``, of shape ``(4,)`` or
-``(4, n)``.  :func:`generators`, which turns the checked samples into the
-builders' generators, is the only place that representation is chosen: it
-takes a coordinate sample as it is and converts a 2x2 matrix sample with
-``linalg.su2_coordinates``, to the same floats; :func:`commutator` and
-:func:`as_matrix`, which gives ``exponent`` the matrix Theta of matrix
-samples, follow the dtype.  Coordinate samples get Theta as coordinates,
-which ``expm_antihermitian`` exponentiates with the bits of their matrix.
+``(4, n)``.  :func:`generators`, which turns the samples into the builders'
+generators, is the only place that representation is chosen: it converts a
+checked 2x2 matrix sample with ``linalg.su2_coordinates`` and takes the
+coordinates a two-level ``HamiltonianModel`` gives the driver as they are,
+to the same floats.  :func:`commutator`, :func:`as_matrix`, which gives
+``exponent`` the matrix Theta, and :func:`_propagators`, which hands
+coordinates to ``linalg._expm_su2``, follow the generators' dtype.
 
 Every bracket here goes through :func:`commutator`.  On coordinates it is
 the cross product ``(0, 2 a x b)``.  On matrices it forms one product
@@ -88,10 +84,10 @@ from .linalg import (
     Array,
     DimensionMismatchError,
     PreconditionError,
+    _expm_eigh,
+    _expm_su2,
     checked_square,
     dagger,
-    expm_antihermitian,
-    is_su2_coordinates,
     matmul,
     su2_coordinates,
     su2_matrix,
@@ -184,24 +180,23 @@ def _checked_hbar(hbar: float) -> None:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
+def _checked_sample(node: float, h) -> Array:
+    """``h`` as ``linalg.checked_square`` returns it, a complex (stack of)
+    square matrix(es); :class:`NonHermitianSampleError` naming ``node``
+    unless it is Hermitian to ``SAMPLE_HERMITICITY_TOL``."""
+    h, ratio, defect = checked_square(h, 1)
+    if not ratio <= SAMPLE_HERMITICITY_TOL:
+        raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
+    return h
+
+
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
     nodes = sample_nodes(method)
     out: list[Array] = []
     for node in nodes:
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
-        h = samples[node]
-        if is_su2_coordinates(h):
-            # real coordinates are Hermitian by type: only a NaN or Inf can be
-            # wrong.  The evolution driver rejects a model's non-finite sample
-            # as it samples, so this check serves direct callers of exponent.
-            if not np.isfinite(h).all():
-                raise ValueError("matrix contains NaN or Inf entries")
-        else:
-            h, ratio, defect = checked_square(h, 1)
-            if not ratio <= SAMPLE_HERMITICITY_TOL:
-                raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
-        out.append(h)
+        out.append(_checked_sample(node, samples[node]))
     if len({h.shape for h in out}) > 1:
         shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
         raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
@@ -212,20 +207,24 @@ def generators(samples: list[Array], tau) -> list[Array]:
     """Replace each Hermitian sample ``H`` in the list ``samples`` by the
     generator ``A = -i tau H`` a builder takes, and return the list.
 
-    ``tau`` is a scalar or, for stacked samples, a per-step ``(n,)`` array.
+    Each sample is a complex matrix (stack), as ``linalg.checked_square``
+    returns it, or a two-level model's float64 su(2) coordinates; nothing
+    else reaches this function, so the dtype tells the two apart.  ``tau``
+    is a scalar or, for stacked samples, a per-step ``(n,)`` array.
     At d = 2 a generator is the real, component-major ``(4, ...)`` array
     ``(c, x, y, z)`` of ``A = -i (c I + x sx + y sy + z sz)``, a per-step
-    ``tau`` broadcasting along the last axis: ``tau`` times the sample if it
-    is su(2) coordinates already, in a new array, since the sample may be
-    the caller's (or a view sharing its memory with another node's), else
-    ``tau`` times ``linalg.su2_coordinates`` of the 2x2 sample, scaled in
-    place.  Otherwise it is the complex matrix, in a new array, a per-step
-    ``tau`` broadcasting as ``(n, 1, 1)``.  This is the one place the
-    representation is chosen.  Each sample is replaced as its generator is
-    made, so no unscaled copy outlives its scaled one.
+    ``tau`` broadcasting along the last axis: ``tau`` times
+    ``linalg.su2_coordinates`` of a complex 2x2 sample, scaled in place, or
+    ``tau`` times a float64 sample, which is su(2) coordinates already (a
+    two-level model's, from the evolution driver), in a new array, since it
+    may view the same memory as another node's.  Otherwise it is the
+    complex matrix, in a new array, a per-step ``tau`` broadcasting as ``(n,
+    1, 1)``.  This is the one place the representation is chosen.  Each
+    sample is replaced as its generator is made, so no unscaled copy
+    outlives its scaled one.
     """
     for i in range(len(samples)):
-        if is_su2_coordinates(samples[i]):
+        if samples[i].dtype == np.float64:
             samples[i] = samples[i] * tau
         elif samples[i].shape[-2:] == (2, 2):
             samples[i] = su2_coordinates(samples[i])
@@ -238,48 +237,57 @@ def generators(samples: list[Array], tau) -> list[Array]:
 def as_matrix(a: Array) -> Array:
     """The matrix of a generator, or of a sum of Magnus terms of generators,
     in either representation: su(2) coordinates become their 2x2 matrix,
-    and a matrix is returned as it is.  ``exponent`` applies it to the Theta
-    of matrix samples at d = 2; the certification, to every closed form."""
+    and a matrix is returned as it is.  ``exponent`` applies it to Theta; the
+    certification, to every closed form."""
     return su2_matrix(a) if a.dtype == np.float64 else a
 
 
-def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float = 1.0) -> Array:
-    """Anti-Hermitian exponent Theta with ``U = exp(Theta)`` for one step.
+def _theta(method: MethodId, samples: list[Array], dt, hbar: float) -> Array:
+    """Theta of ``method``, in the generators' representation, from
+    ``samples``: a list, in node order, of checked Hermitian matrices
+    (stacks) or of a two-level model's su(2) coordinates, all of one shape.
 
-    ``samples`` maps node fractions (from :func:`sample_nodes`) to Hermitian
-    matrices, stacked as ``(n, d, d)`` or not, or at d = 2 to their su(2)
-    coordinates, ``(4,)`` or ``(4, n)`` float64 arrays; all of one shape.
-    No sample is written to, so two nodes may share memory.
-    ``dt`` is a scalar or, for stacks, a per-step ``(n,)`` array: step ``k``
-    then gets exactly the exponent a call with ``dt[k]`` alone would give it.
-    Each checked sample is replaced by its generator ``A = -i tau H``, ``tau
-    = dt / ħ``, so no unscaled copy outlives its scaled one, and the builder
-    sums the Magnus terms of those.  At d = 2 the generators and the
-    builder's result are su(2) coordinates.  Theta is returned in the
-    representation of the samples: coordinates for coordinate samples, which
-    ``expm_antihermitian`` takes as they are, and a matrix (stack) for
-    matrix samples (:func:`as_matrix` of the coordinates at d = 2).  Raises
+    Each sample in the list is replaced by its generator (:func:`generators`,
+    ``tau = dt / ħ``), so no unscaled copy outlives its scaled one, and the
+    builder sums the Magnus terms of those.  ``dt`` is a scalar or a
+    per-step ``(n,)`` array: step ``k`` then gets exactly the exponent a
+    call with ``dt[k]`` alone would give it.  Raises
     :class:`PreconditionError` naming ``dt/hbar``, at the ``dt`` of largest
-    magnitude, if the scaling or a term overflows the float range.  Raises ``ValueError`` unless ``hbar`` is positive and finite,
-    before any sample is checked; this is the one place ħ is read, so the
-    check covers every entry point.
+    magnitude, if the scaling or a term overflows the float range.
     """
-    _checked_hbar(hbar)
-    # rebound, so the caller's mapping is no longer held here and each
-    # unscaled sample is freed as its generator replaces it
-    samples = _checked_samples(method, samples)
-    coordinates = is_su2_coordinates(samples[0])
     try:
         with np.errstate(over="raise", invalid="raise"):
             tau = np.asarray(dt, dtype=np.float64)[()] / hbar
-            theta = _SCHEMES[method][1](*generators(samples, tau))
-            return theta if coordinates else as_matrix(theta)
+            return _SCHEMES[method][1](*generators(samples, tau))
     except FloatingPointError as exc:
         steps = np.ravel(dt)
         raise PreconditionError(
             f"the {method.value} exponent overflows the float range at "
             f"dt/hbar = {float(steps[np.argmax(np.abs(steps))]):.3e}/{hbar:.3e}"
         ) from exc
+
+
+def _propagators(theta: Array) -> Array:
+    """``exp(Theta)`` of a Theta :func:`_theta` built, not checked again:
+    ``linalg._expm_su2`` of su(2) coordinates, which are anti-Hermitian by
+    type, else ``linalg._expm_eigh`` of the matrix, which the builders keep
+    anti-Hermitian."""
+    return _expm_su2(theta) if theta.dtype == np.float64 else _expm_eigh(theta)
+
+
+def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float = 1.0) -> Array:
+    """Anti-Hermitian exponent Theta with ``U = exp(Theta)`` for one step.
+
+    ``samples`` maps node fractions (from :func:`sample_nodes`) to Hermitian
+    matrices, real or complex, stacked as ``(n, d, d)`` or not, all of one
+    shape.  No sample is written to, so two nodes may share memory.  ``dt``
+    is a scalar or, for stacks, a per-step ``(n,)`` array.  Raises
+    ``ValueError`` unless ``hbar`` is positive and finite, before any sample
+    is checked; then checks each sample (:func:`_checked_sample`) and
+    returns the complex matrix (stack) of :func:`_theta`.
+    """
+    _checked_hbar(hbar)
+    return as_matrix(_theta(method, _checked_samples(method, samples), dt, hbar))
 
 
 def commutator(a: Array, b: Array) -> Array:
@@ -439,11 +447,10 @@ def step(
 ) -> Array:
     """Unitary propagator over ``[t_k, t_k + dt]``; negative ``dt`` steps backward.
 
-    The sampler's matrices are made complex, so Theta is a matrix and
-    ``expm_antihermitian`` checks it, at d = 2 too."""
+    The sampler's matrices are checked as ``exponent`` checks them, and
+    Theta is exponentiated as the evolution driver exponentiates it."""
     if dt == 0.0:
         raise PreconditionError("step size dt must be nonzero")
-    # complex, so a real 4x4 matrix is not read as four steps of coordinates
-    samples = {node: np.asarray(sampler(t_k + node * dt), dtype=np.complex128) for node in sample_nodes(method)}
-    theta = exponent(method, samples, dt, hbar)
-    return expm_antihermitian(theta)
+    _checked_hbar(hbar)
+    samples = _checked_samples(method, {node: sampler(t_k + node * dt) for node in sample_nodes(method)})
+    return _propagators(_theta(method, samples, dt, hbar))

@@ -35,9 +35,9 @@ kernel.  Up to d = 4 they share no product kernel either: there
 builders' products are cross products at d = 2 and ``np.matmul`` at d = 3
 and 4; above d = 4 both take ``np.matmul``.  The terms take generator samples
 ``A = -iH dt/ħ`` on the unit step; here ħ = 1, and the draws are ``A =
--i cfg.dt H``, where ``cfg.dt`` must be finite and nonzero and its fourth
-power a float.  The terms get them as ``exponent`` hands them to a
-builder, through
+-i cfg.dt H``, where ``cfg.dt`` must be finite, its fourth power a float
+and ``cfg.dt**3 / 120`` a normal float.  The terms get them as
+``magnus_steps._theta`` hands them to a builder, through
 ``magnus_steps.generators`` (so in su(2) coordinates at d = 2), and each
 term is compared as a matrix (``magnus_steps.as_matrix``).  The
 oracle takes the interpolant of the same samples over ``[0, 1]``, and
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -283,7 +284,9 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     ``OverflowError`` for a ``cfg.dt`` whose fourth power, the scale of
     Omega_4, is not a float, and ``ZeroDivisionError`` for one whose
     ``dt**3 / 120``, the smallest nested scalar integral and a divisor of
-    its row, is 0; both before any draw, naming ``dt``.
+    its row, is below the smallest normal float (about 2.2e-308, so ``dt``
+    below about 1.3875e-102), where its rounding is too coarse for the row's
+    tolerance; both before any draw, naming ``dt``.
     """
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
@@ -291,8 +294,8 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
         dt**4
     except OverflowError as exc:
         raise OverflowError(f"dt={dt!r} is too large: dt**4, the scale of Omega_4, overflows the float range") from exc
-    if dt**3 / 120.0 == 0.0:
-        raise ZeroDivisionError(f"dt={dt!r} is too small: dt**3 / 120, the smallest nested scalar integral, is 0")
+    if dt**3 / 120.0 < sys.float_info.min:
+        raise ZeroDivisionError(f"dt={dt!r} is too small: dt**3 / 120, the smallest nested scalar integral, is below the smallest normal float")
     track = _MaxTracker()
     c_alt = -(5.0 + math.sqrt(21.0)) / 2.0
 

@@ -550,15 +550,29 @@ class TestBadStepAndTimeFlags:
         assert not out.exists()
 
     # numpy's overflow and invalid-value warnings stay off stderr
-    @pytest.mark.parametrize("dt, error", [("1e80", "OverflowError"), ("1e-200", "ZeroDivisionError")])
-    def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys, dt, error):
+    @pytest.mark.parametrize(
+        "dt, error, scale",
+        [
+            ("1e80", "OverflowError", "dt**4"),
+            ("1e-200", "ZeroDivisionError", "dt**3 / 120"),
+            # dt**3 / 120 is subnormal: finite, but its rounding fails the rows
+            ("1e-103", "ZeroDivisionError", "dt**3 / 120"),
+        ],
+    )
+    def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys, dt, error, scale):
         out = tmp_path / "report.csv"
         code = run(["verify", "--suite", "closed-forms", "--draws", "1", "--dt", dt, "--out", str(out)])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith(f"magstep: numerical precondition failed: {error}: dt={float(dt)!r} is too ")
+        assert scale in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_smallest_dt_whose_nested_scalar_integral_is_normal_passes(self, tmp_path):
+        # dt**3 / 120 is a normal float from dt = 1.3875e-102 up
+        out = tmp_path / "report.csv"
+        assert run(["verify", "--suite", "closed-forms", "--draws", "1", "--dt", "2e-102", "--out", str(out)]) == 0
 
     def test_overflowing_deviation_fails_its_row(self, tmp_path, capsys):
         # at dt = 1e60 the Frobenius norms of the M3 and M4 oracles overflow,

@@ -161,10 +161,9 @@ class TestPropagate:
     @pytest.mark.parametrize("sampler", ["model", "callable"])
     def test_validates_each_node_stack_and_the_exponent_once(self, monkeypatch, method, nodes, sampler):
         # a callable's matrix stacks get one Hermiticity check per node, node 0
-        # and node 1 apart though they view one sampled array, and its matrix
-        # Theta gets one.  A two-level model's su(2) coordinates, and the
-        # coordinate Theta built from them, are anti-Hermitian by type and get
-        # none, and the kernels between them check nothing
+        # and node 1 apart though they view one sampled array.  A model's
+        # samples are Hermitian by construction and get none, and Theta, the
+        # library's own output, gets none either way
         model = builtin_case("I")
         seen = []
 
@@ -175,15 +174,18 @@ class TestPropagate:
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
         propagate(method, model if sampler == "model" else lambda t: model.sample(t), 0.0, 1.0, 16, [1, 0])
-        want = [((16, 2, 2), 1)] * nodes + [((16, 2, 2), -1)]
-        assert seen == (want if sampler == "callable" else [])
+        assert seen == ([((16, 2, 2), 1)] * nodes if sampler == "callable" else [])
 
     @pytest.mark.parametrize(
-        "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
+        "method, nodes", [(MethodId.ME6, 7), (MethodId.BLANES6_GAUSS, 3), (MethodId.ME2, 2)]
     )
-    def test_validates_each_chunk_once(self, monkeypatch, method, calls):
-        # three chunks at d = 8, each checked once per node and once on Theta
+    @pytest.mark.parametrize("sampler", ["model", "callable"])
+    def test_validates_each_chunk_once(self, monkeypatch, method, nodes, sampler):
+        # three chunks at d = 8: a callable's checked once per node each, a
+        # model's not at all.  The callable returns one sample, so that it
+        # costs no model evaluation per time
         width, n = THREE_CHUNKS[8]
+        h = DENSE8.sample(0.0)
         seen = []
 
         def counted(a, sign):
@@ -192,8 +194,9 @@ class TestPropagate:
 
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
-        propagate(method, DENSE8, 0.0, 1.0, n, np.eye(8)[0])
-        assert seen == [(width, 8, 8)] * (2 * calls) + [(n - 2 * width, 8, 8)] * calls
+        propagate(method, DENSE8 if sampler == "model" else lambda t: h, 0.0, 1.0, n, np.eye(8)[0])
+        want = [(width, 8, 8)] * (2 * nodes) + [(n - 2 * width, 8, 8)] * nodes
+        assert seen == (want if sampler == "callable" else [])
 
     def test_rejects_nan_sample_in_a_later_chunk(self):
         # dt = 1, so step k spans [k, k + 1]: only steps past the first chunk see a NaN
@@ -464,12 +467,15 @@ class TestPackedLadder:
         assert [len(u) for _, u in chunks] == [sum(stop - start for _, start, stop in pieces) for pieces, _ in chunks]
 
     @pytest.mark.parametrize(
-        "method, calls", [(MethodId.ME6, 8), (MethodId.BLANES6_GAUSS, 4), (MethodId.ME2, 3)]
+        "method, nodes", [(MethodId.ME6, 7), (MethodId.BLANES6_GAUSS, 3), (MethodId.ME2, 2)]
     )
-    def test_validates_each_packed_chunk_once(self, monkeypatch, method, calls):
-        # one check per sample node and one on Theta for each chunk, not each rung
+    @pytest.mark.parametrize("sampler", ["model", "callable"])
+    def test_validates_each_packed_chunk_once(self, monkeypatch, method, nodes, sampler):
+        # a callable's samples get one check per node for each chunk, not
+        # each rung; a model's get none
         width, _ = THREE_CHUNKS[8]
         counts = PACKED_LADDERS[8]
+        h = DENSE8.sample(0.0)
         seen = []
 
         def counted(a, sign):
@@ -478,9 +484,10 @@ class TestPackedLadder:
 
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
-        evolution._final_propagators(method, DENSE8, 0.0, 1.0, counts, 8)
+        evolution._final_propagators(method, DENSE8 if sampler == "model" else lambda t: h, 0.0, 1.0, counts, 8)
         sizes = [width, width, counts[0] - 2 * width + counts[1] + counts[2], counts[3] + counts[4]]
-        assert seen == [(size, 8, 8) for size in sizes for _ in range(calls)]
+        want = [(size, 8, 8) for size in sizes for _ in range(nodes)]
+        assert seen == (want if sampler == "callable" else [])
 
     def test_checks_every_rung_before_sampling(self, monkeypatch):
         forbid_sampling(monkeypatch)
@@ -780,14 +787,23 @@ class TestModelCoordinates:
         assert model.su2_coordinates(ts).tobytes() == want.tobytes()
         assert model.su2_coordinates(ts[0]).tobytes() == want[:, 0].tobytes()
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("seed", range(5))
     def test_model_samples_are_exactly_hermitian(self, dim, seed):
-        # so the check a two-level model's coordinates skip cannot fire
+        # so the check a model's samples skip cannot fire; nor, above d = 2,
+        # could the one Theta skips: the Theta the driver builds from them is
+        # exactly anti-Hermitian (at d = 2 it is su(2) coordinates, so by type)
         model = dense_model(dim, seed=100 + seed)
         ts = np.random.default_rng(seed).uniform(-100.0, 100.0, 257)
         _, ratio, defect = checked_square(model.sample_many(ts), 1)
         assert (ratio, defect) == (0.0, 0.0)
+        if dim == 2:
+            return
+        for method in ALL_METHODS:
+            for dt in (0.01, 0.7, 5.0):
+                samples = [model.sample_many(ts + node * dt) for node in magnus_steps.sample_nodes(method)]
+                theta = magnus_steps._theta(method, samples, dt, 1.0)
+                assert checked_square(theta, -1)[1:] == (0.0, 0.0), (method, dt)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_an_overflowing_model_sample_is_a_precondition_error(self, dim):

@@ -158,48 +158,18 @@ class TestExponent:
             assert h is arrays[node]
             assert np.array_equal(h, copies[node])
 
-    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
-    def test_coordinate_samples_give_the_matrix_samples_bits(self, method):
-        # a two-level model's path: Theta comes back as coordinates, whose
-        # matrix has the bits of the checked matrices' Theta
-        rng = np.random.default_rng(21)
-        matrices = {node: np.stack([random_hermitian(rng, 2) for _ in range(5)]) for node in sample_nodes(method)}
-        coords = {node: linalg.su2_coordinates(h) for node, h in matrices.items()}
-        dts = rng.uniform(0.1, 1.0, 5)
-        for dt in (0.37, dts):
-            want = exponent(method, matrices, dt, hbar=0.9)
-            theta = exponent(method, coords, dt, hbar=0.9)
-            assert (theta.dtype, theta.shape, want.shape) == (np.float64, (4, 5), (5, 2, 2))
-            assert as_matrix(theta).tobytes() == want.tobytes()
-        single = {node: h[:, 0] for node, h in coords.items()}
-        theta = exponent(method, single, 0.37)
-        assert theta.shape == (4,)
-        assert as_matrix(theta).tobytes() == exponent(method, {n: h[0] for n, h in matrices.items()}, 0.37).tobytes()
+    def test_real_identity_samples_give_a_complex_4x4_theta(self):
+        theta = exponent(MethodId.ME2, {0.0: np.eye(4), 1.0: np.eye(4)}, 0.1)
+        assert theta.dtype == np.complex128 and theta.shape == (4, 4)
+        assert np.array_equal(theta, -0.1j * np.eye(4))
 
-    def test_coordinate_views_sharing_memory_are_left_unchanged(self):
-        # node 0 and node 1 may view one array of grid samples, overlapping
-        ends = np.random.default_rng(3).normal(size=(4, 6))
-        copy = ends.copy()
-        theta = exponent(MethodId.ME2, {0.0: ends[:, :-1], 1.0: ends[:, 1:]}, 0.5, hbar=0.8)
-        assert ends.tobytes() == copy.tobytes()
-        want = exponent(MethodId.ME2, {0.0: copy[:, :-1].copy(), 1.0: copy[:, 1:].copy()}, 0.5, hbar=0.8)
-        assert theta.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_coordinates_rejected(self, bad):
-        coords = np.ones((4, 3))
-        coords[2, 1] = bad
-        with pytest.raises(ValueError, match="NaN or Inf") as info:
-            exponent(MethodId.ME2, {0.0: np.ones((4, 3)), 1.0: coords}, 0.1)
-        assert not isinstance(info.value, PreconditionError)
-
-    def test_coordinates_and_matrices_mixed_rejected_naming_the_nodes(self):
-        samples = {0.0: np.ones((4, 3)), 1.0: np.stack([SX] * 3)}
-        with pytest.raises(DimensionMismatchError, match=r"node 0\.0: \(4, 3\), node 1\.0: \(3, 2, 2\)"):
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_a_real_4_by_n_sample_is_a_non_square_matrix(self, n):
+        samples = {0.0: np.ones((4, n)), 1.0: np.ones((4, n))}
+        with pytest.raises(DimensionMismatchError, match=rf"square matrix, got shape \(4, {n}\)"):
             exponent(MethodId.ME2, samples, 0.1)
 
     def test_step_reads_a_real_4x4_sample_as_a_matrix(self):
-        # a float64 (4, 4) would be four steps of coordinates to exponent
         h = np.diag([1.0, -1.0, 0.5, 2.0])
         u = step(MethodId.ME2, lambda t: h, 0.0, 0.3)
         assert np.allclose(u, np.diag(np.exp(-0.3j * np.diag(h))), atol=1e-14)
@@ -237,8 +207,8 @@ class TestExponent:
             exponent(MethodId.ME3, samples, 0.1)
 
     def test_coordinate_and_matrix_stacks_of_one_array_shape_rejected(self):
-        # nine 2x2 samples become (4, 3, 3) coordinates, the array shape of
-        # four 3x3 samples: the shapes compared are the matrices'
+        # nine 2x2 samples become (4, 3, 3) generator coordinates, the array
+        # shape of four 3x3 samples: the shapes compared are the matrices'
         samples = {0.0: np.zeros((3, 3, 2, 2)), 1.0: np.zeros((4, 3, 3))}
         with pytest.raises(DimensionMismatchError, match=r"node 0\.0: \(3, 3, 2, 2\), node 1\.0: \(4, 3, 3\)"):
             exponent(MethodId.ME2, samples, 0.1)
@@ -383,6 +353,15 @@ class TestGenerators:
             copy = x.copy()
             generators([x], 0.5)
             assert np.array_equal(x, copy)
+
+    def test_coordinate_views_sharing_memory_are_left_unchanged(self):
+        # a two-level model's node 0 and node 1 view one array of grid
+        # coordinates, overlapping
+        ends = np.random.default_rng(3).normal(size=(4, 6))
+        copy = ends.copy()
+        out = generators([ends[:, :-1], ends[:, 1:]], 0.625)
+        assert ends.tobytes() == copy.tobytes()
+        assert [g.tobytes() for g in out] == [(0.625 * copy[:, :-1]).tobytes(), (0.625 * copy[:, 1:]).tobytes()]
 
     def test_as_matrix_returns_a_matrix_as_it_is(self):
         a = -1j * np.asarray(SX, dtype=complex)
