@@ -9,6 +9,7 @@ from magstep.linalg import (
     SUMMED_MATMUL_CUT,
     DimensionMismatchError,
     NotAntiHermitianError,
+    PreconditionError,
     checked_square,
     commutator,
     dagger,
@@ -587,3 +588,59 @@ class TestExpmSu2:
         thetas[2] = SX
         with pytest.raises(NotAntiHermitianError):
             expm_antihermitian(thetas)
+
+
+class TestExpmOfCoordinates:
+    # the unchecked d = 2 kernel the driver and step hand Theta's su(2)
+    # coordinates (c, x, y, z) of theta = -i (c I + x sx + y sy + z sz) to:
+    # the matrix path's result, to rounding, without forming the matrix
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_matrix_path(self, seed):
+        # the matrix path rounds c + z and c - z into its diagonal, so the
+        # two agree to a few ulps of the largest coordinate, and both are unitary
+        rng = np.random.default_rng(600 + seed)
+        shape = [(4,), (4, 1), (4, 4), (4, 500)][seed % 4]
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-300.0, 150.0, size=shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = linalg._expm_su2(v.copy())
+        assert u.shape == shape[1:] + (2, 2)
+        w = expm_antihermitian(su2_matrix(v))
+        assert np.all(np.abs(u - w).max(axis=(-2, -1)) <= 4 * EPS * np.maximum(1.0, np.abs(v).max(axis=0)))
+        assert np.max(unitarity_defect(u)) <= 1e-14
+
+    def test_zeros_of_either_sign(self):
+        # signed zeros give the identity exactly, and leave the other
+        # coordinates' values as the matrix path has them
+        signs = (0.0, -0.0)
+        z = np.array(np.meshgrid(signs, signs, signs, signs, indexing="ij")).reshape(4, -1)
+        assert np.array_equal(linalg._expm_su2(z.copy()), np.broadcast_to(I2, (16, 2, 2)))
+        vals = (0.0, -0.0, 1.5, -2.25)
+        v = np.array(np.meshgrid(vals, vals, vals, vals, indexing="ij")).reshape(4, -1)
+        assert np.array_equal(linalg._expm_su2(v.copy()), expm_antihermitian(su2_matrix(v)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)])
+    def test_non_finite_coordinate_is_the_value_error_of_the_matrix_check(self, bad, k, shape):
+        # the kernel checks nothing; the matrix of a non-finite coordinate is
+        # rejected by the one check, with no numpy warning
+        v = np.ones(shape)
+        v[k] = bad
+        with np.errstate(invalid="ignore"):
+            theta = su2_matrix(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or Inf") as info:
+                expm_antihermitian(theta)
+        assert not isinstance(info.value, PreconditionError)
+
+    def test_finite_coordinates_whose_entries_overflow_are_a_finite_unitary(self):
+        # c - z = 2e308 is no float, so the matrix has an infinite entry; the
+        # kernel never forms it and exponentiates the coordinates as they are
+        v = np.array([1e308, 0.0, 0.0, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = linalg._expm_su2(v.copy())
+        assert np.all(np.isfinite(u)) and unitarity_defect(u) <= 1e-14
+        assert u[0, 0] == pytest.approx(1.0, abs=4 * EPS) and u[0, 1] == 0 and u[1, 0] == 0

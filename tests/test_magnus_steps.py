@@ -158,6 +158,25 @@ class TestExponent:
             assert h is arrays[node]
             assert np.array_equal(h, copies[node])
 
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_coordinate_samples_give_the_matrix_samples_bits(self, method):
+        # a two-level model's path in the driver: _theta of its su(2)
+        # coordinates gives coordinates whose matrix has the bits of
+        # exponent of the matrices
+        rng = np.random.default_rng(21)
+        matrices = {node: np.stack([random_hermitian(rng, 2) for _ in range(5)]) for node in sample_nodes(method)}
+        dts = rng.uniform(0.1, 1.0, 5)
+        for dt in (0.37, dts):
+            want = exponent(method, matrices, dt, hbar=0.9)
+            coords = [linalg.su2_coordinates(h) for h in matrices.values()]
+            theta = magnus_steps._theta(method, coords, dt, 0.9)
+            assert (theta.dtype, theta.shape, want.shape) == (np.float64, (4, 5), (5, 2, 2))
+            assert as_matrix(theta).tobytes() == want.tobytes()
+        single = [linalg.su2_coordinates(h[0]) for h in matrices.values()]
+        theta = magnus_steps._theta(method, single, 0.37, 1.0)
+        assert theta.shape == (4,)
+        assert as_matrix(theta).tobytes() == exponent(method, {n: h[0] for n, h in matrices.items()}, 0.37).tobytes()
+
     def test_real_identity_samples_give_a_complex_4x4_theta(self):
         theta = exponent(MethodId.ME2, {0.0: np.eye(4), 1.0: np.eye(4)}, 0.1)
         assert theta.dtype == np.complex128 and theta.shape == (4, 4)
