@@ -36,7 +36,7 @@ builders' products are cross products at d = 2 and ``np.matmul`` at d = 3
 and 4; above d = 4 both take ``np.matmul``.  The terms take generator samples
 ``A = -iH dt/ħ`` on the unit step; here ħ = 1, and the draws are ``A =
 -i cfg.dt H``, where ``cfg.dt`` must be finite, its fourth power a float
-and ``cfg.dt**3 / 120`` a normal float.  The terms get them as
+and ``|cfg.dt|**3 / 120`` a normal float.  The terms get them as
 ``magnus_steps._theta`` hands them to a builder, through
 ``magnus_steps.generators`` (so in su(2) coordinates at d = 2), and each
 term is compared as a matrix (``magnus_steps.as_matrix``).  The
@@ -284,9 +284,10 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     ``OverflowError`` for a ``cfg.dt`` whose fourth power, the scale of
     Omega_4, is not a float, and ``ZeroDivisionError`` for one whose
     ``dt**3 / 120``, the smallest nested scalar integral and a divisor of
-    its row, is below the smallest normal float (about 2.2e-308, so ``dt``
-    below about 1.3875e-102), where its rounding is too coarse for the row's
-    tolerance; both before any draw, naming ``dt``.
+    its row, is in magnitude below the smallest normal float (about
+    2.2e-308, so ``|dt|`` below about 1.3875e-102), where its rounding is
+    too coarse for the row's tolerance; both before any draw, naming ``dt``.
+    A negative ``dt`` is a valid step.
     """
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
@@ -294,8 +295,8 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
         dt**4
     except OverflowError as exc:
         raise OverflowError(f"dt={dt!r} is too large: dt**4, the scale of Omega_4, overflows the float range") from exc
-    if dt**3 / 120.0 < sys.float_info.min:
-        raise ZeroDivisionError(f"dt={dt!r} is too small: dt**3 / 120, the smallest nested scalar integral, is below the smallest normal float")
+    if abs(dt) ** 3 / 120.0 < sys.float_info.min:
+        raise ZeroDivisionError(f"dt={dt!r} is too small: dt**3 / 120, the smallest nested scalar integral, is below the smallest normal float in magnitude")
     track = _MaxTracker()
     c_alt = -(5.0 + math.sqrt(21.0)) / 2.0
 

@@ -557,11 +557,14 @@ class TestBadStepAndTimeFlags:
             ("1e-200", "ZeroDivisionError", "dt**3 / 120"),
             # dt**3 / 120 is subnormal: finite, but its rounding fails the rows
             ("1e-103", "ZeroDivisionError", "dt**3 / 120"),
+            # the bound is on the magnitude: a negative dt is checked alike
+            ("-1e-103", "ZeroDivisionError", "dt**3 / 120"),
         ],
     )
     def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys, dt, error, scale):
         out = tmp_path / "report.csv"
-        code = run(["verify", "--suite", "closed-forms", "--draws", "1", "--dt", dt, "--out", str(out)])
+        # "--dt=" so argparse takes "-1e-103" as a value, not an option
+        code = run(["verify", "--suite", "closed-forms", "--draws", "1", f"--dt={dt}", "--out", str(out)])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith(f"magstep: numerical precondition failed: {error}: dt={float(dt)!r} is too ")
@@ -569,10 +572,12 @@ class TestBadStepAndTimeFlags:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    def test_smallest_dt_whose_nested_scalar_integral_is_normal_passes(self, tmp_path):
-        # dt**3 / 120 is a normal float from dt = 1.3875e-102 up
+    # dt**3 / 120 is a normal float from |dt| = 1.3875e-102 up, and a negative
+    # dt is a valid step
+    @pytest.mark.parametrize("dt", ["2e-102", "-2e-102", "-1"])
+    def test_smallest_dt_whose_nested_scalar_integral_is_normal_passes(self, tmp_path, dt):
         out = tmp_path / "report.csv"
-        assert run(["verify", "--suite", "closed-forms", "--draws", "1", "--dt", "2e-102", "--out", str(out)]) == 0
+        assert run(["verify", "--suite", "closed-forms", "--draws", "1", f"--dt={dt}", "--out", str(out)]) == 0
 
     def test_overflowing_deviation_fails_its_row(self, tmp_path, capsys):
         # at dt = 1e60 the Frobenius norms of the M3 and M4 oracles overflow,

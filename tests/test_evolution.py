@@ -159,7 +159,7 @@ class TestPropagate:
         "method, nodes", [(MethodId.ME6, 7), (MethodId.BLANES6_GAUSS, 3), (MethodId.ME2, 2)]
     )
     @pytest.mark.parametrize("sampler", ["model", "callable"])
-    def test_validates_each_node_stack_and_the_exponent_once(self, monkeypatch, method, nodes, sampler):
+    def test_validates_each_callable_node_stack_once(self, monkeypatch, method, nodes, sampler):
         # a callable's matrix stacks get one Hermiticity check per node, node 0
         # and node 1 apart though they view one sampled array.  A model's
         # samples are Hermitian by construction and get none, and Theta, the
