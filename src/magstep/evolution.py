@@ -8,7 +8,14 @@ chunk in one broadcasted ``magnus_steps._theta`` call, then one batched
 form at d = 2), the same per-step arithmetic as
 :func:`magstep.magnus_steps.step`.  A chunk's stacks take
 ``CHUNK_BYTES`` each, so besides its outputs a run holds the same memory at
-any step count.  The grids of a convergence ladder share chunks
+any step count.  A chunk's working set is its node samples, replaced one by
+one by their generators (one stack per node); the builder's brackets and
+sums, at most six stacks more (``blanes6-gauss``), which it drops once
+spent; then Theta and the eigendecomposition's stacks, three at d > 2.
+``propagate`` releases each chunk's step propagators and prefixes before
+the next chunk is built.  Two d = 8 chunks of a trajectory peak at 4.2 MiB
+(``me2``) to 12.3 MiB (``me6``) above what was held before, as traced by
+``tracemalloc``.  The grids of a convergence ladder share chunks
 (:func:`_packed`), with a per-step ``dt`` where a chunk mixes grids, so a
 ladder takes one pass per chunk, not one per rung; every step gets the same
 floats as on its grid alone.
@@ -383,7 +390,10 @@ def propagate(
         rows = slice(start, start + len(prefixes))
         populations[rows] = np.abs(prefixes @ psi0) ** 2
         defects[rows] = unitarity_defect(prefixes)
-        carry = prefixes[-1]
+        # a copy, not a view that would keep every prefix alive; both stacks
+        # are released before the next chunk is built
+        carry = prefixes[-1].copy()
+        del u, prefixes
     return EvolutionTrace(
         times=times,
         populations=populations,

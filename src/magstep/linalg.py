@@ -307,9 +307,12 @@ def expm_antihermitian(theta) -> Array:
 def _expm_eigh(theta: Array) -> Array:
     """``exp(theta)`` of a complex anti-Hermitian (stack of) matrix(es),
     unchecked: diagonalizes the Hermitian matrix ``i*theta = V diag(w) V†``
-    (real ``w``) and returns ``V diag(exp(-i w)) V†``."""
+    (real ``w``) and returns ``V diag(exp(-i w)) V†``, scaling ``V`` in place
+    once ``V†`` is taken."""
     w, v = np.linalg.eigh(1j * theta)
-    return (v * np.exp(-1j * w)[..., None, :]) @ dagger(v)
+    vh = dagger(v)
+    np.multiply(v, np.exp(-1j * w)[..., None, :], out=v)
+    return v @ vh
 
 
 def _expm_su2(v) -> Array:
@@ -337,8 +340,16 @@ def _expm_su2(v) -> Array:
     y *= sinc
     z *= sinc
     out = np.empty(np.shape(c) + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = phase * (cos - 1j * z)
-    out[..., 1, 1] = phase * (cos + 1j * z)
-    out[..., 0, 1] = phase * (-y - 1j * x)
-    out[..., 1, 0] = phase * (y - 1j * x)
+    # each entry is named before the phase multiplies it: numpy's complex
+    # multiply is not bitwise commutative, and it would take ``phase *
+    # (nameless temporary)`` of 256 KiB or more in place with the operands
+    # swapped, so a step's bits would depend on the length of its stack
+    entry = cos - 1j * z
+    out[..., 0, 0] = phase * entry
+    entry = cos + 1j * z
+    out[..., 1, 1] = phase * entry
+    entry = -y - 1j * x
+    out[..., 0, 1] = phase * entry
+    entry = y - 1j * x
+    out[..., 1, 0] = phase * entry
     return out

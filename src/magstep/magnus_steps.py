@@ -363,14 +363,18 @@ def omega3_quadratic(a0, ah, a1):
 
 
 def omega4_linear(a0, a1, root=QUAD_COMMUTATOR_ROOT):
-    return (1.0 / 5040.0) * commutator(
-        (1.0 / root) * a0 - a1, commutator(a1 - root * a0, commutator(a1, a0))
-    )
+    # the inner brackets before the outer operand, so its temporaries do
+    # not coexist with theirs
+    inner = commutator(a1 - root * a0, commutator(a1, a0))
+    return (1.0 / 5040.0) * commutator((1.0 / root) * a0 - a1, inner)
 
 
 # Each builder takes the generator samples positionally, in its scheme's node
 # order, and returns Theta = Omega_1 + Omega_2 (+ Omega_3 + Omega_4), or the
-# scheme's own regrouping.
+# scheme's own regrouping.  The builders with brackets form them before the
+# bracket-free sums, so that no sum's temporaries coexist with a bracket's,
+# and add the terms in place from left to right, so Theta has the bits of
+# the written-out sum Omega_1 + Omega_2 + ...
 
 def _exponent_me2(a0, a1):
     return 0.5 * (a0 + a1)
@@ -381,46 +385,87 @@ def _exponent_me3(a0, ah, a1):
 
 
 def _exponent_me4_nc(a0, ah, a1):
-    return omega1_simpson(a0, ah, a1) + omega2_quadratic(a0, ah, a1)
+    tail = omega2_quadratic(a0, ah, a1)
+    out = omega1_simpson(a0, ah, a1)
+    out += tail
+    return out
 
 
 def _exponent_me4_full(a0, ah, a1):
-    return _exponent_me4_nc(a0, ah, a1) + omega3_linear(a0, a1)
+    out = _exponent_me4_nc(a0, ah, a1)
+    out += omega3_linear(a0, a1)
+    return out
 
 
 def _exponent_me6(a0, aq1, at1, ah, at2, aq3, a1):
-    return (
-        omega1_boole(a0, aq1, ah, aq3, a1)
-        + omega2_cubic(a0, at1, at2, a1)
-        + omega3_quadratic(a0, ah, a1)
-        + omega4_linear(a0, a1)
-    )
+    # ((Omega_1 + Omega_2) + Omega_3) + Omega_4: Omega_3 and Omega_2 are formed
+    # before the bracket-free Omega_1, and Omega_4 once those three are
+    # summed, so that at most one term is held while a bracket is formed
+    omega3 = omega3_quadratic(a0, ah, a1)
+    omega2 = omega2_cubic(a0, at1, at2, a1)
+    out = omega1_boole(a0, aq1, ah, aq3, a1)
+    out += omega2
+    out += omega3
+    del omega2, omega3
+    out += omega4_linear(a0, a1)
+    return out
 
 
 def _exponent_blanes4(a0, ah, a1):
-    return omega1_simpson(a0, ah, a1) + (1.0 / 72.0) * commutator(a1 - a0, a0 + 4.0 * ah + a1)
+    tail = commutator(a1 - a0, a0 + 4.0 * ah + a1)
+    tail *= 1.0 / 72.0
+    out = omega1_simpson(a0, ah, a1)
+    out += tail
+    return out
 
 
 def _exponent_blanes4_gauss(g1, g2):
-    return 0.5 * (g1 + g2) + (math.sqrt(3.0) / 12.0) * commutator(g2, g1)
+    tail = commutator(g2, g1)
+    tail *= math.sqrt(3.0) / 12.0
+    out = 0.5 * (g1 + g2)
+    out += tail
+    return out
 
 
 def _exponent_iserles4_gauss(g1, g2):
     # blanes4-gauss plus a correction whose inner bracket is its [g2, g1]
     c = commutator(g2, g1)
-    return 0.5 * (g1 + g2) + (math.sqrt(3.0) / 12.0) * c + (1.0 / 80.0) * commutator(g2 - g1, c)
+    tail = commutator(g2 - g1, c)
+    tail *= 1.0 / 80.0
+    c *= math.sqrt(3.0) / 12.0
+    out = 0.5 * (g1 + g2)
+    out += c
+    out += tail
+    return out
 
 
 def _exponent_blanes6_gauss(a1, a2, a3):
     # moments b0, b1, b2 of the generator about the midpoint, from the
-    # three Gauss samples a1, a2, a3
-    outer = a1 + a3
-    b0 = (5.0 / 18.0) * outer + (4.0 / 9.0) * a2
-    b1 = (math.sqrt(15.0) / 36.0) * (a3 - a1)
-    b2 = (1.0 / 24.0) * outer
-    m2 = commutator(b1, 3.0 * b0 - 12.0 * b2)
-    m34 = (3.0 / 10.0) * commutator(b1, m2) + commutator(b0, commutator(b0, 0.5 * b2 - m2 / 120.0))
-    return b0 + 0.5 * m2 + m34
+    # three Gauss samples a1, a2, a3; each temporary is scaled and summed in
+    # place and dropped once spent, in the operand order of
+    # b0 + m2 / 2 + 3/10 [b1, m2] + [b0, [b0, b2 / 2 - m2 / 120]]
+    b2 = a1 + a3
+    b0 = (5.0 / 18.0) * b2
+    b0 += (4.0 / 9.0) * a2
+    b1 = a3 - a1
+    b1 *= math.sqrt(15.0) / 36.0
+    b2 *= 1.0 / 24.0
+    m2 = 3.0 * b0
+    m2 -= 12.0 * b2
+    m2 = commutator(b1, m2)
+    m34 = commutator(b1, m2)
+    del b1
+    m34 *= 3.0 / 10.0
+    b2 *= 0.5
+    b2 -= m2 / 120.0
+    inner = commutator(b0, b2)
+    del b2
+    m34 += commutator(b0, inner)
+    del inner
+    m2 *= 0.5
+    m2 += b0
+    m2 += m34
+    return m2
 
 
 # Each scheme, once: the step fractions it samples H at, in ascending order,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -733,3 +734,72 @@ class TestHelp:
 
     def test_no_command_is_usage_error(self):
         assert run([]) == EXIT_USAGE
+
+
+class TestAllocatorPin:
+    # run pins glibc's mmap and trim thresholds once per process; each test
+    # starts from an unpinned process and a stand-in C library
+
+    @staticmethod
+    def stand_in(monkeypatch, library):
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            if isinstance(library, Exception):
+                raise library
+            return library
+
+        monkeypatch.setattr(magstep.cli, "_allocator_pinned", False)
+        monkeypatch.setattr(magstep.cli.ctypes, "CDLL", cdll)
+        return opened
+
+    @staticmethod
+    def libc(calls, result=1):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    def test_pins_once_per_process(self, monkeypatch, capsys):
+        calls = []
+        opened = self.stand_in(monkeypatch, self.libc(calls))
+        assert run(["list-methods"]) == EXIT_OK
+        assert run(["list-methods"]) == EXIT_OK
+        assert opened == [None]
+        # M_MMAP_THRESHOLD (-3) first, then M_TRIM_THRESHOLD (-1)
+        assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]
+
+    def test_trim_threshold_is_left_alone_unless_the_mmap_threshold_took(self, monkeypatch, capsys):
+        calls = []
+        self.stand_in(monkeypatch, self.libc(calls, result=0))
+        assert run(["list-methods"]) == EXIT_OK
+        assert calls == [(-3, 32 * 2**20)]
+
+    COMMANDS = [
+        (["list-methods"], EXIT_OK),
+        (["propagate", "--case", "I", "--method", "me4-nc", "--n-steps", "100"], EXIT_OK),
+        (["converge", "--case", "II", "--methods", "me2,me6", "--t-final", "1", "--dt", "0.1", "--dt", "0.05"], EXIT_OK),
+        (["verify", "--suite", "closed-forms", "--draws", "2"], EXIT_OK),
+        (["propagate", "--case", "I", "--method", "nope", "--n-steps", "4"], EXIT_USAGE),
+        (["propagate", "--case", "I", "--method", "me2", "--n-steps", "4", "--t0", "1", "--t-final", "0"], EXIT_NUMERICAL),
+    ]
+
+    @pytest.mark.parametrize(
+        "library", [OSError("no C library"), types.SimpleNamespace()], ids=["no-library", "no-mallopt"]
+    )
+    def test_exit_codes_and_outputs_do_not_depend_on_the_pin(self, monkeypatch, tmp_path, capsys, library):
+        def outcomes(tag):
+            seen = []
+            for i, (argv, code) in enumerate(self.COMMANDS):
+                out = tmp_path / f"{tag}-{i}.csv"
+                rc = run(argv + (["--out", str(out)] if argv[0] != "list-methods" else []))
+                seen.append((rc, out.read_bytes() if out.exists() else None, capsys.readouterr()))
+            return seen
+
+        pinned = outcomes("pinned")
+        assert [rc for rc, _, _ in pinned] == [code for _, code in self.COMMANDS]
+        opened = self.stand_in(monkeypatch, library)
+        assert outcomes("unpinned") == pinned
+        assert opened == [None]

@@ -29,6 +29,32 @@ PRODUCT_ORDER_TOL = 1e-13
 # steps of a dense d = 8 model (one chunk's stacks take 16 MB either way).
 CHUNK_PEAK_SLACK = 64 * 1024
 
+# Traced peak memory of one propagate over two chunks of a dense d = 8 model
+# (2048 steps), above what was held before it, per scheme.  A chunk's stacks
+# take 1 MiB each; measured 4.22, 6.29, 8.29, 7.29, 12.29, 7.29, 4.29, 6.29
+# and 9.29 MiB in the order below.
+MiB = 2**20
+ME2_TWO_CHUNK_PEAK = 4.5 * MiB
+ME3_TWO_CHUNK_PEAK = 6.5 * MiB
+ME4_FULL_TWO_CHUNK_PEAK = 8.5 * MiB
+ME4_NC_TWO_CHUNK_PEAK = 7.5 * MiB
+ME6_TWO_CHUNK_PEAK = 12.5 * MiB
+BLANES4_TWO_CHUNK_PEAK = 7.5 * MiB
+BLANES4_GAUSS_TWO_CHUNK_PEAK = 4.5 * MiB
+ISERLES4_GAUSS_TWO_CHUNK_PEAK = 6.5 * MiB
+BLANES6_GAUSS_TWO_CHUNK_PEAK = 9.5 * MiB
+TWO_CHUNK_PEAKS = {
+    MethodId.ME2: ME2_TWO_CHUNK_PEAK,
+    MethodId.ME3: ME3_TWO_CHUNK_PEAK,
+    MethodId.ME4_FULL: ME4_FULL_TWO_CHUNK_PEAK,
+    MethodId.ME4_NC: ME4_NC_TWO_CHUNK_PEAK,
+    MethodId.ME6: ME6_TWO_CHUNK_PEAK,
+    MethodId.BLANES4: BLANES4_TWO_CHUNK_PEAK,
+    MethodId.BLANES4_GAUSS: BLANES4_GAUSS_TWO_CHUNK_PEAK,
+    MethodId.ISERLES4_GAUSS: ISERLES4_GAUSS_TWO_CHUNK_PEAK,
+    MethodId.BLANES6_GAUSS: BLANES6_GAUSS_TWO_CHUNK_PEAK,
+}
+
 # Steps per chunk by dimension, and a step count of three chunks at that
 # dimension, the last one ragged.
 THREE_CHUNKS = {2: (16384, 2 * 16384 + 5), 8: (1024, 2 * 1024 + 37)}
@@ -253,6 +279,21 @@ class TestPropagate:
 
         assert traced_peak(8192) - traced_peak(2048) <= CHUNK_PEAK_SLACK
 
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_peak_memory_of_two_chunks(self, method):
+        # each chunk's stacks are released before the next chunk is built,
+        # and the builders drop their spent temporaries
+        propagate(method, DENSE8, 0.0, 10.0, 64, np.eye(8)[0])  # first-call allocations
+        n = 2 * THREE_CHUNKS[8][0]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            propagate(method, DENSE8, 0.0, 10.0, n, np.eye(8)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= TWO_CHUNK_PEAKS[method]
+
 
 def step_propagators(method, model, n):
     """The chunks of a grid over [0, 10] and the step propagators they hold, in order."""
@@ -457,6 +498,17 @@ class TestPackedLadder:
         assert len(packed) == len(counts)
         for n, got in zip(counts, packed):
             (want,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
+            assert np.array_equal(got, want), n
+
+    def test_a_packed_chunk_of_full_width_equals_one_grid_calls(self):
+        # two rungs fill one 16384-step d = 2 chunk, the length from which
+        # numpy could reorder a product of the closed su(2) exponential
+        counts = (10000, THREE_CHUNKS[2][0] - 10000)
+        assert list(evolution._packed(counts, THREE_CHUNKS[2][0])) == [[(0, 0, 10000), (1, 0, counts[1])]]
+        model = builtin_case("I")
+        packed = evolution._final_propagators(MethodId.ME4_NC, model, 0.0, 50.0, counts, 2)
+        for n, got in zip(counts, packed):
+            (want,) = evolution._final_propagators(MethodId.ME4_NC, model, 0.0, 50.0, (n,), 2)
             assert np.array_equal(got, want), n
 
     def test_pieces_come_in_chunk_order(self):

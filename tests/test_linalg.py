@@ -609,6 +609,14 @@ class TestExpmOfCoordinates:
         assert np.all(np.abs(u - w).max(axis=(-2, -1)) <= 4 * EPS * np.maximum(1.0, np.abs(v).max(axis=0)))
         assert np.max(unitarity_defect(u)) <= 1e-14
 
+    def test_a_long_stack_has_the_bits_of_its_halves(self):
+        # from 16384 steps (256 KiB per complex entry) numpy would take a
+        # nameless temporary's product with the phase in place, operands
+        # swapped, and a complex product is not bitwise commutative
+        v = np.random.default_rng(620).normal(size=(4, 20000))
+        halves = [linalg._expm_su2(v[:, :10000].copy()), linalg._expm_su2(v[:, 10000:].copy())]
+        assert np.array_equal(linalg._expm_su2(v.copy()), np.concatenate(halves))
+
     def test_zeros_of_either_sign(self):
         # signed zeros give the identity exactly, and leave the other
         # coordinates' values as the matrix path has them
