@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .evolution import _checked_span, convergence_study, propagate
-from .hamiltonians import HamiltonianModel, ModelError, builtin_case, load_model
+from .hamiltonians import BUILTIN_CASES, HamiltonianModel, ModelError, builtin_case, load_model
 from .linalg import PreconditionError
 from .magnus_steps import ALL_METHODS, MethodId
 from .verify import OracleConfig, check_closed_forms, check_symmetry_suite
@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--case", choices=["I", "II", "III", "IV"], help="builtin two-state parameter case")
+        p.add_argument("--case", choices=list(BUILTIN_CASES), help="builtin two-state parameter case")
         p.add_argument("--model", help="JSON model file")
         p.add_argument("--hbar", type=float, default=1.0)
 

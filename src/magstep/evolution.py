@@ -1,8 +1,8 @@
 """Compose step propagators over an interval and run convergence studies.
 
 The step pipeline streams over fixed-size chunks of one or more uniform
-grids over the same interval: :func:`_step_chunks` samples, checks, builds
-and exponentiates one chunk of steps at a time (all step exponents of a
+grids over the same interval: :func:`_step_chunks` samples, builds and
+exponentiates one chunk of steps at a time (all step exponents of a
 chunk in one broadcasted ``magnus_steps._theta`` call, then one batched
 ``magnus_steps._propagators``: an eigendecomposition, or the closed su(2)
 form at d = 2), the same per-step arithmetic as
@@ -58,13 +58,20 @@ an independent 6th-order scheme before it is trusted, and fits the log-log
 order of accuracy per method.  Every product of propagator stacks goes
 through ``linalg.matmul``.
 
-``propagate`` and ``convergence_study`` take ħ as the plain ``hbar``
-keyword and hand it to ``magnus_steps._theta``, which reads it;
-:func:`_step_chunks` runs the same check on it when it is called, so a bad
-ħ is reported before anything is sampled.  Both check the interval with
-:func:`_checked_span`, before anything is sampled: ``ValueError`` for a
-non-finite ``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless
-``tf > t0``.
+``propagate`` and ``convergence_study`` are where the driver's inputs are
+checked: each input once, before anything is sampled, in this order.
+``propagate`` checks the state's normalization, ħ
+(``magnus_steps._checked_hbar``), the interval, ``n_steps``, the size
+preflight (:func:`_checked_size`) and then a model's dimension against the
+state's.  ``convergence_study`` checks ħ, the interval, the methods, the
+ladder and its step counts, then takes a callable's dimension probe, then
+makes the size preflight on the reference grid, the largest it runs.  The
+interval check is :func:`_checked_span`: ``ValueError`` for a non-finite
+``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless ``tf >
+t0``.  ħ is the plain ``hbar`` keyword, handed on to
+``magnus_steps._theta``, which reads it.  :func:`_step_chunks` and
+:func:`_final_propagators` trust what they are handed, and :func:`_sampled`
+checks only what sampling produces.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianModel
 from .linalg import Array, PreconditionError, frobenius_norm, matmul, unitarity_defect
-from .magnus_steps import MethodId, _checked_hbar, _checked_sample, _propagators, _theta, sample_nodes
+from .magnus_steps import MethodId, _checked_hbar, _checked_samples, _propagators, _theta, sample_nodes
 
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps these names
 from .linalg import expm_antihermitian  # noqa: F401
@@ -138,35 +145,33 @@ class EvolutionTrace:
 def _sampled(model, times: Array, dim: int) -> Array:
     """The Hamiltonian at ``times``: the ``(4, n)`` su(2) coordinates of a
     two-level :class:`HamiltonianModel`, else the complex ``(n, dim, dim)``
-    stack.  Raises :class:`PreconditionError` unless the samples are ``dim``
-    by ``dim``, before sampling a model, and if a model's sample is not
-    finite: a valid model whose sinusoids pass the float range, sampled under
-    one ``np.errstate`` so that numpy adds no warning to that one error."""
+    stack.  Checks only what sampling produces: raises
+    :class:`PreconditionError` unless a callable's samples are ``dim`` by
+    ``dim``, and if a model's sample is not finite: a valid model whose
+    sinusoids pass the float range, sampled under one ``np.errstate`` so that
+    numpy adds no warning to that one error.  A model's dimension is checked
+    by the entry point, once."""
     if isinstance(model, HamiltonianModel):
-        shape = (model.dim, model.dim)
-        if model.dim == dim:
-            with np.errstate(over="ignore", invalid="ignore"):
-                h = model.su2_coordinates(times) if dim == 2 else model.sample_many(times)
-            if not np.isfinite(h).all():
-                # the time axis is last for coordinates, first for matrices
-                finite = np.isfinite(h).all(axis=0 if dim == 2 else (1, 2))
-                t = float(times[np.argmin(finite)])
-                raise PreconditionError(f"the model overflows the float range: its sample at t={t!r} is not finite")
-            return h
-    else:
-        h = np.stack([np.asarray(model(float(t)), dtype=np.complex128) for t in times])
-        shape = h.shape[1:]
-        if shape == (dim, dim):
-            return h
-    raise PreconditionError(f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = model.su2_coordinates(times) if dim == 2 else model.sample_many(times)
+        if not np.isfinite(h).all():
+            # the time axis is last for coordinates, first for matrices
+            finite = np.isfinite(h).all(axis=0 if dim == 2 else (1, 2))
+            t = float(times[np.argmin(finite)])
+            raise PreconditionError(f"the model overflows the float range: its sample at t={t!r} is not finite")
+        return h
+    h = np.stack([np.asarray(model(float(t)), dtype=np.complex128) for t in times])
+    if h.shape[1:] != (dim, dim):
+        raise PreconditionError(f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {h.shape[1:]}")
+    return h
 
 
 def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, dt, dim: int) -> list[Array]:
     """Hamiltonian samples at each node of every step of a chunk's ``pieces``
     (see :func:`_step_chunks`), whose ``dt`` is a scalar or the ``(n,)``
     per-step steps: one stack per node, in node order.  A callable's stacks
-    are checked, one ``magnus_steps._checked_sample`` call per node; a
-    model's are Hermitian by construction and are not.
+    are checked by ``magnus_steps._checked_samples``, as ``exponent``'s
+    are; a model's are Hermitian by construction and are not.
 
     A scheme with nodes at both ends of the step samples each piece's grid
     times ``t0 + dt * j``, ``j = start ... stop``, once: node 0 reads all
@@ -207,7 +212,7 @@ def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, 
             samples[node] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
     if isinstance(model, HamiltonianModel):
         return [samples[node] for node in nodes]
-    return [_checked_sample(node, samples[node]) for node in nodes]
+    return _checked_samples(method, samples)
 
 
 def _trajectory_bytes(n_steps: int, dim: int) -> int:
@@ -223,6 +228,26 @@ def _physical_memory_bytes() -> int | None:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _checked_size(n_steps: int, dim: int) -> None:
+    """:class:`PreconditionError` naming ``n_steps`` unless a trajectory of
+    ``n_steps`` at ``dim`` (:func:`_trajectory_bytes`) fits in the smaller of
+    physical memory, where ``os.sysconf`` can tell it, and the bytes this
+    platform can address.  A convergence study builds no trajectory, but its
+    reference grid takes the same bound, so no rung's steps outgrow an
+    array's index."""
+    need = _trajectory_bytes(n_steps, dim)
+    limit, what = np.iinfo(np.intp).max, "address space"
+    memory = _physical_memory_bytes()
+    if memory is not None and memory < limit:
+        limit, what = memory, "physical memory"
+    if need > limit:
+        raise PreconditionError(
+            f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: a trajectory of its "
+            f"n_steps + 1 grid points, at {dim + 2} floats each, takes about "
+            f"{need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB of {what}"
+        )
 
 
 def _checked_span(t0: float, tf: float) -> float:
@@ -245,28 +270,15 @@ def _step_chunks(
     grid, piece after piece.
 
     The grids' steps are packed into chunks of at most ``CHUNK_BYTES // (16
-    dim**2)`` steps; each chunk is sampled (:func:`_node_samples`), checked,
-    built and exponentiated in one pass.  ``hbar`` and the grids are checked
-    when this is called, before anything is sampled; each chunk is computed
-    only when it is reached, so no ``(n, d, d)`` stack outlives its chunk.
-    A piece's grid times ``t0 + dt * arange(start, stop + 1)``, node times
-    and ``dt`` are the same floats as on its grid alone.
+    dim**2)`` steps; each chunk is sampled (:func:`_node_samples`), built
+    and exponentiated in one pass, only when it is reached, so no ``(n, d,
+    d)`` stack outlives its chunk.  Nothing here is checked: ``hbar``, the
+    interval, the counts and ``dim`` are the entry point's, and only what
+    sampling produces is checked as it is sampled.  A piece's grid times
+    ``t0 + dt * arange(start, stop + 1)``, node times and ``dt`` are the
+    same floats as on its grid alone.
     """
-    _checked_hbar(hbar)
-    span = _checked_span(t0, tf)
-    for n_steps in counts:
-        if n_steps < 1:
-            raise PreconditionError(f"n_steps must be positive, got {n_steps}")
-        # also stops a convergence ladder whose rungs could never be counted out;
-        # d is checked against the Hamiltonian in each chunk
-        if _trajectory_bytes(n_steps, dim) > np.iinfo(np.intp).max:
-            raise PreconditionError(
-                f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: its n_steps + 1 "
-                f"grid points, at {dim + 2} floats each in a trajectory, would exceed "
-                f"the {np.iinfo(np.intp).max} bytes this platform can address"
-            )
-
-    dts = [span / n for n in counts]
+    dts = [(tf - t0) / n for n in counts]
 
     def chunk(pieces: list[tuple[int, int, int]]) -> tuple[list[tuple[int, int, int]], Array]:
         # a grid has at most one piece in a chunk; a per-step dt only where
@@ -363,29 +375,29 @@ def propagate(
 
     ``model`` is a :class:`HamiltonianModel` or any callable ``t -> matrix``.
     Populations are ``|<n|U(t)|psi0>|^2`` from the accumulated propagator
-    applied to the initial state, never re-normalized.  Raises
-    :class:`PreconditionError` before sampling if the outputs, which grow
-    with ``n_steps``, would not fit in physical memory.
+    applied to the initial state, never re-normalized.  Checks, before
+    anything is sampled: the state's normalization, ``hbar``, the interval,
+    ``n_steps``, that the outputs, which grow with ``n_steps``, fit in
+    memory (:func:`_checked_size`), and a model's dimension.
     """
     psi0 = np.asarray(initial_state, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise PreconditionError(f"initial state must be normalized, got norm {norm!r}")
     dim = psi0.size
-    chunks = _step_chunks(method, model, t0, tf, (n_steps,), dim, hbar)
-    need, memory = _trajectory_bytes(n_steps, dim), _physical_memory_bytes()
-    if memory is not None and need > memory:
-        raise PreconditionError(
-            f"n_steps=10^{math.log10(int(n_steps)):.2f} is too large: its times, "
-            f"populations and unitarity defects take about "
-            f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB of physical memory"
-        )
+    _checked_hbar(hbar)
+    span = _checked_span(t0, tf)
+    if n_steps < 1:
+        raise PreconditionError(f"n_steps must be positive, got {n_steps}")
+    _checked_size(n_steps, dim)
+    if isinstance(model, HamiltonianModel) and model.dim != dim:
+        raise PreconditionError(f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {(model.dim, model.dim)}")
 
-    times = t0 + (tf - t0) / n_steps * np.arange(n_steps + 1)
+    times = t0 + span / n_steps * np.arange(n_steps + 1)
     populations = np.empty((n_steps + 1, dim))
     defects = np.empty(n_steps + 1)
     carry = np.eye(dim, dtype=np.complex128)
-    for [(_, start, _)], u in chunks:
+    for [(_, start, _)], u in _step_chunks(method, model, t0, tf, (n_steps,), dim, hbar):
         prefixes = _prefix_products(u, carry)
         rows = slice(start, start + len(prefixes))
         populations[rows] = np.abs(prefixes @ psi0) ** 2
@@ -540,8 +552,13 @@ def convergence_study(
     times the finest rung's step count.  It is computed once, then
     independently cross-checked with :data:`CROSS_CHECK_METHOD` on the same
     grid; the study refuses to run if the two disagree beyond
-    :data:`REFERENCE_AGREEMENT_TOL` relative.
+    :data:`REFERENCE_AGREEMENT_TOL` relative.  Checks ``hbar``, the
+    interval, the methods, the ladder and its step counts, then takes a
+    callable's dimension from one sample at ``t0``, then checks that the
+    reference grid fits (:func:`_checked_size`), all before the study
+    samples anything else.
     """
+    _checked_hbar(hbar)
     span = _checked_span(t0, tf)
     for i, method in enumerate(methods):
         if method in methods[:i]:
@@ -560,6 +577,7 @@ def convergence_study(
         dim = model.dim
     else:
         dim = np.atleast_1d(model(float(t0))).shape[-1]
+    _checked_size(n_ref, dim)
 
     (u_ref,) = _final_propagators(REFERENCE_METHOD, model, t0, tf, (n_ref,), dim, hbar)
     (u_check,) = _final_propagators(CROSS_CHECK_METHOD, model, t0, tf, (n_ref,), dim, hbar)

@@ -24,20 +24,21 @@ entry point raises ``ValueError`` for an ``hbar`` that is not positive and
 finite (``_checked_hbar``) before any sample is looked at.
 
 ``exponent`` and ``step`` take Hamiltonian samples as matrices, real ones
-included, and validate them once: one ``linalg.checked_square`` call per
-node (:func:`_checked_sample`) makes each complex and square, rejects a NaN
-or Inf entry and measures its Hermiticity defect against
+included, and validate them once, in :func:`_checked_samples`: one
+``linalg.checked_square`` call per node makes each complex and square,
+rejects a NaN or Inf entry and measures its Hermiticity defect against
 ``SAMPLE_HERMITICITY_TOL``; then the stacks must be all of one shape.  The
-evolution driver makes the same per-node check on a callable sampler's
-stacks and none on a ``HamiltonianModel``'s, which are Hermitian by
-construction.  :func:`_theta` builds Theta from the checked samples: each
-is scaled, once, to the generator ``A = -iH dt/ħ`` of the step taken as the
-unit interval; that is the only place ``dt`` and ħ enter.  The term
-functions and builders after that are plain arithmetic on ``A`` (Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, Sec. 2-3): each Magnus term
-Omega_n is a real combination of nested brackets of anti-Hermitian
-matrices, so the exponent stays in the Lie algebra u(d).  A scaling or a
-term that overflows the float range raises ``PreconditionError``.
+evolution driver makes the same check, by the same function, on a callable
+sampler's node stacks and none on a ``HamiltonianModel``'s, which are
+Hermitian by construction.  :func:`_theta` builds Theta from the checked
+samples: each is scaled, once, to the generator ``A = -iH dt/ħ`` of the
+step taken as the unit interval; that is the only place ``dt`` and ħ
+enter.  The term functions and builders after that are plain arithmetic on
+``A`` (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, Sec. 2-3):
+each Magnus term Omega_n is a real combination of nested brackets of
+anti-Hermitian matrices, so the exponent stays in the Lie algebra u(d).  A
+scaling or a term that overflows the float range raises
+``PreconditionError``.
 ``exponent`` returns Theta as a matrix.  ``step``, like the evolution
 driver, exponentiates the Theta it built without checking it again
 (:func:`_propagators`): it is the library's own output, not an input.
@@ -180,23 +181,22 @@ def _checked_hbar(hbar: float) -> None:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
-def _checked_sample(node: float, h) -> Array:
-    """``h`` as ``linalg.checked_square`` returns it, a complex (stack of)
-    square matrix(es); :class:`NonHermitianSampleError` naming ``node``
-    unless it is Hermitian to ``SAMPLE_HERMITICITY_TOL``."""
-    h, ratio, defect = checked_square(h, 1)
-    if not ratio <= SAMPLE_HERMITICITY_TOL:
-        raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
-    return h
-
-
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
+    """The samples at ``method``'s nodes, in node order, each as
+    ``linalg.checked_square`` returns it, a complex (stack of) square
+    matrix(es).  Raises :class:`MissingNodeError` for a node ``samples``
+    lacks, :class:`NonHermitianSampleError` naming the first node whose
+    sample is not Hermitian to ``SAMPLE_HERMITICITY_TOL``, and
+    :class:`DimensionMismatchError` unless all are of one shape."""
     nodes = sample_nodes(method)
     out: list[Array] = []
     for node in nodes:
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
-        out.append(_checked_sample(node, samples[node]))
+        h, ratio, defect = checked_square(samples[node], 1)
+        if not ratio <= SAMPLE_HERMITICITY_TOL:
+            raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
+        out.append(h)
     if len({h.shape for h in out}) > 1:
         shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
         raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
@@ -283,7 +283,7 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     shape.  No sample is written to, so two nodes may share memory.  ``dt``
     is a scalar or, for stacks, a per-step ``(n,)`` array.  Raises
     ``ValueError`` unless ``hbar`` is positive and finite, before any sample
-    is checked; then checks each sample (:func:`_checked_sample`) and
+    is checked; then checks the samples (:func:`_checked_samples`) and
     returns the complex matrix (stack) of :func:`_theta`.
     """
     _checked_hbar(hbar)

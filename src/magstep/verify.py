@@ -44,8 +44,10 @@ oracle takes the interpolant of the same samples over ``[0, 1]``, and
 Omega_n is its n-th integral over ``n!``: every integral is multilinear in
 the samples, so scaling them by ``-i dt`` costs the oracle nothing of its
 independence.  Every suite needs at least one draw (the CLI rejects
-``--draws`` below 1), and a row whose worst deviation is NaN (say, from a
-Frobenius norm that overflows at a huge ``dt``) fails.
+``--draws`` below 1), and a row whose worst deviation is NaN fails: a
+Frobenius norm that overflows at a huge ``dt``, or a relative deviation the
+norm cannot measure because its squares would underflow or the
+reference's overflow (:func:`_rel_dev`), so no row passes by reading 0.
 """
 
 from __future__ import annotations
@@ -256,9 +258,18 @@ def _nested3_scalar(g, t_k: float, dt: float) -> float:
 
 
 def _rel_dev(value: Array, reference: Array) -> float:
+    """``||value - reference||_F / ||reference||_F``, or NaN, which fails its
+    row, where the Frobenius norm cannot measure it: unless a deviation at
+    the reference's rounding level, ``eps ||reference||_F``, has a finite
+    normal square.  ``frobenius_norm`` squares the entries, so below that a
+    deviation's squares underflow and a wrong value reads 0 (the m4 rows at
+    ``|dt| = 1e-36``); above it the reference's norm is inf, and any
+    finite deviation reads 0 too."""
     ref = frobenius_norm(reference)
-    dev = frobenius_norm(np.asarray(value) - np.asarray(reference))
-    return float(dev) / max(float(ref), 1e-300)
+    floor = np.finfo(float).eps * ref
+    if not sys.float_info.min <= floor * floor < math.inf:
+        return math.nan
+    return float(frobenius_norm(np.asarray(value) - np.asarray(reference))) / ref
 
 
 class _MaxTracker:

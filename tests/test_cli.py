@@ -44,6 +44,11 @@ def read_lines(path):
     return text.splitlines()
 
 
+def report_rows(path):
+    """A verify CSV's rows by identity: ``[max_rel_dev, tolerance, pass]`` as text."""
+    return {line.split(",")[0]: line.split(",")[1:] for line in read_lines(path)[1:]}
+
+
 def value_text(x):
     """A CSV field as the format has always written it, one value at a time."""
     if isinstance(x, (bool, np.bool_)):
@@ -573,12 +578,50 @@ class TestBadStepAndTimeFlags:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    # dt**3 / 120 is a normal float from |dt| = 1.3875e-102 up, and a negative
+    # dt**3 / 120 is a normal float from |dt| = 1.3875e-102 up, so the
+    # nested-scalar rows are measured and pass there; the m2 to m4 rows, whose
+    # deviations' squares underflow, read NaN and fail the run.  A negative
     # dt is a valid step
     @pytest.mark.parametrize("dt", ["2e-102", "-2e-102", "-1"])
     def test_smallest_dt_whose_nested_scalar_integral_is_normal_passes(self, tmp_path, dt):
         out = tmp_path / "report.csv"
-        assert run(["verify", "--suite", "closed-forms", "--draws", "1", f"--dt={dt}", "--out", str(out)]) == 0
+        code = run(["verify", "--suite", "closed-forms", "--draws", "1", f"--dt={dt}", "--out", str(out)])
+        rows = report_rows(out)
+        for k in range(1, 5):
+            assert rows[f"nested-scalar-{k}"][2] == "true"
+        unmeasured = [name for name, (dev, _, _) in rows.items() if dev == "nan"]
+        if dt == "-1":
+            assert code == EXIT_OK and unmeasured == []
+        else:
+            assert code == EXIT_VERIFY_FAILED
+            assert unmeasured == [name for name in rows if name[:2] in ("m2", "m3", "m4")]
+
+    @pytest.mark.parametrize(
+        "suite, dt, unmeasured",
+        [
+            ("closed-forms", "1e-36", ["m4-linear", "m4-linear-alt-root", "m4-roots-agree"]),
+            ("closed-forms", "1e-60", ["m3-linear", "m3-quadratic", "m4-linear", "m4-linear-alt-root", "m4-roots-agree"]),
+            ("closed-forms", "1e40", ["m4-linear", "m4-linear-alt-root", "m4-roots-agree"]),
+            ("symmetry", "1e-40", ["oracle-sign-flip-m4"]),
+        ],
+    )
+    def test_a_deviation_the_norm_cannot_measure_fails_its_row(self, tmp_path, suite, dt, unmeasured):
+        # below about |dt| = 1.5e-34 the squares of an m4 deviation underflow,
+        # so a wrong term would read 0; at 1e40 the m4 reference's norm is inf
+        out = tmp_path / "report.csv"
+        draws = "3" if suite == "closed-forms" else "2"
+        assert run(["verify", "--suite", suite, "--draws", draws, "--dt", dt, "--out", str(out)]) == EXIT_VERIFY_FAILED
+        rows = report_rows(out)
+        assert [name for name, (dev, _, _) in rows.items() if dev == "nan"] == unmeasured
+        assert all(rows[name][2] == "false" for name in unmeasured)
+
+    def test_a_small_dt_whose_rows_are_measured_passes(self, tmp_path):
+        # at 1e-30 every row is measured, the m4 ones at about 2e-15
+        out = tmp_path / "report.csv"
+        assert run(["verify", "--suite", "closed-forms", "--draws", "3", "--dt", "1e-30", "--out", str(out)]) == EXIT_OK
+        rows = report_rows(out)
+        for name in ("m4-linear", "m4-linear-alt-root", "m4-roots-agree"):
+            assert 0.0 < float(rows[name][0]) <= float(rows[name][1])
 
     def test_overflowing_deviation_fails_its_row(self, tmp_path, capsys):
         # at dt = 1e60 the Frobenius norms of the M3 and M4 oracles overflow,
@@ -688,6 +731,15 @@ class TestHbar:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_bad_hbar_is_reported_before_the_ladder(self, tmp_path, capsys):
+        # 0.3 does not divide 10 either, but a study checks hbar first
+        out = tmp_path / "err.csv"
+        argv = ["converge", "--case", "I", "--hbar", "-1", "--dt", "0.3", "--t-final", "10", "--out", str(out)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("magstep: error:") and "hbar must be positive and finite" in err
+        assert not out.exists()
+
     def test_bad_hbar_is_reported_before_the_memory_preflight(self, tmp_path, capsys, monkeypatch):
         # 10**12 steps would not fit in memory either, but hbar is checked first
         forbid_sampling(monkeypatch)
@@ -734,6 +786,11 @@ class TestHelp:
 
     def test_no_command_is_usage_error(self):
         assert run([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["propagate", "converge"])
+    def test_case_choices_are_the_builtin_cases_in_order(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        assert "--case {I,II,III,IV}" in capsys.readouterr().out
 
 
 class TestAllocatorPin:

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -542,9 +543,11 @@ class TestPackedLadder:
         assert seen == (want if sampler == "callable" else [])
 
     def test_checks_every_rung_before_sampling(self, monkeypatch):
+        # a rung of 10**18 steps makes a reference grid of 8 * 10**18, the
+        # largest of the study, which is refused before anything is sampled
         forbid_sampling(monkeypatch)
-        with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
-            evolution._final_propagators(MethodId.ME2, RABI, 0.0, 1.0, (4, 10**18), 2)
+        with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.90 "):
+            convergence_study(RABI, [MethodId.ME2], dts=[0.25, 1e-18], tf=1.0)
 
 
 class TestRelativeError:
@@ -941,7 +944,8 @@ class TestHbarBeforeSampling:
             convergence_study(builtin_case("I"), ALL_METHODS, tf=1.0, hbar=hbar)
         assert sizes == []
 
-    def test_a_callable_study_samples_only_its_dimension_probe(self):
+    def test_a_callable_study_samples_nothing(self):
+        # hbar is checked before the callable's dimension probe
         times = []
 
         def sampler(t):
@@ -950,7 +954,11 @@ class TestHbarBeforeSampling:
 
         with pytest.raises(ValueError, match="hbar must be positive and finite"):
             convergence_study(sampler, ALL_METHODS, tf=1.0, hbar=0.0)
-        assert times == [0.0]
+        assert times == []
+
+    def test_convergence_study_checks_hbar_before_the_interval(self):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            convergence_study(RABI, [MethodId.ME2], tf=np.inf, hbar=0.0)
 
     def test_propagate_checks_hbar_before_the_memory_preflight(self, monkeypatch):
         forbid_sampling(monkeypatch)
@@ -958,3 +966,52 @@ class TestHbarBeforeSampling:
         with pytest.raises(ValueError, match="hbar must be positive and finite") as info:
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**12, [1, 0], hbar=0.0)
         assert not isinstance(info.value, PreconditionError)
+
+
+def count_checks(monkeypatch) -> dict[str, int]:
+    """Count the driver's calls of its hbar, interval and size checks; the
+    size check is counted as its one call of ``_trajectory_bytes``."""
+    counts = dict.fromkeys(("_checked_hbar", "_checked_span", "_trajectory_bytes"), 0)
+    for name in counts:
+        original = getattr(evolution, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(evolution, name, counted)
+    return counts
+
+
+class TestOnePreflight:
+    # each entry point checks each input once, and the chunk pipeline it
+    # drives checks none of them again
+    def test_the_convergence_workload_checks_each_input_once(self, monkeypatch):
+        # the benchmark's convergence op: 11 hbar, 12 interval and 56 size
+        # checks when every packed pass checked them again
+        from magstep.cli import run
+
+        counts = count_checks(monkeypatch)
+        dts = [x for n in (1024, 512, 256, 128, 64, 32) for x in ("--dt", repr(6.25 / n))]
+        assert run(["converge", "--case", "IV", "--methods", "all", "--t-final", "6.25", *dts, "--out", os.devnull]) == 0
+        assert counts == {"_checked_hbar": 1, "_checked_span": 1, "_trajectory_bytes": 1}
+
+    @pytest.mark.parametrize("model", [RABI, DENSE8], ids=["dim2", "dim8"])
+    def test_propagate_checks_each_input_once(self, monkeypatch, model):
+        # three chunks at either dimension
+        counts = count_checks(monkeypatch)
+        propagate(MethodId.ME2, model, 0.0, 1.0, THREE_CHUNKS[model.dim][1], np.eye(model.dim)[0])
+        assert counts == {"_checked_hbar": 1, "_checked_span": 1, "_trajectory_bytes": 1}
+
+    def test_sampling_a_model_does_not_check_its_dimension(self):
+        # propagate checks a model's dimension once, so _sampled trusts it
+        times = np.linspace(0.0, 1.0, 4)
+        assert evolution._sampled(DENSE8, times, 3).tobytes() == DENSE8.sample_many(times).tobytes()
+
+    @pytest.mark.parametrize("memory", [2**24, None], ids=["physical", "unknown"])
+    def test_one_size_preflight_names_the_limit_it_hits(self, monkeypatch, memory):
+        forbid_sampling(monkeypatch)
+        monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: memory)
+        n, limit = (10**6, "physical memory") if memory else (10**18, "address space")
+        with pytest.raises(PreconditionError, match=rf"n_steps=10\^{math.log10(n):.2f} is too large: .* GiB of {limit}$"):
+            propagate(MethodId.ME2, RABI, 0.0, 1.0, n, [1, 0])
