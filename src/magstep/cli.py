@@ -178,8 +178,6 @@ def build_parser() -> _Parser:
 def _cmd_propagate(args) -> int:
     model = _resolve_model(args)
     method = MethodId.from_name(args.method)
-    # the library's interval check, so --dt and --n-steps meet the same one
-    span = _checked_span(args.t0, args.t_final)
     if (args.dt is None) == (args.n_steps is None):
         raise UsageError("give exactly one of --dt or --n-steps")
     if args.n_steps is not None:
@@ -189,9 +187,15 @@ def _cmd_propagate(args) -> int:
     else:
         if args.dt <= 0:
             raise UsageError("--dt must be positive")
-        if not math.isfinite(span / args.dt):
+        # ħ and the interval are propagate's to check, as converge's are
+        # convergence_study's: a reversed interval gives 1 step here, which
+        # propagate refuses.  Only a count no float holds stops the command
+        # before propagate, so then they are checked here, in its order
+        steps = (args.t_final - args.t0) / args.dt
+        if not math.isfinite(steps):
+            _checked_span(args.t0, args.t_final, args.hbar)
             raise PreconditionError(f"--dt {args.dt!r} gives more steps than a float can count")
-        n = max(1, int(round(span / args.dt)))
+        n = max(1, int(round(steps)))
     if not 0 <= args.initial < model.dim:
         raise UsageError(f"--initial must be in 0..{model.dim - 1}")
     psi0 = np.zeros(model.dim, dtype=complex)

@@ -4,16 +4,23 @@ The step pipeline streams over fixed-size chunks of one or more uniform
 grids over the same interval: :func:`_step_chunks` samples, builds and
 exponentiates one chunk of steps at a time (all step exponents of a
 chunk in one broadcasted ``magnus_steps._theta`` call, then one batched
-``magnus_steps._propagators``: an eigendecomposition, or the closed su(2)
-form at d = 2), the same per-step arithmetic as
-:func:`magstep.magnus_steps.step`.  A chunk's stacks take
+``magnus_steps._propagators``), the same per-step arithmetic as
+:func:`magstep.magnus_steps.step`.  The exponential is the closed su(2) form
+at d = 2.  Above, each step whose Theta has 1-norm at most
+``linalg.TAYLOR_NORM_CUT`` (about 1.1025) takes the degree-18 Taylor
+polynomial, whose remainder there is below half a unit roundoff, so it is
+unitary to rounding; each step above the cut takes the eigendecomposition.
+A chunk that straddles the cut is split between the two, and each step
+gets the bits it gets alone.  A chunk's stacks take
 ``CHUNK_BYTES`` each, so besides its outputs a run holds the same memory at
 any step count.  A chunk's working set is its node samples, replaced one by
 one by their generators (one stack per node); the builder's brackets and
 sums, at most six stacks more (``blanes6-gauss``), which it drops once
-spent; then Theta and the eigendecomposition's stacks, three at d > 2.
+spent; then Theta and the exponential's stacks: three for the
+eigendecomposition at d > 2, the output and six blocks of 256 KiB for the
+Taylor polynomial.
 ``propagate`` releases each chunk's step propagators and prefixes before
-the next chunk is built.  Two d = 8 chunks of a trajectory peak at 4.2 MiB
+the next chunk is built.  Two d = 8 chunks of a trajectory peak at 4.17 MiB
 (``me2``) to 12.3 MiB (``me6``) above what was held before, as traced by
 ``tracemalloc``.  The grids of a convergence ladder share chunks
 (:func:`_packed`), with a per-step ``dt`` where a chunk mixes grids, so a
@@ -60,13 +67,14 @@ through ``linalg.matmul``.
 
 ``propagate`` and ``convergence_study`` are where the driver's inputs are
 checked: each input once, before anything is sampled, in this order.
-``propagate`` checks the state's normalization, ħ
-(``magnus_steps._checked_hbar``), the interval, ``n_steps``, the size
-preflight (:func:`_checked_size`) and then a model's dimension against the
-state's.  ``convergence_study`` checks ħ, the interval, the methods, the
-ladder and its step counts, then takes a callable's dimension probe, then
-makes the size preflight on the reference grid, the largest it runs.  The
-interval check is :func:`_checked_span`: ``ValueError`` for a non-finite
+``propagate`` checks the state's normalization, ħ, the interval,
+``n_steps``, the size preflight (:func:`_checked_size`) and then a model's
+dimension against the state's.  ``convergence_study`` checks ħ, the
+interval, the methods, the ladder and its step counts, then takes a
+callable's dimension probe, then makes the size preflight on the reference
+grid, the largest it runs.  ħ and the interval are checked together, ħ
+first, by :func:`_checked_span`: ``ValueError`` for an ħ that is not
+positive and finite (``magnus_steps._checked_hbar``) and for a non-finite
 ``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless ``tf >
 t0``.  ħ is the plain ``hbar`` keyword, handed on to
 ``magnus_steps._theta``, which reads it.  :func:`_step_chunks` and
@@ -146,8 +154,9 @@ def _sampled(model, times: Array, dim: int) -> Array:
     """The Hamiltonian at ``times``: the ``(4, n)`` su(2) coordinates of a
     two-level :class:`HamiltonianModel`, else the complex ``(n, dim, dim)``
     stack.  Checks only what sampling produces: raises
-    :class:`PreconditionError` unless a callable's samples are ``dim`` by
-    ``dim``, and if a model's sample is not finite: a valid model whose
+    :class:`PreconditionError`, naming the time and both shapes, for the
+    first sample of a callable that is not ``dim`` by ``dim``, checked as it
+    is taken, and if a model's sample is not finite: a valid model whose
     sinusoids pass the float range, sampled under one ``np.errstate`` so that
     numpy adds no warning to that one error.  A model's dimension is checked
     by the entry point, once."""
@@ -160,9 +169,12 @@ def _sampled(model, times: Array, dim: int) -> Array:
             t = float(times[np.argmin(finite)])
             raise PreconditionError(f"the model overflows the float range: its sample at t={t!r} is not finite")
         return h
-    h = np.stack([np.asarray(model(float(t)), dtype=np.complex128) for t in times])
-    if h.shape[1:] != (dim, dim):
-        raise PreconditionError(f"initial state has length {dim}; Hamiltonian samples must be ({dim}, {dim}), got {h.shape[1:]}")
+    h = np.empty((len(times), dim, dim), dtype=np.complex128)
+    for k, t in enumerate(times.tolist()):
+        sample = np.asarray(model(t), dtype=np.complex128)
+        if sample.shape != (dim, dim):
+            raise PreconditionError(f"Hamiltonian samples must be {(dim, dim)}, got {sample.shape} at t={t!r}")
+        h[k] = sample
     return h
 
 
@@ -250,9 +262,11 @@ def _checked_size(n_steps: int, dim: int) -> None:
         )
 
 
-def _checked_span(t0: float, tf: float) -> float:
-    """``tf - t0``; ``ValueError`` unless it, ``t0`` and ``tf`` are finite,
-    and :class:`PreconditionError` unless ``tf > t0``."""
+def _checked_span(t0: float, tf: float, hbar: float) -> float:
+    """``tf - t0``, once ħ is checked (``magnus_steps._checked_hbar``):
+    ``ValueError`` unless ``tf - t0``, ``t0`` and ``tf`` are finite, and
+    :class:`PreconditionError` unless ``tf > t0``."""
+    _checked_hbar(hbar)
     if not math.isfinite(tf - t0):
         raise ValueError(f"t0, tf and tf - t0 must be finite, got t0={t0}, tf={tf}")
     if not tf > t0:
@@ -385,8 +399,7 @@ def propagate(
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise PreconditionError(f"initial state must be normalized, got norm {norm!r}")
     dim = psi0.size
-    _checked_hbar(hbar)
-    span = _checked_span(t0, tf)
+    span = _checked_span(t0, tf, hbar)
     if n_steps < 1:
         raise PreconditionError(f"n_steps must be positive, got {n_steps}")
     _checked_size(n_steps, dim)
@@ -558,8 +571,7 @@ def convergence_study(
     reference grid fits (:func:`_checked_size`), all before the study
     samples anything else.
     """
-    _checked_hbar(hbar)
-    span = _checked_span(t0, tf)
+    span = _checked_span(t0, tf, hbar)
     for i, method in enumerate(methods):
         if method in methods[:i]:
             raise ValueError(f"methods list {method.value} more than once; each method is studied once")

@@ -2,9 +2,15 @@
 
 All functions accept a single ``(d, d)`` matrix or a stack ``(..., d, d)``;
 norms return a float for a single matrix and an array for a stack.  The
-exponential of an anti-Hermitian matrix goes through the eigendecomposition
-of the Hermitian matrix ``i * theta``, which keeps the result unitary to
-machine precision regardless of the size of the exponent.
+exponential of an anti-Hermitian matrix is unitary to rounding at every
+magnitude.  At d > 2 each matrix takes one of two forms, picked by its own
+1-norm.  Up to ``TAYLOR_NORM_CUT``, about 1.1025, it is the degree-18
+Taylor polynomial: there the remainder is below half a unit roundoff
+(Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179), so the polynomial is
+the exponential, and unitary, to rounding.  Paterson-Stockmeyer (SIAM J.
+Comput. 2 (1973) 60) evaluates it in 7 batched products.  Above the cut it
+is the eigendecomposition of the Hermitian matrix ``i * theta``, unitary
+whatever the size of the exponent.
 
 Two-level systems (d = 2) take closed forms instead, because numpy's
 batched ``@`` and ``eigh`` spend nearly all their time on per-matrix
@@ -30,7 +36,7 @@ test.  Callers apply it once at their input boundary.
 :func:`expm_antihermitian` takes matrices only, real ones included, and
 applies it to every exponent.  The step pipeline exponentiates the exponents
 it builds itself with the unchecked kernels behind it, :func:`_expm_su2` of
-su(2) coordinates and :func:`_expm_eigh` of a matrix.
+su(2) coordinates and :func:`_expm_matrix` of a matrix.
 :func:`commutator` checks nothing but that its operands are square of one
 dimension, and the Frobenius norm and the unitarity defect are plain
 formulas: a NaN or Inf entry comes back as a NaN or Inf result rather than
@@ -51,6 +57,7 @@ __all__ = [
     "DimensionMismatchError",
     "NotAntiHermitianError",
     "EXPONENT_ANTIHERMITICITY_TOL",
+    "TAYLOR_NORM_CUT",
     "dagger",
     "matmul",
     "commutator",
@@ -293,15 +300,116 @@ def expm_antihermitian(theta) -> Array:
     :class:`NotAntiHermitianError` unless ``||theta + theta†||_F <=
     EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)``, both evaluated by
     :func:`checked_square`, so an exponent too large for its norm is still
-    tested.  Then it returns :func:`_expm_eigh` of ``theta``, or at d = 2
-    the closed form of :func:`_expm_su2` of the su(2) coordinates of ``i*theta``.
+    tested.  Then it returns :func:`_expm_matrix` of ``theta``: the Taylor
+    polynomial of each matrix of 1-norm up to ``TAYLOR_NORM_CUT``, the
+    eigendecomposition of each above; or at d = 2 the closed form of
+    :func:`_expm_su2` of the su(2) coordinates of ``i*theta``.
     """
     theta, ratio, defect = checked_square(theta, -1)
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
         raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
     if theta.shape[-1] == 2:
         return _expm_su2(su2_coordinates(1j * theta))
-    return _expm_eigh(theta)
+    return _expm_matrix(theta)
+
+
+def _taylor_norm_cut(degree: int, unit: float) -> float:
+    """The largest norm ``x`` at which ``x**(m + 1) / (m + 1)! / (1 - x / (m
+    + 2))``, a bound on the remainder of the degree-``m`` Taylor polynomial
+    of exp at a matrix of norm ``x`` (the tail's terms fall at least
+    geometrically, by ``x / (m + 2)``), is at most ``unit``: bisected to the
+    last bit, the bound increasing on ``[0, m + 2)``."""
+    lo, hi = 0.0, degree + 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if mid ** (degree + 1) / math.factorial(degree + 1) / (1.0 - mid / (degree + 2)) <= unit:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# The degree of the Taylor polynomial that exponentiates a d > 2 exponent,
+# and the largest 1-norm it takes: where its remainder bound reaches 2**-54,
+# half a unit roundoff, about 1.1025
+TAYLOR_DEGREE = 18
+TAYLOR_NORM_CUT = _taylor_norm_cut(TAYLOR_DEGREE, 2.0**-54)
+_TAYLOR_COEFFICIENTS = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_DEGREE + 1))
+
+# Bytes of the row block of a stack the Taylor polynomial takes at a time,
+# 256 matrices at d = 8: its powers and partial sums, six arrays of that
+# size, take 1.5 MiB whatever the stack's length
+TAYLOR_BLOCK_BYTES = 2**18
+
+
+def _expm_matrix(theta: Array) -> Array:
+    """``exp(theta)`` of a complex anti-Hermitian (stack of) matrix(es),
+    unchecked: :func:`_expm_taylor` of each matrix whose 1-norm is at most
+    ``TAYLOR_NORM_CUT``, :func:`_expm_eigh` of each above.  A matrix's bits
+    depend on it alone, not on the stack it is in.  A single matrix, or a
+    stack all on one side of the cut, goes to one kernel whole; only a stack
+    that straddles the cut is split."""
+    # on one small matrix, the ufuncs' reductions and a single comparison
+    # take under half the time of the array methods and .all()/.any()
+    norms = np.maximum.reduce(np.add.reduce(np.abs(theta), axis=-2), axis=-1)
+    if norms.ndim == 0:
+        return _expm_taylor(theta) if norms <= TAYLOR_NORM_CUT else _expm_eigh(theta)
+    taylor = norms <= TAYLOR_NORM_CUT
+    if taylor.all():
+        return _expm_taylor(theta)
+    if not taylor.any():
+        return _expm_eigh(theta)
+    out = np.empty_like(theta)
+    out[taylor] = _expm_taylor(theta[taylor])
+    out[~taylor] = _expm_eigh(theta[~taylor])
+    return out
+
+
+def _expm_taylor(theta: Array) -> Array:
+    """The degree-``TAYLOR_DEGREE`` Taylor polynomial of exp at a complex
+    (stack of) matrix(es) ``theta``, unchecked.
+
+    Paterson-Stockmeyer: with ``X``, ``X**2``, ``X**3`` and ``X**4`` formed
+    in three products, the polynomial is ``B_4`` and then, for j = 3, 2, 1,
+    0, ``B_j + (previous) X**4``, where ``B_j`` sums ``X**i / (4j + i)!``
+    over i = 0 ... 3 (``B_4`` up to the degree, 18): seven batched products
+    in all.  The stack is taken in row blocks of at most ``TAYLOR_BLOCK_BYTES``.
+    Each matrix's products are BLAS calls of its own and the sums are
+    elementwise, in a fixed order, so its bits depend on it alone.
+    """
+    d = theta.shape[-1]
+    stack = np.ascontiguousarray(theta).reshape(-1, d, d)
+    out = np.empty_like(stack)
+    rows = max(1, TAYLOR_BLOCK_BYTES // (16 * d * d))
+    c = _TAYLOR_COEFFICIENTS
+    top = TAYLOR_DEGREE - TAYLOR_DEGREE % 4
+    for start in range(0, len(stack), rows):
+        x = stack[start:start + rows]
+        x2 = x @ x
+        powers = [p.view(np.float64) for p in (x, x2, x2 @ x)]
+        x4 = x2 @ x2
+        scratch = np.empty_like(powers[0])
+        acc = np.zeros_like(x)
+        _add_powers(acc, powers, c[top:], scratch)
+        for j in range(top - 4, -1, -4):
+            # the last product is written straight into the output
+            acc = np.matmul(acc, x4, out=out[start:start + rows] if j == 0 else None)
+            _add_powers(acc, powers, c[j:j + 4], scratch)
+    return out.reshape(theta.shape)
+
+
+def _add_powers(acc: Array, powers: list[Array], c: tuple[float, ...], scratch: Array) -> None:
+    """``acc += c[0] I + c[1] X + c[2] X**2 + ...`` in place, on the
+    interleaved float64 views ``powers`` of ``X, X**2, ...``: each real
+    coefficient scales its power into ``scratch``, which is then added to
+    ``acc``, one power after another, and ``c[0]`` is added to the real
+    part of each diagonal entry."""
+    flat = acc.view(np.float64)
+    for coefficient, power in zip(c[1:], powers):
+        np.multiply(power, coefficient, out=scratch)
+        flat += scratch
+    # entry (i, i)'s real part is float i * (2d + 2) of a matrix's 2d**2
+    d = acc.shape[-1]
+    flat.reshape(len(acc), -1)[:, ::2 * d + 2] += c[0]
 
 
 def _expm_eigh(theta: Array) -> Array:

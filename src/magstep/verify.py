@@ -48,6 +48,10 @@ independence.  Every suite needs at least one draw (the CLI rejects
 Frobenius norm that overflows at a huge ``dt``, or a relative deviation the
 norm cannot measure because its squares would underflow or the
 reference's overflow (:func:`_rel_dev`), so no row passes by reading 0.
+The degree-0 rows, the commutator integrals of a constant interpolant,
+which are 0, are measured the same way (:func:`_relative`) against their
+scale for the draw, ``||a_const||_F**n``, so they cannot pass at any
+``dt`` by being small.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ __all__ = [
 
 
 # The tolerance of each kind of row, named for what it bounds.
-ORACLE_AGREEMENT_TOL = 1e-11  # a closed form against its oracle; a degree-0 integral against 0
+ORACLE_AGREEMENT_TOL = 1e-11  # a closed form against its oracle; a degree-0 integral, over its scale, against 0
 PRINTED_FORMS_TOL = 1e-13  # the two printed forms of the quadratic Omega_2
 OMEGA4_ROOTS_TOL = 1e-12  # Omega_4 at one root of its tower against the other
 NESTED_SCALAR_TOL = 1e-14  # a scalar triple integral against its closed form
@@ -258,18 +262,22 @@ def _nested3_scalar(g, t_k: float, dt: float) -> float:
 
 
 def _rel_dev(value: Array, reference: Array) -> float:
-    """``||value - reference||_F / ||reference||_F``, or NaN, which fails its
-    row, where the Frobenius norm cannot measure it: unless a deviation at
-    the reference's rounding level, ``eps ||reference||_F``, has a finite
-    normal square.  ``frobenius_norm`` squares the entries, so below that a
-    deviation's squares underflow and a wrong value reads 0 (the m4 rows at
-    ``|dt| = 1e-36``); above it the reference's norm is inf, and any
+    """``||value - reference||_F / ||reference||_F``, by :func:`_relative`."""
+    return _relative(np.asarray(value) - np.asarray(reference), frobenius_norm(reference))
+
+
+def _relative(deviation: Array, scale: float) -> float:
+    """``||deviation||_F / scale``, or NaN, which fails its row, where the
+    Frobenius norm cannot measure it: unless a deviation at the scale's
+    rounding level, ``eps * scale``, has a finite normal square.
+    ``frobenius_norm`` squares the entries, so below that a deviation's
+    squares underflow and a wrong value reads 0 (the m4 rows at ``|dt| =
+    1e-36``); above it the scale is inf, or a reference's norm is, and any
     finite deviation reads 0 too."""
-    ref = frobenius_norm(reference)
-    floor = np.finfo(float).eps * ref
+    floor = np.finfo(float).eps * scale
     if not sys.float_info.min <= floor * floor < math.inf:
         return math.nan
-    return float(frobenius_norm(np.asarray(value) - np.asarray(reference))) / ref
+    return float(frobenius_norm(deviation)) / scale
 
 
 class _MaxTracker:
@@ -356,10 +364,14 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
         track.update("m4-linear-alt-root", _rel_dev(omega4_alt, omega4), ORACLE_AGREEMENT_TOL)
         track.update("m4-roots-agree", _rel_dev(omega4_main, omega4_alt), OMEGA4_ROOTS_TOL)
 
-        # constant interpolant: all commutator integrals vanish identically
-        a_const = interpolant([0.5 * (a0 + a1)], 0.0, 1.0)
+        # constant interpolant: all commutator integrals vanish identically;
+        # each is measured against its scale for the draw, ||a_const||_F**n,
+        # a product, which reads inf where a float power would raise
+        const = 0.5 * (a0 + a1)
+        a_const = interpolant([const], 0.0, 1.0)
+        const_norm = float(frobenius_norm(const))
         for n in (2, 3, 4):
-            vanishing = float(frobenius_norm(oracle_Mn(a_const, n, 0.0, 1.0)))
+            vanishing = _relative(oracle_Mn(a_const, n, 0.0, 1.0), math.prod([const_norm] * n))
             track.update(f"degree0-m{n}-vanishes", vanishing, ORACLE_AGREEMENT_TOL)
 
     # scalar triple integrals of the linear-interpolant decomposition

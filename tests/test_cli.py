@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import magstep
-from magstep import verify
+from magstep import cli, evolution, verify
 from magstep.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -579,9 +579,9 @@ class TestBadStepAndTimeFlags:
         assert not out.exists()
 
     # dt**3 / 120 is a normal float from |dt| = 1.3875e-102 up, so the
-    # nested-scalar rows are measured and pass there; the m2 to m4 rows, whose
-    # deviations' squares underflow, read NaN and fail the run.  A negative
-    # dt is a valid step
+    # nested-scalar rows are measured and pass there; the m2 to m4 rows and
+    # the degree-0 rows, whose deviations' squares underflow, read NaN and
+    # fail the run.  A negative dt is a valid step
     @pytest.mark.parametrize("dt", ["2e-102", "-2e-102", "-1"])
     def test_smallest_dt_whose_nested_scalar_integral_is_normal_passes(self, tmp_path, dt):
         out = tmp_path / "report.csv"
@@ -594,20 +594,22 @@ class TestBadStepAndTimeFlags:
             assert code == EXIT_OK and unmeasured == []
         else:
             assert code == EXIT_VERIFY_FAILED
-            assert unmeasured == [name for name in rows if name[:2] in ("m2", "m3", "m4")]
+            assert unmeasured == [name for name in rows if name[:2] in ("m2", "m3", "m4") or name[:7] == "degree0"]
 
     @pytest.mark.parametrize(
         "suite, dt, unmeasured",
         [
-            ("closed-forms", "1e-36", ["m4-linear", "m4-linear-alt-root", "m4-roots-agree"]),
-            ("closed-forms", "1e-60", ["m3-linear", "m3-quadratic", "m4-linear", "m4-linear-alt-root", "m4-roots-agree"]),
+            ("closed-forms", "1e-36", ["m4-linear", "m4-linear-alt-root", "m4-roots-agree", "degree0-m4-vanishes"]),
+            ("closed-forms", "1e-60", ["m3-linear", "m3-quadratic", "m4-linear", "m4-linear-alt-root", "m4-roots-agree",
+                                       "degree0-m3-vanishes", "degree0-m4-vanishes"]),
             ("closed-forms", "1e40", ["m4-linear", "m4-linear-alt-root", "m4-roots-agree"]),
             ("symmetry", "1e-40", ["oracle-sign-flip-m4"]),
         ],
     )
     def test_a_deviation_the_norm_cannot_measure_fails_its_row(self, tmp_path, suite, dt, unmeasured):
         # below about |dt| = 1.5e-34 the squares of an m4 deviation underflow,
-        # so a wrong term would read 0; at 1e40 the m4 reference's norm is inf
+        # so a wrong term would read 0, and so do those of a degree-0 m4
+        # integral's at its scale; at 1e40 the m4 reference's norm is inf
         out = tmp_path / "report.csv"
         draws = "3" if suite == "closed-forms" else "2"
         assert run(["verify", "--suite", suite, "--draws", draws, "--dt", dt, "--out", str(out)]) == EXIT_VERIFY_FAILED
@@ -622,6 +624,31 @@ class TestBadStepAndTimeFlags:
         rows = report_rows(out)
         for name in ("m4-linear", "m4-linear-alt-root", "m4-roots-agree"):
             assert 0.0 < float(rows[name][0]) <= float(rows[name][1])
+
+    def test_a_wrong_degree0_m4_value_fails_at_a_small_dt(self, tmp_path, monkeypatch):
+        # at 1e-30 the m4 integral of a constant interpolant has a scale of
+        # about 1e-120, so a wrong value of 1e-125 in every entry, far below
+        # ORACLE_AGREEMENT_TOL in absolute terms, is off by about 1e-5 of it
+        interpolant, oracle = verify.interpolant, verify.oracle_Mn
+        constant = set()
+
+        def tagged(samples, t_k, dt):
+            h = interpolant(samples, t_k, dt)
+            if len(samples) == 1:
+                constant.add(h)
+            return h
+
+        def wrong(h, n, t_k, dt):
+            value = oracle(h, n, t_k, dt)
+            return value + 1e-125 if n == 4 and h in constant else value
+
+        monkeypatch.setattr(verify, "interpolant", tagged)
+        monkeypatch.setattr(verify, "oracle_Mn", wrong)
+        out = tmp_path / "report.csv"
+        assert run(["verify", "--suite", "closed-forms", "--draws", "3", "--dt", "1e-30", "--out", str(out)]) == EXIT_VERIFY_FAILED
+        rows = report_rows(out)
+        assert [name for name, (_, _, passed) in rows.items() if passed == "false"] == ["degree0-m4-vanishes"]
+        assert 1e-7 < float(rows["degree0-m4-vanishes"][0]) < 1e-3
 
     def test_overflowing_deviation_fails_its_row(self, tmp_path, capsys):
         # at dt = 1e60 the Frobenius norms of the M3 and M4 oracles overflow,
@@ -739,6 +766,35 @@ class TestHbar:
         err = capsys.readouterr().err
         assert err.startswith("magstep: error:") and "hbar must be positive and finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["propagate", "--method", "me2", "--n-steps", "4"],
+         ["propagate", "--method", "me2", "--dt", "0.25"],
+         ["converge", "--methods", "me2"],
+         ["propagate", "--method", "me2", "--dt", "1e-310"],
+         ["converge", "--methods", "me2", "--dt", "1e-310"]],
+        ids=["propagate", "propagate-dt", "converge", "propagate-uncountable-dt", "converge-uncountable-dt"],
+    )
+    def test_bad_hbar_is_reported_before_a_reversed_interval(self, tmp_path, capsys, monkeypatch, command):
+        # both commands check hbar first, once, and the interval once after it,
+        # whether or not the step count of a --dt is a float
+        counts = dict.fromkeys(("_checked_hbar", "_checked_span"), 0)
+        for owner, name in ((evolution, "_checked_hbar"), (evolution, "_checked_span"), (cli, "_checked_span")):
+            def counted(*args, name=name, original=getattr(owner, name)):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        out = tmp_path / "x.csv"
+        for hbar, code in (("-1", EXIT_USAGE), ("1", EXIT_NUMERICAL)):
+            argv = command + ["--case", "I", "--hbar", hbar, "--t0", "2", "--t-final", "1", "--out", str(out)]
+            assert run(argv) == code
+            err = capsys.readouterr().err
+            want = "hbar must be positive and finite" if hbar == "-1" else "tf must exceed t0"
+            assert want in err and len(err.splitlines()) == 1
+            assert not out.exists()
+        assert counts == {"_checked_hbar": 2, "_checked_span": 2}
 
     def test_bad_hbar_is_reported_before_the_memory_preflight(self, tmp_path, capsys, monkeypatch):
         # 10**12 steps would not fit in memory either, but hbar is checked first

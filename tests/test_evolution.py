@@ -66,6 +66,12 @@ THREE_CHUNKS = {2: (16384, 2 * 16384 + 5), 8: (1024, 2 * 1024 + 37)}
 # the fifth joins it.
 PACKED_LADDERS = {2: (2 * 16384 + 37, 9000, 5000, 4000, 3000), 8: (2 * 1024 + 37, 600, 300, 200, 500)}
 
+# A dense d = 8 ladder over [0, 10] that fits one chunk: every step of its
+# coarse rung has a Theta of 1-norm above linalg.TAYLOR_NORM_CUT (8.6 to
+# 10.8 for me2, me6 and blanes6-gauss), every step of its fine rung one
+# below it (at most 0.17), so the chunk is split between the two kernels.
+ACROSS_THE_CUT = (8, 600)
+
 
 def dense_model(dim, seed):
     """Every upper-triangle entry driven by an offset and two sinusoids."""
@@ -154,6 +160,17 @@ class TestPropagate:
         # two steps of a length-2 vector stack to a 2x2 "matrix"
         with pytest.raises(PreconditionError, match=r"must be \(2, 2\), got \(2,\)"):
             propagate(MethodId.ME2, lambda t: np.ones(2), 0.0, 1.0, 2, [1, 0])
+
+    def test_a_callable_sample_of_another_shape_is_refused_as_it_is_taken(self):
+        # the time and both shapes are named, in words that fit a study,
+        # which takes no initial state, as well as a trajectory
+        message = r"^Hamiltonian samples must be \({0}, {0}\), got \({1}, {1}\) at t={2}$"
+        with pytest.raises(PreconditionError, match=message.format(2, 3, r"0\.015625")):
+            convergence_study(lambda t: SX if t == 0 else np.eye(3), [MethodId.ME2], dts=[0.5], tf=1.0)
+        with pytest.raises(PreconditionError, match=message.format(2, 3, r"0\.5")):
+            propagate(MethodId.ME2, lambda t: SX if t < 0.5 else np.eye(3), 0.0, 1.0, 4, [1, 0])
+        with pytest.raises(PreconditionError, match=message.format(3, 2, r"0\.5")):
+            propagate(MethodId.ME2, lambda t: np.eye(3) if t < 0.5 else SX, 0.0, 1.0, 4, [1, 0, 0])
 
     def test_rejects_unaddressable_grid_before_sampling(self, monkeypatch):
         forbid_sampling(monkeypatch)
@@ -492,14 +509,23 @@ class TestPackedLadder:
         "method", [MethodId.ME2, MethodId.ME6, MethodId.BLANES6_GAUSS], ids=lambda m: m.value
     )
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
-    def test_packed_ladder_equals_one_grid_calls(self, model, method):
-        # the same step starts, node times, tau and products in the same order
-        counts = PACKED_LADDERS[model.dim]
-        packed = evolution._final_propagators(method, model, 0.0, 10.0, counts, model.dim)
-        assert len(packed) == len(counts)
-        for n, got in zip(counts, packed):
-            (want,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
-            assert np.array_equal(got, want), n
+    def test_packed_ladder_equals_one_grid_calls(self, monkeypatch, model, method):
+        # the same step starts, node times, tau and products in the same
+        # order; at d = 8 also for a chunk whose steps straddle the Taylor
+        # polynomial's norm cut, each step exponentiated as on its grid alone
+        rows = []
+        for name in ("_expm_taylor", "_expm_eigh"):
+            kernel = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda t, name=name, kernel=kernel: rows.append((name, len(t))) or kernel(t))
+        for counts in [PACKED_LADDERS[model.dim]] + ([ACROSS_THE_CUT] if model.dim == 8 else []):
+            rows.clear()
+            packed = evolution._final_propagators(method, model, 0.0, 10.0, counts, model.dim)
+            if counts == ACROSS_THE_CUT:
+                assert rows == [("_expm_taylor", 600), ("_expm_eigh", 8)]
+            assert len(packed) == len(counts)
+            for n, got in zip(counts, packed):
+                (want,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
+                assert np.array_equal(got, want), n
 
     def test_a_packed_chunk_of_full_width_equals_one_grid_calls(self):
         # two rungs fill one 16384-step d = 2 chunk, the length from which
