@@ -7,18 +7,19 @@ chunk in one broadcasted ``magnus_steps._theta`` call, then one batched
 ``magnus_steps._propagators``), the same per-step arithmetic as
 :func:`magstep.magnus_steps.step`.  The exponential is the closed su(2) form
 at d = 2.  Above, each step whose Theta has 1-norm at most
-``linalg.TAYLOR_NORM_CUT`` (about 1.1025) takes the degree-18 Taylor
-polynomial, whose remainder there is below half a unit roundoff, so it is
-unitary to rounding; each step above the cut takes the eigendecomposition.
-A chunk that straddles the cut is split between the two, and each step
-gets the bits it gets alone.  A chunk's stacks take
+``linalg.TAYLOR_NORM_CUT`` (about 1.1025) takes a Taylor polynomial, of
+the lowest degree of ``linalg.TAYLOR_DEGREES`` (6, 9, 12, 16 or 18) whose
+remainder at that norm is below half a unit roundoff, so it is unitary to
+rounding; each step above the top cut takes the eigendecomposition.  A
+chunk whose steps span these tiers is split between their kernels, and each
+step gets the bits it gets alone.  A chunk's stacks take
 ``CHUNK_BYTES`` each, so besides its outputs a run holds the same memory at
 any step count.  A chunk's working set is its node samples, replaced one by
 one by their generators (one stack per node); the builder's brackets and
 sums, at most six stacks more (``blanes6-gauss``), which it drops once
 spent; then Theta and the exponential's stacks: three for the
-eigendecomposition at d > 2, the output and six blocks of 256 KiB for the
-Taylor polynomial.
+eigendecomposition at d > 2, the output and at most six blocks of 256 KiB
+for the Taylor polynomial.
 ``propagate`` releases each chunk's step propagators and prefixes before
 the next chunk is built.  Two d = 8 chunks of a trajectory peak at 4.17 MiB
 (``me2``) to 12.3 MiB (``me6``) above what was held before, as traced by

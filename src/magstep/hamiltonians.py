@@ -183,7 +183,16 @@ def builtin_case(case_id: str) -> HamiltonianModel:
 def _as_number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ModelError(f"{where}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        # JSON reads an integer literal exactly, and float() of one past the
+        # float range raises
+        value = math.inf
+    if not math.isfinite(value):
+        got = f"an integer of {len(str(abs(obj)))} digits" if isinstance(obj, int) else repr(obj)
+        raise ModelError(f"{where}: expected a finite number, got {got}")
+    return value
 
 
 def load_model(config_text: str) -> HamiltonianModel:

@@ -3,14 +3,20 @@
 All functions accept a single ``(d, d)`` matrix or a stack ``(..., d, d)``;
 norms return a float for a single matrix and an array for a stack.  The
 exponential of an anti-Hermitian matrix is unitary to rounding at every
-magnitude.  At d > 2 each matrix takes one of two forms, picked by its own
-1-norm.  Up to ``TAYLOR_NORM_CUT``, about 1.1025, it is the degree-18
-Taylor polynomial: there the remainder is below half a unit roundoff
-(Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179), so the polynomial is
-the exponential, and unitary, to rounding.  Paterson-Stockmeyer (SIAM J.
-Comput. 2 (1973) 60) evaluates it in 7 batched products.  Above the cut it
-is the eigendecomposition of the Hermitian matrix ``i * theta``, unitary
-whatever the size of the exponent.
+magnitude.  At d > 2 each matrix takes one of six kernels, picked by its
+own 1-norm.  Up to ``TAYLOR_NORM_CUT``, about 1.1025, it is a Taylor
+polynomial, of the lowest degree of ``TAYLOR_DEGREES`` whose remainder at
+that norm is below half a unit roundoff (Higham, SIAM J. Matrix Anal. Appl.
+26 (2005) 1179; Al-Mohy and Higham, ibid. 31 (2009) 970), so the
+polynomial is the exponential, and unitary, to rounding:
+
+    degree             6       9       12      16      18
+    1-norm up to       0.0161  0.1071  0.3178  0.7917  1.1025
+    batched products   3       4       5       6       7
+
+Paterson-Stockmeyer (SIAM J. Comput. 2 (1973) 60) evaluates each.  Above
+the top cut it is the eigendecomposition of the Hermitian matrix ``i *
+theta``, unitary whatever the size of the exponent.
 
 Two-level systems (d = 2) take closed forms instead, because numpy's
 batched ``@`` and ``eigh`` spend nearly all their time on per-matrix
@@ -301,9 +307,10 @@ def expm_antihermitian(theta) -> Array:
     EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)``, both evaluated by
     :func:`checked_square`, so an exponent too large for its norm is still
     tested.  Then it returns :func:`_expm_matrix` of ``theta``: the Taylor
-    polynomial of each matrix of 1-norm up to ``TAYLOR_NORM_CUT``, the
-    eigendecomposition of each above; or at d = 2 the closed form of
-    :func:`_expm_su2` of the su(2) coordinates of ``i*theta``.
+    polynomial of each matrix of 1-norm up to ``TAYLOR_NORM_CUT``, of the
+    lowest degree whose cut covers that norm, the eigendecomposition of each
+    above; or at d = 2 the closed form of :func:`_expm_su2` of the su(2)
+    coordinates of ``i*theta``.
     """
     theta, ratio, defect = checked_square(theta, -1)
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
@@ -328,72 +335,107 @@ def _taylor_norm_cut(degree: int, unit: float) -> float:
     return lo
 
 
-# The degree of the Taylor polynomial that exponentiates a d > 2 exponent,
-# and the largest 1-norm it takes: where its remainder bound reaches 2**-54,
-# half a unit roundoff, about 1.1025
-TAYLOR_DEGREE = 18
-TAYLOR_NORM_CUT = _taylor_norm_cut(TAYLOR_DEGREE, 2.0**-54)
-_TAYLOR_COEFFICIENTS = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_DEGREE + 1))
+# The Taylor degrees that exponentiate a d > 2 exponent, each the highest
+# that Paterson-Stockmeyer evaluates in its number of batched products (3,
+# 4, 5, 6 and 7), and the largest 1-norm each takes: where its remainder
+# bound reaches 2**-54, half a unit roundoff, about 0.0161, 0.1071, 0.3178,
+# 0.7917 and 1.1025.  Each matrix takes the lowest degree whose cut covers
+# its norm, so every one keeps the same bound.
+TAYLOR_DEGREES = (6, 9, 12, 16, 18)
+_TAYLOR_TIERS = tuple((m, _taylor_norm_cut(m, 2.0**-54)) for m in TAYLOR_DEGREES)
+TAYLOR_NORM_CUT = _TAYLOR_TIERS[-1][1]
+_TAYLOR_CUTS = np.array([cut for _, cut in _TAYLOR_TIERS])
+_TAYLOR_COEFFICIENTS = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_DEGREES[-1] + 1))
 
 # Bytes of the row block of a stack the Taylor polynomial takes at a time,
-# 256 matrices at d = 8: its powers and partial sums, six arrays of that
-# size, take 1.5 MiB whatever the stack's length
+# 256 matrices at d = 8: its powers and partial sums, at most six arrays of
+# that size, take 1.5 MiB whatever the stack's length
 TAYLOR_BLOCK_BYTES = 2**18
 
 
 def _expm_matrix(theta: Array) -> Array:
     """``exp(theta)`` of a complex anti-Hermitian (stack of) matrix(es),
     unchecked: :func:`_expm_taylor` of each matrix whose 1-norm is at most
-    ``TAYLOR_NORM_CUT``, :func:`_expm_eigh` of each above.  A matrix's bits
+    ``TAYLOR_NORM_CUT``, at the lowest degree of ``TAYLOR_DEGREES`` whose
+    cut covers that norm, :func:`_expm_eigh` of each above.  A matrix's bits
     depend on it alone, not on the stack it is in.  A single matrix, or a
-    stack all on one side of the cut, goes to one kernel whole; only a stack
-    that straddles the cut is split."""
-    # on one small matrix, the ufuncs' reductions and a single comparison
+    stack all in one tier, goes to one kernel whole; only a stack that spans
+    tiers is split."""
+    # on one small matrix, the ufuncs' reductions and scalar comparisons
     # take under half the time of the array methods and .all()/.any()
     norms = np.maximum.reduce(np.add.reduce(np.abs(theta), axis=-2), axis=-1)
     if norms.ndim == 0:
-        return _expm_taylor(theta) if norms <= TAYLOR_NORM_CUT else _expm_eigh(theta)
-    taylor = norms <= TAYLOR_NORM_CUT
-    if taylor.all():
-        return _expm_taylor(theta)
-    if not taylor.any():
-        return _expm_eigh(theta)
+        # the top cut first: a matrix above it, or a NaN norm, pays one
+        # comparison, and one below it at most five
+        if not norms <= TAYLOR_NORM_CUT:
+            return _expm_eigh(theta)
+        for degree, cut in _TAYLOR_TIERS[:-1]:
+            if norms <= cut:
+                return _expm_taylor(theta, degree)
+        return _expm_taylor(theta, TAYLOR_DEGREES[-1])
+    # tier k takes the norms in (cut[k - 1], cut[k]]; past the last cut, and
+    # a NaN norm, is eigh's tier
+    tiers = np.searchsorted(_TAYLOR_CUTS, norms)
+    low, high = int(tiers.min()), int(tiers.max())
+    if low == high:
+        return _expm_tier(theta, low)
     out = np.empty_like(theta)
-    out[taylor] = _expm_taylor(theta[taylor])
-    out[~taylor] = _expm_eigh(theta[~taylor])
+    for tier in range(low, high + 1):
+        rows = tiers == tier
+        if rows.any():
+            out[rows] = _expm_tier(theta[rows], tier)
     return out
 
 
-def _expm_taylor(theta: Array) -> Array:
-    """The degree-``TAYLOR_DEGREE`` Taylor polynomial of exp at a complex
-    (stack of) matrix(es) ``theta``, unchecked.
+def _expm_tier(theta: Array, tier: int) -> Array:
+    """The kernel of tier ``tier`` of :func:`_expm_matrix` at ``theta``."""
+    if tier == len(TAYLOR_DEGREES):
+        return _expm_eigh(theta)
+    return _expm_taylor(theta, TAYLOR_DEGREES[tier])
 
-    Paterson-Stockmeyer: with ``X``, ``X**2``, ``X**3`` and ``X**4`` formed
-    in three products, the polynomial is ``B_4`` and then, for j = 3, 2, 1,
-    0, ``B_j + (previous) X**4``, where ``B_j`` sums ``X**i / (4j + i)!``
-    over i = 0 ... 3 (``B_4`` up to the degree, 18): seven batched products
-    in all.  The stack is taken in row blocks of at most ``TAYLOR_BLOCK_BYTES``.
-    Each matrix's products are BLAS calls of its own and the sums are
-    elementwise, in a fixed order, so its bits depend on it alone.
+
+def _expm_taylor(theta: Array, degree: int) -> Array:
+    """The degree-``degree`` Taylor polynomial of exp at a complex (stack
+    of) matrix(es) ``theta``, unchecked.
+
+    Paterson-Stockmeyer with ``s = isqrt(degree)``: with ``X`` ... ``X**s``
+    formed in ``s - 1`` products, the polynomial is the top block and then,
+    for j from the top down to 0 in steps of s, ``B_j + (previous) X**s``,
+    where ``B_j`` sums ``X**i / (j + i)!`` over i = 0 ... s - 1 (the top
+    block up to the degree).  Where ``s`` divides the degree the top block
+    is the scalar ``I / degree!``, and the first Horner step scales ``X**s``
+    instead of multiplying by it.  Degrees 6, 9, 12, 16 and 18 take 3, 4,
+    5, 6 and 7 batched products.  The stack is taken in row blocks of at
+    most ``TAYLOR_BLOCK_BYTES``.  Each matrix's products are BLAS calls of
+    its own and the sums are elementwise, in a fixed order, so its bits
+    depend on it alone.
     """
     d = theta.shape[-1]
     stack = np.ascontiguousarray(theta).reshape(-1, d, d)
     out = np.empty_like(stack)
     rows = max(1, TAYLOR_BLOCK_BYTES // (16 * d * d))
-    c = _TAYLOR_COEFFICIENTS
-    top = TAYLOR_DEGREE - TAYLOR_DEGREE % 4
+    s = math.isqrt(degree)
+    c = _TAYLOR_COEFFICIENTS[:degree + 1]
     for start in range(0, len(stack), rows):
-        x = stack[start:start + rows]
-        x2 = x @ x
-        powers = [p.view(np.float64) for p in (x, x2, x2 @ x)]
-        x4 = x2 @ x2
+        powers = [stack[start:start + rows]]
+        for k in range(2, s + 1):
+            # X**k as X**(k - k // 2) X**(k // 2): X**2 X for k = 3, X**2 X**2 for 4
+            powers.append(np.matmul(powers[k - k // 2 - 1], powers[k // 2 - 1]))
+        xs = powers.pop()
+        powers = [p.view(np.float64) for p in powers]
         scratch = np.empty_like(powers[0])
-        acc = np.zeros_like(x)
-        _add_powers(acc, powers, c[top:], scratch)
-        for j in range(top - 4, -1, -4):
+        j = degree - degree % s
+        if j == degree:
+            # the top block is c[degree] I: its product with X**s is a scaling
+            j -= s
+            acc = (xs.view(np.float64) * c[degree]).view(np.complex128)
+        else:
+            acc = np.zeros_like(xs)
+        _add_powers(acc, powers, c[j:j + s], scratch)
+        for j in range(j - s, -1, -s):
             # the last product is written straight into the output
-            acc = np.matmul(acc, x4, out=out[start:start + rows] if j == 0 else None)
-            _add_powers(acc, powers, c[j:j + 4], scratch)
+            acc = np.matmul(acc, xs, out=out[start:start + rows] if j == 0 else None)
+            _add_powers(acc, powers, c[j:j + s], scratch)
     return out.reshape(theta.shape)
 
 

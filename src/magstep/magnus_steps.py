@@ -271,11 +271,12 @@ def _propagators(theta: Array) -> Array:
     """``exp(Theta)`` of a Theta :func:`_theta` built, not checked again:
     ``linalg._expm_su2`` of su(2) coordinates, which are anti-Hermitian by
     type, else ``linalg._expm_matrix`` of the matrix, which the builders
-    keep anti-Hermitian: the degree-18 Taylor polynomial of each step whose
-    Theta has 1-norm at most ``linalg.TAYLOR_NORM_CUT``, where its remainder
-    is below half a unit roundoff, and the eigendecomposition of each step
-    above.  Each step's bits depend on its own Theta alone, not on the chunk
-    it is built in."""
+    keep anti-Hermitian: a Taylor polynomial of each step whose Theta has
+    1-norm at most ``linalg.TAYLOR_NORM_CUT``, of the lowest degree of
+    ``linalg.TAYLOR_DEGREES`` whose remainder at that norm is below half a
+    unit roundoff, and the eigendecomposition of each step above.  Each
+    step's bits depend on its own Theta alone, not on the chunk it is built
+    in."""
     return _expm_su2(theta) if theta.dtype == np.float64 else _expm_matrix(theta)
 
 

@@ -301,6 +301,28 @@ class TestPropagate:
         assert err == "magstep: error: entries[0]: 'terms' must be a list\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["offset[0]", "offset[1]", "terms[0].amp", "terms[0].omega", "terms[0].phase"])
+    @pytest.mark.parametrize(
+        "command", [["propagate", "--method", "me2", "--n-steps", "2"], ["converge", "--methods", "me2"]]
+    )
+    def test_model_number_beyond_the_float_range(self, tmp_path, capsys, command, field):
+        # JSON reads a 401-digit integer exactly, and float() of it overflows:
+        # a usage error naming the field, as for 1e999 there
+        entry = {"i": 0, "j": 1, "offset": [1.0, 0.0], "terms": [{"amp": 1.0, "omega": 1.0, "phase": 0.0}]}
+        if field.startswith("offset"):
+            entry["offset"][int(field[7])] = "BIG"
+        else:
+            entry["terms"][0][field.split(".")[1]] = "BIG"
+        text = json.dumps({"dim": 2, "entries": [entry]})
+        for big, got in (("1" + "0" * 400, "an integer of 401 digits"), ("1e999", "inf"), ("-1e999", "-inf")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text.replace('"BIG"', big))
+            out = tmp_path / "x.csv"
+            assert run(command + ["--model", str(bad), "--t-final", "1", "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == f"magstep: error: entries[0].{field}: expected a finite number, got {got}\n"
+            assert not out.exists()
+
 
 class TestConverge:
     def converge(self, tmp_path, name="err.csv", extra=()):

@@ -68,8 +68,9 @@ PACKED_LADDERS = {2: (2 * 16384 + 37, 9000, 5000, 4000, 3000), 8: (2 * 1024 + 37
 
 # A dense d = 8 ladder over [0, 10] that fits one chunk: every step of its
 # coarse rung has a Theta of 1-norm above linalg.TAYLOR_NORM_CUT (8.6 to
-# 10.8 for me2, me6 and blanes6-gauss), every step of its fine rung one
-# below it (at most 0.17), so the chunk is split between the two kernels.
+# 15.5 for me2, me6 and blanes6-gauss), every step of its fine rung one in
+# the degree-12 Taylor tier (0.12 to 0.17), so the chunk is split between
+# the eigendecomposition and the polynomial.
 ACROSS_THE_CUT = (8, 600)
 
 
@@ -511,17 +512,17 @@ class TestPackedLadder:
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
     def test_packed_ladder_equals_one_grid_calls(self, monkeypatch, model, method):
         # the same step starts, node times, tau and products in the same
-        # order; at d = 8 also for a chunk whose steps straddle the Taylor
-        # polynomial's norm cut, each step exponentiated as on its grid alone
+        # order; at d = 8 also for chunks whose steps span the exponential's
+        # tiers, each step exponentiated as on its grid alone
         rows = []
         for name in ("_expm_taylor", "_expm_eigh"):
             kernel = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name, lambda t, name=name, kernel=kernel: rows.append((name, len(t))) or kernel(t))
+            monkeypatch.setattr(linalg, name, lambda t, *degree, name=name, kernel=kernel: rows.append((name, *degree, len(t))) or kernel(t, *degree))
         for counts in [PACKED_LADDERS[model.dim]] + ([ACROSS_THE_CUT] if model.dim == 8 else []):
             rows.clear()
             packed = evolution._final_propagators(method, model, 0.0, 10.0, counts, model.dim)
             if counts == ACROSS_THE_CUT:
-                assert rows == [("_expm_taylor", 600), ("_expm_eigh", 8)]
+                assert rows == [("_expm_taylor", 12, 600), ("_expm_eigh", 8)]
             assert len(packed) == len(counts)
             for n, got in zip(counts, packed):
                 (want,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)

@@ -56,13 +56,15 @@ def expm_taylor(theta, terms=30):
 EPS = np.finfo(float).eps
 
 # Largest unitarity defect of an exponential just below and just above
-# TAYLOR_NORM_CUT, at d = 3, 8 and 16: measured at most 7.5e-16 below (the
-# Taylor polynomial) and 1.33e-14 above (the eigendecomposition, at d = 16).
+# each Taylor tier's cut, at d = 3, 8 and 16: measured at most 8.3e-16 where
+# a Taylor polynomial takes the matrix, and 1.41e-14 just above
+# TAYLOR_NORM_CUT (the eigendecomposition, at d = 16).
 UNITARITY_AT_THE_CUT_TOL = 3e-14
 
 # Largest Frobenius distance between the Taylor polynomial and the
-# eigendecomposition below the cut, at d = 3, 8 and 16: measured at most
-# 2.4e-15, 4.6e-15 and 7.2e-15, the rounding of the eigendecomposition.
+# eigendecomposition below TAYLOR_NORM_CUT and on either side of each lower
+# cut, at d = 3, 8 and 16: measured at most 2.5e-15, 4.6e-15 and 7.7e-15,
+# the rounding of the eigendecomposition.
 TAYLOR_EIGH_AGREEMENT_TOL = 2e-14
 
 
@@ -560,9 +562,40 @@ def antihermitian_of_norm(rng, n, dim, norms):
     return -1j * h * (np.asarray(norms) / np.abs(h).sum(axis=-2).max(axis=-1))[:, None, None]
 
 
+# Each Taylor degree of the d > 2 exponential, the 1-norm cut below which it
+# is taken, bracketed, and the batched products it costs.
+TAYLOR_TIERS = [
+    (6, 0.0160, 0.0161, 3),
+    (9, 0.1071, 0.1072, 4),
+    (12, 0.3178, 0.3179, 5),
+    (16, 0.7917, 0.7918, 6),
+    (18, 1.1024, 1.1025, 7),
+]
+TAYLOR_CUTS = [linalg._taylor_norm_cut(degree, 2.0**-54) for degree, *_ in TAYLOR_TIERS]
+
+
+def one_norms(thetas):
+    return np.abs(thetas).sum(axis=-2).max(axis=-1)
+
+
+def tier_of(norms):
+    """The index in ``TAYLOR_TIERS`` of the lowest cut at or above each
+    norm, ``len(TAYLOR_TIERS)`` (the eigendecomposition) above them all."""
+    return sum((np.asarray(norms) > cut).astype(int) for cut in TAYLOR_CUTS)
+
+
+def norms_in_tiers(rng, tiers):
+    """A 1-norm inside each tier's interval, up to 4x the top cut for the
+    eigendecomposition's."""
+    bounds = [0.0] + TAYLOR_CUTS + [4.0 * TAYLOR_NORM_CUT]
+    tiers = np.asarray(tiers)
+    lo, hi = np.take(bounds, tiers), np.take(bounds, tiers + 1)
+    return lo + rng.uniform(0.02, 0.98, len(tiers)) * (hi - lo)
+
+
 class TestExpmMatrix:
-    # the d > 2 kernel: the degree-18 Taylor polynomial up to the cut, the
-    # eigendecomposition above it
+    # the d > 2 kernel: the Taylor polynomial of the lowest degree whose cut
+    # covers a matrix's 1-norm, the eigendecomposition above the top cut
     def test_the_cut_is_where_the_remainder_bound_reaches_half_a_unit_roundoff(self):
         def bound(x):
             return x**19 / math.factorial(19) / (1.0 - x / 20.0)
@@ -570,20 +603,49 @@ class TestExpmMatrix:
         assert 1.1024 < TAYLOR_NORM_CUT < 1.1025
         assert bound(TAYLOR_NORM_CUT) <= 2.0**-54 < bound(np.nextafter(TAYLOR_NORM_CUT, 2.0))
 
+    @pytest.mark.parametrize("degree, lo, hi, products", TAYLOR_TIERS)
+    def test_each_tier_cut_is_where_its_remainder_bound_reaches_half_a_unit_roundoff(self, degree, lo, hi, products):
+        def bound(x):
+            return x ** (degree + 1) / math.factorial(degree + 1) / (1.0 - x / (degree + 2))
+
+        cut = dict(linalg._TAYLOR_TIERS)[degree]
+        assert lo < cut < hi
+        assert bound(cut) <= 2.0**-54 < bound(np.nextafter(cut, 2.0))
+
+    def test_the_tiers_are_the_degrees_in_order_of_their_cuts(self):
+        assert linalg.TAYLOR_DEGREES == tuple(degree for degree, *_ in TAYLOR_TIERS)
+        assert linalg._TAYLOR_TIERS == tuple(zip(linalg.TAYLOR_DEGREES, TAYLOR_CUTS))
+        assert TAYLOR_CUTS == sorted(TAYLOR_CUTS) and TAYLOR_CUTS[-1] == TAYLOR_NORM_CUT
+
+    @pytest.mark.parametrize("degree, lo, hi, products", TAYLOR_TIERS)
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_each_degree_takes_its_number_of_batched_products(self, monkeypatch, degree, lo, hi, products, blocks):
+        # that many products per row block, and the exponential's value
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        rng = np.random.default_rng(740 + degree)
+        rows = linalg.TAYLOR_BLOCK_BYTES // (16 * 8 * 8)
+        thetas = antihermitian_of_norm(rng, blocks * rows, 8, np.full(blocks * rows, 0.9 * lo))
+        got = linalg._expm_taylor(thetas, degree)
+        assert len(calls) == blocks * products
+        monkeypatch.undo()
+        assert np.max(frobenius_norm(got - linalg._expm_eigh(thetas))) <= TAYLOR_EIGH_AGREEMENT_TOL
+
     @pytest.mark.parametrize("dim", [3, 8, 16])
     def test_each_matrix_gets_the_bits_it_gets_alone(self, dim):
-        # a stack of two row blocks and a part of a third, its rows on both
-        # sides of the cut in a random order
+        # a stack of two row blocks and a part of a third, its rows in every
+        # tier in a random order
         rng = np.random.default_rng(700 + dim)
         n = 2 * (linalg.TAYLOR_BLOCK_BYTES // (16 * dim * dim)) + 5
-        below = rng.permutation(n) % 2 == 0
-        norms = np.where(below, rng.uniform(0.01, 1.0, n) * TAYLOR_NORM_CUT, rng.uniform(1.0, 4.0, n) * TAYLOR_NORM_CUT)
-        thetas = antihermitian_of_norm(rng, n, dim, norms)
-        assert np.array_equal(np.abs(thetas).sum(axis=-2).max(axis=-1) <= TAYLOR_NORM_CUT, below)
+        tiers = rng.permutation(n) % (len(TAYLOR_TIERS) + 1)
+        thetas = antihermitian_of_norm(rng, n, dim, norms_in_tiers(rng, tiers))
+        assert np.array_equal(tier_of(one_norms(thetas)), tiers)
         got = linalg._expm_matrix(thetas)
         assert got.tobytes() == expm_antihermitian(thetas).tobytes()
-        for rows in (below, ~below):
-            assert got[rows].tobytes() == linalg._expm_matrix(thetas[rows]).tobytes()
+        for tier in range(len(TAYLOR_TIERS) + 1):
+            for rows in (tiers == tier, (tiers == tier) | (tiers == tier + 1), tiers != tier):
+                assert got[rows].tobytes() == linalg._expm_matrix(thetas[rows]).tobytes(), tier
         assert got[3:].tobytes() == linalg._expm_matrix(thetas[3:]).tobytes()
         for k in list(range(0, n, 97)) + [n - 1]:
             assert got[k].tobytes() == linalg._expm_matrix(thetas[k]).tobytes(), k
@@ -591,12 +653,17 @@ class TestExpmMatrix:
 
     @pytest.mark.parametrize("dim", [3, 8, 16])
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
-    def test_unitary_just_below_and_just_above_the_cut(self, dim, side):
+    @pytest.mark.parametrize("degree", [degree for degree, *_ in TAYLOR_TIERS])
+    def test_unitary_just_below_and_just_above_the_cut(self, dim, side, degree):
+        # and, on each side of a Taylor tier's cut, the eigendecomposition's
+        # value: the degrees on either side agree with it
         rng = np.random.default_rng(710 + dim)
-        norm = TAYLOR_NORM_CUT * (1.0 + side * 2.0**-40)
-        thetas = antihermitian_of_norm(rng, 256, dim, np.full(256, norm))
-        assert np.all((np.abs(thetas).sum(axis=-2).max(axis=-1) <= TAYLOR_NORM_CUT) == (side < 0))
-        assert np.max(unitarity_defect(linalg._expm_matrix(thetas))) <= UNITARITY_AT_THE_CUT_TOL
+        cut = dict(linalg._TAYLOR_TIERS)[degree]
+        thetas = antihermitian_of_norm(rng, 256, dim, np.full(256, cut * (1.0 + side * 2.0**-40)))
+        assert np.all((one_norms(thetas) <= cut) == (side < 0))
+        got = linalg._expm_matrix(thetas)
+        assert np.max(unitarity_defect(got)) <= UNITARITY_AT_THE_CUT_TOL
+        assert np.max(frobenius_norm(got - linalg._expm_eigh(thetas))) <= TAYLOR_EIGH_AGREEMENT_TOL
 
     @pytest.mark.parametrize("dim", [3, 8, 16])
     @pytest.mark.parametrize("fraction", [1e-6, 0.1, 0.5, 1.0])
@@ -606,19 +673,38 @@ class TestExpmMatrix:
         got = linalg._expm_matrix(thetas)
         assert np.max(frobenius_norm(got - linalg._expm_eigh(thetas))) <= TAYLOR_EIGH_AGREEMENT_TOL
 
-    def test_a_stack_on_one_side_of_the_cut_goes_to_one_kernel_whole(self, monkeypatch):
-        # no gather or scatter unless the stack straddles the cut
-        rng = np.random.default_rng(730)
+    @staticmethod
+    def record_kernels(monkeypatch):
+        """Replace both kernels by wrappers that append ``(degree, theta)``
+        to the returned list, ``None`` for the eigendecomposition."""
         seen = []
-        for name in ("_expm_taylor", "_expm_eigh"):
-            kernel = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name, lambda t, name=name, kernel=kernel: seen.append((name, t)) or kernel(t))
-        for norm, name in ((0.5, "_expm_taylor"), (2.0, "_expm_eigh")):
-            thetas = antihermitian_of_norm(rng, 5, 4, np.full(5, norm))
-            for theta in (thetas, thetas[0]):
-                seen.clear()
-                linalg._expm_matrix(theta)
-                assert len(seen) == 1 and seen[0][0] == name and seen[0][1] is theta
+        taylor, eigh = linalg._expm_taylor, linalg._expm_eigh
+        monkeypatch.setattr(linalg, "_expm_taylor", lambda t, degree: seen.append((degree, t)) or taylor(t, degree))
+        monkeypatch.setattr(linalg, "_expm_eigh", lambda t: seen.append((None, t)) or eigh(t))
+        return seen
+
+    @pytest.mark.parametrize("tier", range(len(TAYLOR_TIERS) + 1))
+    def test_a_stack_in_one_tier_goes_to_its_kernel_whole(self, monkeypatch, tier):
+        # no gather or scatter unless the stack spans tiers
+        rng = np.random.default_rng(730 + tier)
+        seen = self.record_kernels(monkeypatch)
+        degree = (linalg.TAYLOR_DEGREES + (None,))[tier]
+        thetas = antihermitian_of_norm(rng, 5, 4, norms_in_tiers(rng, [tier] * 5))
+        for theta in (thetas, thetas[0]):
+            seen.clear()
+            linalg._expm_matrix(theta)
+            assert len(seen) == 1 and seen[0][0] == degree and seen[0][1] is theta
+
+    def test_a_stack_across_tiers_gives_each_tier_its_rows_once(self, monkeypatch):
+        rng = np.random.default_rng(736)
+        seen = self.record_kernels(monkeypatch)
+        tiers = np.array([5, 2, 0, 2, 5, 3, 0])
+        thetas = antihermitian_of_norm(rng, len(tiers), 4, norms_in_tiers(rng, tiers))
+        linalg._expm_matrix(thetas)
+        degrees = linalg.TAYLOR_DEGREES + (None,)
+        assert [degree for degree, _ in seen] == [degrees[tier] for tier in (0, 2, 3, 5)]
+        for (_, t), tier in zip(seen, (0, 2, 3, 5)):
+            assert np.array_equal(t, thetas[tiers == tier])
 
 
 class TestExpmSu2:

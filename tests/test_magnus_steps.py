@@ -432,6 +432,44 @@ class TestStep:
             assert frobenius_norm(bwd - dagger(fwd)) <= 1e-12
 
 
+# Steps per stack from which an array of the step pipeline reaches 256 KiB,
+# the size from which numpy may take a product with a nameless temporary in
+# place, operands swapped: at d = 2 one complex entry of the propagators,
+# 16 bytes a step; at d = 3 Theta, 144 bytes a step (2**18 / 144 = 1820.4).
+LONG_STACKS = {2: 16384, 3: 1821}
+
+# Steps per slice of the same stack, each far below that size.
+SHORT_SLICE = 128
+
+
+class TestLongStacks:
+    # complex multiply is not bitwise commutative (the SIMD loop uses FMA), so
+    # a product numpy computes in place as ``temp *= a`` may round otherwise
+    # than ``a * temp``: each step's bits must not depend on its stack's length
+    @pytest.mark.parametrize("dim", sorted(LONG_STACKS))
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_a_long_stack_has_the_bits_of_its_short_slices(self, method, dim):
+        rng = np.random.default_rng(900 + dim)
+        n = LONG_STACKS[dim]
+        if dim == 2:
+            # a two-level model's su(2) coordinates, as the driver samples them
+            samples = [rng.normal(size=(4, n)) for _ in sample_nodes(method)]
+        else:
+            shape = (len(sample_nodes(method)), n, dim, dim)
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            samples = list(0.5 * (b + dagger(b)))
+        # at d = 3, steps of 1-norm from about 3e-3 to 5, in every tier of the exponential
+        dt = 10.0 ** rng.uniform(-3.0, 0.0, n)
+
+        def propagators(lo, hi):
+            return magnus_steps._propagators(magnus_steps._theta(method, [h[..., lo:hi] if dim == 2 else h[lo:hi] for h in samples], dt[lo:hi], 1.0))
+
+        whole = propagators(0, n)
+        assert (whole[:, 0, 0] if dim == 2 else whole).nbytes >= 2**18
+        sliced = [propagators(lo, lo + SHORT_SLICE) for lo in range(0, n, SHORT_SLICE)]
+        assert whole.tobytes() == np.concatenate(sliced).tobytes()
+
+
 EXPECTED_LOCAL_SLOPE = {
     MethodId.ME2: 3,
     MethodId.ME3: 5,
