@@ -30,7 +30,7 @@ from .evolution import _checked_span, convergence_study, propagate
 from .hamiltonians import BUILTIN_CASES, HamiltonianModel, ModelError, builtin_case, load_model
 from .linalg import PreconditionError
 from .magnus_steps import ALL_METHODS, MethodId
-from .verify import OracleConfig, check_closed_forms, check_symmetry_suite
+from .verify import MAX_DIM, OracleConfig, check_closed_forms, check_symmetry_suite
 
 __all__ = ["run", "main"]
 
@@ -166,7 +166,7 @@ def build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="run the oracle certification suites")
     ver.add_argument("--suite", choices=["closed-forms", "symmetry", "all"], default="all")
     ver.add_argument("--seed", type=int, default=0, help="seed of the random draws (>= 0)")
-    ver.add_argument("--dim", type=int, default=2, help="dimension of the drawn Hamiltonians (>= 2)")
+    ver.add_argument("--dim", type=int, default=2, help=f"dimension of the drawn Hamiltonians (2 to {MAX_DIM})")
     ver.add_argument("--dt", type=_finite_float, default=1.0, help="step of the certified terms (nonzero)")
     ver.add_argument("--draws", type=int, default=100, help="random draws per identity (>= 1)")
     ver.add_argument("--out", required=True, help="output CSV path")
@@ -231,6 +231,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("--draws must be at least 1")
     if args.dim < 2:
         raise UsageError("--dim must be at least 2: at 1 every commutator term is 0")
+    if args.dim > MAX_DIM:
+        raise UsageError(f"--dim must be at most {MAX_DIM}: above it the const-roundtrip row can fail on correct arithmetic")
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
     if args.dt == 0.0:

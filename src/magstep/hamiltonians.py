@@ -6,13 +6,23 @@ triangle is always the conjugate of the upper one, so sampling at any time
 yields a Hermitian matrix by construction.  The four builtin two-state
 parameter cases drive the bundled convergence experiments.
 
+Sampling goes through one sinusoid table per model
+(:meth:`HamiltonianModel._sinusoids`): a row per distinct ``(omega,
+phase)`` pair, evaluated once per sampled time in one pass, and each
+entry's terms as ``(row, amplitude)``.  Each entry's real part is summed
+from the table in real arithmetic, ``offset.real + 0.0`` and then each
+term's ``sin * amp`` in term order, the operations and order of evaluating
+every term on its own, so the floats are the same.  In every builtin case
+two or three entries share one ``sin(t)``.  The table is built on each call
+from ``upper_triangle``, so it always matches the entries.
+
 A two-level model also gives its samples as the real su(2) coordinates the
 step builders take (:meth:`HamiltonianModel.su2_coordinates`), computed from
-the entries' real parts (:meth:`EntrySpec.real_value`) and the coupling's
-constant imaginary part, in real arithmetic: the same floats as
-``linalg.su2_coordinates`` of :meth:`HamiltonianModel.sample_many`, without
-the complex matrices.  The evolution driver samples a two-level model that
-way, each grid time once.
+the entries' real parts and the coupling's constant imaginary part: the
+same floats as ``linalg.su2_coordinates`` of
+:meth:`HamiltonianModel.sample_many`, without the complex matrices.  The
+evolution driver samples a two-level model that way, and a larger one by
+``sample_many``, each grid time once.
 """
 
 from __future__ import annotations
@@ -70,26 +80,6 @@ class EntrySpec:
         _require_finite("EntrySpec offset", self.offset.real, self.offset.imag)
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    def value(self, t):
-        """Entry value at time(s) ``t`` (scalar or array)."""
-        return self.real_value(t) + complex(0.0, self.offset.imag)
-
-    def real_value(self, t):
-        """Real part of the entry at time(s) ``t``: the offset's real part plus
-        the sinusoids, in real arithmetic.  The imaginary part is the constant
-        ``offset.imag``, since the amplitudes are real.  Each sinusoid is
-        evaluated in place in one scratch array."""
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.offset.real + 0.0)
-        scratch = np.empty_like(out)
-        for term in self.terms:
-            np.multiply(term.angular_frequency, t, out=scratch)
-            scratch += term.phase
-            np.sin(scratch, out=scratch)
-            scratch *= term.amplitude
-            out += scratch
-        return out
-
 
 @dataclass(frozen=True)
 class HamiltonianModel:
@@ -113,6 +103,29 @@ class HamiltonianModel:
         """Hamiltonian matrix at time ``t``, shape ``(dim, dim)``."""
         return self.sample_many(t)
 
+    def _sinusoids(self, ts: Array) -> tuple[Array, dict]:
+        """The model's sinusoid table evaluated at ``ts``, and each entry's
+        terms in order as ``(row, amplitude)``, keyed as ``upper_triangle``.
+
+        The table has one row per distinct ``(omega, phase)`` pair, in order
+        of first use; row ``r`` holds ``sin(omega_r * t + phase_r)``, shape
+        ``(rows,) + ts.shape``, formed by the operations of one term
+        (``omega * t``, ``+ phase``, ``sin``) in one pass over all rows.  The
+        table is built per call, so it follows ``upper_triangle``.  Pairs
+        differing only in the sign of a zero share a row: the products of
+        such a row differ at most in the sign of a zero, which adds nothing
+        to an entry's sum (see :func:`_real_part`).
+        """
+        rows: dict[tuple[float, float], int] = {}
+        terms = {
+            ij: [(rows.setdefault((t.angular_frequency, t.phase), len(rows)), t.amplitude) for t in entry.terms]
+            for ij, entry in self.upper_triangle.items()
+        }
+        pairs = np.array(list(rows), dtype=float).reshape((len(rows), 2) + (1,) * ts.ndim)
+        sines = np.multiply(pairs[:, 0], ts)
+        sines += pairs[:, 1]
+        return np.sin(sines, out=sines), terms
+
     def su2_coordinates(self, ts) -> Array:
         """su(2) coordinates of a two-level model at times ``ts``: the real,
         component-major ``(4,) + ts.shape`` array ``(c, x, y, z)`` of ``H = c I
@@ -120,38 +133,74 @@ class HamiltonianModel:
         :meth:`sample_many`, with the same floats.
 
         ``c = h00/2 + h11/2``, ``x = re h01``, ``y = -im h01`` (the coupling's
-        constant ``offset.imag``) and ``z = h00/2 - h11/2``, from the entries'
-        real values: no complex matrix is built, and every entry is halved
-        before two are added, so no finite entry overflows them.  Row 3 holds
-        ``h00/2`` until ``c`` is formed, so at most one entry's values and
-        their scratch array are held beside the result.
+        constant ``offset.imag``) and ``z = h00/2 - h11/2``.  Each entry's real
+        part is summed into its output row from the model's sinusoid table
+        (:meth:`_sinusoids`), so each distinct sinusoid is evaluated once per
+        time: no complex matrix is built, and every entry is halved before
+        two are added, so no finite entry overflows them.  Besides the result
+        and the table, one scratch row is held.
         """
         if self.dim != 2:
             raise ModelError(f"su(2) coordinates need a two-level model, got dim {self.dim}")
         ts = np.asarray(ts, dtype=float)
-        e00, e11, coupling = (self.upper_triangle.get(ij) for ij in ((0, 0), (1, 1), (0, 1)))
+        sines, terms = self._sinusoids(ts)
         out = np.empty((4,) + ts.shape)
-        out[1] = 0.0 if coupling is None else coupling.real_value(ts)
+        scratch = np.empty(ts.shape)
+        # h01's real part into row 1, h00 into row 3 and h11 into row 0
+        for row, ij in ((1, (0, 1)), (3, (0, 0)), (0, (1, 1))):
+            entry = self.upper_triangle.get(ij, EntrySpec())
+            _real_part(entry.offset.real, terms.get(ij, ()), sines, out[row, ...], scratch)
         # 0.0 - im, not -im: a zero offset.imag gives +0.0, as the matrix path does
-        out[2] = 0.0 if coupling is None else 0.0 - coupling.offset.imag
-        out[3] = 0.0 if e00 is None else e00.real_value(ts)
+        out[2] = 0.0 - self.upper_triangle.get((0, 1), EntrySpec()).offset.imag
         out[3] *= 0.5
-        h11 = 0.0 if e11 is None else e11.real_value(ts)
-        h11 *= 0.5
-        out[0] = out[3] + h11
-        out[3] -= h11
+        out[0] *= 0.5
+        np.add(out[3], out[0], out=scratch)
+        out[3] -= out[0]
+        out[0] = scratch
         return out
 
     def sample_many(self, ts) -> Array:
-        """Stack of Hamiltonians at times ``ts``, shape ``ts.shape + (dim, dim)``."""
+        """Stack of Hamiltonians at times ``ts``, shape ``ts.shape + (dim, dim)``.
+
+        The stack is written through its float64 view: first every constant
+        part, broadcast over the times (zero for a missing entry, each
+        offset's real part, ``0.0 + im`` above the diagonal and ``0.0 - (0.0
+        + im)`` below it), then the real part of each entry with terms,
+        summed from the model's sinusoid table (:meth:`_sinusoids`) into one
+        scratch row and copied to its place in both triangles.  So each
+        distinct sinusoid is evaluated once per time, and every sample is
+        exactly Hermitian.
+        """
         ts = np.asarray(ts, dtype=float)
-        h = np.zeros(ts.shape + (self.dim, self.dim), dtype=np.complex128)
+        sines, terms = self._sinusoids(ts)
+        d = self.dim
+        constant = np.zeros((d, d), dtype=np.complex128)
         for (i, j), entry in self.upper_triangle.items():
-            v = entry.value(ts)
-            h[..., i, j] += v
-            if i != j:
-                h[..., j, i] += np.conj(v)
+            re, im = entry.offset.real + 0.0, 0.0 + entry.offset.imag
+            constant[j, i] = complex(re, 0.0 - im)
+            constant[i, j] = complex(re, im)
+        h = np.empty(ts.shape + (d, d), dtype=np.complex128)
+        h[...] = constant
+        # entry (i, j)'s real part sits at [..., i, 2 j] of the float64 view
+        parts = h.view(np.float64)
+        value, scratch = np.empty(ts.shape), np.empty(ts.shape)
+        for (i, j), entry in self.upper_triangle.items():
+            if terms[i, j]:
+                _real_part(entry.offset.real, terms[i, j], sines, value, scratch)
+                parts[..., i, 2 * j] = value
+                parts[..., j, 2 * i] = value
         return h
+
+
+def _real_part(offset: float, terms, sines: Array, out: Array, scratch: Array) -> None:
+    """One entry's real part into ``out``: ``offset + 0.0``, then each term's
+    ``sines[row] * amplitude`` (formed in ``scratch``) added in term order.
+    The sum never reads -0.0, so a term that reads a zero of either sign
+    leaves it as it is."""
+    out[...] = offset + 0.0
+    for row, amplitude in terms:
+        np.multiply(sines[row], amplitude, out=scratch)
+        out += scratch
 
 
 # Two-state sinusoidal model: diagonal (a1 sin(w1 t), 1 + a2 sin(w2 t)),
@@ -195,6 +244,16 @@ def _as_number(obj, where: str) -> float:
     return value
 
 
+def _json_int(literal: str) -> int | float:
+    """A JSON integer literal as an int, or as the float it reads (±inf) if
+    it has more digits than Python converts to an int
+    (``sys.get_int_max_str_digits``), so the check of its field reports it."""
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
+
+
 def load_model(config_text: str) -> HamiltonianModel:
     """Parse a JSON model config into a validated :class:`HamiltonianModel`.
 
@@ -207,7 +266,7 @@ def load_model(config_text: str) -> HamiltonianModel:
     Indices are 0-based with ``i <= j``; diagonal entries require ``im == 0``.
     """
     try:
-        data = json.loads(config_text)
+        data = json.loads(config_text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ModelError(f"model config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
     if not isinstance(data, dict):

@@ -22,7 +22,7 @@ from magstep.cli import (
 from magstep.evolution import convergence_study, propagate
 from magstep.hamiltonians import builtin_case
 from magstep.magnus_steps import MethodId
-from magstep.verify import OracleConfig, check_symmetry_suite
+from magstep.verify import MAX_DIM, OracleConfig, check_symmetry_suite
 
 from conftest import SampledError, forbid_sampling
 
@@ -323,6 +323,40 @@ class TestPropagate:
             assert err == f"magstep: error: entries[0].{field}: expected a finite number, got {got}\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["dim", "i", "offset[0]", "terms[0].amp"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_model_integer_past_the_int_conversion_limit(self, tmp_path, capsys, field, sign):
+        # Python converts at most sys.get_int_max_str_digits() digits to an
+        # int (4300 by default); a longer JSON literal is read as the float
+        # it is, so its field's own check names it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            model = {"dim": 2, "entries": [{"i": 0, "j": 1, "offset": [1.0, 0.0], "terms": [{"amp": 1.0, "omega": 1.0}]}]}
+            if field == "dim":
+                model["dim"] = "BIG"
+            elif field == "i":
+                model["entries"][0]["i"] = "BIG"
+            elif field == "offset[0]":
+                model["entries"][0]["offset"][0] = "BIG"
+            else:
+                model["entries"][0]["terms"][0]["amp"] = "BIG"
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(model).replace('"BIG"', sign + "1" + "0" * 5000))
+            out = tmp_path / "x.csv"
+            code = run(["propagate", "--model", str(bad), "--method", "me2", "--n-steps", "2", "--out", str(out)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        message = {
+            "dim": "'dim' must be a positive integer",
+            "i": "entries[0]: index i must be an integer",
+            "offset[0]": "entries[0].offset[0]: expected a finite number",
+            "terms[0].amp": "entries[0].terms[0].amp: expected a finite number",
+        }[field]
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"magstep: error: {message}, got {sign}inf\n"
+        assert not out.exists()
+
 
 class TestConverge:
     def converge(self, tmp_path, name="err.csv", extra=()):
@@ -547,6 +581,24 @@ class TestVerify:
         code = run(["verify", "--suite", "all", "--draws", draws, "--out", str(out)])
         assert code == EXIT_USAGE
         assert "--draws" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestVerifyDimBound:
+    # MAX_DIM is the largest dim at which seeds 0 to 19 pass every row
+    @pytest.mark.parametrize("seed", [0, 19, 42])
+    def test_every_row_passes_at_the_largest_accepted_dim(self, tmp_path, seed):
+        out = tmp_path / "report.csv"
+        args = ["verify", "--suite", "all", "--dim", str(MAX_DIM), "--seed", str(seed), "--draws", "1"]
+        assert run(args + ["--out", str(out)]) == EXIT_OK
+        assert all(line.endswith(",true") for line in read_lines(out)[1:])
+
+    def test_the_next_dim_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = run(["verify", "--suite", "all", "--dim", str(MAX_DIM + 1), "--draws", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"magstep: error: --dim must be at most {MAX_DIM}:") and len(err.splitlines()) == 1
         assert not out.exists()
 
 

@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from magstep.hamiltonians import (
     load_model,
 )
 from magstep.linalg import checked_square
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 CASE_I_JSON = json.dumps(
     {
@@ -75,12 +79,6 @@ class TestSampling:
         with pytest.raises(ModelError, match="dim 3"):
             HamiltonianModel(3, {}).su2_coordinates(np.zeros(2))
 
-    def test_real_value_is_the_real_part_of_value(self):
-        entry = EntrySpec(complex(0.5, -2.0), (SinusoidTerm(1.5, 2.0, 0.3), SinusoidTerm(-0.5, 7.0)))
-        ts = np.linspace(-3.0, 3.0, 41)
-        v = entry.value(ts)
-        assert np.array_equal(entry.real_value(ts), v.real) and np.all(v.imag == -2.0)
-
     def test_sample_many_matches_scalar(self):
         m = builtin_case("II")
         ts = np.array([0.0, 0.37, 1.2])
@@ -100,6 +98,139 @@ class TestSampling:
             2, {(0, 1): EntrySpec(0.0, (SinusoidTerm(1.0, 1.0, np.pi / 2),))}
         )
         assert m.sample(0.0)[0, 1] == pytest.approx(1.0)  # sin(pi/2)
+
+
+def reference_real_value(entry, ts):
+    """An entry's real part, each term evaluated on its own: the per-entry
+    loop the sinusoid table replaced, kept as the bitwise reference."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.full(ts.shape, entry.offset.real + 0.0)
+    scratch = np.empty_like(out)
+    for term in entry.terms:
+        np.multiply(term.angular_frequency, ts, out=scratch)
+        scratch += term.phase
+        np.sin(scratch, out=scratch)
+        scratch *= term.amplitude
+        out += scratch
+    return out
+
+
+def reference_sample_many(model, ts):
+    """The stack, one complex entry at a time, each added to a zero stack
+    with its conjugate below the diagonal."""
+    ts = np.asarray(ts, dtype=float)
+    h = np.zeros(ts.shape + (model.dim, model.dim), dtype=np.complex128)
+    for (i, j), entry in model.upper_triangle.items():
+        v = reference_real_value(entry, ts) + complex(0.0, entry.offset.imag)
+        h[..., i, j] += v
+        if i != j:
+            h[..., j, i] += np.conj(v)
+    return h
+
+
+def reference_su2_coordinates(model, ts):
+    """(c, x, y, z) from the entries' real values, one entry at a time."""
+    ts = np.asarray(ts, dtype=float)
+    e00, e11, coupling = (model.upper_triangle.get(ij) for ij in ((0, 0), (1, 1), (0, 1)))
+    out = np.empty((4,) + ts.shape)
+    out[1] = 0.0 if coupling is None else reference_real_value(coupling, ts)
+    out[2] = 0.0 if coupling is None else 0.0 - coupling.offset.imag
+    out[3] = 0.0 if e00 is None else reference_real_value(e00, ts)
+    out[3] *= 0.5
+    h11 = 0.0 if e11 is None else reference_real_value(e11, ts)
+    h11 *= 0.5
+    out[0] = out[3] + h11
+    out[3] -= h11
+    return out
+
+
+def shared_sinusoid_model(dim, seed):
+    """A seeded model whose terms draw (omega, phase) from a pool of four
+    pairs, so pairs repeat within and across entries.  Entries go missing,
+    and offsets, frequencies, phases and amplitudes are zeros of either sign
+    often enough that pairs differing only in a zero's sign share a row."""
+    rng = np.random.default_rng([dim, seed])
+
+    def number(scale):
+        return float(rng.choice([0.0, -0.0, scale * rng.normal()]))
+
+    pool = [(number(3.0), number(3.0)) for _ in range(4)]
+    upper = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.uniform() < 0.3:
+                continue
+            im = 0.0 if i == j else number(1.0)
+            terms = tuple(SinusoidTerm(number(1.0), *pool[rng.integers(4)]) for _ in range(rng.integers(0, 4)))
+            upper[(i, j)] = EntrySpec(complex(number(1.0), im), terms)
+    return HamiltonianModel(dim, upper)
+
+
+def sinusoid_rows(model):
+    return len(model._sinusoids(np.zeros(0))[0])
+
+
+class TestSinusoidTable:
+    TIMES = {
+        "scalar": lambda rng: rng.uniform(-50.0, 50.0),
+        "1-D": lambda rng: np.concatenate([[0.0, -0.0], rng.uniform(-50.0, 50.0, 31)]),
+        "2-D": lambda rng: rng.uniform(-50.0, 50.0, (3, 7)),
+    }
+
+    @pytest.mark.parametrize("shape", TIMES)
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_samples_equal_the_per_entry_loop_bitwise(self, seed, dim, shape):
+        model = shared_sinusoid_model(dim, seed)
+        ts = self.TIMES[shape](np.random.default_rng(seed))
+        want = reference_sample_many(model, ts)
+        got = model.sample_many(ts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if dim == 2:
+            want = reference_su2_coordinates(model, ts)
+            got = model.su2_coordinates(ts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", TIMES)
+    def test_edge_models_equal_the_per_entry_loop_bitwise(self, shape):
+        # an empty model; -0.0 offsets with a complex and a -0.0j coupling
+        # offset; one (omega, phase) pair written with +0.0 and with -0.0
+        ts = self.TIMES[shape](np.random.default_rng(7))
+        models = [
+            HamiltonianModel(2, {}),
+            HamiltonianModel(3, {}),
+            HamiltonianModel(2, {(0, 0): EntrySpec(complex(-0.0, -0.0)), (0, 1): EntrySpec(complex(-0.0, 0.75))}),
+            HamiltonianModel(3, {(1, 2): EntrySpec(complex(-0.0, -0.0), (SinusoidTerm(-0.0, 1.0),))}),
+            HamiltonianModel(2, {
+                (0, 0): EntrySpec(-0.0, (SinusoidTerm(1.0, 0.0, -0.0), SinusoidTerm(2.0, -0.0, 0.0))),
+                (0, 1): EntrySpec(complex(0.5, -0.0), (SinusoidTerm(-1.0, -0.0, -0.0), SinusoidTerm(0.5, 2.0, -0.0))),
+                (1, 1): EntrySpec(0.0, (SinusoidTerm(1.5, 2.0, 0.0),)),
+            }),
+        ]
+        assert sinusoid_rows(models[-1]) == 2
+        for model in models:
+            assert model.sample_many(ts).tobytes() == reference_sample_many(model, ts).tobytes()
+            if model.dim == 2:
+                assert model.su2_coordinates(ts).tobytes() == reference_su2_coordinates(model, ts).tobytes()
+
+    @pytest.mark.parametrize("case, rows", [("I", 1), ("II", 2), ("III", 2), ("IV", 2)])
+    def test_one_row_per_distinct_sinusoid_of_a_builtin_case(self, case, rows):
+        assert sinusoid_rows(builtin_case(case)) == rows
+
+    def test_the_wide_model_has_a_row_per_term(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        # 36 entries of two sinusoids each, all distinct
+        assert sinusoid_rows(load_model(workloads.wide_model_json(0))) == 72
+
+    def test_a_mutated_model_samples_its_new_entries(self):
+        model = builtin_case("II")
+        ts = np.linspace(0.0, 5.0, 11)
+        model.sample_many(ts), model.su2_coordinates(ts)
+        model.upper_triangle[(0, 1)] = EntrySpec(0.5, (SinusoidTerm(2.0, 7.0, 0.25),))
+        assert sinusoid_rows(model) == 3
+        assert model.sample_many(ts).tobytes() == reference_sample_many(model, ts).tobytes()
+        assert model.su2_coordinates(ts).tobytes() == reference_su2_coordinates(model, ts).tobytes()
 
 
 class TestLoadModel:
@@ -164,8 +295,8 @@ class TestLoadModel:
 
     def test_finite_offset_whose_modulus_overflows_is_accepted(self):
         # |1.5e308 (1 + i)| is past the float range; each part is finite
-        entry = EntrySpec(complex(1.5e308, 1.5e308))
-        assert entry.value(0.0) == complex(1.5e308, 1.5e308)
+        m = HamiltonianModel(2, {(0, 1): EntrySpec(complex(1.5e308, 1.5e308))})
+        assert m.sample(0.0)[0, 1] == complex(1.5e308, 1.5e308)
 
     @pytest.mark.parametrize("offset", [complex(np.inf, 0.0), complex(0.0, np.nan)])
     def test_rejects_nonfinite_offset(self, offset):
