@@ -14,7 +14,7 @@ from the table in real arithmetic, ``offset.real + 0.0`` and then each
 term's ``sin * amp`` in term order, the operations and order of evaluating
 every term on its own, so the floats are the same.  In every builtin case
 two or three entries share one ``sin(t)``.  The table is built on each call
-from ``upper_triangle``, so it always matches the entries.
+from ``upper_triangle``, which a model holds read-only.
 
 A two-level model also gives its samples as the real su(2) coordinates the
 step builders take (:meth:`HamiltonianModel.su2_coordinates`), computed from
@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -83,12 +85,17 @@ class EntrySpec:
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Hermitian matrix model; ``upper_triangle`` maps ``(i, j)`` with ``i <= j``."""
+    """Hermitian matrix model; ``upper_triangle`` maps ``(i, j)`` with ``i <= j``.
+
+    The model keeps a read-only copy of the mapping it is given, so neither
+    a later change to the caller's dict nor an assignment through
+    ``upper_triangle`` (a ``TypeError``) can get past the checks here."""
 
     dim: int
-    upper_triangle: dict[tuple[int, int], EntrySpec] = field(default_factory=dict)
+    upper_triangle: Mapping[tuple[int, int], EntrySpec] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "upper_triangle", MappingProxyType(dict(self.upper_triangle)))
         if self.dim < 1:
             raise ModelError(f"dim must be positive, got {self.dim}")
         for (i, j), entry in self.upper_triangle.items():

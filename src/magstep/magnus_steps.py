@@ -24,10 +24,12 @@ entry point raises ``ValueError`` for an ``hbar`` that is not positive and
 finite (``_checked_hbar``) before any sample is looked at.
 
 ``exponent`` and ``step`` take Hamiltonian samples as matrices, real ones
-included, and validate them once, in :func:`_checked_samples`: one
-``linalg.checked_square`` call per node makes each complex and square,
-rejects a NaN or Inf entry and measures its Hermiticity defect against
-``SAMPLE_HERMITICITY_TOL``; then the stacks must be all of one shape.  The
+included, and validate them once, in :func:`_checked_samples`:
+``linalg.checked_square`` makes each complex and square, rejects a NaN or
+Inf entry and measures its Hermiticity defect against
+``SAMPLE_HERMITICITY_TOL``; then the stacks must be all of one shape.  Single
+matrices are checked by one call over their stack, node stacks by one call
+each, and whatever fails is checked again node by node to raise.  The
 evolution driver makes the same check, by the same function, on a callable
 sampler's node stacks and none on a ``HamiltonianModel``'s, which are
 Hermitian by construction.  :func:`_theta` builds Theta from the checked
@@ -187,9 +189,17 @@ def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[A
     matrix(es).  Raises :class:`MissingNodeError` for a node ``samples``
     lacks, :class:`NonHermitianSampleError` naming the first node whose
     sample is not Hermitian to ``SAMPLE_HERMITICITY_TOL``, and
-    :class:`DimensionMismatchError` unless all are of one shape."""
+    :class:`DimensionMismatchError` unless all are of one shape.
+
+    Single matrices of one shape are checked by one ``checked_square`` call
+    over their stack (:func:`_checked_matrices`); whenever that does not pass
+    them, and for stacks, each node is checked on its own, in node order,
+    which is what raises."""
     nodes = sample_nodes(method)
-    out: list[Array] = []
+    out = _checked_matrices(nodes, samples)
+    if out is not None:
+        return out
+    out = []
     for node in nodes:
         if node not in samples:
             raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
@@ -201,6 +211,32 @@ def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[A
         shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
         raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
     return out
+
+
+def _checked_matrices(nodes: tuple[float, ...], samples: Mapping[float, Array]) -> list[Array] | None:
+    """The samples at ``nodes`` as views of one checked complex stack, if each
+    is a single square matrix, all of one shape, whose entries are at most
+    ``2**480`` in magnitude and which pass the Hermiticity test; else None.
+
+    The entry bound keeps ``checked_square`` from rescaling the stack: one
+    power of two for all of it would scale a small sample's defect squares
+    below the float range, where it would pass however large it is."""
+    if not all(node in samples for node in nodes):
+        return None
+    try:
+        arrays = [np.asarray(samples[node]) for node in nodes]
+        shape = arrays[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in arrays):
+            return None
+        stack = np.array(arrays, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        # not numbers: the per-node loop raises its own error for them
+        return None
+    # False for a NaN entry too
+    if not np.abs(stack.view(np.float64)).max(initial=0.0) <= 2.0**480:
+        return None
+    stack, ratio, _ = checked_square(stack, 1)
+    return list(stack) if ratio <= SAMPLE_HERMITICITY_TOL else None
 
 
 def generators(samples: list[Array], tau) -> list[Array]:

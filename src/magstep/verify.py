@@ -10,12 +10,14 @@ local weights.  Every integrand is multilinear in its Hamiltonians, so the
 innermost level is summed first (``sum_i w_i [A, H(s_i)] = [A, sum_i w_i
 H(s_i)]``); the integrand is then evaluated once, batched over the
 ``p**(n-1)`` outer nodes, and summed with the product weights.  That is the
-nested rule summed in another order, so it keeps its exactness: for every
-integral taken here the integrand has degree at most 15 in each time, which
-the 8-point rule integrates exactly up to rounding.  This makes the 1e-11
-certification tolerances meaningful.  Every closed-form commutator expression
-used by the step schemes is checked against the matching oracle over seeded
-random Hermitian samples.
+nested rule summed in another order, so it keeps its exactness: the n-fold
+integral of a degree-q interpolant has degree ``n(q + 1) - 1`` in its
+outermost time and less in the inner ones, so each axis takes the ``p =
+ceil(n(q + 1) / 2)`` points that integrate it exactly up to rounding (from
+1 for a constant's double integral to 10 for a quartic's quadruple one).
+This makes the 1e-11 certification tolerances meaningful.  Every
+closed-form commutator expression used by the step schemes is checked
+against the matching oracle over seeded random Hermitian samples.
 
 The rules are fixed: the point count follows from that degree, an
 interpolant's degree from its sample count, and each kind of row has one
@@ -166,33 +168,36 @@ def interpolant(samples: Sequence[Array], t_k: float, dt: float) -> Callable[[fl
 
     The returned function maps a time, or an array of times of shape ``S``, to
     a ``(*S, d, d)`` stack: the ``(*S, degree + 1)`` Lagrange basis contracted
-    with the stack of samples."""
+    with the stack of samples.  It carries its degree as ``h.degree``, from
+    which :func:`oracle_Mn` takes its point count."""
     degree = len(samples) - 1
     if not 0 <= degree <= 4:
         raise ValueError(f"degree must be in 0..4, got {degree} ({len(samples)} samples)")
     mats = np.stack([np.asarray(s, dtype=np.complex128) for s in samples])
     if degree == 0:
-        return lambda t: np.broadcast_to(mats[0], np.shape(t) + mats.shape[1:])
-    nodes = [t_k + dt * j / degree for j in range(degree + 1)]
+        def h(t: float | Array) -> Array:
+            return np.broadcast_to(mats[0], np.shape(t) + mats.shape[1:])
+    else:
+        nodes = [t_k + dt * j / degree for j in range(degree + 1)]
 
-    def h(t: float | Array) -> Array:
-        t = np.asarray(t, dtype=np.float64)
-        basis = [
-            math.prod((t - xm) / (xj - xm) for m, xm in enumerate(nodes) if m != j)
-            for j, xj in enumerate(nodes)
-        ]
-        return np.tensordot(np.stack(basis, axis=-1), mats, axes=1)
+        def h(t: float | Array) -> Array:
+            t = np.asarray(t, dtype=np.float64)
+            basis = [
+                math.prod((t - xm) / (xj - xm) for m, xm in enumerate(nodes) if m != j)
+                for j, xj in enumerate(nodes)
+            ]
+            return np.tensordot(np.stack(basis, axis=-1), mats, axes=1)
 
+    h.degree = degree
     return h
 
 
-# The Gauss-Legendre rule of every oracle axis, built on first use because
-# importing numpy.polynomial takes a few ms.  8 points integrate degree 15
-# exactly: the n-fold integral of a degree-q interpolant has degree n*q + n - 1
-# in its outermost time, 15 for the highest case taken here (n = 4, cubic).
+# The p-point Gauss-Legendre rule, which integrates degree 2p - 1 exactly,
+# built on first use of each p because importing numpy.polynomial takes a
+# few ms.
 @functools.cache
-def _gl_rule() -> tuple[Array, Array]:
-    return np.polynomial.legendre.leggauss(8)
+def _gl_rule(p: int) -> tuple[Array, Array]:
+    return np.polynomial.legendre.leggauss(p)
 
 
 def _nested_grid(n: int, t_k: float, dt: float, x: Array, w: Array) -> list[tuple[Array, Array, Array]]:
@@ -242,13 +247,21 @@ def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float) -> Arr
     ``H``, so that level is contracted with its local weights first; the
     integrand is then evaluated once over the ``(p,)*(n-1)`` outer grid and
     contracted with the product weights.  The quadruple integral includes its
-    overall factor 2.  The result is exact, up to rounding, for an ``h`` of
-    :func:`interpolant` up to cubic.  The innermost level holds ``p**n``
-    matrices (4096 at n = 4 and p = 8), which bounds the memory of a call.
+    overall factor 2.
+
+    For an ``h`` of degree q the outermost time's integrand has degree
+    ``n(q + 1) - 1``, and each inner time's less, so every axis takes the
+    ``p = ceil(n(q + 1) / 2)`` points that integrate it exactly: the result
+    is exact, up to rounding, for every ``h`` of :func:`interpolant`.  An
+    ``h`` without a ``degree`` attribute is taken as quartic, the highest
+    degree :func:`interpolant` builds.  The innermost level holds ``p**n``
+    matrices (at most 10**4, quartic at n = 4), which bounds the memory of
+    a call.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"n must be in 1..4, got {n}")
-    x, w = _gl_rule()
+    q = getattr(h, "degree", 4)
+    x, w = _gl_rule((n * (q + 1) + 1) // 2)
     levels = _nested_grid(n, t_k, dt, x, w)
     nodes_n, local_n, _ = levels[-1]
     inner = np.einsum("...i,...ijk->...jk", local_n, h(nodes_n))
@@ -263,8 +276,9 @@ def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float) -> Arr
 
 def _nested3_scalar(g, t_k: float, dt: float) -> float:
     """Triple time-ordered integral of a scalar integrand g(t1, t2, t3) that
-    broadcasts over arrays of times."""
-    x, w = _gl_rule()
+    broadcasts over arrays of times and has degree at most 1 in each, so its
+    outermost time has degree 5, which 3 points integrate exactly."""
+    x, w = _gl_rule(3)
     (s1, _, _), (s2, _, _), (s3, _, product) = _nested_grid(3, t_k, dt, x, w)
     return float(np.sum(product * g(s1[:, None, None], s2[..., None], s3)))
 

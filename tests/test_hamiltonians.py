@@ -223,14 +223,23 @@ class TestSinusoidTable:
         # 36 entries of two sinusoids each, all distinct
         assert sinusoid_rows(load_model(workloads.wide_model_json(0))) == 72
 
-    def test_a_mutated_model_samples_its_new_entries(self):
-        model = builtin_case("II")
+    def test_a_model_keeps_a_read_only_copy_of_its_entries(self):
+        # an entry set after construction would skip __post_init__'s checks
+        # (a complex diagonal gives a non-Hermitian sample), so neither an
+        # assignment through the model nor one to the caller's dict reaches it
+        entries = {(0, 0): EntrySpec(1.0, (SinusoidTerm(1.0, 1.0),)), (0, 1): EntrySpec(0.5)}
+        model = HamiltonianModel(2, entries)
         ts = np.linspace(0.0, 5.0, 11)
-        model.sample_many(ts), model.su2_coordinates(ts)
-        model.upper_triangle[(0, 1)] = EntrySpec(0.5, (SinusoidTerm(2.0, 7.0, 0.25),))
-        assert sinusoid_rows(model) == 3
-        assert model.sample_many(ts).tobytes() == reference_sample_many(model, ts).tobytes()
-        assert model.su2_coordinates(ts).tobytes() == reference_su2_coordinates(model, ts).tobytes()
+        before = model.sample_many(ts).tobytes(), model.su2_coordinates(ts).tobytes()
+        with pytest.raises(TypeError):
+            model.upper_triangle[(0, 0)] = EntrySpec(0.5j)
+        with pytest.raises(TypeError):
+            builtin_case("I").upper_triangle[(0, 0)] = EntrySpec(0.5j)
+        entries[(0, 0)] = EntrySpec(0.5j)
+        entries[(0, 1)] = EntrySpec(0.5, (SinusoidTerm(2.0, 7.0, 0.25),))
+        assert (model.sample_many(ts).tobytes(), model.su2_coordinates(ts).tobytes()) == before
+        assert sinusoid_rows(model) == 1
+        assert checked_square(model.sample_many(ts), 1)[1:] == (0.0, 0.0)
 
 
 class TestLoadModel:

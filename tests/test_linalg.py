@@ -245,7 +245,7 @@ COMMUTATOR_REFERENCE_TOL = 1e-14
 
 # Operand shapes: one matrix, equal stacks, and the broadcast pairs of the
 # oracle's triple (p, 1) x (p, p) and quadruple (p, 1, 1), (p, p, 1) x (p, p,
-# p) integrands at its p = 8 points.
+# p) integrands at p = 8 points, a cubic interpolant's quadruple integral.
 COMMUTATOR_SHAPES = [((), ()), ((5,), (5,)), ((8, 1), (8, 8)), ((8, 1, 1), (8, 8, 8)), ((8, 8, 1), (8, 8, 8))]
 
 

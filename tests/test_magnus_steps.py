@@ -432,6 +432,100 @@ class TestStep:
             assert frobenius_norm(bwd - dagger(fwd)) <= 1e-12
 
 
+H3 = random_hermitian(np.random.default_rng(3), 3)
+SKEW3 = np.triu(np.ones((3, 3)), 1)
+
+# me6's seven single 3x3 samples: H3 at every node but these, a matrix by
+# node index or None for a node left out
+ONE_CALL_CASES = {
+    "missing": {3: None},
+    "nan-before-missing": {1: np.full((3, 3), np.nan), 3: None},
+    "non-square": {k: np.ones((3, 2)) for k in range(7)},
+    "mixed-shapes": {3: np.eye(2)},
+    "nan": {2: np.full((3, 3), np.nan)},
+    "inf": {6: np.diag([np.inf, 0.0, 0.0])},
+    "non-hermitian-first": {0: H3 + SKEW3},
+    "non-hermitian-middle": {3: H3 + SKEW3},
+    "non-hermitian-last": {6: H3 + SKEW3},
+    "non-hermitian-and-mixed-shapes": {1: np.eye(2), 4: H3 + SKEW3},
+    "mixed-shapes-then-non-hermitian": {1: np.eye(2), 4: np.triu(np.ones((2, 2)))},
+    # a node with entries of 1e300 beside one whose relative defect is 1e-7:
+    # one power of two for the whole stack would read the latter's defect 0
+    "rescale": {0: 1e300 * np.diag([1.0, -1.0, 0.5]), 6: H3 + 1e-7 * SKEW3},
+    "not-numbers": {4: np.full((3, 3), "x")},
+    "hermitian": {2: np.diag([1.0, 2.0, 3.0])},
+    "hermitian-huge": {5: 1e200 * np.diag([1.0, -1.0, 2.0])},
+    "hermitian-nested-lists": {k: H3.tolist() for k in range(7)},
+    "empty": {k: np.zeros((0, 0)) for k in range(7)},
+}
+
+
+def me6_samples(case):
+    overrides = ONE_CALL_CASES[case]
+    picked = {node: overrides.get(k, H3) for k, node in enumerate(sample_nodes(MethodId.ME6))}
+    return {node: h for node, h in picked.items() if h is not None}
+
+
+def outcome(call):
+    """The exception type and message ``call()`` raises, or its result's bytes."""
+    try:
+        return call().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestOneCallSampleCheck:
+    # single matrices of one shape are checked by one checked_square call
+    # over their stack; whenever that does not pass them, the per-node loop
+    # runs and must raise what it raises alone, by type, message and node
+
+    # a step samples every node, so it takes the cases that leave none out,
+    # and the exponential of its 0x0 Theta raises after the check
+    @pytest.mark.parametrize(
+        "case, entry",
+        [(case, "exponent") for case in ONE_CALL_CASES]
+        + [
+            (case, "step")
+            for case, overrides in ONE_CALL_CASES.items()
+            if case != "empty" and all(h is not None for h in overrides.values())
+        ],
+    )
+    def test_outcome_is_the_per_node_loops(self, monkeypatch, case, entry):
+        samples = me6_samples(case)
+        if entry == "exponent":
+            call = lambda: exponent(MethodId.ME6, samples, 0.1)
+        else:
+            # t_k = 0 and dt = 1, so each sampled time is its node
+            call = lambda: step(MethodId.ME6, lambda t: samples[t], 0.0, 1.0)
+        got = outcome(call)
+        monkeypatch.setattr(magnus_steps, "_checked_matrices", lambda nodes, samples: None)
+        assert got == outcome(call)
+        assert isinstance(got, bytes) == case.startswith(("hermitian", "empty"))
+
+    def test_rescale_case_names_the_small_node(self):
+        with pytest.raises(NonHermitianSampleError) as info:
+            exponent(MethodId.ME6, me6_samples("rescale"), 0.1)
+        assert info.value.node == 1.0
+        assert info.value.defect == pytest.approx(1e-7 * np.sqrt(6.0))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_one_check_per_single_matrix_step(self, monkeypatch, method, dim):
+        h = random_hermitian(np.random.default_rng(dim), dim)
+        calls = []
+
+        def counted(a, sign):
+            calls.append(np.shape(a))
+            return linalg.checked_square(a, sign)
+
+        monkeypatch.setattr(magnus_steps, "checked_square", counted)
+        u = step(method, lambda t: h, 0.0, 0.3)
+        assert calls == [(len(sample_nodes(method)), dim, dim)]
+        monkeypatch.undo()
+        monkeypatch.setattr(magnus_steps, "_checked_matrices", lambda nodes, samples: None)
+        assert u.tobytes() == step(method, lambda t: h, 0.0, 0.3).tobytes()
+
+
 # Steps per stack from which an array of the step pipeline reaches 256 KiB,
 # the size from which numpy may take a product with a nameless temporary in
 # place, operands swapped: at d = 2 one complex entry of the propagators,

@@ -118,40 +118,68 @@ class TestOracleAgainstClosedForms:
 
 
 class TestOracleQuadrature:
-    # A cubic interpolant is the highest degree that 8 points per axis
-    # integrate exactly at n = 4 (outermost degree 4*3 + 3 = 15), so any
-    # point count from 8 up gives the same integrals up to rounding.  A wrong
-    # range map or product weight would make them depend on the point count.
+    # The n-fold integral of a degree-q interpolant has degree n(q + 1) - 1 in
+    # its outermost time, so the oracle takes p(n, q) = ceil(n(q + 1) / 2)
+    # points per axis, and any point count from there up gives the same
+    # integrals up to rounding.  A wrong range map, product weight or point
+    # count would make them depend on the point count.
     POINT_COUNT_AGREEMENT_TOL = 1e-13
 
     @staticmethod
-    def cubic():
-        rng = np.random.default_rng(40)
-        return interpolant([random_hermitian(rng, 3) for _ in range(4)], 0.3, 0.8)
+    def points(n, q):
+        return -(-n * (q + 1) // 2)
+
+    @staticmethod
+    def of_degree(q):
+        rng = np.random.default_rng(40 + q)
+        return interpolant([random_hermitian(rng, 3) for _ in range(q + 1)], 0.3, 0.8)
+
+    @staticmethod
+    def with_points(monkeypatch, h, n, points):
+        rule = np.polynomial.legendre.leggauss(points)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_gl_rule", lambda p: rule)
+            return oracle_Mn(h, n, 0.3, 0.8)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_independent_of_point_count(self, n, monkeypatch):
-        h = self.cubic()
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_independent_of_point_count(self, q, n, monkeypatch):
+        # 12 points integrate degree 23, past the quartic's 19 at n = 4, which
+        # the 8 points once taken for every integral do not; 9 points are
+        # compared wherever they are exact too
+        h = self.of_degree(q)
         base = oracle_Mn(h, n, 0.3, 0.8)
         for points in (9, 12):
-            rule = np.polynomial.legendre.leggauss(points)
-            monkeypatch.setattr(verify, "_gl_rule", lambda: rule)
-            got = oracle_Mn(h, n, 0.3, 0.8)
+            if points < self.points(n, q):
+                continue
+            got = self.with_points(monkeypatch, h, n, points)
             dev = frobenius_norm(got - base) / frobenius_norm(base)
             assert dev <= self.POINT_COUNT_AGREEMENT_TOL, (points, dev)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_one_batched_interpolant_call_per_level(self, n):
-        h = self.cubic()
+    def test_exact_for_a_constant_against_its_scale(self, n, monkeypatch):
+        # for n > 1 the integral is 0, so it is measured against ||C||_F**n,
+        # as the degree-0 rows measure it
+        h = self.of_degree(0)
+        dev = frobenius_norm(self.with_points(monkeypatch, h, n, 12) - oracle_Mn(h, n, 0.3, 0.8))
+        assert dev <= self.POINT_COUNT_AGREEMENT_TOL * frobenius_norm(h(0.0)) ** n, dev
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4, None], ids=lambda q: f"degree{q}")
+    def test_one_batched_interpolant_call_per_level(self, q, n):
+        # an h without a degree is taken as quartic, the highest interpolant builds
+        h = self.of_degree(4 if q is None else q)
         calls = []
 
         def counted(ts):
             calls.append(np.shape(ts))
             return h(ts)
 
+        if q is not None:
+            counted.degree = q
         oracle_Mn(counted, n, 0.3, 0.8)
         assert len(calls) <= n
-        assert max(int(np.prod(shape)) for shape in calls) == 8**n
+        assert max(int(np.prod(shape)) for shape in calls) == self.points(n, 4 if q is None else q) ** n
 
 
 class TestGaussNodeForms:
