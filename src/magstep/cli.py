@@ -2,9 +2,15 @@
 
 All numeric CSV output uses 17 significant digits (round-trip exact for
 doubles), a header row and LF line endings, so identical flags produce
-byte-identical files.  Every file goes through one writer: each table has a
-single %-format for its rows, and the writer formats a fixed-size block of
-rows with one ``%`` operation and writes it before it formats the next.
+byte-identical files.  Every file goes through one writer, which formats and
+writes a fixed-size block of rows before it formats the next.  Its float
+fields are exactly Python's ``'%.17g' % x``, written by one numpy kernel for
+the whole block (:func:`_g17_lines`).  Its 17 digits are the rounded
+double-double product of |x| and a power of ten, whose error is below about
+2**-46; a value that error could round either way (a remainder within 2**-30
+of one half), a value outside about 1e±280 and a non-finite value are
+formatted by ``%`` itself.  Names, step counts and ``true``/``false`` are written as
+their ``str``.
 
 ``verify`` certifies by fixed rules: each row carries the named tolerance
 of ``magstep.verify`` for its kind, and no flag overrides a tolerance or the
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import math
 import sys
 from pathlib import Path
@@ -83,27 +90,251 @@ def _pin_allocator() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-# rows formatted per block of the row-format writer: at 1024 rows a block's
-# text and values stay below the memory peak of the propagation itself
+# rows formatted per block of the writer: at 1024 rows a block's text and
+# values stay below the memory peak of the propagation itself
 _CSV_BLOCK_ROWS = 1024
+
+# The %.17g kernel handles |x| in [1e-280, 1e280] (and 0), where 10**(16 - k)
+# and Veltkamp's split stay in the normal range, and leaves to Python's own
+# '%.17g' any remainder within _G17_TIE of one half: the kernel's error is
+# below about 2**-46, so the margin covers it many times over
+_G17_SPAN = 280
+_G17_TIE = 2.0**-30
+_SPLIT = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+_G17_WORD = np.dtype("<u8")
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's read-only tables, built on first use (in about 0.25 ms).
+
+    ``hi + lo`` is 10**e to within 2**-104 relative for e from -265 to 297.
+    The rest are 8-byte words of a field's layout (see :func:`_g17_frame`),
+    written as bytes, so they read the same on any byte order.
+    """
+    # 10**e = 10**(23 m) * 10**b with 0 <= b <= 22, where 10**b is a double
+    # and 10**(23 m) is the double-double of its exact value (to 2**-106)
+    e = np.arange(15 - _G17_SPAN, 18 + _G17_SPAN)
+    m, b = np.divmod(e, 23)
+    steps = []
+    for j in range(m.min(), m.max() + 1):
+        t = 10 ** (23 * abs(j))
+        # j < 0: q / 2**s is 10**(23 j) truncated to 2**-s, 110 bits below it
+        s = 0 if j >= 0 else t.bit_length() + 110
+        q = t if j >= 0 else (1 << s) // t
+        h = float(q)
+        steps.append((math.ldexp(h, -s), math.ldexp(float(q - int(h)), -s)))
+    steps = np.array(steps)[m - m.min()]
+    hi, lo = _dd_times(np.array([float(10**j) for j in range(23)])[b], steps[:, 0], steps[:, 1])
+
+    def words(a):  # little-endian words of rows of 8 bytes
+        return np.ascontiguousarray(a, np.uint8).view(_G17_WORD)[..., 0]
+
+    tens, ones = np.divmod(np.arange(100), 10)
+    # a 2-digit pair as the high or low half of a 4-digit group's word: each
+    # digit at an even byte, followed by its point slot
+    pair = np.zeros((2, 100, 8), np.uint8)
+    pair[0, :, 0] = pair[1, :, 4] = 48 + tens
+    pair[0, :, 2] = pair[1, :, 6] = 48 + ones
+    # kept[i, h, p]: how many of D's 17 digits run through the last nonzero
+    # digit of pair p, as the high (h = 0) or low half of group i; 0 if p = 0
+    last = np.where(ones > 0, 2, np.where(tens > 0, 1, 0))
+    i, h = np.arange(4)[:, None, None], np.arange(2)[:, None]
+    kept = np.where(last > 0, 4 * i + 2 * h + last + 1, 0).astype(np.uint8)
+    # the digit bytes of group i that the first `keep` digits of D cover
+    cover = np.zeros((4, 18, 4, 2), np.uint8)
+    cover[..., 0] = 255 * (np.arange(18)[:, None] > 4 * i + np.arange(4) + 1)
+    # layout key: X + 4 for the fixed form (-4 <= X <= 16), 21 for the
+    # exponent form; int_digits[key] of D's digits precede the point
+    int_digits = np.array([0] * 4 + list(range(1, 18)) + [1], np.uint8)
+    lead = np.zeros((22, 8), np.uint8)
+    for x in range(-4, 0):
+        lead[x + 4, 1:2 - x] = list(b"0.000"[:1 - x])
+    head = np.zeros((2, 10, 8), np.uint8)  # the sign, and D's first digit at byte 6
+    head[1, :, 0] = ord("-")
+    head[:, :, 6] = 48 + np.arange(10)
+    # row 0 for the fixed form, then "e-281" to "e+281"
+    x = np.arange(-_G17_SPAN - 1, _G17_SPAN + 2)
+    ax = np.abs(x)
+    wide = ax >= 100
+    exps = np.zeros((x.size + 1, 8), np.uint8)
+    exps[1:, 0] = ord("e")
+    exps[1:, 1] = np.where(x < 0, ord("-"), ord("+"))
+    exps[1:, 2] = 48 + np.where(wide, ax // 100, ax // 10 % 10)
+    exps[1:, 3] = 48 + np.where(wide, ax // 10 % 10, ax % 10)
+    exps[1:, 4] = np.where(wide, 48 + ax % 10, 0)
+    pair, cover, lead, head, exps = (words(t) for t in (pair, cover.reshape(4, 18, 8), lead, head.reshape(20, 8), exps))
+    for t in (hi, lo, pair, kept, cover, int_digits, lead, head, exps):
+        t.setflags(write=False)
+    return hi, lo, pair, kept, cover, int_digits, lead, head, exps
+
+
+def _dd_times(a, b, b_lo):
+    """a · (b + b_lo) as p + e: p = fl(a · b), and e the rest, rounded once.
+
+    By Dekker's product, a · b = p + (a · b - p) exactly: Veltkamp's split
+    cuts each factor into two halves of 26 bits, whose products are exact.
+    """
+    ah = a * _SPLIT
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    bh = b * _SPLIT
+    bl = bh - b
+    bh -= bl
+    np.subtract(b, bh, out=bl)
+    p = a * b
+    e = ah * bh
+    e -= p
+    ah *= bl
+    e += ah
+    bh *= al
+    e += bh
+    bl *= al
+    e += bl
+    np.multiply(a, b_lo, out=al)
+    e += al
+    return p, e
+
+
+def _g17_scaled(a, k, hi, lo):
+    """⌊a · 10**(16 - k)⌋ as int64 and the remainder in [0, 1), both to
+    within about 2**-46 where the product is in [2**53, 2**57), as it is for
+    the right k: there p = fl(a · hi) is an integer."""
+    i = _G17_SPAN + 1 - k  # the index of 10**(16 - k) in hi and lo
+    p, r = _dd_times(a, hi.take(i), lo.take(i))
+    q = np.floor(r)
+    r -= q
+    d = p.astype(np.int64)
+    d += q.astype(np.int64)
+    return d, r
+
+
+def _g17_digits(x, hi, lo):
+    """D, the 17 significant digits of |x| as an int64, its exponent k
+    (|x| ≈ D · 10**(k - 16)), and where the kernel's D is certain.
+
+    D rounds half to even, so a value whose remainder is near one half is
+    left uncertain; so is every value outside the kernel's range.  A zero
+    gets D = 0.
+    """
+    a = np.abs(x)
+    ok = a >= 10.0**-_G17_SPAN
+    ok &= a <= 10.0**_G17_SPAN
+    zero = a == 0.0
+    a[~ok] = 1.0
+    ok |= zero
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k = k.astype(np.int64)
+    d, r = _g17_scaled(a, k, hi, lo)
+    # log10 can miss by one next to a power of ten
+    shift = (d >= 10**17).astype(np.int64)
+    shift -= d < 10**16
+    fix = np.flatnonzero(shift)
+    if fix.size:
+        k[fix] += shift[fix]
+        d[fix], r[fix] = _g17_scaled(a[fix], k[fix], hi, lo)
+    d += r > 0.5
+    r -= 0.5
+    np.abs(r, out=r)
+    ok &= r >= _G17_TIE
+    top = d == 10**17  # rounded up into the next decade
+    d[top] = 10**16
+    k += top
+    d[zero] = 0
+    return d, k, ok
+
+
+def _g17_frame(x):
+    """Each value of ``x`` laid out as its ``%.17g`` text in 48 bytes, NUL
+    where nothing is written, and where that text is certain.
+
+    Each row is six words: word 0 holds the sign, the "0.000" lead of the
+    fixed form below 1, D's first digit and a point slot; words 1 to 4 hold
+    D's other 16 digits, each followed by a point slot; word 5 holds the
+    exponent and, in byte 7, the separator.  C's %g rules pick the layout
+    from X, the exponent of the rounded value: the fixed form for -4 <= X
+    < 17, else d.ddde±XX.  Trailing zeros after the point are dropped, and
+    the point too when nothing follows it.
+    """
+    hi, lo, pair, kept, cover, int_digits_of, lead, head, exps = _g17_tables()
+    d, k, ok = _g17_digits(x, hi, lo)
+    frame = np.empty((x.size, 6), _G17_WORD)
+    keep = np.ones(x.size, np.uint8)  # D's digits through its last nonzero one
+    for i in range(3, -1, -1):  # D's 4-digit groups, last first
+        q = d // 10000
+        d -= q * 10000
+        high = d // 100
+        d -= high * 100
+        np.bitwise_or(pair[0].take(high), pair[1].take(d), out=frame[:, 1 + i])
+        np.maximum(keep, kept[i, 0].take(high), out=keep)
+        np.maximum(keep, kept[i, 1].take(d), out=keep)
+        d = q
+    fixed = (k >= -4) & (k <= 16)
+    key = np.where(fixed, k + 4, 21)
+    int_digits = int_digits_of.take(key)
+    np.maximum(keep, int_digits, out=keep)  # the fixed form keeps its integer digits
+    for i in range(4):
+        frame[:, 1 + i] &= cover[i].take(keep)
+    np.bitwise_or(head.take(d + 10 * np.signbit(x)), lead.take(key), out=frame[:, 0])
+    exps.take(np.where(fixed, 0, k + _G17_SPAN + 2), out=frame[:, 5])
+    # the point follows D's digit int_digits - 1, at byte 2 * int_digits + 5
+    point = np.flatnonzero((keep > int_digits) & (int_digits > 0))
+    frame.view(np.uint8).reshape(-1)[48 * point + 2 * int_digits[point] + 5] = ord(".")
+    return frame, ok
+
+
+def _g17_lines(block: np.ndarray) -> bytes:
+    """The rows of a 2-D float block as CSV lines, each field ``'%.17g' % x``.
+
+    Every byte equals Python's: a value whose text the kernel cannot be
+    sure of (a remainder near one half, |x| outside [1e-280, 1e280] or a
+    non-finite x) is formatted by Python's ``%`` instead.
+    """
+    rows, cols = block.shape
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    frame, ok = _g17_frame(x)
+    ends = frame.reshape(rows, cols, 6)[:, :, 5]
+    ends[:, :-1] |= ord(",") << 56
+    ends[:, -1] |= ord("\n") << 56
+    fields = frame.view(np.uint8)
+    for i in np.flatnonzero(~ok).tolist():
+        field = b"%.17g" % x[i]
+        fields[i, :47] = 0
+        fields[i, :len(field)] = np.frombuffer(field, np.uint8)
+    text = frame.tobytes()
+    del frame, ends, fields  # so the frame is freed before the squeezed copy is made
+    return text.translate(None, b"\0")
+
+
+def _csv_rows(columns) -> bytes:
+    """One block of a table's rows: the float arrays side by side through one
+    :func:`_g17_lines` call, any other column (names, counts,
+    ``true``/``false``) as its ``str``."""
+    floats = [c for c in columns if isinstance(c, np.ndarray)]
+    text = _g17_lines(np.column_stack(floats))
+    if len(floats) == len(columns):
+        return text
+    numbers = zip(*(line.split(",") for line in text.decode("ascii").splitlines()))  # by column
+    cells = [next(numbers) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
+    return "".join(",".join(row) + "\n" for row in zip(*cells)).encode("ascii")
 
 
 def _write_csv(path: str, *tables) -> None:
-    """Write ``(header, fmt, columns)`` tables one after another to one file.
+    """Write ``(header, columns)`` tables one after another to one file.
 
-    ``fmt`` is a %-format for one row and ``columns`` a sequence of arrays of
-    equal length, 1-D or 2-D (object dtype where a row mixes strings and
-    numbers), whose rows side by side make the table's rows.  Rows are
+    ``columns`` is a sequence of equal-length columns whose rows side by
+    side make the table's rows: float arrays, 1-D or 2-D, or sequences of
+    strings and integers (beside which a float array is 1-D).  Rows are
     stacked, formatted and written ``_CSV_BLOCK_ROWS`` at a time, so only
-    one block's rows, text and Python values are held at once.
+    one block's values and text are held at once.
     """
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        for header, fmt, columns in tables:
-            f.write(",".join(header) + "\n")
-            line = fmt + "\n"
+    with open(path, "wb") as f:
+        for header, columns in tables:
+            f.write(",".join(header).encode("ascii") + b"\n")
             for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-                block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-                f.write(line * len(block) % tuple(block.ravel().tolist()))
+                f.write(_csv_rows([c[start:start + _CSV_BLOCK_ROWS] for c in columns]))
 
 
 def _finite_float(text: str) -> float:
@@ -203,8 +434,7 @@ def _cmd_propagate(args) -> int:
 
     trace = propagate(method, model, args.t0, args.t_final, n, psi0, hbar=args.hbar)
     header = ["t"] + [f"pop_{i}" for i in range(model.dim)] + ["unitarity_defect"]
-    columns = (trace.times, trace.populations, trace.unitarity_defects)
-    _write_csv(args.out, (header, ",".join(["%.17g"] * len(header)), columns))
+    _write_csv(args.out, (header, (trace.times, trace.populations, trace.unitarity_defects)))
     return EXIT_OK
 
 
@@ -214,14 +444,19 @@ def _cmd_converge(args) -> int:
     if args.dts is not None and not all(dt > 0 for dt in args.dts):
         raise UsageError("--dt must be positive")
     report = convergence_study(model, methods, dts=args.dts, tf=args.t_final, t0=args.t0, hbar=args.hbar)
-    records = np.array(
-        [(r.method.value, r.dt, r.n_steps, r.error) for r in report.records], dtype=object
-    )
-    slopes = np.array([(m.value, report.slopes[m]) for m in methods], dtype=object)
+    records = report.records
     _write_csv(
         args.out,
-        (["method", "dt", "n_steps", "error"], "%s,%.17g,%d,%.17g", (records,)),
-        (["method", "slope"], "%s,%.17g", (slopes,)),
+        (
+            ["method", "dt", "n_steps", "error"],
+            (
+                [r.method.value for r in records],
+                np.array([r.dt for r in records]),
+                [r.n_steps for r in records],
+                np.array([r.error for r in records]),
+            ),
+        ),
+        (["method", "slope"], ([m.value for m in methods], np.array([report.slopes[m] for m in methods]))),
     )
     return EXIT_OK
 
@@ -247,11 +482,13 @@ def _cmd_verify(args) -> int:
             rows.extend(check_closed_forms(cfg, draws=args.draws).rows)
         if args.suite in ("symmetry", "all"):
             rows.extend(check_symmetry_suite(cfg, draws=args.draws).rows)
-    table = np.array(
-        [(r.identity, r.max_rel_dev, r.tolerance, "true" if r.passed else "false") for r in rows],
-        dtype=object,
+    columns = (
+        [r.identity for r in rows],
+        np.array([r.max_rel_dev for r in rows]),
+        np.array([r.tolerance for r in rows]),
+        ["true" if r.passed else "false" for r in rows],
     )
-    _write_csv(args.out, (["identity", "max_rel_dev", "tolerance", "pass"], "%s,%.17g,%.17g,%s", (table,)))
+    _write_csv(args.out, (["identity", "max_rel_dev", "tolerance", "pass"], columns))
     failed = [r.identity for r in rows if not r.passed]
     if failed:
         print(f"verification FAILED for: {', '.join(failed)}", file=sys.stderr)

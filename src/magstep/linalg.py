@@ -360,7 +360,10 @@ def _expm_matrix(theta: Array) -> Array:
     cut covers that norm, :func:`_expm_eigh` of each above.  A matrix's bits
     depend on it alone, not on the stack it is in.  A single matrix, or a
     stack all in one tier, goes to one kernel whole; only a stack that spans
-    tiers is split."""
+    tiers is split.  An empty ``theta`` (0×0 matrices, or none) has the
+    empty exponential of its own shape."""
+    if theta.size == 0:
+        return np.empty_like(theta)
     # on one small matrix, the ufuncs' reductions and scalar comparisons
     # take under half the time of the array methods and .all()/.any()
     norms = np.maximum.reduce(np.add.reduce(np.abs(theta), axis=-2), axis=-1)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -187,14 +189,14 @@ class TestPropagate:
         out = tmp_path / "pop.csv"
         tracemalloc.start()
         try:
-            magstep.cli._write_csv(str(out), (["t", "a", "b", "d"], ",".join(["%.17g"] * 4), columns))
+            magstep.cli._write_csv(str(out), (["t", "a", "b", "d"], columns))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= n * 4 * 8 // 2
         stacked = tmp_path / "stacked.csv"
         rows = np.column_stack(columns)
-        magstep.cli._write_csv(str(stacked), (["t", "a", "b", "d"], ",".join(["%.17g"] * 4), (rows,)))
+        magstep.cli._write_csv(str(stacked), (["t", "a", "b", "d"], (rows,)))
         assert out.read_bytes() == stacked.read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -990,3 +992,122 @@ class TestAllocatorPin:
         opened = self.stand_in(monkeypatch, library)
         assert outcomes("unpinned") == pinned
         assert opened == [None]
+
+
+def percent_lines(block):
+    """The rows of a 2-D float block as the CSV writer once wrote them: one
+    %-format per row, applied to a whole block of rows by one ``%``."""
+    rows, cols = block.shape
+    return ((",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def powers_of_ten_and_neighbours():
+    """Every power of ten from 1e-300 to 1e300, as the nearest double, with
+    the next double either way, of either sign."""
+    p = 10.0 ** np.arange(-300, 301)
+    x = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    return np.concatenate([x, -x])
+
+
+class TestG17Kernel:
+    # the writer's %.17g kernel must give Python's '%.17g' % x byte for byte,
+    # falling back to it for every value it cannot be sure of
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, 2**15, dtype=np.uint64, endpoint=False)
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                             2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308])
+        x = np.concatenate([bits.view(np.float64), specials])
+        for block in (x.reshape(-1, 1), x[: 2**15].reshape(-1, 4)):
+            assert cli._g17_lines(block) == percent_lines(block)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        x = powers_of_ten_and_neighbours()
+        assert cli._g17_lines(x.reshape(-1, 2)) == percent_lines(x.reshape(-1, 2))
+
+    def test_switches_between_the_fixed_and_exponent_forms(self):
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+        x = edges[:, None] * (1.0 + np.arange(-8, 9) * 2.0**-52)
+        x = np.concatenate([x.ravel(), np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                            [9.9999999999999995e-05, 9.99999999999999999e-5, 99999999999999999.0]])
+        x = np.concatenate([x, -x])
+        text = cli._g17_lines(x.reshape(-1, 1))
+        assert text == percent_lines(x.reshape(-1, 1))
+        assert {b"1.0000000000000001e-05", b"0.0001", b"10000000000000000", b"1e+17"} <= set(text.split())
+
+    def test_exact_ties_round_half_to_even(self):
+        x = np.array([[2.0**-25, 3 * 2.0**-25]])
+        assert cli._g17_lines(x) == b"2.9802322387695312e-08,8.9406967163085938e-08\n" == percent_lines(x)
+        # both are exact ties at the 17th digit, which the kernel leaves to '%'
+        assert not cli._g17_digits(x.ravel(), *cli._g17_tables()[:2])[2].any()
+
+    def test_values_that_round_up_into_the_next_decade(self):
+        # the nearest doubles to 1e-14, 1e+98, ... lie below them but round
+        # to them at 17 digits: D = 10**17 is read as 10**16 at k + 1
+        up = np.array([v for v in powers_of_ten_and_neighbours()
+                       if v > 0 and ("%.17g" % v).startswith("1e")
+                       and Fraction(float(v)) < Fraction(10) ** int(("%.17g" % v)[2:])])
+        assert up.size >= 10
+        assert cli._g17_lines(up.reshape(-1, 1)) == percent_lines(up.reshape(-1, 1))
+
+    def test_the_kernel_formats_in_range_values_itself(self):
+        # the fallback to '%' is only for exact ties at the 17th digit (common
+        # where a double has few fraction bits, as near 1e15), or the kernel
+        # would go untested by every comparison above
+        rng = np.random.default_rng(3)
+        x = rng.random(4096) * 10.0 ** rng.integers(-270, 270, 4096)
+        ok = cli._g17_digits(x, *cli._g17_tables()[:2])[2]
+        assert ok.mean() > 0.99
+        for v in x[~ok]:
+            digits = Decimal(float(v)).as_tuple().digits
+            assert len(digits) == 18 and digits[17] == 5
+        x = np.array([np.nan, np.inf, 1e-300, 1e300, 5e-324])
+        assert not cli._g17_digits(x, *cli._g17_tables()[:2])[2].any()
+
+    def test_tables_are_built_once_and_read_only(self):
+        tables = cli._g17_tables()
+        assert cli._g17_tables() is tables
+        assert not any(t.flags.writeable for t in tables)
+
+
+class TestPercentText:
+    # every CSV is byte-identical to the %-format text of the same values
+
+    def test_propagate(self, tmp_path):
+        n = cli._CSV_BLOCK_ROWS + 5  # two blocks
+        out = tmp_path / "pop.csv"
+        argv = ["propagate", "--case", "III", "--method", "me6", "--n-steps", str(n), "--t-final", "30",
+                "--initial", "1", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        trace = propagate(MethodId.ME6, builtin_case("III"), 0.0, 30.0, n, [0, 1], hbar=1.0)
+        rows = np.column_stack([trace.times, trace.populations, trace.unitarity_defects])
+        assert out.read_bytes() == b"t,pop_0,pop_1,unitarity_defect\n" + percent_lines(rows)
+
+    def test_converge(self, tmp_path):
+        out = tmp_path / "err.csv"
+        argv = ["converge", "--case", "II", "--methods", "me2,me4-nc,blanes6-gauss", "--t-final", "2",
+                "--dt", "0.1", "--dt", "0.05", "--dt", "0.025", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        methods = [MethodId.ME2, MethodId.ME4_NC, MethodId.BLANES6_GAUSS]
+        report = convergence_study(builtin_case("II"), methods, dts=[0.1, 0.05, 0.025], tf=2.0)
+        want = "method,dt,n_steps,error\n" + "".join(
+            "%s,%.17g,%d,%.17g\n" % (r.method.value, r.dt, r.n_steps, r.error) for r in report.records
+        ) + "method,slope\n" + "".join("%s,%.17g\n" % (m.value, report.slopes[m]) for m in methods)
+        assert out.read_text(encoding="ascii") == want
+
+    @pytest.mark.parametrize("dt", ["1", "1e60"])
+    def test_verify(self, tmp_path, dt):
+        # at --dt 1e60 some rows are NaN and fail
+        out = tmp_path / "report.csv"
+        argv = ["verify", "--suite", "all", "--dim", "3", "--draws", "1", "--dt", dt, "--out", str(out)]
+        assert run(argv) in (EXIT_OK, EXIT_VERIFY_FAILED)
+        cfg = OracleConfig(dim=3, dt=float(dt))
+        with np.errstate(all="ignore"):
+            rows = verify.check_closed_forms(cfg, draws=1).rows + check_symmetry_suite(cfg, draws=1).rows
+        want = "identity,max_rel_dev,tolerance,pass\n" + "".join(
+            "%s,%.17g,%.17g,%s\n" % (r.identity, r.max_rel_dev, r.tolerance, "true" if r.passed else "false")
+            for r in rows
+        )
+        assert out.read_text(encoding="ascii") == want
+        assert (",nan," in want) == (dt == "1e60")

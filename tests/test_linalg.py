@@ -457,6 +457,12 @@ class TestSu2Coordinates:
 
 
 class TestExpmAntiHermitian:
+    # exp of 0x0 matrices, or of no matrix, is empty in the input's shape
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3, 3), (2, 0, 0)])
+    def test_empty_exponent(self, shape):
+        u = expm_antihermitian(np.zeros(shape))
+        assert u.shape == shape and u.dtype == np.complex128
+
     def test_zero_exponent(self):
         assert np.allclose(expm_antihermitian(np.zeros((2, 2))), I2)
 

@@ -393,6 +393,12 @@ class TestStep:
             u = step(m, lambda t: np.zeros((2, 2)), 0.0, 0.3)
             assert np.allclose(u, np.eye(2), atol=1e-15)
 
+    # a 0x0 Hamiltonian steps by the 0x0 propagator, as its exponent is 0x0
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_empty_hamiltonian_gives_an_empty_propagator(self, method):
+        u = step(method, lambda t: np.zeros((0, 0)), 0.0, 0.1)
+        assert u.shape == (0, 0) and u.dtype == np.complex128
+
     def test_constant_sigma_z_quarter_turn(self):
         expected = np.diag([-1j, 1j])
         for m in ALL_METHODS:
@@ -479,15 +485,14 @@ class TestOneCallSampleCheck:
     # over their stack; whenever that does not pass them, the per-node loop
     # runs and must raise what it raises alone, by type, message and node
 
-    # a step samples every node, so it takes the cases that leave none out,
-    # and the exponential of its 0x0 Theta raises after the check
+    # a step samples every node, so it takes the cases that leave none out
     @pytest.mark.parametrize(
         "case, entry",
         [(case, "exponent") for case in ONE_CALL_CASES]
         + [
             (case, "step")
             for case, overrides in ONE_CALL_CASES.items()
-            if case != "empty" and all(h is not None for h in overrides.values())
+            if all(h is not None for h in overrides.values())
         ],
     )
     def test_outcome_is_the_per_node_loops(self, monkeypatch, case, entry):
