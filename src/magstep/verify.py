@@ -4,18 +4,20 @@ The first four exact integrals (single integral, nested commutator double,
 triple and quadruple integrals) are evaluated here by Gauss-Legendre
 quadrature over polynomial interpolants of the Hamiltonian.  The nested range
 ``t_k <= s_n <= ... <= s_1 <= t_k + dt`` is collapsed onto one tensor grid:
-each level's rule is mapped affinely onto ``[t_k, s_{k-1}]`` for every node of
-the levels outside it, so level k holds ``p**k`` nodes and the product of the
-local weights.  Every integrand is multilinear in its Hamiltonians, so the
-innermost level is summed first (``sum_i w_i [A, H(s_i)] = [A, sum_i w_i
-H(s_i)]``); the integrand is then evaluated once, batched over the
-``p**(n-1)`` outer nodes, and summed with the product weights.  That is the
-nested rule summed in another order, so it keeps its exactness: the n-fold
-integral of a degree-q interpolant has degree ``n(q + 1) - 1`` in its
-outermost time and less in the inner ones, so each axis takes the ``p =
-ceil(n(q + 1) / 2)`` points that integrate it exactly up to rounding (from
-1 for a constant's double integral to 10 for a quartic's quadruple one).
-This makes the 1e-11 certification tolerances meaningful.  Every
+level k's rule of ``m_k`` points is mapped affinely onto ``[t_k, s_{k-1}]``
+for every node of the levels outside it, so level k holds ``m_1 ... m_k``
+nodes and the product of the local weights.  Every integrand is
+multilinear in its Hamiltonians, so the innermost level is summed first
+(``sum_i w_i [A, H(s_i)] = [A, sum_i w_i H(s_i)]``); the integrand is then
+evaluated once, batched over the ``m_1 ... m_{n-1}`` outer nodes, and
+summed with the product weights.  That is the nested rule summed in
+another order, so it keeps its exactness.  For a degree-q interpolant,
+once the levels inside it are integrated, level j (1 outermost) has degree
+``(n - j + 1)(q + 1) - 1`` in its own time, so it takes the ``m_j =
+ceil((n - j + 1)(q + 1) / 2)`` points that integrate it exactly up to
+rounding (a product rule of Stroud's conical kind: from 1 point for a
+constant's double integral to 10, 8, 5 and 3 for a quartic's quadruple
+one).  This makes the 1e-11 certification tolerances meaningful.  Every
 closed-form commutator expression used by the step schemes is checked
 against the matching oracle over seeded random Hermitian samples.
 
@@ -178,15 +180,16 @@ def interpolant(samples: Sequence[Array], t_k: float, dt: float) -> Callable[[fl
         def h(t: float | Array) -> Array:
             return np.broadcast_to(mats[0], np.shape(t) + mats.shape[1:])
     else:
-        nodes = [t_k + dt * j / degree for j in range(degree + 1)]
+        nodes = np.array([t_k + dt * j / degree for j in range(degree + 1)])
+        # others[j] lists the nodes m != j, in order, so basis j is the
+        # product of the factors (t - x_m) / (x_j - x_m) taken left to right
+        others = nodes[[[m for m in range(degree + 1) if m != j] for j in range(degree + 1)]]
+        denominators = nodes[:, None] - others
 
         def h(t: float | Array) -> Array:
             t = np.asarray(t, dtype=np.float64)
-            basis = [
-                math.prod((t - xm) / (xj - xm) for m, xm in enumerate(nodes) if m != j)
-                for j, xj in enumerate(nodes)
-            ]
-            return np.tensordot(np.stack(basis, axis=-1), mats, axes=1)
+            basis = np.multiply.reduce((t[..., None, None] - others) / denominators, axis=-1)
+            return np.tensordot(basis, mats, axes=1)
 
     h.degree = degree
     return h
@@ -200,19 +203,20 @@ def _gl_rule(p: int) -> tuple[Array, Array]:
     return np.polynomial.legendre.leggauss(p)
 
 
-def _nested_grid(n: int, t_k: float, dt: float, x: Array, w: Array) -> list[tuple[Array, Array, Array]]:
+def _nested_grid(t_k: float, dt: float, rules: Sequence[tuple[Array, Array]]) -> list[tuple[Array, Array, Array]]:
     """Levels 1..n of the Gauss-Legendre grid of the time-ordered simplex
-    ``t_k + dt >= s_1 >= s_2 >= ... >= s_n >= t_k`` (reversed when dt < 0).
+    ``t_k + dt >= s_1 >= s_2 >= ... >= s_n >= t_k`` (reversed when dt < 0),
+    one ``(x, w)`` rule per level, level 1 outermost.
 
-    Level k is ``(nodes, local, product)``, each of shape ``(p,)*k``: the rule
-    ``x, w`` mapped onto ``[t_k, s_{k-1}]`` (``s_0 = t_k + dt``) for every
-    node of the outer levels, its weights, and the product of the local
-    weights of levels 1..k.  The maps are affine, so a negative ``dt`` needs
-    no special case.
+    Level k is ``(nodes, local, product)``, each of shape ``(m_1, ..., m_k)``
+    for rules of ``m_1, ..., m_k`` points: rule k mapped onto ``[t_k,
+    s_{k-1}]`` (``s_0 = t_k + dt``) for every node of the outer levels, its
+    weights, and the product of the local weights of levels 1..k.  The maps
+    are affine, so a negative ``dt`` needs no special case.
     """
     levels = []
     upper, product = np.float64(t_k + dt), np.float64(1.0)
-    for _ in range(n):
+    for x, w in rules:
         half = np.expand_dims(0.5 * (upper - t_k), -1)
         nodes = half * x + np.expand_dims(0.5 * (t_k + upper), -1)
         local = half * w
@@ -245,24 +249,24 @@ def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float) -> Arr
     :func:`interpolant` does); it is called once per level of the collapsed
     grid of :func:`_nested_grid`.  The integrand is linear in its innermost
     ``H``, so that level is contracted with its local weights first; the
-    integrand is then evaluated once over the ``(p,)*(n-1)`` outer grid and
-    contracted with the product weights.  The quadruple integral includes its
-    overall factor 2.
+    integrand is then evaluated once over the ``(m_1, ..., m_{n-1})`` outer
+    grid and contracted with the product weights.  The quadruple integral
+    includes its overall factor 2.
 
-    For an ``h`` of degree q the outermost time's integrand has degree
-    ``n(q + 1) - 1``, and each inner time's less, so every axis takes the
-    ``p = ceil(n(q + 1) / 2)`` points that integrate it exactly: the result
-    is exact, up to rounding, for every ``h`` of :func:`interpolant`.  An
-    ``h`` without a ``degree`` attribute is taken as quartic, the highest
-    degree :func:`interpolant` builds.  The innermost level holds ``p**n``
-    matrices (at most 10**4, quartic at n = 4), which bounds the memory of
-    a call.
+    For an ``h`` of degree q, once the levels inside it are integrated,
+    level j (1 outermost) has degree ``(n - j + 1)(q + 1) - 1`` in its own
+    time, so it takes the ``m_j = ceil((n - j + 1)(q + 1) / 2)`` points that
+    integrate it exactly: the result is exact, up to rounding, for every
+    ``h`` of :func:`interpolant`, whatever the bracket structure of the
+    integrand.  An ``h`` without a ``degree`` attribute is taken as quartic,
+    the highest degree :func:`interpolant` builds.  The innermost level
+    holds ``m_1 ... m_n`` matrices (at most 10 * 8 * 5 * 3 = 1200, quartic
+    at n = 4; 384 cubic, 24 linear), which bounds the memory of a call.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"n must be in 1..4, got {n}")
     q = getattr(h, "degree", 4)
-    x, w = _gl_rule((n * (q + 1) + 1) // 2)
-    levels = _nested_grid(n, t_k, dt, x, w)
+    levels = _nested_grid(t_k, dt, [_gl_rule(((n - j) * (q + 1) + 1) // 2) for j in range(n)])
     nodes_n, local_n, _ = levels[-1]
     inner = np.einsum("...i,...ijk->...jk", local_n, h(nodes_n))
     if n == 1:
@@ -276,10 +280,10 @@ def oracle_Mn(h: Callable[[Array], Array], n: int, t_k: float, dt: float) -> Arr
 
 def _nested3_scalar(g, t_k: float, dt: float) -> float:
     """Triple time-ordered integral of a scalar integrand g(t1, t2, t3) that
-    broadcasts over arrays of times and has degree at most 1 in each, so its
-    outermost time has degree 5, which 3 points integrate exactly."""
-    x, w = _gl_rule(3)
-    (s1, _, _), (s2, _, _), (s3, _, product) = _nested_grid(3, t_k, dt, x, w)
+    broadcasts over arrays of times and has degree at most 1 in each, so
+    once the levels inside it are integrated its times s_3, s_2 and s_1 have
+    degree 1, 3 and 5, which 1, 2 and 3 points integrate exactly."""
+    (s1, _, _), (s2, _, _), (s3, _, product) = _nested_grid(t_k, dt, [_gl_rule(p) for p in (3, 2, 1)])
     return float(np.sum(product * g(s1[:, None, None], s2[..., None], s3)))
 
 

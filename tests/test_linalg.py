@@ -243,10 +243,19 @@ class TestCommutator:
 # their own products and sums, at most a few ulps of the d-term sums apart.
 COMMUTATOR_REFERENCE_TOL = 1e-14
 
-# Operand shapes: one matrix, equal stacks, and the broadcast pairs of the
-# oracle's triple (p, 1) x (p, p) and quadruple (p, 1, 1), (p, p, 1) x (p, p,
-# p) integrands at p = 8 points, a cubic interpolant's quadruple integral.
-COMMUTATOR_SHAPES = [((), ()), ((5,), (5,)), ((8, 1), (8, 8)), ((8, 1, 1), (8, 8, 8)), ((8, 8, 1), (8, 8, 8))]
+# Operand shapes: one matrix, equal stacks, the broadcast pairs of the
+# oracle's triple and quadruple integrands on a grid of 8 points per level,
+# and the pairs of a cubic interpolant's quadruple integral, whose levels
+# take 8, 6, 4 and 2 points: (8, 1, 1) x (8, 6, 1) and (8, 6, 1) x (8, 6, 4).
+COMMUTATOR_SHAPES = [
+    ((), ()),
+    ((5,), (5,)),
+    ((8, 1), (8, 8)),
+    ((8, 1, 1), (8, 8, 8)),
+    ((8, 8, 1), (8, 8, 8)),
+    ((8, 1, 1), (8, 6, 1)),
+    ((8, 6, 1), (8, 6, 4)),
+]
 
 
 def naive_commutator(a, b):

@@ -1,4 +1,5 @@
 import inspect
+import math
 import textwrap
 
 import numpy as np
@@ -62,6 +63,29 @@ class TestInterpolant:
         expected = np.stack([np.stack([h(t) for t in row]) for row in ts])
         assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("degree", range(1, 5))
+    def test_basis_has_the_bits_of_the_per_factor_product(self, degree):
+        # each basis function is the product of the factors (t - x_m) / (x_j
+        # - x_m), m != j, taken left to right, as math.prod takes them
+        rng = np.random.default_rng(50 + degree)
+        samples = [random_hermitian(rng, 3) for _ in range(degree + 1)]
+        mats = np.stack(samples)
+        for t_k, dt in ((0.0, 1.0), (0.3, 0.8), (float(rng.uniform(-1.0, 1.0)), -float(rng.uniform(0.1, 2.0)))):
+            h = interpolant(samples, t_k, dt)
+            nodes = [t_k + dt * j / degree for j in range(degree + 1)]
+            rules = [verify._gl_rule(p) for p in (5, 4, 3)]
+            grid = [s for s, _, _ in verify._nested_grid(t_k, dt, rules)]
+            for ts in grid + [t_k + dt * rng.uniform(0.0, 1.0, (7, 2)), t_k + 0.37 * dt, nodes[-1]]:
+                t = np.asarray(ts, dtype=np.float64)
+                basis = [
+                    math.prod((t - xm) / (xj - xm) for m, xm in enumerate(nodes) if m != j)
+                    for j, xj in enumerate(nodes)
+                ]
+                expected = np.tensordot(np.stack(basis, axis=-1), mats, axes=1)
+                got = h(ts)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("count", [0, 6])
     def test_degree_out_of_range(self, count):
         # the degree is the sample count minus one, and only 0..4 are taken
@@ -118,16 +142,22 @@ class TestOracleAgainstClosedForms:
 
 
 class TestOracleQuadrature:
-    # The n-fold integral of a degree-q interpolant has degree n(q + 1) - 1 in
-    # its outermost time, so the oracle takes p(n, q) = ceil(n(q + 1) / 2)
-    # points per axis, and any point count from there up gives the same
-    # integrals up to rounding.  A wrong range map, product weight or point
-    # count would make them depend on the point count.
+    # Once the levels inside it are integrated, level j of the n-fold
+    # integral of a degree-q interpolant (j = 1 outermost) has degree (n - j +
+    # 1)(q + 1) - 1 in its own time, so the oracle gives it m_j = ceil((n - j
+    # + 1)(q + 1) / 2) points, and p(n, q) = m_1 at the outermost level.  Any
+    # point count from there up gives the same integrals up to rounding, and
+    # one point fewer at any one level does not.  A wrong range map, product
+    # weight or point count would make them depend on the point count.
     POINT_COUNT_AGREEMENT_TOL = 1e-13
 
     @staticmethod
     def points(n, q):
         return -(-n * (q + 1) // 2)
+
+    @staticmethod
+    def level_points(n, q):
+        return tuple(((n - j) * (q + 1) + 1) // 2 for j in range(n))
 
     @staticmethod
     def of_degree(q):
@@ -157,6 +187,45 @@ class TestOracleQuadrature:
             assert dev <= self.POINT_COUNT_AGREEMENT_TOL, (points, dev)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_each_level_takes_the_fewest_points_its_degree_bound_needs(self, q, n, monkeypatch):
+        # one point fewer at one level alone leaves the 12-point integral by
+        # more than rounding, so no level takes more points than its degree
+        # bound needs.  Where that bound is attained, that is the fewest
+        # exact points.  At the third level from the inside (n - j + 1 = 3)
+        # of an even q, (n - j + 1)(q + 1) is odd and the level's top
+        # coefficient, a sum of brackets of H's leading coefficient with
+        # itself, cancels: the degree is one lower, so one point fewer is
+        # exact there too, and two fewer are not
+        h = self.of_degree(q)
+        exact = self.with_points(monkeypatch, h, n, 12)
+        nested_grid = verify._nested_grid
+
+        def deviation(level, points):
+            taken = []
+
+            def patched(t_k, dt, rules):
+                rules = list(rules)
+                taken.append([len(x) for x, _ in rules])
+                rules[level] = np.polynomial.legendre.leggauss(points)
+                return nested_grid(t_k, dt, rules)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_nested_grid", patched)
+                got = oracle_Mn(h, n, 0.3, 0.8)
+            assert taken == [list(self.level_points(n, q))]
+            return frobenius_norm(got - exact) / frobenius_norm(exact)
+
+        for level, m in enumerate(self.level_points(n, q)):
+            if m == 1:
+                continue
+            if q % 2 == 0 and n - level == 3:
+                assert deviation(level, m - 1) <= self.POINT_COUNT_AGREEMENT_TOL, (level + 1, m)
+                m -= 1
+            dev = deviation(level, m - 1)
+            assert dev > self.POINT_COUNT_AGREEMENT_TOL, (level + 1, m, dev)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exact_for_a_constant_against_its_scale(self, n, monkeypatch):
         # for n > 1 the integral is 0, so it is measured against ||C||_F**n,
         # as the degree-0 rows measure it
@@ -167,7 +236,9 @@ class TestOracleQuadrature:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("q", [0, 1, 2, 3, 4, None], ids=lambda q: f"degree{q}")
     def test_one_batched_interpolant_call_per_level(self, q, n):
-        # an h without a degree is taken as quartic, the highest interpolant builds
+        # the innermost level's call, the only one with n axes, covers the
+        # whole grid (m_1, ..., m_n); an h without a degree is taken as
+        # quartic, the highest interpolant builds
         h = self.of_degree(4 if q is None else q)
         calls = []
 
@@ -179,7 +250,30 @@ class TestOracleQuadrature:
             counted.degree = q
         oracle_Mn(counted, n, 0.3, 0.8)
         assert len(calls) <= n
-        assert max(int(np.prod(shape)) for shape in calls) == self.points(n, 4 if q is None else q) ** n
+        assert [shape for shape in calls if len(shape) == n] == [self.level_points(n, 4 if q is None else q)]
+
+    def test_work_of_one_draw_of_each_suite(self, monkeypatch):
+        # 19 oracle calls whose innermost levels hold 972 matrices in all
+        # (9127 with every level at the outermost level's point count)
+        innermost = []
+
+        def counted_oracle(h, n, t_k, dt):
+            sizes = []
+
+            def counted(ts):
+                sizes.append(np.size(ts))
+                return h(ts)
+
+            counted.degree = h.degree
+            value = oracle_Mn(counted, n, t_k, dt)
+            innermost.append(max(sizes))
+            return value
+
+        monkeypatch.setattr(verify, "oracle_Mn", counted_oracle)
+        cfg = OracleConfig(seed=5, dim=3)
+        check_closed_forms(cfg, draws=1)
+        check_symmetry_suite(cfg, draws=1)
+        assert (len(innermost), sum(innermost)) == (19, 972)
 
 
 class TestGaussNodeForms:
