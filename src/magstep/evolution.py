@@ -4,9 +4,9 @@ The step pipeline streams over fixed-size chunks of one or more uniform
 grids over the same interval: :func:`_step_chunks` samples, builds and
 exponentiates one chunk of steps at a time (all step exponents of a
 chunk in one broadcasted ``magnus_steps._theta`` call, then one batched
-``magnus_steps._propagators``), the same per-step arithmetic as
-:func:`magstep.magnus_steps.step`.  The exponential is the closed su(2) form
-at d = 2.  Above, each step whose Theta has 1-norm at most
+``linalg._expm``, the one exponential dispatch), the same per-step
+arithmetic as :func:`magstep.magnus_steps.step`.  The exponential is the
+closed su(2) form at d = 2.  Above, each step whose Theta has 1-norm at most
 ``linalg.TAYLOR_NORM_CUT`` (about 1.1025) takes a Taylor polynomial, of
 the lowest degree of ``linalg.TAYLOR_DEGREES`` (6, 9, 12, 16 or 18) whose
 remainder at that norm is below half a unit roundoff, so it is unitary to
@@ -71,9 +71,9 @@ checked: each input once, before anything is sampled, in this order.
 ``propagate`` checks the state's normalization, ħ, the interval,
 ``n_steps``, the size preflight (:func:`_checked_size`) and then a model's
 dimension against the state's.  ``convergence_study`` checks ħ, the
-interval, the methods, the ladder and its step counts, then takes a
-callable's dimension probe, then makes the size preflight on the reference
-grid, the largest it runs.  ħ and the interval are checked together, ħ
+interval, the methods (at least one, none twice), the ladder and its step
+counts, then takes a callable's dimension probe, then makes the size
+preflight on the reference grid, the largest it runs.  ħ and the interval are checked together, ħ
 first, by :func:`_checked_span`: ``ValueError`` for an ħ that is not
 positive and finite (``magnus_steps._checked_hbar``) and for a non-finite
 ``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless ``tf >
@@ -95,8 +95,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .hamiltonians import HamiltonianModel
-from .linalg import Array, PreconditionError, frobenius_norm, matmul, unitarity_defect
-from .magnus_steps import MethodId, _checked_hbar, _checked_samples, _propagators, _theta, sample_nodes
+from .linalg import Array, PreconditionError, _expm, frobenius_norm, matmul, unitarity_defect
+from .magnus_steps import MethodId, _checked_hbar, _checked_samples, _theta, sample_nodes
 
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps these names
 from .linalg import expm_antihermitian  # noqa: F401
@@ -303,7 +303,7 @@ def _step_chunks(
             dt = np.concatenate([np.full(stop - start, dts[g]) for g, start, stop in pieces])
         # the node list is not named here: _theta replaces each of its stacks by
         # the scaled one, so no node is held twice, and frees it before expm
-        u = _propagators(_theta(method, _node_samples(method, model, t0, dts, pieces, dt, dim), dt, hbar))
+        u = _expm(_theta(method, _node_samples(method, model, t0, dts, pieces, dt, dim), dt, hbar))
         return pieces, u
 
     width = max(1, CHUNK_BYTES // (16 * dim**2))
@@ -567,12 +567,16 @@ def convergence_study(
     independently cross-checked with :data:`CROSS_CHECK_METHOD` on the same
     grid; the study refuses to run if the two disagree beyond
     :data:`REFERENCE_AGREEMENT_TOL` relative.  Checks ``hbar``, the
-    interval, the methods, the ladder and its step counts, then takes a
+    interval, the methods (``ValueError`` for none, since a study of no
+    method would run both references for nothing, or for one listed
+    twice), the ladder and its step counts, then takes a
     callable's dimension from one sample at ``t0``, then checks that the
     reference grid fits (:func:`_checked_size`), all before the study
     samples anything else.
     """
     span = _checked_span(t0, tf, hbar)
+    if len(methods) == 0:
+        raise ValueError("methods must list at least one method, got none")
     for i, method in enumerate(methods):
         if method in methods[:i]:
             raise ValueError(f"methods list {method.value} more than once; each method is studied once")

@@ -3,12 +3,14 @@
 All functions accept a single ``(d, d)`` matrix or a stack ``(..., d, d)``;
 norms return a float for a single matrix and an array for a stack.  The
 exponential of an anti-Hermitian matrix is unitary to rounding at every
-magnitude.  At d > 2 each matrix takes one of six kernels, picked by its
-own 1-norm.  Up to ``TAYLOR_NORM_CUT``, about 1.1025, it is a Taylor
-polynomial, of the lowest degree of ``TAYLOR_DEGREES`` whose remainder at
-that norm is below half a unit roundoff (Higham, SIAM J. Matrix Anal. Appl.
-26 (2005) 1179; Al-Mohy and Higham, ibid. 31 (2009) 970), so the
-polynomial is the exponential, and unitary, to rounding:
+magnitude.  :func:`_expm` is the one place its kernel is picked: su(2)
+coordinates take a closed form, and every matrix, single or in a stack,
+one of six kernels by one tier dispatch (``np.searchsorted`` of the cuts
+over its 1-norm).  Up to ``TAYLOR_NORM_CUT``, about 1.1025, it is a
+Taylor polynomial, of the lowest degree of ``TAYLOR_DEGREES`` whose
+remainder at that norm is below half a unit roundoff (Higham, SIAM J.
+Matrix Anal. Appl. 26 (2005) 1179; Al-Mohy and Higham, ibid. 31 (2009)
+970), so the polynomial is the exponential, and unitary, to rounding:
 
     degree             6       9       12      16      18
     1-norm up to       0.0161  0.1071  0.3178  0.7917  1.1025
@@ -23,11 +25,12 @@ batched ``@`` and ``eigh`` spend nearly all their time on per-matrix
 overhead at that size: :func:`matmul` forms each 2x2 product as a sum of
 two broadcast elementwise products below ``SUMMED_MATMUL_CUT`` matrices,
 three ufunc calls for a small batch, and entry by entry in one result array
-from the cut on; :func:`expm_antihermitian` writes the exponent in the Pauli
-basis and returns its su(2) exponential.  :func:`commutator`, the general
-``ab - ba`` of the certification oracles, forms both products as sums of
-broadcast elementwise products up to d = 4, where that overhead still
-outweighs a small complex product, and uses ``@`` above.  These three
+from the cut on; :func:`expm_antihermitian` writes the exponent in the
+Pauli basis, whose su(2) exponential :func:`_expm` takes.
+:func:`commutator`, the general ``ab - ba`` of the certification oracles,
+forms both products as sums of broadcast elementwise products up to d = 4,
+where that overhead still outweighs a small complex product, and uses
+``@`` above.  These three
 kernels are the only ones that branch on the dimension, and :func:`matmul`
 the only one that also branches on the batch size.  The step builders work
 on su(2) coordinates at d = 2: :func:`su2_coordinates` converts a checked
@@ -40,9 +43,9 @@ entry, and measures ``||a -+ a†||_F`` relative to the norm, scaling a stack
 with huge entries down first so a finite matrix cannot overflow its own
 test.  Callers apply it once at their input boundary.
 :func:`expm_antihermitian` takes matrices only, real ones included, and
-applies it to every exponent.  The step pipeline exponentiates the exponents
-it builds itself with the unchecked kernels behind it, :func:`_expm_su2` of
-su(2) coordinates and :func:`_expm_matrix` of a matrix.
+applies it to every exponent before it calls :func:`_expm`.  ``step`` and
+the step pipeline call :func:`_expm` unchecked on the exponents they build
+themselves, su(2) coordinates or matrices.
 :func:`commutator` checks nothing but that its operands are square of one
 dimension, and the Frobenius norm and the unitarity defect are plain
 formulas: a NaN or Inf entry comes back as a NaN or Inf result rather than
@@ -306,18 +309,16 @@ def expm_antihermitian(theta) -> Array:
     :class:`NotAntiHermitianError` unless ``||theta + theta†||_F <=
     EXPONENT_ANTIHERMITICITY_TOL * max(1, ||theta||_F)``, both evaluated by
     :func:`checked_square`, so an exponent too large for its norm is still
-    tested.  Then it returns :func:`_expm_matrix` of ``theta``: the Taylor
-    polynomial of each matrix of 1-norm up to ``TAYLOR_NORM_CUT``, of the
-    lowest degree whose cut covers that norm, the eigendecomposition of each
-    above; or at d = 2 the closed form of :func:`_expm_su2` of the su(2)
-    coordinates of ``i*theta``.
+    tested.  Then it returns :func:`_expm` of the su(2) coordinates of
+    ``i*theta`` at d = 2, and of ``theta`` itself above: the closed form at d
+    = 2, and above it the Taylor polynomial of each matrix of 1-norm up to
+    ``TAYLOR_NORM_CUT``, of the lowest degree whose cut covers that norm, the
+    eigendecomposition of each above.
     """
     theta, ratio, defect = checked_square(theta, -1)
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
         raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
-    if theta.shape[-1] == 2:
-        return _expm_su2(su2_coordinates(1j * theta))
-    return _expm_matrix(theta)
+    return _expm(su2_coordinates(1j * theta) if theta.shape[-1] == 2 else theta)
 
 
 def _taylor_norm_cut(degree: int, unit: float) -> float:
@@ -353,33 +354,31 @@ _TAYLOR_COEFFICIENTS = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_DEGRE
 TAYLOR_BLOCK_BYTES = 2**18
 
 
-def _expm_matrix(theta: Array) -> Array:
-    """``exp(theta)`` of a complex anti-Hermitian (stack of) matrix(es),
-    unchecked: :func:`_expm_taylor` of each matrix whose 1-norm is at most
+def _expm(theta: Array) -> Array:
+    """``exp(theta)``, unchecked, of an exponent the library built or checked:
+    the one place an exponential's kernel is picked.
+
+    Real float64 ``theta`` is su(2) coordinates, anti-Hermitian by type, and
+    goes to :func:`_expm_su2`.  A complex (stack of) anti-Hermitian
+    matrix(es) goes through one tier dispatch, for a single matrix as for a
+    stack: :func:`_expm_taylor` of each matrix whose 1-norm is at most
     ``TAYLOR_NORM_CUT``, at the lowest degree of ``TAYLOR_DEGREES`` whose
     cut covers that norm, :func:`_expm_eigh` of each above.  A matrix's bits
-    depend on it alone, not on the stack it is in.  A single matrix, or a
-    stack all in one tier, goes to one kernel whole; only a stack that spans
-    tiers is split.  An empty ``theta`` (0×0 matrices, or none) has the
-    empty exponential of its own shape."""
+    depend on it alone, not on the stack it is in.  Matrices all in one tier
+    go to their kernel whole; only a stack that spans tiers is split.  An
+    empty ``theta`` (0×0 matrices, or none) has the empty exponential of its
+    own shape."""
+    if theta.dtype == np.float64:
+        return _expm_su2(theta)
     if theta.size == 0:
         return np.empty_like(theta)
-    # on one small matrix, the ufuncs' reductions and scalar comparisons
-    # take under half the time of the array methods and .all()/.any()
+    # on one small matrix, the ufuncs' reductions take under half the time
+    # of the array methods
     norms = np.maximum.reduce(np.add.reduce(np.abs(theta), axis=-2), axis=-1)
-    if norms.ndim == 0:
-        # the top cut first: a matrix above it, or a NaN norm, pays one
-        # comparison, and one below it at most five
-        if not norms <= TAYLOR_NORM_CUT:
-            return _expm_eigh(theta)
-        for degree, cut in _TAYLOR_TIERS[:-1]:
-            if norms <= cut:
-                return _expm_taylor(theta, degree)
-        return _expm_taylor(theta, TAYLOR_DEGREES[-1])
     # tier k takes the norms in (cut[k - 1], cut[k]]; past the last cut, and
     # a NaN norm, is eigh's tier
     tiers = np.searchsorted(_TAYLOR_CUTS, norms)
-    low, high = int(tiers.min()), int(tiers.max())
+    low, high = int(np.minimum.reduce(tiers, axis=None)), int(np.maximum.reduce(tiers, axis=None))
     if low == high:
         return _expm_tier(theta, low)
     out = np.empty_like(theta)
@@ -391,7 +390,7 @@ def _expm_matrix(theta: Array) -> Array:
 
 
 def _expm_tier(theta: Array, tier: int) -> Array:
-    """The kernel of tier ``tier`` of :func:`_expm_matrix` at ``theta``."""
+    """The kernel of tier ``tier`` of :func:`_expm` at ``theta``."""
     if tier == len(TAYLOR_DEGREES):
         return _expm_eigh(theta)
     return _expm_taylor(theta, TAYLOR_DEGREES[tier])

@@ -42,8 +42,10 @@ anti-Hermitian matrices, so the exponent stays in the Lie algebra u(d).  A
 scaling or a term that overflows the float range raises
 ``PreconditionError``.
 ``exponent`` returns Theta as a matrix.  ``step``, like the evolution
-driver, exponentiates the Theta it built without checking it again
-(:func:`_propagators`): it is the library's own output, not an input.
+driver, hands the Theta it built to ``linalg._expm`` without checking it
+again: it is the library's own output, not an input.  Both entry points
+also raise ``ValueError`` for a ``dt`` with a NaN or infinite entry, after
+ħ and before any sample (``_checked_dt``).
 
 At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
 R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
@@ -53,8 +55,8 @@ generators, is the only place that representation is chosen: it converts a
 checked 2x2 matrix sample with ``linalg.su2_coordinates`` and takes the
 coordinates a two-level ``HamiltonianModel`` gives the driver as they are,
 to the same floats.  :func:`commutator`, :func:`as_matrix`, which gives
-``exponent`` the matrix Theta, and :func:`_propagators`, which hands
-coordinates to ``linalg._expm_su2``, follow the generators' dtype.
+``exponent`` the matrix Theta, and ``linalg._expm``, which takes either,
+follow the generators' dtype.
 
 Every bracket here goes through :func:`commutator`.  On coordinates it is
 the cross product ``(0, 2 a x b)``.  On matrices it forms one product
@@ -87,8 +89,7 @@ from .linalg import (
     Array,
     DimensionMismatchError,
     PreconditionError,
-    _expm_matrix,
-    _expm_su2,
+    _expm,
     checked_square,
     dagger,
     matmul,
@@ -181,6 +182,14 @@ def _checked_hbar(hbar: float) -> None:
     """Raise ``ValueError`` unless ``hbar`` is positive and finite."""
     if not (hbar > 0 and math.isfinite(hbar)):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
+
+
+def _checked_dt(dt) -> None:
+    """Raise ``ValueError`` naming ``dt`` unless each of its entries, a
+    scalar's or a per-step array's, is finite."""
+    if not np.isfinite(dt).all():
+        k = int(np.argmax(~np.isfinite(np.ravel(dt))))
+        raise ValueError(f"dt must be finite, got {np.ravel(dt)[k]}" + (f" at step {k}" if np.ndim(dt) else ""))
 
 
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
@@ -303,19 +312,6 @@ def _theta(method: MethodId, samples: list[Array], dt, hbar: float) -> Array:
         ) from exc
 
 
-def _propagators(theta: Array) -> Array:
-    """``exp(Theta)`` of a Theta :func:`_theta` built, not checked again:
-    ``linalg._expm_su2`` of su(2) coordinates, which are anti-Hermitian by
-    type, else ``linalg._expm_matrix`` of the matrix, which the builders
-    keep anti-Hermitian: a Taylor polynomial of each step whose Theta has
-    1-norm at most ``linalg.TAYLOR_NORM_CUT``, of the lowest degree of
-    ``linalg.TAYLOR_DEGREES`` whose remainder at that norm is below half a
-    unit roundoff, and the eigendecomposition of each step above.  Each
-    step's bits depend on its own Theta alone, not on the chunk it is built
-    in."""
-    return _expm_su2(theta) if theta.dtype == np.float64 else _expm_matrix(theta)
-
-
 def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float = 1.0) -> Array:
     """Anti-Hermitian exponent Theta with ``U = exp(Theta)`` for one step.
 
@@ -323,11 +319,13 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     matrices, real or complex, stacked as ``(n, d, d)`` or not, all of one
     shape.  No sample is written to, so two nodes may share memory.  ``dt``
     is a scalar or, for stacks, a per-step ``(n,)`` array.  Raises
-    ``ValueError`` unless ``hbar`` is positive and finite, before any sample
-    is checked; then checks the samples (:func:`_checked_samples`) and
-    returns the complex matrix (stack) of :func:`_theta`.
+    ``ValueError`` unless ``hbar`` is positive and finite, then unless every
+    ``dt`` is finite, before any sample is checked; then checks the samples
+    (:func:`_checked_samples`) and returns the complex matrix (stack) of
+    :func:`_theta`.
     """
     _checked_hbar(hbar)
+    _checked_dt(dt)
     return as_matrix(_theta(method, _checked_samples(method, samples), dt, hbar))
 
 
@@ -533,10 +531,14 @@ def step(
 ) -> Array:
     """Unitary propagator over ``[t_k, t_k + dt]``; negative ``dt`` steps backward.
 
-    The sampler's matrices are checked as ``exponent`` checks them, and
-    Theta is exponentiated as the evolution driver exponentiates it."""
+    Raises :class:`PreconditionError` for ``dt = 0`` and ``ValueError``
+    unless ``hbar`` is positive and finite, then unless ``dt`` is finite,
+    before the sampler is called.  The sampler's matrices are checked as
+    ``exponent`` checks them, and Theta is exponentiated by ``linalg._expm``,
+    as the evolution driver exponentiates it."""
     if dt == 0.0:
         raise PreconditionError("step size dt must be nonzero")
     _checked_hbar(hbar)
+    _checked_dt(dt)
     samples = _checked_samples(method, {node: sampler(t_k + node * dt) for node in sample_nodes(method)})
-    return _propagators(_theta(method, samples, dt, hbar))
+    return _expm(_theta(method, samples, dt, hbar))

@@ -47,15 +47,16 @@ term is compared as a matrix (``magnus_steps.as_matrix``).  The
 oracle takes the interpolant of the same samples over ``[0, 1]``, and
 Omega_n is its n-th integral over ``n!``: every integral is multilinear in
 the samples, so scaling them by ``-i dt`` costs the oracle nothing of its
-independence.  Every suite needs at least one draw (the CLI rejects
-``--draws`` below 1), and a row whose worst deviation is NaN fails: a
-Frobenius norm that overflows at a huge ``dt``, or a relative deviation the
-norm cannot measure because its squares would underflow or the
-reference's overflow (:func:`_rel_dev`), so no row passes by reading 0.
-The degree-0 rows, the commutator integrals of a constant interpolant,
-which are 0, are measured the same way (:func:`_relative`) against their
-scale for the draw, ``||a_const||_F**n``, so they cannot pass at any
-``dt`` by being small.
+independence.  Every suite needs at least one draw (both suites raise
+``ValueError`` for ``draws`` below 1, and the CLI rejects ``--draws`` below
+1 with its own usage message), and a row whose worst deviation is NaN
+fails: a Frobenius norm that overflows at a huge ``dt``, or a relative
+deviation the norm cannot measure because its squares would underflow or
+the reference's overflow (:func:`_rel_dev`), so no row passes by reading
+0.  The degree-0 rows, the commutator integrals of a constant
+interpolant, which are 0, are measured the same way (:func:`_relative`)
+against their scale for the draw, ``||a_const||_F**n``, so they cannot
+pass at any ``dt`` by being small.
 """
 
 from __future__ import annotations
@@ -321,6 +322,12 @@ class _MaxTracker:
         return list(self._rows.values())
 
 
+def _checked_draws(draws: int) -> None:
+    """Raise ``ValueError`` naming ``draws`` unless it is at least 1."""
+    if not draws >= 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+
+
 def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     """Certify every closed-form commutator expression against the oracles.
 
@@ -332,8 +339,10 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     its row, is in magnitude below the smallest normal float (about
     2.2e-308, so ``|dt|`` below about 1.3875e-102), where its rounding is
     too coarse for the row's tolerance; both before any draw, naming ``dt``.
-    A negative ``dt`` is a valid step.
+    A negative ``dt`` is a valid step.  Raises ``ValueError`` for ``draws``
+    below 1 first, since the rows a suite of no draws reports check nothing.
     """
+    _checked_draws(draws)
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
     try:
@@ -428,7 +437,9 @@ def _random_smooth_sampler(rng: np.random.Generator, dim: int) -> Callable[[floa
 def check_symmetry_suite(cfg: OracleConfig, draws: int = 200) -> CheckReport:
     """Unitarity and backward-adjoint checks over all methods, ``draws``
     each, plus the sign flip of every oracle integral under reversal of the
-    step, over ``min(draws, 25)`` draws."""
+    step, over ``min(draws, 25)`` draws.  Raises ``ValueError`` for
+    ``draws`` below 1, as :func:`check_closed_forms` does."""
+    _checked_draws(draws)
     rng = np.random.default_rng(cfg.seed)
     track = _MaxTracker()
 

@@ -689,6 +689,13 @@ class TestConvergenceStudy:
             convergence_study(builtin_case("I"), [MethodId.ME2], dts=dts, tf=1.0)
         assert not isinstance(info.value, PreconditionError)
 
+    def test_rejects_empty_methods_before_sampling(self, monkeypatch):
+        # a study of no method would run both reference passes for no record
+        forbid_sampling(monkeypatch)
+        with pytest.raises(ValueError, match="methods must list at least one method") as info:
+            convergence_study(builtin_case("I"), [], dts=[0.5], tf=1.0)
+        assert not isinstance(info.value, PreconditionError)
+
     def test_rejects_repeated_method_before_sampling(self, monkeypatch):
         forbid_sampling(monkeypatch)
         with pytest.raises(ValueError, match="me2 more than once") as info:

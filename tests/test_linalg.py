@@ -656,14 +656,14 @@ class TestExpmMatrix:
         tiers = rng.permutation(n) % (len(TAYLOR_TIERS) + 1)
         thetas = antihermitian_of_norm(rng, n, dim, norms_in_tiers(rng, tiers))
         assert np.array_equal(tier_of(one_norms(thetas)), tiers)
-        got = linalg._expm_matrix(thetas)
+        got = linalg._expm(thetas)
         assert got.tobytes() == expm_antihermitian(thetas).tobytes()
         for tier in range(len(TAYLOR_TIERS) + 1):
             for rows in (tiers == tier, (tiers == tier) | (tiers == tier + 1), tiers != tier):
-                assert got[rows].tobytes() == linalg._expm_matrix(thetas[rows]).tobytes(), tier
-        assert got[3:].tobytes() == linalg._expm_matrix(thetas[3:]).tobytes()
+                assert got[rows].tobytes() == linalg._expm(thetas[rows]).tobytes(), tier
+        assert got[3:].tobytes() == linalg._expm(thetas[3:]).tobytes()
         for k in list(range(0, n, 97)) + [n - 1]:
-            assert got[k].tobytes() == linalg._expm_matrix(thetas[k]).tobytes(), k
+            assert got[k].tobytes() == linalg._expm(thetas[k]).tobytes(), k
             assert got[k].tobytes() == expm_antihermitian(thetas[k]).tobytes(), k
 
     @pytest.mark.parametrize("dim", [3, 8, 16])
@@ -676,7 +676,7 @@ class TestExpmMatrix:
         cut = dict(linalg._TAYLOR_TIERS)[degree]
         thetas = antihermitian_of_norm(rng, 256, dim, np.full(256, cut * (1.0 + side * 2.0**-40)))
         assert np.all((one_norms(thetas) <= cut) == (side < 0))
-        got = linalg._expm_matrix(thetas)
+        got = linalg._expm(thetas)
         assert np.max(unitarity_defect(got)) <= UNITARITY_AT_THE_CUT_TOL
         assert np.max(frobenius_norm(got - linalg._expm_eigh(thetas))) <= TAYLOR_EIGH_AGREEMENT_TOL
 
@@ -685,7 +685,7 @@ class TestExpmMatrix:
     def test_agrees_with_the_eigendecomposition_below_the_cut(self, dim, fraction):
         rng = np.random.default_rng(720 + dim)
         thetas = antihermitian_of_norm(rng, 64, dim, np.full(64, fraction * TAYLOR_NORM_CUT))
-        got = linalg._expm_matrix(thetas)
+        got = linalg._expm(thetas)
         assert np.max(frobenius_norm(got - linalg._expm_eigh(thetas))) <= TAYLOR_EIGH_AGREEMENT_TOL
 
     @staticmethod
@@ -707,15 +707,41 @@ class TestExpmMatrix:
         thetas = antihermitian_of_norm(rng, 5, 4, norms_in_tiers(rng, [tier] * 5))
         for theta in (thetas, thetas[0]):
             seen.clear()
-            linalg._expm_matrix(theta)
+            linalg._expm(theta)
             assert len(seen) == 1 and seen[0][0] == degree and seen[0][1] is theta
+
+    @staticmethod
+    def record_tiers(monkeypatch):
+        """Replace the tier lookup by a wrapper that appends ``(tier,
+        theta)`` to the returned list and returns an empty result."""
+        seen = []
+        monkeypatch.setattr(linalg, "_expm_tier", lambda t, tier: seen.append((tier, t)) or np.empty_like(t))
+        return seen
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("tier", range(len(TAYLOR_TIERS) + 1))
+    def test_a_single_matrix_takes_the_one_tier_dispatch(self, monkeypatch, tier, dim):
+        # as a stack in one tier does: one lookup, with its tier, of the
+        # matrix itself
+        rng = np.random.default_rng(750 + tier)
+        seen = self.record_tiers(monkeypatch)
+        (theta,) = antihermitian_of_norm(rng, 1, dim, norms_in_tiers(rng, [tier]))
+        linalg._expm(theta)
+        assert len(seen) == 1 and seen[0][0] == tier and seen[0][1] is theta
+
+    def test_a_nan_norm_is_in_the_eigendecomposition_s_tier(self, monkeypatch):
+        seen = self.record_tiers(monkeypatch)
+        theta = np.zeros((3, 3), dtype=np.complex128)
+        theta[1, 2] = np.nan
+        linalg._expm(theta)
+        assert len(seen) == 1 and seen[0][0] == len(TAYLOR_TIERS) and seen[0][1] is theta
 
     def test_a_stack_across_tiers_gives_each_tier_its_rows_once(self, monkeypatch):
         rng = np.random.default_rng(736)
         seen = self.record_kernels(monkeypatch)
         tiers = np.array([5, 2, 0, 2, 5, 3, 0])
         thetas = antihermitian_of_norm(rng, len(tiers), 4, norms_in_tiers(rng, tiers))
-        linalg._expm_matrix(thetas)
+        linalg._expm(thetas)
         degrees = linalg.TAYLOR_DEGREES + (None,)
         assert [degree for degree, _ in seen] == [degrees[tier] for tier in (0, 2, 3, 5)]
         for (_, t), tier in zip(seen, (0, 2, 3, 5)):

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from magstep import linalg, magnus_steps
+from magstep import linalg, magnus_steps, verify
 from magstep.evolution import convergence_study, propagate, relative_error
 from magstep.hamiltonians import builtin_case
 from magstep.linalg import (
@@ -409,6 +409,35 @@ class TestStep:
         with pytest.raises(PreconditionError):
             step(MethodId.ME2, lambda t: SZ, 0.0, 0.0)
 
+    # a non-finite dt is named before the sampler is called: no NaN
+    # propagator at d = 2, no numpy eigh failure at d = 3
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_non_finite_dt_raises_a_value_error_naming_it(self, method, dim, dt):
+        def sampler(t):
+            pytest.fail("sampled")
+
+        with pytest.raises(ValueError, match="dt must be finite") as info:
+            step(method, sampler, 0.0, dt)
+        assert not isinstance(info.value, PreconditionError)
+        with pytest.raises(ValueError, match="dt must be finite") as info:
+            exponent(method, {node: np.eye(dim) for node in sample_nodes(method)}, dt)
+        assert not isinstance(info.value, PreconditionError)
+
+    def test_a_per_step_dt_with_one_nan_names_its_step(self):
+        samples = {node: np.stack([np.eye(3)] * 3) for node in sample_nodes(MethodId.ME4_NC)}
+        with pytest.raises(ValueError, match="dt must be finite, got nan at step 1"):
+            exponent(MethodId.ME4_NC, samples, np.array([0.1, np.nan, 0.2]))
+
+    def test_dt_is_checked_after_hbar(self):
+        for call in (lambda hbar: exponent(MethodId.ME2, {0.0: SZ, 1.0: SZ}, np.nan, hbar=hbar),
+                     lambda hbar: step(MethodId.ME2, lambda t: SZ, 0.0, np.nan, hbar=hbar)):
+            with pytest.raises(ValueError, match="hbar"):
+                call(0.0)
+            with pytest.raises(ValueError, match="dt must be finite"):
+                call(1.0)
+
     def test_nan_sample_rejected(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             step(MethodId.ME6, lambda t: SZ if t < 0.5 else np.full((2, 2), np.nan), 0.0, 1.0)
@@ -561,12 +590,47 @@ class TestLongStacks:
         dt = 10.0 ** rng.uniform(-3.0, 0.0, n)
 
         def propagators(lo, hi):
-            return magnus_steps._propagators(magnus_steps._theta(method, [h[..., lo:hi] if dim == 2 else h[lo:hi] for h in samples], dt[lo:hi], 1.0))
+            return linalg._expm(magnus_steps._theta(method, [h[..., lo:hi] if dim == 2 else h[lo:hi] for h in samples], dt[lo:hi], 1.0))
 
         whole = propagators(0, n)
         assert (whole[:, 0, 0] if dim == 2 else whole).nbytes >= 2**18
         sliced = [propagators(lo, lo + SHORT_SLICE) for lo in range(0, n, SHORT_SLICE)]
         assert whole.tobytes() == np.concatenate(sliced).tobytes()
+
+
+def gate_kernel(theta):
+    """``exp(theta)`` of one d > 2 matrix by the kernel its 1-norm picks,
+    compared cut by cut: the lowest Taylor tier whose cut covers the norm,
+    the eigendecomposition past the top cut or at a NaN norm."""
+    norm = np.abs(theta).sum(axis=-2).max()
+    for degree, cut in linalg._TAYLOR_TIERS:
+        if norm <= cut:
+            return degree, linalg._expm_taylor(theta, degree)
+    return None, linalg._expm_eigh(theta)
+
+
+class TestStepKernels:
+    # step's single matrix goes through the tier dispatch the driver's
+    # stacks take, once, and gets the kernel, and the bits, that comparing
+    # its 1-norm with each cut gives it
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_step_has_the_bits_of_its_tier_kernel(self, monkeypatch, method, dim):
+        rng = np.random.default_rng(950 + dim)
+        sampler = verify._random_smooth_sampler(rng, dim)
+        tiers, lookup = [], linalg._expm_tier
+        monkeypatch.setattr(linalg, "_expm_tier", lambda t, tier: tiers.append(tier) or lookup(t, tier))
+        degrees = set()
+        # steps dense enough in size to put a Theta in every tier
+        for dt in np.geomspace(1e-4, 2.0, 48).tolist():
+            t_k = float(rng.uniform(-1.0, 1.0))
+            theta = exponent(method, {node: sampler(t_k + node * dt) for node in sample_nodes(method)}, dt)
+            degree, want = gate_kernel(theta)
+            degrees.add(degree)
+            tiers.clear()
+            assert step(method, sampler, t_k, dt).tobytes() == want.tobytes(), dt
+            assert tiers == [(linalg.TAYLOR_DEGREES + (None,)).index(degree)]
+        assert degrees == set(linalg.TAYLOR_DEGREES) | {None}
 
 
 EXPECTED_LOCAL_SLOPE = {

@@ -476,6 +476,17 @@ class TestOracleConfig:
             OracleConfig(seed=-1)
 
 
+class TestDraws:
+    # a suite of no draws would report only its draw-free rows, and pass
+    @pytest.mark.parametrize("draws", [0, -5])
+    @pytest.mark.parametrize("suite", [check_closed_forms, check_symmetry_suite], ids=lambda f: f.__name__)
+    def test_draws_below_one_raise_naming_draws(self, monkeypatch, suite, draws):
+        monkeypatch.setattr(verify, "oracle_Mn", lambda *a: pytest.fail("oracle called"))
+        monkeypatch.setattr(verify, "step", lambda *a: pytest.fail("step called"))
+        with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+            suite(OracleConfig(), draws=draws)
+
+
 class TestMaxTracker:
     @pytest.mark.parametrize("values", [(1e-15, np.nan), (np.nan, 1e-15), (np.nan,)])
     def test_nan_is_kept_and_fails_the_row(self, values):
