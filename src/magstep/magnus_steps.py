@@ -45,7 +45,8 @@ scaling or a term that overflows the float range raises
 driver, hands the Theta it built to ``linalg._expm`` without checking it
 again: it is the library's own output, not an input.  Both entry points
 also raise ``ValueError`` for a ``dt`` with a NaN or infinite entry, after
-ħ and before any sample (``_checked_dt``).
+ħ and before any sample (``_checked_dt``); ``step`` then does the same for
+a non-finite ``t_k`` or step end ``t_k + dt``.
 
 At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
 R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
@@ -533,12 +534,15 @@ def step(
 
     Raises :class:`PreconditionError` for ``dt = 0`` and ``ValueError``
     unless ``hbar`` is positive and finite, then unless ``dt`` is finite,
-    before the sampler is called.  The sampler's matrices are checked as
+    then unless ``t_k`` and the step's end ``t_k + dt`` are, before the
+    sampler is called.  The sampler's matrices are checked as
     ``exponent`` checks them, and Theta is exponentiated by ``linalg._expm``,
     as the evolution driver exponentiates it."""
     if dt == 0.0:
         raise PreconditionError("step size dt must be nonzero")
     _checked_hbar(hbar)
     _checked_dt(dt)
+    if not (math.isfinite(t_k) and math.isfinite(float(t_k) + float(dt))):
+        raise ValueError(f"t_k and t_k + dt must be finite, got t_k={t_k!r}, dt={dt!r}")
     samples = _checked_samples(method, {node: sampler(t_k + node * dt) for node in sample_nodes(method)})
     return _expm(_theta(method, samples, dt, hbar))

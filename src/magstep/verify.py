@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -322,10 +323,16 @@ class _MaxTracker:
         return list(self._rows.values())
 
 
-def _checked_draws(draws: int) -> None:
-    """Raise ``ValueError`` naming ``draws`` unless it is at least 1."""
-    if not draws >= 1:
+def _checked_draws(draws: int) -> int:
+    """``draws`` as an ``int``; raise ``TypeError`` naming it unless it is
+    an integer, and ``ValueError`` unless it is at least 1."""
+    try:
+        draws = operator.index(draws)
+    except TypeError:
+        raise TypeError(f"draws must be an integer, got {draws!r}") from None
+    if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    return draws
 
 
 def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
@@ -339,10 +346,11 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     its row, is in magnitude below the smallest normal float (about
     2.2e-308, so ``|dt|`` below about 1.3875e-102), where its rounding is
     too coarse for the row's tolerance; both before any draw, naming ``dt``.
-    A negative ``dt`` is a valid step.  Raises ``ValueError`` for ``draws``
-    below 1 first, since the rows a suite of no draws reports check nothing.
+    A negative ``dt`` is a valid step.  Raises ``TypeError`` for a
+    ``draws`` that is not an integer and ``ValueError`` for one below 1
+    first, since the rows a suite of no draws reports check nothing.
     """
-    _checked_draws(draws)
+    draws = _checked_draws(draws)
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
     try:
@@ -437,9 +445,10 @@ def _random_smooth_sampler(rng: np.random.Generator, dim: int) -> Callable[[floa
 def check_symmetry_suite(cfg: OracleConfig, draws: int = 200) -> CheckReport:
     """Unitarity and backward-adjoint checks over all methods, ``draws``
     each, plus the sign flip of every oracle integral under reversal of the
-    step, over ``min(draws, 25)`` draws.  Raises ``ValueError`` for
-    ``draws`` below 1, as :func:`check_closed_forms` does."""
-    _checked_draws(draws)
+    step, over ``min(draws, 25)`` draws.  Raises ``TypeError`` or
+    ``ValueError`` for a ``draws`` that is not an integer of at least 1, as
+    :func:`check_closed_forms` does."""
+    draws = _checked_draws(draws)
     rng = np.random.default_rng(cfg.seed)
     track = _MaxTracker()
 

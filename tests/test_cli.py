@@ -1013,14 +1013,16 @@ class TestG17Kernel:
     # the writer's %.17g kernel must give Python's '%.17g' % x byte for byte,
     # falling back to it for every value it cannot be sure of
 
-    def test_random_bit_patterns(self):
+    # 10 columns is the width of a dim-8 propagate table
+    @pytest.mark.parametrize("cols", [1, 3, 4, 10])
+    def test_random_bit_patterns(self, cols):
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2**64, 2**15, dtype=np.uint64, endpoint=False)
         specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
                              2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308])
-        x = np.concatenate([bits.view(np.float64), specials])
-        for block in (x.reshape(-1, 1), x[: 2**15].reshape(-1, 4)):
-            assert cli._g17_lines(block) == percent_lines(block)
+        x = np.concatenate([specials, bits.view(np.float64)])
+        block = x[: x.size - x.size % cols].reshape(-1, cols)
+        assert cli._g17_lines(block) == percent_lines(block)
 
     def test_powers_of_ten_and_their_neighbours(self):
         x = powers_of_ten_and_neighbours()
@@ -1041,6 +1043,14 @@ class TestG17Kernel:
         assert cli._g17_lines(x) == b"2.9802322387695312e-08,8.9406967163085938e-08\n" == percent_lines(x)
         # both are exact ties at the 17th digit, which the kernel leaves to '%'
         assert not cli._g17_digits(x.ravel(), *cli._g17_tables()[:2])[2].any()
+        # such a value in a row's first or last field is written into the
+        # frame before the row's separators are
+        unsure = np.array([2.0**-25, 1e-300, np.nan, -np.inf])
+        block = np.random.default_rng(5).random((4, 10))
+        block[:, 0], block[:, -1] = unsure, unsure[::-1]
+        ok = cli._g17_digits(block.ravel(), *cli._g17_tables()[:2])[2].reshape(block.shape)
+        assert ok[:, 1:-1].all() and not ok[:, [0, -1]].any()
+        assert cli._g17_lines(block) == percent_lines(block)
 
     def test_values_that_round_up_into_the_next_decade(self):
         # the nearest doubles to 1e-14, 1e+98, ... lie below them but round

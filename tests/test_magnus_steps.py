@@ -5,7 +5,7 @@ import pytest
 
 from magstep import linalg, magnus_steps, verify
 from magstep.evolution import convergence_study, propagate, relative_error
-from magstep.hamiltonians import builtin_case
+from magstep.hamiltonians import EntrySpec, HamiltonianModel, SinusoidTerm, builtin_case
 from magstep.linalg import (
     DimensionMismatchError,
     PreconditionError,
@@ -231,6 +231,29 @@ class TestExponent:
         samples = {0.0: np.zeros((3, 3, 2, 2)), 1.0: np.zeros((4, 3, 3))}
         with pytest.raises(DimensionMismatchError, match=r"node 0\.0: \(3, 3, 2, 2\), node 1\.0: \(4, 3, 3\)"):
             exponent(MethodId.ME2, samples, 0.1)
+
+    # a non-finite t_k, or a step whose end overflows, is named before any
+    # sample: no sample-check failure naming neither, no numpy warning first
+    @pytest.mark.parametrize("t_k, dt", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1), (1e308, 1e308)],
+                             ids=["nan", "inf", "-inf", "end-overflows"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_non_finite_t_k_raises_a_value_error_naming_it(self, method, dim, t_k, dt):
+        entries = {(0, 1): EntrySpec(0.5, (SinusoidTerm(1.0, 2.0),)), (dim - 1, dim - 1): EntrySpec(1.0)}
+        model = HamiltonianModel(dim, entries)
+
+        def sampler(t):
+            pytest.fail("sampled")
+
+        with np.errstate(all="raise"):
+            for s in (model.sample, sampler):
+                with pytest.raises(ValueError, match="t_k and t_k \\+ dt must be finite, got t_k=") as info:
+                    step(method, s, t_k, dt)
+                assert not isinstance(info.value, PreconditionError)
+
+    def test_a_finite_step_near_the_float_limit_still_steps(self):
+        u = step(MethodId.ME4_NC, builtin_case("I").sample, 1e308, -1.0)
+        assert unitarity_defect(u) < 1e-14
 
     def test_nan_sample_rejected(self):
         samples = {0.0: SZ, 0.5: np.full((2, 2), np.nan), 1.0: SX}

@@ -486,6 +486,21 @@ class TestDraws:
         with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
             suite(OracleConfig(), draws=draws)
 
+    # a draw count that is not an integer is a TypeError naming draws, not
+    # range()'s or >='s bare one
+    @pytest.mark.parametrize("draws", [1.5, "3", None], ids=["float", "str", "none"])
+    @pytest.mark.parametrize("suite", [check_closed_forms, check_symmetry_suite], ids=lambda f: f.__name__)
+    def test_non_integer_draws_raise_a_type_error_naming_draws(self, monkeypatch, suite, draws):
+        monkeypatch.setattr(verify, "oracle_Mn", lambda *a: pytest.fail("oracle called"))
+        monkeypatch.setattr(verify, "step", lambda *a: pytest.fail("step called"))
+        with pytest.raises(TypeError, match=f"draws must be an integer, got {draws!r}"):
+            suite(OracleConfig(), draws=draws)
+
+    @pytest.mark.parametrize("suite", [check_closed_forms, check_symmetry_suite], ids=lambda f: f.__name__)
+    def test_a_numpy_integer_draws_runs(self, suite):
+        cfg = OracleConfig(seed=5)
+        assert suite(cfg, draws=np.int64(2)).rows == suite(cfg, draws=2).rows
+
 
 class TestMaxTracker:
     @pytest.mark.parametrize("values", [(1e-15, np.nan), (np.nan, 1e-15), (np.nan,)])

@@ -6,10 +6,14 @@ Usage, from the root of a source checkout::
     PYTHONPATH=src python tools/check_g17.py [COUNT] [SEED]
 
 COUNT (default 2000000) seeded doubles go through ``magstep.cli._g17_lines``
-in blocks of 1024 rows by 4 columns: half are random 64-bit patterns (every
-binary exponent, NaN, infinities, subnormals, both zeros), half random
-mantissas times 10**u for u uniform over every decimal exponent of a double.
-The first mismatch is printed and the exit code is 1; otherwise 0.
+in blocks of 1024 rows, whose widths cycle through 1, 3, 4 and 10 columns
+(10 is a dim-8 ``propagate`` row), so every separator position of those
+rows is reached; a last block that does not fill its rows is one column.
+Every other block is random 64-bit patterns (every binary exponent, NaN,
+infinities, subnormals, both zeros), the others random mantissas times
+10**u for u uniform over every decimal exponent of a double; each kind
+takes each width in turn.  The first mismatch is printed and the exit code
+is 1; otherwise 0.
 """
 
 from __future__ import annotations
@@ -20,18 +24,22 @@ import numpy as np
 
 from magstep.cli import _g17_lines
 
-ROWS, COLS = 1024, 4
+ROWS, WIDTHS = 1024, (1, 3, 4, 10)
 
 
 def blocks(count: int, seed: int):
     rng = np.random.default_rng(seed)
-    for start in range(0, count, ROWS * COLS):
-        n = min(ROWS * COLS, count - start)
-        if start // (ROWS * COLS) % 2 == 0:
+    j = start = 0
+    while start < count:
+        cols = WIDTHS[j // 2 % len(WIDTHS)]
+        n = min(ROWS * cols, count - start)
+        if j % 2 == 0:
             x = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
         else:
             x = rng.random(n) * 10.0 ** rng.uniform(-325.0, 308.25, n)
-        yield x.reshape(-1, 1) if n % COLS else x.reshape(-1, COLS)
+        yield x.reshape(-1, 1) if n % cols else x.reshape(-1, cols)
+        start += n
+        j += 1
 
 
 def main(argv: list[str]) -> int:
