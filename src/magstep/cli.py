@@ -14,6 +14,15 @@ formatted by ``%`` itself.  The digits are laid out four at a time, each
 8-byte words per field, word by word over the block (:func:`_g17_frame`).
 Names, step counts and ``true``/``false`` are written as their ``str``.
 
+The command line is read by one argparse parser, built once per process
+(:func:`build_parser`).  Each subcommand names its handler as a parser
+default, and each numeric flag's domain lives in its argparse type
+(:func:`_number`), so a value outside it is refused as argparse reads the
+flag, before a method or model name is looked up, with one line of the form
+``argument --dim: must be from 2 to 12, got '13'``.  ``--case``/``--model``
+and ``propagate``'s ``--dt``/``--n-steps`` are argparse groups of which
+exactly one must be given.
+
 ``verify`` certifies by fixed rules: each row carries the named tolerance
 of ``magstep.verify`` for its kind, and no flag overrides a tolerance or the
 quadrature.
@@ -254,11 +263,16 @@ def _g17_frame(x):
     d, k, ok = _g17_digits(x, hi, lo)
     frame = np.empty((6, x.size), _G17_WORD)
     # D = f·10**16 + groups[0]·10**12 + ... + groups[3], split in halves of
-    # 8 digits and those in two groups each; d is left holding f
+    # 8 digits and those in two groups each; d is left holding f.  Each split
+    # is a // and a multiply-subtract: numpy divides by a constant on a fast
+    # path that np.divmod does not take
     groups = np.empty((2, 2, x.size), np.int64)
-    np.divmod(d, 10**8, out=(d, groups[1, 0]))
-    np.divmod(d, 10**8, out=(d, groups[0, 0]))
-    np.divmod(groups[:, 0], 10**4, out=(groups[:, 0], groups[:, 1]))
+    q = d // 10**8
+    np.subtract(d, q * 10**8, out=groups[1, 1])
+    d = q // 10**8
+    np.subtract(q, d * 10**8, out=groups[0, 1])
+    np.floor_divide(groups[:, 1], 10**4, out=groups[:, 0])
+    groups[:, 1] -= groups[:, 0] * 10**4
     groups = groups.reshape(4, -1)
     digits.take(groups, out=frame[1:5], mode="clip")  # "clip": take buffers an out only to raise
     groups += np.arange(0, 40000, 10000)[:, None]  # group i's row of kept
@@ -328,25 +342,30 @@ def _write_csv(path: str, *tables) -> None:
                 f.write(_csv_rows([c[start:start + _CSV_BLOCK_ROWS] for c in columns]))
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _number(kind, need: str, ok):
+    """An argparse type: ``kind(text)``, refused as ``must be {need}`` unless
+    ``ok`` holds for it.  It bears ``kind``'s name, so argparse reports a
+    value ``kind`` cannot read as an "invalid int value" or "invalid float
+    value"."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _resolve_model(args) -> HamiltonianModel:
-    if args.case is not None and args.model is not None:
-        raise UsageError("give exactly one model source: --case or --model")
     if args.case is not None:
         return builtin_case(args.case)
-    if args.model is not None:
-        try:
-            text = Path(args.model).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot read model file {args.model}: {exc}") from exc
-        return load_model(text)
-    raise UsageError("a model source is required: --case or --model")
+    try:
+        text = Path(args.model).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read model file {args.model}: {exc}") from exc
+    return load_model(text)
 
 
 def _resolve_methods(spec: str) -> list[MethodId]:
@@ -358,57 +377,63 @@ def _resolve_methods(spec: str) -> list[MethodId]:
     return [MethodId.from_name(n) for n in names]
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line's parser, built once per process: each subcommand's
+    handler is its ``handler`` default, and each numeric flag's domain is
+    checked by its type as the flag is read."""
     parser = _Parser(prog="magstep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    finite = _number(float, "finite", math.isfinite)
+    step_size = _number(float, "positive and finite", lambda dt: 0 < dt < math.inf)
 
     def add_model_flags(p):
-        p.add_argument("--case", choices=list(BUILTIN_CASES), help="builtin two-state parameter case")
-        p.add_argument("--model", help="JSON model file")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--case", choices=list(BUILTIN_CASES), help="builtin two-state parameter case")
+        source.add_argument("--model", help="JSON model file")
         p.add_argument("--hbar", type=float, default=1.0)
+        p.add_argument("--t0", type=finite, default=0.0)
+        p.add_argument("--t-final", type=finite, default=100.0)
 
     prop = sub.add_parser("propagate", help="evolve an initial basis state and record populations")
     add_model_flags(prop)
     prop.add_argument("--method", required=True, help="step scheme name (see list-methods)")
-    prop.add_argument("--t0", type=_finite_float, default=0.0)
-    prop.add_argument("--t-final", type=_finite_float, default=100.0)
-    prop.add_argument("--dt", type=_finite_float, help="target step size; snapped to the nearest integer step count")
-    prop.add_argument("--n-steps", type=int, help="exact number of uniform steps")
+    steps = prop.add_mutually_exclusive_group(required=True)
+    steps.add_argument("--dt", type=step_size, help="target step size; snapped to the nearest integer step count")
+    steps.add_argument("--n-steps", type=_number(int, "positive", lambda n: n > 0), help="exact number of uniform steps")
     prop.add_argument("--initial", type=int, default=0, help="0-based index of the initial basis state")
     prop.add_argument("--out", required=True, help="output CSV path")
+    prop.set_defaults(handler=_cmd_propagate)
 
     conv = sub.add_parser("converge", help="error-vs-stepsize study over a dt ladder")
     add_model_flags(conv)
     conv.add_argument("--methods", default="all", help="comma-separated method names, or 'all'")
-    conv.add_argument("--t0", type=_finite_float, default=0.0)
-    conv.add_argument("--t-final", type=_finite_float, default=100.0)
-    conv.add_argument("--dt", type=_finite_float, action="append", dest="dts", help="ladder entry; repeatable (default: the bundled ladder)")
+    conv.add_argument("--dt", type=step_size, action="append", dest="dts", help="ladder entry; repeatable (default: the bundled ladder)")
     conv.add_argument("--out", required=True, help="output CSV path")
+    conv.set_defaults(handler=_cmd_converge)
 
     ver = sub.add_parser("verify", help="run the oracle certification suites")
     ver.add_argument("--suite", choices=["closed-forms", "symmetry", "all"], default="all")
-    ver.add_argument("--seed", type=int, default=0, help="seed of the random draws (>= 0)")
-    ver.add_argument("--dim", type=int, default=2, help=f"dimension of the drawn Hamiltonians (2 to {MAX_DIM})")
-    ver.add_argument("--dt", type=_finite_float, default=1.0, help="step of the certified terms (nonzero)")
-    ver.add_argument("--draws", type=int, default=100, help="random draws per identity (>= 1)")
+    ver.add_argument("--seed", type=_number(int, "non-negative", lambda n: n >= 0), default=0, help="seed of the random draws (>= 0)")
+    ver.add_argument(
+        "--dim", type=_number(int, f"from 2 to {MAX_DIM}", lambda n: 2 <= n <= MAX_DIM), default=2,
+        help=f"dimension of the drawn Hamiltonians, 2 to {MAX_DIM}: at 1 every commutator term is 0, "
+        f"and above {MAX_DIM} the const-roundtrip row can fail on correct arithmetic",
+    )
+    ver.add_argument("--dt", type=_number(float, "finite and nonzero", lambda dt: 0 < abs(dt) < math.inf), default=1.0, help="step of the certified terms (nonzero)")
+    ver.add_argument("--draws", type=_number(int, "at least 1", lambda n: n >= 1), default=100, help="random draws per identity (>= 1)")
     ver.add_argument("--out", required=True, help="output CSV path")
+    ver.set_defaults(handler=_cmd_verify)
 
-    sub.add_parser("list-methods", help="print the method names in their fixed order")
+    sub.add_parser("list-methods", help="print the method names in their fixed order").set_defaults(handler=_cmd_list_methods)
     return parser
 
 
 def _cmd_propagate(args) -> int:
     model = _resolve_model(args)
     method = MethodId.from_name(args.method)
-    if (args.dt is None) == (args.n_steps is None):
-        raise UsageError("give exactly one of --dt or --n-steps")
-    if args.n_steps is not None:
-        n = args.n_steps
-        if n < 1:
-            raise UsageError("--n-steps must be positive")
-    else:
-        if args.dt <= 0:
-            raise UsageError("--dt must be positive")
+    n = args.n_steps
+    if n is None:
         # ħ and the interval are propagate's to check, as converge's are
         # convergence_study's: a reversed interval gives 1 step here, which
         # propagate refuses.  Only a count no float holds stops the command
@@ -432,8 +457,6 @@ def _cmd_propagate(args) -> int:
 def _cmd_converge(args) -> int:
     model = _resolve_model(args)
     methods = _resolve_methods(args.methods)
-    if args.dts is not None and not all(dt > 0 for dt in args.dts):
-        raise UsageError("--dt must be positive")
     report = convergence_study(model, methods, dts=args.dts, tf=args.t_final, t0=args.t0, hbar=args.hbar)
     records = report.records
     _write_csv(
@@ -453,16 +476,6 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.draws < 1:
-        raise UsageError("--draws must be at least 1")
-    if args.dim < 2:
-        raise UsageError("--dim must be at least 2: at 1 every commutator term is 0")
-    if args.dim > MAX_DIM:
-        raise UsageError(f"--dim must be at most {MAX_DIM}: above it the const-roundtrip row can fail on correct arithmetic")
-    if args.seed < 0:
-        raise UsageError("--seed must be non-negative")
-    if args.dt == 0.0:
-        raise UsageError("--dt must be nonzero")
     cfg = OracleConfig(seed=args.seed, dim=args.dim, dt=args.dt)
     rows = []
     # A huge or tiny --dt overflows the oracle's sums; that shows as a NaN row
@@ -487,8 +500,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _cmd_list_methods(args) -> int:
+    print("\n".join(method.value for method in ALL_METHODS))
+    return EXIT_OK
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one command line and return its exit code.
+
+    The parser is built on the first call in a process and reused; it
+    checks every numeric flag's domain in the flag's type, and hands the
+    parsed flags to the subcommand's handler, the one call made here.
+    Every error the handler raises is mapped to its exit code below.
 
     The first call in a process pins glibc's malloc (``_pin_allocator``):
     its mmap threshold to 32 MiB and its trim threshold to 256 MiB, so a
@@ -502,27 +525,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     ``MALLOC_TRIM_THRESHOLD_`` in the environment instead.
     """
     _pin_allocator()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"magstep: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-
-    try:
-        if args.command == "list-methods":
-            for method in ALL_METHODS:
-                print(method.value)
-            return EXIT_OK
-        if args.command == "propagate":
-            return _cmd_propagate(args)
-        if args.command == "converge":
-            return _cmd_converge(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, ModelError, ValueError) as exc:
         if isinstance(exc, PreconditionError):
             print(f"magstep: numerical precondition failed: {exc}", file=sys.stderr)

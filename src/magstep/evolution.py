@@ -77,9 +77,11 @@ preflight on the reference grid, the largest it runs.  ħ and the interval are c
 first, by :func:`_checked_span`: ``ValueError`` for an ħ that is not
 positive and finite (``magnus_steps._checked_hbar``) and for a non-finite
 ``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless ``tf >
-t0``.  ħ is the plain ``hbar`` keyword, handed on to
-``magnus_steps._theta``, which reads it.  :func:`_step_chunks` and
-:func:`_final_propagators` trust what they are handed, and :func:`_sampled`
+t0``.  ``propagate``'s ``n_steps`` must be an integer (``TypeError``
+naming it otherwise, as for ``10.5``, ``"4"`` or ``None``; a numpy integer
+is taken as its ``int``) of at least 1.  ħ is the plain ``hbar`` keyword,
+handed on to ``magnus_steps._theta``, which reads it.  :func:`_step_chunks`
+and :func:`_final_propagators` trust what they are handed, and :func:`_sampled`
 checks only what sampling produces.
 """
 
@@ -88,6 +90,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -392,8 +395,9 @@ def propagate(
     Populations are ``|<n|U(t)|psi0>|^2`` from the accumulated propagator
     applied to the initial state, never re-normalized.  Checks, before
     anything is sampled: the state's normalization, ``hbar``, the interval,
-    ``n_steps``, that the outputs, which grow with ``n_steps``, fit in
-    memory (:func:`_checked_size`), and a model's dimension.
+    ``n_steps`` (``TypeError`` unless an integer), that the outputs, which
+    grow with ``n_steps``, fit in memory (:func:`_checked_size`), and a
+    model's dimension.
     """
     psi0 = np.asarray(initial_state, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(psi0))
@@ -401,6 +405,10 @@ def propagate(
         raise PreconditionError(f"initial state must be normalized, got norm {norm!r}")
     dim = psi0.size
     span = _checked_span(t0, tf, hbar)
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise TypeError(f"n_steps must be an integer, got {n_steps!r}") from None
     if n_steps < 1:
         raise PreconditionError(f"n_steps must be positive, got {n_steps}")
     _checked_size(n_steps, dim)

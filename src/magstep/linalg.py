@@ -359,17 +359,19 @@ def _expm(theta: Array) -> Array:
     the one place an exponential's kernel is picked.
 
     Real float64 ``theta`` is su(2) coordinates, anti-Hermitian by type, and
-    goes to :func:`_expm_su2`.  A complex (stack of) anti-Hermitian
-    matrix(es) goes through one tier dispatch, for a single matrix as for a
-    stack: :func:`_expm_taylor` of each matrix whose 1-norm is at most
-    ``TAYLOR_NORM_CUT``, at the lowest degree of ``TAYLOR_DEGREES`` whose
-    cut covers that norm, :func:`_expm_eigh` of each above.  A matrix's bits
-    depend on it alone, not on the stack it is in.  Matrices all in one tier
-    go to their kernel whole; only a stack that spans tiers is split.  An
-    empty ``theta`` (0×0 matrices, or none) has the empty exponential of its
-    own shape."""
+    goes to :func:`_expm_su2` as a stack of at least one set, so a single
+    step's coordinates take the SIMD loops a stack's do, and get the same
+    bits, not numpy's scalar complex multiply.  A complex (stack of)
+    anti-Hermitian matrix(es) goes through one tier dispatch, for a single
+    matrix as for a stack: :func:`_expm_taylor` of each matrix whose 1-norm
+    is at most ``TAYLOR_NORM_CUT``, at the lowest degree of
+    ``TAYLOR_DEGREES`` whose cut covers that norm, :func:`_expm_eigh` of
+    each above.  A matrix's bits depend on it alone, not on the stack it is
+    in.  Matrices all in one tier go to their kernel whole; only a stack
+    that spans tiers is split.  An empty ``theta`` (0×0 matrices, or none)
+    has the empty exponential of its own shape."""
     if theta.dtype == np.float64:
-        return _expm_su2(theta)
+        return _expm_su2(theta.reshape(4, -1)).reshape(theta.shape[1:] + (2, 2))
     if theta.size == 0:
         return np.empty_like(theta)
     # on one small matrix, the ufuncs' reductions take under half the time

@@ -600,7 +600,7 @@ class TestVerifyDimBound:
         code = run(["verify", "--suite", "all", "--dim", str(MAX_DIM + 1), "--draws", "1", "--out", str(out)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith(f"magstep: error: --dim must be at most {MAX_DIM}:") and len(err.splitlines()) == 1
+        assert err == f"magstep: error: argument --dim: must be from 2 to {MAX_DIM}, got '{MAX_DIM + 1}'\n"
         assert not out.exists()
 
 
@@ -614,22 +614,53 @@ class TestBadStepAndTimeFlags:
             (["verify", "--dim", "0"], "--dim"),
             (["verify", "--dim", "1"], "--dim"),
             (["verify", "--seed", "-1"], "--seed"),
-            (["propagate", "--method", "me2", "--n-steps", "4", "--t-final", "inf"], "--t-final"),
-            (["propagate", "--method", "me2", "--n-steps", "4", "--t0", "nan"], "--t0"),
-            (["converge", "--methods", "me2", "--t-final", "inf"], "--t-final"),
-            (["converge", "--methods", "me2", "--t0=-inf"], "--t0"),
-            (["converge", "--methods", "me2", "--dt", "0"], "--dt"),
-            (["converge", "--methods", "me2", "--dt", "0.5", "--dt", "-0.5"], "--dt"),
+            (["propagate", "--case", "I", "--method", "me2", "--n-steps", "4", "--t-final", "inf"], "--t-final"),
+            (["propagate", "--case", "I", "--method", "me2", "--n-steps", "4", "--t0", "nan"], "--t0"),
+            (["converge", "--case", "I", "--methods", "me2", "--t-final", "inf"], "--t-final"),
+            (["converge", "--case", "I", "--methods", "me2", "--t0=-inf"], "--t0"),
+            (["converge", "--case", "I", "--methods", "me2", "--dt", "0"], "--dt"),
+            (["converge", "--case", "I", "--methods", "me2", "--dt", "0.5", "--dt", "-0.5"], "--dt"),
+            (["propagate", "--case", "I", "--method", "me2", "--n-steps", "0"], "--n-steps"),
+            (["propagate", "--case", "I", "--method", "me2", "--dt", "0"], "--dt"),
+            (["propagate", "--case", "I", "--method", "me2", "--dt=-1"], "--dt"),
+            (["verify", "--dim", "13"], "--dim"),
+            (["propagate", "--case", "I", "--model", "m.json", "--method", "me2", "--n-steps", "4"], "--case --model"),
+            (["propagate", "--method", "me2", "--n-steps", "4"], "--case --model"),
+            (["converge", "--case", "I", "--model", "m.json", "--methods", "me2"], "--case --model"),
+            (["converge", "--methods", "me2"], "--case --model"),
+            (["propagate", "--case", "I", "--method", "me2", "--dt", "1", "--n-steps", "4"], "--dt --n-steps"),
+            (["propagate", "--case", "I", "--method", "me2"], "--dt --n-steps"),
+            (["propagate", "--case", "I", "--method", "me2", "--dt", "abc"], "--dt"),
+            (["verify", "--dt", "abc"], "--dt"),
+            (["verify", "--dim", "abc"], "--dim"),
+            # a flag's value is refused as it is read, before the method's
+            # name is looked up
+            (["propagate", "--case", "I", "--method", "nope", "--n-steps", "0"], "--n-steps"),
         ],
     )
     def test_usage_error_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        # flag names only: argparse's own wording differs between Pythons
         out = tmp_path / "x.csv"
-        model = [] if argv[0] == "verify" else ["--case", "I"]
-        assert run(argv + model + ["--out", str(out)]) == EXIT_USAGE
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("magstep: error:") and flag in err
+        assert err.startswith("magstep: error:") and all(name in err for name in flag.split())
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    # an unparsable value reads as argparse reads one for the flag's type
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["verify", "--dt", "abc"], "float"),
+            (["verify", "--dim", "abc"], "int"),
+            (["verify", "--draws", "1.5"], "int"),
+            (["propagate", "--case", "I", "--method", "me2", "--n-steps", "2.5"], "int"),
+            (["converge", "--case", "I", "--t-final", "x"], "float"),
+        ],
+    )
+    def test_an_unparsable_value_names_its_type(self, tmp_path, capsys, argv, kind):
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        assert f"invalid {kind} value" in capsys.readouterr().err
 
     # numpy's overflow and invalid-value warnings stay off stderr
     @pytest.mark.parametrize(
@@ -923,6 +954,41 @@ class TestHelp:
     def test_case_choices_are_the_builtin_cases_in_order(self, capsys, command):
         assert run([command, "--help"]) == 0
         assert "--case {I,II,III,IV}" in capsys.readouterr().out
+
+    def test_dim_help_gives_the_reasons_for_its_range(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per flag
+        assert run(["verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert f"2 to {MAX_DIM}: at 1 every commutator term is 0" in out
+        assert f"above {MAX_DIM} the const-roundtrip row can fail on correct arithmetic" in out
+
+
+class TestOneParser:
+    def test_the_parser_is_built_once_per_process(self, monkeypatch, tmp_path, capsys):
+        assert run(["list-methods"]) == EXIT_OK  # builds it, if no test has yet
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        assert run(["list-methods"]) == EXIT_OK
+        assert run(["verify", "--dim", "13", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        assert built == []
+
+    def test_two_converge_runs_write_only_their_own_rungs(self, tmp_path):
+        # each parse starts --dt's list afresh, though the parser is shared
+        def step_counts(path):
+            return [line.split(",")[2] for line in read_lines(path)[1:] if line.count(",") == 3]
+
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        argv = ["converge", "--case", "I", "--methods", "me2", "--t-final", "1"]
+        assert run(argv + ["--dt", "0.5", "--dt", "0.25", "--out", str(first)]) == EXIT_OK
+        assert run(argv + ["--dt", "0.125", "--out", str(second)]) == EXIT_OK
+        assert step_counts(first) == ["2", "4"]
+        assert step_counts(second) == ["8"]
 
 
 class TestAllocatorPin:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,29 @@ class TestPropagate:
         forbid_sampling(monkeypatch)
         with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.00 "):
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**18, [1, 0])
+
+    # a step count that is not an integer is a TypeError naming n_steps, not
+    # numpy's or <'s bare one, and is refused before anything is sampled
+    @pytest.mark.parametrize(
+        "n_steps", [10.0, 10.5, np.float64(8), "4", None], ids=["float", "fraction", "numpy-float", "str", "none"]
+    )
+    def test_non_integer_n_steps_raises_a_type_error_naming_it(self, monkeypatch, n_steps):
+        forbid_sampling(monkeypatch)
+        message = re.escape(f"n_steps must be an integer, got {n_steps!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            propagate(MethodId.ME2, builtin_case("I"), 0.0, 1.0, n_steps, [1, 0])
+
+    def test_n_steps_is_checked_after_the_interval_and_before_its_sign(self):
+        with pytest.raises(ValueError, match="t0, tf and tf - t0 must be finite"):
+            propagate(MethodId.ME2, RABI, 0.0, np.inf, 10.5, [1, 0])
+        with pytest.raises(TypeError, match="n_steps must be an integer"):
+            propagate(MethodId.ME2, RABI, 0.0, 1.0, -0.5, [1, 0])
+
+    def test_a_numpy_integer_n_steps_runs(self):
+        got = propagate(MethodId.ME2, builtin_case("I"), 0.0, 1.0, np.int64(4), [1, 0])
+        want = propagate(MethodId.ME2, builtin_case("I"), 0.0, 1.0, 4, [1, 0])
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.populations.tobytes() == want.populations.tobytes()
 
     @pytest.mark.parametrize("entry", ["propagate", "convergence_study"])
     @pytest.mark.parametrize(

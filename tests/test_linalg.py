@@ -559,6 +559,16 @@ class TestExpmAntiHermitian:
         for k in range(6):
             assert np.allclose(batched[k], expm_antihermitian(thetas[k]), atol=1e-14)
 
+    # each matrix of a stack, and a single matrix, take the same SIMD loops
+    # at d = 2, so a matrix's bits do not depend on how it is handed in
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_single_matrix_has_its_bits_in_a_stack(self, dim):
+        rng = np.random.default_rng(10)
+        thetas = np.stack([-1j * random_hermitian(rng, dim) for _ in range(37)])
+        batched = expm_antihermitian(thetas)
+        for k in range(37):
+            assert expm_antihermitian(thetas[k]).tobytes() == batched[k].tobytes(), k
+
     @pytest.mark.parametrize("dim", [2, 4])
     def test_real_antisymmetric_matrix_is_a_matrix(self, dim):
         # a float64 exponent is a matrix like any other, at every shape

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from magstep import linalg, magnus_steps, verify
+from magstep import evolution, linalg, magnus_steps, verify
 from magstep.evolution import convergence_study, propagate, relative_error
 from magstep.hamiltonians import EntrySpec, HamiltonianModel, SinusoidTerm, builtin_case
 from magstep.linalg import (
@@ -654,6 +654,30 @@ class TestStepKernels:
             assert step(method, sampler, t_k, dt).tobytes() == want.tobytes(), dt
             assert tiers == [(linalg.TAYLOR_DEGREES + (None,)).index(degree)]
         assert degrees == set(linalg.TAYLOR_DEGREES) | {None}
+
+    # a single step's su(2) coordinates are exponentiated as a stack of one,
+    # so step gives a step the bits the step pipeline gives it, at d = 2 as
+    # above: at d = 2 numpy's scalar complex multiply and its SIMD loop
+    # differ in the last bit
+    @pytest.mark.parametrize("sampler", ["model", "callable", "dim3"])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_step_has_the_bits_of_the_step_pipeline(self, method, sampler):
+        model = builtin_case("II")
+        call = verify._random_smooth_sampler(np.random.default_rng(953), 3) if sampler == "dim3" else model.sample
+        source = model if sampler == "model" else call
+        dim = 3 if sampler == "dim3" else 2
+        for t0 in (0.0, 0.5, 3.0):
+            (want,) = evolution._final_propagators(method, source, t0, t0 + 0.25, (1,), dim)
+            assert step(method, call, t0, 0.25).tobytes() == want.tobytes(), t0
+
+    # every step of a chunk on a grid whose times and step are exact floats
+    @pytest.mark.parametrize("case", ["I", "II", "IV"])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_step_has_the_bits_of_each_step_of_a_chunk(self, method, case):
+        model = builtin_case(case)
+        [(_, u)] = evolution._step_chunks(method, model, 0.0, 4.0, (16,), 2)
+        for k in range(16):
+            assert step(method, model.sample, 0.25 * k, 0.25).tobytes() == u[k].tobytes(), k
 
 
 EXPECTED_LOCAL_SLOPE = {
