@@ -4,15 +4,18 @@ All numeric CSV output uses 17 significant digits (round-trip exact for
 doubles), a header row and LF line endings, so identical flags produce
 byte-identical files.  Every file goes through one writer, which formats and
 writes a fixed-size block of rows before it formats the next.  Its float
-fields are exactly Python's ``'%.17g' % x``, written by one numpy kernel for
-the whole block (:func:`_g17_lines`).  Its 17 digits are the rounded
+fields are exactly Python's ``'%.17g' % x``.  A block of floats alone, as
+``propagate`` writes, is written by one numpy kernel for the whole block
+(:func:`_g17_lines`).  Its 17 digits are the rounded
 double-double product of |x| and a power of ten, whose error is below about
 2**-46; a value that error could round either way (a remainder within 2**-30
 of one half), a value outside about 1e±280 and a non-finite value are
 formatted by ``%`` itself.  The digits are laid out four at a time, each
 4-digit group looked up in one table of all 10,000, in a frame of six
 8-byte words per field, word by word over the block (:func:`_g17_frame`).
-Names, step counts and ``true``/``false`` are written as their ``str``.
+A table with a column of names, step counts or ``true``/``false`` (every
+``converge`` and ``verify`` table) is short, and each of its rows is one
+``%`` format: its floats ``'%.17g'``, its other fields their ``str``.
 
 The command line is read by one argparse parser, built once per process
 (:func:`build_parser`).  Each subcommand names its handler as a parser
@@ -314,16 +317,15 @@ def _g17_lines(block: np.ndarray) -> bytes:
 
 
 def _csv_rows(columns) -> bytes:
-    """One block of a table's rows: the float arrays side by side through one
-    :func:`_g17_lines` call, any other column (names, counts,
-    ``true``/``false``) as its ``str``."""
-    floats = [c for c in columns if isinstance(c, np.ndarray)]
-    text = _g17_lines(np.column_stack(floats))
-    if len(floats) == len(columns):
-        return text
-    numbers = zip(*(line.split(",") for line in text.decode("ascii").splitlines()))  # by column
-    cells = [next(numbers) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
-    return "".join(",".join(row) + "\n" for row in zip(*cells)).encode("ascii")
+    """One block of a table's rows.  A block of float arrays only goes through
+    one :func:`_g17_lines` call.  A table with a column of names, counts or
+    ``true``/``false`` is written one ``%`` format per row, each float field
+    ``%.17g``, the kernel's own reference, and any other its ``str``."""
+    if all(isinstance(c, np.ndarray) for c in columns):
+        return _g17_lines(np.column_stack(columns))
+    line = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return "".join(line % row for row in zip(*cells)).encode("ascii")
 
 
 def _write_csv(path: str, *tables) -> None:
@@ -385,13 +387,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="magstep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     finite = _number(float, "finite", math.isfinite)
-    step_size = _number(float, "positive and finite", lambda dt: 0 < dt < math.inf)
+    positive = _number(float, "positive and finite", lambda x: 0 < x < math.inf)
 
     def add_model_flags(p):
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--case", choices=list(BUILTIN_CASES), help="builtin two-state parameter case")
         source.add_argument("--model", help="JSON model file")
-        p.add_argument("--hbar", type=float, default=1.0)
+        p.add_argument("--hbar", type=positive, default=1.0)
         p.add_argument("--t0", type=finite, default=0.0)
         p.add_argument("--t-final", type=finite, default=100.0)
 
@@ -399,7 +401,7 @@ def build_parser() -> _Parser:
     add_model_flags(prop)
     prop.add_argument("--method", required=True, help="step scheme name (see list-methods)")
     steps = prop.add_mutually_exclusive_group(required=True)
-    steps.add_argument("--dt", type=step_size, help="target step size; snapped to the nearest integer step count")
+    steps.add_argument("--dt", type=positive, help="target step size; snapped to the nearest integer step count")
     steps.add_argument("--n-steps", type=_number(int, "positive", lambda n: n > 0), help="exact number of uniform steps")
     prop.add_argument("--initial", type=int, default=0, help="0-based index of the initial basis state")
     prop.add_argument("--out", required=True, help="output CSV path")
@@ -408,7 +410,7 @@ def build_parser() -> _Parser:
     conv = sub.add_parser("converge", help="error-vs-stepsize study over a dt ladder")
     add_model_flags(conv)
     conv.add_argument("--methods", default="all", help="comma-separated method names, or 'all'")
-    conv.add_argument("--dt", type=step_size, action="append", dest="dts", help="ladder entry; repeatable (default: the bundled ladder)")
+    conv.add_argument("--dt", type=positive, action="append", dest="dts", help="ladder entry; repeatable (default: the bundled ladder)")
     conv.add_argument("--out", required=True, help="output CSV path")
     conv.set_defaults(handler=_cmd_converge)
 

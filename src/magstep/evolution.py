@@ -51,20 +51,23 @@ the same floats as ``step start + dt``; elsewhere they can differ by
 rounding.
 
 A trajectory records the populations and the unitarity defect of the
-propagator at every grid point.  Each chunk's prefixes of the step product
-(later steps on the left) come from a two-level blocked scan started at the
-propagator carried from the chunk before: about sqrt(n) batched products
-and 2 sqrt(n) single ones instead of n single ones.  The convergence harness
-needs only final propagators, with no prefixes, populations or defects.  It
-reduces all rungs' pieces of a chunk together, one batched pairwise product
-per tree level (ceil(log2 n) of the chunk's longest piece: 10 for the
-1024-step rung of the benchmark ladder), and multiplies each piece's product
-onto the product of its rung's pieces before it.  It measures the relative
-Frobenius error of each scheme's final propagator against a reference
-computed by the 6th-order scheme on a much finer grid, cross-checked against
-an independent 6th-order scheme before it is trusted, and fits the log-log
-order of accuracy per method.  Every product of propagator stacks goes
-through ``linalg.matmul``.
+propagator at every grid point.  Both drivers multiply a chunk's step
+propagators up one pairwise product tree (:func:`_tree_levels`), one batched
+product per level: ceil(log2 n) for a chunk whose longest piece has n steps
+(10 for the 1024-step rung of the benchmark ladder).  ``propagate`` walks the
+levels back down from the propagator carried from the chunk before, one
+batched product per level, to every prefix of the step product, later steps
+on the left (:func:`_prefixes`).  The convergence harness needs only final
+propagators, with no prefixes, populations or defects: it reduces all rungs'
+pieces of a chunk up the same tree together and keeps its top level.  Each
+driver multiplies a piece's product onto the product of its grid's pieces
+before it, so ``propagate`` and the harness give a grid the same final
+propagator, bit for bit.  The harness measures the relative Frobenius error
+of each scheme's final propagator against a reference computed by the
+6th-order scheme on a much finer grid, cross-checked against an independent
+6th-order scheme before it is trusted, and fits the log-log order of
+accuracy per method.  Every product of propagator stacks goes through
+``linalg.matmul``.
 
 ``propagate`` and ``convergence_study`` are where the driver's inputs are
 checked: each input once, before anything is sampled, in this order.
@@ -340,44 +343,64 @@ def _packed(counts: Sequence[int], width: int) -> Iterator[list[tuple[int, int, 
         yield pieces
 
 
-def _prefix_products(u: Array, carry: Array) -> Array:
+def _tree_levels(u: Array, lengths: list[int]) -> Iterator[Array]:
+    """The levels of the pairwise product tree over each piece of ``u``, of
+    ``lengths`` steps each, piece after piece: ``u`` itself, then each level's
+    neighbouring pairs multiplied in one batched product, later steps on the
+    left, until every piece is one product.
+
+    Before each product an identity is appended to every piece of odd
+    length, so that no pair crosses a piece boundary; ``I @ x`` has the
+    values of ``x``, so an odd trailing factor is carried up unchanged.  A
+    level is yielded without these identities.  A chunk whose longest piece
+    has n steps takes ceil(log2 n) batched products.
+    """
+    identity = np.eye(u.shape[-1], dtype=np.complex128)[None]
+    yield u
+    while max(lengths) > 1:
+        if any(n % 2 for n in lengths):
+            parts, start = [], 0
+            for n in lengths:
+                parts.append(u[start:start + n])
+                if n % 2:
+                    parts.append(identity)
+                start += n
+            u = np.concatenate(parts)
+            lengths = [n + n % 2 for n in lengths]
+        u = matmul(u[1::2], u[0::2])
+        lengths = [n // 2 for n in lengths]
+        yield u
+
+
+def _prefixes(u: Array, carry: Array) -> Array:
     """The ``n + 1`` prefixes ``carry, u[0] carry, u[1] u[0] carry, ...`` of
     ``n`` step propagators, later steps on the left.
 
     ``carry`` is the propagator at the first step's start: the identity for
     the first chunk of a grid, the last prefix of the chunk before for each
-    later one.  A two-level blocked scan: the first ``w * (n // w)`` steps,
-    ``w = isqrt(n)``, form ``n // w`` blocks viewed in place in the output.
-    All blocks advance their local prefixes together, one batched product per
-    position.  The prefix before each block (``carry`` for block 0) is the
-    last local prefix of the block before times the prefix before that
-    block, one single product per block; then every block is chained onto
-    its own, in place, in one broadcast product.  The fewer than ``w``
-    leftover steps follow one at a time, so about ``2 w + n // w`` products,
-    all but ``w`` of them of single matrices, replace n single ones, and
-    nothing the size of ``u`` is allocated besides the output and the
-    chaining's result.  A product with the identity is exact, so a grid of
-    one chunk gets the prefixes of a scan that starts at I.
+    later one.  A down-sweep of the tree of :func:`_tree_levels` (Blelloch,
+    "Prefix sums and their applications", 1990): each level's element 2i
+    takes its parent's prefix, the product of every step before it, and
+    element 2i + 1 takes ``level[2i]`` times that prefix, one batched product
+    per level, each level dropped once it is used.  The last prefix is the
+    tree's root times ``carry``, as :func:`_final_propagators` multiplies a
+    chunk's product onto the chunks before it, so both give a grid the same
+    final propagator.
     """
-    n, dim = len(u), u.shape[-1]
-    width = math.isqrt(n)
-    blocks = n // width
-    full = blocks * width
-    out = np.empty((n + 1, dim, dim), dtype=np.complex128)
-    out[0] = carry
-    local = out[1:full + 1].reshape(blocks, width, dim, dim)
-    steps = u[:full].reshape(blocks, width, dim, dim)
-    local[:, 0] = steps[:, 0]
-    for j in range(1, width):
-        matmul(steps[:, j], local[:, j - 1], out=local[:, j])
-    bases = np.empty((blocks, 1, dim, dim), dtype=np.complex128)
-    bases[0, 0] = carry
-    for b in range(1, blocks):
-        matmul(local[b - 1, -1], bases[b - 1, 0], out=bases[b, 0])
-    matmul(local, bases, out=local)
-    for k in range(full, n):
-        matmul(u[k], out[k], out=out[k + 1])
-    return out
+    *levels, root = _tree_levels(u, [len(u)])
+    # each level's prefixes and one row more, filled only at the bottom, by
+    # the last prefix; the root's one prefix is carry
+    prefixes = np.empty((2, *carry.shape), dtype=np.complex128)
+    prefixes[0] = carry
+    while levels:
+        level = levels.pop()
+        n = len(level)
+        parent, prefixes = prefixes, np.empty((n + 1, *carry.shape), dtype=np.complex128)
+        prefixes[0:n:2] = parent[:(n + 1) // 2]
+        matmul(level[0:n - 1:2], parent[:n // 2], out=prefixes[1:n:2])
+        del level, parent
+    prefixes[-1] = matmul(root[0], carry)
+    return prefixes
 
 
 def propagate(
@@ -393,7 +416,10 @@ def propagate(
 
     ``model`` is a :class:`HamiltonianModel` or any callable ``t -> matrix``.
     Populations are ``|<n|U(t)|psi0>|^2`` from the accumulated propagator
-    applied to the initial state, never re-normalized.  Checks, before
+    applied to the initial state, never re-normalized.  Each chunk's
+    propagators U(t) come from the down-sweep of its product tree
+    (:func:`_prefixes`), so the final one equals what
+    :func:`_final_propagators` gives the grid, bit for bit.  Checks, before
     anything is sampled: the state's normalization, ``hbar``, the interval,
     ``n_steps`` (``TypeError`` unless an integer), that the outputs, which
     grow with ``n_steps``, fit in memory (:func:`_checked_size`), and a
@@ -420,7 +446,7 @@ def propagate(
     defects = np.empty(n_steps + 1)
     carry = np.eye(dim, dtype=np.complex128)
     for [(_, start, _)], u in _step_chunks(method, model, t0, tf, (n_steps,), dim, hbar):
-        prefixes = _prefix_products(u, carry)
+        prefixes = _prefixes(u, carry)
         rows = slice(start, start + len(prefixes))
         populations[rows] = np.abs(prefixes @ psi0) ** 2
         defects[rows] = unitarity_defect(prefixes)
@@ -443,33 +469,15 @@ def _final_propagators(
     propagators multiplied pairwise, later steps on the left.
 
     All pieces of a chunk (see :func:`_step_chunks`) are reduced together,
-    one tree level at a time: each level first appends an identity to every
-    piece of odd length, so that no pair crosses a piece boundary, then
-    multiplies all neighbouring pairs of the chunk in one batched product,
-    which halves every piece.  ``I @ u`` has the values of ``u``, so each
-    piece gets the product of a tree over its own steps that carries an odd
-    trailing factor over unchanged; a chunk whose longest piece has n steps
-    takes ceil(log2 n) batched products, and no prefix is ever stored.  Each
-    piece's product then multiplies the product of the grid's pieces before
-    it, so a grid of one piece takes no product beyond its own.
+    one batched product per level of :func:`_tree_levels`, whose last level
+    holds each piece's product; no prefix is ever stored.  Each piece's
+    product then multiplies the product of the grid's pieces before it, so a
+    grid of one piece takes no product beyond its own.
     """
-    identity = np.eye(dim, dtype=np.complex128)[None]
     products: list[list[Array]] = [[] for _ in counts]
     for pieces, u in _step_chunks(method, model, t0, tf, counts, dim, hbar):
-        lengths = [stop - start for _, start, stop in pieces]
-        while max(lengths) > 1:
-            if any(n % 2 for n in lengths):
-                parts, start = [], 0
-                for n in lengths:
-                    parts.append(u[start:start + n])
-                    if n % 2:
-                        parts.append(identity)
-                    start += n
-                u = np.concatenate(parts)
-                lengths = [n + n % 2 for n in lengths]
-            u = matmul(u[1::2], u[0::2])
-            lengths = [n // 2 for n in lengths]
-        for (grid, _, _), p in zip(pieces, u):
+        *_, top = _tree_levels(u, [stop - start for _, start, stop in pieces])
+        for (grid, _, _), p in zip(pieces, top):
             products[grid].append(p)
     return [functools.reduce(lambda carry, p: matmul(p, carry), pieces) for pieces in products]
 

@@ -193,6 +193,18 @@ def _checked_dt(dt) -> None:
         raise ValueError(f"dt must be finite, got {np.ravel(dt)[k]}" + (f" at step {k}" if np.ndim(dt) else ""))
 
 
+def _checked_dt_shape(dt, samples_shape: tuple[int, ...] | None) -> None:
+    """Raise ``ValueError`` naming ``dt`` and both shapes unless ``dt`` is a
+    scalar or, for samples stacked as ``(n, d, d)``, an ``(n,)`` array: one
+    step per matrix.  ``samples_shape`` is None for ``step``'s one step,
+    which takes a scalar only."""
+    steps = samples_shape[:1] if samples_shape is not None and len(samples_shape) == 3 else ()
+    if np.shape(dt) not in ((), steps):
+        want = f"a scalar or of shape {steps}" if steps else "a scalar"
+        of = "one step" if samples_shape is None else f"samples of shape {samples_shape}"
+        raise ValueError(f"dt must be {want} for {of}, got dt of shape {np.shape(dt)}")
+
+
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
     """The samples at ``method``'s nodes, in node order, each as
     ``linalg.checked_square`` returns it, a complex (stack of) square
@@ -322,12 +334,15 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     is a scalar or, for stacks, a per-step ``(n,)`` array.  Raises
     ``ValueError`` unless ``hbar`` is positive and finite, then unless every
     ``dt`` is finite, before any sample is checked; then checks the samples
-    (:func:`_checked_samples`) and returns the complex matrix (stack) of
+    (:func:`_checked_samples`), then ``dt``'s shape against theirs
+    (:func:`_checked_dt_shape`), and returns the complex matrix (stack) of
     :func:`_theta`.
     """
     _checked_hbar(hbar)
     _checked_dt(dt)
-    return as_matrix(_theta(method, _checked_samples(method, samples), dt, hbar))
+    checked = _checked_samples(method, samples)
+    _checked_dt_shape(dt, checked[0].shape)
+    return as_matrix(_theta(method, checked, dt, hbar))
 
 
 def commutator(a: Array, b: Array) -> Array:
@@ -532,12 +547,14 @@ def step(
 ) -> Array:
     """Unitary propagator over ``[t_k, t_k + dt]``; negative ``dt`` steps backward.
 
-    Raises :class:`PreconditionError` for ``dt = 0`` and ``ValueError``
-    unless ``hbar`` is positive and finite, then unless ``dt`` is finite,
-    then unless ``t_k`` and the step's end ``t_k + dt`` are, before the
-    sampler is called.  The sampler's matrices are checked as
-    ``exponent`` checks them, and Theta is exponentiated by ``linalg._expm``,
-    as the evolution driver exponentiates it."""
+    ``dt`` is a scalar: an array is a ``ValueError`` naming its shape
+    (:func:`_checked_dt_shape`).  Then raises :class:`PreconditionError` for
+    ``dt = 0`` and ``ValueError`` unless ``hbar`` is positive and finite, then
+    unless ``dt`` is finite, then unless ``t_k`` and the step's end ``t_k +
+    dt`` are, before the sampler is called.  The sampler's matrices are
+    checked as ``exponent`` checks them, and Theta is exponentiated by
+    ``linalg._expm``, as the evolution driver exponentiates it."""
+    _checked_dt_shape(dt, None)
     if dt == 0.0:
         raise PreconditionError("step size dt must be nonzero")
     _checked_hbar(hbar)

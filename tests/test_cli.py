@@ -636,6 +636,10 @@ class TestBadStepAndTimeFlags:
             # a flag's value is refused as it is read, before the method's
             # name is looked up
             (["propagate", "--case", "I", "--method", "nope", "--n-steps", "0"], "--n-steps"),
+            (["propagate", "--case", "I", "--method", "nope", "--hbar", "0", "--n-steps", "4"], "--hbar"),
+            (["propagate", "--model", "missing.json", "--method", "me2", "--hbar", "nan", "--n-steps", "4"], "--hbar"),
+            (["converge", "--case", "I", "--methods", "nope", "--hbar=-1"], "--hbar"),
+            (["converge", "--case", "I", "--methods", "me2", "--hbar", "inf"], "--hbar"),
         ],
     )
     def test_usage_error_naming_the_flag(self, tmp_path, capsys, argv, flag):
@@ -866,12 +870,12 @@ class TestHbar:
         assert not out.exists()
 
     def test_bad_hbar_is_reported_before_the_ladder(self, tmp_path, capsys):
-        # 0.3 does not divide 10 either, but a study checks hbar first
+        # 0.3 does not divide 10 either, but --hbar is refused as it is read
         out = tmp_path / "err.csv"
         argv = ["converge", "--case", "I", "--hbar", "-1", "--dt", "0.3", "--t-final", "10", "--out", str(out)]
         assert run(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("magstep: error:") and "hbar must be positive and finite" in err
+        assert err.startswith("magstep: error:") and "argument --hbar: must be positive and finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -884,8 +888,9 @@ class TestHbar:
         ids=["propagate", "propagate-dt", "converge", "propagate-uncountable-dt", "converge-uncountable-dt"],
     )
     def test_bad_hbar_is_reported_before_a_reversed_interval(self, tmp_path, capsys, monkeypatch, command):
-        # both commands check hbar first, once, and the interval once after it,
-        # whether or not the step count of a --dt is a float
+        # a bad --hbar is refused as argparse reads it; a good one is checked
+        # once, and the interval once after it, whether or not the step count
+        # of a --dt is a float
         counts = dict.fromkeys(("_checked_hbar", "_checked_span"), 0)
         for owner, name in ((evolution, "_checked_hbar"), (evolution, "_checked_span"), (cli, "_checked_span")):
             def counted(*args, name=name, original=getattr(owner, name)):
@@ -898,20 +903,21 @@ class TestHbar:
             argv = command + ["--case", "I", "--hbar", hbar, "--t0", "2", "--t-final", "1", "--out", str(out)]
             assert run(argv) == code
             err = capsys.readouterr().err
-            want = "hbar must be positive and finite" if hbar == "-1" else "tf must exceed t0"
+            want = "argument --hbar: must be positive and finite" if hbar == "-1" else "tf must exceed t0"
             assert want in err and len(err.splitlines()) == 1
             assert not out.exists()
-        assert counts == {"_checked_hbar": 2, "_checked_span": 2}
+        assert counts == {"_checked_hbar": 1, "_checked_span": 1}
 
     def test_bad_hbar_is_reported_before_the_memory_preflight(self, tmp_path, capsys, monkeypatch):
-        # 10**12 steps would not fit in memory either, but hbar is checked first
+        # 10**12 steps would not fit in memory either, but --hbar is refused
+        # as it is read
         forbid_sampling(monkeypatch)
         out = tmp_path / "pop.csv"
         argv = ["propagate", "--case", "I", "--method", "me2", "--n-steps", "1000000000000",
                 "--hbar", "0", "--out", str(out)]
         assert run(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("magstep: error:") and "hbar must be positive and finite" in err
+        assert err.startswith("magstep: error:") and "argument --hbar: must be positive and finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

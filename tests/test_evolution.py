@@ -22,9 +22,10 @@ from conftest import SX, SampledError, count_samples, forbid_sampling
 
 RABI = HamiltonianModel(2, {(0, 1): EntrySpec(1.0)})  # constant sigma_x coupling
 
-# The pairwise product, the blocked prefix scan and the sequential product of
-# the same step propagators differ only by rounding: at most 4.9e-15 (22 eps)
-# relative at n = 1000 and 1001, d = 2 and 8.
+# The pairwise product, the tree's down-sweep of prefixes and the sequential
+# product of the same step propagators differ only by rounding: at most
+# 5.3e-15 (24 eps) relative at n = 1000 and 1001, d = 2 and 8, over the nine
+# schemes.
 PRODUCT_ORDER_TOL = 1e-13
 
 # Growth of a run's traced peak memory, outputs excluded, from 2048 to 8192
@@ -60,6 +61,14 @@ TWO_CHUNK_PEAKS = {
 # Steps per chunk by dimension, and a step count of three chunks at that
 # dimension, the last one ragged.
 THREE_CHUNKS = {2: (16384, 2 * 16384 + 5), 8: (1024, 2 * 1024 + 37)}
+
+# Step counts whose last chunk holds one step: two chunks at d = 2, three at
+# d = 8, so that chunk's tree is its root alone.
+ONE_STEP_TAILS = {2: 16384 + 1, 8: 2 * 1024 + 1}
+
+# Step counts of one chunk for the down-sweep: one step, odd and even levels,
+# and a level of odd length under the root.
+PREFIX_LENGTHS = [1, 2, 3, 4, 5, 7, 1000, 1001]
 
 # A ladder per dimension whose first rung, 2 widths + 37 steps, is cut into
 # three pieces; its 37-step tail and the next two rungs share a chunk, the
@@ -357,47 +366,70 @@ def relative_deviation(got, want):
 
 
 class TestFinalPropagator:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1000, "three-chunks", "one-step-tail"])
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
     def test_pairwise_product_equals_accumulated_trajectory(self, model, method, n):
+        # one tree serves both: propagate's last prefix is each chunk's root
+        # multiplied onto the chunks before it, as _final_propagators does
+        n = {"three-chunks": THREE_CHUNKS[model.dim][1], "one-step-tail": ONE_STEP_TAILS[model.dim]}.get(n, n)
         psi0 = np.eye(model.dim)[0]
         trace = propagate(method, model, 0.0, 10.0, n, psi0)
         (final,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
         assert final.shape == (model.dim, model.dim)
-        assert relative_error(final, trace.final_propagator) <= PRODUCT_ORDER_TOL
+        assert np.array_equal(final, trace.final_propagator)
 
 
-class TestPrefixProducts:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 1000, 1001])
+class TestPrefixes:
+    @pytest.mark.parametrize("n", PREFIX_LENGTHS)
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
-    def test_blocked_scan_equals_sequential_prefixes(self, model, method, n):
+    def test_down_sweep_equals_sequential_prefixes(self, model, method, n):
         starts, u = step_propagators(method, model, n)
         assert starts == [0]
-        got = evolution._prefix_products(u, np.eye(model.dim))
+        got = evolution._prefixes(u, np.eye(model.dim))
         assert got.shape == (n + 1, model.dim, model.dim)
         assert np.array_equal(got[0], np.eye(model.dim))
         assert relative_deviation(got, sequential_prefixes(u)) <= PRODUCT_ORDER_TOL
 
-    @pytest.mark.parametrize("n", [1, 7, 1001])
-    def test_scan_starts_at_the_carried_propagator(self, n):
-        _, u = step_propagators(MethodId.ME6, DENSE8, n)
-        carry = linalg.expm_antihermitian(-1j * DENSE8.sample(0.3))
-        got = evolution._prefix_products(u, carry)
+    @pytest.mark.parametrize("n", PREFIX_LENGTHS)
+    @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
+    def test_down_sweep_starts_at_the_carried_propagator(self, model, n):
+        _, u = step_propagators(MethodId.ME6, model, n)
+        carry = linalg.expm_antihermitian(-1j * model.sample(0.3))
+        got = evolution._prefixes(u, carry)
         assert np.array_equal(got[0], carry)
         assert relative_deviation(got, sequential_prefixes(u, carry)) <= PRODUCT_ORDER_TOL
+        # the last prefix is the tree's root times the carry
+        *_, root = evolution._tree_levels(u, [n])
+        assert np.array_equal(got[-1], linalg.matmul(root[0], carry))
+
+    @pytest.mark.parametrize("n, levels", [(1, 0), (2, 1), (7, 3), (1000, 10), (1001, 10)])
+    def test_one_batched_product_per_level_each_way(self, monkeypatch, n, levels):
+        # ceil(log2 n) products up the tree, as many back down, and the root
+        # times the carry
+        _, u = step_propagators(MethodId.ME2, DENSE8, n)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return linalg.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "matmul", counted)
+        evolution._prefixes(u, np.eye(8, dtype=complex))
+        assert len(calls) == 2 * levels + 1
+        assert calls[-1] == (8, 8)
 
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
     def test_identity_carry_changes_no_bit(self, model):
-        # so a grid of one chunk gets the prefixes of a scan that starts at I
+        # so the first chunk's root times I is the root _final_propagators keeps
         _, u = step_propagators(MethodId.ME6, model, 1000)
         assert np.array_equal(linalg.matmul(u, np.eye(model.dim, dtype=complex)), u)
 
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
     def test_identity_on_the_left_changes_no_bit(self, model):
-        # so the identity that the final-only tree appends to an odd piece
-        # hands the piece's last factor on as it is, in a batch or alone
+        # so the identity that the tree appends to an odd piece hands the
+        # piece's last factor on as it is, in a batch or alone
         _, u = step_propagators(MethodId.ME6, model, 1000)
         eye = np.eye(model.dim, dtype=complex)
         assert np.array_equal(linalg.matmul(eye, u), u)
@@ -460,6 +492,14 @@ class TestTreeLevels:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
+    def test_levels_are_yielded_without_the_identities(self):
+        # pieces of 7, 1, 4 and 3 steps are padded to 8, 2, 4 and 4 before the
+        # first product, but each level holds only its pieces' products
+        u = np.random.default_rng(3).normal(size=(15, 2, 2)) + 0j
+        levels = list(evolution._tree_levels(u, [7, 1, 4, 3]))
+        assert levels[0] is u
+        assert [len(level) for level in levels] == [15, 9, 5, 4]
+
     @pytest.mark.parametrize(
         "counts, levels",
         [((1024, 512, 256, 128, 64, 32), 10), ((7, 1, 4, 3), 3), ((5, 5), 3), ((1,), 0)],
@@ -484,16 +524,19 @@ class TestChunkBoundaries:
         "method", [MethodId.ME2, MethodId.ME6, MethodId.BLANES6_GAUSS], ids=lambda m: m.value
     )
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
-    def test_chunked_run_equals_sequential_product(self, model, method):
+    @pytest.mark.parametrize("grid", ["three-chunks", "one-step-tail"])
+    def test_chunked_run_equals_sequential_product(self, model, method, grid):
         width, n = THREE_CHUNKS[model.dim]
+        if grid == "one-step-tail":
+            n = ONE_STEP_TAILS[model.dim]
         starts, u = step_propagators(method, model, n)
-        assert starts == [0, width, 2 * width]
+        assert starts == list(range(0, n, width))
         want = sequential_prefixes(u)
 
-        # the scan of each chunk, carried on from the chunk before
-        carry, got = np.eye(model.dim), []
+        # the down-sweep of each chunk, carried on from the chunk before
+        carry, got = np.eye(model.dim, dtype=complex), []
         for start in starts:
-            prefixes = evolution._prefix_products(u[start:start + width], carry)
+            prefixes = evolution._prefixes(u[start:start + width], carry)
             got.append(prefixes[1:])
             carry = prefixes[-1]
         assert relative_deviation(np.concatenate(got), want[1:]) <= PRODUCT_ORDER_TOL
@@ -504,8 +547,9 @@ class TestChunkBoundaries:
         assert np.max(np.abs(trace.populations - np.abs(want @ psi0) ** 2)) <= PRODUCT_ORDER_TOL
         assert np.max(np.abs(trace.unitarity_defects - linalg.unitarity_defect(want))) <= PRODUCT_ORDER_TOL
         assert relative_error(trace.final_propagator, want[-1]) <= PRODUCT_ORDER_TOL
+        assert np.array_equal(trace.final_propagator, carry)
         (final,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
-        assert relative_error(final, trace.final_propagator) <= PRODUCT_ORDER_TOL
+        assert np.array_equal(final, trace.final_propagator)
 
 
 class TestPackedLadder:

@@ -79,8 +79,9 @@ def centred_hermitian(rng, shape):
 
 
 class TestMatmul:
-    # operand leading shapes: single x single, stack x stack, and stack x
-    # single, the broadcast that chains a block of the prefix scan
+    # operand leading shapes: single x single, as a chunk's product is carried
+    # onto the chunks before it, stack x stack, as a level of the product
+    # tree is formed up or down, and stack x single, broadcast as @ does
     SHAPES = {"single": ((), ()), "stack": ((5,), (5,)), "stack-single": ((5,), ())}
 
     @staticmethod
@@ -101,8 +102,8 @@ class TestMatmul:
         b = complex_normal(rng, shapes[1] + (dim, dim))
         self.assert_matches_numpy(matmul(a, b), a, b)
 
-    # every operand that can hold the whole product; in the prefix scan a
-    # block is chained onto a single matrix in place (stack-single, out=a)
+    # every operand that can hold the whole product, a stack broadcast
+    # against a single matrix included (stack-single, out=a)
     @pytest.mark.parametrize(
         "shape, alias", [("single", "a"), ("single", "b"), ("stack", "a"), ("stack", "b"), ("stack-single", "a")]
     )
@@ -163,8 +164,8 @@ class TestMatmulBranches:
         for n in self.SIZES:
             assert same_bits(matmul(a[:n], b[:n]), whole[:n]), n
 
-    # a block of the prefix scan times one matrix, and every block times its
-    # own base; the counts put each on both sides of the cut
+    # a stack times one matrix, and each of several stacks times a matrix of
+    # its own, broadcast as @ does; the counts put each on both sides of the cut
     @pytest.mark.parametrize("lead_a, lead_b", [((5,), ()), ((CUT + 1,), ()), ((3, 5), (3, 1)), ((4, CUT), (4, 1))])
     def test_broadcast_operands(self, monkeypatch, lead_a, lead_b):
         rng = np.random.default_rng(2)

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,32 @@ class TestExponent:
         ])
         assert np.array_equal(got, want)
 
+    # a per-step dt gives one step per matrix of a stack; any other shape is
+    # refused naming dt and both shapes, at d = 2 as at d = 3, where numpy
+    # broadcast some of them into a stack of another shape and refused others
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "stack, dt_shape, want",
+        [((), (2,), "a scalar"), ((), (1,), "a scalar"), ((5,), (5, 1), "a scalar or of shape (5,)"),
+         ((5,), (4,), "a scalar or of shape (5,)"), ((1,), (1, 1), "a scalar or of shape (1,)")],
+    )
+    def test_a_dt_of_another_shape_is_refused_naming_both(self, dim, stack, dt_shape, want):
+        shape = (*stack, dim, dim)
+        samples = {node: np.broadcast_to(np.eye(dim), shape) for node in sample_nodes(MethodId.ME4_NC)}
+        message = re.escape(f"dt must be {want} for samples of shape {shape}, got dt of shape {dt_shape}")
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            exponent(MethodId.ME4_NC, samples, np.full(dt_shape, 0.1))
+        assert not isinstance(info.value, PreconditionError)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("stack", [(), (1,), (5,)])
+    def test_a_scalar_or_one_dt_per_matrix_is_taken(self, dim, stack):
+        rng = np.random.default_rng(dim)
+        samples = {node: np.broadcast_to(random_hermitian(rng, dim), (*stack, dim, dim)) for node in sample_nodes(MethodId.ME2)}
+        scalar = exponent(MethodId.ME2, samples, 0.3)
+        assert scalar.shape == (*stack, dim, dim)
+        assert np.array_equal(exponent(MethodId.ME2, samples, np.full(stack, 0.3)), scalar)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_overflow_names_the_largest_per_step_dt(self, dim):
         h = np.stack([random_hermitian(np.random.default_rng(8), dim)] * 3)
@@ -447,6 +474,22 @@ class TestStep:
         with pytest.raises(ValueError, match="dt must be finite") as info:
             exponent(method, {node: np.eye(dim) for node in sample_nodes(method)}, dt)
         assert not isinstance(info.value, PreconditionError)
+
+    # step takes a scalar dt only: an array, even of one zero, is refused
+    # naming its shape before dt = 0 is tested or the sampler is called
+    @pytest.mark.parametrize("dt", [[0.1, 0.2], [0.0], [[0.1]]], ids=["two", "one-zero", "nested"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_an_array_dt_is_refused_naming_its_shape(self, dim, dt):
+        def sampler(t):
+            pytest.fail("sampled")
+
+        message = re.escape(f"dt must be a scalar for one step, got dt of shape {np.shape(dt)}")
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            step(MethodId.ME2, sampler, 0.0, np.array(dt))
+        assert not isinstance(info.value, PreconditionError)
+        # a 0-d array is a scalar
+        assert np.array_equal(step(MethodId.ME2, lambda t: np.eye(dim), 0.0, np.array(0.25)),
+                              step(MethodId.ME2, lambda t: np.eye(dim), 0.0, 0.25))
 
     def test_a_per_step_dt_with_one_nan_names_its_step(self):
         samples = {node: np.stack([np.eye(3)] * 3) for node in sample_nodes(MethodId.ME4_NC)}
