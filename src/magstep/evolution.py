@@ -23,17 +23,23 @@ for the Taylor polynomial.
 ``propagate`` releases each chunk's step propagators and prefixes before
 the next chunk is built.  Two d = 8 chunks of a trajectory peak at 4.17 MiB
 (``me2``) to 12.3 MiB (``me6``) above what was held before, as traced by
-``tracemalloc``.  The grids of a convergence ladder share chunks
-(:func:`_packed`), with a per-step ``dt`` where a chunk mixes grids, so a
-ladder takes one pass per chunk, not one per rung; every step gets the same
-floats as on its grid alone.
+``tracemalloc``.  A convergence ladder is run as a list of runs, ``(method,
+step count)`` each, every method's rungs in one pass: the runs share chunks
+(:func:`_packed`), so the ladder takes one pass per chunk, not one per rung
+or per method.  A chunk groups its pieces by method; each group's Theta,
+built with a per-step ``dt`` where it holds more than one grid, is written
+into the chunk's one Theta, which takes one exponential and one product
+tree.  Every step gets the same floats as on its grid, by its method, alone.
 
-Each chunk samples the Hamiltonian once per node time.  A scheme whose
-nodes include both ends of the step (``me2``, ``me3``, ``me4-*``, ``me6``,
-``blanes4``) samples each grid time ``t0 + dt * j`` once, since step k's end
-is step k + 1's start: node 0 reads all but the last of a piece's grid
-samples and node 1 all but the first (:func:`_node_samples`).  At d = 2 a
-chunk samples all its node times in one call.
+Each chunk samples the Hamiltonian once per time it needs: runs of one step
+count share their grid and node times (:func:`_node_samples`).  A scheme
+whose nodes include both ends of the step (``me2``, ``me3``, ``me4-*``,
+``me6``, ``blanes4``) reads each grid time ``t0 + dt * j``, sampled once,
+since step k's end is step k + 1's start: node 0 reads all but the last of
+a piece's grid samples and node 1 all but the first (:func:`_reads`).  So
+``me3``, ``me4-nc`` and ``blanes4`` on one n-step rung take 2n + 1 samples
+together, as one of them alone does.  At d = 2 a chunk samples all its
+times in one call.
 
 The driver knows what it samples, so it alone picks the path.  A
 :class:`HamiltonianModel` is Hermitian by construction: its samples, at any
@@ -41,9 +47,10 @@ d, go to the step builders unchecked, and a two-level model gives them as
 the real su(2) coordinates the builders take
 (``HamiltonianModel.su2_coordinates``), from its entries in real
 arithmetic, so no complex stack is built for it.  A callable sampler's
-complex matrix stacks get one Hermiticity check per node, as ``exponent``'s
-samples do.  Theta is the library's own output and is exponentiated
-unchecked, from its coordinates at d = 2.  A model's sample that is not
+complex matrix stacks get one Hermiticity check per node and method of a
+chunk, as ``exponent``'s samples do, so a bad sample is named by the node at
+which its method reads it.  Theta is the library's own output and is
+exponentiated unchecked, from its coordinates at d = 2.  A model's sample that is not
 finite (a sinusoid past the float range) is a :class:`PreconditionError`
 raised where it is sampled; a callable's is the ``ValueError`` of its
 check.  On a grid whose times ``t0 + dt * j`` are exact the step ends are
@@ -58,25 +65,29 @@ product per level: ceil(log2 n) for a chunk whose longest piece has n steps
 levels back down from the propagator carried from the chunk before, one
 batched product per level, to every prefix of the step product, later steps
 on the left (:func:`_prefixes`).  The convergence harness needs only final
-propagators, with no prefixes, populations or defects: it reduces all rungs'
-pieces of a chunk up the same tree together and keeps its top level.  Each
-driver multiplies a piece's product onto the product of its grid's pieces
-before it, so ``propagate`` and the harness give a grid the same final
-propagator, bit for bit.  The harness measures the relative Frobenius error
-of each scheme's final propagator against a reference computed by the
-6th-order scheme on a much finer grid, cross-checked against an independent
-6th-order scheme before it is trusted, and fits the log-log order of
+propagators, with no prefixes, populations or defects: it reduces all the
+pieces of a chunk, of every method's rungs, up the same tree together and
+keeps its top level.  ``propagate`` and the harness each multiply a
+piece's product onto the product of its run's pieces before it, so they
+give a grid the same final propagator, bit for bit.  The harness measures
+the relative Frobenius error of each scheme's final propagator against a
+reference computed by the 6th-order scheme on a much finer grid,
+cross-checked against an independent 6th-order scheme before it is
+trusted, and fits the log-log order of
 accuracy per method.  Every product of propagator stacks goes through
 ``linalg.matmul``.
 
 ``propagate`` and ``convergence_study`` are where the driver's inputs are
 checked: each input once, before anything is sampled, in this order.
-``propagate`` checks the state's normalization, ħ, the interval,
-``n_steps``, the size preflight (:func:`_checked_size`) and then a model's
-dimension against the state's.  ``convergence_study`` checks ħ, the
-interval, the methods (at least one, none twice), the ladder and its step
+``propagate`` checks that the method is a :class:`MethodId`, the state's
+normalization, ħ, the interval, ``n_steps``, the size preflight
+(:func:`_checked_size`) and then a model's dimension against the state's.
+``convergence_study`` checks ħ, the interval, the methods (a sequence of
+:class:`MethodId`, at least one, none twice), the ladder and its step
 counts, then takes a callable's dimension probe, then makes the size
-preflight on the reference grid, the largest it runs.  ħ and the interval are checked together, ħ
+preflight on the reference grid, the largest it runs.  A method that is not
+a :class:`MethodId`, its name included, is a ``TypeError`` naming the
+argument and listing the valid methods.  ħ and the interval are checked together, ħ
 first, by :func:`_checked_span`: ``ValueError`` for an ħ that is not
 positive and finite (``magnus_steps._checked_hbar``) and for a non-finite
 ``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless ``tf >
@@ -102,7 +113,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianModel
 from .linalg import Array, PreconditionError, _expm, frobenius_norm, matmul, unitarity_defect
-from .magnus_steps import MethodId, _checked_hbar, _checked_samples, _theta, sample_nodes
+from .magnus_steps import _SCHEMES, MethodId, _checked_hbar, _checked_method, _checked_samples, _theta
 
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps these names
 from .linalg import expm_antihermitian  # noqa: F401
@@ -185,53 +196,69 @@ def _sampled(model, times: Array, dim: int) -> Array:
     return h
 
 
-def _node_samples(method: MethodId, model, t0: float, dts: list[float], pieces, dt, dim: int) -> list[Array]:
-    """Hamiltonian samples at each node of every step of a chunk's ``pieces``
-    (see :func:`_step_chunks`), whose ``dt`` is a scalar or the ``(n,)``
-    per-step steps: one stack per node, in node order.  A callable's stacks
-    are checked by ``magnus_steps._checked_samples``, as ``exponent``'s
-    are; a model's are Hermitian by construction and are not.
-
-    A scheme with nodes at both ends of the step samples each piece's grid
-    times ``t0 + dt * j``, ``j = start ... stop``, once: node 0 reads all
-    but the last of them and node 1 all but the first, views of one array
-    for a chunk of one piece.  Its other nodes, like every node of the
-    other schemes, are sampled at ``step start + node * dt``.  All these
-    times go into one array, those nodes' first, then the piece grids.  At
-    d = 2 it is sampled in one call and each node gets a view of the result;
-    above, each node's times, and the grids', are sampled in a call of their
-    own, so that ``_theta`` frees each ``(n, d, d)`` stack as it scales it.
+def _node_samples(model, t0: float, keys: list[tuple], dim: int) -> dict[tuple, Array]:
+    """The Hamiltonian sampled for each ``(dt, start, stop, node)`` of
+    ``keys``, in order: at the node times ``step start + node * dt`` of steps
+    ``start ... stop - 1`` of the uniform grid ``t0 + dt * j``, or, for
+    ``node`` None, at that piece's grid times, ``j = start ... stop``.  The
+    times depend on the key alone, so runs over one grid share them, and
+    they are the floats the grid's pieces get alone.  At d = 2 all the keys'
+    times are sampled in one call and each key gets a view of the result;
+    above, each key's times are sampled in a call of their own, so that each
+    stack can be dropped once the last method that reads it has its
+    generators.  Nothing here is checked but what :func:`_sampled` checks.
     """
-    step_start = np.concatenate([t0 + dts[g] * np.arange(start, stop) for g, start, stop in pieces])
-    nodes = sample_nodes(method)
+    # each piece's step starts, built once for all its nodes
+    step_starts = functools.cache(lambda dt, start, stop: t0 + dt * np.arange(start, stop))
+
+    def filled(key: tuple, out: Array) -> Array:
+        dt, start, stop, node = key
+        if node is None:
+            return np.add(t0, dt * np.arange(start, stop + 1), out=out)
+        return np.add(step_starts(dt, start, stop), node * dt, out=out)
+
+    lengths = [stop - start + (node is None) for _, start, stop, node in keys]
+    if dim > 2:
+        return {key: _sampled(model, filled(key, np.empty(n)), dim) for key, n in zip(keys, lengths)}
+    edges = list(itertools.pairwise(itertools.accumulate(lengths, initial=0)))
+    times = np.empty(edges[-1][1])
+    for key, (a, b) in zip(keys, edges):
+        filled(key, times[a:b])
+    h = _sampled(model, times, dim)
+    return {key: _steps(h, slice(a, b)) for key, (a, b) in zip(keys, edges)}
+
+
+def _steps(a: Array, steps: slice) -> Array:
+    """The entries ``steps`` of a stack along its step axis: the last of su(2)
+    coordinates, the first of matrices."""
+    return a[:, steps] if a.dtype == np.float64 else a[steps]
+
+
+def _joined(parts: list[Array]) -> Array:
+    """One stack of ``parts`` along their step axis, the part itself if one."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts, axis=1 if parts[0].dtype == np.float64 else 0)
+
+
+def _reads(method: MethodId, pieces: list[tuple[float, int, int]]) -> list[list[tuple[tuple, slice]]]:
+    """For each node of ``method``, in node order, the ``(key, steps)`` of
+    :func:`_node_samples` each of ``pieces``, ``(dt, start, stop)``, reads
+    for it.  A scheme with nodes at both ends of the step (``me2``, ``me3``,
+    ``me4-*``, ``me6``, ``blanes4``) reads each piece's grid samples for
+    them, node 0 all but the last and node 1 all but the first, since step
+    k's end is step k + 1's start; its other nodes, like every node of the
+    other schemes, read the samples at that node's times."""
+    nodes = _SCHEMES[method][0]
     shared = nodes[0] == 0.0 and nodes[-1] == 1.0
-    inner = nodes[1:-1] if shared else nodes
-    n = len(step_start)
-    base = len(inner) * n
-    # each piece's grid, at times[base + a:base + b]
-    edges = list(itertools.pairwise(itertools.accumulate([stop + 1 - start for _, start, stop in pieces], initial=0)))
-    times = np.empty(base + (edges[-1][1] if shared else 0))
-    for i, node in enumerate(inner):
-        np.add(step_start, node * dt, out=times[i * n:(i + 1) * n])
-    for (g, start, stop), (a, b) in zip(pieces if shared else [], edges):
-        np.add(t0, dts[g] * np.arange(start, stop + 1), out=times[base + a:base + b])
-    bounds = [(i * n, (i + 1) * n) for i in range(len(inner))] + ([(base, len(times))] if shared else [])
-    if dim == 2:
-        h = _sampled(model, times, dim)
-        # the step axis is last for coordinates, first for matrices
-        stacks = [h[:, a:b] if h.dtype == np.float64 else h[a:b] for a, b in bounds]
-    else:
-        stacks = [_sampled(model, times[a:b], dim) for a, b in bounds]
-    samples = dict(zip(inner, stacks))
-    if shared:
-        ends = stacks[-1]
-        axis = 1 if ends.dtype == np.float64 else 0
-        for node, first, last in ((0.0, 0, -1), (1.0, 1, 0)):
-            parts = [ends[:, a + first:b + last] if axis else ends[a + first:b + last] for a, b in edges]
-            samples[node] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-    if isinstance(model, HamiltonianModel):
-        return [samples[node] for node in nodes]
-    return _checked_samples(method, samples)
+    reads = []
+    for node in nodes:
+        if shared and node in (0.0, 1.0):
+            steps = slice(0, -1) if node == 0.0 else slice(1, None)
+            reads.append([((dt, start, stop, None), steps) for dt, start, stop in pieces])
+        else:
+            reads.append([((dt, start, stop, node), slice(None)) for dt, start, stop in pieces])
+    return reads
 
 
 def _trajectory_bytes(n_steps: int, dim: int) -> int:
@@ -282,62 +309,95 @@ def _checked_span(t0: float, tf: float, hbar: float) -> float:
 
 
 def _step_chunks(
-    method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, hbar: float = 1.0
+    runs: Sequence[tuple[MethodId, int]], model, t0: float, tf: float, dim: int, hbar: float = 1.0
 ) -> Iterator[tuple[list[tuple[int, int, int]], Array]]:
-    """``(pieces, u)`` for each chunk of the steps of one or more uniform
-    grids over ``[t0, tf]``, of ``counts[grid]`` steps each: ``pieces`` are
-    the chunk's ``(grid, start, stop)`` from :func:`_packed`, and ``u`` holds
-    the step propagators of steps ``start ... stop - 1`` of each piece's
-    grid, piece after piece.
+    """``(pieces, u)`` for each chunk of the steps of ``runs``, ``(method,
+    count)`` each: ``method`` over the uniform grid of ``count`` steps over
+    ``[t0, tf]``.  ``pieces`` are the chunk's ``(run, start, stop)`` from
+    :func:`_packed`, and ``u`` holds the step propagators of steps ``start
+    ... stop - 1`` of each piece's run, piece after piece.
 
-    The grids' steps are packed into chunks of at most ``CHUNK_BYTES // (16
-    dim**2)`` steps; each chunk is sampled (:func:`_node_samples`), built
-    and exponentiated in one pass, only when it is reached, so no ``(n, d,
-    d)`` stack outlives its chunk.  Nothing here is checked: ``hbar``, the
-    interval, the counts and ``dim`` are the entry point's, and only what
-    sampling produces is checked as it is sampled.  A piece's grid times
-    ``t0 + dt * arange(start, stop + 1)``, node times and ``dt`` are the
-    same floats as on its grid alone.
+    The runs' steps are packed into chunks of at most ``CHUNK_BYTES // (16
+    dim**2)`` steps, each built only when it is reached, so no ``(n, d, d)``
+    stack outlives its chunk.  A chunk's pieces are grouped by method, in
+    the order each method first appears, and ``pieces`` lists them in that
+    order.  The chunk samples each time it needs once
+    (:func:`_node_samples`): runs of one count share their grid.  Each group
+    then gets its node stacks (:func:`_reads`), each stack dropped after the
+    last group that reads it; a callable's are checked by
+    ``magnus_steps._checked_samples`` for each group.  The group's Theta,
+    built by ``magnus_steps._theta`` with a scalar ``dt`` for one piece and a
+    per-step one for more, is written into the chunk's one Theta, which
+    takes one ``linalg._expm`` call.  A chunk of one group takes its Theta
+    as it is.  Nothing here is checked: the methods, ``hbar``, the interval,
+    the counts and ``dim`` are the entry point's, and only what sampling
+    produces is checked as it is sampled.  A piece's times, samples,
+    generators, Theta and exponential are the floats of its run alone.
     """
-    dts = [(tf - t0) / n for n in counts]
+    dts = [(tf - t0) / n for _, n in runs]
 
     def chunk(pieces: list[tuple[int, int, int]]) -> tuple[list[tuple[int, int, int]], Array]:
-        # a grid has at most one piece in a chunk; a per-step dt only where
-        # the chunk holds pieces of more than one grid
-        dt = dts[pieces[0][0]]
-        if len(pieces) > 1:
-            dt = np.concatenate([np.full(stop - start, dts[g]) for g, start, stop in pieces])
-        # the node list is not named here: _theta replaces each of its stacks by
-        # the scaled one, so no node is held twice, and frees it before expm
-        u = _expm(_theta(method, _node_samples(method, model, t0, dts, pieces, dt, dim), dt, hbar))
-        return pieces, u
+        groups: dict[MethodId, list[tuple[int, int, int]]] = {}
+        for piece in pieces:
+            groups.setdefault(runs[piece[0]][0], []).append(piece)
+        pieces = [piece for members in groups.values() for piece in members]
+        reads = [_reads(method, [(dts[run], start, stop) for run, start, stop in members]) for method, members in groups.items()]
+        # the last group that reads each key; inner nodes' times first, then the grids
+        last = {key: i for i, parts in enumerate(reads) for node in parts for key, _ in node}
+        stacks = _node_samples(model, t0, sorted(last, key=lambda key: key[3] is None), dim)
+        theta, offset = None, 0
+        if len(groups) > 1:
+            n = sum(stop - start for _, start, stop in pieces)
+            theta = np.empty((4, n)) if dim == 2 else np.empty((n, dim, dim), dtype=np.complex128)
+        for i, ((method, members), parts) in enumerate(zip(groups.items(), reads)):
+            samples = [_joined([_steps(stacks[key], steps) for key, steps in node]) for node in parts]
+            for key in {key for node in parts for key, _ in node if last[key] == i}:
+                del stacks[key]
+            if not isinstance(model, HamiltonianModel):
+                samples = _checked_samples(method, dict(zip(_SCHEMES[method][0], samples)))
+            # a run has one piece in a chunk at most: one piece takes its
+            # run's dt, more a per-step dt
+            dt = dts[members[0][0]]
+            if len(members) > 1:
+                dt = np.concatenate([np.full(stop - start, dts[run]) for run, start, stop in members])
+            # _theta replaces each sample by its generator, so no node is held twice
+            group = _theta(method, samples, dt, hbar)
+            del samples
+            if theta is None:
+                return pieces, _expm(group)
+            k = sum(stop - start for _, start, stop in members)
+            _steps(theta, slice(offset, offset + k))[...] = group
+            offset += k
+            del group
+        return pieces, _expm(theta)
 
     width = max(1, CHUNK_BYTES // (16 * dim**2))
     # map keeps no chunk it has returned, unlike a generator expression's
     # loop variable, so a chunk can be freed before the next one is built
-    return map(chunk, _packed(counts, width))
+    return map(chunk, _packed([n for _, n in runs], width))
 
 
 def _packed(counts: Sequence[int], width: int) -> Iterator[list[tuple[int, int, int]]]:
-    """The ``(grid, start, stop)`` pieces of each chunk of at most ``width``
-    steps, for grids of ``counts`` steps packed in order.
+    """The ``(run, start, stop)`` pieces of each chunk of at most ``width``
+    steps, for runs over grids of ``counts`` steps packed in order.
 
-    A grid of at most ``width`` steps joins the open chunk if it fits there
-    and starts a new one otherwise, so it is never split.  A longer grid is
+    A run of at most ``width`` steps joins the open chunk if it fits there
+    and starts a new one otherwise, so it is never split.  A longer run is
     cut at multiples of ``width`` from its own start: each full piece is a
-    chunk of its own, and the rest starts a new chunk.
+    chunk of its own, and the rest starts a new chunk.  A run's pieces are
+    the same whatever runs it is packed with.
     """
     pieces, filled = [], 0
-    for grid, n in enumerate(counts):
+    for run, n in enumerate(counts):
         n = int(n)
         if filled + min(n, width) > width:
             yield pieces
             pieces, filled = [], 0
         tail = n - n % width if n > width else 0
         for start in range(0, tail, width):
-            yield [(grid, start, start + width)]
+            yield [(run, start, start + width)]
         if tail < n:
-            pieces.append((grid, tail, n))
+            pieces.append((run, tail, n))
             filled += n - tail
     if pieces:
         yield pieces
@@ -420,11 +480,13 @@ def propagate(
     propagators U(t) come from the down-sweep of its product tree
     (:func:`_prefixes`), so the final one equals what
     :func:`_final_propagators` gives the grid, bit for bit.  Checks, before
-    anything is sampled: the state's normalization, ``hbar``, the interval,
-    ``n_steps`` (``TypeError`` unless an integer), that the outputs, which
-    grow with ``n_steps``, fit in memory (:func:`_checked_size`), and a
-    model's dimension.
+    anything is sampled: that ``method`` is a :class:`MethodId`
+    (``TypeError`` otherwise), the state's normalization, ``hbar``, the
+    interval, ``n_steps`` (``TypeError`` unless an integer), that the
+    outputs, which grow with ``n_steps``, fit in memory
+    (:func:`_checked_size`), and a model's dimension.
     """
+    _checked_method(method)
     psi0 = np.asarray(initial_state, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > STATE_NORM_TOL:
@@ -445,7 +507,7 @@ def propagate(
     populations = np.empty((n_steps + 1, dim))
     defects = np.empty(n_steps + 1)
     carry = np.eye(dim, dtype=np.complex128)
-    for [(_, start, _)], u in _step_chunks(method, model, t0, tf, (n_steps,), dim, hbar):
+    for [(_, start, _)], u in _step_chunks([(method, n_steps)], model, t0, tf, dim, hbar):
         prefixes = _prefixes(u, carry)
         rows = slice(start, start + len(prefixes))
         populations[rows] = np.abs(prefixes @ psi0) ** 2
@@ -463,22 +525,29 @@ def propagate(
 
 
 def _final_propagators(
-    method: MethodId, model, t0: float, tf: float, counts: Sequence[int], dim: int, hbar: float = 1.0
+    runs: Sequence[tuple[MethodId, int]], model, t0: float, tf: float, dim: int, hbar: float = 1.0
 ) -> list[Array]:
-    """U(tf) alone of each grid of ``counts`` steps over ``[t0, tf]``: the step
-    propagators multiplied pairwise, later steps on the left.
+    """U(tf) alone of each run of ``runs``, ``(method, count)`` each:
+    ``method``'s step propagators over the grid of ``count`` steps over
+    ``[t0, tf]``, multiplied pairwise, later steps on the left.
 
-    All pieces of a chunk (see :func:`_step_chunks`) are reduced together,
-    one batched product per level of :func:`_tree_levels`, whose last level
-    holds each piece's product; no prefix is ever stored.  Each piece's
-    product then multiplies the product of the grid's pieces before it, so a
-    grid of one piece takes no product beyond its own.
+    All pieces of a chunk (see :func:`_step_chunks`), whatever their
+    methods, are reduced together, one batched product per level of
+    :func:`_tree_levels`, whose last level holds each piece's product; no
+    prefix is ever stored, and each level is dropped once the next is
+    built, the chunk's step propagators first.  Each piece's product then
+    multiplies the product of its run's pieces before it, so a run of one
+    piece takes no product beyond its own.
     """
-    products: list[list[Array]] = [[] for _ in counts]
-    for pieces, u in _step_chunks(method, model, t0, tf, counts, dim, hbar):
-        *_, top = _tree_levels(u, [stop - start for _, start, stop in pieces])
-        for (grid, _, _), p in zip(pieces, top):
-            products[grid].append(p)
+    products: list[list[Array]] = [[] for _ in runs]
+    for pieces, u in _step_chunks(runs, model, t0, tf, dim, hbar):
+        levels = _tree_levels(u, [stop - start for _, start, stop in pieces])
+        del u
+        # each level is released once the next one is built
+        for top in levels:
+            pass
+        for (run, _, _), p in zip(pieces, top):
+            products[run].append(p)
     return [functools.reduce(lambda carry, p: matmul(p, carry), pieces) for pieces in products]
 
 
@@ -582,15 +651,23 @@ def convergence_study(
     times the finest rung's step count.  It is computed once, then
     independently cross-checked with :data:`CROSS_CHECK_METHOD` on the same
     grid; the study refuses to run if the two disagree beyond
-    :data:`REFERENCE_AGREEMENT_TOL` relative.  Checks ``hbar``, the
-    interval, the methods (``ValueError`` for none, since a study of no
-    method would run both references for nothing, or for one listed
-    twice), the ladder and its step counts, then takes a
+    :data:`REFERENCE_AGREEMENT_TOL` relative; only then is the ladder run,
+    every method's rungs in one pass (:func:`_final_propagators`), and each
+    record's error taken from one stacked Frobenius norm, the floats of
+    :func:`relative_error`.  Checks ``hbar``, the interval, the methods (a
+    sequence, not a string: ``TypeError`` otherwise, and for an entry that
+    is not a :class:`MethodId`; ``ValueError`` for none, since a study of no
+    method would run both references for nothing, or for one listed twice),
+    the ladder and its step counts, then takes a
     callable's dimension from one sample at ``t0``, then checks that the
     reference grid fits (:func:`_checked_size`), all before the study
     samples anything else.
     """
     span = _checked_span(t0, tf, hbar)
+    if not isinstance(methods, Sequence) or isinstance(methods, str):
+        raise TypeError(f"methods must be a sequence of MethodId, got {methods!r}")
+    for i, method in enumerate(methods):
+        _checked_method(method, f"methods[{i}]")
     if len(methods) == 0:
         raise ValueError("methods must list at least one method, got none")
     for i, method in enumerate(methods):
@@ -612,8 +689,8 @@ def convergence_study(
         dim = np.atleast_1d(model(float(t0))).shape[-1]
     _checked_size(n_ref, dim)
 
-    (u_ref,) = _final_propagators(REFERENCE_METHOD, model, t0, tf, (n_ref,), dim, hbar)
-    (u_check,) = _final_propagators(CROSS_CHECK_METHOD, model, t0, tf, (n_ref,), dim, hbar)
+    (u_ref,) = _final_propagators([(REFERENCE_METHOD, n_ref)], model, t0, tf, dim, hbar)
+    (u_check,) = _final_propagators([(CROSS_CHECK_METHOD, n_ref)], model, t0, tf, dim, hbar)
     agreement = relative_error(u_check, u_ref)
     if not agreement <= REFERENCE_AGREEMENT_TOL:
         raise PreconditionError(
@@ -622,12 +699,14 @@ def convergence_study(
             f"exceeds {REFERENCE_AGREEMENT_TOL:g}"
         )
 
-    # one packed pass over the whole ladder per method
-    records: list[ConvergenceRecord] = []
-    for method in methods:
-        finals = _final_propagators(method, model, t0, tf, counts, dim, hbar)
-        for dt, n, u in zip(dts, counts, finals):
-            records.append(ConvergenceRecord(method, float(dt), n, relative_error(u, u_ref)))
+    # one packed pass over every method's whole ladder
+    runs = [(method, n) for method in methods for n in counts]
+    finals = np.stack(_final_propagators(runs, model, t0, tf, dim, hbar))
+    errors = frobenius_norm(finals - u_ref) / frobenius_norm(u_ref)
+    records = [
+        ConvergenceRecord(method, float(dt), n, float(error))
+        for (method, n), dt, error in zip(runs, itertools.cycle(dts), errors)
+    ]
 
     # A product of n machine-accurate unitaries drifts by O(n * eps), and the
     # reference contributes its own share, so records below

@@ -7,9 +7,13 @@ differ in quadrature nodes and in how many nested commutators they keep.
 
 A scheme is one ``_SCHEMES`` entry: its nodes, in ascending order, and the
 builder that takes the generator at each node as one positional argument,
-in that order.  :func:`sample_nodes` and :func:`_theta` read that table
-and nothing else, and ``ALL_METHODS`` is the declaration order of
-:class:`MethodId`.
+in that order.  :func:`sample_nodes`, the sample check, :func:`_theta` and
+the evolution module read that table and nothing else, and ``ALL_METHODS``
+is the declaration order of :class:`MethodId`.  Every entry point that
+takes a method, :func:`sample_nodes` included, raises ``TypeError`` naming
+the argument and listing the valid methods for anything that is not a
+:class:`MethodId` (``_checked_method``), before anything is sampled, so
+the table is read only with a method it holds.
 
 ``exponent`` and :func:`_theta` broadcast: samples may be single ``(d, d)``
 matrices or stacks ``(n, d, d)`` sharing one scalar ``dt`` or taking a
@@ -174,9 +178,20 @@ class NonHermitianSampleError(PreconditionError):
         )
 
 
+def _checked_method(method, name: str = "method") -> MethodId:
+    """``method``, once it is known to be a :class:`MethodId`: ``TypeError``
+    naming the argument ``name`` and listing the valid methods otherwise, a
+    method's name (``"me2"``) included, which ``MethodId.from_name`` takes."""
+    if not isinstance(method, MethodId):
+        valid = ", ".join(m.value for m in MethodId)
+        raise TypeError(f"{name} must be a MethodId, got {method!r}; valid methods: {valid} (MethodId.from_name takes these names)")
+    return method
+
+
 def sample_nodes(method: MethodId) -> tuple[float, ...]:
-    """Fractions of the step at which the scheme samples the Hamiltonian."""
-    return _SCHEMES[method][0]
+    """Fractions of the step at which the scheme samples the Hamiltonian;
+    ``TypeError`` unless ``method`` is a :class:`MethodId`."""
+    return _SCHEMES[_checked_method(method)][0]
 
 
 def _checked_hbar(hbar: float) -> None:
@@ -217,7 +232,7 @@ def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[A
     over their stack (:func:`_checked_matrices`); whenever that does not pass
     them, and for stacks, each node is checked on its own, in node order,
     which is what raises."""
-    nodes = sample_nodes(method)
+    nodes = _SCHEMES[method][0]
     out = _checked_matrices(nodes, samples)
     if out is not None:
         return out
@@ -332,12 +347,14 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     matrices, real or complex, stacked as ``(n, d, d)`` or not, all of one
     shape.  No sample is written to, so two nodes may share memory.  ``dt``
     is a scalar or, for stacks, a per-step ``(n,)`` array.  Raises
+    ``TypeError`` unless ``method`` is a :class:`MethodId`, then
     ``ValueError`` unless ``hbar`` is positive and finite, then unless every
     ``dt`` is finite, before any sample is checked; then checks the samples
     (:func:`_checked_samples`), then ``dt``'s shape against theirs
     (:func:`_checked_dt_shape`), and returns the complex matrix (stack) of
     :func:`_theta`.
     """
+    _checked_method(method)
     _checked_hbar(hbar)
     _checked_dt(dt)
     checked = _checked_samples(method, samples)
@@ -547,13 +564,15 @@ def step(
 ) -> Array:
     """Unitary propagator over ``[t_k, t_k + dt]``; negative ``dt`` steps backward.
 
-    ``dt`` is a scalar: an array is a ``ValueError`` naming its shape
+    Raises ``TypeError`` unless ``method`` is a :class:`MethodId`.  ``dt``
+    is a scalar: an array is a ``ValueError`` naming its shape
     (:func:`_checked_dt_shape`).  Then raises :class:`PreconditionError` for
     ``dt = 0`` and ``ValueError`` unless ``hbar`` is positive and finite, then
     unless ``dt`` is finite, then unless ``t_k`` and the step's end ``t_k +
     dt`` are, before the sampler is called.  The sampler's matrices are
     checked as ``exponent`` checks them, and Theta is exponentiated by
     ``linalg._expm``, as the evolution driver exponentiates it."""
+    _checked_method(method)
     _checked_dt_shape(dt, None)
     if dt == 0.0:
         raise PreconditionError("step size dt must be nonzero")
@@ -561,5 +580,5 @@ def step(
     _checked_dt(dt)
     if not (math.isfinite(t_k) and math.isfinite(float(t_k) + float(dt))):
         raise ValueError(f"t_k and t_k + dt must be finite, got t_k={t_k!r}, dt={dt!r}")
-    samples = _checked_samples(method, {node: sampler(t_k + node * dt) for node in sample_nodes(method)})
+    samples = _checked_samples(method, {node: sampler(t_k + node * dt) for node in _SCHEMES[method][0]})
     return _expm(_theta(method, samples, dt, hbar))

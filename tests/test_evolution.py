@@ -76,6 +76,29 @@ PREFIX_LENGTHS = [1, 2, 3, 4, 5, 7, 1000, 1001]
 # the fifth joins it.
 PACKED_LADDERS = {2: (2 * 16384 + 37, 9000, 5000, 4000, 3000), 8: (2 * 1024 + 37, 600, 300, 200, 500)}
 
+# Ladders of the one-pass tests, run by all nine methods together: odd and
+# one-step rungs, then, at d = 2 and 8, a rung longer than one chunk, whose
+# tail shares a chunk with the next method's first rungs.  At d = 3 the
+# sampler is a Python callable, called once per time, so its rungs stay
+# short, and all nine methods share one chunk.
+ONE_PASS_LADDERS = {2: (1001, 7, 1, THREE_CHUNKS[2][0] + 37), 3: (101, 7, 4, 1), 8: (301, 7, 1, THREE_CHUNKS[8][0] + 37)}
+
+# Traced peak memory of convergence_study on the benchmark's convergence
+# ladder (case II over [0, 6.25], rungs of 1024 ... 32 steps, all nine
+# methods), above what was held before it.  Its 8192-step reference pass
+# peaks there, at its me6 samples and generators: 3.2547 MiB when each
+# method took a ladder pass of its own, 3.2566 MiB with one pass for all
+# methods, whose grouping by method holds 2 KiB more then.
+WORKLOAD_STUDY_PEAK = 3.26 * 2**20
+
+# Traced peak of one d = 8 chunk that holds all nine methods' rungs of 50,
+# 30, 20, 7 and 1 steps (972 steps), above what was held before it:
+# measured 3.89 MiB, for the chunk's shared samples (1.06 MiB), its Theta
+# (0.95 MiB), and the stacks of each method's exponent, of the exponential
+# and of the tree.
+ALL_METHODS_CHUNK_PEAK = 4.25 * 2**20
+ALL_METHODS_CHUNK_LADDER = (50, 30, 20, 7, 1)
+
 # A dense d = 8 ladder over [0, 10] that fits one chunk: every step of its
 # coarse rung has a Theta of 1-norm above linalg.TAYLOR_NORM_CUT (8.6 to
 # 15.5 for me2, me6 and blanes6-gauss), every step of its fine rung one in
@@ -101,6 +124,11 @@ def dense_model(dim, seed):
 
 DENSE8 = dense_model(8, seed=5)
 DENSE3 = dense_model(3, seed=7)
+
+
+def runs(method, counts):
+    """The runs of one method over the grids of ``counts`` steps."""
+    return [(method, n) for n in counts]
 
 
 class TestPropagate:
@@ -349,7 +377,7 @@ class TestPropagate:
 
 def step_propagators(method, model, n):
     """The chunks of a grid over [0, 10] and the step propagators they hold, in order."""
-    chunks = list(evolution._step_chunks(method, model, 0.0, 10.0, (n,), model.dim))
+    chunks = list(evolution._step_chunks([(method, n)], model, 0.0, 10.0, model.dim))
     assert all(len(pieces) == 1 and pieces[0][0] == 0 for pieces, _ in chunks)
     return [pieces[0][1] for pieces, _ in chunks], np.concatenate([u for _, u in chunks])
 
@@ -359,6 +387,18 @@ def sequential_prefixes(u, carry=None):
     for step in u:
         prefixes.append(step @ prefixes[-1])
     return np.stack(prefixes)
+
+
+def traced_peak(call):
+    """``call()``'s result and its traced peak memory above what was held before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
 
 
 def relative_deviation(got, want):
@@ -375,9 +415,20 @@ class TestFinalPropagator:
         n = {"three-chunks": THREE_CHUNKS[model.dim][1], "one-step-tail": ONE_STEP_TAILS[model.dim]}.get(n, n)
         psi0 = np.eye(model.dim)[0]
         trace = propagate(method, model, 0.0, 10.0, n, psi0)
-        (final,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
+        (final,) = evolution._final_propagators([(method, n)], model, 0.0, 10.0, model.dim)
         assert final.shape == (model.dim, model.dim)
         assert np.array_equal(final, trace.final_propagator)
+
+    @pytest.mark.parametrize("method", [MethodId.ME2, MethodId.ME6, MethodId.BLANES6_GAUSS], ids=lambda m: m.value)
+    def test_peak_memory_is_flat_in_the_chunk_count(self, method):
+        # a chunk's step propagators are released before the next chunk is
+        # built, so three chunks peak as high as one, beyond the pieces'
+        # products they carry
+        width = THREE_CHUNKS[8][0]
+        evolution._final_propagators([(method, 64)], DENSE8, 0.0, 10.0, 8)  # first-call allocations
+        _, one = traced_peak(lambda: evolution._final_propagators([(method, width)], DENSE8, 0.0, 10.0, 8))
+        _, three = traced_peak(lambda: evolution._final_propagators([(method, 3 * width)], DENSE8, 0.0, 10.0, 8))
+        assert three - one <= CHUNK_PEAK_SLACK
 
 
 class TestPrefixes:
@@ -474,7 +525,7 @@ class TestTreeLevels:
         for pieces in chunks:
             for grid, _, stop in pieces:
                 counts[grid] = stop
-        got = evolution._final_propagators(MethodId.ME2, None, 0.0, 1.0, counts, dim)
+        got = evolution._final_propagators(runs(MethodId.ME2, counts), None, 0.0, 1.0, dim)
 
         want = [np.eye(dim, dtype=complex) for _ in range(grids)]
         for pieces, u in zip(chunks, stacks):
@@ -514,7 +565,7 @@ class TestTreeLevels:
             return linalg.matmul(*args, **kwargs)
 
         monkeypatch.setattr(evolution, "matmul", counted)
-        finals = evolution._final_propagators(MethodId.ME2, builtin_case("IV"), 0.0, 1.0, counts, 2)
+        finals = evolution._final_propagators(runs(MethodId.ME2, counts), builtin_case("IV"), 0.0, 1.0, 2)
         assert len(finals) == len(counts)
         assert len(calls) == levels
 
@@ -548,7 +599,7 @@ class TestChunkBoundaries:
         assert np.max(np.abs(trace.unitarity_defects - linalg.unitarity_defect(want))) <= PRODUCT_ORDER_TOL
         assert relative_error(trace.final_propagator, want[-1]) <= PRODUCT_ORDER_TOL
         assert np.array_equal(trace.final_propagator, carry)
-        (final,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
+        (final,) = evolution._final_propagators([(method, n)], model, 0.0, 10.0, model.dim)
         assert np.array_equal(final, trace.final_propagator)
 
 
@@ -588,12 +639,12 @@ class TestPackedLadder:
             monkeypatch.setattr(linalg, name, lambda t, *degree, name=name, kernel=kernel: rows.append((name, *degree, len(t))) or kernel(t, *degree))
         for counts in [PACKED_LADDERS[model.dim]] + ([ACROSS_THE_CUT] if model.dim == 8 else []):
             rows.clear()
-            packed = evolution._final_propagators(method, model, 0.0, 10.0, counts, model.dim)
+            packed = evolution._final_propagators(runs(method, counts), model, 0.0, 10.0, model.dim)
             if counts == ACROSS_THE_CUT:
                 assert rows == [("_expm_taylor", 12, 600), ("_expm_eigh", 8)]
             assert len(packed) == len(counts)
             for n, got in zip(counts, packed):
-                (want,) = evolution._final_propagators(method, model, 0.0, 10.0, (n,), model.dim)
+                (want,) = evolution._final_propagators([(method, n)], model, 0.0, 10.0, model.dim)
                 assert np.array_equal(got, want), n
 
     def test_a_packed_chunk_of_full_width_equals_one_grid_calls(self):
@@ -602,15 +653,15 @@ class TestPackedLadder:
         counts = (10000, THREE_CHUNKS[2][0] - 10000)
         assert list(evolution._packed(counts, THREE_CHUNKS[2][0])) == [[(0, 0, 10000), (1, 0, counts[1])]]
         model = builtin_case("I")
-        packed = evolution._final_propagators(MethodId.ME4_NC, model, 0.0, 50.0, counts, 2)
+        packed = evolution._final_propagators(runs(MethodId.ME4_NC, counts), model, 0.0, 50.0, 2)
         for n, got in zip(counts, packed):
-            (want,) = evolution._final_propagators(MethodId.ME4_NC, model, 0.0, 50.0, (n,), 2)
+            (want,) = evolution._final_propagators([(MethodId.ME4_NC, n)], model, 0.0, 50.0, 2)
             assert np.array_equal(got, want), n
 
     def test_pieces_come_in_chunk_order(self):
         width, _ = THREE_CHUNKS[8]
         counts = PACKED_LADDERS[8]
-        chunks = list(evolution._step_chunks(MethodId.ME2, DENSE8, 0.0, 10.0, counts, 8))
+        chunks = list(evolution._step_chunks(runs(MethodId.ME2, counts), DENSE8, 0.0, 10.0, 8))
         assert [pieces for pieces, _ in chunks] == list(evolution._packed(counts, width))
         assert [len(u) for _, u in chunks] == [sum(stop - start for _, start, stop in pieces) for pieces, _ in chunks]
 
@@ -632,7 +683,7 @@ class TestPackedLadder:
 
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
-        evolution._final_propagators(method, DENSE8 if sampler == "model" else lambda t: h, 0.0, 1.0, counts, 8)
+        evolution._final_propagators(runs(method, counts), DENSE8 if sampler == "model" else lambda t: h, 0.0, 1.0, 8)
         sizes = [width, width, counts[0] - 2 * width + counts[1] + counts[2], counts[3] + counts[4]]
         want = [(size, 8, 8) for size in sizes for _ in range(nodes)]
         assert seen == (want if sampler == "callable" else [])
@@ -643,6 +694,135 @@ class TestPackedLadder:
         forbid_sampling(monkeypatch)
         with pytest.raises(PreconditionError, match=r"n_steps=10\^18\.90 "):
             convergence_study(RABI, [MethodId.ME2], dts=[0.25, 1e-18], tf=1.0)
+
+
+class TestOnePassLadder:
+    # every (method, rung) of a ladder in one chunk pass, each with the bits
+    # of its own pass
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_each_run_has_the_bits_of_its_own_pass(self, dim):
+        model = {2: builtin_case("IV"), 3: callable_of(DENSE3), 8: DENSE8}[dim]
+        ladder = [(method, n) for method in ALL_METHODS for n in ONE_PASS_LADDERS[dim]]
+        width = evolution.CHUNK_BYTES // (16 * dim**2)
+        chunks = list(evolution._packed([n for _, n in ladder], width))
+        # methods share chunks
+        assert any(len({ladder[run][0] for run, _, _ in pieces}) > 1 for pieces in chunks)
+        joint = evolution._final_propagators(ladder, model, 0.0, 10.0, dim)
+        assert len(joint) == len(ladder)
+        for (method, n), got in zip(ladder, joint):
+            (want,) = evolution._final_propagators([(method, n)], model, 0.0, 10.0, dim)
+            assert np.array_equal(got, want), (method.value, n)
+
+    @pytest.mark.parametrize("model", [builtin_case("III"), DENSE3, DENSE8], ids=["III", "dense3", "dense8"])
+    def test_each_error_is_the_relative_error_of_its_own_pass(self, model):
+        # the stacked Frobenius norm of the study gives each record the
+        # floats of relative_error on its run's own final propagator
+        report = convergence_study(model, ALL_METHODS, dts=[0.5, 0.25, 0.125], tf=2.0)
+        (u_ref,) = evolution._final_propagators([(evolution.REFERENCE_METHOD, report.reference_n_steps)], model, 0.0, 2.0, model.dim)
+        assert len(report.records) == 3 * len(ALL_METHODS)
+        for record in report.records:
+            (u,) = evolution._final_propagators([(record.method, record.n_steps)], model, 0.0, 2.0, model.dim)
+            assert record.error == relative_error(u, u_ref), record
+
+    def test_interleaved_runs_are_grouped_by_method(self):
+        # a chunk's pieces come method by method, each method's in run order,
+        # and every run still gets its own pass's bits
+        ladder = [(MethodId.ME6, 7), (MethodId.ME2, 7), (MethodId.ME6, 5), (MethodId.ME2, 1), (MethodId.BLANES6_GAUSS, 7)]
+        [(pieces, u)] = evolution._step_chunks(ladder, DENSE8, 0.0, 10.0, 8)
+        assert pieces == [(0, 0, 7), (2, 0, 5), (1, 0, 7), (3, 0, 1), (4, 0, 7)]
+        assert len(u) == 27
+        joint = evolution._final_propagators(ladder, DENSE8, 0.0, 10.0, 8)
+        for (method, n), got in zip(ladder, joint):
+            (want,) = evolution._final_propagators([(method, n)], DENSE8, 0.0, 10.0, 8)
+            assert np.array_equal(got, want), (method.value, n)
+
+    @pytest.mark.parametrize(
+        "methods, per_step, ends",
+        [
+            ((MethodId.ME3, MethodId.ME4_NC, MethodId.BLANES4), 2, 1),
+            ((MethodId.BLANES4_GAUSS, MethodId.ISERLES4_GAUSS), 2, 0),
+            ((MethodId.ME6, MethodId.BLANES6_GAUSS), 8, 1),
+            (ALL_METHODS, 10, 1),
+        ],
+        ids=["ends-and-midpoint", "gauss2", "me6-gauss3", "all"],
+    )
+    def test_each_time_of_a_rung_is_sampled_once(self, methods, per_step, ends):
+        # runs of one rung share its grid and its node times: me3, me4-nc and
+        # blanes4 take 2n + 1 samples, not 3 (2n + 1); all nine methods take
+        # the grid and nine inner nodes, 10n + 1
+        n, times = 40, []
+
+        def sampler(t):
+            times.append(t)
+            return RABI.sample(t)
+
+        evolution._final_propagators([(method, n) for method in methods], sampler, 0.0, 1.0, 2)
+        assert len(times) == per_step * n + ends
+        assert len(set(times)) == len(times)
+
+    def test_each_rung_s_times_are_sampled_once_in_one_call(self, monkeypatch):
+        # two rungs of me4-nc and blanes4 in one chunk: 14 midpoints and 9 + 5
+        # ends, as for one method, in one call at d = 2
+        sizes = count_samples(monkeypatch)
+        evolution._final_propagators(runs(MethodId.ME4_NC, (8, 4)) + runs(MethodId.BLANES4, (8, 4)), RABI, 0.0, 1.0, 2)
+        assert sizes == [26]
+
+    @pytest.mark.parametrize("fraction", [0.5, magnus_steps.GAUSS2_LO], ids=["midpoint", "gauss2"])
+    def test_a_bad_sample_names_the_node_its_first_method_names(self, fraction):
+        # each method's samples are checked as in its own pass, in the order
+        # of the runs: the error is that of the first run whose pass raises
+        h = DENSE3.sample(0.0)
+        skewed = h + np.triu(np.ones((3, 3)), 1)
+        bad = {2.0 + fraction, 5.0 + fraction}
+
+        def sampler(t):
+            return skewed if t in bad else h
+
+        ladder = runs(MethodId.ME2, (8,)) + [(method, 8) for method in ALL_METHODS[1:]]
+        for method, n in ladder:
+            try:
+                evolution._final_propagators([(method, n)], sampler, 0.0, 8.0, 3)
+            except NonHermitianSampleError as exc:
+                want = exc
+                break
+        else:
+            pytest.fail("no method's own pass reads a bad sample")
+        with pytest.raises(NonHermitianSampleError) as info:
+            evolution._final_propagators(ladder, sampler, 0.0, 8.0, 3)
+        assert (info.value.node, info.value.defect) == (want.node, want.defect)
+        assert info.value.node == fraction
+
+    def test_the_study_peak_is_the_reference_pass_s(self, monkeypatch):
+        # on the benchmark's ladder: the study peaks no higher than when each
+        # method took its own pass, and the ladder pass, all nine methods in
+        # two chunks, no higher than the 8192-step reference pass
+        dts = [6.25 / n for n in (1024, 512, 256, 128, 64, 32)]
+        study = lambda: convergence_study(builtin_case("II"), ALL_METHODS, dts=dts, tf=6.25)
+        study()  # first-call allocations
+        _, peak = traced_peak(study)
+        assert peak <= WORKLOAD_STUDY_PEAK
+
+        passes = []
+        packed = evolution._final_propagators
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = packed(*args)
+            passes.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(evolution, "_final_propagators", measured)
+        traced_peak(study)
+        reference, cross_check, ladder = passes
+        assert ladder <= reference
+
+    def test_peak_memory_of_an_all_methods_chunk(self):
+        ladder = [(method, n) for method in ALL_METHODS for n in ALL_METHODS_CHUNK_LADDER]
+        assert len(list(evolution._packed([n for _, n in ladder], THREE_CHUNKS[8][0]))) == 1
+        evolution._final_propagators(ladder, DENSE8, 0.0, 10.0, 8)  # first-call allocations
+        _, peak = traced_peak(lambda: evolution._final_propagators(ladder, DENSE8, 0.0, 10.0, 8))
+        assert peak <= ALL_METHODS_CHUNK_PEAK
 
 
 class TestRelativeError:
@@ -770,22 +950,22 @@ class TestConvergenceStudy:
             convergence_study(builtin_case("I"), [MethodId.ME2, MethodId.ME6, MethodId.ME2], dts=[0.5], tf=1.0)
         assert not isinstance(info.value, PreconditionError)
 
-    def test_one_pass_per_method(self, monkeypatch):
-        # the reference, the cross-check, then one packed ladder per method
+    def test_one_pass_for_the_whole_ladder(self, monkeypatch):
+        # the reference, the cross-check, then one packed pass over every
+        # method's ladder
         calls = []
         packed = evolution._final_propagators
 
-        def counted(method, model, t0, tf, counts, dim, hbar):
-            calls.append((method, tuple(counts)))
-            return packed(method, model, t0, tf, counts, dim, hbar)
+        def counted(runs, model, t0, tf, dim, hbar):
+            calls.append(list(runs))
+            return packed(runs, model, t0, tf, dim, hbar)
 
         monkeypatch.setattr(evolution, "_final_propagators", counted)
         convergence_study(builtin_case("I"), [MethodId.ME2, MethodId.ME6], dts=[0.5, 0.25, 0.125], tf=2.0)
         assert calls == [
-            (evolution.REFERENCE_METHOD, (128,)),
-            (evolution.CROSS_CHECK_METHOD, (128,)),
-            (MethodId.ME2, (4, 8, 16)),
-            (MethodId.ME6, (4, 8, 16)),
+            [(evolution.REFERENCE_METHOD, 128)],
+            [(evolution.CROSS_CHECK_METHOD, 128)],
+            runs(MethodId.ME2, (4, 8, 16)) + runs(MethodId.ME6, (4, 8, 16)),
         ]
 
     def test_rejects_non_dividing_dt(self):
@@ -864,7 +1044,7 @@ class TestSamplingGuard:
             lambda: propagate(MethodId.ME2, DENSE3, 0.0, 1.0, 4, np.eye(3)[0]),
             lambda: convergence_study(RABI, [MethodId.ME2], dts=[0.5, 0.25], tf=1.0),
             lambda: convergence_study(RABI, [MethodId.ME2, MethodId.ME6], dts=[0.5], tf=1.0),
-            lambda: evolution._final_propagators(MethodId.ME2, RABI, 0.0, 1.0, (4, 8), 2),
+            lambda: evolution._final_propagators(runs(MethodId.ME2, (4, 8)), RABI, 0.0, 1.0, 2),
         ],
         ids=["propagate", "propagate-dim3", "convergence-study", "two-methods", "ladder"],
     )
@@ -898,8 +1078,8 @@ class TestModelCoordinates:
         for name in ("populations", "unitarity_defects", "final_propagator"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         counts = (64, 32, 16, 8)
-        finals = evolution._final_propagators(method, model, 0.0, 4.0, counts, model.dim)
-        wrapped = evolution._final_propagators(method, callable_of(model), 0.0, 4.0, counts, model.dim)
+        finals = evolution._final_propagators(runs(method, counts), model, 0.0, 4.0, model.dim)
+        wrapped = evolution._final_propagators(runs(method, counts), callable_of(model), 0.0, 4.0, model.dim)
         assert [u.tobytes() for u in finals] == [u.tobytes() for u in wrapped]
 
     @pytest.mark.parametrize(
@@ -922,8 +1102,8 @@ class TestModelCoordinates:
         b = propagate(MethodId.ME2, sampler, 0.0, tf, n, psi0)
         assert a.populations.tobytes() == b.populations.tobytes()
         assert a.final_propagator.tobytes() == b.final_propagator.tobytes()
-        (u,) = evolution._final_propagators(MethodId.ME2, model, 0.0, tf, (n,), model.dim)
-        (w,) = evolution._final_propagators(MethodId.ME2, sampler, 0.0, tf, (n,), model.dim)
+        (u,) = evolution._final_propagators([(MethodId.ME2, n)], model, 0.0, tf, model.dim)
+        (w,) = evolution._final_propagators([(MethodId.ME2, n)], sampler, 0.0, tf, model.dim)
         assert u.tobytes() == w.tobytes()
         assert len(seen) == n + 1
 
@@ -973,7 +1153,7 @@ class TestModelCoordinates:
         with pytest.raises(PreconditionError, match=r"model overflows the float range: its sample at t=2\.0 "):
             propagate(MethodId.ME2, model, 0.0, 4.0, 4, psi0)
         with pytest.raises(PreconditionError, match="model overflows the float range"):
-            evolution._final_propagators(MethodId.ME4_NC, model, 0.0, 4.0, (8, 4), dim)
+            evolution._final_propagators(runs(MethodId.ME4_NC, (8, 4)), model, 0.0, 4.0, dim)
 
     def test_a_nan_callable_sample_is_the_value_error_of_a_nan_matrix(self):
         # a callable's samples are checked by exponent, with the matrices' error
@@ -1021,21 +1201,24 @@ class TestSampledTimes:
         # rungs of 8, 4 and 2 steps in one chunk: 14 midpoints and 9 + 5 + 3
         # ends, in one call at d = 2
         sizes = count_samples(monkeypatch)
-        evolution._final_propagators(MethodId.ME4_NC, RABI, 0.0, 1.0, (8, 4, 2), 2)
+        evolution._final_propagators(runs(MethodId.ME4_NC, (8, 4, 2)), RABI, 0.0, 1.0, 2)
         assert sizes == [31]
 
     def test_convergence_workload_sample_count(self, monkeypatch):
         # the benchmark's convergence op: 138,369 sampled times when every
         # node of every step was sampled and a one-point dimension probe
-        # preceded the study; 118,117 with the step ends shared and no probe
+        # preceded the study; 118,117 with the step ends shared and no probe;
+        # 95,911 with every method's ladder in one pass, where each chunk
+        # samples each of its times once: 73,729 for the two references,
+        # then 16,134 for the first eight methods' ladders in one chunk and
+        # 6,048 for blanes6-gauss's in the next
         from magstep.cli import run
 
         sizes = count_samples(monkeypatch)
         dts = [x for n in (1024, 512, 256, 128, 64, 32) for x in ("--dt", repr(6.25 / n))]
         out = os.devnull
         assert run(["converge", "--case", "IV", "--methods", "all", "--t-final", "6.25", *dts, "--out", out]) == 0
-        assert sum(sizes) == 118117
-        assert min(sizes) > 1
+        assert sizes == [49153, 24576, 16134, 6048]
 
 
 class TestHbarBeforeSampling:
@@ -1068,6 +1251,53 @@ class TestHbarBeforeSampling:
         with pytest.raises(ValueError, match="hbar must be positive and finite") as info:
             propagate(MethodId.ME2, RABI, 0.0, 1.0, 10**12, [1, 0], hbar=0.0)
         assert not isinstance(info.value, PreconditionError)
+
+
+class TestMethodIsAMethodId:
+    # a method's name is refused with a TypeError naming the argument and
+    # listing the valid methods, before anything is sampled
+    VALID = re.escape(", ".join(m.value for m in MethodId))
+
+    @pytest.mark.parametrize("sampler", ["model", "callable"])
+    def test_propagate_samples_nothing(self, monkeypatch, sampler):
+        sizes, times = count_samples(monkeypatch), []
+
+        def recorded(t):
+            times.append(t)
+            return SX
+
+        with pytest.raises(TypeError, match=f"^method must be a MethodId, got 'me2'; valid methods: {self.VALID}"):
+            propagate("me2", RABI if sampler == "model" else recorded, 0.0, 1.0, 4, [1, 0])
+        assert sizes == times == []
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            (["me2"], r"methods\[0\] must be a MethodId, got 'me2'"),
+            ([MethodId.ME2, "me6"], r"methods\[1\] must be a MethodId, got 'me6'"),
+            # the type of each entry is checked before a method listed twice
+            ([MethodId.ME2, MethodId.ME2, "me6"], r"methods\[2\] must be a MethodId"),
+            ("me2", "methods must be a sequence of MethodId, got 'me2'"),
+            ((m for m in ALL_METHODS), "methods must be a sequence of MethodId, got <generator"),
+        ],
+        ids=["name", "second-name", "before-repeats", "string", "generator"],
+    )
+    @pytest.mark.parametrize("sampler", ["model", "callable"])
+    def test_convergence_study_samples_nothing(self, monkeypatch, methods, message, sampler):
+        # not even both references, nor a callable's dimension probe
+        sizes, times = count_samples(monkeypatch), []
+
+        def recorded(t):
+            times.append(t)
+            return SX
+
+        with pytest.raises(TypeError, match=f"^{message}"):
+            convergence_study(RABI if sampler == "model" else recorded, methods, dts=[0.5], tf=1.0)
+        assert sizes == times == []
+
+    def test_the_error_lists_the_valid_methods(self):
+        with pytest.raises(TypeError, match=f"; valid methods: {self.VALID} "):
+            convergence_study(RABI, ["me2"], dts=[0.5], tf=1.0)
 
 
 def count_checks(monkeypatch) -> dict[str, int]:

@@ -71,6 +71,36 @@ class TestMethodIds:
             MethodId.from_name("runge-kutta")
 
 
+# the TypeError of a method given as anything but a MethodId: it names the
+# argument and lists the valid methods
+NOT_A_METHOD = "^method must be a MethodId, got 'me2'; valid methods: " + re.escape(", ".join(m.value for m in MethodId))
+
+
+class TestMethodIsAMethodId:
+    # each entry point refuses a method's name with the TypeError naming the
+    # argument, before it samples anything, and not the KeyError of the
+    # scheme table
+    def test_sample_nodes(self):
+        with pytest.raises(TypeError, match=NOT_A_METHOD):
+            sample_nodes("me2")
+
+    def test_exponent(self):
+        with pytest.raises(TypeError, match=NOT_A_METHOD):
+            exponent("me2", {0.0: SX, 1.0: SX}, 0.1)
+
+    @pytest.mark.parametrize("method", ["me2", None, 2, MethodId])
+    def test_step_samples_nothing(self, method):
+        times = []
+
+        def sampler(t):
+            times.append(t)
+            return SX
+
+        with pytest.raises(TypeError, match=f"^method must be a MethodId, got {re.escape(repr(method))}; valid methods: "):
+            step(method, sampler, 0.0, 0.1)
+        assert times == []
+
+
 class TestSampleNodes:
     def test_endpoint_methods(self):
         assert sample_nodes(MethodId.ME2) == (0.0, 1.0)
@@ -710,7 +740,7 @@ class TestStepKernels:
         source = model if sampler == "model" else call
         dim = 3 if sampler == "dim3" else 2
         for t0 in (0.0, 0.5, 3.0):
-            (want,) = evolution._final_propagators(method, source, t0, t0 + 0.25, (1,), dim)
+            (want,) = evolution._final_propagators([(method, 1)], source, t0, t0 + 0.25, dim)
             assert step(method, call, t0, 0.25).tobytes() == want.tobytes(), t0
 
     # every step of a chunk on a grid whose times and step are exact floats
@@ -718,7 +748,7 @@ class TestStepKernels:
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
     def test_step_has_the_bits_of_each_step_of_a_chunk(self, method, case):
         model = builtin_case(case)
-        [(_, u)] = evolution._step_chunks(method, model, 0.0, 4.0, (16,), 2)
+        [(_, u)] = evolution._step_chunks([(method, 16)], model, 0.0, 4.0, 2)
         for k in range(16):
             assert step(method, model.sample, 0.25 * k, 0.25).tobytes() == u[k].tobytes(), k
 
