@@ -135,14 +135,15 @@ def _g17_tables() -> tuple[np.ndarray, ...]:
     e = np.arange(15 - _G17_SPAN, 18 + _G17_SPAN)
     m, b = np.divmod(e, 23)
     steps = []
-    for j in range(m.min(), m.max() + 1):
+    # e ascends, so m does: m[0] and m[-1] are its least and greatest
+    for j in range(m[0], m[-1] + 1):
         t = 10 ** (23 * abs(j))
         # j < 0: q / 2**s is 10**(23 j) truncated to 2**-s, 110 bits below it
         s = 0 if j >= 0 else t.bit_length() + 110
         q = t if j >= 0 else (1 << s) // t
         h = float(q)
         steps.append((math.ldexp(h, -s), math.ldexp(float(q - int(h)), -s)))
-    steps = np.array(steps)[m - m.min()]
+    steps = np.array(steps)[m - m[0]]
     hi, lo = _dd_times(np.array([float(10**j) for j in range(23)])[b], steps[:, 0], steps[:, 1])
 
     # grid[j, g]: digit j of the 4-digit group g, for g from 0000 to 9999
@@ -152,7 +153,7 @@ def _g17_tables() -> tuple[np.ndarray, ...]:
     digits[:, ::2] = 48 + grid.T
     # kept[i, g]: how many of D's 17 digits run through the last nonzero
     # digit of g as its group i, 0 if g = 0; flat, so group i starts at 10000 i
-    last = np.max((grid > 0) * np.arange(1, 5, dtype=np.uint8)[:, None], axis=0)
+    last = np.maximum.reduce((grid > 0) * np.arange(1, 5, dtype=np.uint8)[:, None], axis=0)
     kept = (last + np.arange(1, 17, 4, dtype=np.uint8)[:, None]) * (last > 0)
     # cover[i, keep]: the digit bytes of group i that the first `keep` digits of D cover
     cover = b"".join((b"\xff\0" * min(4, max(0, keep - 4 * i - 1))).ljust(8, b"\0") for i in range(4) for keep in range(18))
@@ -234,7 +235,7 @@ def _g17_digits(x, hi, lo):
     # log10 can miss by one next to a power of ten
     shift = (d >= 10**17).astype(np.int64)
     shift -= d < 10**16
-    fix = np.flatnonzero(shift)
+    fix = shift.nonzero()[0]
     if fix.size:
         k[fix] += shift[fix]
         d[fix], r[fix] = _g17_scaled(a[fix], k[fix], hi, lo)
@@ -279,7 +280,7 @@ def _g17_frame(x):
     groups = groups.reshape(4, -1)
     digits.take(groups, out=frame[1:5], mode="clip")  # "clip": take buffers an out only to raise
     groups += np.arange(0, 40000, 10000)[:, None]  # group i's row of kept
-    keep = kept.take(groups).max(axis=0)  # D's digits through its last nonzero one
+    keep = np.maximum.reduce(kept.take(groups), axis=0)  # D's digits through its last nonzero one
     fixed = (k >= -4) & (k <= 16)
     key = np.where(fixed, k + 4, 21)
     int_digits = int_digits_of.take(key)
@@ -288,7 +289,7 @@ def _g17_frame(x):
     np.bitwise_or(head.take(d + 10 * np.signbit(x)), lead.take(key), out=frame[0])
     exps.take(np.where(fixed, 0, k + _G17_SPAN + 2), out=frame[5], mode="clip")
     # the point follows D's digit int_digits - 1, at byte 2 * int_digits + 5
-    point = np.flatnonzero((keep > int_digits) & (int_digits > 0))
+    point = ((keep > int_digits) & (int_digits > 0)).nonzero()[0]
     word, byte = np.divmod(2 * int_digits[point] + 5, 8)
     frame.view(np.uint8).reshape(6, -1, 8)[word, point, byte] = ord(".")
     return frame, ok
@@ -305,7 +306,7 @@ def _g17_lines(block: np.ndarray) -> bytes:
     rows, cols = block.shape
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
     frame, ok = _g17_frame(x)
-    unsure = np.flatnonzero(~ok)
+    unsure = (~ok).nonzero()[0]
     texts = np.array([b"%.17g" % v for v in x[unsure].tolist()], "S48")
     frame[:, unsure] = texts.view(_G17_WORD).reshape(-1, 6).T
     ends = frame[5].reshape(rows, cols)

@@ -181,9 +181,9 @@ def _sampled(model, times: Array, dim: int) -> Array:
     if isinstance(model, HamiltonianModel):
         with np.errstate(over="ignore", invalid="ignore"):
             h = model.su2_coordinates(times) if dim == 2 else model.sample_many(times)
-        if not np.isfinite(h).all():
+        if not np.logical_and.reduce(np.isfinite(h), axis=None):
             # the time axis is last for coordinates, first for matrices
-            finite = np.isfinite(h).all(axis=0 if dim == 2 else (1, 2))
+            finite = np.logical_and.reduce(np.isfinite(h), axis=0 if dim == 2 else (1, 2))
             t = float(times[np.argmin(finite)])
             raise PreconditionError(f"the model overflows the float range: its sample at t={t!r} is not finite")
         return h
@@ -711,7 +711,7 @@ def convergence_study(
     # A product of n machine-accurate unitaries drifts by O(n * eps), and the
     # reference contributes its own share, so records below
     # eps * (n + n_ref) measure rounding, not truncation.
-    eps = np.finfo(float).eps
+    eps = math.ulp(1.0)
     slopes: dict[MethodId, float] = {}
     for method in methods:
         own = [r for r in records if r.method == method]

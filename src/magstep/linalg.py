@@ -5,8 +5,8 @@ norms return a float for a single matrix and an array for a stack.  The
 exponential of an anti-Hermitian matrix is unitary to rounding at every
 magnitude.  :func:`_expm` is the one place its kernel is picked: su(2)
 coordinates take a closed form, and every matrix, single or in a stack,
-one of six kernels by one tier dispatch (``np.searchsorted`` of the cuts
-over its 1-norm).  Up to ``TAYLOR_NORM_CUT``, about 1.1025, it is a
+one of six kernels by one tier dispatch (the cuts' ``searchsorted`` of
+its 1-norm).  Up to ``TAYLOR_NORM_CUT``, about 1.1025, it is a
 Taylor polynomial, of the lowest degree of ``TAYLOR_DEGREES`` whose
 remainder at that norm is below half a unit roundoff (Higham, SIAM J.
 Matrix Anal. Appl. 26 (2005) 1179; Al-Mohy and Higham, ibid. 31 (2009)
@@ -50,6 +50,18 @@ themselves, su(2) coordinates or matrices.
 dimension, and the Frobenius norm and the unitarity defect are plain
 formulas: a NaN or Inf entry comes back as a NaN or Inf result rather than
 an exception.
+
+On the paths that run per step, per oracle and per norm, the library calls
+numpy's C level itself: ufunc methods such as ``np.add.reduce``,
+``np.maximum.reduce`` and ``np.logical_and.reduce``, array methods such as
+``.swapaxes`` and ``.searchsorted``, and indexing such as ``x[..., None]``.
+It does not call the Python-level wrappers around them (``np.sum``,
+``ndarray.max``, ``ndarray.all``, ``np.swapaxes``, ``np.expand_dims``,
+``np.tensordot`` and the like), which each cost 1 to 10 us around the same
+C call, more than the arithmetic on one small matrix, and give the same
+bits.  ``np.einsum``, ``np.errstate``, ``np.linalg.eigh`` and ``np.polyfit``
+stay, and so do ``np.ndim`` and ``np.shape`` where the argument can be a
+Python number.
 """
 
 from __future__ import annotations
@@ -108,7 +120,7 @@ class NotAntiHermitianError(PreconditionError):
 
 def dagger(a: Array) -> Array:
     """Conjugate transpose, batched over leading axes."""
-    return np.conj(np.swapaxes(a, -1, -2))
+    return np.conj(np.asarray(a).swapaxes(-1, -2))
 
 
 # 2x2 products of fewer than this many matrices (in the larger operand) take
@@ -142,7 +154,7 @@ def matmul(a, b, out=None) -> Array:
     else:
         a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
         b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-        res = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+        res = np.empty(np.broadcast(a, b).shape, dtype=np.result_type(a, b))
         np.multiply(a00, b00, out=res[..., 0, 0])
         res[..., 0, 0] += a01 * b10
         np.multiply(a00, b01, out=res[..., 0, 1])
@@ -191,7 +203,7 @@ def _summed_product(a: Array, b: Array) -> Array:
 def frobenius_norm(a) -> float | Array:
     """Root-sum-square of entry magnitudes, (sum_ij |a_ij|^2)^(1/2)."""
     a = np.asarray(a)
-    out = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
+    out = np.sqrt(np.add.reduce(np.abs(a) ** 2, axis=(-2, -1)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -232,11 +244,11 @@ def checked_square(a, sign: int) -> tuple[Array, float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         defect_sq, norm_sq = _squared_norms(stack, sign)
         # neither sum is negative, so their sum is finite only if both are
-        if not np.isfinite(defect_sq + norm_sq).all():
-            if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(defect_sq + norm_sq), axis=None):
+            if not np.logical_and.reduce(np.isfinite(arr), axis=None):
                 raise ValueError("matrix contains NaN or Inf entries")
             # |z| of a finite z can pass the float range (inf, without a warning): cap it
-            largest = min(float(np.abs(arr).max()), sys.float_info.max)
+            largest = min(float(np.maximum.reduce(np.abs(arr), axis=None)), sys.float_info.max)
             scale = 2.0 ** max(0, math.frexp(largest)[1] - 480)
             defect_sq, norm_sq = _squared_norms(stack / scale, sign)
     # defect(a) / max(1, ||a||_F) = defect(a/scale) / max(1/scale, ||a/scale||_F);
@@ -244,13 +256,13 @@ def checked_square(a, sign: int) -> tuple[Array, float, float]:
     # beyond the float range
     defect = np.sqrt(defect_sq)
     ratio = defect / np.maximum(1.0 / scale, np.sqrt(norm_sq))
-    return arr, float(ratio.max()), float(defect.max()) * scale
+    return arr, float(np.maximum.reduce(ratio, axis=None)), float(np.maximum.reduce(defect, axis=None)) * scale
 
 
 def _squared_norms(x: Array, sign: int) -> tuple[Array, Array]:
     """``||x - sign x†||_F**2`` and ``||x||_F**2`` of a C-ordered complex stack."""
     diff = np.empty_like(x)
-    np.conjugate(np.swapaxes(x, -1, -2), out=diff)
+    np.conjugate(x.swapaxes(-1, -2), out=diff)
     (np.subtract if sign > 0 else np.add)(x, diff, out=diff)
     return tuple(np.einsum("nij,nij->n", v, v) for v in (diff.view(np.float64), x.view(np.float64)))
 
@@ -287,7 +299,7 @@ def su2_matrix(v) -> Array:
     su(2) coordinates ``v = (c, x, y, z)``, component-major as
     :func:`su2_coordinates` returns them; a stack for stacked coordinates."""
     c, x, y, z = np.asarray(v, dtype=np.float64)
-    out = np.zeros(np.shape(c) + (2, 2), dtype=np.complex128)
+    out = np.zeros(c.shape + (2, 2), dtype=np.complex128)
     # [..., i, 2j] and [..., i, 2j + 1] are the real and imaginary parts of
     # entry (i, j); signs are flipped by multiplying, because numpy 2.4's
     # np.negative writes wrong entries into an out= with an 8-element stride
@@ -374,19 +386,17 @@ def _expm(theta: Array) -> Array:
         return _expm_su2(theta.reshape(4, -1)).reshape(theta.shape[1:] + (2, 2))
     if theta.size == 0:
         return np.empty_like(theta)
-    # on one small matrix, the ufuncs' reductions take under half the time
-    # of the array methods
     norms = np.maximum.reduce(np.add.reduce(np.abs(theta), axis=-2), axis=-1)
     # tier k takes the norms in (cut[k - 1], cut[k]]; past the last cut, and
     # a NaN norm, is eigh's tier
-    tiers = np.searchsorted(_TAYLOR_CUTS, norms)
+    tiers = _TAYLOR_CUTS.searchsorted(norms)
     low, high = int(np.minimum.reduce(tiers, axis=None)), int(np.maximum.reduce(tiers, axis=None))
     if low == high:
         return _expm_tier(theta, low)
     out = np.empty_like(theta)
     for tier in range(low, high + 1):
         rows = tiers == tier
-        if rows.any():
+        if np.logical_or.reduce(rows, axis=None):
             out[rows] = _expm_tier(theta[rows], tier)
     return out
 
@@ -434,7 +444,7 @@ def _expm_taylor(theta: Array, degree: int) -> Array:
             j -= s
             acc = (xs.view(np.float64) * c[degree]).view(np.complex128)
         else:
-            acc = np.zeros_like(xs)
+            acc = np.zeros(xs.shape, xs.dtype)
         _add_powers(acc, powers, c[j:j + s], scratch)
         for j in range(j - s, -1, -s):
             # the last product is written straight into the output
@@ -487,13 +497,13 @@ def _expm_su2(v) -> Array:
     """
     c, x, y, z = v
     r = np.hypot(np.hypot(x, y), z)
-    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+    sinc = np.divide(np.sin(r), r, out=np.ones(r.shape), where=r > 0)
     cos = np.cos(r)
     phase = np.exp(-1j * c)
     x *= sinc
     y *= sinc
     z *= sinc
-    out = np.empty(np.shape(c) + (2, 2), dtype=np.complex128)
+    out = np.empty(r.shape + (2, 2), dtype=np.complex128)
     # each entry is named before the phase multiplies it: numpy's complex
     # multiply is not bitwise commutative, and it would take ``phase *
     # (nameless temporary)`` of 256 KiB or more in place with the operands

@@ -203,7 +203,7 @@ def _checked_hbar(hbar: float) -> None:
 def _checked_dt(dt) -> None:
     """Raise ``ValueError`` naming ``dt`` unless each of its entries, a
     scalar's or a per-step array's, is finite."""
-    if not np.isfinite(dt).all():
+    if not np.logical_and.reduce(np.isfinite(dt), axis=None):
         k = int(np.argmax(~np.isfinite(np.ravel(dt))))
         raise ValueError(f"dt must be finite, got {np.ravel(dt)[k]}" + (f" at step {k}" if np.ndim(dt) else ""))
 
@@ -270,7 +270,7 @@ def _checked_matrices(nodes: tuple[float, ...], samples: Mapping[float, Array]) 
         # not numbers: the per-node loop raises its own error for them
         return None
     # False for a NaN entry too
-    if not np.abs(stack.view(np.float64)).max(initial=0.0) <= 2.0**480:
+    if not np.maximum.reduce(np.abs(stack.view(np.float64)), axis=None, initial=0.0) <= 2.0**480:
         return None
     stack, ratio, _ = checked_square(stack, 1)
     return list(stack) if ratio <= SAMPLE_HERMITICITY_TOL else None
@@ -296,6 +296,7 @@ def generators(samples: list[Array], tau) -> list[Array]:
     sample is replaced as its generator is made, so no unscaled copy
     outlives its scaled one.
     """
+    per_step = np.ndim(tau) != 0
     for i in range(len(samples)):
         if samples[i].dtype == np.float64:
             samples[i] = samples[i] * tau
@@ -303,7 +304,7 @@ def generators(samples: list[Array], tau) -> list[Array]:
             samples[i] = su2_coordinates(samples[i])
             samples[i] *= tau
         else:
-            samples[i] = (-1j * (tau if np.ndim(tau) == 0 else tau[:, None, None])) * samples[i]
+            samples[i] = (-1j * (tau[:, None, None] if per_step else tau)) * samples[i]
     return samples
 
 
@@ -372,7 +373,7 @@ def commutator(a: Array, b: Array) -> Array:
     ``(0, 2 a x b)``, the identity parts dropping out.
     """
     if a.dtype == np.float64:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        out = np.empty(np.broadcast(a, b).shape)
         out[0] = 0.0
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             row = out[i, ...]

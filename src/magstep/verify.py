@@ -187,11 +187,12 @@ def interpolant(samples: Sequence[Array], t_k: float, dt: float) -> Callable[[fl
         # product of the factors (t - x_m) / (x_j - x_m) taken left to right
         others = nodes[[[m for m in range(degree + 1) if m != j] for j in range(degree + 1)]]
         denominators = nodes[:, None] - others
+        flat = mats.reshape(degree + 1, -1)
 
         def h(t: float | Array) -> Array:
             t = np.asarray(t, dtype=np.float64)
             basis = np.multiply.reduce((t[..., None, None] - others) / denominators, axis=-1)
-            return np.tensordot(basis, mats, axes=1)
+            return (basis.reshape(-1, degree + 1) @ flat).reshape(basis.shape[:-1] + mats.shape[1:])
 
     h.degree = degree
     return h
@@ -219,10 +220,10 @@ def _nested_grid(t_k: float, dt: float, rules: Sequence[tuple[Array, Array]]) ->
     levels = []
     upper, product = np.float64(t_k + dt), np.float64(1.0)
     for x, w in rules:
-        half = np.expand_dims(0.5 * (upper - t_k), -1)
-        nodes = half * x + np.expand_dims(0.5 * (t_k + upper), -1)
+        half = (0.5 * (upper - t_k))[..., None]
+        nodes = half * x + (0.5 * (t_k + upper))[..., None]
         local = half * w
-        product = np.expand_dims(product, -1) * local
+        product = product[..., None] * local
         levels.append((nodes, local, product))
         upper = nodes
     return levels
@@ -286,7 +287,7 @@ def _nested3_scalar(g, t_k: float, dt: float) -> float:
     once the levels inside it are integrated its times s_3, s_2 and s_1 have
     degree 1, 3 and 5, which 1, 2 and 3 points integrate exactly."""
     (s1, _, _), (s2, _, _), (s3, _, product) = _nested_grid(t_k, dt, [_gl_rule(p) for p in (3, 2, 1)])
-    return float(np.sum(product * g(s1[:, None, None], s2[..., None], s3)))
+    return float(np.add.reduce(product * g(s1[:, None, None], s2[..., None], s3), axis=None))
 
 
 def _rel_dev(value: Array, reference: Array) -> float:
@@ -302,7 +303,7 @@ def _relative(deviation: Array, scale: float) -> float:
     squares underflow and a wrong value reads 0 (the m4 rows at ``|dt| =
     1e-36``); above it the scale is inf, or a reference's norm is, and any
     finite deviation reads 0 too."""
-    floor = np.finfo(float).eps * scale
+    floor = sys.float_info.epsilon * scale
     if not sys.float_info.min <= floor * floor < math.inf:
         return math.nan
     return float(frobenius_norm(deviation)) / scale

@@ -63,17 +63,20 @@ class TestInterpolant:
         expected = np.stack([np.stack([h(t) for t in row]) for row in ts])
         assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
     @pytest.mark.parametrize("degree", range(1, 5))
-    def test_basis_has_the_bits_of_the_per_factor_product(self, degree):
+    def test_basis_has_the_bits_of_the_per_factor_product(self, degree, dim):
         # each basis function is the product of the factors (t - x_m) / (x_j
-        # - x_m), m != j, taken left to right, as math.prod takes them
+        # - x_m), m != j, taken left to right, as math.prod takes them, and
+        # h(t) is its contraction with the samples, tensordot's bits; the
+        # dims and the grid's 10 to 1200 nodes take BLAS's other paths
         rng = np.random.default_rng(50 + degree)
-        samples = [random_hermitian(rng, 3) for _ in range(degree + 1)]
+        samples = [random_hermitian(rng, dim) for _ in range(degree + 1)]
         mats = np.stack(samples)
         for t_k, dt in ((0.0, 1.0), (0.3, 0.8), (float(rng.uniform(-1.0, 1.0)), -float(rng.uniform(0.1, 2.0)))):
             h = interpolant(samples, t_k, dt)
             nodes = [t_k + dt * j / degree for j in range(degree + 1)]
-            rules = [verify._gl_rule(p) for p in (5, 4, 3)]
+            rules = [verify._gl_rule(p) for p in (10, 8, 5, 3)]
             grid = [s for s, _, _ in verify._nested_grid(t_k, dt, rules)]
             for ts in grid + [t_k + dt * rng.uniform(0.0, 1.0, (7, 2)), t_k + 0.37 * dt, nodes[-1]]:
                 t = np.asarray(ts, dtype=np.float64)
