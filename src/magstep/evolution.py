@@ -6,11 +6,17 @@ exponentiates one chunk of steps at a time (all step exponents of a
 chunk in one broadcasted ``magnus_steps._theta`` call, then one batched
 ``linalg._expm``, the one exponential dispatch), the same per-step
 arithmetic as :func:`magstep.magnus_steps.step`.  The exponential is the
-closed su(2) form at d = 2.  Above, each step whose Theta has 1-norm at most
-``linalg.TAYLOR_NORM_CUT`` (about 1.1025) takes a Taylor polynomial, of
-the lowest degree of ``linalg.TAYLOR_DEGREES`` (6, 9, 12, 16 or 18) whose
-remainder at that norm is below half a unit roundoff, so it is unitary to
-rounding; each step above the top cut takes the eigendecomposition.  A
+closed su(2) form at d = 2, and gives each step's propagator in
+Cayley-Klein form, the float64 row (re alpha - 1, im alpha, re beta, im
+beta, phi) of ``U = e^{-i phi} [[alpha, -conj(beta)], [beta,
+conj(alpha)]]``: every tree level, prefix and carry of a two-level run
+stays a stack of such rows, and its 2x2 matrix is formed only for the final
+propagators (``linalg._propagator_matrix``).  Above, each step whose Theta
+has 1-norm at most ``linalg.TAYLOR_NORM_CUT`` (about 1.1025) takes a
+Taylor polynomial, of the lowest degree of ``linalg.TAYLOR_DEGREES`` (6, 9,
+12, 16 or 18) whose remainder at that norm is below half a unit roundoff,
+so it is unitary to rounding; each step above the top cut takes the
+eigendecomposition.  A
 chunk whose steps span these tiers is split between their kernels, and each
 step gets the bits it gets alone.  A chunk's stacks take
 ``CHUNK_BYTES`` each, so besides its outputs a run holds the same memory at
@@ -75,7 +81,14 @@ reference computed by the 6th-order scheme on a much finer grid,
 cross-checked against an independent 6th-order scheme before it is
 trusted, and fits the log-log order of
 accuracy per method.  Every product of propagator stacks goes through
-``linalg.matmul``.
+``linalg._product``, which multiplies Cayley-Klein rows at d = 2 (their
+angles adding) and is numpy's ``@`` above, and every tree and down-sweep
+starts from ``linalg._identity`` in the same form, so the tree, the
+prefixes and the final-only reduction are one code path at every d.
+``linalg._observables`` reads a chunk's populations and unitarity defects
+off its prefixes: at d = 2 ``|alpha a - conj(beta) b|**2``, ``|beta a +
+conj(alpha) b|**2`` for ``psi0 = (a, b)``, and ``sqrt(2) ||alpha|**2 +
+|beta|**2 - 1|``, which the phase, exactly unitary, does not enter.
 
 ``propagate`` and ``convergence_study`` are where the driver's inputs are
 checked: each input once, before anything is sampled, in this order.
@@ -112,7 +125,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .hamiltonians import HamiltonianModel
-from .linalg import Array, PreconditionError, _expm, frobenius_norm, matmul, unitarity_defect
+from .linalg import Array, PreconditionError, _expm, _identity, _observables, _product, _propagator_matrix, frobenius_norm
 from .magnus_steps import _SCHEMES, MethodId, _checked_hbar, _checked_method, _checked_samples, _theta
 
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps these names
@@ -155,6 +168,7 @@ _DIVISIBILITY_RTOL = 1e-9
 # Bytes of one complex (chunk, d, d) stack: the step pipeline runs over
 # chunks of CHUNK_BYTES // (16 d**2) steps, 16384 at d = 2 and 1024 at d = 8,
 # so what it holds besides the outputs does not grow with the step count.
+# At d = 2 a chunk's step propagators are Cayley-Klein rows, 40 bytes a step.
 CHUNK_BYTES = 2**20
 
 
@@ -409,13 +423,15 @@ def _tree_levels(u: Array, lengths: list[int]) -> Iterator[Array]:
     neighbouring pairs multiplied in one batched product, later steps on the
     left, until every piece is one product.
 
-    Before each product an identity is appended to every piece of odd
-    length, so that no pair crosses a piece boundary; ``I @ x`` has the
-    values of ``x``, so an odd trailing factor is carried up unchanged.  A
+    ``u`` is a stack of matrices, or of Cayley-Klein rows at d = 2; every
+    product is ``linalg._product``.  Before each product an identity in the
+    form of ``u`` (``linalg._identity``) is appended to every piece of odd
+    length, so that no pair crosses a piece boundary; ``I x`` has the values
+    of ``x``, so an odd trailing factor is carried up unchanged.  A
     level is yielded without these identities.  A chunk whose longest piece
     has n steps takes ceil(log2 n) batched products.
     """
-    identity = np.eye(u.shape[-1], dtype=np.complex128)[None]
+    identity = _identity(u)[None]
     yield u
     while max(lengths) > 1:
         if any(n % 2 for n in lengths):
@@ -427,7 +443,7 @@ def _tree_levels(u: Array, lengths: list[int]) -> Iterator[Array]:
                 start += n
             u = np.concatenate(parts)
             lengths = [n + n % 2 for n in lengths]
-        u = matmul(u[1::2], u[0::2])
+        u = _product(u[1::2], u[0::2])
         lengths = [n // 2 for n in lengths]
         yield u
 
@@ -436,10 +452,11 @@ def _prefixes(u: Array, carry: Array) -> Array:
     """The ``n + 1`` prefixes ``carry, u[0] carry, u[1] u[0] carry, ...`` of
     ``n`` step propagators, later steps on the left.
 
-    ``carry`` is the propagator at the first step's start: the identity for
-    the first chunk of a grid, the last prefix of the chunk before for each
-    later one.  A down-sweep of the tree of :func:`_tree_levels` (Blelloch,
-    "Prefix sums and their applications", 1990): each level's element 2i
+    ``carry`` is the propagator at the first step's start, in the form of
+    ``u``: the identity for the first chunk of a grid, the last prefix of the
+    chunk before for each later one.  A down-sweep of the tree of
+    :func:`_tree_levels` (Blelloch, "Prefix sums and their applications",
+    1990): each level's element 2i
     takes its parent's prefix, the product of every step before it, and
     element 2i + 1 takes ``level[2i]`` times that prefix, one batched product
     per level, each level dropped once it is used.  The last prefix is the
@@ -450,16 +467,16 @@ def _prefixes(u: Array, carry: Array) -> Array:
     *levels, root = _tree_levels(u, [len(u)])
     # each level's prefixes and one row more, filled only at the bottom, by
     # the last prefix; the root's one prefix is carry
-    prefixes = np.empty((2, *carry.shape), dtype=np.complex128)
+    prefixes = np.empty((2, *carry.shape), dtype=u.dtype)
     prefixes[0] = carry
     while levels:
         level = levels.pop()
         n = len(level)
-        parent, prefixes = prefixes, np.empty((n + 1, *carry.shape), dtype=np.complex128)
+        parent, prefixes = prefixes, np.empty((n + 1, *carry.shape), dtype=u.dtype)
         prefixes[0:n:2] = parent[:(n + 1) // 2]
-        matmul(level[0:n - 1:2], parent[:n // 2], out=prefixes[1:n:2])
+        _product(level[0:n - 1:2], parent[:n // 2], out=prefixes[1:n:2])
         del level, parent
-    prefixes[-1] = matmul(root[0], carry)
+    prefixes[-1] = _product(root[0], carry)
     return prefixes
 
 
@@ -476,8 +493,9 @@ def propagate(
 
     ``model`` is a :class:`HamiltonianModel` or any callable ``t -> matrix``.
     Populations are ``|<n|U(t)|psi0>|^2`` from the accumulated propagator
-    applied to the initial state, never re-normalized.  Each chunk's
-    propagators U(t) come from the down-sweep of its product tree
+    applied to the initial state, never re-normalized; at d = 2 from its
+    Cayley-Klein form, and the final propagator is its 2x2 matrix.  Each
+    chunk's propagators U(t) come from the down-sweep of its product tree
     (:func:`_prefixes`), so the final one equals what
     :func:`_final_propagators` gives the grid, bit for bit.  Checks, before
     anything is sampled: that ``method`` is a :class:`MethodId`
@@ -506,12 +524,11 @@ def propagate(
     times = t0 + span / n_steps * np.arange(n_steps + 1)
     populations = np.empty((n_steps + 1, dim))
     defects = np.empty(n_steps + 1)
-    carry = np.eye(dim, dtype=np.complex128)
+    carry = None
     for [(_, start, _)], u in _step_chunks([(method, n_steps)], model, t0, tf, dim, hbar):
-        prefixes = _prefixes(u, carry)
+        prefixes = _prefixes(u, _identity(u) if carry is None else carry)
         rows = slice(start, start + len(prefixes))
-        populations[rows] = np.abs(prefixes @ psi0) ** 2
-        defects[rows] = unitarity_defect(prefixes)
+        populations[rows], defects[rows] = _observables(prefixes, psi0)
         # a copy, not a view that would keep every prefix alive; both stacks
         # are released before the next chunk is built
         carry = prefixes[-1].copy()
@@ -520,7 +537,7 @@ def propagate(
         times=times,
         populations=populations,
         unitarity_defects=defects,
-        final_propagator=carry,
+        final_propagator=_propagator_matrix(carry),
     )
 
 
@@ -537,7 +554,8 @@ def _final_propagators(
     prefix is ever stored, and each level is dropped once the next is
     built, the chunk's step propagators first.  Each piece's product then
     multiplies the product of its run's pieces before it, so a run of one
-    piece takes no product beyond its own.
+    piece takes no product beyond its own.  At d = 2 the runs' Cayley-Klein
+    finals become their matrices in one ``linalg._propagator_matrix`` call.
     """
     products: list[list[Array]] = [[] for _ in runs]
     for pieces, u in _step_chunks(runs, model, t0, tf, dim, hbar):
@@ -548,7 +566,9 @@ def _final_propagators(
             pass
         for (run, _, _), p in zip(pieces, top):
             products[run].append(p)
-    return [functools.reduce(lambda carry, p: matmul(p, carry), pieces) for pieces in products]
+    finals = np.array([functools.reduce(lambda carry, p: _product(p, carry), pieces) for pieces in products])
+    # one edge conversion for all the runs' finals, a matrix stack as it is
+    return list(_propagator_matrix(finals))
 
 
 def relative_error(u_approx, u_ref) -> float:

@@ -20,21 +20,26 @@ Paterson-Stockmeyer (SIAM J. Comput. 2 (1973) 60) evaluates each.  Above
 the top cut it is the eigendecomposition of the Hermitian matrix ``i *
 theta``, unitary whatever the size of the exponent.
 
-Two-level systems (d = 2) take closed forms instead, because numpy's
-batched ``@`` and ``eigh`` spend nearly all their time on per-matrix
-overhead at that size: :func:`matmul` forms each 2x2 product as a sum of
-two broadcast elementwise products below ``SUMMED_MATMUL_CUT`` matrices,
-three ufunc calls for a small batch, and entry by entry in one result array
-from the cut on; :func:`expm_antihermitian` writes the exponent in the
-Pauli basis, whose su(2) exponential :func:`_expm` takes.
-:func:`commutator`, the general ``ab - ba`` of the certification oracles,
-forms both products as sums of broadcast elementwise products up to d = 4,
-where that overhead still outweighs a small complex product, and uses
-``@`` above.  These three
-kernels are the only ones that branch on the dimension, and :func:`matmul`
-the only one that also branches on the batch size.  The step builders work
-on su(2) coordinates at d = 2: :func:`su2_coordinates` converts a checked
-2x2 sample and :func:`su2_matrix` turns coordinates back into a matrix.
+Two-level systems (d = 2) never form a matrix on the step path, because
+numpy's batched ``@`` and ``eigh`` spend nearly all their time on
+per-matrix overhead at that size.  :func:`expm_antihermitian` writes the
+exponent in the Pauli basis, whose su(2) exponential :func:`_expm` takes
+in closed form, and :func:`_expm` returns a propagator in Cayley-Klein
+form, ``U = e^{-i phi} [[alpha, -conj(beta)], [beta, conj(alpha)]]``, as a
+float64 row (re alpha - 1, im alpha, re beta, im beta, phi).  The evolution
+driver's product tree multiplies these rows (:func:`_product`, the angles
+adding), starts from their identity (:func:`_identity`), and reads
+populations and unitarity defects off them (:func:`_observables`); each of
+the three takes complex matrices at any d as well, told apart by dtype.
+:func:`_propagator_matrix` is the one place a row becomes its 2x2 matrix:
+``step``'s and ``expm_antihermitian``'s results, a trajectory's final
+propagator and a convergence study's finals.  :func:`commutator`, the
+general ``ab - ba`` of the certification oracles, forms both products as
+sums of broadcast elementwise products up to d = 4, where that overhead
+still outweighs a small complex product, and uses ``@`` above; every other
+product of matrices is numpy's ``@``.  The step builders work on su(2)
+coordinates at d = 2: :func:`su2_coordinates` converts a checked 2x2
+sample and :func:`su2_matrix` turns coordinates back into a matrix.
 
 Only two functions validate.  :func:`checked_square` is the one boundary
 check, and the one measure of a Hermiticity or anti-Hermiticity defect: it
@@ -80,7 +85,6 @@ __all__ = [
     "EXPONENT_ANTIHERMITICITY_TOL",
     "TAYLOR_NORM_CUT",
     "dagger",
-    "matmul",
     "commutator",
     "frobenius_norm",
     "unitarity_defect",
@@ -121,52 +125,6 @@ class NotAntiHermitianError(PreconditionError):
 def dagger(a: Array) -> Array:
     """Conjugate transpose, batched over leading axes."""
     return np.conj(np.asarray(a).swapaxes(-1, -2))
-
-
-# 2x2 products of fewer than this many matrices (in the larger operand) take
-# the summed form of :func:`matmul`, larger batches the entrywise form.
-# Measured with ``timeit`` minima (complex128 stacks, numpy 2.4.6, 2 cores):
-# the summed form takes 5-9 us on 1 to 16 matrices against 15-26 us
-# entrywise, the two cross between 160 and 192 matrices (about 20-25 us),
-# and at 1024 matrices the summed form takes 88 us against 49 us.
-SUMMED_MATMUL_CUT = 192
-
-
-def matmul(a, b, out=None) -> Array:
-    """``a @ b`` of (stacks of) square matrices, in closed form at d = 2.
-
-    Each entry of a 2x2 product is ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``.
-    Below ``SUMMED_MATMUL_CUT`` matrices in the larger operand it is the sum
-    of two broadcast elementwise products (:func:`_summed_product`): three
-    ufunc calls, whose fixed cost is all a small batch pays.  From the cut
-    on, each entry is formed elementwise in one result array, which keeps a
-    single entry-sized temporary alive at a time.  Both forms take the same
-    operations in the same order, so they give the same bits.  The result is
-    a new array either way, and ``out`` receives a copy of it at the end, so
-    ``out`` may alias either operand.  Any other shape is exactly
-    ``np.matmul(a, b, out=out)``.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
-        return np.matmul(a, b, out=out)
-    if max(a.size, b.size) < 4 * SUMMED_MATMUL_CUT:
-        res = _summed_product(a, b)
-    else:
-        a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-        b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-        res = np.empty(np.broadcast(a, b).shape, dtype=np.result_type(a, b))
-        np.multiply(a00, b00, out=res[..., 0, 0])
-        res[..., 0, 0] += a01 * b10
-        np.multiply(a00, b01, out=res[..., 0, 1])
-        res[..., 0, 1] += a01 * b11
-        np.multiply(a10, b00, out=res[..., 1, 0])
-        res[..., 1, 0] += a11 * b10
-        np.multiply(a10, b01, out=res[..., 1, 1])
-        res[..., 1, 1] += a11 * b11
-    if out is None:
-        return res
-    out[...] = res
-    return out
 
 
 def commutator(a, b) -> Array:
@@ -210,7 +168,7 @@ def frobenius_norm(a) -> float | Array:
 def unitarity_defect(u) -> float | Array:
     """``||u†u - I||_F``; the identity is subtracted from ``u†u`` in place."""
     u = np.asarray(u)
-    p = matmul(dagger(u), u)
+    p = dagger(u) @ u
     np.einsum("...ii->...i", p)[...] -= 1
     return frobenius_norm(p)
 
@@ -330,7 +288,7 @@ def expm_antihermitian(theta) -> Array:
     theta, ratio, defect = checked_square(theta, -1)
     if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
         raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
-    return _expm(su2_coordinates(1j * theta) if theta.shape[-1] == 2 else theta)
+    return _propagator_matrix(_expm(su2_coordinates(1j * theta) if theta.shape[-1] == 2 else theta))
 
 
 def _taylor_norm_cut(degree: int, unit: float) -> float:
@@ -373,7 +331,8 @@ def _expm(theta: Array) -> Array:
     Real float64 ``theta`` is su(2) coordinates, anti-Hermitian by type, and
     goes to :func:`_expm_su2` as a stack of at least one set, so a single
     step's coordinates take the SIMD loops a stack's do, and get the same
-    bits, not numpy's scalar complex multiply.  A complex (stack of)
+    bits, not numpy's scalar arithmetic; the result is Cayley-Klein rows,
+    ``(5,)`` for one set and ``(n, 5)`` for a stack.  A complex (stack of)
     anti-Hermitian matrix(es) goes through one tier dispatch, for a single
     matrix as for a stack: :func:`_expm_taylor` of each matrix whose 1-norm
     is at most ``TAYLOR_NORM_CUT``, at the lowest degree of
@@ -383,7 +342,7 @@ def _expm(theta: Array) -> Array:
     that spans tiers is split.  An empty ``theta`` (0×0 matrices, or none)
     has the empty exponential of its own shape."""
     if theta.dtype == np.float64:
-        return _expm_su2(theta.reshape(4, -1)).reshape(theta.shape[1:] + (2, 2))
+        return _expm_su2(theta.reshape(4, -1)).reshape(theta.shape[1:] + (5,))
     if theta.size == 0:
         return np.empty_like(theta)
     norms = np.maximum.reduce(np.add.reduce(np.abs(theta), axis=-2), axis=-1)
@@ -480,40 +439,125 @@ def _expm_eigh(theta: Array) -> Array:
 
 
 def _expm_su2(v) -> Array:
-    """``exp(theta)`` of the (stack of) 2x2 anti-Hermitian matrices ``theta``
-    whose Hermitian part ``i*theta = c I + x sx + y sy + z sz`` has su(2)
-    coordinates ``v = (c, x, y, z)``, component-major as
-    :func:`su2_coordinates` returns them, unchecked; ``x, y, z`` are scaled
-    in place.  The su(2) coordinates of an exponent ``theta = -i (c I + x sx
-    + y sy + z sz)`` are those of ``i*theta``, so they are taken as they are.
+    """``exp(theta)``, in Cayley-Klein form, of the (stack of) 2x2
+    anti-Hermitian matrices ``theta`` whose Hermitian part ``i*theta = c I +
+    x sx + y sy + z sz`` has su(2) coordinates ``v = (c, x, y, z)``,
+    component-major as :func:`su2_coordinates` returns them, unchecked.  The
+    su(2) coordinates of an exponent ``theta = -i (c I + x sx + y sy + z
+    sz)`` are those of ``i*theta``, so they are taken as they are.
 
-    ``exp(theta) = e^{-ic} (cos r I - i (sin r / r) (x sx + y sy + z sz))``,
-    ``r = |(x, y, z)|``.  The coordinates halve every entry before two are
-    added, so no sum can overflow, and ``r`` is a nested ``hypot``, finite
-    for any finite exponent.  ``sin r / r`` divides ``sin r`` itself by ``r``
-    (1 at r = 0), so the result is unitary to rounding at every magnitude;
-    ``np.sinc(r / pi)`` would re-round the angle, and at large ``r`` take the
-    sine of another angle than the cosine.
+    ``exp(theta) = e^{-ic} (cos r I - i s (x sx + y sy + z sz))``, ``r =
+    |(x, y, z)|``, ``s = sin r / r``: ``alpha = cos r - i s z``, held as
+    ``alpha - 1``, ``beta = s y - i s x`` and ``phi = c`` (see
+    :func:`_product`).  The coordinates halve every entry before two are
+    added, so no sum can overflow.  ``r`` is ``sqrt(x*x + y*y + z*z)``, a
+    ninth of the time of a nested ``hypot`` (numpy's ``hypot`` has no SIMD
+    loop), within an ulp or two of it; a stack with a coordinate past 1e150,
+    whose squares could overflow, takes the nested ``hypot``, finite for any
+    finite exponent.  ``s`` divides ``sin r`` itself by ``r`` (1 at r = 0),
+    so the result is unitary to rounding at every magnitude; ``np.sinc(r /
+    pi)`` would re-round the angle, and at large ``r`` take the sine of
+    another angle than the cosine.
     """
     c, x, y, z = v
-    r = np.hypot(np.hypot(x, y), z)
-    sinc = np.divide(np.sin(r), r, out=np.ones(r.shape), where=r > 0)
-    cos = np.cos(r)
-    phase = np.exp(-1j * c)
-    x *= sinc
-    y *= sinc
-    z *= sinc
-    out = np.empty(r.shape + (2, 2), dtype=np.complex128)
-    # each entry is named before the phase multiplies it: numpy's complex
-    # multiply is not bitwise commutative, and it would take ``phase *
-    # (nameless temporary)`` of 256 KiB or more in place with the operands
-    # swapped, so a step's bits would depend on the length of its stack
-    entry = cos - 1j * z
-    out[..., 0, 0] = phase * entry
-    entry = cos + 1j * z
-    out[..., 1, 1] = phase * entry
-    entry = -y - 1j * x
-    out[..., 0, 1] = phase * entry
-    entry = y - 1j * x
-    out[..., 1, 0] = phase * entry
+    # x*x + y*y + z*z overflows only for a coordinate past about 1e154
+    huge = np.maximum.reduce(np.abs(v[1:]), axis=None, initial=0.0) > 1e150
+    r = np.hypot(np.hypot(x, y), z) if huge else np.sqrt(x * x + y * y + z * z)
+    s = np.divide(np.sin(r), r, out=np.ones(r.shape), where=r > 0)
+    out = np.empty(r.shape + (5,))
+    # cos r - 1 is exact for cos r >= 1/2 (Sterbenz), where 1 + (cos r - 1)
+    # is cos r again, and (-s) z is -(s z) bit for bit
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3], out[..., 4] = np.cos(r) - 1.0, -s * z, s * y, -s * x, c
     return out
+
+
+# Two-level propagators in Cayley-Klein form.  A 2x2 unitary is U =
+# e^{-i phi} [[alpha, -conj(beta)], [beta, conj(alpha)]], |alpha|**2 +
+# |beta|**2 = 1 (the u(2) = u(1) + su(2) split; Goldstein, Poole & Safko,
+# Classical Mechanics, 3rd ed., Sec. 4.5), held as the float64 row (re alpha
+# - 1, im alpha, re beta, im beta, phi), a stack of them as (n, 5).  That is
+# what :func:`_expm` returns for su(2) coordinates, and what the step
+# pipeline's product tree multiplies and stores: the float64 dtype tells it
+# from a complex matrix, which every function here takes as well.  The row
+# holds alpha - 1, not alpha, so that a product of two steps near the
+# identity rounds its small terms and never a sum near 1: with alpha itself
+# the roundings at 1 of a smooth drive's neighbouring steps add up, and
+# |alpha|**2 + |beta|**2 - 1 of case I's final propagator, me2 and me6 over
+# 131072 steps of [0, 10], read -7870 and -7966 eps, against at most 172
+# eps either way in cases I to IV, at 16384 to 131072 steps, with alpha - 1
+# (214 when the tree multiplied 2x2 matrices).  The identity is the zero
+# row.  The matrix is formed only at the edges, by :func:`_propagator_matrix`.
+
+def _ck_columns(u: Array) -> Array:
+    """The complex ``(alpha - 1, beta)`` of Cayley-Klein rows ``u``, as a
+    ``(2, n)`` view, a single row taken as a stack of one."""
+    return u.reshape(-1, 5)[:, :4].view(np.complex128).T
+
+
+def _identity(like: Array) -> Array:
+    """The identity propagator in the form of the propagators ``like``: the
+    zero row, alpha = 1, beta = 0 and phi = 0, in Cayley-Klein form."""
+    return np.zeros(5) if like.dtype == np.float64 else np.eye(like.shape[-1], dtype=np.complex128)
+
+
+def _product(a: Array, b: Array, out: Array | None = None) -> Array:
+    """``a @ b`` of (stacks of) propagators of one form and shape.
+
+    Matrices take ``np.matmul``.  In Cayley-Klein form ``alpha = alpha_a
+    alpha_b - conj(beta_a) beta_b``, ``beta = beta_a alpha_b + conj(alpha_a)
+    beta_b`` and ``phi = phi_a + phi_b``; with ``d = alpha - 1`` as the rows
+    hold it, ``d = d_a d_b + d_a + d_b - conj(beta_a) beta_b`` and ``beta =
+    beta_a d_b + beta_a + beta_b + conj(d_a) beta_b``, summed in that order.
+    The identity's zero row on either side changes no other bit than the
+    sign of a zero, and a single row takes the loops of a stack of one.
+    ``out`` must not overlap ``a`` or ``b``.
+    """
+    if a.dtype != np.float64:
+        return np.matmul(a, b, out=out)
+    out = np.empty(a.shape) if out is None else out
+    (da, ba), (db, bb), (dz, bz) = _ck_columns(a), _ck_columns(b), _ck_columns(out)
+    np.multiply(da, db, out=dz)
+    dz += da
+    dz += db
+    dz -= np.conj(ba) * bb
+    np.multiply(ba, db, out=bz)
+    bz += ba
+    bz += bb
+    bz += np.conj(da) * bb
+    np.add(a[..., 4], b[..., 4], out=out[..., 4])
+    return out
+
+
+def _propagator_matrix(u: Array) -> Array:
+    """The matrix (stack) of propagators ``u``: Cayley-Klein rows become
+    ``e^{-i phi} [[alpha, -conj(beta)], [beta, conj(alpha)]]``, and a matrix
+    is returned as it is.  The one place a two-level propagator's matrix is
+    formed: ``step``'s and ``expm_antihermitian``'s results, a trajectory's
+    final propagator and the convergence errors' finals."""
+    if u.dtype != np.float64:
+        return u
+    d, beta = _ck_columns(u)
+    phase = np.exp(-1j * u.reshape(-1, 5)[:, 4])
+    out = np.empty((len(phase), 4), dtype=np.complex128)
+    # the phase is the left operand of every product, each written to out:
+    # numpy's complex multiply is not bitwise commutative
+    for k, entry in enumerate((d + 1.0, -np.conj(beta), beta, np.conj(d + 1.0))):
+        np.multiply(phase, entry, out=out[:, k])
+    return out.reshape(u.shape[:-1] + (2, 2))
+
+
+def _observables(u: Array, psi: Array) -> tuple[Array, Array]:
+    """``|u psi|**2`` and :func:`unitarity_defect` of each propagator of the
+    stack ``u``.  In Cayley-Klein form, with ``psi = (a, b)``, the phase
+    leaves the populations ``|alpha a - conj(beta) b|**2`` and ``|beta a +
+    conj(alpha) b|**2`` alone and is exactly unitary: ``U†U = (|alpha|**2 +
+    |beta|**2) I``, so the defect is ``sqrt(2) ||alpha|**2 + |beta|**2 -
+    1|``, taken from ``d = alpha - 1`` as ``2 re d + |d|**2 + |beta|**2``,
+    the squares of re d, im d, re beta and im beta summed left to right, so
+    no sum rounds at 1."""
+    if u.dtype != np.float64:
+        return np.abs(u @ psi) ** 2, unitarity_defect(u)
+    (d, beta), (a, b) = _ck_columns(u), psi
+    w = np.array([a * (d + 1.0) - b * np.conj(beta), a * beta + b * np.conj(d + 1.0)])
+    q = 2.0 * u[:, 0] + np.add.reduce(u[:, :4] ** 2, axis=-1)
+    return (w.real**2 + w.imag**2).T, math.sqrt(2.0) * np.abs(q)

@@ -61,12 +61,15 @@ checked 2x2 matrix sample with ``linalg.su2_coordinates`` and takes the
 coordinates a two-level ``HamiltonianModel`` gives the driver as they are,
 to the same floats.  :func:`commutator`, :func:`as_matrix`, which gives
 ``exponent`` the matrix Theta, and ``linalg._expm``, which takes either,
-follow the generators' dtype.
+follow the generators' dtype.  ``linalg._expm`` returns a two-level
+propagator in Cayley-Klein form, and ``step`` hands it back as its 2x2
+matrix through ``linalg._propagator_matrix``, the one function that forms
+it, so ``step`` has the bits of a one-step grid's final propagator.
 
 Every bracket here goes through :func:`commutator`.  On coordinates it is
 the cross product ``(0, 2 a x b)``.  On matrices it forms one product
 instead of two: for anti-Hermitian operands ``ba = (ab)†``, and that
-product is ``linalg.matmul``.  The sample check and the brackets themselves
+product is numpy's ``@``.  The sample check and the brackets themselves
 keep that precondition.  For samples that are Hermitian only to
 ``SAMPLE_HERMITICITY_TOL``, the kernel returns the exact anti-Hermitian
 part of the bracket, which differs from ``ab - ba`` by the order of that
@@ -95,9 +98,9 @@ from .linalg import (
     DimensionMismatchError,
     PreconditionError,
     _expm,
+    _propagator_matrix,
     checked_square,
     dagger,
-    matmul,
     su2_coordinates,
     su2_matrix,
 )
@@ -381,7 +384,7 @@ def commutator(a: Array, b: Array) -> Array:
             row -= a[k] * b[j]
         out[1:] *= 2.0
         return out
-    p = matmul(a, b)
+    p = a @ b
     p -= dagger(p)
     return p
 
@@ -572,7 +575,9 @@ def step(
     unless ``dt`` is finite, then unless ``t_k`` and the step's end ``t_k +
     dt`` are, before the sampler is called.  The sampler's matrices are
     checked as ``exponent`` checks them, and Theta is exponentiated by
-    ``linalg._expm``, as the evolution driver exponentiates it."""
+    ``linalg._expm``, as the evolution driver exponentiates it; a two-level
+    result is rebuilt from its Cayley-Klein form by
+    ``linalg._propagator_matrix``, as the driver's final propagators are."""
     _checked_method(method)
     _checked_dt_shape(dt, None)
     if dt == 0.0:
@@ -582,4 +587,4 @@ def step(
     if not (math.isfinite(t_k) and math.isfinite(float(t_k) + float(dt))):
         raise ValueError(f"t_k and t_k + dt must be finite, got t_k={t_k!r}, dt={dt!r}")
     samples = _checked_samples(method, {node: sampler(t_k + node * dt) for node in _SCHEMES[method][0]})
-    return _expm(_theta(method, samples, dt, hbar))
+    return _propagator_matrix(_expm(_theta(method, samples, dt, hbar)))

@@ -1,6 +1,8 @@
+import linecache
 import math
 import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,7 @@ from magstep.evolution import (
     propagate,
     relative_error,
 )
-from magstep.hamiltonians import EntrySpec, HamiltonianModel, SinusoidTerm, builtin_case
+from magstep.hamiltonians import BUILTIN_CASES, EntrySpec, HamiltonianModel, SinusoidTerm, builtin_case
 from magstep.linalg import PreconditionError, checked_square
 from magstep.magnus_steps import ALL_METHODS, MethodId, NonHermitianSampleError
 
@@ -57,6 +59,12 @@ TWO_CHUNK_PEAKS = {
     MethodId.ISERLES4_GAUSS: ISERLES4_GAUSS_TWO_CHUNK_PEAK,
     MethodId.BLANES6_GAUSS: BLANES6_GAUSS_TWO_CHUNK_PEAK,
 }
+
+# Distance of a two-level final propagator's det / |det| from exp(-2i
+# int (H00 + H11) / 2 dt), me6 over 131072 steps of [0, 100]: measured at most
+# 2.9e-14 in cases I to IV (2.0e-14 when the product tree multiplied
+# matrices), about two ulps of the angle, which is near 100.
+FINAL_PHASE_TOL = 1e-13
 
 # Steps per chunk by dimension, and a step count of three chunks at that
 # dimension, the last one ragged.
@@ -382,7 +390,21 @@ def step_propagators(method, model, n):
     return [pieces[0][1] for pieces, _ in chunks], np.concatenate([u for _, u in chunks])
 
 
+def matrices(u):
+    """The matrices of propagators ``u``: d = 2 Cayley-Klein rows rebuilt by
+    the one edge function, matrices as they are."""
+    return linalg._propagator_matrix(u)
+
+
+def exponential_at(model, t):
+    """``exp(-i H(t))`` in the step pipeline's form of propagators."""
+    h = model.sample(t)
+    return linalg._expm(linalg.su2_coordinates(h) if model.dim == 2 else -1j * h)
+
+
 def sequential_prefixes(u, carry=None):
+    """The prefixes of the matrices ``u``, each step multiplied onto the
+    one before."""
     prefixes = [np.eye(u.shape[-1], dtype=complex) if carry is None else carry]
     for step in u:
         prefixes.append(step @ prefixes[-1])
@@ -438,22 +460,22 @@ class TestPrefixes:
     def test_down_sweep_equals_sequential_prefixes(self, model, method, n):
         starts, u = step_propagators(method, model, n)
         assert starts == [0]
-        got = evolution._prefixes(u, np.eye(model.dim))
+        got = matrices(evolution._prefixes(u, linalg._identity(u)))
         assert got.shape == (n + 1, model.dim, model.dim)
         assert np.array_equal(got[0], np.eye(model.dim))
-        assert relative_deviation(got, sequential_prefixes(u)) <= PRODUCT_ORDER_TOL
+        assert relative_deviation(got, sequential_prefixes(matrices(u))) <= PRODUCT_ORDER_TOL
 
     @pytest.mark.parametrize("n", PREFIX_LENGTHS)
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
     def test_down_sweep_starts_at_the_carried_propagator(self, model, n):
         _, u = step_propagators(MethodId.ME6, model, n)
-        carry = linalg.expm_antihermitian(-1j * model.sample(0.3))
+        carry = exponential_at(model, 0.3)
         got = evolution._prefixes(u, carry)
         assert np.array_equal(got[0], carry)
-        assert relative_deviation(got, sequential_prefixes(u, carry)) <= PRODUCT_ORDER_TOL
+        assert relative_deviation(matrices(got), sequential_prefixes(matrices(u), matrices(carry))) <= PRODUCT_ORDER_TOL
         # the last prefix is the tree's root times the carry
         *_, root = evolution._tree_levels(u, [n])
-        assert np.array_equal(got[-1], linalg.matmul(root[0], carry))
+        assert np.array_equal(got[-1], evolution._product(root[0], carry))
 
     @pytest.mark.parametrize("n, levels", [(1, 0), (2, 1), (7, 3), (1000, 10), (1001, 10)])
     def test_one_batched_product_per_level_each_way(self, monkeypatch, n, levels):
@@ -464,29 +486,33 @@ class TestPrefixes:
 
         def counted(*args, **kwargs):
             calls.append(np.shape(args[0]))
-            return linalg.matmul(*args, **kwargs)
+            return linalg._product(*args, **kwargs)
 
-        monkeypatch.setattr(evolution, "matmul", counted)
+        monkeypatch.setattr(evolution, "_product", counted)
         evolution._prefixes(u, np.eye(8, dtype=complex))
         assert len(calls) == 2 * levels + 1
         assert calls[-1] == (8, 8)
 
+    # at d = 2 the identity is the zero Cayley-Klein row (alpha = 1, beta =
+    # 0, phi = 0), which test_linalg.py's TestCayleyKlein also checks on
+    # seeded stacks
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
     def test_identity_carry_changes_no_bit(self, model):
         # so the first chunk's root times I is the root _final_propagators keeps
         _, u = step_propagators(MethodId.ME6, model, 1000)
-        assert np.array_equal(linalg.matmul(u, np.eye(model.dim, dtype=complex)), u)
+        eye = linalg._identity(u)
+        assert evolution._product(u, np.broadcast_to(eye, u.shape)).tobytes() == u.tobytes()
+        assert all(evolution._product(v, eye).tobytes() == v.tobytes() for v in u[:16])
 
     @pytest.mark.parametrize("model", [builtin_case("IV"), DENSE8], ids=["IV", "dense8"])
     def test_identity_on_the_left_changes_no_bit(self, model):
         # so the identity that the tree appends to an odd piece hands the
         # piece's last factor on as it is, in a batch or alone
         _, u = step_propagators(MethodId.ME6, model, 1000)
-        eye = np.eye(model.dim, dtype=complex)
-        assert np.array_equal(linalg.matmul(eye, u), u)
-        assert np.array_equal(linalg.matmul(np.broadcast_to(eye, u.shape), u), u)
-        assert all(np.array_equal(linalg.matmul(eye, v), v) for v in u[:16])
-        assert np.array_equal(linalg.matmul(eye, eye), eye)
+        eye = linalg._identity(u)
+        assert evolution._product(np.broadcast_to(eye, u.shape), u).tobytes() == u.tobytes()
+        assert all(evolution._product(eye, v).tobytes() == v.tobytes() for v in u[:16])
+        assert evolution._product(eye, eye).tobytes() == eye.tobytes()
 
 
 def piecewise_tree(u):
@@ -495,7 +521,7 @@ def piecewise_tree(u):
     carried over unchanged."""
     while len(u) > 1:
         tail = u[len(u) - len(u) % 2:]
-        u = np.concatenate([linalg.matmul(u[1::2], u[0:len(u) - 1:2]), tail])
+        u = np.concatenate([evolution._product(u[1::2], u[0:len(u) - 1:2]), tail])
     return u[0]
 
 
@@ -513,12 +539,16 @@ class TestTreeLevels:
     @staticmethod
     def reduce_chunks(monkeypatch, chunks, dim, seed):
         """``_final_propagators`` of random step propagators laid out in
-        ``chunks``, and the per-piece reference of the same factors."""
+        ``chunks``, Cayley-Klein rows at d = 2 and complex matrices above,
+        and the per-piece reference of the same factors."""
         rng = np.random.default_rng(seed)
         stacks = []
         for pieces in chunks:
             n = sum(stop - start for _, start, stop in pieces)
-            stacks.append(rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim)))
+            if dim == 2:
+                stacks.append(linalg._expm(rng.normal(size=(4, n))))
+            else:
+                stacks.append(rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim)))
         monkeypatch.setattr(evolution, "_step_chunks", lambda *args: iter(zip(chunks, stacks)))
         grids = 1 + max(grid for pieces in chunks for grid, _, _ in pieces)
         counts = [0] * grids
@@ -527,13 +557,13 @@ class TestTreeLevels:
                 counts[grid] = stop
         got = evolution._final_propagators(runs(MethodId.ME2, counts), None, 0.0, 1.0, dim)
 
-        want = [np.eye(dim, dtype=complex) for _ in range(grids)]
+        want = [linalg._identity(stacks[0]) for _ in range(grids)]
         for pieces, u in zip(chunks, stacks):
             offset = 0
             for grid, start, stop in pieces:
-                want[grid] = linalg.matmul(piecewise_tree(u[offset:offset + stop - start]), want[grid])
+                want[grid] = evolution._product(piecewise_tree(u[offset:offset + stop - start]), want[grid])
                 offset += stop - start
-        return got, want
+        return got, [matrices(w) for w in want]
 
     @pytest.mark.parametrize("chunks", LAYOUTS.values(), ids=LAYOUTS.keys())
     @pytest.mark.parametrize("dim", [2, 8])
@@ -562,9 +592,9 @@ class TestTreeLevels:
 
         def counted(*args, **kwargs):
             calls.append(np.shape(args[0]))
-            return linalg.matmul(*args, **kwargs)
+            return linalg._product(*args, **kwargs)
 
-        monkeypatch.setattr(evolution, "matmul", counted)
+        monkeypatch.setattr(evolution, "_product", counted)
         finals = evolution._final_propagators(runs(MethodId.ME2, counts), builtin_case("IV"), 0.0, 1.0, 2)
         assert len(finals) == len(counts)
         assert len(calls) == levels
@@ -582,15 +612,15 @@ class TestChunkBoundaries:
             n = ONE_STEP_TAILS[model.dim]
         starts, u = step_propagators(method, model, n)
         assert starts == list(range(0, n, width))
-        want = sequential_prefixes(u)
+        want = sequential_prefixes(matrices(u))
 
         # the down-sweep of each chunk, carried on from the chunk before
-        carry, got = np.eye(model.dim, dtype=complex), []
+        carry, got = linalg._identity(u), []
         for start in starts:
             prefixes = evolution._prefixes(u[start:start + width], carry)
             got.append(prefixes[1:])
             carry = prefixes[-1]
-        assert relative_deviation(np.concatenate(got), want[1:]) <= PRODUCT_ORDER_TOL
+        assert relative_deviation(matrices(np.concatenate(got)), want[1:]) <= PRODUCT_ORDER_TOL
 
         psi0 = np.eye(model.dim)[0]
         trace = propagate(method, model, 0.0, 10.0, n, psi0)
@@ -598,9 +628,125 @@ class TestChunkBoundaries:
         assert np.max(np.abs(trace.populations - np.abs(want @ psi0) ** 2)) <= PRODUCT_ORDER_TOL
         assert np.max(np.abs(trace.unitarity_defects - linalg.unitarity_defect(want))) <= PRODUCT_ORDER_TOL
         assert relative_error(trace.final_propagator, want[-1]) <= PRODUCT_ORDER_TOL
-        assert np.array_equal(trace.final_propagator, carry)
+        assert np.array_equal(trace.final_propagator, matrices(carry))
         (final,) = evolution._final_propagators([(method, n)], model, 0.0, 10.0, model.dim)
         assert np.array_equal(final, trace.final_propagator)
+
+
+def matmul_lines_run(call):
+    """The magstep source lines ``call()`` runs that hold a matrix product,
+    ``@`` or ``matmul(`` outside a comment, each as ``(module, function)``.
+    A line trace sees the ``@`` operator, which no patch of ``np.matmul``
+    can."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno, frame.f_code.co_name))
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_globals.get("__name__", "").startswith("magstep") else None
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(old)
+    hits = set()
+    for filename, lineno, function in seen:
+        code = linecache.getline(filename, lineno).split("#")[0]
+        if "@" in code or "matmul(" in code:
+            hits.add((os.path.basename(filename), function))
+    return hits
+
+
+class TestTwoLevelCayleyKlein:
+    # at d = 2 every step propagator, tree level, prefix and carry is a
+    # Cayley-Klein row; the matrix is formed only at the edges
+    @pytest.mark.parametrize("method", [MethodId.ME2, MethodId.ME6, MethodId.BLANES6_GAUSS], ids=lambda m: m.value)
+    @pytest.mark.parametrize("sampler", ["model", "callable"])
+    def test_populations_of_a_complex_state_match_the_sequential_matrices(self, method, sampler):
+        # a seeded state off every basis vector, over three chunks from a
+        # model; a callable, sampled one time per call, takes one chunk
+        model = builtin_case("III")
+        rng = np.random.default_rng(77)
+        psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi0 /= np.linalg.norm(psi0)
+        n = THREE_CHUNKS[2][1] if sampler == "model" else 2001
+        _, u = step_propagators(method, model, n)
+        want = sequential_prefixes(matrices(u))
+        trace = propagate(method, model if sampler == "model" else model.sample, 0.0, 10.0, n, psi0)
+        assert np.max(np.abs(trace.populations - np.abs(want @ psi0) ** 2)) <= PRODUCT_ORDER_TOL
+        assert np.max(np.abs(trace.populations.sum(axis=1) - 1.0)) <= PRODUCT_ORDER_TOL
+        assert relative_error(trace.final_propagator, want[-1]) <= PRODUCT_ORDER_TOL
+
+    @pytest.mark.parametrize("case", ["I", "IV"])
+    def test_the_defect_column_is_the_norm_drift_of_each_prefix(self, case):
+        # sqrt(2) ||alpha|**2 + |beta|**2 - 1| of each prefix, bit for bit,
+        # from d = alpha - 1 as 2 re d + |d|**2 + |beta|**2
+        model = builtin_case(case)
+        width, n = THREE_CHUNKS[2]
+        starts, u = step_propagators(MethodId.ME6, model, n)
+        carry, rows = linalg._identity(u), [linalg._identity(u)[None]]
+        for start in starts:
+            prefixes = evolution._prefixes(u[start:start + width], carry)
+            rows.append(prefixes[1:])
+            carry = prefixes[-1]
+        dr, di, br, bi, _ = np.concatenate(rows).T
+        want = math.sqrt(2.0) * np.abs(2.0 * dr + (((dr * dr + di * di) + br * br) + bi * bi))
+        trace = propagate(MethodId.ME6, model, 0.0, 10.0, n, [1.0, 0.0])
+        assert trace.unitarity_defects.tobytes() == want.tobytes()
+        assert np.max(trace.unitarity_defects) <= PRODUCT_ORDER_TOL
+
+    @pytest.mark.parametrize("case", ["I", "II", "III", "IV"])
+    def test_the_phase_is_the_integral_of_half_the_trace(self, case):
+        # det U = e^{-2i phi} (|alpha|**2 + |beta|**2), and exactly det U(T)
+        # = exp(-i int tr H dt): phi, a sum of 131072 angles over 8 chunks,
+        # is int (H00 + H11) / 2 dt, which me6's nodes integrate exactly to
+        # rounding for these sinusoids
+        a1, w1, a2, w2, _, _ = BUILTIN_CASES[case]
+        span = 100.0
+        phi = span / 2 + a1 * (1 - math.cos(w1 * span)) / (2 * w1) + a2 * (1 - math.cos(w2 * span)) / (2 * w2)
+        (u,) = evolution._final_propagators([(MethodId.ME6, 2**17)], builtin_case(case), 0.0, span, 2)
+        det = np.linalg.det(u)
+        assert abs(det / abs(det) - np.exp(-2j * phi)) <= FINAL_PHASE_TOL
+
+    def test_a_study_forms_its_matrices_once_per_pass(self, monkeypatch):
+        # the finals of all a pass's runs become matrices in one call, with
+        # the bits each gets alone
+        calls = []
+        edge = linalg._propagator_matrix
+        monkeypatch.setattr(evolution, "_propagator_matrix", lambda u: calls.append(u.shape) or edge(u))
+        ladder = runs(MethodId.ME4_NC, (7, 1, 16)) + runs(MethodId.ME6, (5,))
+        finals = evolution._final_propagators(ladder, builtin_case("IV"), 0.0, 1.0, 2)
+        assert calls == [(4, 5)]
+        for (method, n), got in zip(ladder, finals):
+            calls.clear()
+            (want,) = evolution._final_propagators([(method, n)], builtin_case("IV"), 0.0, 1.0, 2)
+            assert calls == [(1, 5)] and got.tobytes() == want.tobytes()
+
+    def test_the_step_path_makes_no_matrix_product(self):
+        # a two-level trajectory over two chunks and a study of every method:
+        # exponentials, trees, prefixes and observables all in Cayley-Klein
+        # form.  A callable's 2x2 samples take one real product each way to
+        # their su(2) coordinates, before the step path
+        model = builtin_case("II")
+        psi0 = np.array([0.6, 0.8j])
+        assert matmul_lines_run(lambda: propagate(MethodId.ME6, model, 0.0, 10.0, ONE_STEP_TAILS[2], psi0)) == set()
+        assert matmul_lines_run(lambda: convergence_study(model, ALL_METHODS, dts=[0.5, 0.25, 0.125], tf=2.0)) == set()
+        for call in (
+            lambda: propagate(MethodId.ME4_NC, model.sample, 0.0, 1.0, 40, psi0),
+            lambda: convergence_study(model.sample, ALL_METHODS, dts=[0.5, 0.25], tf=1.0),
+        ):
+            assert matmul_lines_run(call) == {("linalg.py", "su2_coordinates")}
+
+    def test_the_line_trace_sees_a_matrix_product(self):
+        # the control: the same trace at d = 8, whose steps, tree and
+        # observables take matrix products, finds each of them
+        hits = matmul_lines_run(lambda: propagate(MethodId.ME2, DENSE8, 0.0, 1.0, 4, np.eye(8)[0]))
+        assert hits >= {("linalg.py", name) for name in ("_product", "_observables", "unitarity_defect")}
 
 
 class TestPackedLadder:

@@ -7,7 +7,6 @@ import pytest
 from magstep import linalg
 from magstep.linalg import (
     EXPONENT_ANTIHERMITICITY_TOL,
-    SUMMED_MATMUL_CUT,
     TAYLOR_NORM_CUT,
     DimensionMismatchError,
     NotAntiHermitianError,
@@ -17,7 +16,6 @@ from magstep.linalg import (
     dagger,
     expm_antihermitian,
     frobenius_norm,
-    matmul,
     su2_coordinates,
     su2_matrix,
     unitarity_defect,
@@ -78,125 +76,8 @@ def centred_hermitian(rng, shape):
     return 0.5 * (b + dagger(b))
 
 
-class TestMatmul:
-    # operand leading shapes: single x single, as a chunk's product is carried
-    # onto the chunks before it, stack x stack, as a level of the product
-    # tree is formed up or down, and stack x single, broadcast as @ does
-    SHAPES = {"single": ((), ()), "stack": ((5,), (5,)), "stack-single": ((5,), ())}
-
-    @staticmethod
-    def assert_matches_numpy(got, a, b):
-        want = np.matmul(a, b)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        if a.shape[-1] == 2:
-            # each entry is a two-term dot product: a few ulps of its terms
-            assert np.all(np.abs(got - want) <= 4 * EPS * (np.abs(a) @ np.abs(b)))
-        else:
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("shapes", SHAPES.values(), ids=SHAPES.keys())
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
-    def test_matches_numpy(self, dim, shapes):
-        rng = np.random.default_rng(dim)
-        a = complex_normal(rng, shapes[0] + (dim, dim))
-        b = complex_normal(rng, shapes[1] + (dim, dim))
-        self.assert_matches_numpy(matmul(a, b), a, b)
-
-    # every operand that can hold the whole product, a stack broadcast
-    # against a single matrix included (stack-single, out=a)
-    @pytest.mark.parametrize(
-        "shape, alias", [("single", "a"), ("single", "b"), ("stack", "a"), ("stack", "b"), ("stack-single", "a")]
-    )
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
-    def test_out_may_alias_an_operand(self, dim, shape, alias):
-        rng = np.random.default_rng(10 + dim)
-        shapes = self.SHAPES[shape]
-        a = complex_normal(rng, shapes[0] + (dim, dim))
-        b = complex_normal(rng, shapes[1] + (dim, dim))
-        target = a.copy() if alias == "a" else b.copy()
-        x, y = (target, b) if alias == "a" else (a, target)
-        got = matmul(x, y, out=target)
-        assert got is target
-        self.assert_matches_numpy(target, a, b)
-
-    def test_real_and_integer_operands_keep_numpy_dtype(self):
-        a = np.array([[1, 2], [3, 4]])
-        assert np.array_equal(matmul(a, a), a @ a) and matmul(a, a).dtype == (a @ a).dtype
-        assert matmul(a, 0.5 * a).dtype == np.float64
-
-
 def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-
-class TestMatmulBranches:
-    # at d = 2, fewer than SUMMED_MATMUL_CUT matrices take the summed form and
-    # larger batches the entrywise one: the same operations in the same order
-    CUT = SUMMED_MATMUL_CUT
-    SIZES = [1, CUT - 1, CUT, CUT + 1, 16384]
-
-    @staticmethod
-    def summed_calls(monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append(max(a.size, b.size) // 4)
-            return summed(a, b)
-
-        summed = linalg._summed_product
-        monkeypatch.setattr(linalg, "_summed_product", counted)
-        return calls
-
-    def test_the_cut_picks_the_branch(self, monkeypatch):
-        calls = self.summed_calls(monkeypatch)
-        rng = np.random.default_rng(0)
-        for n in self.SIZES:
-            a, b = (complex_normal(rng, (n, 2, 2)) for _ in range(2))
-            matmul(a, b)
-        assert calls == [1, self.CUT - 1]
-
-    def test_both_branches_give_the_same_bits(self):
-        rng = np.random.default_rng(1)
-        a, b = (complex_normal(rng, (16384, 2, 2)) for _ in range(2))
-        whole = matmul(a, b)
-        singles = np.stack([matmul(x, y) for x, y in zip(a, b)])
-        assert same_bits(whole, singles)
-        for n in self.SIZES:
-            assert same_bits(matmul(a[:n], b[:n]), whole[:n]), n
-
-    # a stack times one matrix, and each of several stacks times a matrix of
-    # its own, broadcast as @ does; the counts put each on both sides of the cut
-    @pytest.mark.parametrize("lead_a, lead_b", [((5,), ()), ((CUT + 1,), ()), ((3, 5), (3, 1)), ((4, CUT), (4, 1))])
-    def test_broadcast_operands(self, monkeypatch, lead_a, lead_b):
-        rng = np.random.default_rng(2)
-        a = complex_normal(rng, lead_a + (2, 2))
-        b = complex_normal(rng, lead_b + (2, 2))
-        calls = self.summed_calls(monkeypatch)
-        got = matmul(a, b)
-        assert len(calls) == (1 if a.size // 4 < self.CUT else 0)
-        assert same_bits(got, matmul(a, np.broadcast_to(b, a.shape).copy()))
-        TestMatmul.assert_matches_numpy(got, a, b)
-
-    @pytest.mark.parametrize("alias", ["a", "b"])
-    @pytest.mark.parametrize("lead", [(5,), (CUT + 1,), (4, CUT)], ids=str)
-    def test_out_may_alias_either_operand(self, lead, alias):
-        rng = np.random.default_rng(3)
-        a, b = (complex_normal(rng, lead + (2, 2)) for _ in range(2))
-        want = matmul(a, b)
-        x, y = (a.copy(), b) if alias == "a" else (a, b.copy())
-        target = x if alias == "a" else y
-        assert matmul(x, y, out=target) is target
-        assert same_bits(target, want)
-
-    @pytest.mark.parametrize("n", [3, CUT + 1])
-    @pytest.mark.parametrize("dtypes", [(int, int), (float, float), (np.float32, np.float32), (float, complex)], ids=str)
-    def test_result_type_for_real_operands(self, n, dtypes):
-        rng = np.random.default_rng(4)
-        a, b = (rng.integers(-3, 4, (n, 2, 2)).astype(t) for t in dtypes)
-        got, want = matmul(a, b), np.matmul(a, b)
-        assert got.dtype == want.dtype
-        # small integers: every product and sum is exact
-        assert np.array_equal(got, want)
 
 
 class TestCommutator:
@@ -807,6 +688,12 @@ class TestExpmSu2:
             expm_antihermitian(thetas)
 
 
+def rebuilt(v):
+    """The matrices of the d = 2 exponential of su(2) coordinates ``v``:
+    its Cayley-Klein rows, rebuilt by the one edge function."""
+    return linalg._propagator_matrix(linalg._expm_su2(v))
+
+
 class TestExpmOfCoordinates:
     # the unchecked d = 2 kernel the driver and step hand Theta's su(2)
     # coordinates (c, x, y, z) of theta = -i (c I + x sx + y sy + z sz) to:
@@ -820,29 +707,29 @@ class TestExpmOfCoordinates:
         v = rng.normal(size=shape) * 10.0 ** rng.uniform(-300.0, 150.0, size=shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u = linalg._expm_su2(v.copy())
+            u = rebuilt(v.copy())
         assert u.shape == shape[1:] + (2, 2)
         w = expm_antihermitian(su2_matrix(v))
         assert np.all(np.abs(u - w).max(axis=(-2, -1)) <= 4 * EPS * np.maximum(1.0, np.abs(v).max(axis=0)))
         assert np.max(unitarity_defect(u)) <= 1e-14
 
     def test_a_long_stack_has_the_bits_of_its_halves(self):
-        # from 16384 steps (256 KiB per complex entry) numpy would take a
+        # from 16384 steps (256 KiB per complex entry) numpy could take a
         # nameless temporary's product with the phase in place, operands
         # swapped, and a complex product is not bitwise commutative
         v = np.random.default_rng(620).normal(size=(4, 20000))
-        halves = [linalg._expm_su2(v[:, :10000].copy()), linalg._expm_su2(v[:, 10000:].copy())]
-        assert np.array_equal(linalg._expm_su2(v.copy()), np.concatenate(halves))
+        halves = [rebuilt(v[:, :10000].copy()), rebuilt(v[:, 10000:].copy())]
+        assert np.array_equal(rebuilt(v.copy()), np.concatenate(halves))
 
     def test_zeros_of_either_sign(self):
         # signed zeros give the identity exactly, and leave the other
         # coordinates' values as the matrix path has them
         signs = (0.0, -0.0)
         z = np.array(np.meshgrid(signs, signs, signs, signs, indexing="ij")).reshape(4, -1)
-        assert np.array_equal(linalg._expm_su2(z.copy()), np.broadcast_to(I2, (16, 2, 2)))
+        assert np.array_equal(rebuilt(z.copy()), np.broadcast_to(I2, (16, 2, 2)))
         vals = (0.0, -0.0, 1.5, -2.25)
         v = np.array(np.meshgrid(vals, vals, vals, vals, indexing="ij")).reshape(4, -1)
-        assert np.array_equal(linalg._expm_su2(v.copy()), expm_antihermitian(su2_matrix(v)))
+        assert np.array_equal(rebuilt(v.copy()), expm_antihermitian(su2_matrix(v)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("k", range(4))
@@ -866,6 +753,225 @@ class TestExpmOfCoordinates:
         v = np.array([1e308, 0.0, 0.0, -1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u = linalg._expm_su2(v.copy())
+            u = rebuilt(v.copy())
         assert np.all(np.isfinite(u)) and unitarity_defect(u) <= 1e-14
         assert u[0, 0] == pytest.approx(1.0, abs=4 * EPS) and u[0, 1] == 0 and u[1, 0] == 0
+
+
+def matrix_expm_su2(v):
+    """The d = 2 exponential that formed each step's 2x2 matrix itself,
+    before two-level propagators were kept in Cayley-Klein form: the phase
+    ``e^{-ic}`` times each entry of ``cos r I - i (sin r / r) (x sx + y sy
+    + z sz)``, the phase the left operand of every product, each entry a
+    named array."""
+    c, x, y, z = np.array(v, dtype=np.float64)
+    r = np.hypot(np.hypot(x, y), z)
+    sinc = np.divide(np.sin(r), r, out=np.ones(r.shape), where=r > 0)
+    cos = np.cos(r)
+    phase = np.exp(-1j * c)
+    x *= sinc
+    y *= sinc
+    z *= sinc
+    out = np.empty(r.shape + (2, 2), dtype=np.complex128)
+    entry = cos - 1j * z
+    out[..., 0, 0] = phase * entry
+    entry = cos + 1j * z
+    out[..., 1, 1] = phase * entry
+    entry = -y - 1j * x
+    out[..., 0, 1] = phase * entry
+    entry = y - 1j * x
+    out[..., 1, 0] = phase * entry
+    return out
+
+
+# Largest entry of a Cayley-Klein product's rebuilt matrix off the product
+# of the factors' rebuilt matrices, relative to 1 + |phi_a + phi_b|: the
+# phase rounds as a sum of angles, the matrix product entry by entry.
+# Measured at most 1.6 eps on seeded factors of coordinates 1e-3 to 100
+# (0.9 eps, 2.0e-16, where both phases are 0).
+CK_PRODUCT_TOL = 4 * EPS
+
+# Largest entry of a rebuilt exponential off the matrix exponential's,
+# relative to max(1, r): r = sqrt(x*x + y*y + z*z) can leave the nested
+# hypot by an ulp or two, which moves cos r and sin r by as much times r,
+# and where cos r < 1/2 the row's alpha - 1 = cos r - 1 rounds, so 1 +
+# (alpha - 1) can leave cos r by an ulp.  Measured at most 1.6 eps on
+# seeded stacks of coordinates 1e-3 to 100 (5.4e-14 at r near 300); 55% of
+# those steps keep their bits, as does every one whose r and hypot's agree
+# and whose cos r >= 1/2.  Of 16384 steps of coordinates about 0.01, as a
+# fine grid's, all but one keep their bits, that one within 0.5 eps.
+CK_REBUILT_TOL = 4 * EPS
+
+# Stack sizes of the exponential's bit comparisons: one step, short stacks,
+# a level of the tree of a 16384-step chunk, and a whole chunk.
+CK_STACK_SIZES = [1, 2, 3, 7, 100, 1024, 8192, 16384]
+
+
+def ck_stack(rng, n, scale=1.0):
+    """Cayley-Klein rows of ``n`` steps of seeded su(2) coordinates."""
+    return linalg._expm(scale * rng.normal(size=(4, n)))
+
+
+class TestCayleyKlein:
+    # two-level propagators as (alpha, beta, phi): the exponential, the
+    # product, the identity and the one edge function, _propagator_matrix
+    @pytest.mark.parametrize("n", CK_STACK_SIZES)
+    def test_rebuilt_matrices_have_the_bits_of_the_matrix_exponential(self, n):
+        # coordinates over five decades, so r takes every range of sin r / r;
+        # the same bits wherever r is hypot's and cos r >= 1/2, within
+        # CK_REBUILT_TOL max(1, r) elsewhere
+        rng = np.random.default_rng(1000 + n)
+        v = rng.normal(size=(4, n)) * 10.0 ** rng.uniform(-3.0, 2.0, size=(4, n))
+        u = linalg._expm(v)
+        assert u.shape == (n, 5) and u.dtype == np.float64
+        got, want = linalg._propagator_matrix(u), matrix_expm_su2(v)
+        r = np.hypot(np.hypot(v[1], v[2]), v[3])
+        near = (np.sqrt(v[1] ** 2 + v[2] ** 2 + v[3] ** 2) == r) & (np.cos(r) >= 0.5)
+        assert same_bits(got[near], want[near])
+        assert np.all(np.abs(got - want) <= CK_REBUILT_TOL * np.maximum(1.0, r)[:, None, None])
+
+    def test_fine_grid_steps_keep_the_bits_of_the_matrix_exponential(self):
+        rng = np.random.default_rng(1005)
+        v = rng.normal(size=(4, 16384)) * 0.01
+        got, want = linalg._propagator_matrix(linalg._expm(v)), matrix_expm_su2(v)
+        same = [g.tobytes() == w.tobytes() for g, w in zip(got, want)]
+        assert sum(same) >= 16383 and np.all(np.abs(got - want) <= 0.5 * EPS)
+
+    def test_a_single_step_has_the_bits_of_a_stack_of_one(self):
+        rng = np.random.default_rng(1010)
+        for v in rng.normal(size=(64, 4)) * 3.0:
+            u = linalg._expm(v)
+            assert u.shape == (5,)
+            assert same_bits(u, linalg._expm(v[:, None])[0])
+            assert same_bits(linalg._propagator_matrix(u), linalg._propagator_matrix(u[None])[0])
+
+    def test_the_rows_are_alpha_minus_one_beta_and_phi(self):
+        v = np.array([0.4, 0.3, -0.2, 0.7])
+        r = np.sqrt(0.3**2 + 0.2**2 + 0.7**2)
+        s = np.sin(r) / r
+        want = [np.cos(r) - 1.0, -s * 0.7, s * -0.2, -s * 0.3, 0.4]
+        assert np.allclose(linalg._expm(v), want, rtol=0, atol=2 * EPS)
+
+    @pytest.mark.parametrize("n", [1, 10, 1000, 8192])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0])
+    def test_product_agrees_with_the_product_of_the_rebuilt_matrices(self, n, scale):
+        rng = np.random.default_rng(1020 + n)
+        a, b = ck_stack(rng, n, scale), ck_stack(rng, n, scale)
+        got = linalg._propagator_matrix(linalg._product(a, b))
+        want = linalg._propagator_matrix(a) @ linalg._propagator_matrix(b)
+        dev = np.max(np.abs(got - want), axis=(-2, -1))
+        assert np.all(dev <= CK_PRODUCT_TOL * (1.0 + np.abs(a[:, 4] + b[:, 4])))
+
+    def test_product_of_single_rows_has_the_bits_of_a_stack_s(self):
+        rng = np.random.default_rng(1030)
+        a, b = ck_stack(rng, 64), ck_stack(rng, 64)
+        whole = linalg._product(a, b)
+        for k in range(64):
+            assert same_bits(linalg._product(a[k], b[k]), whole[k]), k
+
+    def test_product_writes_a_strided_out(self):
+        # as the prefixes' down-sweep writes every other row
+        rng = np.random.default_rng(1040)
+        a, b = ck_stack(rng, 9), ck_stack(rng, 9)
+        out = np.full((18, 5), np.nan)
+        assert linalg._product(a, b, out=out[1::2]).base is out
+        assert same_bits(out[1::2].copy(), linalg._product(a, b)) and np.all(np.isnan(out[0::2]))
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_the_identity_on_either_side_changes_no_bit(self, n):
+        # so the identity a piece of odd length is padded with carries its
+        # last factor up unchanged, and the identity carry of a grid's first
+        # chunk leaves its prefixes as the tree makes them
+        rng = np.random.default_rng(1050 + n)
+        u = ck_stack(rng, n, 3.0)
+        eye = linalg._identity(u)
+        assert same_bits(eye, np.zeros(5))
+        stacked = np.broadcast_to(eye, u.shape).copy()
+        assert same_bits(linalg._product(u, stacked), u)
+        assert same_bits(linalg._product(stacked, u), u)
+        for row in u[:16]:
+            assert same_bits(linalg._product(row, eye), row)
+            assert same_bits(linalg._product(eye, row), row)
+        assert np.array_equal(linalg._propagator_matrix(eye), I2)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            (0.0, 0.0, 0.0, 0.0),
+            (-0.0, -0.0, 0.0, -0.0),
+            (1e300, 0.0, 0.0, 0.0),
+            (-1e300, 0.3, -0.2, 0.1),
+            (0.5, 1e300, 0.0, 0.0),
+            (0.0, 6e299, -7e299, 5e299),
+            (-1e300, -1e300, 1e300, -1e300),
+        ],
+        ids=["zero", "signed-zeros", "huge-c", "huge-negative-c", "huge-r", "huge-r-every-axis", "all-huge"],
+    )
+    def test_extreme_exponents_give_a_finite_unitary(self, v):
+        v = np.array(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = linalg._expm(v)
+            m = linalg._propagator_matrix(u)
+            squared = linalg._product(u, u)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(m)) and np.all(np.isfinite(squared))
+        assert unitarity_defect(m) <= 1e-14
+        _, defects = linalg._observables(np.stack([u, squared]), np.array([1.0, 0.0]))
+        assert np.all(defects <= 1e-14)
+        if not np.any(v[1:]):
+            # r = 0: alpha = 1 and beta = 0 exactly
+            assert list(u[:4]) == [0.0, 0.0, 0.0, 0.0]
+
+    def test_observables_of_cayley_klein_rows(self):
+        # populations |alpha a - conj(beta) b|**2 and |beta a + conj(alpha)
+        # b|**2 are |U psi|**2 of the rebuilt matrix, the phase dropped, and
+        # the defect is sqrt(2) ||alpha|**2 + |beta|**2 - 1|, bit for bit,
+        # from d = alpha - 1 as 2 re d + |d|**2 + |beta|**2
+        rng = np.random.default_rng(1060)
+        u = ck_stack(rng, 200, 10.0)
+        u[:, 2:4] *= 1.0 + 1e-12 * rng.normal(size=(200, 1))
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi /= np.linalg.norm(psi)
+        populations, defects = linalg._observables(u, psi)
+        assert populations.shape == (200, 2) and defects.shape == (200,)
+        m = linalg._propagator_matrix(u)
+        assert np.max(np.abs(populations - np.abs(m @ psi) ** 2)) <= 8 * EPS
+        dr, di, br, bi = u[:, :4].T
+        assert same_bits(defects, math.sqrt(2.0) * np.abs(2.0 * dr + (((dr * dr + di * di) + br * br) + bi * bi)))
+        assert np.max(np.abs(defects - unitarity_defect(m))) <= 8 * EPS
+
+    @pytest.mark.parametrize("scale", [2e150, 1e200, 1e307])
+    def test_coordinates_whose_squares_overflow_take_the_nested_hypot(self, scale):
+        # past 1e150 the sum of squares could leave the float range: the
+        # whole stack takes r = hypot(hypot(x, y), z), finite and unitary
+        rng = np.random.default_rng(1070)
+        v = rng.uniform(-0.5, 0.5, size=(4, 16))
+        v[1:, 3] *= scale / np.max(np.abs(v[1:, 3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = linalg._expm(v)
+        r = np.hypot(np.hypot(v[1], v[2]), v[3])
+        s = np.divide(np.sin(r), r, out=np.ones(r.shape), where=r > 0)
+        assert same_bits(u[:, 0], np.cos(r) - 1.0) and same_bits(u[:, 2], s * v[2])
+        _, defects = linalg._observables(u, np.array([1.0, 0.0]))
+        assert np.all(np.isfinite(u)) and np.all(defects <= 1e-14)
+
+    def test_below_the_squares_range_r_is_the_root_of_the_sum_of_squares(self):
+        rng = np.random.default_rng(1071)
+        v = rng.normal(size=(4, 64)) * 1e149
+        r = np.sqrt(v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
+        assert same_bits(linalg._expm(v)[:, 0], np.cos(r) - 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_matrices_take_numpy_s_product_and_observables(self, dim):
+        # the functions the tree shares at every d are numpy's own above 2
+        rng = np.random.default_rng(1080 + dim)
+        a, b = (linalg._expm(-1j * centred_hermitian(rng, (6, dim, dim))) for _ in range(2))
+        assert same_bits(linalg._product(a, b), np.matmul(a, b))
+        out = np.empty_like(a)
+        assert linalg._product(a, b, out=out) is out and same_bits(out, np.matmul(a, b))
+        assert same_bits(linalg._identity(a), np.eye(dim, dtype=np.complex128))
+        assert linalg._propagator_matrix(a) is a
+        psi = np.eye(dim)[0]
+        populations, defects = linalg._observables(a, psi)
+        assert same_bits(populations, np.abs(a @ psi) ** 2) and same_bits(defects, unitarity_defect(a))

@@ -686,7 +686,8 @@ class TestLongStacks:
         dt = 10.0 ** rng.uniform(-3.0, 0.0, n)
 
         def propagators(lo, hi):
-            return linalg._expm(magnus_steps._theta(method, [h[..., lo:hi] if dim == 2 else h[lo:hi] for h in samples], dt[lo:hi], 1.0))
+            # at d = 2 the Cayley-Klein rows' matrices, as step forms them
+            return linalg._propagator_matrix(linalg._expm(magnus_steps._theta(method, [h[..., lo:hi] if dim == 2 else h[lo:hi] for h in samples], dt[lo:hi], 1.0)))
 
         whole = propagators(0, n)
         assert (whole[:, 0, 0] if dim == 2 else whole).nbytes >= 2**18
@@ -743,14 +744,16 @@ class TestStepKernels:
             (want,) = evolution._final_propagators([(method, 1)], source, t0, t0 + 0.25, dim)
             assert step(method, call, t0, 0.25).tobytes() == want.tobytes(), t0
 
-    # every step of a chunk on a grid whose times and step are exact floats
+    # every step of a chunk on a grid whose times and step are exact floats,
+    # its Cayley-Klein row made a matrix by linalg._propagator_matrix, as
+    # step's result is
     @pytest.mark.parametrize("case", ["I", "II", "IV"])
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
     def test_step_has_the_bits_of_each_step_of_a_chunk(self, method, case):
         model = builtin_case(case)
         [(_, u)] = evolution._step_chunks([(method, 16)], model, 0.0, 4.0, 2)
         for k in range(16):
-            assert step(method, model.sample, 0.25 * k, 0.25).tobytes() == u[k].tobytes(), k
+            assert step(method, model.sample, 0.25 * k, 0.25).tobytes() == linalg._propagator_matrix(u[k]).tobytes(), k
 
 
 EXPECTED_LOCAL_SLOPE = {
