@@ -45,12 +45,14 @@ each Magnus term Omega_n is a real combination of nested brackets of
 anti-Hermitian matrices, so the exponent stays in the Lie algebra u(d).  A
 scaling or a term that overflows the float range raises
 ``PreconditionError``.
-``exponent`` returns Theta as a matrix.  ``step``, like the evolution
-driver, hands the Theta it built to ``linalg._expm`` without checking it
-again: it is the library's own output, not an input.  Both entry points
-also raise ``ValueError`` for a ``dt`` with a NaN or infinite entry, after
-ħ and before any sample (``_checked_dt``); ``step`` then does the same for
-a non-finite ``t_k`` or step end ``t_k + dt``.
+``exponent`` returns Theta as a matrix.  ``step`` is its checks and its
+sampling around :func:`_step_stack`, the stacked pipeline that
+``verify.check_symmetry_suite`` runs on its draws' stacks; that pipeline,
+like the evolution driver, hands the Theta it built to ``linalg._expm``
+without checking it again: it is the library's own output, not an input.
+Both entry points also raise ``ValueError`` for a ``dt`` with a NaN or
+infinite entry, after ħ and before any sample (``_checked_dt``); ``step``
+then does the same for a non-finite ``t_k`` or step end ``t_k + dt``.
 
 At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
 R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
@@ -573,10 +575,11 @@ def step(
     (:func:`_checked_dt_shape`).  Then raises :class:`PreconditionError` for
     ``dt = 0`` and ``ValueError`` unless ``hbar`` is positive and finite, then
     unless ``dt`` is finite, then unless ``t_k`` and the step's end ``t_k +
-    dt`` are, before the sampler is called.  The sampler's matrices are
-    checked as ``exponent`` checks them, and Theta is exponentiated by
-    ``linalg._expm``, as the evolution driver exponentiates it; a two-level
-    result is rebuilt from its Cayley-Klein form by
+    dt`` are, before the sampler is called.  Those checks and the sampling
+    are all ``step`` adds to :func:`_step_stack`, which checks the sampler's
+    matrices as ``exponent`` checks them, exponentiates Theta by
+    ``linalg._expm``, as the evolution driver does, and rebuilds a
+    two-level result from its Cayley-Klein form by
     ``linalg._propagator_matrix``, as the driver's final propagators are."""
     _checked_method(method)
     _checked_dt_shape(dt, None)
@@ -586,5 +589,17 @@ def step(
     _checked_dt(dt)
     if not (math.isfinite(t_k) and math.isfinite(float(t_k) + float(dt))):
         raise ValueError(f"t_k and t_k + dt must be finite, got t_k={t_k!r}, dt={dt!r}")
-    samples = _checked_samples(method, {node: sampler(t_k + node * dt) for node in _SCHEMES[method][0]})
-    return _propagator_matrix(_expm(_theta(method, samples, dt, hbar)))
+    return _step_stack(method, {node: sampler(t_k + node * dt) for node in _SCHEMES[method][0]}, dt, hbar)
+
+
+def _step_stack(method: MethodId, samples: Mapping[float, Array], dt, hbar: float) -> Array:
+    """The propagator (stack) of the steps ``dt`` from ``samples``, a mapping
+    of ``method``'s nodes to single matrices or ``(n, d, d)`` stacks, with
+    a scalar or per-step ``(n,)`` ``dt``: the samples checked by
+    :func:`_checked_samples`, Theta by :func:`_theta`, its exponential by
+    ``linalg._expm`` and a two-level result's matrix by
+    ``linalg._propagator_matrix``.  Nothing else is checked.  :func:`step`
+    runs it after its own checks and sampling, and
+    ``verify.check_symmetry_suite`` on stacks of its draws; each step of a
+    stack gets the bits it gets alone."""
+    return _propagator_matrix(_expm(_theta(method, _checked_samples(method, samples), dt, hbar)))

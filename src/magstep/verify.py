@@ -57,6 +57,14 @@ the reference's overflow (:func:`_rel_dev`), so no row passes by reading
 interpolant, which are 0, are measured the same way (:func:`_relative`)
 against their scale for the draw, ``||a_const||_F**n``, so they cannot
 pass at any ``dt`` by being small.
+
+``check_symmetry_suite`` certifies the propagators themselves: unitarity,
+the backward step as the adjoint of the forward one, and the round trip of
+a constant Hamiltonian, for every method.  It steps its draws as stacks,
+one per method and dimension, through ``magnus_steps._step_stack``, the
+pipeline ``step`` runs after its own checks and sampling, so each step
+has the bits one ``step`` call gives it and each row the bits of one call
+per check.
 """
 
 from __future__ import annotations
@@ -73,6 +81,8 @@ import numpy as np
 from .linalg import Array, commutator, dagger, frobenius_norm, unitarity_defect
 from .magnus_steps import (
     ALL_METHODS,
+    MethodId,
+    _step_stack,
     as_matrix,
     generators,
     omega1_boole,
@@ -83,8 +93,11 @@ from .magnus_steps import (
     omega3_linear,
     omega3_quadratic,
     omega4_linear,
-    step,
+    sample_nodes,
 )
+
+# not called here: the benchmark's tracer (perfbench/spans.py) wraps this name
+from .magnus_steps import step  # noqa: F401
 
 __all__ = [
     "OracleConfig",
@@ -114,6 +127,11 @@ CONST_ROUNDTRIP_TOL = 1e-14  # backward after forward step of a constant Hamilto
 # Rarer seeds fail it below the bound too (seed 192 at d = 8, 1.05e-14).
 MAX_DIM = 12
 
+# Draws per block of one method's symmetry draws.  A block is stepped, one
+# stack per dimension, and dropped, so the suite's memory does not grow
+# with ``draws``; at the CLI's default of 100 draws each method is one block.
+SYMMETRY_BLOCK_DRAWS = 128
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -124,6 +142,11 @@ class OracleConfig:
     dt: float = 1.0
 
     def __post_init__(self):
+        for name in ("dim", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         # at d = 1 every bracket is 0, so no commutator term would be checked
         if self.dim < 2:
             raise ValueError(f"dim must be at least 2, got {self.dim}")
@@ -161,7 +184,8 @@ class CheckReport:
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> Array:
     """(B + B†)/2 with entries of B uniform in the complex unit square."""
-    b = rng.uniform(0.0, 1.0, (dim, dim)) + 1j * rng.uniform(0.0, 1.0, (dim, dim))
+    re, im = rng.uniform(0.0, 1.0, (2, dim, dim))
+    b = re + 1j * im
     return 0.5 * (b + b.conj().T)
 
 
@@ -431,48 +455,82 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     return CheckReport(tuple(track.rows()))
 
 
-def _random_smooth_sampler(rng: np.random.Generator, dim: int) -> Callable[[float], Array]:
-    a0 = random_hermitian(rng, dim)
-    a1 = random_hermitian(rng, dim)
-    a2 = random_hermitian(rng, dim)
-    w1, w2 = rng.uniform(0.5, 2.0, size=2)
+def _symmetry_draw(rng: np.random.Generator, dim_cap: int, dt: float) -> tuple:
+    """One draw of the step rows, its random numbers taken in stream order:
+    its dimension, up to ``dim_cap``; ``a0, a1, a2, w1, w2`` of its
+    Hamiltonian ``H(t) = a0 + a1 sin(w1 t) + a2 cos(w2 t)``; its start
+    ``t_k``; and its step, ``dt`` times a factor in [0.5, 1)."""
+    dim = int(rng.integers(2, dim_cap + 1))
+    a = [random_hermitian(rng, dim) for _ in range(3)]
+    return (dim, *a, *rng.uniform(0.5, 2.0, size=2), float(rng.uniform(-1.0, 1.0)), dt * float(rng.uniform(0.5, 1.0)))
 
-    def sampler(t: float) -> Array:
-        return a0 + a1 * np.sin(w1 * t) + a2 * np.cos(w2 * t)
 
-    return sampler
+def _step_block(track: _MaxTracker, method: MethodId, block: list[tuple], const: tuple | None = None) -> float | None:
+    """Step each draw of ``block`` by ``method`` forward over ``[t_k, t_k +
+    dt]`` and back from its end, in one :func:`magnus_steps._step_stack`
+    call per dimension, and update the unitarity and backward-adjoint rows
+    of ``method`` once per call.  A ``const`` draw joins the last call of
+    its dimension, out of those rows; the defect of its round trip is
+    returned (None without one)."""
+    roundtrip = None
+    draws = block if const is None else block + [const]
+    for dim in sorted({draw[0] for draw in draws}):
+        group = [draw for draw in draws if draw[0] == dim]
+        a0, a1, a2, w1, w2, t_k, dt = (np.array(column) for column in zip(*(draw[1:] for draw in group)))
+        # row 0 the forward steps, row 1 the backward ones; the times are
+        # step's, start + node * step, for every node at once
+        nodes, steps = sample_nodes(method), np.array([dt, -dt])
+        t = np.array([t_k, t_k + dt]) + np.array(nodes)[:, None, None] * steps
+        h = a0 + a1 * np.sin(w1 * t)[..., None, None] + a2 * np.cos(w2 * t)[..., None, None]
+        samples = dict(zip(nodes, h.reshape(len(nodes), -1, dim, dim)))
+        fwd, bwd = _step_stack(method, samples, steps.reshape(-1), 1.0).reshape(2, -1, dim, dim)
+        n = len(group) - (group[-1] is const)
+        if n < len(group):
+            roundtrip = float(frobenius_norm(bwd[n] @ fwd[n] - np.eye(dim)))
+        if n:
+            track.update(f"unitarity-{method.value}", np.maximum.reduce(unitarity_defect(fwd[:n])), SYMMETRY_TOL)
+            adjoint_defects = frobenius_norm(bwd[:n] - dagger(fwd[:n]))
+            track.update(f"backward-adjoint-{method.value}", np.maximum.reduce(adjoint_defects), SYMMETRY_TOL)
+    return roundtrip
 
 
 def check_symmetry_suite(cfg: OracleConfig, draws: int = 200) -> CheckReport:
     """Unitarity and backward-adjoint checks over all methods, ``draws``
-    each, plus the sign flip of every oracle integral under reversal of the
-    step, over ``min(draws, 25)`` draws.  Raises ``TypeError`` or
-    ``ValueError`` for a ``draws`` that is not an integer of at least 1, as
-    :func:`check_closed_forms` does."""
+    each, the round trip of a constant Hamiltonian's step for each, plus
+    the sign flip of every oracle integral under reversal of the step,
+    over ``min(draws, 25)`` draws.  Raises ``TypeError`` or ``ValueError``
+    for a ``draws`` that is not an integer of at least 1, as
+    :func:`check_closed_forms` does.
+
+    Each method's draws are taken in blocks of ``SYMMETRY_BLOCK_DRAWS``, and
+    a block's steps, forward and backward, run as one stack per dimension
+    (:func:`_step_block`) through ``magnus_steps._step_stack``, the
+    pipeline ``step`` runs, each step with the bits ``step`` gives it
+    alone; every random number is drawn in the order of one ``step`` call
+    per draw.  The constant draw follows every
+    method's draws, so each method's last block waits for it and takes the
+    method's two constant steps in its ``cfg.dim`` stack."""
     draws = _checked_draws(draws)
     rng = np.random.default_rng(cfg.seed)
     track = _MaxTracker()
 
     dim_cap = min(cfg.dim, 6)
+    last_blocks = []
     for method in ALL_METHODS:
-        for _ in range(draws):
-            dim = int(rng.integers(2, dim_cap + 1))
-            sampler = _random_smooth_sampler(rng, dim)
-            t_k = float(rng.uniform(-1.0, 1.0))
-            dt = cfg.dt * float(rng.uniform(0.5, 1.0))
-            forward = step(method, sampler, t_k, dt)
-            backward = step(method, sampler, t_k + dt, -dt)
-            track.update(f"unitarity-{method.value}", float(unitarity_defect(forward)), SYMMETRY_TOL)
-            adjoint_defect = float(frobenius_norm(backward - dagger(forward)))
-            track.update(f"backward-adjoint-{method.value}", adjoint_defect, SYMMETRY_TOL)
+        for start in range(0, draws, SYMMETRY_BLOCK_DRAWS):
+            block = [_symmetry_draw(rng, dim_cap, cfg.dt) for _ in range(min(SYMMETRY_BLOCK_DRAWS, draws - start))]
+            if start + SYMMETRY_BLOCK_DRAWS < draws:
+                _step_block(track, method, block)
+        last_blocks.append(block)
 
-    # constant Hamiltonian: backward step exactly undoes the forward step
+    # constant Hamiltonian: backward step exactly undoes the forward step; as
+    # a draw with a1 = a2 = 0 its samples are const to the bit, since no
+    # entry of const is -0.0, the one float that adding a zero changes
     const = random_hermitian(rng, cfg.dim)
-    eye = np.eye(cfg.dim)
-    for method in ALL_METHODS:
-        fwd = step(method, lambda t: const, 0.0, cfg.dt)
-        bwd = step(method, lambda t: const, cfg.dt, -cfg.dt)
-        track.update("const-roundtrip", float(frobenius_norm(bwd @ fwd - eye)), CONST_ROUNDTRIP_TOL)
+    zero = np.zeros(const.shape, dtype=np.complex128)
+    const_draw = (cfg.dim, const, zero, zero, 0.0, 0.0, 0.0, cfg.dt)
+    roundtrips = [_step_block(track, m, block, const_draw) for m, block in zip(ALL_METHODS, last_blocks)]
+    track.update("const-roundtrip", np.maximum.reduce(roundtrips), CONST_ROUNDTRIP_TOL)
 
     # time-ordered integrals flip sign when the endpoints are exchanged
     for _ in range(min(draws, 25)):

@@ -4,6 +4,7 @@ import pytest
 from magstep.evolution import convergence_study, propagate
 from magstep.hamiltonians import HamiltonianModel, builtin_case
 from magstep.magnus_steps import ALL_METHODS, MethodId
+from magstep.verify import random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -11,6 +12,21 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 CASES = ["I", "II", "III", "IV"]
+
+
+def smooth_sampler(rng, dim):
+    """``H(t) = a0 + a1 sin(w1 t) + a2 cos(w2 t)`` of three random Hermitian
+    matrices and two frequencies, drawn in that order, as one draw of
+    ``verify.check_symmetry_suite`` draws them after its dimension."""
+    a0 = random_hermitian(rng, dim)
+    a1 = random_hermitian(rng, dim)
+    a2 = random_hermitian(rng, dim)
+    w1, w2 = rng.uniform(0.5, 2.0, size=2)
+
+    def sampler(t):
+        return a0 + a1 * np.sin(w1 * t) + a2 * np.cos(w2 * t)
+
+    return sampler
 
 
 class SampledError(AssertionError):

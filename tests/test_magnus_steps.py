@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from magstep import evolution, linalg, magnus_steps, verify
+from magstep import evolution, linalg, magnus_steps
 from magstep.evolution import convergence_study, propagate, relative_error
 from magstep.hamiltonians import EntrySpec, HamiltonianModel, SinusoidTerm, builtin_case
 from magstep.linalg import (
@@ -41,7 +41,7 @@ from magstep.magnus_steps import (
 )
 from magstep.verify import random_hermitian
 
-from conftest import SX, SY, SZ
+from conftest import SX, SY, SZ, smooth_sampler
 
 
 def random_samples(rng, method, dim):
@@ -714,7 +714,7 @@ class TestStepKernels:
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
     def test_step_has_the_bits_of_its_tier_kernel(self, monkeypatch, method, dim):
         rng = np.random.default_rng(950 + dim)
-        sampler = verify._random_smooth_sampler(rng, dim)
+        sampler = smooth_sampler(rng, dim)
         tiers, lookup = [], linalg._expm_tier
         monkeypatch.setattr(linalg, "_expm_tier", lambda t, tier: tiers.append(tier) or lookup(t, tier))
         degrees = set()
@@ -737,7 +737,7 @@ class TestStepKernels:
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
     def test_step_has_the_bits_of_the_step_pipeline(self, method, sampler):
         model = builtin_case("II")
-        call = verify._random_smooth_sampler(np.random.default_rng(953), 3) if sampler == "dim3" else model.sample
+        call = smooth_sampler(np.random.default_rng(953), 3) if sampler == "dim3" else model.sample
         source = model if sampler == "model" else call
         dim = 3 if sampler == "dim3" else 2
         for t0 in (0.0, 0.5, 3.0):
@@ -754,6 +754,29 @@ class TestStepKernels:
         [(_, u)] = evolution._step_chunks([(method, 16)], model, 0.0, 4.0, 2)
         for k in range(16):
             assert step(method, model.sample, 0.25 * k, 0.25).tobytes() == linalg._propagator_matrix(u[k]).tobytes(), k
+
+    # step is its checks and sampling around _step_stack, the pipeline the
+    # symmetry suite runs on stacks of its draws: each step of a stack, its
+    # own sampler, start and signed size, has the bits step gives it alone,
+    # across every tier of the d > 2 exponential in one stack
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_step_has_the_bits_of_its_row_of_a_stack(self, monkeypatch, method, dim):
+        rng = np.random.default_rng(960 + dim)
+        n = 24
+        samplers = [smooth_sampler(rng, dim) for _ in range(n)]
+        t_k = rng.uniform(-1.0, 1.0, n).tolist()
+        dt = (rng.choice([-1.0, 1.0], n) * np.geomspace(1e-3, 4.0, n)).tolist()
+        samples = {node: np.array([f(t + node * h) for f, t, h in zip(samplers, t_k, dt)]) for node in sample_nodes(method)}
+        tiers, lookup = [], linalg._expm_tier
+        monkeypatch.setattr(linalg, "_expm_tier", lambda t, tier: tiers.append(tier) or lookup(t, tier))
+        stack = magnus_steps._step_stack(method, samples, np.array(dt), 1.0)
+        assert stack.shape == (n, dim, dim)
+        assert min(dt) < 0.0 < max(dt)
+        if dim > 2:
+            assert len(tiers) >= 4 and tiers[-1] == len(linalg.TAYLOR_DEGREES), tiers
+        for k in range(n):
+            assert step(method, samplers[k], t_k[k], dt[k]).tobytes() == stack[k].tobytes(), k
 
 
 EXPECTED_LOCAL_SLOPE = {

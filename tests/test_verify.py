@@ -1,18 +1,22 @@
 import inspect
 import math
+import re
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from magstep import magnus_steps, verify
-from magstep.linalg import commutator, frobenius_norm
+from magstep.linalg import commutator, dagger, frobenius_norm, unitarity_defect
 from magstep.magnus_steps import (
+    ALL_METHODS,
     GAUSS2_HI,
     GAUSS2_LO,
     QUAD_COMMUTATOR_ROOT,
     MethodId,
     exponent,
+    step,
 )
 from magstep.verify import (
     CheckReport,
@@ -24,7 +28,19 @@ from magstep.verify import (
     random_hermitian,
 )
 
-from conftest import SX, SZ
+from conftest import SX, SZ, smooth_sampler
+
+
+class TestRandomHermitian:
+    # both parts of B come from one uniform call, which gives the matrices
+    # and leaves the stream where two (dim, dim) calls did
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_one_call_draws_what_two_calls_drew(self, dim):
+        one, two = np.random.default_rng(dim), np.random.default_rng(dim)
+        for _ in range(5):
+            b = two.uniform(0.0, 1.0, (dim, dim)) + 1j * two.uniform(0.0, 1.0, (dim, dim))
+            assert random_hermitian(one, dim).tobytes() == (0.5 * (b + b.conj().T)).tobytes()
+        assert one.uniform() == two.uniform()
 
 
 class TestInterpolant:
@@ -429,6 +445,83 @@ class TestCheckSymmetrySuite:
             assert symmetry_report.row(f"oracle-sign-flip-m{n}").passed
 
 
+def per_step_symmetry_suite(cfg, draws):
+    """The symmetry suite's rows as one ``step`` call per check, in the
+    suite's draw order: the rows its stacked steps must give bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    track = verify._MaxTracker()
+    dim_cap = min(cfg.dim, 6)
+    for method in ALL_METHODS:
+        for _ in range(draws):
+            dim = int(rng.integers(2, dim_cap + 1))
+            sampler = smooth_sampler(rng, dim)
+            t_k = float(rng.uniform(-1.0, 1.0))
+            dt = cfg.dt * float(rng.uniform(0.5, 1.0))
+            forward = step(method, sampler, t_k, dt)
+            backward = step(method, sampler, t_k + dt, -dt)
+            track.update(f"unitarity-{method.value}", float(unitarity_defect(forward)), verify.SYMMETRY_TOL)
+            adjoint_defect = float(frobenius_norm(backward - dagger(forward)))
+            track.update(f"backward-adjoint-{method.value}", adjoint_defect, verify.SYMMETRY_TOL)
+    const = random_hermitian(rng, cfg.dim)
+    eye = np.eye(cfg.dim)
+    for method in ALL_METHODS:
+        fwd = step(method, lambda t: const, 0.0, cfg.dt)
+        bwd = step(method, lambda t: const, cfg.dt, -cfg.dt)
+        track.update("const-roundtrip", float(frobenius_norm(bwd @ fwd - eye)), verify.CONST_ROUNDTRIP_TOL)
+    for _ in range(min(draws, 25)):
+        samples = [random_hermitian(rng, cfg.dim) for _ in range(4)]
+        h = interpolant(samples, 0.0, cfg.dt)
+        for n in range(1, 5):
+            fwd = oracle_Mn(h, n, 0.0, cfg.dt)
+            rev = oracle_Mn(h, n, cfg.dt, -cfg.dt)
+            track.update(f"oracle-sign-flip-m{n}", verify._rel_dev(rev, -fwd), verify.SYMMETRY_TOL)
+    return track.rows()
+
+
+def row_bits(rows):
+    return [(r.identity, np.float64(r.max_rel_dev).tobytes(), r.tolerance) for r in rows]
+
+
+class TestStackedSymmetrySuite:
+    # each dim with its own seed; 5 draws in blocks of 2 run full blocks
+    # while drawing and a short last block after the constant draw
+    @pytest.mark.parametrize("draws,block", [(1, None), (3, None), (5, 2)])
+    @pytest.mark.parametrize("dt", [1.0, -1.0, 1e-3])
+    @pytest.mark.parametrize("dim,seed", [(2, 42), (3, 7), (4, 1234567), (5, 42), (6, 7), (8, 1234567), (12, 42)])
+    def test_rows_are_the_per_step_loops_bits(self, monkeypatch, dim, seed, dt, draws, block):
+        if block is not None:
+            monkeypatch.setattr(verify, "SYMMETRY_BLOCK_DRAWS", block)
+        cfg = OracleConfig(seed=seed, dim=dim, dt=dt)
+        assert row_bits(check_symmetry_suite(cfg, draws).rows) == row_bits(per_step_symmetry_suite(cfg, draws))
+
+    def test_one_stacked_step_per_method_and_dim(self, monkeypatch):
+        calls, stacked = [], verify._step_stack
+        monkeypatch.setattr(verify, "_step_stack", lambda method, *a: calls.append(method) or stacked(method, *a))
+        check_symmetry_suite(OracleConfig(seed=12345, dim=3), draws=1)
+        assert len(calls) == 12
+        # the default CLI draws of dim 3 draw both dims for every method
+        calls.clear()
+        check_symmetry_suite(OracleConfig(seed=12345, dim=3), draws=100)
+        assert calls == [m for m in ALL_METHODS for _ in range(2)]
+
+    # with every block of 8 draws the peak holds at about 1 MB (within 2%
+    # from 32 to 128 draws here); with one block per method, it grows about
+    # twofold over that range
+    def test_peak_memory_does_not_grow_with_draws(self, monkeypatch):
+        monkeypatch.setattr(verify, "SYMMETRY_BLOCK_DRAWS", 8)
+        cfg = OracleConfig(seed=3, dim=6)
+        check_symmetry_suite(cfg, 2)
+        peaks = []
+        for draws in (32, 128):
+            tracemalloc.start()
+            try:
+                check_symmetry_suite(cfg, draws)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 class TestNamedTolerances:
     # (constant, its value, the prefixes of the identities it bounds); the
     # first match wins, so the two single rows precede the general m2/m4 rows
@@ -478,6 +571,16 @@ class TestOracleConfig:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             OracleConfig(seed=-1)
 
+    # named here, not by numpy's bare TypeError at the first draw or by '<'
+    @pytest.mark.parametrize("field,value", [("dim", 2.5), ("dim", 3.0), ("dim", "3"), ("dim", None), ("seed", 1.5), ("seed", "1")])
+    def test_a_non_integer_dim_or_seed_is_a_type_error_naming_it(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            OracleConfig(**{field: value})
+
+    def test_numpy_integers_are_taken(self):
+        cfg = OracleConfig(seed=np.uint32(5), dim=np.int64(3))
+        assert check_symmetry_suite(cfg, draws=1).rows == check_symmetry_suite(OracleConfig(seed=5, dim=3), draws=1).rows
+
 
 class TestDraws:
     # a suite of no draws would report only its draw-free rows, and pass
@@ -486,6 +589,7 @@ class TestDraws:
     def test_draws_below_one_raise_naming_draws(self, monkeypatch, suite, draws):
         monkeypatch.setattr(verify, "oracle_Mn", lambda *a: pytest.fail("oracle called"))
         monkeypatch.setattr(verify, "step", lambda *a: pytest.fail("step called"))
+        monkeypatch.setattr(verify, "_step_stack", lambda *a: pytest.fail("_step_stack called"))
         with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
             suite(OracleConfig(), draws=draws)
 
@@ -496,6 +600,7 @@ class TestDraws:
     def test_non_integer_draws_raise_a_type_error_naming_draws(self, monkeypatch, suite, draws):
         monkeypatch.setattr(verify, "oracle_Mn", lambda *a: pytest.fail("oracle called"))
         monkeypatch.setattr(verify, "step", lambda *a: pytest.fail("step called"))
+        monkeypatch.setattr(verify, "_step_stack", lambda *a: pytest.fail("_step_stack called"))
         with pytest.raises(TypeError, match=f"draws must be an integer, got {draws!r}"):
             suite(OracleConfig(), draws=draws)
 
