@@ -41,6 +41,7 @@ import argparse
 import ctypes
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -66,6 +67,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a flag's value may be a negative number in any float notation:
+        # argparse reads only forms like -1 and -1.5 as numbers, and -1e-3
+        # as an option.  No magstep option starts with a digit
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # keep usage failures on our own exit code
         raise UsageError(message)
 

@@ -53,10 +53,12 @@ d, go to the step builders unchecked, and a two-level model gives them as
 the real su(2) coordinates the builders take
 (``HamiltonianModel.su2_coordinates``), from its entries in real
 arithmetic, so no complex stack is built for it.  A callable sampler's
-complex matrix stacks get one Hermiticity check per node and method of a
-chunk, as ``exponent``'s samples do, so a bad sample is named by the node at
-which its method reads it.  Theta is the library's own output and is
-exponentiated unchecked, from its coordinates at d = 2.  A model's sample that is not
+complex matrix stacks get one Hermiticity check per sampling call, which
+measures each matrix on its own, by the function that checks ``exponent``'s
+samples; so each sample is checked once, however many methods read it, and
+a bad one is named by the node at which the first method to read it does.
+Theta is the library's own output and is exponentiated unchecked, from its
+coordinates at d = 2.  A model's sample that is not
 finite (a sinusoid past the float range) is a :class:`PreconditionError`
 raised where it is sampled; a callable's is the ``ValueError`` of its
 check.  On a grid whose times ``t0 + dt * j`` are exact the step ends are
@@ -126,7 +128,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianModel
 from .linalg import Array, PreconditionError, _expm, _identity, _observables, _product, _propagator_matrix, frobenius_norm
-from .magnus_steps import _SCHEMES, MethodId, _checked_hbar, _checked_method, _checked_samples, _theta
+from .magnus_steps import _SCHEMES, MethodId, _checked_hbar, _checked_method, _hermitian, _theta
 
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps these names
 from .linalg import expm_antihermitian  # noqa: F401
@@ -182,7 +184,7 @@ class EvolutionTrace:
     final_propagator: Array
 
 
-def _sampled(model, times: Array, dim: int) -> Array:
+def _sampled(model, times: Array, dim: int, spans: list[tuple[float, int, int]]) -> Array:
     """The Hamiltonian at ``times``: the ``(4, n)`` su(2) coordinates of a
     two-level :class:`HamiltonianModel`, else the complex ``(n, dim, dim)``
     stack.  Checks only what sampling produces: raises
@@ -191,7 +193,11 @@ def _sampled(model, times: Array, dim: int) -> Array:
     is taken, and if a model's sample is not finite: a valid model whose
     sinusoids pass the float range, sampled under one ``np.errstate`` so that
     numpy adds no warning to that one error.  A model's dimension is checked
-    by the entry point, once."""
+    by the entry point, once.  Then a callable's stack gets its one sample
+    check, ``magnus_steps._hermitian``, which names the node of the first of
+    ``spans``, ``(node, a, b)`` for the node that reads entries ``a ... b -
+    1``, that holds a failing matrix; a model's samples, Hermitian by
+    construction, get none."""
     if isinstance(model, HamiltonianModel):
         with np.errstate(over="ignore", invalid="ignore"):
             h = model.su2_coordinates(times) if dim == 2 else model.sample_many(times)
@@ -207,7 +213,7 @@ def _sampled(model, times: Array, dim: int) -> Array:
         if sample.shape != (dim, dim):
             raise PreconditionError(f"Hamiltonian samples must be {(dim, dim)}, got {sample.shape} at t={t!r}")
         h[k] = sample
-    return h
+    return _hermitian(h, spans)
 
 
 def _node_samples(model, t0: float, keys: list[tuple], dim: int) -> dict[tuple, Array]:
@@ -220,7 +226,12 @@ def _node_samples(model, t0: float, keys: list[tuple], dim: int) -> dict[tuple, 
     times are sampled in one call and each key gets a view of the result;
     above, each key's times are sampled in a call of their own, so that each
     stack can be dropped once the last method that reads it has its
-    generators.  Nothing here is checked but what :func:`_sampled` checks.
+    generators.  Nothing here is checked but what :func:`_sampled` checks,
+    and each of a callable's samples is checked there once, whichever
+    methods read it.  A bad sample is named by the node at which the first
+    method that reads its key reads it: the key's node, or for grid times
+    node 0 unless the piece's last grid time alone fails, which node 1
+    alone reads; of several keys with bad samples, the first sampled.
     """
     # each piece's step starts, built once for all its nodes
     step_starts = functools.cache(lambda dt, start, stop: t0 + dt * np.arange(start, stop))
@@ -232,13 +243,18 @@ def _node_samples(model, t0: float, keys: list[tuple], dim: int) -> dict[tuple, 
         return np.add(step_starts(dt, start, stop), node * dt, out=out)
 
     lengths = [stop - start + (node is None) for _, start, stop, node in keys]
+    # (node, a, b) for each node that reads entries a ... b - 1 of a key's
+    # samples: a grid's node 0 reads all but the last, node 1 all but the
+    # first (_reads)
+    spans = [[(node, 0, n)] if node is not None else [(0.0, 0, n - 1), (1.0, 1, n)] for (*_, node), n in zip(keys, lengths)]
     if dim > 2:
-        return {key: _sampled(model, filled(key, np.empty(n)), dim) for key, n in zip(keys, lengths)}
+        return {key: _sampled(model, filled(key, np.empty(n)), dim, s) for key, n, s in zip(keys, lengths, spans)}
     edges = list(itertools.pairwise(itertools.accumulate(lengths, initial=0)))
     times = np.empty(edges[-1][1])
     for key, (a, b) in zip(keys, edges):
         filled(key, times[a:b])
-    h = _sampled(model, times, dim)
+    # each key's spans, shifted to where its samples sit in the one stack
+    h = _sampled(model, times, dim, [(node, lo + a, lo + b) for (lo, _), s in zip(edges, spans) for node, a, b in s])
     return {key: _steps(h, slice(a, b)) for key, (a, b) in zip(keys, edges)}
 
 
@@ -336,10 +352,10 @@ def _step_chunks(
     stack outlives its chunk.  A chunk's pieces are grouped by method, in
     the order each method first appears, and ``pieces`` lists them in that
     order.  The chunk samples each time it needs once
-    (:func:`_node_samples`): runs of one count share their grid.  Each group
-    then gets its node stacks (:func:`_reads`), each stack dropped after the
-    last group that reads it; a callable's are checked by
-    ``magnus_steps._checked_samples`` for each group.  The group's Theta,
+    (:func:`_node_samples`), and a callable's samples are checked there,
+    once: runs of one count share their grid.  Each group then gets its node
+    stacks (:func:`_reads`), each stack dropped after the last group that
+    reads it, and checks none of them again.  The group's Theta,
     built by ``magnus_steps._theta`` with a scalar ``dt`` for one piece and a
     per-step one for more, is written into the chunk's one Theta, which
     takes one ``linalg._expm`` call.  A chunk of one group takes its Theta
@@ -367,8 +383,6 @@ def _step_chunks(
             samples = [_joined([_steps(stacks[key], steps) for key, steps in node]) for node in parts]
             for key in {key for node in parts for key, _ in node if last[key] == i}:
                 del stacks[key]
-            if not isinstance(model, HamiltonianModel):
-                samples = _checked_samples(method, dict(zip(_SCHEMES[method][0], samples)))
             # a run has one piece in a chunk at most: one piece takes its
             # run's dt, more a per-step dt
             dt = dts[members[0][0]]

@@ -44,9 +44,11 @@ sample and :func:`su2_matrix` turns coordinates back into a matrix.
 Only two functions validate.  :func:`checked_square` is the one boundary
 check, and the one measure of a Hermiticity or anti-Hermiticity defect: it
 coerces a (stack of) square matrix(es) to complex128, rejects a NaN or Inf
-entry, and measures ``||a -+ a†||_F`` relative to the norm, scaling a stack
-with huge entries down first so a finite matrix cannot overflow its own
-test.  Callers apply it once at their input boundary.
+entry, and measures each matrix's ``||a -+ a†||_F`` relative to its norm,
+scaling a matrix with huge entries down first, by its own power of two, so
+that a finite matrix can neither overflow its own test nor have its defect
+read 0 beside a huge neighbour.  Callers apply it once at their input
+boundary, and take the largest result or the first failing matrix.
 :func:`expm_antihermitian` takes matrices only, real ones included, and
 applies it to every exponent before it calls :func:`_expm`.  ``step`` and
 the step pipeline call :func:`_expm` unchecked on the exponents they build
@@ -173,48 +175,58 @@ def unitarity_defect(u) -> float | Array:
     return frobenius_norm(p)
 
 
-def checked_square(a, sign: int) -> tuple[Array, float, float]:
-    """Coerce ``a`` to a C-ordered complex128 (stack of) square matrix(es) and
-    measure its defect ``||a - sign a†||_F``: ``sign = 1`` for the
-    Hermiticity defect, ``sign = -1`` for the anti-Hermiticity defect.
-
-    Returns the array, the largest ``defect / max(1, ||a||_F)`` and the
-    largest defect over the stack.  Raises :class:`DimensionMismatchError`
-    for a non-square shape and ``ValueError`` for a NaN or Inf entry.
-
-    Both squared norms are taken in one pass each, over the interleaved
-    float64 view of the matrices.  Only when either is not finite does the
-    check look at the entries: a NaN or Inf entry is then rejected, and a
-    finite stack whose sums of squares overflow, which happens once entries
-    pass about 1e154, is measured again divided by the power of two that
-    brings its largest entry below ``2**480``.  The division is exact, and no
-    sum of squares of the result can overflow, so a finite matrix cannot
-    pass its own test by overflowing it.
-    """
+def _square(a) -> Array:
+    """``a`` as a C-ordered complex128 (stack of) square matrix(es):
+    :class:`DimensionMismatchError` for any other shape."""
     arr = np.asarray(a, dtype=np.complex128, order="C")
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.size == 0:
-        return arr, 0.0, 0.0
-    scale = 1.0
+    return arr
+
+
+def checked_square(a, sign: int) -> tuple[Array, float | Array, float | Array]:
+    """Coerce ``a`` to a C-ordered complex128 (stack of) square matrix(es) and
+    measure each matrix's defect ``||a - sign a†||_F``: ``sign = 1`` for the
+    Hermiticity defect, ``sign = -1`` for the anti-Hermiticity defect.
+
+    Returns the array, each matrix's ``defect / max(1, ||a||_F)`` and each
+    matrix's defect: floats for a single matrix, arrays of the stack's
+    leading shape for a stack.  Raises :class:`DimensionMismatchError` for
+    a non-square shape and ``ValueError`` for a NaN or Inf entry.
+
+    Both squared norms are taken in one pass each, over the interleaved
+    float64 view of the matrices.  Only when one of them is not finite does
+    the check look at the entries: a NaN or Inf entry is then rejected, and
+    each finite matrix whose sums of squares overflow, which happens once
+    its entries pass about 1e154, is measured again divided by the power of
+    two that brings its own largest entry below 2 to the 480th, about
+    3.1e144.  The division
+    is exact, no sum of squares of the result can overflow, and no other
+    matrix is scaled, so no matrix can pass its own test by overflowing its
+    norm or by a neighbour's scale underflowing its defect.
+    """
+    arr = _square(a)
     # viewed as a stack even for one matrix, so the norms come back as arrays
-    stack = arr.reshape((-1,) + arr.shape[-2:])
+    stack = arr.reshape((math.prod(arr.shape[:-2]),) + arr.shape[-2:])
+    scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         defect_sq, norm_sq = _squared_norms(stack, sign)
         # neither sum is negative, so their sum is finite only if both are
-        if not np.logical_and.reduce(np.isfinite(defect_sq + norm_sq), axis=None):
+        finite = np.isfinite(defect_sq + norm_sq)
+        if not np.logical_and.reduce(finite):
             if not np.logical_and.reduce(np.isfinite(arr), axis=None):
                 raise ValueError("matrix contains NaN or Inf entries")
             # |z| of a finite z can pass the float range (inf, without a warning): cap it
-            largest = min(float(np.maximum.reduce(np.abs(arr), axis=None)), sys.float_info.max)
-            scale = 2.0 ** max(0, math.frexp(largest)[1] - 480)
-            defect_sq, norm_sq = _squared_norms(stack / scale, sign)
-    # defect(a) / max(1, ||a||_F) = defect(a/scale) / max(1/scale, ||a/scale||_F);
-    # the Python float product reads inf, without a warning, for a defect
-    # beyond the float range
-    defect = np.sqrt(defect_sq)
-    ratio = defect / np.maximum(1.0 / scale, np.sqrt(norm_sq))
-    return arr, float(np.maximum.reduce(ratio, axis=None)), float(np.maximum.reduce(defect, axis=None)) * scale
+            largest = np.minimum(np.maximum.reduce(np.abs(stack), axis=(1, 2)), sys.float_info.max)
+            # dividing the other matrices by 1 leaves their sums as they were
+            scale = np.where(finite, 1.0, np.ldexp(1.0, np.frexp(largest)[1] - 480))
+            defect_sq, norm_sq = _squared_norms(stack / scale[:, None, None], sign)
+        # defect(a) / max(1, ||a||_F) = defect(a/scale) / max(1/scale, ||a/scale||_F);
+        # the product reads inf, without a warning, for a defect beyond the float range
+        defect = np.sqrt(defect_sq)
+        ratio = defect / np.maximum(1.0 / scale, np.sqrt(norm_sq))
+        # [()] makes the values of a single matrix numpy floats
+        return arr, ratio.reshape(arr.shape[:-2])[()], (defect * scale).reshape(arr.shape[:-2])[()]
 
 
 def _squared_norms(x: Array, sign: int) -> tuple[Array, Array]:
@@ -286,8 +298,8 @@ def expm_antihermitian(theta) -> Array:
     eigendecomposition of each above.
     """
     theta, ratio, defect = checked_square(theta, -1)
-    if not ratio <= EXPONENT_ANTIHERMITICITY_TOL:
-        raise NotAntiHermitianError(defect, EXPONENT_ANTIHERMITICITY_TOL)
+    if not np.logical_and.reduce(ratio <= EXPONENT_ANTIHERMITICITY_TOL, axis=None):
+        raise NotAntiHermitianError(np.maximum.reduce(defect, axis=None), EXPONENT_ANTIHERMITICITY_TOL)
     return _propagator_matrix(_expm(su2_coordinates(1j * theta) if theta.shape[-1] == 2 else theta))
 
 

@@ -29,14 +29,15 @@ finite (``_checked_hbar``) before any sample is looked at.
 
 ``exponent`` and ``step`` take Hamiltonian samples as matrices, real ones
 included, and validate them once, in :func:`_checked_samples`:
-``linalg.checked_square`` makes each complex and square, rejects a NaN or
-Inf entry and measures its Hermiticity defect against
-``SAMPLE_HERMITICITY_TOL``; then the stacks must be all of one shape.  Single
-matrices are checked by one call over their stack, node stacks by one call
-each, and whatever fails is checked again node by node to raise.  The
-evolution driver makes the same check, by the same function, on a callable
-sampler's node stacks and none on a ``HamiltonianModel``'s, which are
-Hermitian by construction.  :func:`_theta` builds Theta from the checked
+each must be complex and square, and one ``linalg.checked_square`` call
+over the stack of every node's matrices, single or stacked, rejects a NaN
+or Inf entry and measures each matrix's Hermiticity defect against
+``SAMPLE_HERMITICITY_TOL``; then the samples must be all of one shape.  An
+error names the first node at fault, as a check node by node would.  The
+evolution driver checks a callable sampler's samples by the same function,
+:func:`_hermitian`, once each, as it samples them, and a
+``HamiltonianModel``'s not at all, since they are Hermitian by
+construction.  :func:`_theta` builds Theta from the checked
 samples: each is scaled, once, to the generator ``A = -iH dt/ħ`` of the
 step taken as the unit interval; that is the only place ``dt`` and ħ
 enter.  The term functions and builders after that are plain arithmetic on
@@ -101,6 +102,7 @@ from .linalg import (
     PreconditionError,
     _expm,
     _propagator_matrix,
+    _square,
     checked_square,
     dagger,
     su2_coordinates,
@@ -226,59 +228,57 @@ def _checked_dt_shape(dt, samples_shape: tuple[int, ...] | None) -> None:
 
 
 def _checked_samples(method: MethodId, samples: Mapping[float, Array]) -> list[Array]:
-    """The samples at ``method``'s nodes, in node order, each as
-    ``linalg.checked_square`` returns it, a complex (stack of) square
-    matrix(es).  Raises :class:`MissingNodeError` for a node ``samples``
-    lacks, :class:`NonHermitianSampleError` naming the first node whose
-    sample is not Hermitian to ``SAMPLE_HERMITICITY_TOL``, and
+    """The samples at ``method``'s nodes, in node order, each a C-ordered
+    complex (stack of) square matrix(es), as ``linalg.checked_square``
+    returns it, with the values given.  Raises
+    :class:`MissingNodeError` for a node ``samples`` lacks,
+    :class:`NonHermitianSampleError` naming the first node with a matrix
+    that is not Hermitian to ``SAMPLE_HERMITICITY_TOL``, and
     :class:`DimensionMismatchError` unless all are of one shape.
 
-    Single matrices of one shape are checked by one ``checked_square`` call
-    over their stack (:func:`_checked_matrices`); whenever that does not pass
-    them, and for stacks, each node is checked on its own, in node order,
-    which is what raises."""
+    Every matrix of every node is checked by one ``linalg.checked_square``
+    call over their stack (:func:`_hermitian`), which measures each matrix
+    on its own; samples that differ in dimension cannot be stacked, fail in
+    any case and take one call per node.  A node's own fault, a missing,
+    non-numeric or non-square sample, is raised once the nodes before it
+    pass, and a mismatch of shapes last, so each input raises what a check
+    node by node, in node order, raises, but for one order: a NaN or Inf
+    entry in any node of a call is raised before a Hermiticity fault."""
     nodes = _SCHEMES[method][0]
-    out = _checked_matrices(nodes, samples)
-    if out is not None:
-        return out
-    out = []
-    for node in nodes:
-        if node not in samples:
-            raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
-        h, ratio, defect = checked_square(samples[node], 1)
-        if not ratio <= SAMPLE_HERMITICITY_TOL:
-            raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
-        out.append(h)
-    if len({h.shape for h in out}) > 1:
-        shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
-        raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
-    return out
-
-
-def _checked_matrices(nodes: tuple[float, ...], samples: Mapping[float, Array]) -> list[Array] | None:
-    """The samples at ``nodes`` as views of one checked complex stack, if each
-    is a single square matrix, all of one shape, whose entries are at most
-    ``2**480`` in magnitude and which pass the Hermiticity test; else None.
-
-    The entry bound keeps ``checked_square`` from rescaling the stack: one
-    power of two for all of it would scale a small sample's defect squares
-    below the float range, where it would pass however large it is."""
-    if not all(node in samples for node in nodes):
-        return None
+    arrays = []
     try:
-        arrays = [np.asarray(samples[node]) for node in nodes]
-        shape = arrays[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in arrays):
-            return None
-        stack = np.array(arrays, dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):
-        # not numbers: the per-node loop raises its own error for them
-        return None
-    # False for a NaN entry too
-    if not np.maximum.reduce(np.abs(stack.view(np.float64)), axis=None, initial=0.0) <= 2.0**480:
-        return None
-    stack, ratio, _ = checked_square(stack, 1)
-    return list(stack) if ratio <= SAMPLE_HERMITICITY_TOL else None
+        for node in nodes:
+            if node not in samples:
+                raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
+            arrays.append(_square(samples[node]))
+    finally:
+        # the samples read before a node's own fault are checked all the
+        # same, and a fault among them is raised in its place
+        for i, part in enumerate([arrays] if len({h.shape[-1] for h in arrays}) == 1 else [[h] for h in arrays]):
+            flat = [h.reshape(math.prod(h.shape[:-2]), *h.shape[-2:]) for h in part]
+            ends = np.add.accumulate([len(f) for f in flat])
+            _hermitian(np.concatenate(flat), [(node, end - len(f), end) for node, f, end in zip(nodes[i:], flat, ends)])
+    if len({h.shape for h in arrays}) > 1:
+        shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, arrays))
+        raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
+    return arrays
+
+
+def _hermitian(stack: Array, spans: list[tuple[float, int, int]]) -> Array:
+    """``stack``, an ``(n, d, d)`` stack of samples, as one
+    ``linalg.checked_square`` call returns it, once every matrix passes the
+    Hermiticity test: :class:`NonHermitianSampleError` otherwise, naming
+    the node of the first ``(node, a, b)`` of ``spans`` whose matrices ``a
+    ... b - 1`` of the stack include one that fails, with their largest
+    defect.  The one sample check of ``exponent``, ``step`` and the
+    evolution driver."""
+    stack, ratio, defect = checked_square(stack, 1)
+    passed = ratio <= SAMPLE_HERMITICITY_TOL
+    # the spans are searched only once a matrix has failed
+    for node, a, b in () if np.logical_and.reduce(passed) else spans:
+        if not np.logical_and.reduce(passed[a:b]):
+            raise NonHermitianSampleError(node, np.maximum.reduce(defect[a:b]), SAMPLE_HERMITICITY_TOL)
+    return stack
 
 
 def generators(samples: list[Array], tau) -> list[Array]:

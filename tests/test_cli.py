@@ -633,6 +633,8 @@ class TestBadStepAndTimeFlags:
             (["propagate", "--case", "I", "--method", "me2", "--dt", "abc"], "--dt"),
             (["verify", "--dt", "abc"], "--dt"),
             (["verify", "--dim", "abc"], "--dim"),
+            # an option where a value belongs is no value
+            (["verify", "--dt"], "--dt"),
             # a flag's value is refused as it is read, before the method's
             # name is looked up
             (["propagate", "--case", "I", "--method", "nope", "--n-steps", "0"], "--n-steps"),
@@ -650,6 +652,28 @@ class TestBadStepAndTimeFlags:
         assert err.startswith("magstep: error:") and all(name in err for name in flag.split())
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    # a negative number in exponent notation is a value as a word of its
+    # own, as it is after "=": the same exit code, CSV bytes and stderr
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["verify", "--suite", "symmetry", "--draws", "1"], "--dt", "-1e-3"),
+            (["verify", "--suite", "symmetry", "--draws", "1"], "--dt", "-.5e1"),
+            (["propagate", "--case", "I", "--method", "me2", "--n-steps", "4", "--t-final", "1"], "--t0", "-1e-3"),
+            (["propagate", "--case", "I", "--method", "me2", "--n-steps", "4"], "--t-final", "-1E+2"),
+            (["converge", "--case", "I", "--methods", "me2", "--dt", "0.5", "--dt", "0.25"], "--hbar", "-1e-3"),
+        ],
+    )
+    def test_a_negative_number_in_exponent_notation_is_a_value(self, tmp_path, capsys, argv, flag, value):
+        out = tmp_path / "x.csv"
+        results = []
+        for form in ([flag, value], [f"{flag}={value}"]):
+            code = run(argv + form + ["--out", str(out)])
+            results.append((code, out.read_bytes() if out.exists() else None, capsys.readouterr().err))
+            out.unlink(missing_ok=True)
+        assert results[0] == results[1]
+        assert "expected one argument" not in results[0][2]
 
     # an unparsable value reads as argparse reads one for the flag's type
     @pytest.mark.parametrize(

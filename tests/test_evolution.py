@@ -270,14 +270,14 @@ class TestPropagate:
             propagate(MethodId.ME2, sampler, 0.0, 1.0, 4, [1, 0])
 
     @pytest.mark.parametrize(
-        "method, nodes", [(MethodId.ME6, 7), (MethodId.BLANES6_GAUSS, 3), (MethodId.ME2, 2)]
+        "method, matrices", [(MethodId.ME6, 17 + 5 * 16), (MethodId.BLANES6_GAUSS, 3 * 16), (MethodId.ME2, 17)]
     )
     @pytest.mark.parametrize("sampler", ["model", "callable"])
-    def test_validates_each_callable_node_stack_once(self, monkeypatch, method, nodes, sampler):
-        # a callable's matrix stacks get one Hermiticity check per node, node 0
-        # and node 1 apart though they view one sampled array.  A model's
-        # samples are Hermitian by construction and get none, and Theta, the
-        # library's own output, gets none either way
+    def test_validates_each_callable_node_stack_once(self, monkeypatch, method, matrices, sampler):
+        # a callable's samples at d = 2 are taken in one call and checked in
+        # one, each matrix once, though node 0 and node 1 both read the grid's.
+        # A model's samples are Hermitian by construction and get none, and
+        # Theta, the library's own output, gets none either way
         model = builtin_case("I")
         seen = []
 
@@ -288,16 +288,16 @@ class TestPropagate:
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
         propagate(method, model if sampler == "model" else lambda t: model.sample(t), 0.0, 1.0, 16, [1, 0])
-        assert seen == ([((16, 2, 2), 1)] * nodes if sampler == "callable" else [])
+        assert seen == ([((matrices, 2, 2), 1)] if sampler == "callable" else [])
 
-    @pytest.mark.parametrize(
-        "method, nodes", [(MethodId.ME6, 7), (MethodId.BLANES6_GAUSS, 3), (MethodId.ME2, 2)]
-    )
+    @pytest.mark.parametrize("method, inner, ends", [(MethodId.ME6, 5, 1), (MethodId.BLANES6_GAUSS, 3, 0), (MethodId.ME2, 0, 1)])
     @pytest.mark.parametrize("sampler", ["model", "callable"])
-    def test_validates_each_chunk_once(self, monkeypatch, method, nodes, sampler):
-        # three chunks at d = 8: a callable's checked once per node each, a
-        # model's not at all.  The callable returns one sample, so that it
-        # costs no model evaluation per time
+    def test_validates_each_chunk_once(self, monkeypatch, method, inner, ends, sampler):
+        # three chunks at d = 8: a callable's samples are checked as each
+        # sampling call takes them, one call per inner node's steps and one
+        # for the grid's times, each matrix once; a model's not at all.  The
+        # callable returns one sample, so that it costs no model evaluation
+        # per time
         width, n = THREE_CHUNKS[8]
         h = DENSE8.sample(0.0)
         seen = []
@@ -309,7 +309,7 @@ class TestPropagate:
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
         propagate(method, DENSE8 if sampler == "model" else lambda t: h, 0.0, 1.0, n, np.eye(8)[0])
-        want = [(width, 8, 8)] * (2 * nodes) + [(n - 2 * width, 8, 8)] * nodes
+        want = [(size + end, 8, 8) for size in (width, width, n - 2 * width) for end in [0] * inner + [1] * ends]
         assert seen == (want if sampler == "callable" else [])
 
     def test_rejects_nan_sample_in_a_later_chunk(self):
@@ -336,6 +336,22 @@ class TestPropagate:
             propagate(MethodId.ME3, sampler, 0.0, float(n), n, np.eye(8)[0])
         assert info.value.node == 0.5
         assert info.value.defect == pytest.approx(np.sqrt(56.0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rejects_a_small_defect_beside_a_huge_sample(self, dim):
+        # t = 1 gives entries of 1e300 and t = 3 a relative defect of about
+        # 6.5e-7, both on the grid: each sample is measured alone, so the
+        # latter fails, named by node 0, which reads t = 3 as a step start
+        h = DENSE3.sample(0.0) if dim == 3 else SX
+        skewed = h + 1e-6 * np.triu(np.ones((dim, dim)), 1)
+
+        def sampler(t):
+            return {1.0: 1e300 * h, 3.0: skewed}.get(t, h)
+
+        with pytest.raises(NonHermitianSampleError) as info:
+            propagate(MethodId.ME2, sampler, 0.0, 8.0, 8, np.eye(dim)[0])
+        assert info.value.node == 0.0
+        assert info.value.defect == pytest.approx(1e-6 * np.sqrt(dim * (dim - 1)))
 
     def test_rejects_grid_beyond_physical_memory_before_sampling(self, monkeypatch):
         forbid_sampling(monkeypatch)
@@ -811,13 +827,12 @@ class TestPackedLadder:
         assert [pieces for pieces, _ in chunks] == list(evolution._packed(counts, width))
         assert [len(u) for _, u in chunks] == [sum(stop - start for _, start, stop in pieces) for pieces, _ in chunks]
 
-    @pytest.mark.parametrize(
-        "method, nodes", [(MethodId.ME6, 7), (MethodId.BLANES6_GAUSS, 3), (MethodId.ME2, 2)]
-    )
+    @pytest.mark.parametrize("method, inner, ends", [(MethodId.ME6, 5, 1), (MethodId.BLANES6_GAUSS, 3, 0), (MethodId.ME2, 0, 1)])
     @pytest.mark.parametrize("sampler", ["model", "callable"])
-    def test_validates_each_packed_chunk_once(self, monkeypatch, method, nodes, sampler):
-        # a callable's samples get one check per node for each chunk, not
-        # each rung; a model's get none
+    def test_validates_each_packed_chunk_once(self, monkeypatch, method, inner, ends, sampler):
+        # a callable's samples get one check per sampling call, each piece's
+        # inner nodes' steps and then its grid's times, so each matrix is
+        # checked once, not once per rung or method; a model's get none
         width, _ = THREE_CHUNKS[8]
         counts = PACKED_LADDERS[8]
         h = DENSE8.sample(0.0)
@@ -830,8 +845,9 @@ class TestPackedLadder:
         monkeypatch.setattr(linalg, "checked_square", counted)
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
         evolution._final_propagators(runs(method, counts), DENSE8 if sampler == "model" else lambda t: h, 0.0, 1.0, 8)
-        sizes = [width, width, counts[0] - 2 * width + counts[1] + counts[2], counts[3] + counts[4]]
-        want = [(size, 8, 8) for size in sizes for _ in range(nodes)]
+        # each chunk's pieces' steps, node by node, then their grids' times
+        chunks = [[width], [width], [counts[0] - 2 * width, counts[1], counts[2]], [counts[3], counts[4]]]
+        want = [(size + end, 8, 8) for sizes in chunks for end in [0] * inner + [1] * ends for size in sizes]
         assert seen == (want if sampler == "callable" else [])
 
     def test_checks_every_rung_before_sampling(self, monkeypatch):
@@ -905,6 +921,28 @@ class TestOnePassLadder:
         evolution._final_propagators([(method, n) for method in methods], sampler, 0.0, 1.0, 2)
         assert len(times) == per_step * n + ends
         assert len(set(times)) == len(times)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_sampled_matrix_is_checked_once(self, monkeypatch, dim):
+        # a callable all-methods ladder of 64 and 32 steps samples 10n + 1
+        # matrices per rung, 962 in all, and checks each once: the stacks it
+        # checks, one after the other, are its samples in the order taken
+        model = builtin_case("I") if dim == 2 else DENSE3
+        sampled, checked = [], []
+
+        def sampler(t):
+            sampled.append(model.sample(t))
+            return sampled[-1]
+
+        def counted(a, sign):
+            checked.append(np.array(a))
+            return checked_square(a, sign)
+
+        monkeypatch.setattr(linalg, "checked_square", counted)
+        monkeypatch.setattr(magnus_steps, "checked_square", counted)
+        evolution._final_propagators([(method, n) for method in ALL_METHODS for n in (64, 32)], sampler, 0.0, 1.0, dim)
+        assert len(sampled) == 962
+        assert np.concatenate(checked).tobytes() == np.array(sampled, dtype=np.complex128).tobytes()
 
     def test_each_rung_s_times_are_sampled_once_in_one_call(self, monkeypatch):
         # two rungs of me4-nc and blanes4 in one chunk: 14 midpoints and 9 + 5
@@ -1278,15 +1316,14 @@ class TestModelCoordinates:
         # exactly anti-Hermitian (at d = 2 it is su(2) coordinates, so by type)
         model = dense_model(dim, seed=100 + seed)
         ts = np.random.default_rng(seed).uniform(-100.0, 100.0, 257)
-        _, ratio, defect = checked_square(model.sample_many(ts), 1)
-        assert (ratio, defect) == (0.0, 0.0)
+        assert not np.any(checked_square(model.sample_many(ts), 1)[1:])
         if dim == 2:
             return
         for method in ALL_METHODS:
             for dt in (0.01, 0.7, 5.0):
                 samples = [model.sample_many(ts + node * dt) for node in magnus_steps.sample_nodes(method)]
                 theta = magnus_steps._theta(method, samples, dt, 1.0)
-                assert checked_square(theta, -1)[1:] == (0.0, 0.0), (method, dt)
+                assert not np.any(checked_square(theta, -1)[1:]), (method, dt)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_an_overflowing_model_sample_is_a_precondition_error(self, dim):
@@ -1484,7 +1521,7 @@ class TestOnePreflight:
     def test_sampling_a_model_does_not_check_its_dimension(self):
         # propagate checks a model's dimension once, so _sampled trusts it
         times = np.linspace(0.0, 1.0, 4)
-        assert evolution._sampled(DENSE8, times, 3).tobytes() == DENSE8.sample_many(times).tobytes()
+        assert evolution._sampled(DENSE8, times, 3, []).tobytes() == DENSE8.sample_many(times).tobytes()
 
     @pytest.mark.parametrize("memory", [2**24, None], ids=["physical", "unknown"])
     def test_one_size_preflight_names_the_limit_it_hits(self, monkeypatch, memory):

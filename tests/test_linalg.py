@@ -245,11 +245,11 @@ class TestCheckedSquare:
         arr, ratio, defect = checked_square(a, -1)
         assert arr.dtype == np.complex128 and np.array_equal(arr, a)
         # entries far below the overflow range: no scaling, the plain formulas to a few ulp
-        defects = frobenius_norm(a + dagger(a))
-        want_ratio = np.max(defects / np.maximum(1.0, frobenius_norm(a)))
-        want_defect = np.max(defects)
-        assert abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio
-        assert abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect
+        want_defect = frobenius_norm(a + dagger(a))
+        want_ratio = want_defect / np.maximum(1.0, frobenius_norm(a))
+        assert ratio.shape == defect.shape == (3,)
+        assert np.all(abs(ratio - want_ratio) <= CHECK_FORMULA_TOL * want_ratio)
+        assert np.all(abs(defect - want_defect) <= CHECK_FORMULA_TOL * want_defect)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_two_level_parts_match_unscaled_formula(self, sign):
@@ -278,12 +278,32 @@ class TestCheckedSquare:
             copy = np.array(x, dtype=np.complex128)
             arr, ratio, defect = checked_square(x, 1)
             assert arr.flags.c_contiguous and np.array_equal(arr, copy)
-            assert (ratio, defect) == checked_square(copy, 1)[1:]
+            _, copy_ratio, copy_defect = checked_square(copy, 1)
+            assert np.array_equal(ratio, copy_ratio) and np.array_equal(defect, copy_defect)
 
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (0, 2, 2)])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (0, 2, 2), (2, 3, 4, 4), (0, 0), (2, 0, 0)])
     def test_zero_and_empty_stacks(self, shape):
-        assert checked_square(np.zeros(shape, dtype=complex), 1)[1:] == (0.0, 0.0)
+        _, ratio, defect = checked_square(np.zeros(shape, dtype=complex), 1)
+        assert np.shape(ratio) == np.shape(defect) == shape[:-2]
+        assert not np.any(ratio) and not np.any(defect)
+        assert isinstance(ratio, float) == (len(shape) == 2)
         assert expm_antihermitian(np.zeros(shape, dtype=complex)).shape == shape
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("huge", [1e300, 1e308])
+    def test_each_matrix_of_a_stack_is_measured_alone(self, sign, huge):
+        # entries near the float range in one matrix, whose sums of squares
+        # overflow, beside a small one with a relative defect of about 1e-7:
+        # each is scaled by its own power of two, if at all, so the small one
+        # keeps the ratio and defect it has alone instead of underflowing to 0
+        skew = np.triu(np.ones((3, 3)), 1)
+        big = huge * (np.diag([1.0, -1.0, 0.5]) + 1e-3 * skew)
+        small = (1.0 if sign == 1 else 1j) * random_hermitian(np.random.default_rng(15), 3) + 1e-7 * skew
+        stack = np.stack([big, small])
+        _, ratio, defect = checked_square(stack, sign)
+        for k in range(2):
+            assert (ratio[k], defect[k]) == checked_square(stack[k], sign)[1:], k
+        assert ratio[1] > 1e-8
 
 
 class TestSu2Coordinates:
@@ -421,6 +441,14 @@ class TestExpmAntiHermitian:
         with pytest.raises(NotAntiHermitianError) as excinfo:
             expm_antihermitian(1e200 * SX)
         assert excinfo.value.defect == pytest.approx(2e200 * np.sqrt(2))
+
+    def test_rejects_a_small_defect_beside_a_huge_exponent(self):
+        # the first matrix's sums of squares overflow; the second's relative
+        # defect, about 1.6e-7, fails whatever its neighbour's size
+        a = -1j * random_hermitian(np.random.default_rng(16), 3)
+        with pytest.raises(NotAntiHermitianError) as excinfo:
+            expm_antihermitian(np.stack([1e300 * a, a + 1e-7 * np.triu(np.ones((3, 3)), 1)]))
+        assert excinfo.value.defect == pytest.approx(1e-7 * np.sqrt(6.0))
 
     def test_rejects_non_antihermitian_whose_defect_alone_overflows(self):
         # ||theta||_F**2 = 1.44e308 is finite, ||theta + theta†||_F**2 is not:

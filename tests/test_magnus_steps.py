@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 
 import numpy as np
@@ -589,26 +590,62 @@ ONE_CALL_CASES = {
     "hermitian-nested-lists": {k: H3.tolist() for k in range(7)},
     "empty": {k: np.zeros((0, 0)) for k in range(7)},
 }
+# the value faults with a (2, 3, 3) stack at every node: H3, then that
+# node's single matrix
+ONE_CALL_CASES |= {
+    f"stacked-{case}": {k: np.stack([H3, h]) for k, h in ONE_CALL_CASES[case].items()}
+    for case in ("nan", "inf", "non-hermitian-first", "non-hermitian-middle", "non-hermitian-last", "rescale")
+}
+# entries of 1e300 and a relative defect of about 6.5e-7 in one node's
+# stack: one power of two for the stack would read the latter's defect 0
+ONE_CALL_CASES["stacked-rescale-in-one-node"] = {3: np.stack([1e300 * H3, H3 + 1e-6 * SKEW3])}
 
 
 def me6_samples(case):
     overrides = ONE_CALL_CASES[case]
-    picked = {node: overrides.get(k, H3) for k, node in enumerate(sample_nodes(MethodId.ME6))}
+    default = np.stack([H3, H3]) if case.startswith("stacked") else H3
+    picked = {node: overrides.get(k, default) for k, node in enumerate(sample_nodes(MethodId.ME6))}
     return {node: h for node, h in picked.items() if h is not None}
 
 
 def outcome(call):
-    """The exception type and message ``call()`` raises, or its result's bytes."""
+    """The exception type, message and node ``call()`` raises, or its result's bytes."""
     try:
         return call().tobytes()
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "node", None)
+
+
+def checked_square(a, sign):
+    """``linalg.checked_square`` with the largest ratio and defect of a
+    stack's matrices, for the reference below."""
+    arr, ratio, defect = linalg.checked_square(a, sign)
+    return arr, np.maximum.reduce(ratio, axis=None, initial=0.0), np.maximum.reduce(defect, axis=None, initial=0.0)
+
+
+def per_node_check(method, samples):
+    """The sample check node by node, in node order, one ``checked_square``
+    call per node: the reference whose outcome, by type, message and node,
+    ``magnus_steps._checked_samples``'s one call must have."""
+    nodes = magnus_steps._SCHEMES[method][0]
+    out = []
+    for node in nodes:
+        if node not in samples:
+            raise MissingNodeError(f"missing Hamiltonian sample at node {node!r} for {method.value}")
+        h, ratio, defect = checked_square(samples[node], 1)
+        if not ratio <= SAMPLE_HERMITICITY_TOL:
+            raise NonHermitianSampleError(node, defect, SAMPLE_HERMITICITY_TOL)
+        out.append(h)
+    if len({h.shape for h in out}) > 1:
+        shapes = ", ".join(f"node {node}: {h.shape}" for node, h in zip(nodes, out))
+        raise DimensionMismatchError(f"Hamiltonian samples for {method.value} differ in shape ({shapes})")
+    return out
 
 
 class TestOneCallSampleCheck:
-    # single matrices of one shape are checked by one checked_square call
-    # over their stack; whenever that does not pass them, the per-node loop
-    # runs and must raise what it raises alone, by type, message and node
+    # every node's matrices are checked by one checked_square call over their
+    # stack, and each input must raise what the per-node loop raises, by
+    # type, message and node, or give the bytes it gives
 
     # a step samples every node, so it takes the cases that leave none out
     @pytest.mark.parametrize(
@@ -628,15 +665,19 @@ class TestOneCallSampleCheck:
             # t_k = 0 and dt = 1, so each sampled time is its node
             call = lambda: step(MethodId.ME6, lambda t: samples[t], 0.0, 1.0)
         got = outcome(call)
-        monkeypatch.setattr(magnus_steps, "_checked_matrices", lambda nodes, samples: None)
+        monkeypatch.setattr(magnus_steps, "_checked_samples", per_node_check)
         assert got == outcome(call)
         assert isinstance(got, bytes) == case.startswith(("hermitian", "empty"))
 
-    def test_rescale_case_names_the_small_node(self):
+    @pytest.mark.parametrize(
+        "case, node, defect",
+        [("rescale", 1.0, 1e-7), ("stacked-rescale", 1.0, 1e-7), ("stacked-rescale-in-one-node", 0.5, 1e-6)],
+    )
+    def test_rescale_case_names_the_small_node(self, case, node, defect):
         with pytest.raises(NonHermitianSampleError) as info:
-            exponent(MethodId.ME6, me6_samples("rescale"), 0.1)
-        assert info.value.node == 1.0
-        assert info.value.defect == pytest.approx(1e-7 * np.sqrt(6.0))
+            exponent(MethodId.ME6, me6_samples(case), 0.1)
+        assert info.value.node == node
+        assert info.value.defect == pytest.approx(defect * np.sqrt(6.0))
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
@@ -649,11 +690,22 @@ class TestOneCallSampleCheck:
             return linalg.checked_square(a, sign)
 
         monkeypatch.setattr(magnus_steps, "checked_square", counted)
-        u = step(method, lambda t: h, 0.0, 0.3)
+        step(method, lambda t: h, 0.0, 0.3)
         assert calls == [(len(sample_nodes(method)), dim, dim)]
-        monkeypatch.undo()
-        monkeypatch.setattr(magnus_steps, "_checked_matrices", lambda nodes, samples: None)
-        assert u.tobytes() == step(method, lambda t: h, 0.0, 0.3).tobytes()
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_one_check_per_stacked_exponent(self, monkeypatch, lead):
+        # every node's stack in one call, whatever the stacks' leading shape
+        calls = []
+
+        def counted(a, sign):
+            calls.append(np.shape(a))
+            return linalg.checked_square(a, sign)
+
+        monkeypatch.setattr(magnus_steps, "checked_square", counted)
+        theta = exponent(MethodId.ME6, {node: np.broadcast_to(H3, lead + (3, 3)) for node in sample_nodes(MethodId.ME6)}, 0.1)
+        assert theta.shape == lead + (3, 3)
+        assert calls == [(7 * math.prod(lead), 3, 3)]
 
 
 # Steps per stack from which an array of the step pipeline reaches 256 KiB,

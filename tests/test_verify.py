@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magstep import magnus_steps, verify
+from magstep import linalg, magnus_steps, verify
 from magstep.linalg import commutator, dagger, frobenius_norm, unitarity_defect
 from magstep.magnus_steps import (
     ALL_METHODS,
@@ -495,14 +495,19 @@ class TestStackedSymmetrySuite:
         assert row_bits(check_symmetry_suite(cfg, draws).rows) == row_bits(per_step_symmetry_suite(cfg, draws))
 
     def test_one_stacked_step_per_method_and_dim(self, monkeypatch):
-        calls, stacked = [], verify._step_stack
+        # each with one sample check of all its nodes' matrices
+        calls, checks, stacked, checked = [], [], verify._step_stack, linalg.checked_square
         monkeypatch.setattr(verify, "_step_stack", lambda method, *a: calls.append(method) or stacked(method, *a))
+        for module in (linalg, magnus_steps):
+            monkeypatch.setattr(module, "checked_square", lambda a, sign: checks.append(sign) or checked(a, sign))
         check_symmetry_suite(OracleConfig(seed=12345, dim=3), draws=1)
-        assert len(calls) == 12
+        assert len(calls) == 12 and checks == [1] * 12
         # the default CLI draws of dim 3 draw both dims for every method
         calls.clear()
+        checks.clear()
         check_symmetry_suite(OracleConfig(seed=12345, dim=3), draws=100)
         assert calls == [m for m in ALL_METHODS for _ in range(2)]
+        assert checks == [1] * 18
 
     # with every block of 8 draws the peak holds at about 1 MB (within 2%
     # from 32 to 128 draws here); with one block per method, it grows about
