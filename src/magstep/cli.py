@@ -425,14 +425,15 @@ def build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run the oracle certification suites")
     ver.add_argument("--suite", choices=["closed-forms", "symmetry", "all"], default="all")
-    ver.add_argument("--seed", type=_number(int, "non-negative", lambda n: n >= 0), default=0, help="seed of the random draws (>= 0)")
+    # the defaults are OracleConfig's; the types keep each flag's domain
+    ver.add_argument("--seed", type=_number(int, "non-negative", lambda n: n >= 0), default=OracleConfig.seed, help="seed of the random draws (>= 0)")
     ver.add_argument(
-        "--dim", type=_number(int, f"from 2 to {MAX_DIM}", lambda n: 2 <= n <= MAX_DIM), default=2,
+        "--dim", type=_number(int, f"from 2 to {MAX_DIM}", lambda n: 2 <= n <= MAX_DIM), default=OracleConfig.dim,
         help=f"dimension of the drawn Hamiltonians, 2 to {MAX_DIM}: at 1 every commutator term is 0, "
         f"and above {MAX_DIM} the const-roundtrip row can fail on correct arithmetic",
     )
-    ver.add_argument("--dt", type=_number(float, "finite and nonzero", lambda dt: 0 < abs(dt) < math.inf), default=1.0, help="step of the certified terms (nonzero)")
-    ver.add_argument("--draws", type=_number(int, "at least 1", lambda n: n >= 1), default=100, help="random draws per identity (>= 1)")
+    ver.add_argument("--dt", type=_number(float, "finite and nonzero", lambda dt: 0 < abs(dt) < math.inf), default=OracleConfig.dt, help="step of the certified terms (nonzero)")
+    ver.add_argument("--draws", type=_number(int, "at least 1", lambda n: n >= 1), default=OracleConfig.draws, help="random draws per identity (>= 1)")
     ver.add_argument("--out", required=True, help="output CSV path")
     ver.set_defaults(handler=_cmd_verify)
 
@@ -487,16 +488,16 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = OracleConfig(seed=args.seed, dim=args.dim, dt=args.dt)
+    cfg = OracleConfig(seed=args.seed, dim=args.dim, dt=args.dt, draws=args.draws)
     rows = []
     # A huge or tiny --dt overflows the oracle's sums; that shows as a NaN row
     # (exit 3) or an ArithmeticError (exit 2), so numpy's warnings would only
     # add lines to stderr.
     with np.errstate(all="ignore"):
         if args.suite in ("closed-forms", "all"):
-            rows.extend(check_closed_forms(cfg, draws=args.draws).rows)
+            rows.extend(check_closed_forms(cfg).rows)
         if args.suite in ("symmetry", "all"):
-            rows.extend(check_symmetry_suite(cfg, draws=args.draws).rows)
+            rows.extend(check_symmetry_suite(cfg).rows)
     columns = (
         [r.identity for r in rows],
         np.array([r.max_rel_dev for r in rows]),
@@ -529,8 +530,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     chunk's freed stacks are reused from the heap by the next chunk instead
     of being unmapped or trimmed and faulted back in.  On a dense dim-8
     ``propagate`` of 4096 steps (four chunks of 1024) that cut the minor
-    page faults per call from about 9,600 to 0 and the wall time by about
-    13% (2 cores, Python 3.11, numpy 2.4.6, glibc 2.36).  It changes no arithmetic.  Callers
+    page faults per call from about 9,600 to 0 and the wall time by about a
+    fifth: 0.077-0.082 s per op pinned, 0.099-0.107 s unpinned (three
+    perfbench ``wide-model`` runs of each at seed 5, equal peak RSS; 2
+    cores, Python 3.11, numpy 2.4.6, glibc 2.36).  It changes no arithmetic.  Callers
     that run ``run`` in their own process get the pin too; library callers
     of ``propagate`` can set ``MALLOC_MMAP_THRESHOLD_`` and
     ``MALLOC_TRIM_THRESHOLD_`` in the environment instead.

@@ -103,10 +103,11 @@ counts, then takes a callable's dimension probe, then makes the size
 preflight on the reference grid, the largest it runs.  A method that is not
 a :class:`MethodId`, its name included, is a ``TypeError`` naming the
 argument and listing the valid methods.  ħ and the interval are checked together, ħ
-first, by :func:`_checked_span`: ``ValueError`` for an ħ that is not
-positive and finite (``magnus_steps._checked_hbar``) and for a non-finite
-``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless ``tf >
-t0``.  ``propagate``'s ``n_steps`` must be an integer (``TypeError``
+first, by :func:`_checked_span`: ``TypeError`` naming ``hbar``, ``t0`` or
+``tf`` for one that is not a real number, ``ValueError`` for an ħ that is
+not positive and finite (``magnus_steps._checked_hbar``) and for a
+non-finite ``t0``, ``tf`` or ``tf - t0``, :class:`PreconditionError` unless
+``tf > t0``.  ``propagate``'s ``n_steps`` must be an integer (``TypeError``
 naming it otherwise, as for ``10.5``, ``"4"`` or ``None``; a numpy integer
 is taken as its ``int``) of at least 1.  ħ is the plain ``hbar`` keyword,
 handed on to ``magnus_steps._theta``, which reads it.  :func:`_step_chunks`
@@ -128,7 +129,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianModel
 from .linalg import Array, PreconditionError, _expm, _identity, _observables, _product, _propagator_matrix, frobenius_norm
-from .magnus_steps import _SCHEMES, MethodId, _checked_hbar, _checked_method, _hermitian, _theta
+from .magnus_steps import _SCHEMES, MethodId, _checked_hbar, _checked_method, _finite, _hermitian, _theta
 
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps these names
 from .linalg import expm_antihermitian  # noqa: F401
@@ -328,10 +329,12 @@ def _checked_size(n_steps: int, dim: int) -> None:
 
 def _checked_span(t0: float, tf: float, hbar: float) -> float:
     """``tf - t0``, once ħ is checked (``magnus_steps._checked_hbar``):
+    ``TypeError`` naming ``t0`` or ``tf`` unless it is a real number,
     ``ValueError`` unless ``tf - t0``, ``t0`` and ``tf`` are finite, and
     :class:`PreconditionError` unless ``tf > t0``."""
     _checked_hbar(hbar)
-    if not math.isfinite(tf - t0):
+    # & checks both ends' types, where `and` would stop at a non-finite t0
+    if not (_finite("t0", t0) & _finite("tf", tf) and math.isfinite(tf - t0)):
         raise ValueError(f"t0, tf and tf - t0 must be finite, got t0={t0}, tf={tf}")
     if not tf > t0:
         raise PreconditionError(f"tf must exceed t0, got t0={t0}, tf={tf}")

@@ -24,8 +24,9 @@ call.
 ħ is a plain number: the ``hbar`` keyword (default 1) of ``exponent`` and
 ``step``, and of ``evolution.propagate`` and ``convergence_study``, which
 hand it on unchanged.  :func:`_theta` is the one place it is read; every
-entry point raises ``ValueError`` for an ``hbar`` that is not positive and
-finite (``_checked_hbar``) before any sample is looked at.
+entry point raises ``TypeError`` for an ``hbar`` that is not a real number
+and ``ValueError`` for one that is not positive and finite
+(``_checked_hbar``) before any sample is looked at.
 
 ``exponent`` and ``step`` take Hamiltonian samples as matrices, real ones
 included, and validate them once, in :func:`_checked_samples`:
@@ -53,7 +54,8 @@ like the evolution driver, hands the Theta it built to ``linalg._expm``
 without checking it again: it is the library's own output, not an input.
 Both entry points also raise ``ValueError`` for a ``dt`` with a NaN or
 infinite entry, after ħ and before any sample (``_checked_dt``); ``step``
-then does the same for a non-finite ``t_k`` or step end ``t_k + dt``.
+then raises ``TypeError`` for a ``t_k`` that is not a real number and
+``ValueError`` for a non-finite ``t_k`` or step end ``t_k + dt``.
 
 At d = 2 the same arithmetic runs on real su(2) coordinates (the u(2) =
 R + su(2) = R + R^3 reduction): a generator ``A = -i (c I + x sx + y sy + z
@@ -201,9 +203,19 @@ def sample_nodes(method: MethodId) -> tuple[float, ...]:
     return _SCHEMES[_checked_method(method)][0]
 
 
+def _finite(name: str, value) -> bool:
+    """Whether ``value`` is finite; ``TypeError`` naming it as ``name``
+    unless it is a real number (a numpy float or integer is one)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _checked_hbar(hbar: float) -> None:
-    """Raise ``ValueError`` unless ``hbar`` is positive and finite."""
-    if not (hbar > 0 and math.isfinite(hbar)):
+    """Raise ``TypeError`` unless ``hbar`` is a real number, then
+    ``ValueError`` unless it is positive and finite."""
+    if not (_finite("hbar", hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
@@ -353,9 +365,10 @@ def exponent(method: MethodId, samples: Mapping[float, Array], dt, hbar: float =
     matrices, real or complex, stacked as ``(n, d, d)`` or not, all of one
     shape.  No sample is written to, so two nodes may share memory.  ``dt``
     is a scalar or, for stacks, a per-step ``(n,)`` array.  Raises
-    ``TypeError`` unless ``method`` is a :class:`MethodId`, then
-    ``ValueError`` unless ``hbar`` is positive and finite, then unless every
-    ``dt`` is finite, before any sample is checked; then checks the samples
+    ``TypeError`` unless ``method`` is a :class:`MethodId`, then unless
+    ``hbar`` is a real number, then ``ValueError`` unless ``hbar`` is
+    positive and finite, then unless every ``dt`` is finite, before any
+    sample is checked; then checks the samples
     (:func:`_checked_samples`), then ``dt``'s shape against theirs
     (:func:`_checked_dt_shape`), and returns the complex matrix (stack) of
     :func:`_theta`.
@@ -573,9 +586,11 @@ def step(
     Raises ``TypeError`` unless ``method`` is a :class:`MethodId`.  ``dt``
     is a scalar: an array is a ``ValueError`` naming its shape
     (:func:`_checked_dt_shape`).  Then raises :class:`PreconditionError` for
-    ``dt = 0`` and ``ValueError`` unless ``hbar`` is positive and finite, then
-    unless ``dt`` is finite, then unless ``t_k`` and the step's end ``t_k +
-    dt`` are, before the sampler is called.  Those checks and the sampling
+    ``dt = 0``, ``TypeError`` unless ``hbar`` is a real number and
+    ``ValueError`` unless it is positive and finite, then unless ``dt`` is
+    finite, then ``TypeError`` unless ``t_k`` is a real number and
+    ``ValueError`` unless ``t_k`` and the step's end ``t_k + dt`` are
+    finite, before the sampler is called.  Those checks and the sampling
     are all ``step`` adds to :func:`_step_stack`, which checks the sampler's
     matrices as ``exponent`` checks them, exponentiates Theta by
     ``linalg._expm``, as the evolution driver does, and rebuilds a
@@ -587,7 +602,7 @@ def step(
         raise PreconditionError("step size dt must be nonzero")
     _checked_hbar(hbar)
     _checked_dt(dt)
-    if not (math.isfinite(t_k) and math.isfinite(float(t_k) + float(dt))):
+    if not (_finite("t_k", t_k) and math.isfinite(float(t_k) + float(dt))):
         raise ValueError(f"t_k and t_k + dt must be finite, got t_k={t_k!r}, dt={dt!r}")
     return _step_stack(method, {node: sampler(t_k + node * dt) for node in _SCHEMES[method][0]}, dt, hbar)
 

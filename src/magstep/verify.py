@@ -47,9 +47,9 @@ term is compared as a matrix (``magnus_steps.as_matrix``).  The
 oracle takes the interpolant of the same samples over ``[0, 1]``, and
 Omega_n is its n-th integral over ``n!``: every integral is multilinear in
 the samples, so scaling them by ``-i dt`` costs the oracle nothing of its
-independence.  Every suite needs at least one draw (both suites raise
-``ValueError`` for ``draws`` below 1, and the CLI rejects ``--draws`` below
-1 with its own usage message), and a row whose worst deviation is NaN
+independence.  Every suite needs at least one draw (:class:`OracleConfig`
+raises ``ValueError`` for ``draws`` below 1, and the CLI rejects ``--draws``
+below 1 with its own usage message), and a row whose worst deviation is NaN
 fails: a Frobenius norm that overflows at a huge ``dt``, or a relative
 deviation the norm cannot measure because its squares would underflow or
 the reference's overflow (:func:`_rel_dev`), so no row passes by reading
@@ -82,6 +82,7 @@ from .linalg import Array, commutator, dagger, frobenius_norm, unitarity_defect
 from .magnus_steps import (
     ALL_METHODS,
     MethodId,
+    _finite,
     _step_stack,
     as_matrix,
     generators,
@@ -129,20 +130,28 @@ MAX_DIM = 12
 
 # Draws per block of one method's symmetry draws.  A block is stepped, one
 # stack per dimension, and dropped, so the suite's memory does not grow
-# with ``draws``; at the CLI's default of 100 draws each method is one block.
+# with ``cfg.draws``; at the default of 100 draws each method is one block.
 SYMMETRY_BLOCK_DRAWS = 128
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Seed, dimension and step of the certification draws."""
+    """Seed, dimension, step and number of the certification draws: every
+    input of both suites, checked here once.
+
+    Raises ``TypeError`` naming ``dim``, ``seed`` or ``draws`` unless it is
+    an integer (a numpy integer is one), and naming ``dt`` unless it is a
+    real number; then ``ValueError`` for a ``dim`` below 2, a ``dt`` that
+    is not finite and nonzero, a negative ``seed`` and a ``draws`` below 1.
+    """
 
     seed: int = 0
     dim: int = 2
     dt: float = 1.0
+    draws: int = 100
 
     def __post_init__(self):
-        for name in ("dim", "seed"):
+        for name in ("dim", "seed", "draws"):
             try:
                 operator.index(getattr(self, name))
             except TypeError:
@@ -150,10 +159,13 @@ class OracleConfig:
         # at d = 1 every bracket is 0, so no commutator term would be checked
         if self.dim < 2:
             raise ValueError(f"dim must be at least 2, got {self.dim}")
-        if not (math.isfinite(self.dt) and self.dt != 0.0):
+        if not (_finite("dt", self.dt) and self.dt != 0.0):
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # a suite of no draws would report only its draw-free rows, and pass
+        if self.draws < 1:
+            raise ValueError(f"draws must be at least 1, got {self.draws}")
 
 
 @dataclass(frozen=True)
@@ -348,34 +360,19 @@ class _MaxTracker:
         return list(self._rows.values())
 
 
-def _checked_draws(draws: int) -> int:
-    """``draws`` as an ``int``; raise ``TypeError`` naming it unless it is
-    an integer, and ``ValueError`` unless it is at least 1."""
-    try:
-        draws = operator.index(draws)
-    except TypeError:
-        raise TypeError(f"draws must be an integer, got {draws!r}") from None
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
-    return draws
-
-
-def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
+def check_closed_forms(cfg: OracleConfig) -> CheckReport:
     """Certify every closed-form commutator expression against the oracles.
 
-    Runs ``draws`` seeded random-Hermitian trials at ``cfg.dim``/``cfg.dt`` and
-    reports the worst relative deviation per identity.  Raises
+    Runs ``cfg.draws`` seeded random-Hermitian trials at ``cfg.dim``/``cfg.dt``
+    and reports the worst relative deviation per identity.  Raises
     ``OverflowError`` for a ``cfg.dt`` whose fourth power, the scale of
     Omega_4, is not a float, and ``ZeroDivisionError`` for one whose
     ``dt**3 / 120``, the smallest nested scalar integral and a divisor of
     its row, is in magnitude below the smallest normal float (about
     2.2e-308, so ``|dt|`` below about 1.3875e-102), where its rounding is
     too coarse for the row's tolerance; both before any draw, naming ``dt``.
-    A negative ``dt`` is a valid step.  Raises ``TypeError`` for a
-    ``draws`` that is not an integer and ``ValueError`` for one below 1
-    first, since the rows a suite of no draws reports check nothing.
+    A negative ``dt`` is a valid step.
     """
-    draws = _checked_draws(draws)
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
     try:
@@ -393,7 +390,7 @@ def check_closed_forms(cfg: OracleConfig, draws: int = 100) -> CheckReport:
     def certify(name: str, closed_form: Array, a, n: int) -> None:
         track.update(name, _rel_dev(as_matrix(closed_form), oracle_omega(a, n)), ORACLE_AGREEMENT_TOL)
 
-    for _ in range(draws):
+    for _ in range(cfg.draws):
         h = [random_hermitian(rng, cfg.dim) for _ in range(7)]
         a0, aq1, at1, ah, at2, aq3, a1 = ((-1j * dt) * x for x in h)
         # the same draws as a builder takes them
@@ -494,13 +491,11 @@ def _step_block(track: _MaxTracker, method: MethodId, block: list[tuple], const:
     return roundtrip
 
 
-def check_symmetry_suite(cfg: OracleConfig, draws: int = 200) -> CheckReport:
-    """Unitarity and backward-adjoint checks over all methods, ``draws``
+def check_symmetry_suite(cfg: OracleConfig) -> CheckReport:
+    """Unitarity and backward-adjoint checks over all methods, ``cfg.draws``
     each, the round trip of a constant Hamiltonian's step for each, plus
     the sign flip of every oracle integral under reversal of the step,
-    over ``min(draws, 25)`` draws.  Raises ``TypeError`` or ``ValueError``
-    for a ``draws`` that is not an integer of at least 1, as
-    :func:`check_closed_forms` does.
+    over ``min(cfg.draws, 25)`` draws.
 
     Each method's draws are taken in blocks of ``SYMMETRY_BLOCK_DRAWS``, and
     a block's steps, forward and backward, run as one stack per dimension
@@ -510,16 +505,15 @@ def check_symmetry_suite(cfg: OracleConfig, draws: int = 200) -> CheckReport:
     per draw.  The constant draw follows every
     method's draws, so each method's last block waits for it and takes the
     method's two constant steps in its ``cfg.dim`` stack."""
-    draws = _checked_draws(draws)
     rng = np.random.default_rng(cfg.seed)
     track = _MaxTracker()
 
     dim_cap = min(cfg.dim, 6)
     last_blocks = []
     for method in ALL_METHODS:
-        for start in range(0, draws, SYMMETRY_BLOCK_DRAWS):
-            block = [_symmetry_draw(rng, dim_cap, cfg.dt) for _ in range(min(SYMMETRY_BLOCK_DRAWS, draws - start))]
-            if start + SYMMETRY_BLOCK_DRAWS < draws:
+        for start in range(0, cfg.draws, SYMMETRY_BLOCK_DRAWS):
+            block = [_symmetry_draw(rng, dim_cap, cfg.dt) for _ in range(min(SYMMETRY_BLOCK_DRAWS, cfg.draws - start))]
+            if start + SYMMETRY_BLOCK_DRAWS < cfg.draws:
                 _step_block(track, method, block)
         last_blocks.append(block)
 
@@ -533,7 +527,7 @@ def check_symmetry_suite(cfg: OracleConfig, draws: int = 200) -> CheckReport:
     track.update("const-roundtrip", np.maximum.reduce(roundtrips), CONST_ROUNDTRIP_TOL)
 
     # time-ordered integrals flip sign when the endpoints are exchanged
-    for _ in range(min(draws, 25)):
+    for _ in range(min(cfg.draws, 25)):
         samples = [random_hermitian(rng, cfg.dim) for _ in range(4)]
         h = interpolant(samples, 0.0, cfg.dt)
         for n in range(1, 5):

@@ -73,8 +73,8 @@ def test_criterion_2_closed_form_certification():
     failed = []
     for dim in (2, 3, 4, 5, 6):
         for dt in (0.1, 1.0):
-            cfg = OracleConfig(seed=1000 + dim, dim=dim, dt=dt)
-            report = check_closed_forms(cfg, draws=10)
+            cfg = OracleConfig(seed=1000 + dim, dim=dim, dt=dt, draws=10)
+            report = check_closed_forms(cfg)
             for row in report.rows:
                 worst[row.identity] = max(worst.get(row.identity, 0.0), row.max_rel_dev)
                 if not row.passed:

@@ -585,6 +585,11 @@ class TestVerify:
         assert "--draws" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_defaults_are_the_oracle_configs(self):
+        args = cli.build_parser().parse_args(["verify", "--out", "report.csv"])
+        defaults = OracleConfig()
+        assert (args.seed, args.dim, args.dt, args.draws) == (defaults.seed, defaults.dim, defaults.dt, defaults.draws)
+
 
 class TestVerifyDimBound:
     # MAX_DIM is the largest dim at which seeds 0 to 19 pass every row
@@ -801,7 +806,7 @@ class TestBadStepAndTimeFlags:
             assert (dev, passed) == ("nan", "false")
         # every row, NaN and false included, reads as it always has
         with np.errstate(all="ignore"):
-            report = check_symmetry_suite(OracleConfig(dim=2, dt=1e60), draws=1)
+            report = check_symmetry_suite(OracleConfig(dim=2, dt=1e60, draws=1))
         want = table_text(
             ["identity", "max_rel_dev", "tolerance", "pass"],
             [(r.identity, r.max_rel_dev, r.tolerance, r.passed) for r in report.rows],
@@ -1208,9 +1213,9 @@ class TestPercentText:
         out = tmp_path / "report.csv"
         argv = ["verify", "--suite", "all", "--dim", "3", "--draws", "1", "--dt", dt, "--out", str(out)]
         assert run(argv) in (EXIT_OK, EXIT_VERIFY_FAILED)
-        cfg = OracleConfig(dim=3, dt=float(dt))
+        cfg = OracleConfig(dim=3, dt=float(dt), draws=1)
         with np.errstate(all="ignore"):
-            rows = verify.check_closed_forms(cfg, draws=1).rows + check_symmetry_suite(cfg, draws=1).rows
+            rows = verify.check_closed_forms(cfg).rows + check_symmetry_suite(cfg).rows
         want = "identity,max_rel_dev,tolerance,pass\n" + "".join(
             "%s,%.17g,%.17g,%s\n" % (r.identity, r.max_rel_dev, r.tolerance, "true" if r.passed else "false")
             for r in rows

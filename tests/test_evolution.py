@@ -262,6 +262,27 @@ class TestPropagate:
                 convergence_study(RABI, [MethodId.ME2], tf=tf, t0=t0)
         assert not isinstance(info.value, PreconditionError)
 
+    # an interval end that is not a real number is named, not by '-''s bare
+    # TypeError, and before the interval's other checks
+    @pytest.mark.parametrize("entry", ["propagate", "convergence_study"])
+    @pytest.mark.parametrize(
+        "t0, tf, name", [("0", 1.0, "t0"), (0.0, None, "tf"), (0.0, "1", "tf"), (None, np.inf, "t0"), (np.nan, "1", "tf")]
+    )
+    def test_an_end_that_is_not_a_real_number_is_a_type_error_naming_it(self, monkeypatch, entry, t0, tf, name):
+        forbid_sampling(monkeypatch)
+        message = re.escape(f"{name} must be a real number, got {(t0 if name == 't0' else tf)!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            if entry == "propagate":
+                propagate(MethodId.ME2, builtin_case("I"), t0, tf, 4, [1, 0])
+            else:
+                convergence_study(builtin_case("I"), [MethodId.ME2], dts=[0.5], tf=tf, t0=t0)
+
+    def test_numpy_interval_ends_run(self):
+        got = propagate(MethodId.ME2, builtin_case("I"), np.int64(0), np.float32(1.0), 4, [1, 0])
+        want = propagate(MethodId.ME2, builtin_case("I"), 0.0, 1.0, 4, [1, 0])
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.populations.tobytes() == want.populations.tobytes()
+
     def test_rejects_nan_sample(self):
         def sampler(t):
             return SX if t < 0.5 else np.full((2, 2), np.nan)

@@ -283,6 +283,22 @@ class TestExponent:
                     step(method, s, t_k, dt)
                 assert not isinstance(info.value, PreconditionError)
 
+    # a t_k that is not a real number is named, not by math.isfinite's bare
+    # TypeError, before the sampler is called
+    @pytest.mark.parametrize("t_k", [None, "0", 1j], ids=["none", "str", "complex"])
+    def test_a_t_k_that_is_not_a_real_number_is_a_type_error_naming_it(self, t_k):
+        def sampler(t):
+            pytest.fail("sampled")
+
+        for s in (builtin_case("I").sample, sampler):
+            with pytest.raises(TypeError, match=f"^t_k must be a real number, got {re.escape(repr(t_k))}$"):
+                step(MethodId.ME2, s, t_k, 0.1)
+
+    @pytest.mark.parametrize("t_k", [np.float64(0.25), np.int64(1)], ids=["float64", "int64"])
+    def test_a_numpy_t_k_steps(self, t_k):
+        sample = builtin_case("I").sample
+        assert step(MethodId.ME6, sample, t_k, 0.1).tobytes() == step(MethodId.ME6, sample, float(t_k), 0.1).tobytes()
+
     def test_a_finite_step_near_the_float_limit_still_steps(self):
         u = step(MethodId.ME4_NC, builtin_case("I").sample, 1e308, -1.0)
         assert unitarity_defect(u) < 1e-14
@@ -424,6 +440,30 @@ class TestHbar:
         with pytest.raises(ValueError, match="hbar must be positive and finite") as info:
             calls[entry]()
         assert not isinstance(info.value, PreconditionError)
+
+    # an hbar that is not a real number is named, not by '>''s bare
+    # TypeError, before its other checks and before any sample is checked
+    @pytest.mark.parametrize("hbar", ["1", None, 1j], ids=["str", "none", "complex"])
+    @pytest.mark.parametrize("entry", ["exponent", "step", "propagate", "convergence_study"])
+    def test_an_hbar_that_is_not_a_real_number_is_a_type_error_naming_it(self, entry, hbar):
+        model = builtin_case("I")
+        calls = {
+            "exponent": lambda: exponent(MethodId.ME2, {0.0: np.full((2, 2), np.nan), 1.0: SZ}, 0.1, hbar=hbar),
+            "step": lambda: step(MethodId.ME2, model.sample, 0.0, 0.1, hbar=hbar),
+            "propagate": lambda: propagate(MethodId.ME2, model, 0.0, 1.0, 4, [1, 0], hbar=hbar),
+            "convergence_study": lambda: convergence_study(
+                model, [MethodId.ME2], dts=[0.5, 0.25], tf=1.0, hbar=hbar
+            ),
+        }
+        with pytest.raises(TypeError, match=f"^hbar must be a real number, got {re.escape(repr(hbar))}$"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("hbar", [np.float32(0.5), np.int64(2)], ids=["float32", "int64"])
+    def test_a_numpy_hbar_is_taken(self, hbar):
+        samples = {0.0: SX, 1.0: SZ}
+        assert exponent(MethodId.ME2, samples, 0.1, hbar=hbar).tobytes() == exponent(
+            MethodId.ME2, samples, 0.1, hbar=float(hbar)
+        ).tobytes()
 
 
 class TestGenerators:

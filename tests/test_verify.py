@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -289,9 +290,9 @@ class TestOracleQuadrature:
             return value
 
         monkeypatch.setattr(verify, "oracle_Mn", counted_oracle)
-        cfg = OracleConfig(seed=5, dim=3)
-        check_closed_forms(cfg, draws=1)
-        check_symmetry_suite(cfg, draws=1)
+        cfg = OracleConfig(seed=5, dim=3, draws=1)
+        check_closed_forms(cfg)
+        check_symmetry_suite(cfg)
         assert (len(innermost), sum(innermost)) == (19, 972)
 
 
@@ -330,12 +331,12 @@ class TestGaussNodeForms:
 
 @pytest.fixture(scope="module")
 def closed_form_report() -> CheckReport:
-    return check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=10)
+    return check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0, draws=10))
 
 
 @pytest.fixture(scope="module")
 def symmetry_report() -> CheckReport:
-    return check_symmetry_suite(OracleConfig(seed=11, dim=4, dt=0.8), draws=20)
+    return check_symmetry_suite(OracleConfig(seed=11, dim=4, dt=0.8, draws=20))
 
 
 class TestCheckClosedForms:
@@ -381,7 +382,7 @@ class TestCheckClosedForms:
         assert closed_form_report.row("m2-quadratic-forms-agree").max_rel_dev <= 1e-13
 
     def test_small_step(self):
-        report = check_closed_forms(OracleConfig(seed=3, dim=2, dt=0.1), draws=5)
+        report = check_closed_forms(OracleConfig(seed=3, dim=2, dt=0.1, draws=5))
         assert report.all_passed
 
     def test_wrong_coefficient_in_a_term_fails(self, monkeypatch):
@@ -391,7 +392,7 @@ class TestCheckClosedForms:
         monkeypatch.setattr(
             verify, "omega4_linear", lambda *args, **kw: (210.0 / 210.5) * omega4_linear(*args, **kw)
         )
-        report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=1)
+        report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0, draws=1))
         failing = [r.identity for r in report.rows if not r.passed]
         assert failing == ["m4-linear", "m4-linear-alt-root"]
 
@@ -402,7 +403,7 @@ class TestCheckClosedForms:
         namespace = dict(vars(magnus_steps))
         exec(source.replace("16.0 / 13.0", "1.001 * 16.0 / 13.0"), namespace)
         monkeypatch.setattr(verify, "omega2_cubic", namespace["omega2_cubic"])
-        report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0), draws=1)
+        report = check_closed_forms(OracleConfig(seed=7, dim=3, dt=1.0, draws=1))
         failing = [r.identity for r in report.rows if not r.passed]
         assert failing == ["m2-cubic"]
 
@@ -414,7 +415,7 @@ class TestCheckClosedForms:
         namespace = dict(vars(magnus_steps))
         exec(source.replace("out[1:] *= 2.0", "out[1:] *= -2.0"), namespace)
         monkeypatch.setattr(magnus_steps, "commutator", namespace["commutator"])
-        failing = {r.identity for r in check_closed_forms(OracleConfig(seed=7, dim=2), draws=1).rows if not r.passed}
+        failing = {r.identity for r in check_closed_forms(OracleConfig(seed=7, dim=2, draws=1)).rows if not r.passed}
         # every term with an odd number of brackets, and the printed form of
         # Omega_2, which takes the oracle's brackets, against the flipped one
         assert failing == {
@@ -426,7 +427,7 @@ class TestCheckClosedForms:
             "m4-linear-alt-root",
         }
         # the matrix kernel of d = 3 is untouched
-        assert check_closed_forms(OracleConfig(seed=7, dim=3), draws=1).all_passed
+        assert check_closed_forms(OracleConfig(seed=7, dim=3, draws=1)).all_passed
 
 
 class TestCheckSymmetrySuite:
@@ -445,14 +446,14 @@ class TestCheckSymmetrySuite:
             assert symmetry_report.row(f"oracle-sign-flip-m{n}").passed
 
 
-def per_step_symmetry_suite(cfg, draws):
+def per_step_symmetry_suite(cfg):
     """The symmetry suite's rows as one ``step`` call per check, in the
     suite's draw order: the rows its stacked steps must give bit for bit."""
     rng = np.random.default_rng(cfg.seed)
     track = verify._MaxTracker()
     dim_cap = min(cfg.dim, 6)
     for method in ALL_METHODS:
-        for _ in range(draws):
+        for _ in range(cfg.draws):
             dim = int(rng.integers(2, dim_cap + 1))
             sampler = smooth_sampler(rng, dim)
             t_k = float(rng.uniform(-1.0, 1.0))
@@ -468,7 +469,7 @@ def per_step_symmetry_suite(cfg, draws):
         fwd = step(method, lambda t: const, 0.0, cfg.dt)
         bwd = step(method, lambda t: const, cfg.dt, -cfg.dt)
         track.update("const-roundtrip", float(frobenius_norm(bwd @ fwd - eye)), verify.CONST_ROUNDTRIP_TOL)
-    for _ in range(min(draws, 25)):
+    for _ in range(min(cfg.draws, 25)):
         samples = [random_hermitian(rng, cfg.dim) for _ in range(4)]
         h = interpolant(samples, 0.0, cfg.dt)
         for n in range(1, 5):
@@ -491,8 +492,8 @@ class TestStackedSymmetrySuite:
     def test_rows_are_the_per_step_loops_bits(self, monkeypatch, dim, seed, dt, draws, block):
         if block is not None:
             monkeypatch.setattr(verify, "SYMMETRY_BLOCK_DRAWS", block)
-        cfg = OracleConfig(seed=seed, dim=dim, dt=dt)
-        assert row_bits(check_symmetry_suite(cfg, draws).rows) == row_bits(per_step_symmetry_suite(cfg, draws))
+        cfg = OracleConfig(seed=seed, dim=dim, dt=dt, draws=draws)
+        assert row_bits(check_symmetry_suite(cfg).rows) == row_bits(per_step_symmetry_suite(cfg))
 
     def test_one_stacked_step_per_method_and_dim(self, monkeypatch):
         # each with one sample check of all its nodes' matrices
@@ -500,12 +501,12 @@ class TestStackedSymmetrySuite:
         monkeypatch.setattr(verify, "_step_stack", lambda method, *a: calls.append(method) or stacked(method, *a))
         for module in (linalg, magnus_steps):
             monkeypatch.setattr(module, "checked_square", lambda a, sign: checks.append(sign) or checked(a, sign))
-        check_symmetry_suite(OracleConfig(seed=12345, dim=3), draws=1)
+        check_symmetry_suite(OracleConfig(seed=12345, dim=3, draws=1))
         assert len(calls) == 12 and checks == [1] * 12
         # the default CLI draws of dim 3 draw both dims for every method
         calls.clear()
         checks.clear()
-        check_symmetry_suite(OracleConfig(seed=12345, dim=3), draws=100)
+        check_symmetry_suite(OracleConfig(seed=12345, dim=3, draws=100))
         assert calls == [m for m in ALL_METHODS for _ in range(2)]
         assert checks == [1] * 18
 
@@ -515,12 +516,12 @@ class TestStackedSymmetrySuite:
     def test_peak_memory_does_not_grow_with_draws(self, monkeypatch):
         monkeypatch.setattr(verify, "SYMMETRY_BLOCK_DRAWS", 8)
         cfg = OracleConfig(seed=3, dim=6)
-        check_symmetry_suite(cfg, 2)
+        check_symmetry_suite(dataclasses.replace(cfg, draws=2))
         peaks = []
         for draws in (32, 128):
             tracemalloc.start()
             try:
-                check_symmetry_suite(cfg, draws)
+                check_symmetry_suite(dataclasses.replace(cfg, draws=draws))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -552,8 +553,8 @@ class TestNamedTolerances:
         stand_ins = {name: (k + 1) * 1e-3 for k, (name, _, _) in enumerate(self.KINDS)}
         for name, value in stand_ins.items():
             monkeypatch.setattr(verify, name, value)
-        cfg = OracleConfig(seed=5, dim=3)
-        rows = check_closed_forms(cfg, draws=1).rows + check_symmetry_suite(cfg, draws=1).rows
+        cfg = OracleConfig(seed=5, dim=3, draws=1)
+        rows = check_closed_forms(cfg).rows + check_symmetry_suite(cfg).rows
         assert {self.kind(r.identity) for r in rows} == set(stand_ins)
         for r in rows:
             assert r.tolerance == stand_ins[self.kind(r.identity)], r.identity
@@ -571,6 +572,15 @@ class TestOracleConfig:
         with pytest.raises(ValueError, match="dt must be finite and nonzero"):
             OracleConfig(dt=dt)
 
+    # named here, not by math.isfinite's bare "must be real number, not str"
+    @pytest.mark.parametrize("dt", ["1", None])
+    def test_a_dt_that_is_not_a_real_number_is_a_type_error_naming_it(self, dt):
+        with pytest.raises(TypeError, match=f"^dt must be a real number, got {re.escape(repr(dt))}$"):
+            OracleConfig(dt=dt)
+
+    def test_numpy_floats_are_taken_as_dt(self):
+        assert OracleConfig(dt=np.float32(0.5)).dt == 0.5
+
     def test_seed_must_be_non_negative(self):
         # named here, not by numpy's bare "expected non-negative integer" at the first draw
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
@@ -583,36 +593,36 @@ class TestOracleConfig:
             OracleConfig(**{field: value})
 
     def test_numpy_integers_are_taken(self):
-        cfg = OracleConfig(seed=np.uint32(5), dim=np.int64(3))
-        assert check_symmetry_suite(cfg, draws=1).rows == check_symmetry_suite(OracleConfig(seed=5, dim=3), draws=1).rows
+        cfg = OracleConfig(seed=np.uint32(5), dim=np.int64(3), draws=1)
+        assert check_symmetry_suite(cfg).rows == check_symmetry_suite(OracleConfig(seed=5, dim=3, draws=1)).rows
 
 
 class TestDraws:
     # a suite of no draws would report only its draw-free rows, and pass
     @pytest.mark.parametrize("draws", [0, -5])
-    @pytest.mark.parametrize("suite", [check_closed_forms, check_symmetry_suite], ids=lambda f: f.__name__)
-    def test_draws_below_one_raise_naming_draws(self, monkeypatch, suite, draws):
-        monkeypatch.setattr(verify, "oracle_Mn", lambda *a: pytest.fail("oracle called"))
-        monkeypatch.setattr(verify, "step", lambda *a: pytest.fail("step called"))
-        monkeypatch.setattr(verify, "_step_stack", lambda *a: pytest.fail("_step_stack called"))
-        with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
-            suite(OracleConfig(), draws=draws)
+    def test_draws_below_one_raise_naming_draws(self, draws):
+        with pytest.raises(ValueError, match=f"^draws must be at least 1, got {draws}$"):
+            OracleConfig(draws=draws)
 
     # a draw count that is not an integer is a TypeError naming draws, not
     # range()'s or >='s bare one
     @pytest.mark.parametrize("draws", [1.5, "3", None], ids=["float", "str", "none"])
-    @pytest.mark.parametrize("suite", [check_closed_forms, check_symmetry_suite], ids=lambda f: f.__name__)
-    def test_non_integer_draws_raise_a_type_error_naming_draws(self, monkeypatch, suite, draws):
-        monkeypatch.setattr(verify, "oracle_Mn", lambda *a: pytest.fail("oracle called"))
-        monkeypatch.setattr(verify, "step", lambda *a: pytest.fail("step called"))
-        monkeypatch.setattr(verify, "_step_stack", lambda *a: pytest.fail("_step_stack called"))
-        with pytest.raises(TypeError, match=f"draws must be an integer, got {draws!r}"):
-            suite(OracleConfig(), draws=draws)
+    def test_non_integer_draws_raise_a_type_error_naming_draws(self, draws):
+        with pytest.raises(TypeError, match=f"^draws must be an integer, got {re.escape(repr(draws))}$"):
+            OracleConfig(draws=draws)
+
+    def test_replace_checks_draws_again(self):
+        with pytest.raises(ValueError, match="^draws must be at least 1, got 0$"):
+            dataclasses.replace(OracleConfig(draws=3), draws=0)
 
     @pytest.mark.parametrize("suite", [check_closed_forms, check_symmetry_suite], ids=lambda f: f.__name__)
     def test_a_numpy_integer_draws_runs(self, suite):
-        cfg = OracleConfig(seed=5)
-        assert suite(cfg, draws=np.int64(2)).rows == suite(cfg, draws=2).rows
+        assert suite(OracleConfig(seed=5, draws=np.int64(2))).rows == suite(OracleConfig(seed=5, draws=2)).rows
+
+    # the config is the one place a draw count is set
+    @pytest.mark.parametrize("suite", [check_closed_forms, check_symmetry_suite], ids=lambda f: f.__name__)
+    def test_each_suite_takes_the_config_alone(self, suite):
+        assert list(inspect.signature(suite).parameters) == ["cfg"]
 
 
 class TestMaxTracker:
